@@ -353,11 +353,9 @@ func exploreCell(spec *Spec, fam Family, n int, seen map[uint64]struct{}) cellRe
 				c.got[p.ID()], c.oks[p.ID()] = c.r.Rename(p, p.Name())
 			}
 		},
-		Reset: func() {
+		Reset: func(pid int) {
 			c := capOf(0)
-			for i := range c.got {
-				c.got[i], c.oks[i] = 0, false
-			}
+			c.got[pid], c.oks[pid] = 0, false
 		},
 		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
 			c := capOf(run)

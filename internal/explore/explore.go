@@ -146,12 +146,12 @@ type Independent interface {
 // the engine once — from run 0's body (or frame factory) — with state capture
 // enabled, and calls BacktrackState in place of Backtrack at the end of every
 // execution: the strategy restores the engine to its next frontier node
-// (passing reset through to Restore so the caller can clear body-external
-// capture arrays before the catch-up) and returns false when the search is
-// exhausted.
+// (passing reset through to Restore so the caller can clear a process's
+// body-external capture before its catch-up) and returns false when the
+// search is exhausted.
 type Stateful interface {
 	Strategy
-	BacktrackState(e sched.StateEngine, t sched.Trace, res sched.Result, reset func()) bool
+	BacktrackState(e sched.StateEngine, t sched.Trace, res sched.Result, reset func(pid int)) bool
 }
 
 // Seeder is implemented by strategies that dictate the instance seed of each
@@ -221,11 +221,16 @@ type Config struct {
 	// only valid during the call, and a callback that retains it (to report a
 	// violation, say) must copy it first.
 	OnResult func(run int, t sched.Trace, res sched.Result) bool
-	// Reset clears body-external per-execution capture (outcome arrays the
-	// body writes into) before a stateful strategy's restore respawns the
-	// processes. Stateless strategies never call it — they rebuild via
-	// Body(run) instead. nil is fine when the body captures nothing.
-	Reset func()
+	// Reset clears process pid's body-external per-execution capture (its
+	// slot of the outcome arrays the body writes into) before a stateful
+	// strategy's restore re-runs that process. It is called only for the
+	// processes the restore re-roots: the goroutine engine re-runs every
+	// process, while the vectorized engine leaves a lane that did not move
+	// since the capture untouched — and its captured outcome with it, which
+	// is why Reset must clear pid's slot only. Stateless strategies never
+	// call it — they rebuild via Body(run) instead. nil is fine when the
+	// body captures nothing.
+	Reset func(pid int)
 }
 
 func (cfg *Config) names(run int) []int64 {

@@ -49,18 +49,31 @@ type SourceDPOR struct {
 	resumeAt  int // frame whose freshly picked choice executes next; -1 none
 	abandoned bool
 	rootPin   *Choice
-	table     map[[2]uint64][]closedRec
 	race      RaceAnalysis
 	hb        hbState     // incremental happens-before layer (RaceIncremental)
 	scratch   raceScratch // from-scratch reference (RaceRebuild)
 	diffSave  []uint64    // RaceDifferential: btStep snapshots across the two runs
 	diffRef   []uint64
 	stats     Stats
+
+	// The dedup table holds no pointer, so the garbage collector never scans
+	// it however large it grows: closed records sit back to back in recs,
+	// chained per state key by index, and their footprints back to back in
+	// footWords. A footprint is a bitset over footKeys, the accesses interned
+	// once per walk in footIdx; footFree recycles the per-frame bitsets of
+	// closed frames.
+	table     map[[2]uint64]recChain
+	recs      []closedRec
+	footWords []uint64
+	footIdx   map[footKey]int32
+	footKeys  []footKey
+	footFree  [][]uint64
 }
 
 // sframe extends the shared tree frame with the stateful machinery: the
 // node's snapshot, its state key, its sleep set as masks (for the dedup
-// subset test), and the accumulated subtree footprint.
+// subset test), and the accumulated subtree footprint (a bitset over
+// SourceDPOR.footKeys).
 type sframe struct {
 	frame
 	snap          sched.ExecState
@@ -69,12 +82,13 @@ type sframe struct {
 	sleepCrash    uint64
 	sleepRestart  uint64
 	restartBudget int // remaining global restarts at node entry (dedup mode)
-	foot          map[footKey]struct{}
+	foot          []uint64
 }
 
 // footKey identifies one kind of register access occurring in a subtree:
 // which process performed which operation on which register. Crashes touch
 // no register and commute with everything, so they never enter a footprint.
+// Each distinct footKey is interned to a dense bit index once per walk.
 type footKey struct {
 	reg  any
 	kind shmem.OpKind
@@ -84,15 +98,24 @@ type footKey struct {
 // closedRec is one fully explored state: everything reachable from it
 // (outside its sleep set, within its crash budget) has been executed and
 // checked. A later visit to the same state may be cut if its obligations
-// are covered — see matches.
+// are covered — see matches. Its footprint is
+// footWords[footOff : footOff+footLen], and next is the index in recs of the
+// state key's next record (-1: none).
 type closedRec struct {
 	sleepStep     uint64
 	sleepCrash    uint64
 	sleepRestart  uint64
-	crashBudget   int
-	restartBudget int
-	foot          map[footKey]struct{}
+	crashBudget   int32
+	restartBudget int32
+	footOff       int32
+	footLen       int32
+	next          int32
 }
+
+// recChain is a state key's entry in the dedup table: the indices in recs of
+// its first and last closed records. Records are matched in the order they
+// were closed.
+type recChain struct{ first, last int32 }
 
 // matches reports whether the record's coverage subsumes a revisit carrying
 // the given sleep masks and remaining fault budgets: the record explored
@@ -104,7 +127,7 @@ type closedRec struct {
 func (r *closedRec) matches(sleepStep, sleepCrash, sleepRestart uint64, crashBudget, restartBudget int) bool {
 	return r.sleepStep&^sleepStep == 0 && r.sleepCrash&^sleepCrash == 0 &&
 		r.sleepRestart&^sleepRestart == 0 &&
-		r.crashBudget >= crashBudget && r.restartBudget >= restartBudget
+		int(r.crashBudget) >= crashBudget && int(r.restartBudget) >= restartBudget
 }
 
 // NewSourceDPOR returns the stateful source-set DPOR strategy. budget caps
@@ -119,7 +142,8 @@ func NewSourceDPOR(seed uint64, budget, maxCrashes int) *SourceDPOR {
 		maxCrashes: maxCrashes,
 		dedup:      true,
 		resumeAt:   -1,
-		table:      make(map[[2]uint64][]closedRec),
+		table:      make(map[[2]uint64]recChain),
+		footIdx:    make(map[footKey]int32),
 	}
 }
 
@@ -215,11 +239,11 @@ func (t *SourceDPOR) Next(eng sched.Engine) Choice {
 	if t.dedup && len(t.stack) > 0 {
 		key := c.StateHash()
 		f.restartBudget = c.Model().MaxRestarts - c.Restarts()
-		if recs, ok := t.table[key]; ok {
+		if ch, ok := t.table[key]; ok {
 			budget := t.maxCrashes - f.crashesBefore
-			for i := range recs {
-				if recs[i].matches(f.sleepStep, f.sleepCrash, f.sleepRestart, budget, f.restartBudget) {
-					t.coverDedup(&recs[i])
+			for r := ch.first; r >= 0; r = t.recs[r].next {
+				if t.recs[r].matches(f.sleepStep, f.sleepCrash, f.sleepRestart, budget, f.restartBudget) {
+					t.coverDedup(&t.recs[r])
 					t.stats.Deduped++
 					t.abandoned = true
 					return Abandon
@@ -275,10 +299,7 @@ func (t *SourceDPOR) commit(c sched.Engine, f *sframe) {
 	}
 	f.chosenIn = c.Intent(f.chosen.Pid)
 	if t.dedup && !f.chosen.Crash {
-		if f.foot == nil {
-			f.foot = make(map[footKey]struct{})
-		}
-		f.foot[footKey{reg: f.chosenIn.Reg, kind: f.chosenIn.Kind, pid: f.chosen.Pid}] = struct{}{}
+		t.footAdd(f, footKey{reg: f.chosenIn.Reg, kind: f.chosenIn.Kind, pid: f.chosen.Pid})
 	}
 	t.stats.Explored++
 }
@@ -287,7 +308,7 @@ func (t *SourceDPOR) commit(c sched.Engine, f *sframe) {
 // into the backtrack sets, close and pop exhausted frames (recording their
 // states in the dedup table), and restore the engine to the deepest frame
 // with an unexplored scheduled choice.
-func (t *SourceDPOR) BacktrackState(c sched.StateEngine, tr sched.Trace, res sched.Result, reset func()) bool {
+func (t *SourceDPOR) BacktrackState(c sched.StateEngine, tr sched.Trace, res sched.Result, reset func(pid int)) bool {
 	if t.abandoned {
 		t.abandoned = false
 		t.stats.Partial++
@@ -334,23 +355,71 @@ func (t *SourceDPOR) BacktrackState(c sched.StateEngine, tr sched.Trace, res sch
 	return false
 }
 
-// closeFrame records a fully explored frame's state as closed and folds its
-// subtree footprint into its parent's.
+// closeFrame records a fully explored frame's state as closed, folds its
+// subtree footprint into its parent's, and recycles the frame's footprint
+// buffer.
 func (t *SourceDPOR) closeFrame(i int) {
 	if !t.dedup {
 		return
 	}
 	f := &t.stack[i]
 	if i > 0 {
-		t.table[f.key] = append(t.table[f.key], closedRec{
+		t.addRec(f.key, closedRec{
 			sleepStep:     f.sleepStep,
 			sleepCrash:    f.sleepCrash,
 			sleepRestart:  f.sleepRestart,
-			crashBudget:   t.maxCrashes - f.crashesBefore,
-			restartBudget: f.restartBudget,
-			foot:          f.foot,
-		})
-		mergeFoot(&t.stack[i-1], f.foot)
+			crashBudget:   int32(t.maxCrashes - f.crashesBefore),
+			restartBudget: int32(f.restartBudget),
+		}, f.foot)
+		t.mergeFoot(&t.stack[i-1], f.foot)
+	}
+	if f.foot != nil {
+		t.footFree = append(t.footFree, f.foot[:0])
+		f.foot = nil
+	}
+}
+
+// addRec appends rec, with a copy of foot as its footprint, to the end of
+// key's chain.
+func (t *SourceDPOR) addRec(key [2]uint64, rec closedRec, foot []uint64) {
+	idx := len(t.recs)
+	rec.footOff, rec.footLen, rec.next = int32(len(t.footWords)), int32(len(foot)), -1
+	t.footWords = append(t.footWords, foot...)
+	t.recs = append(t.recs, rec)
+	ch, ok := t.table[key]
+	if ok {
+		t.recs[ch.last].next = int32(idx)
+		ch.last = int32(idx)
+	} else {
+		ch = recChain{first: int32(idx), last: int32(idx)}
+	}
+	t.table[key] = ch
+}
+
+// footAdd records access k in frame f's subtree footprint.
+func (t *SourceDPOR) footAdd(f *sframe, k footKey) {
+	b, ok := t.footIdx[k]
+	if !ok {
+		b = int32(len(t.footKeys))
+		t.footIdx[k] = b
+		t.footKeys = append(t.footKeys, k)
+	}
+	t.growFoot(f, int(b>>6)+1)
+	rowSet(f.foot, int(b))
+}
+
+// growFoot makes f's footprint at least n words long, taking a recycled
+// buffer for a frame that has none. Footprints only grow to hold a set bit,
+// so a footprint's last word is never zero.
+func (t *SourceDPOR) growFoot(f *sframe, n int) {
+	if f.foot == nil {
+		if k := len(t.footFree); k > 0 {
+			f.foot = t.footFree[k-1]
+			t.footFree = t.footFree[:k-1]
+		}
+	}
+	for len(f.foot) < n {
+		f.foot = append(f.foot, 0)
 	}
 }
 
@@ -360,6 +429,7 @@ func (t *SourceDPOR) closeFrame(i int) {
 // subtree's own race analysis would have added), and the footprint is
 // credited to the cut point's parent so enclosing subtrees stay complete.
 func (t *SourceDPOR) coverDedup(rec *closedRec) {
+	foot := t.footWords[rec.footOff : rec.footOff+rec.footLen]
 	for i := range t.stack {
 		if t.rootPin != nil && i == 0 {
 			continue
@@ -368,33 +438,34 @@ func (t *SourceDPOR) coverDedup(rec *closedRec) {
 		if f.chosen.Crash || f.chosen.Restart || f.chosen.Pid < 0 {
 			continue
 		}
-		for fe := range rec.foot {
-			if fe.pid == f.chosen.Pid {
-				continue
-			}
-			if f.chosenIn.Reg != fe.reg || (f.chosenIn.Kind == shmem.OpRead && fe.kind == shmem.OpRead) {
-				continue // commuting accesses: no race
-			}
-			if bit := uint64(1) << uint(fe.pid); f.enabled&bit != 0 {
-				f.btStep |= bit
-			} else {
-				f.btStep |= f.enabled
+		for w, word := range foot {
+			for ; word != 0; word &= word - 1 {
+				fe := &t.footKeys[w<<6+bits.TrailingZeros64(word)]
+				if fe.pid == f.chosen.Pid {
+					continue
+				}
+				if f.chosenIn.Reg != fe.reg || (f.chosenIn.Kind == shmem.OpRead && fe.kind == shmem.OpRead) {
+					continue // commuting accesses: no race
+				}
+				if bit := uint64(1) << uint(fe.pid); f.enabled&bit != 0 {
+					f.btStep |= bit
+				} else {
+					f.btStep |= f.enabled
+				}
 			}
 		}
 	}
-	mergeFoot(&t.stack[len(t.stack)-1], rec.foot)
+	t.mergeFoot(&t.stack[len(t.stack)-1], foot)
 }
 
-// mergeFoot unions src into dst's subtree footprint.
-func mergeFoot(dst *sframe, src map[footKey]struct{}) {
+// mergeFoot unions the footprint src into dst's subtree footprint.
+func (t *SourceDPOR) mergeFoot(dst *sframe, src []uint64) {
 	if len(src) == 0 {
 		return
 	}
-	if dst.foot == nil {
-		dst.foot = make(map[footKey]struct{}, len(src))
-	}
-	for k := range src {
-		dst.foot[k] = struct{}{}
+	t.growFoot(dst, len(src))
+	for w, word := range src {
+		dst.foot[w] |= word
 	}
 }
 

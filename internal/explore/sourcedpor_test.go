@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/shmem"
+	"repro/internal/vexec"
 )
 
 // TestSourceDPORMatchesBruteForce is the soundness anchor: the stateful
@@ -143,40 +144,104 @@ func TestSourceDPORDeterminism(t *testing.T) {
 	}
 }
 
-// TestSourceDPORStatefulReset: the drive must call Reset before every
-// restore's respawn so body-external capture never leaks across branches.
+// TestSourceDPORStatefulReset: a restore must call Reset(pid) before it
+// re-roots process pid, and only then, so body-external capture never leaks
+// across branches — while the vectorized engine's unmoved lanes, which are
+// not re-rooted, keep their captured outcome. Both engines are driven: the
+// goroutine engine re-roots every process on every restore, the vectorized
+// engine only the lanes that moved since the capture.
 func TestSourceDPORStatefulReset(t *testing.T) {
-	const n = 2
-	got := make([]int64, n)
-	var r shmem.Reg
-	resets := 0
-	st := Drive(NewSourceDPOR(1, 0, 0), Config{
-		N: n,
-		Body: func(run int) sched.Body {
-			return func(p *shmem.Proc) {
-				p.Write(&r, int64(p.ID()+1))
-				got[p.ID()] = p.Read(&r)
+	const n = 3
+	for _, onVexec := range []bool{false, true} {
+		got := make([]int64, n)
+		var r shmem.Reg
+		roots := make([]int, n)  // body starts / root frames built, by pid
+		resets := make([]int, n) // Reset calls, by pid
+		armed := make([]bool, n) // Reset(pid) called, re-root not yet seen
+		root := func(pid int) {
+			if roots[pid] > 0 {
+				if !armed[pid] {
+					t.Fatalf("vexec=%v: process %d re-rooted without a Reset", onVexec, pid)
+				}
+				armed[pid] = false
 			}
-		},
-		Reset: func() {
-			resets++
-			for i := range got {
-				got[i] = 0
-			}
-		},
-		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
-			for pid := 0; pid < n; pid++ {
-				if got[pid] < 1 || got[pid] > n {
-					t.Fatalf("run %d: stale capture got[%d]=%d", run, pid, got[pid])
+			roots[pid]++
+		}
+		cfg := Config{
+			N: n,
+			Body: func(run int) sched.Body {
+				return func(p *shmem.Proc) {
+					root(p.ID())
+					p.Write(&r, int64(p.ID()+1))
+					got[p.ID()] = p.Read(&r)
+				}
+			},
+			Reset: func(pid int) {
+				if armed[pid] {
+					t.Fatalf("vexec=%v: Reset(%d) twice without a re-root", onVexec, pid)
+				}
+				armed[pid] = true
+				resets[pid]++
+				got[pid] = 0
+			},
+			OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
+				for pid := 0; pid < n; pid++ {
+					if got[pid] < 1 || got[pid] > n {
+						t.Fatalf("vexec=%v run %d: stale capture got[%d]=%d", onVexec, run, pid, got[pid])
+					}
+				}
+				return true
+			},
+		}
+		if onVexec {
+			cfg.Frame = func(run int) func(p *shmem.Proc) vexec.Frame {
+				return func(p *shmem.Proc) vexec.Frame {
+					root(p.ID())
+					return &writeReadFrame{r: &r, got: &got[p.ID()]}
 				}
 			}
-			return true
-		},
-	})
-	if !st.Complete {
-		t.Fatalf("walk incomplete: %+v", st)
+		}
+		st := Drive(NewSourceDPOR(1, 0, 0), cfg)
+		if !st.Complete {
+			t.Fatalf("vexec=%v: walk incomplete: %+v", onVexec, st)
+		}
+		total := 0
+		for pid := 0; pid < n; pid++ {
+			if armed[pid] {
+				t.Fatalf("vexec=%v: Reset(%d) without a re-root", onVexec, pid)
+			}
+			if roots[pid]-1 != resets[pid] {
+				t.Fatalf("vexec=%v: process %d re-rooted %d times, reset %d times", onVexec, pid, roots[pid]-1, resets[pid])
+			}
+			total += resets[pid]
+		}
+		if !onVexec && total != n*st.Restored {
+			t.Fatalf("goroutine engine: %d resets for %d restores of %d processes", total, st.Restored, n)
+		}
+		if onVexec && total >= n*st.Restored {
+			t.Fatalf("vexec: %d resets for %d restores of %d lanes: no unmoved lane was left alone", total, st.Restored, n)
+		}
 	}
-	if resets != st.Restored {
-		t.Fatalf("resets %d != restores %d", resets, st.Restored)
+}
+
+// writeReadFrame is the frame compilation of the body
+// p.Write(r, id+1); *got = p.Read(r).
+type writeReadFrame struct {
+	r   *shmem.Reg
+	got *int64
+	pc  int
+}
+
+func (f *writeReadFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		return m.Intend(shmem.OpWrite, f.r)
+	case 1:
+		p.Write(f.r, int64(p.ID()+1))
+		f.pc = 2
+		return m.Intend(shmem.OpRead, f.r)
 	}
+	*f.got = p.Read(f.r)
+	return vexec.Done
 }

@@ -269,9 +269,13 @@ type instance struct {
 
 func (in *instance) reset() {
 	for i := range in.got {
-		in.got[i], in.oks[i] = 0, false
+		in.resetPid(i)
 	}
 }
+
+// resetPid clears process pid's outcome: the stateful walker's per-lane
+// restore hook (explore.Config.Reset).
+func (in *instance) resetPid(pid int) { in.got[pid], in.oks[pid] = 0, false }
 
 func (in *instance) body() sched.Body {
 	return func(p *shmem.Proc) {
@@ -374,7 +378,7 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 				cur.reset()
 				return cur.body()
 			},
-			Reset: func() { cur.reset() }, // stateful walker: same system, rewound
+			Reset: func(pid int) { cur.resetPid(pid) }, // stateful walker: same system, rewound
 			OnResult: func(run int, t sched.Trace, res sched.Result) bool {
 				if v := checkRun(cur, t, res); v != nil {
 					vmu.Lock()

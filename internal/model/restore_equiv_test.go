@@ -56,11 +56,11 @@ func TestRestoreEquivalentToReplay(t *testing.T) {
 // from the trace.
 type enginePair struct {
 	name   string
-	snap   func(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64, func())
-	replay func(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64, func())
+	snap   func(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64, func(pid int))
+	replay func(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64, func(pid int))
 }
 
-func mkGoroutine(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64, func()) {
+func mkGoroutine(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64, func(pid int)) {
 	r := tc.New(n, seed)
 	got := make([]int64, n)
 	c := sched.NewController(n, tc.Origs(n, seed), func(p *shmem.Proc) {
@@ -76,10 +76,10 @@ func mkGoroutine(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.
 	c.EnableState()
 	// The respawned bodies zero their own entries; an explicit reset is not
 	// needed but returned for signature uniformity with the vexec builder.
-	return c, got, func() { clear(got) }
+	return c, got, func(pid int) { got[pid] = 0 }
 }
 
-func mkVexec(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64, func()) {
+func mkVexec(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64, func(pid int)) {
 	fr := tc.New(n, seed).(vexec.FrameRenamer)
 	got := make([]int64, n)
 	oks := make([]bool, n)
@@ -91,9 +91,10 @@ func mkVexec(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.Stat
 	}
 	e.EnableState()
 	// Capture writes a lane's outcome only at completion, so stale outcomes
-	// from an abandoned branch must be cleared at restore — the same
-	// Config.Reset contract the search drivers use.
-	return e, got, func() { clear(got); clear(oks) }
+	// from an abandoned branch must be cleared for every lane the restore
+	// re-roots — the same per-lane Config.Reset contract the search drivers
+	// use.
+	return e, got, func(pid int) { got[pid], oks[pid] = 0, false }
 }
 
 // enginePairs returns the engine combinations to certify: both same-engine

@@ -1,0 +1,54 @@
+package model_test
+
+import (
+	"testing"
+
+	"repro/internal/check"
+	"repro/internal/conformance"
+	"repro/internal/model"
+)
+
+// TestProveWalkCountsPinned fixes the Report counts of the benchmark's three
+// proof walks (default options: source-DPOR on the vectorized engine, one
+// worker, conformance seed 1). Restore and the dedup table are performance
+// layers only: a change to either that alters which tree the walk explores —
+// an unmoved lane restored wrongly, a closed record matched out of order, a
+// footprint bit lost — moves one of these numbers. The efficient cell's 20
+// dedup cuts exercise the footprint replay (coverDedup).
+func TestProveWalkCountsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three complete proof walks; run without -short")
+	}
+	for _, want := range []struct {
+		name                          string
+		n, crashes                    int
+		executions, partial, explored int
+		pruned, deduped, restored     int
+	}{
+		{"efficient", 2, 1, 29704, 37705, 199843, 73289, 20, 67408},
+		{"basic", 5, 4, 4651, 10520, 31745, 43645, 0, 15170},
+		{"almostadaptive", 4, 3, 4641, 7030, 31910, 25990, 0, 11670},
+	} {
+		var tc conformance.Case
+		for _, c := range conformance.Cases() {
+			if c.Name == want.name {
+				tc = c
+			}
+		}
+		if tc.New == nil {
+			t.Fatalf("no conformance case %q", want.name)
+		}
+		n := want.n
+		rep := model.Check(tc.Name, func() check.Renamer { return tc.New(n, 1) },
+			n, tc.Origs(n, 1), tc.Suite(n, "model"), model.Options{MaxCrashes: want.crashes})
+		if !rep.Proven() || rep.Engine != model.EngineVexec {
+			t.Fatalf("%s n=%d: not proven on vexec: %s", want.name, n, rep.Summary())
+		}
+		got := [...]int{rep.Executions, rep.Partial, rep.Explored, rep.Pruned, rep.Deduped, rep.Restored}
+		exp := [...]int{want.executions, want.partial, want.explored, want.pruned, want.deduped, want.restored}
+		if got != exp {
+			t.Errorf("%s n=%d crashes<=%d: (executions, partial, decisions, pruned, deduped, restored) = %v, want %v",
+				want.name, n, want.crashes, got, exp)
+		}
+	}
+}

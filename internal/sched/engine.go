@@ -111,7 +111,10 @@ type StateReleaser interface {
 // checkpoint/restore with canonical state hashing, the contract the
 // stateful source-DPOR walk is built on (PR 5 semantics on either engine).
 // Restore rewinds to a state captured earlier on the current branch and
-// re-executes no grants; StateHash at equal decision points is
+// re-executes no grants. It calls reset(pid) before it re-runs process pid
+// from its read log, and only then: the vectorized engine leaves every lane
+// that did not move since the capture untouched, so reset must clear pid's
+// body-external capture only. StateHash at equal decision points is
 // bit-identical across engines for scalar-register algorithms.
 type StateEngine interface {
 	SearchEngine
@@ -119,7 +122,7 @@ type StateEngine interface {
 	StateEnabled() bool
 	StateHash() [2]uint64
 	Checkpoint() ExecState
-	Restore(s ExecState, reset func())
+	Restore(s ExecState, reset func(pid int))
 }
 
 // The goroutine engine implements the full state-capable surface.

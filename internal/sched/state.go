@@ -257,14 +257,14 @@ func (c *Controller) Checkpoint() ExecState {
 // Restore rewinds the controller to a Snapshot taken earlier on the current
 // branch: it silently unwinds every live process goroutine, rewinds memory
 // through the undo log, truncates the trace and read logs, runs reset (if
-// non-nil — the caller's hook for clearing body-external capture arrays),
-// and respawns all processes in catch-up replay (local recomputation from
-// their read logs, concurrent across processes, no grants). On return the
-// controller is quiesced at the captured decision point: same pending set,
-// same posted intents, same StateHash, same Fingerprint. No scheduler grant
-// is re-executed; the Replayed accounting of stateless search collapses to
-// zero.
-func (c *Controller) Restore(st ExecState, reset func()) {
+// non-nil — the caller's hook for clearing a process's body-external
+// capture) for every process, and respawns all processes in catch-up replay
+// (local recomputation from their read logs, concurrent across processes,
+// no grants). On return the controller is quiesced at the captured decision
+// point: same pending set, same posted intents, same StateHash, same
+// Fingerprint. No scheduler grant is re-executed; the Replayed accounting of
+// stateless search collapses to zero.
+func (c *Controller) Restore(st ExecState, reset func(pid int)) {
 	if !c.st.enabled {
 		panic("sched: Restore without EnableState")
 	}
@@ -309,7 +309,9 @@ func (c *Controller) Restore(st ExecState, reset func()) {
 		c.err[pid] = nil
 	}
 	if reset != nil {
-		reset()
+		for pid := 0; pid < c.n; pid++ {
+			reset(pid)
+		}
 	}
 	c.active.Store(int32(c.n))
 	for pid := 0; pid < c.n; pid++ {

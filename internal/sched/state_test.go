@@ -134,11 +134,7 @@ func TestRestoreContinuationMatchesReplay(t *testing.T) {
 	for c.PendingCount() > 0 {
 		c.Step(c.NextPending(-1))
 	}
-	c.Restore(snap, func() {
-		for i := range f.got {
-			f.got[i] = 0
-		}
-	})
+	c.Restore(snap, func(pid int) { f.got[pid] = 0 })
 	// A fresh cursor behaves identically to the checkpoint-time cursor here:
 	// after 3 cyclic grants over 3 processes both wrap to the lowest pending
 	// pid. (Restore rewinds the controller, never the policy.)

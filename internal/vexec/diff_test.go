@@ -322,7 +322,7 @@ func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.M
 		e       sched.StateEngine
 		got     []int64
 		oks     []bool
-		myReset func()
+		myReset func(pid int)
 	)
 	if onVexec {
 		var ve *vexec.Exec
@@ -340,7 +340,7 @@ func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.M
 		}
 		e = ctl
 	}
-	myReset = func() { clear(got); clear(oks) }
+	myReset = func(pid int) { got[pid], oks[pid] = 0, false }
 	e.EnableState()
 	e.EnableTrace()
 	if err := e.ApplyTrace(trace[:d]); err != nil {

@@ -273,6 +273,7 @@ func (e *Exec) grant(pid, k int, crash bool, stale int) {
 		e.noteWeakGrant(pid, crash)
 	}
 	if e.st.enabled {
+		e.st.move(pid)
 		e.stateBeforeGrant(pid, k, crash)
 	}
 	if e.tracing {
@@ -453,6 +454,9 @@ func (e *Exec) Restart(pid int) {
 	e.restarts++
 	if e.tracing {
 		e.traceBuf = append(e.traceBuf, sched.TraceEvent{Pid: pid, Restart: true})
+	}
+	if e.st.enabled {
+		e.st.move(pid)
 	}
 	e.procs[pid].BeginIncarnation()
 	e.phase[pid] = phaseRunning
@@ -679,6 +683,20 @@ type stateMirror struct {
 	cells   []regCell
 	regHash [2]uint64
 	pending pendingWrite
+
+	// moved[pid] is lane pid's move stamp: a fresh value from clock on every
+	// grant (step, stale read or crash) and restart of the lane, and the
+	// captured value again when Restore re-roots it. Stamps are never
+	// reused, so a lane whose stamp equals a snapshot's has the state it had
+	// at that capture, and Restore need not touch it.
+	moved []uint64
+	clock uint64
+}
+
+// move gives lane pid a fresh move stamp.
+func (s *stateMirror) move(pid int) {
+	s.clock++
+	s.moved[pid] = s.clock
 }
 
 type regCell struct {
@@ -708,6 +726,7 @@ func (e *Exec) EnableState() {
 	}
 	e.st.enabled = true
 	e.st.regID = make(map[any]int)
+	e.st.moved = make([]uint64, e.n)
 	if !e.tracing {
 		e.EnableTrace()
 	}

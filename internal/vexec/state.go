@@ -17,7 +17,9 @@ import (
 // to the pre-image taken at registration) — and no goroutine respawn: the
 // only per-lane work is re-rooting the frame stack and replaying the lane's
 // current incarnation from its read log, the same handoff-free catch-up the
-// goroutine engine runs, minus the goroutines.
+// goroutine engine runs, minus the goroutines. And only lanes that moved
+// since the capture pay even that: a lane no grant or restart touched still
+// holds exactly its captured frames and Proc, so Restore leaves it alone.
 //
 // The catch-up reuses the grant budget of advance(): a replaying lane's reads
 // consume the log (shmem replay mode) and its writes are suppressed, so
@@ -56,6 +58,7 @@ type Snapshot struct {
 
 	procs []shmem.ProcState
 	phase []uint8
+	moved []uint64 // each lane's move stamp (stateMirror.moved) at capture
 
 	stale [][]int64 // pending reads' stale windows (weak registers only)
 }
@@ -83,6 +86,7 @@ func (e *Exec) Checkpoint() sched.ExecState {
 	s.cells = grow(s.cells, len(e.st.cells))
 	s.procs = grow(s.procs, e.n)
 	s.phase = append(s.phase[:0], e.phase...)
+	s.moved = append(s.moved[:0], e.st.moved...)
 	for id := range e.st.cells {
 		e.st.cells[id].cell.StateInto(&s.cells[id])
 	}
@@ -126,12 +130,15 @@ func (e *Exec) ReleaseState(st sched.ExecState) {
 
 // Restore rewinds the engine to a Snapshot taken earlier on the current
 // branch: registered cells load their captured states (cells registered
-// since rewind to their registration pre-image), bookkeeping rolls back,
-// reset (if non-nil) clears the caller's body-external capture arrays, and
-// every lane is re-rooted and caught up from its read log. On return the
-// engine is at the captured decision point: same pending set, same posted
-// intents, same StateHash, same Fingerprint. No grant is re-executed.
-func (e *Exec) Restore(st sched.ExecState, reset func()) {
+// since rewind to their registration pre-image) and bookkeeping rolls back.
+// Then every lane that moved since the capture — was granted, crashed or
+// restarted, so its move stamp differs from the captured one — has reset (if
+// non-nil) clear the caller's body-external capture for it, and is re-rooted
+// and caught up from its read log. A lane that did not move keeps its frames,
+// Proc and outcome untouched; only its pending bit is set again. On return
+// the engine is at the captured decision point: same pending set, same
+// posted intents, same StateHash, same Fingerprint. No grant is re-executed.
+func (e *Exec) Restore(st sched.ExecState, reset func(pid int)) {
 	if !e.st.enabled {
 		panic("vexec: Restore without EnableState")
 	}
@@ -176,18 +183,31 @@ func (e *Exec) Restore(st sched.ExecState, reset func()) {
 		e.pbits[i] = 0
 	}
 	e.npending = 0
-	if reset != nil {
-		reset()
-	}
 	for pid := 0; pid < e.n; pid++ {
-		e.catchUp(pid, s.procs[pid], s.phase[pid])
+		if e.st.moved[pid] != s.moved[pid] {
+			if reset != nil {
+				reset(pid)
+			}
+			e.catchUp(pid, s.procs[pid], s.phase[pid])
+			e.st.moved[pid] = s.moved[pid]
+			continue
+		}
+		if e.phase[pid] != s.phase[pid] {
+			panic(fmt.Sprintf("vexec: unmoved lane %d in phase %s, captured %s",
+				pid, phaseName(e.phase[pid]), phaseName(s.phase[pid])))
+		}
+		if e.phase[pid] == phasePending {
+			e.pbits[uint(pid)>>6] |= 1 << (uint(pid) & 63)
+			e.npending++
+		}
 	}
 }
 
 // catchUp re-roots lane pid and replays its current incarnation to the
-// captured position. ps carries the lane's read-log cursor and step target;
-// want is the phase the lane must land in (asserted — a mismatch means the
-// body is not deterministic).
+// captured position: Restore's work for a lane that moved since the capture.
+// ps carries the lane's read-log cursor and step target; want is the phase
+// the lane must land in (asserted — a mismatch means the body is not
+// deterministic).
 func (e *Exec) catchUp(pid int, ps shmem.ProcState, want uint8) {
 	p := e.procs[pid]
 	p.LoadState(ps)
