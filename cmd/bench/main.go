@@ -258,7 +258,7 @@ type HBCheckEntry struct {
 	MaxCrashes    int     `json:"max_crashes"`
 	Model         string  `json:"model,omitempty"`
 	Budget        int     `json:"budget,omitempty"` // 0: walked to exhaustion
-	Leaves        int     `json:"leaves"` // executions + partial: one race-analysis call each
+	Leaves        int     `json:"leaves"`           // executions + partial: one race-analysis call each
 	HBRowsIncr    int     `json:"hb_rows_incremental"`
 	HBRowsRebuild int     `json:"hb_rows_rebuild"`
 	RaceNsLeafInc float64 `json:"race_ns_per_leaf_incremental"`

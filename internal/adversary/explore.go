@@ -326,14 +326,16 @@ func exploreCell(spec *Spec, fam Family, n int, seen map[uint64]struct{}) cellRe
 	// independent (Seeded) cells fan across vexec.RunBatch, sequential
 	// strategies (coverage-guided) recycle one vexec engine per run, and
 	// stateful cells (source DPOR) checkpoint/restore on it — explore's
-	// EngineAuto picks vexec whenever the Frame factory is present. The probe
-	// instance is only sniffed for the interface — per-run instances still
-	// come from capOf. Fingerprints are bit-identical across engines (the
-	// vexec differential contract), so violation seeds, committed reproducer
-	// lines, and the goroutine-based Replay/Shrink paths keep working
-	// unchanged against vexec-discovered schedules.
+	// EngineAuto picks vexec whenever the Frame factory is present. Run 0's
+	// instance is sniffed for the interface and then runs as usual (a
+	// genome-driven strategy has picked run 0's genome at construction).
+	// Fingerprints are bit-identical across engines (the vexec differential
+	// contract), so violation seeds, committed reproducer lines, and the
+	// goroutine-based Replay/Shrink paths keep working unchanged against
+	// vexec-discovered schedules.
+	probe := capOf(0).r
 	var frame func(run int) func(p *shmem.Proc) vexec.Frame
-	if _, ok := spec.New(n, seedOf(0)).(vexec.FrameRenamer); ok {
+	if _, ok := probe.(vexec.FrameRenamer); ok {
 		frame = func(run int) func(p *shmem.Proc) vexec.Frame {
 			c := capOf(run)
 			fr := c.r.(vexec.FrameRenamer)

@@ -28,9 +28,12 @@ func NewStaleReader(seed uint64) *StaleReader {
 	return &StaleReader{rng: xrand.New(seed)}
 }
 
-// Next implements sched.Policy: uniform over the pending set.
-func (s *StaleReader) Next(e sched.Engine, pending []int) int {
-	return pending[s.rng.Intn(len(pending))]
+// Next implements sched.Policy through NextIter.
+func (s *StaleReader) Next(e sched.Engine, _ []int) int { return s.NextIter(e) }
+
+// NextIter implements sched.IterPolicy: uniform over the pending set.
+func (s *StaleReader) NextIter(e sched.Engine) int {
+	return sched.NthPending(e, s.rng.Intn(e.PendingCount()))
 }
 
 // PickStale implements sched.StalePolicy.
@@ -132,32 +135,22 @@ func NewOpDelayer(seed uint64, n int) *OpDelayer {
 	}
 }
 
-// Next implements sched.Policy. While the hold is active, the victim's
-// target op is pending, and anyone else is pending, grant the others; a
-// sole-pending victim is granted (the run must terminate — the remaining
-// hold is simply forfeited, as for a victim that crashes or finishes early).
-func (d *OpDelayer) Next(e sched.Engine, pending []int) int {
-	if d.hold > 0 {
-		victimPending := false
-		for _, pid := range pending {
-			if pid == d.victim {
-				victimPending = true
-				break
-			}
+// Next implements sched.Policy through NextIter.
+func (d *OpDelayer) Next(e sched.Engine, _ []int) int { return d.NextIter(e) }
+
+// NextIter implements sched.IterPolicy. While the hold is active, the
+// victim's target op is pending, and anyone else is pending, grant the
+// others; a sole-pending victim is granted (the run must terminate — the
+// remaining hold is simply forfeited, as for a victim that crashes or
+// finishes early).
+func (d *OpDelayer) NextIter(e sched.Engine) int {
+	pending := e.PendingCount()
+	if d.hold > 0 && isPending(e, d.victim) && e.Proc(d.victim).Steps() == d.op {
+		if pending == 1 {
+			return d.victim
 		}
-		if victimPending && e.Proc(d.victim).Steps() == d.op {
-			if len(pending) == 1 {
-				return d.victim
-			}
-			d.hold--
-			others := pending[:0:0]
-			for _, pid := range pending {
-				if pid != d.victim {
-					others = append(others, pid)
-				}
-			}
-			return others[d.rng.Intn(len(others))]
-		}
+		d.hold--
+		return nthPendingExcept(e, d.rng.Intn(pending-1), []int{d.victim})
 	}
-	return pending[d.rng.Intn(len(pending))]
+	return sched.NthPending(e, d.rng.Intn(pending))
 }

@@ -27,41 +27,60 @@ import (
 // legal starvation an asynchronous adversary can impose — wait-freedom says
 // the victims' step bounds must hold anyway.
 type Starver struct {
-	victim []bool
-	rng    *xrand.Rand
+	victims []int // ascending, distinct
+	rng     *xrand.Rand
 }
 
 // NewStarver builds a starvation policy over n processes with the given
 // victims. Picks among eligible processes are seed-deterministic.
 func NewStarver(seed uint64, n int, victims ...int) *Starver {
-	s := &Starver{victim: make([]bool, n), rng: xrand.New(seed)}
+	isVictim := make([]bool, n)
 	for _, v := range victims {
-		s.victim[v] = true
+		isVictim[v] = true
+	}
+	s := &Starver{rng: xrand.New(seed)}
+	for pid, v := range isVictim {
+		if v {
+			s.victims = append(s.victims, pid)
+		}
 	}
 	return s
 }
 
-// Next implements sched.Policy.
-func (s *Starver) Next(e sched.Engine, pending []int) int {
-	nonVictims := 0
-	for _, pid := range pending {
-		if !s.victim[pid] {
-			nonVictims++
+// Next implements sched.Policy through NextIter: pending is the engine's
+// pending set, which NextIter reads from e directly.
+func (s *Starver) Next(e sched.Engine, _ []int) int { return s.NextIter(e) }
+
+// NextIter implements sched.IterPolicy: one draw, uniform over the pending
+// non-victims, or over the whole pending set when only victims are left.
+func (s *Starver) NextIter(e sched.Engine) int {
+	pending, starved := e.PendingCount(), 0
+	for _, v := range s.victims {
+		if isPending(e, v) {
+			starved++
 		}
 	}
-	if nonVictims == 0 {
-		return pending[s.rng.Intn(len(pending))]
+	if starved == pending {
+		return sched.NthPending(e, s.rng.Intn(pending))
 	}
-	k := s.rng.Intn(nonVictims)
-	for _, pid := range pending {
-		if !s.victim[pid] {
-			if k == 0 {
-				return pid
-			}
-			k--
+	return nthPendingExcept(e, s.rng.Intn(pending-starved), s.victims)
+}
+
+// isPending reports whether pid has a posted intent in e.
+func isPending(e sched.Engine, pid int) bool { return e.NextPending(pid-1) == pid }
+
+// nthPendingExcept returns the k-th (0-based, ascending) pending pid of e
+// that is not in skip, an ascending list of pids: the pending pid of rank k,
+// moved one pending pid further for every pending skipped pid at or below
+// it. skip is ascending, so a pid the walk moves past is never revisited.
+func nthPendingExcept(e sched.Engine, k int, skip []int) int {
+	pid := sched.NthPending(e, k)
+	for _, v := range skip {
+		if v <= pid && isPending(e, v) {
+			pid = e.NextPending(pid)
 		}
 	}
-	panic("adversary: starver scan out of sync with pending set")
+	return pid
 }
 
 // WriteBlocker is the intent-aware adversary: it grants pending readers
@@ -78,33 +97,12 @@ func NewWriteBlocker(seed uint64) *WriteBlocker {
 	return &WriteBlocker{rng: xrand.New(seed)}
 }
 
-// Next implements sched.Policy.
-func (w *WriteBlocker) Next(e sched.Engine, pending []int) int {
-	readers := 0
-	for _, pid := range pending {
-		if e.Intent(pid).Kind == shmem.OpRead {
-			readers++
-		}
-	}
-	if readers == 0 {
-		return pending[w.rng.Intn(len(pending))]
-	}
-	k := w.rng.Intn(readers)
-	for _, pid := range pending {
-		if e.Intent(pid).Kind == shmem.OpRead {
-			if k == 0 {
-				return pid
-			}
-			k--
-		}
-	}
-	panic("adversary: write-blocker scan out of sync with pending set")
-}
+// Next implements sched.Policy through NextIter.
+func (w *WriteBlocker) Next(e sched.Engine, _ []int) int { return w.NextIter(e) }
 
-// NextIter implements sched.IterPolicy via the intent-aware pending iterator
-// when a uniform pick is not required to be over the full reader set: it
-// reservoir-samples the readers in one bitmap walk, so Run never builds a
-// pending slice for this policy.
+// NextIter implements sched.IterPolicy via the intent-aware pending
+// iterator: it reservoir-samples the readers in one bitmap walk (one draw
+// per reader), and the writers the same way when no reader is pending.
 func (w *WriteBlocker) NextIter(e sched.Engine) int {
 	chosen, seen := -1, 0
 	for pid := e.NextPendingKind(-1, shmem.OpRead); pid >= 0; pid = e.NextPendingKind(pid, shmem.OpRead) {
@@ -146,25 +144,20 @@ func NewCollapse(seed uint64, n, k int) *Collapse {
 		k = 1
 	}
 	rng := xrand.New(seed)
-	return &Collapse{k: k, order: rng.Perm(n), rng: rng}
+	return &Collapse{k: k, order: rng.Perm(n), active: make([]int, 0, k), rng: rng}
 }
 
-// Next implements sched.Policy. At a decision point every live process is
-// pending, so a window member absent from the pending set has terminated.
-func (cl *Collapse) Next(e sched.Engine, pending []int) int {
-	isPending := func(pid int) bool {
-		for _, q := range pending {
-			if q == pid {
-				return true
-			}
-		}
-		return false
-	}
+// Next implements sched.Policy through NextIter.
+func (cl *Collapse) Next(e sched.Engine, _ []int) int { return cl.NextIter(e) }
+
+// NextIter implements sched.IterPolicy. At a decision point every live
+// process is pending, so a window member no longer pending has terminated.
+func (cl *Collapse) NextIter(e sched.Engine) int {
 	// Evict terminated members, then top the window up from the admission
 	// order.
 	live := cl.active[:0]
 	for _, pid := range cl.active {
-		if isPending(pid) {
+		if isPending(e, pid) {
 			live = append(live, pid)
 		}
 	}
@@ -172,14 +165,14 @@ func (cl *Collapse) Next(e sched.Engine, pending []int) int {
 	for len(cl.active) < cl.k && cl.next < len(cl.order) {
 		pid := cl.order[cl.next]
 		cl.next++
-		if isPending(pid) {
+		if isPending(e, pid) {
 			cl.active = append(cl.active, pid)
 		}
 	}
 	if len(cl.active) == 0 {
 		// Everyone admissible has terminated; drain stragglers (possible only
 		// if admission skipped a process that was mid-step at window checks).
-		return pending[cl.rng.Intn(len(pending))]
+		return sched.NthPending(e, cl.rng.Intn(e.PendingCount()))
 	}
 	return cl.active[cl.rng.Intn(len(cl.active))]
 }
@@ -215,30 +208,25 @@ func NewLockstep(seed uint64, n, g int) *Lockstep {
 	return l
 }
 
-// Next implements sched.Policy: finish the current cohort's round, then
-// rotate. A cohort with no pending member forfeits its round.
-func (l *Lockstep) Next(e sched.Engine, pending []int) int {
-	isPending := func(pid int) bool {
-		for _, q := range pending {
-			if q == pid {
-				return true
-			}
-		}
-		return false
-	}
-	// At most one full rotation is needed: pending is non-empty, so some
+// Next implements sched.Policy through NextIter.
+func (l *Lockstep) Next(e sched.Engine, _ []int) int { return l.NextIter(e) }
+
+// NextIter implements sched.IterPolicy: finish the current cohort's round,
+// then rotate. A cohort with no pending member forfeits its round.
+func (l *Lockstep) NextIter(e sched.Engine) int {
+	// At most one full rotation is needed: some process is pending, so some
 	// cohort has a pending member.
 	for scanned := 0; scanned <= len(l.cohorts); scanned++ {
 		cohort := l.cohorts[l.ci]
 		for l.mi < len(cohort) {
 			pid := cohort[l.mi]
 			l.mi++
-			if isPending(pid) {
+			if isPending(e, pid) {
 				return pid
 			}
 		}
 		l.mi = 0
 		l.ci = (l.ci + 1) % len(l.cohorts)
 	}
-	return pending[0]
+	return e.NextPending(-1)
 }

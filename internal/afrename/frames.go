@@ -25,12 +25,11 @@ type RenameFrame struct {
 }
 
 // Init arms the frame for one acquisition on r from slot with identity id.
-// The embedded snapshot frames and the taken scratch are re-armed in place,
-// not zeroed, so their buffers carry across acquisitions.
+// The embedded snapshot frames, the decision view and the taken scratch are
+// re-armed in place, not zeroed, so their buffers carry across acquisitions.
 func (f *RenameFrame) Init(r *Renamer, slot int, id int64) {
 	f.r, f.slot, f.id = r, slot, id
 	f.prop, f.attempt = 0, 0
-	f.view = nil
 	f.pc = 0
 }
 
@@ -47,7 +46,9 @@ func (f *RenameFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 		f.attempt = 1
 		return f.beginAttempt(m)
 	case 1:
-		// Update finished; scan for the decision view.
+		// Update finished; scan for the decision view. The view is read
+		// only by this attempt's decision and never published, so the scan
+		// reuses the frame's buffer.
 		f.pc = 2
 		f.sf.Init(f.r.snap, &f.view)
 		return m.Call(&f.sf)

@@ -105,11 +105,11 @@ type llSession struct {
 // LLVerifier checks the long-lived invariants incrementally. The zero value
 // is ready to use.
 type LLVerifier struct {
-	epochs   map[int]uint64            // shard -> last opened epoch
-	live     map[int64]int64           // packed name -> holder sid
-	sessions map[int64]*llSession      // sid -> lifecycle
-	genLive  map[[2]uint64]int         // (shard, epoch) -> live names issued by that generation
-	recycled map[[2]uint64]bool        // (shard, epoch) -> recycled
+	epochs   map[int]uint64       // shard -> last opened epoch
+	live     map[int64]int64      // packed name -> holder sid
+	sessions map[int64]*llSession // sid -> lifecycle
+	genLive  map[[2]uint64]int    // (shard, epoch) -> live names issued by that generation
+	recycled map[[2]uint64]bool   // (shard, epoch) -> recycled
 }
 
 func (v *LLVerifier) init() {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/expander"
 	"repro/internal/shmem"
 )
 
@@ -26,25 +27,37 @@ type Basic struct {
 // NewBasic builds the object for exactly k contenders out of nNames possible
 // original names. Stage s gets an independently seeded graph.
 func NewBasic(k, nNames int, cfg Config) *Basic {
+	cfg = cfg.normalize()
+	b := &Basic{k: k, nNames: nNames}
+	b.maxName = basicStages(k, nNames, cfg.Profile, func(s, l int, base int64) {
+		stageCfg := cfg
+		stageCfg.Seed = subSeed(cfg.Seed, uint64(s))
+		b.stages = append(b.stages, NewMajority(l, nNames, stageCfg))
+		b.bases = append(b.bases, base)
+	})
+	return b
+}
+
+// basicStages lays out the stages of a Basic for k contenders out of nNames
+// names under prof: stage s has contender bound l = ⌊k/2^s⌋ and its name
+// block starts at base. It calls stage (when non-nil) for each stage and
+// returns the total width MaxName, computed from the expander widths alone,
+// so a nil stage builds no graph and no register field.
+func basicStages(k, nNames int, prof expander.Profile, stage func(s, l int, base int64)) int64 {
 	if k < 1 || nNames < 1 {
 		panic(fmt.Sprintf("core: invalid Basic parameters k=%d N=%d", k, nNames))
 	}
 	if k > nNames {
 		panic(fmt.Sprintf("core: contention k=%d exceeds name range N=%d", k, nNames))
 	}
-	cfg = cfg.normalize()
-	b := &Basic{k: k, nNames: nNames}
 	var base int64
 	for s, l := 0, k; l >= 1; s, l = s+1, l/2 {
-		stageCfg := cfg
-		stageCfg.Seed = subSeed(cfg.Seed, uint64(s))
-		m := NewMajority(l, nNames, stageCfg)
-		b.stages = append(b.stages, m)
-		b.bases = append(b.bases, base)
-		base += m.MaxName()
+		if stage != nil {
+			stage(s, l, base)
+		}
+		base += int64(expander.Width(nNames, l, prof))
 	}
-	b.maxName = base
-	return b
+	return base
 }
 
 // K returns the contender bound the instance was built for.

@@ -42,20 +42,21 @@ func NewPolyLog(k, nNames int, cfg Config) *PolyLog {
 	pl := &PolyLog{k: k, nNames: nNames, maxName: int64(nNames)}
 	cur := nNames
 	for j := 0; j < maxEpochs; j++ {
-		epochCfg := cfg
-		epochCfg.Seed = subSeed(cfg.Seed, 0x100+uint64(j))
-		b := NewBasic(k, cur, epochCfg)
 		// Stop when an epoch would shrink the range by less than 10%: the
 		// construction has reached its fixpoint M = O(k). With the paper
 		// constants every productive epoch shrinks by at least the 27/32
 		// ratio of Theorem 1's proof, so this rule never fires early there;
 		// it keeps the epoch count O(log log N) for small-constant profiles
-		// that creep near the fixpoint.
-		if 10*b.MaxName() >= int64(9*cur) {
+		// that creep near the fixpoint. The epoch's width is a function of
+		// the expander parameters alone, so an epoch is built only if kept.
+		width := basicStages(k, cur, cfg.Profile, nil)
+		if 10*width >= int64(9*cur) {
 			break
 		}
-		pl.epochs = append(pl.epochs, b)
-		cur = int(b.MaxName())
+		epochCfg := cfg
+		epochCfg.Seed = subSeed(cfg.Seed, 0x100+uint64(j))
+		pl.epochs = append(pl.epochs, NewBasic(k, cur, epochCfg))
+		cur = int(width)
 	}
 	pl.maxName = int64(cur)
 	return pl

@@ -74,19 +74,33 @@ type Graph struct {
 // New builds a graph for up to l contenders out of nInputs possible names
 // under the given profile and seed.
 func New(nInputs, l int, prof Profile, seed uint64) *Graph {
+	m, deg := dims(nInputs, l, prof)
+	return &Graph{N: nInputs, L: l, M: m, Degree: deg, Seed: seed}
+}
+
+// Width returns the output width M that New gives a graph for up to l
+// contenders out of nInputs names under prof, for any seed, without
+// building the graph.
+func Width(nInputs, l int, prof Profile) int {
+	m, _ := dims(nInputs, l, prof)
+	return m
+}
+
+// dims returns the width M and degree Δ of the Lemma 3 parameters.
+func dims(nInputs, l int, prof Profile) (m, deg int) {
 	if nInputs < 1 || l < 1 {
 		panic(fmt.Sprintf("expander: invalid parameters N=%d L=%d", nInputs, l))
 	}
 	lg := lg2Ratio(nInputs, l)
-	deg := int(math.Ceil(prof.DegreeFactor * lg))
+	deg = int(math.Ceil(prof.DegreeFactor * lg))
 	if deg < 2 {
 		deg = 2
 	}
-	m := int(math.Ceil(prof.WidthFactor * float64(l) * lg))
+	m = int(math.Ceil(prof.WidthFactor * float64(l) * lg))
 	if m < deg {
 		m = deg
 	}
-	return &Graph{N: nInputs, L: l, M: m, Degree: deg, Seed: seed}
+	return m, deg
 }
 
 // Neighbor returns the (1-based) output index of input v's i-th neighbor,

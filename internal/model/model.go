@@ -191,13 +191,13 @@ type Report struct {
 	Walker     Walker
 	Engine     Engine // resolved: never EngineAuto in a returned report
 	Workers    int
-	Executions int  // complete executions checked
-	Partial    int  // redundant prefixes cut by sleep sets or state dedup
-	Explored   int  // scheduling decisions executed
-	Pruned     int  // enabled choices skipped as commuting-equivalent
-	Replayed   int  // prefix grants re-executed (stateless engine only)
-	Restored   int  // checkpoint restores (stateful engine only)
-	Deduped    int  // nodes cut as already-explored states (stateful engine)
+	Executions int // complete executions checked
+	Partial    int // redundant prefixes cut by sleep sets or state dedup
+	Explored   int // scheduling decisions executed
+	Pruned     int // enabled choices skipped as commuting-equivalent
+	Replayed   int // prefix grants re-executed (stateless engine only)
+	Restored   int // checkpoint restores (stateful engine only)
+	Deduped    int // nodes cut as already-explored states (stateful engine)
 	// RaceEvents counts happens-before rows derived by source-DPOR's race
 	// analysis — per-event with the incremental layer, per-trace-per-leaf
 	// with the rebuild reference — and RaceTime the wall-clock spent there.

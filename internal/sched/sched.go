@@ -817,6 +817,12 @@ type Policy interface {
 // (NextPending / PendingCount) implement it in addition to Policy, and Run
 // then never materializes a pending slice. NextIter must return a pending
 // pid; Run guarantees at least one process is pending when it calls.
+//
+// NextIter and Next must make identical decisions — the same pid from the
+// same engine state, with the same rng draws — so a seeded schedule does
+// not depend on which entry point a driver (or a caller holding a plain
+// Policy, such as a PolicyFunc wrapper) goes through. The simplest way to
+// keep that promise is one decision procedure: Next delegates to NextIter.
 type IterPolicy interface {
 	NextIter(e Engine) int
 }
@@ -881,20 +887,26 @@ type NthPender interface {
 	NthPending(i int) int
 }
 
+// NthPending returns the i-th pending pid of e in ascending order (i in
+// [0, PendingCount)): straight from the engine when it is an NthPender,
+// otherwise by i NextPending hops.
+func NthPending(e Engine, i int) int {
+	if np, ok := e.(NthPender); ok {
+		return np.NthPending(i)
+	}
+	pid := e.NextPending(-1)
+	for ; i > 0; i-- {
+		pid = e.NextPending(pid)
+	}
+	return pid
+}
+
 // NextIter implements IterPolicy: the identical uniform choice as Next —
 // the r-th pending pid in ascending order for r = Intn(PendingCount) with
 // one rng draw — without materializing the pending slice, so seeded
 // schedules are unchanged while the per-decision O(pending) copy is gone.
 func (r *Random) NextIter(e Engine) int {
-	idx := r.rng.Intn(e.PendingCount())
-	if np, ok := e.(NthPender); ok {
-		return np.NthPending(idx)
-	}
-	pid := e.NextPending(-1)
-	for ; idx > 0; idx-- {
-		pid = e.NextPending(pid)
-	}
-	return pid
+	return NthPending(e, r.rng.Intn(e.PendingCount()))
 }
 
 // CrashPlan decides, just before a chosen process would take a step, whether

@@ -29,18 +29,18 @@ import (
 // orders body code against the decision loop).
 type Lane struct {
 	svc  *Service
-	next func() (int64, bool)                // arrival stream (nil: driver starts sessions explicitly)
+	next func() (int64, bool)                    // arrival stream (nil: driver starts sessions explicitly)
 	arm  func(b Backend, orig int64) vexec.Frame // retained algo frame re-armer
-	hold func(sid int64) int64               // sampled hold length in grants
+	hold func(sid int64) int64                   // sampled hold length in grants
 
 	// Current session.
-	sid     int64
-	shardID int
-	slot    int
-	g       *generation
+	sid      int64
+	shardID  int
+	slot     int
+	g        *generation
 	attempts int
-	name    Name
-	holding bool
+	name     Name
+	holding  bool
 
 	// Spawn bookkeeping (vexec root / goroutine restart detection).
 	liveSpawn    bool

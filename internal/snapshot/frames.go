@@ -59,11 +59,11 @@ type ScanFrame[T any] struct {
 	pc    uint8
 }
 
-// Init arms the frame for one scan of o; the view lands in *out when the
-// frame finishes. Scratch buffers survive re-arming: a frame driven through
-// many scans (every rename attempt embeds one or two) allocates only on its
-// first. The delivered view itself is always fresh — it escapes into the
-// caller (and, via UpdateFrame, into shared memory).
+// Init arms the frame for one scan of o; the view lands in *out's backing
+// array (grown when too small) when the frame finishes. Scratch buffers
+// survive re-arming, so a frame driven through many scans into the same
+// destination allocates only on its first. A caller that publishes the view
+// must clear *out before each scan so the view is freshly allocated.
 func (f *ScanFrame[T]) Init(o *Object[T], out *[]View[T]) {
 	moved, bufs := f.moved, f.bufs
 	*f = ScanFrame[T]{o: o, out: out, bufs: bufs}
@@ -92,11 +92,11 @@ func (f *ScanFrame[T]) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 		return f.collect(m)
 	default:
 		cur := f.cf.out
+		n := len(f.o.segs)
 		if sameCollect(f.prev, cur) {
-			*f.out = viewOf(cur)
+			*f.out = viewInto(grow(*f.out, n), cur)
 			return vexec.Done
 		}
-		n := len(f.o.segs)
 		for i := 0; i < n; i++ {
 			ps, cs := int64(-1), int64(-1)
 			if f.prev[i] != nil {
@@ -108,7 +108,9 @@ func (f *ScanFrame[T]) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 			if ps != cs {
 				f.moved[i]++
 				if f.moved[i] >= 2 {
-					v := make([]View[T], n)
+					// An embedded view has all n entries, so the copy
+					// overwrites every entry of a reused buffer.
+					v := grow(*f.out, n)
 					copy(v, cur[i].view)
 					*f.out = v
 					return vexec.Done
@@ -134,6 +136,9 @@ type UpdateFrame[T any] struct {
 
 // Init arms the frame to install v as segment i of o. The embedded scan
 // frame is re-armed in place (not zeroed) so its scratch buffers carry over.
+// Clearing f.view is what keeps the embedded view fresh: the scan then
+// allocates it rather than overwriting the view the previous segment
+// published.
 func (f *UpdateFrame[T]) Init(o *Object[T], i int, v T) {
 	f.o, f.i, f.v = o, i, v
 	f.view = nil

@@ -90,13 +90,20 @@ func sameCollect[T any](a, b []*segment[T]) bool {
 }
 
 func viewOf[T any](c []*segment[T]) []View[T] {
-	out := make([]View[T], len(c))
+	return viewInto(make([]View[T], len(c)), c)
+}
+
+// viewInto writes the view of collect c into dst (len(dst) == len(c)),
+// overwriting every entry, and returns it.
+func viewInto[T any](dst []View[T], c []*segment[T]) []View[T] {
 	for i, s := range c {
 		if s != nil {
-			out[i] = View[T]{Data: s.data, Set: s.set}
+			dst[i] = View[T]{Data: s.data, Set: s.set}
+		} else {
+			dst[i] = View[T]{}
 		}
 	}
-	return out
+	return dst
 }
 
 // Scan returns a linearizable view of all segments.
