@@ -3,9 +3,8 @@
 // fresh-instance builder, an original-name sampler and the invariant suite
 // encoding the algorithm's own theorem. The core test suite sweeps the
 // table across every shipped adversary family (conformance_test.go in
-// internal/core), and cmd/bench's -adversary mode records worst-case
-// observed steps against the same table — one source of truth for which
-// configuration "the algorithms" means.
+// internal/core), and the model checker proves its small cells — one source
+// of truth for which configuration "the algorithms" means.
 //
 // Suites are family-aware in the sense that liveness claims crashes
 // legitimately vacate (the Lemma 4 majority) self-gate on crash-free runs,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/sched/baseline"
 	"repro/internal/shmem"
 )
 
@@ -25,9 +24,8 @@ var stepSizes = []int{1, 8, 64, 512, 4096}
 // BenchmarkControllerStep measures the steady-state driven grant path — one
 // round-robin policy decision plus one granted step per iteration, exactly
 // the decision loop Run executes (RoundRobin implements IterPolicy, so the
-// decision walks the pending bitmap without building a slice). Compare with
-// BenchmarkBaselineControllerStep; the acceptance bar for PR 1 is >= 3x its
-// steps/sec with 0 allocs/op.
+// decision walks the pending bitmap without building a slice), with 0
+// allocs/op.
 func BenchmarkControllerStep(b *testing.B) {
 	for _, n := range stepSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -39,31 +37,6 @@ func BenchmarkControllerStep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.Step(rr.NextIter(c))
-			}
-			b.StopTimer()
-		})
-	}
-}
-
-// BenchmarkBaselineControllerStep is the identical workload on the frozen
-// pre-refactor scheduler, driven the only way its API allows: an allocated
-// Pending slice and a slice-scanning policy per decision (the seed's Run
-// loop).
-func BenchmarkBaselineControllerStep(b *testing.B) {
-	for _, n := range stepSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var r shmem.Reg
-			c := baseline.NewController(n, nil, func(p *shmem.Proc) {
-				for {
-					p.Read(&r)
-				}
-			})
-			defer c.Abort()
-			rr := &baseline.RoundRobin{}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Step(rr.Next(c.Pending()))
 			}
 			b.StopTimer()
 		})

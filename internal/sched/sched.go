@@ -25,7 +25,7 @@
 // (PendingInto and NextPending expose it without allocating), and StepN
 // grants a run of consecutive steps with one wakeup. A granted step is
 // zero-allocation in steady state; see BenchmarkControllerStep and the
-// frozen pre-refactor implementation in internal/sched/baseline.
+// controller_step rows of cmd/bench.
 package sched
 
 import (

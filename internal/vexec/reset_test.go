@@ -5,12 +5,15 @@ package vexec_test
 // indistinguishable from a fresh one: same fingerprints, steps, crash flags
 // and rename results run for run — including when consecutive runs switch
 // fault models (the capability knobs must come back down) and when runs
-// leave lanes crashed or mid-execution state behind.
+// leave lanes crashed or mid-execution state behind. RunBatch must also
+// agree with the goroutine oracle's sched.ParallelRuns at populations the
+// differential suites do not reach.
 
 import (
 	"testing"
 
 	"repro/internal/compete"
+	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/shmem"
 	"repro/internal/vexec"
@@ -67,6 +70,50 @@ func TestRunBatchRecycledEnginesMatchFresh(t *testing.T) {
 			if got[i].Steps[pid] != ref[i].Steps[pid] || got[i].Crashed[pid] != ref[i].Crashed[pid] {
 				t.Fatalf("run %d pid %d: recycled (steps %d, crashed %v), fresh (steps %d, crashed %v)",
 					i, pid, got[i].Steps[pid], got[i].Crashed[pid], ref[i].Steps[pid], ref[i].Crashed[pid])
+			}
+		}
+	}
+
+	// The goroutine oracle at n=16: run i draws its schedule from
+	// sched.NewRandom(seed(i)) on both engines, so the decision sequences and
+	// every fingerprint must match.
+	type renamer interface {
+		Rename(p *shmem.Proc, orig int64) (int64, bool)
+		vexec.FrameRenamer
+	}
+	seed := func(run int) uint64 { return 0x7e8ec ^ uint64(run)*0x9e3779b97f4a7c15 }
+	for _, cfg := range []struct {
+		name  string
+		n     int
+		build func(n int, seed uint64) renamer
+	}{
+		{"firstfit", 16, func(n int, _ uint64) renamer { return compete.NewFirstFit(n) }},
+		{"adaptive", 16, func(n int, seed uint64) renamer { return core.NewAdaptive(n, core.Config{Seed: seed}) }},
+	} {
+		const runs = 16
+		oracle := sched.ParallelRuns(runs, func(run int) sched.RunSpec {
+			r := cfg.build(cfg.n, seed(run))
+			return sched.RunSpec{
+				N:      cfg.n,
+				Policy: sched.NewRandom(seed(run)),
+				Body:   func(p *shmem.Proc) { r.Rename(p, p.Name()) },
+			}
+		})
+		batch := vexec.RunBatch(runs, func(run int) vexec.BatchSpec {
+			r := cfg.build(cfg.n, seed(run))
+			return vexec.BatchSpec{
+				N:      cfg.n,
+				Policy: sched.NewRandom(seed(run)),
+				Root:   func(p *shmem.Proc) vexec.Frame { return r.FrameRename(p.Name()) },
+			}
+		})
+		for i := range oracle {
+			if oracle[i].Err != nil || oracle[i].TotalSteps() == 0 {
+				t.Fatalf("%s n=%d run %d: oracle ran nothing (err %v)", cfg.name, cfg.n, i, oracle[i].Err)
+			}
+			if batch[i].Fingerprint != oracle[i].Fingerprint {
+				t.Fatalf("%s n=%d run %d: RunBatch fingerprint %#x, ParallelRuns %#x",
+					cfg.name, cfg.n, i, batch[i].Fingerprint, oracle[i].Fingerprint)
 			}
 		}
 	}
