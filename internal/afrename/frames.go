@@ -33,6 +33,18 @@ func (f *RenameFrame) Init(r *Renamer, slot int, id int64) {
 	f.pc = 0
 }
 
+// CopyFrom makes f a copy of src that shares no mutable buffer with it: the
+// embedded snapshot frames copy as their CopyFrom says, the decision view
+// and the taken scratch into f's own backing arrays. It is the save and load
+// of a vexec.Cloner whose frame embeds an acquisition.
+func (f *RenameFrame) CopyFrom(src *RenameFrame) {
+	f.r, f.slot, f.id, f.prop, f.attempt, f.pc = src.r, src.slot, src.id, src.prop, src.attempt, src.pc
+	f.uf.CopyFrom(&src.uf)
+	f.sf.CopyFrom(&src.sf)
+	f.view = append(f.view[:0], src.view...)
+	f.taken = append(f.taken[:0], src.taken...)
+}
+
 func (f *RenameFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	switch f.pc {
 	case 0:

@@ -80,7 +80,15 @@ func (ff *FirstFit) FrameRename(orig int64) vexec.Frame {
 	return f
 }
 
-var _ vexec.FrameRenamer = (*FirstFit)(nil)
+var (
+	_ vexec.FrameRenamer = (*FirstFit)(nil)
+	_ vexec.Cloner       = (*FirstFitFrame)(nil)
+)
+
+// Save and Load implement vexec.Cloner: the frame and its competition are
+// plain values.
+func (f *FirstFitFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *FirstFitFrame) Load(src vexec.Frame)             { *f = *src.(*FirstFitFrame) }
 
 func (f *FirstFitFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	if f.entered {

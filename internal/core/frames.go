@@ -42,6 +42,11 @@ func (ma *Majority) FrameRename(orig int64) vexec.Frame {
 	return f
 }
 
+// Save and Load implement vexec.Cloner: the frame and its competition are
+// plain values.
+func (f *MajorityFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *MajorityFrame) Load(src vexec.Frame)             { *f = *src.(*MajorityFrame) }
+
 func (f *MajorityFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	if !f.entered {
 		if f.orig < 1 || f.orig > int64(f.ma.graph.N) {
@@ -83,6 +88,9 @@ func (b *Basic) FrameRename(orig int64) vexec.Frame {
 	return f
 }
 
+func (f *basicFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *basicFrame) Load(src vexec.Frame)             { *f = *src.(*basicFrame) }
+
 func (f *basicFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	if f.entered {
 		if m.RetB {
@@ -118,6 +126,9 @@ func (pl *PolyLog) FrameRename(orig int64) vexec.Frame {
 	f.init(pl, orig)
 	return f
 }
+
+func (f *polylogFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *polylogFrame) Load(src vexec.Frame)             { *f = *src.(*polylogFrame) }
 
 func (f *polylogFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	if f.entered {
@@ -159,6 +170,18 @@ func (e *Efficient) FrameRename(orig int64) vexec.Frame {
 	f.init(e, orig)
 	return f
 }
+
+// copyFrom makes f a copy of src: the grid and polylog stages are plain
+// values, the AF stage copies without sharing its buffers.
+func (f *efficientFrame) copyFrom(src *efficientFrame) {
+	f.e, f.orig, f.gf, f.plf, f.pc = src.e, src.orig, src.gf, src.plf, src.pc
+	f.aff.CopyFrom(&src.aff)
+}
+
+func (f *efficientFrame) Save(dst vexec.Frame) vexec.Frame {
+	return vexec.SaveWith(f, dst, (*efficientFrame).copyFrom)
+}
+func (f *efficientFrame) Load(src vexec.Frame) { f.copyFrom(src.(*efficientFrame)) }
 
 func (f *efficientFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	switch f.pc {
@@ -225,6 +248,16 @@ func (a *AlmostAdaptive) FrameRename(orig int64) vexec.Frame {
 	return f
 }
 
+func (f *almostFrame) copyFrom(src *almostFrame) {
+	f.a, f.orig, f.i, f.plf, f.pc = src.a, src.orig, src.i, src.plf, src.pc
+	f.aff.CopyFrom(&src.aff)
+}
+
+func (f *almostFrame) Save(dst vexec.Frame) vexec.Frame {
+	return vexec.SaveWith(f, dst, (*almostFrame).copyFrom)
+}
+func (f *almostFrame) Load(src vexec.Frame) { f.copyFrom(src.(*almostFrame)) }
+
 func (f *almostFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	switch f.pc {
 	case 0:
@@ -272,6 +305,17 @@ func (a *Adaptive) FrameRename(orig int64) vexec.Frame {
 	return f
 }
 
+func (f *adaptiveFrame) copyFrom(src *adaptiveFrame) {
+	f.a, f.orig, f.i, f.pc = src.a, src.orig, src.i, src.pc
+	f.ef.copyFrom(&src.ef)
+	f.aff.CopyFrom(&src.aff)
+}
+
+func (f *adaptiveFrame) Save(dst vexec.Frame) vexec.Frame {
+	return vexec.SaveWith(f, dst, (*adaptiveFrame).copyFrom)
+}
+func (f *adaptiveFrame) Load(src vexec.Frame) { f.copyFrom(src.(*adaptiveFrame)) }
+
 func (f *adaptiveFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	switch f.pc {
 	case 0:
@@ -297,8 +341,16 @@ func (f *adaptiveFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return m.Call(&f.aff)
 }
 
-// Compile-time checks that every renaming algorithm compiles to frames.
+// Compile-time checks that every renaming algorithm compiles to frames,
+// and that every root frame restores by copy.
 var (
+	_ vexec.Cloner = (*MajorityFrame)(nil)
+	_ vexec.Cloner = (*basicFrame)(nil)
+	_ vexec.Cloner = (*polylogFrame)(nil)
+	_ vexec.Cloner = (*efficientFrame)(nil)
+	_ vexec.Cloner = (*almostFrame)(nil)
+	_ vexec.Cloner = (*adaptiveFrame)(nil)
+
 	_ vexec.FrameRenamer = (*Majority)(nil)
 	_ vexec.FrameRenamer = (*Basic)(nil)
 	_ vexec.FrameRenamer = (*PolyLog)(nil)

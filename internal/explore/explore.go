@@ -81,7 +81,8 @@ type Stats struct {
 	// DPOR) reconstruct by checkpoint restore instead and always report 0.
 	Replayed int
 	// Restored counts checkpoint restores performed by stateful strategies —
-	// the rewind (undo-log walk + handoff-free parallel catch-up) that
+	// the rewind (the goroutine engine's undo-log walk and handoff-free
+	// catch-up, the vectorized engine's copy of the moved lanes) that
 	// replaces each Replayed prefix re-execution.
 	Restored int
 	// Pruned counts enabled choices the strategy skipped because partial-order
@@ -147,7 +148,7 @@ type Independent interface {
 // enabled, and calls BacktrackState in place of Backtrack at the end of every
 // execution: the strategy restores the engine to its next frontier node
 // (passing reset through to Restore so the caller can clear a process's
-// body-external capture before its catch-up) and returns false when the
+// body-external capture before it is put back) and returns false when the
 // search is exhausted.
 type Stateful interface {
 	Strategy
@@ -223,8 +224,8 @@ type Config struct {
 	OnResult func(run int, t sched.Trace, res sched.Result) bool
 	// Reset clears process pid's body-external per-execution capture (its
 	// slot of the outcome arrays the body writes into) before a stateful
-	// strategy's restore re-runs that process. It is called only for the
-	// processes the restore re-roots: the goroutine engine re-runs every
+	// strategy's restore puts that process back. It is called only for the
+	// processes the restore puts back: the goroutine engine re-runs every
 	// process, while the vectorized engine leaves a lane that did not move
 	// since the capture untouched — and its captured outcome with it, which
 	// is why Reset must clear pid's slot only. Stateless strategies never

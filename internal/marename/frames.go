@@ -63,7 +63,15 @@ func (g *Grid) FrameRename(orig int64) vexec.Frame {
 	return f
 }
 
-var _ vexec.FrameRenamer = (*Grid)(nil)
+var (
+	_ vexec.FrameRenamer = (*Grid)(nil)
+	_ vexec.Cloner       = (*GridFrame)(nil)
+)
+
+// Save and Load implement vexec.Cloner: the walk and its splitter are plain
+// values.
+func (f *GridFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *GridFrame) Load(src vexec.Frame)             { *f = *src.(*GridFrame) }
 
 func (f *GridFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	if !f.entered {

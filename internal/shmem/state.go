@@ -160,6 +160,25 @@ func (p *Proc) LoadState(s ProcState) {
 	p.rp = replayState{active: true, crash: s.Crashed, target: s.Steps, reads: s.Reads, cur: s.IncBase}
 }
 
+// RestoreState puts the handle straight back at a captured position, with
+// no catch-up: the caller restores the body's local state by copy (a frame
+// engine's saved frames), so there is nothing to replay. The handle ends
+// exactly where LoadState's replay would leave it once caught up: same step
+// count, read-log prefix, read hash and incarnation bookkeeping.
+func (p *Proc) RestoreState(s ProcState) {
+	if !p.recording {
+		panic("shmem: Proc.RestoreState without EnableReadLog")
+	}
+	p.steps = s.Steps
+	p.readLog = p.readLog[:s.Reads]
+	p.readHash = s.ReadHash
+	p.incBase = s.IncBase
+	p.baseSteps = s.BaseSteps
+	p.restarts = s.Restarts
+	p.staleArm = false
+	p.rp = replayState{}
+}
+
 // ReadHash returns the running hash of the process's read history — the
 // canonical fingerprint of its local state, since a deterministic body's
 // stack is a pure function of the values it has read. Two channels with

@@ -7,56 +7,21 @@ import (
 	"repro/internal/vexec"
 )
 
-// collectFrame is the frame compilation of collect: n ReadRefs in segment
-// order, the collected pointers landing in out.
-type collectFrame[T any] struct {
-	o       *Object[T]
-	out     []*segment[T]
-	i       int
-	entered bool
-}
-
-// init arms the frame for one collect into buf's backing array (grown when
-// too small). The caller owns buf's lifetime: the collect overwrites every
-// entry before the frame reports Done, so stale contents need no clearing,
-// but the buffer must not alias a collect still being consumed.
-func (f *collectFrame[T]) init(o *Object[T], buf []*segment[T]) {
-	*f = collectFrame[T]{o: o, out: grow(buf, len(o.segs))}
-}
-
-// grow returns a length-n slice reusing buf's backing array when it is large
-// enough. Contents are unspecified; callers overwrite every entry.
-func grow[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
-}
-
-func (f *collectFrame[T]) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
-	if f.entered {
-		f.out[f.i] = shmem.ReadRef(p, &f.o.segs[f.i])
-		f.i++
-	}
-	f.entered = true
-	if f.i >= len(f.o.segs) {
-		return vexec.Done
-	}
-	return m.Intend(shmem.OpRead, &f.o.segs[f.i])
-}
-
-// ScanFrame is the frame compilation of Scan. The returned view is delivered
-// through the destination pointer planted by Init (frames returning slices
-// cannot use M.RetI).
+// ScanFrame is the frame compilation of Scan: collects of the n segments in
+// order, one ReadRef per granted step, until two consecutive collects agree
+// or a segment has moved twice. The returned view is delivered through the
+// destination pointer planted by Init (frames returning slices cannot use
+// M.RetI).
 type ScanFrame[T any] struct {
 	o     *Object[T]
 	out   *[]View[T]
 	moved []int
-	prev  []*segment[T]
-	cf    collectFrame[T]
-	bufs  [2][]*segment[T] // collect scratch, alternated so prev stays live
-	cn    uint8            // collects issued; low bit selects the buffer
-	pc    uint8
+	// bufs holds the last two collects: collect c fills bufs[c&1], so the
+	// one before it stays live in the other buffer.
+	bufs [2][]*segment[T]
+	cn   uint8 // collects started; the one in flight fills bufs[(cn-1)&1]
+	i    int   // next segment the collect in flight reads
+	pc   uint8 // 0 before the first collect, 1 during it, 2 after
 }
 
 // Init arms the frame for one scan of o; the view lands in *out's backing
@@ -71,55 +36,78 @@ func (f *ScanFrame[T]) Init(o *Object[T], out *[]View[T]) {
 	clear(f.moved)
 }
 
-// collect issues the next collect into the scratch buffer prev does not
-// alias: only two collects are ever live at once (prev and the one in
-// flight), so two buffers alternated by collect parity suffice.
+// CopyFrom makes f a copy of src that shares no buffer with it: the moved
+// table and both collects are copied into f's own backing arrays. The
+// destination pointer is copied verbatim. It is the save and load of a
+// vexec.Cloner whose frame embeds a scan.
+func (f *ScanFrame[T]) CopyFrom(src *ScanFrame[T]) {
+	moved, b0, b1 := f.moved, f.bufs[0], f.bufs[1]
+	*f = *src
+	f.moved = append(moved[:0], src.moved...)
+	f.bufs = [2][]*segment[T]{append(b0[:0], src.bufs[0]...), append(b1[:0], src.bufs[1]...)}
+}
+
+// grow returns a length-n slice reusing buf's backing array when it is large
+// enough. Contents are unspecified; callers overwrite every entry.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// collect starts the next collect in the buffer the previous collect does
+// not occupy, and posts its first read.
 func (f *ScanFrame[T]) collect(m *vexec.M) vexec.Status {
-	f.cf.init(f.o, f.bufs[f.cn&1])
-	f.bufs[f.cn&1] = f.cf.out
+	b := &f.bufs[f.cn&1]
+	*b = grow(*b, len(f.o.segs))
 	f.cn++
-	return m.Call(&f.cf)
+	f.i = 0
+	return m.Intend(shmem.OpRead, &f.o.segs[0])
 }
 
 func (f *ScanFrame[T]) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
-	switch f.pc {
-	case 0:
+	if f.pc == 0 {
 		f.pc = 1
 		return f.collect(m)
-	case 1:
-		f.prev = f.cf.out
+	}
+	cur := f.bufs[(f.cn-1)&1]
+	cur[f.i] = shmem.ReadRef(p, &f.o.segs[f.i])
+	f.i++
+	n := len(cur)
+	if f.i < n {
+		return m.Intend(shmem.OpRead, &f.o.segs[f.i])
+	}
+	if f.pc == 1 {
 		f.pc = 2
 		return f.collect(m)
-	default:
-		cur := f.cf.out
-		n := len(f.o.segs)
-		if sameCollect(f.prev, cur) {
-			*f.out = viewInto(grow(*f.out, n), cur)
-			return vexec.Done
-		}
-		for i := 0; i < n; i++ {
-			ps, cs := int64(-1), int64(-1)
-			if f.prev[i] != nil {
-				ps = f.prev[i].seq
-			}
-			if cur[i] != nil {
-				cs = cur[i].seq
-			}
-			if ps != cs {
-				f.moved[i]++
-				if f.moved[i] >= 2 {
-					// An embedded view has all n entries, so the copy
-					// overwrites every entry of a reused buffer.
-					v := grow(*f.out, n)
-					copy(v, cur[i].view)
-					*f.out = v
-					return vexec.Done
-				}
-			}
-		}
-		f.prev = cur
-		return f.collect(m)
 	}
+	prev := f.bufs[f.cn&1]
+	if sameCollect(prev, cur) {
+		*f.out = viewInto(grow(*f.out, n), cur)
+		return vexec.Done
+	}
+	for i := 0; i < n; i++ {
+		ps, cs := int64(-1), int64(-1)
+		if prev[i] != nil {
+			ps = prev[i].seq
+		}
+		if cur[i] != nil {
+			cs = cur[i].seq
+		}
+		if ps != cs {
+			f.moved[i]++
+			if f.moved[i] >= 2 {
+				// An embedded view has all n entries, so the copy
+				// overwrites every entry of a reused buffer.
+				v := grow(*f.out, n)
+				copy(v, cur[i].view)
+				*f.out = v
+				return vexec.Done
+			}
+		}
+	}
+	return f.collect(m)
 }
 
 // UpdateFrame is the frame compilation of Update: the embedded scan's reads
@@ -144,6 +132,15 @@ func (f *UpdateFrame[T]) Init(o *Object[T], i int, v T) {
 	f.view = nil
 	f.seg = nil
 	f.pc = 0
+}
+
+// CopyFrom makes f a copy of src that shares no mutable buffer with it, as
+// ScanFrame.CopyFrom. The view and the segment are copied by pointer: the
+// scan allocates the view fresh and neither is written again once built, so
+// a saved copy may share them with the segment they are published in.
+func (f *UpdateFrame[T]) CopyFrom(src *UpdateFrame[T]) {
+	f.o, f.i, f.v, f.view, f.seg, f.pc = src.o, src.i, src.v, src.view, src.seg, src.pc
+	f.sf.CopyFrom(&src.sf)
 }
 
 func (f *UpdateFrame[T]) Run(m *vexec.M, p *shmem.Proc) vexec.Status {

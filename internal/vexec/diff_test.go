@@ -427,13 +427,26 @@ func FuzzDifferential(f *testing.F) {
 // Ensure check.Renamer and vexec.FrameRenamer stay satisfied together for
 // every table entry — a conformance case that loses its frame compilation
 // fails here at build-run time rather than silently dropping out of the
-// differential.
+// differential. Every case's root frame, bare and capture-wrapped as the
+// model checker roots it, must also restore by copy (vexec.Cloner): a root
+// without it would fall back to catch-up replay without a word.
 func TestEveryCaseCompilesToFrames(t *testing.T) {
 	for _, c := range conformance.Cases() {
 		r := c.New(2, 1)
-		if _, ok := r.(vexec.FrameRenamer); !ok {
+		fr, ok := r.(vexec.FrameRenamer)
+		if !ok {
 			t.Errorf("case %s: %T lacks FrameRename", c.Name, r)
+			continue
 		}
 		var _ check.Renamer = r
+		root := fr.FrameRename(c.Origs(2, 1)[0])
+		if _, ok := root.(vexec.Cloner); !ok {
+			t.Errorf("case %s: root frame %T is not a vexec.Cloner", c.Name, root)
+		}
+		var got int64
+		var done bool
+		if _, ok := vexec.Capture(root, &got, &done).(vexec.Cloner); !ok {
+			t.Errorf("case %s: the capture-wrapped root is not a vexec.Cloner", c.Name)
+		}
 	}
 }

@@ -74,6 +74,9 @@ type Exec struct {
 
 	st       stateMirror
 	snapFree []*Snapshot // released captures awaiting reuse (see ReleaseState)
+	// replayOnly makes Restore put every moved lane back by catch-up replay,
+	// the reference path. Only tests set it.
+	replayOnly bool
 }
 
 var _ sched.Engine = (*Exec)(nil)
@@ -686,11 +689,17 @@ type stateMirror struct {
 
 	// moved[pid] is lane pid's move stamp: a fresh value from clock on every
 	// grant (step, stale read or crash) and restart of the lane, and the
-	// captured value again when Restore re-roots it. Stamps are never
+	// captured value again when Restore puts it back. Stamps are never
 	// reused, so a lane whose stamp equals a snapshot's has the state it had
 	// at that capture, and Restore need not touch it.
 	moved []uint64
 	clock uint64
+
+	// saved[pid] is the save of lane pid's state at its stamp saved[pid].stamp
+	// (stale once the lane moves on), held so captures taken while the lane
+	// stands still share it; laneFree recycles saves no capture holds.
+	saved    []*laneSave
+	laneFree []*laneSave
 }
 
 // move gives lane pid a fresh move stamp.
@@ -727,6 +736,7 @@ func (e *Exec) EnableState() {
 	e.st.enabled = true
 	e.st.regID = make(map[any]int)
 	e.st.moved = make([]uint64, e.n)
+	e.st.saved = make([]*laneSave, e.n)
 	if !e.tracing {
 		e.EnableTrace()
 	}

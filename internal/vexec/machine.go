@@ -55,20 +55,29 @@ const (
 //     which charges the local step exactly as the goroutine engine would,
 //     then advance to the next access, call or completion;
 //   - on each invocation that follows a child's Done, consume the child's
-//     result (M.RetI/M.RetB or planted pointers) and advance likewise.
+//     result (M.RetI/M.RetB, or the child's fields when the child is
+//     embedded in the frame) and advance likewise.
 //
 // Exactly one counted access per granted step, performed by the frame that
 // posted it — that invariant is what makes step counts, read logs and read
 // hashes bit-identical to the goroutine engine's.
+//
+// Children are embedded by value in their parents and re-armed between
+// calls, so a lane's whole frame stack lives in one object tree hanging
+// from its root frame. A root that also implements Cloner can therefore be
+// saved and restored as a value (see Exec.Restore).
 type Frame interface {
 	Run(m *M, p *shmem.Proc) Status
 }
 
 // M is a process lane's machine: its frame stack plus the communication
 // cells between frames and engine. Frames return values to their parents
-// through RetI/RetB (set by Return, read by the parent on its next Run) or
-// through destination pointers planted at construction; the engine reads
-// the root frame's final RetI/RetB as the lane's result.
+// through RetI/RetB (set by Return, read by the parent on its next Run); a
+// child that returns more than that (a scan's view) writes it through a
+// destination pointer into its parent's fields. The engine reads the root
+// frame's final RetI/RetB as the lane's result. The stack holds pointers
+// into the root's object tree; Restore's copy path saves and reloads the
+// stack as it is, since it loads state back into the same objects.
 type M struct {
 	stack  []Frame
 	intent shmem.Intent
@@ -109,6 +118,51 @@ type FrameRenamer interface {
 	FrameRename(orig int64) Frame
 }
 
+// Cloner is the optional copy-restore contract of a lane's root frame. A
+// lane whose root implements it is put back by Restore by copying its saved
+// frames, not by re-rooting it and replaying its read log; frames without
+// it keep the replay (catch-up), which stays the reference path.
+//
+// Save copies the frame's state — every field, including the state of each
+// child the frame embeds or owns — into a saved copy and returns it. dst is
+// nil or a copy an earlier Save of the same frame type returned, reused
+// with its buffers. Load copies a saved copy back into the frame. A saved
+// copy is inert (the engine never runs it) and shares no slice that either
+// side mutates in place. Pointers into the frame's own tree, such as a
+// child's destination pointer, are copied verbatim: Restore loads a copy
+// back into the very objects it was saved from, so they stay valid.
+type Cloner interface {
+	Frame
+	Save(dst Frame) Frame
+	Load(src Frame)
+}
+
+// SaveWith is Cloner.Save built from the frame type's copy function:
+// copyFrom(dst, src) makes dst a copy of src that shares no buffer either
+// mutates in place, reusing dst's buffers. dst is reused when it already is
+// a *F. The frame's Load is then copyFrom(f, src).
+func SaveWith[F any, P interface {
+	*F
+	Frame
+}](f P, dst Frame, copyFrom func(dst, src P)) Frame {
+	d, ok := dst.(P)
+	if !ok {
+		d = new(F)
+	}
+	copyFrom(d, f)
+	return d
+}
+
+// SaveValue is Cloner.Save for frames whose state is plain values, with no
+// slice the frame mutates in place: a struct copy. Such a frame's Load is
+// the struct copy back.
+func SaveValue[F any, P interface {
+	*F
+	Frame
+}](f P, dst Frame) Frame {
+	return SaveWith(f, dst, func(d, s P) { *d = *s })
+}
+
 // captureFrame adapts the check-harness calling convention to frames: it
 // runs the wrapped frame and stores its (name, ok) result through the
 // planted pointers, mirroring the goroutine harness body
@@ -121,9 +175,13 @@ type captureFrame struct {
 }
 
 // Capture wraps a root frame so its result lands in *got and *ok when the
-// lane finishes.
+// lane finishes. The wrapper is a Cloner exactly when child is.
 func Capture(child Frame, got *int64, ok *bool) Frame {
-	return &captureFrame{child: child, got: got, ok: ok}
+	c := captureFrame{child: child, got: got, ok: ok}
+	if _, isCl := child.(Cloner); isCl {
+		return &clonerCapture{c}
+	}
+	return &c
 }
 
 func (c *captureFrame) Run(m *M, p *shmem.Proc) Status {
@@ -133,4 +191,24 @@ func (c *captureFrame) Run(m *M, p *shmem.Proc) Status {
 	}
 	*c.got, *c.ok = m.RetI, m.RetB
 	return Done
+}
+
+// clonerCapture is the capture wrapper of a Cloner child. The child is held
+// by pointer, not embedded, so a saved copy owns a saved copy of the child.
+type clonerCapture struct{ captureFrame }
+
+func (c *clonerCapture) Save(dst Frame) Frame {
+	d, _ := dst.(*clonerCapture)
+	if d == nil {
+		d = &clonerCapture{}
+	}
+	d.got, d.ok, d.entered = c.got, c.ok, c.entered
+	d.child = c.child.(Cloner).Save(d.child)
+	return d
+}
+
+func (c *clonerCapture) Load(src Frame) {
+	s := src.(*clonerCapture)
+	c.entered = s.entered
+	c.child.(Cloner).Load(s.child)
 }

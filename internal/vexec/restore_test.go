@@ -1,9 +1,11 @@
 package vexec_test
 
-// Restore re-roots only the lanes that moved since the capture. These tests
+// Restore puts back only the lanes that moved since the capture. These tests
 // pin the other half of that contract: a lane no grant or restart touched
 // keeps its frames, its Proc and its captured outcome, and the engine still
-// lands exactly on the captured decision point.
+// lands exactly on the captured decision point. opsFrame is not a
+// vexec.Cloner, so the moved lane here is restored by catch-up replay (the
+// root builder runs again for it).
 
 import (
 	"slices"

@@ -11,24 +11,35 @@ import (
 // semantics sched.Controller grew in PR 5 — Checkpoint/Restore/StateHash —
 // but without the machinery the goroutine engine needs. A frame machine's
 // state is plain data (register cells, lane positions, frame structs), so a
-// Snapshot is a struct copy: the CellState of every registered register plus
-// each lane's ProcState and phase. There is no undo log — restoring loads the
-// captured cell states outright (cells first written after the capture rewind
-// to the pre-image taken at registration) — and no goroutine respawn: the
-// only per-lane work is re-rooting the frame stack and replaying the lane's
-// current incarnation from its read log, the same handoff-free catch-up the
-// goroutine engine runs, minus the goroutines. And only lanes that moved
-// since the capture pay even that: a lane no grant or restart touched still
-// holds exactly its captured frames and Proc, so Restore leaves it alone.
+// Snapshot is a copy: the CellState of every registered register, each
+// lane's ProcState and phase, and a saved copy of each lane's frames. There
+// is no undo log — restoring loads the captured cell states outright (cells
+// first written after the capture rewind to the pre-image taken at
+// registration) — and no goroutine respawn.
 //
-// The catch-up reuses the grant budget of advance(): a replaying lane's reads
-// consume the log (shmem replay mode) and its writes are suppressed, so
-// auto-granting exactly steps-since-incarnation intents lands the lane at its
-// captured yield point with its frame stack bit-identical to the capture. A
-// lane captured crashed gets one extra auto-grant: its post-target access
-// exits replay mode, which re-raises the captured crash (shmem.Crash) and
-// advance's recovery marks the lane crashed with its stack discarded —
-// exactly the state the crash grant left it in.
+// Lanes are restored by copy. A capture saves
+// only the lanes that moved since they were last saved: a lane's move stamp
+// identifies its state, so a save is shared by every capture taken while
+// its lane stood still. A save holds the lane's frame stack, a Cloner copy
+// of its root frame, and its M cells. Restore loads the save of each lane
+// that moved since the capture back into the very frame objects it was
+// taken from and puts the lane's Proc at its captured position
+// (shmem.Proc.RestoreState): no frame is built and no access re-runs. A lane
+// that did not move holds exactly its captured frames and Proc, so Restore
+// leaves it alone.
+//
+// Catch-up replay is the reference path, and the path of lanes whose root
+// frame is not a Cloner (and of finished lanes, which never move again on a
+// branch and so are never restored). It re-roots the lane and replays its
+// current incarnation from its read log, reusing the grant budget of
+// advance(): a replaying lane's reads consume the log (shmem replay mode)
+// and its writes are suppressed, so auto-granting exactly
+// steps-since-incarnation intents lands the lane at its captured yield
+// point with a frame stack bit-identical to the capture. A lane captured
+// crashed gets one extra auto-grant: its post-target access exits replay
+// mode, which re-raises the captured crash (shmem.Crash) and advance's
+// recovery marks the lane crashed with its stack discarded — exactly the
+// state the crash grant left it in.
 
 var _ sched.StateEngine = (*Exec)(nil)
 var _ sched.StateReleaser = (*Exec)(nil)
@@ -60,10 +71,30 @@ type Snapshot struct {
 	phase []uint8
 	moved []uint64 // each lane's move stamp (stateMirror.moved) at capture
 
+	lanes []*laneSave // each lane's saved machine; nil: restore by catch-up
+
 	stale [][]int64 // pending reads' stale windows (weak registers only)
 }
 
-// Checkpoint captures the current decision point. O(registered registers + n).
+// laneSave is one lane's machine at a capture, as Restore copies it back:
+// the frame stack, a saved copy of the root frame (which holds the state of
+// every frame on the stack), and the M cells. A save describes the lane
+// state its move stamp names, so every capture taken while the lane stood
+// still shares it; refs counts those captures plus the engine's own hold
+// (stateMirror.saved).
+type laneSave struct {
+	stamp  uint64
+	refs   int
+	root   Cloner // the lane's root frame; nil when the stack is empty
+	saved  Frame  // root.Save's copy (kept as a buffer when root is nil)
+	stack  []Frame
+	intent shmem.Intent
+	retI   int64
+	retB   bool
+}
+
+// Checkpoint captures the current decision point: O(registered registers +
+// n), plus one frame copy per lane that moved since it was last saved.
 func (e *Exec) Checkpoint() sched.ExecState {
 	if !e.st.enabled {
 		panic("vexec: Checkpoint without EnableState")
@@ -94,16 +125,89 @@ func (e *Exec) Checkpoint() sched.ExecState {
 		p.StateInto(&s.procs[pid])
 		s.procs[pid].Crashed = e.phase[pid] == phaseCrashed
 	}
-	s.stale = nil
+	s.lanes = grow(s.lanes, e.n)
+	for pid := range s.lanes {
+		ls := e.laneState(pid)
+		if ls != nil {
+			ls.refs++
+		}
+		s.lanes[pid] = ls
+	}
 	if e.model.Regs != shmem.RegAtomic {
-		s.stale = make([][]int64, e.n)
+		s.stale = grow(s.stale, e.n)
 		for pid, w := range e.staleWin {
-			if len(w) > 0 {
-				s.stale[pid] = append([]int64(nil), w...)
-			}
+			s.stale[pid] = append(s.stale[pid][:0], w...)
 		}
 	}
 	return s
+}
+
+// laneState returns the save of lane pid's current state, taking it if the
+// lane moved since its last save. nil means the lane restores by catch-up:
+// it is finished (it never moves again on this branch) or its root frame is
+// not a Cloner.
+func (e *Exec) laneState(pid int) *laneSave {
+	if ls := e.st.saved[pid]; ls != nil {
+		if ls.stamp == e.st.moved[pid] {
+			return ls
+		}
+		e.st.saved[pid] = nil
+		e.st.unref(ls)
+	}
+	m := &e.ms[pid]
+	var root Cloner
+	switch e.phase[pid] {
+	case phasePending:
+		cl, ok := m.stack[0].(Cloner)
+		if !ok {
+			return nil
+		}
+		root = cl
+	case phaseCrashed:
+		// The stack is gone; only the M cells are left to save.
+	default:
+		return nil
+	}
+	var ls *laneSave
+	if n := len(e.st.laneFree); n > 0 {
+		ls = e.st.laneFree[n-1]
+		e.st.laneFree = e.st.laneFree[:n-1]
+	} else {
+		ls = &laneSave{}
+	}
+	ls.stamp, ls.refs, ls.root = e.st.moved[pid], 1, root
+	if root != nil {
+		ls.saved = root.Save(ls.saved)
+	}
+	ls.stack = append(ls.stack[:0], m.stack...)
+	ls.intent, ls.retI, ls.retB = m.intent, m.RetI, m.RetB
+	e.st.saved[pid] = ls
+	return ls
+}
+
+// holdLane makes ls the save of lane pid's current state: Restore has just
+// put the lane in the state ls describes.
+func (e *Exec) holdLane(pid int, ls *laneSave) {
+	if old := e.st.saved[pid]; old != ls {
+		ls.refs++
+		e.st.saved[pid] = ls
+		if old != nil {
+			e.st.unref(old)
+		}
+	}
+}
+
+// unref drops one reference to ls, recycling it when none is left.
+func (s *stateMirror) unref(ls *laneSave) {
+	ls.refs--
+	if ls.refs > 0 {
+		return
+	}
+	ls.root = nil
+	clear(ls.stack)
+	ls.stack = ls.stack[:0]
+	ls.intent = shmem.Intent{}
+	s.laneFree = append(s.laneFree, ls)
 }
 
 // grow resizes buf to length n, reusing its backing array when it is big
@@ -125,6 +229,12 @@ func (e *Exec) ReleaseState(st sched.ExecState) {
 		return // foreign or already-released capture: nothing to recycle
 	}
 	s.e = nil
+	for pid, ls := range s.lanes {
+		if ls != nil {
+			e.st.unref(ls)
+			s.lanes[pid] = nil
+		}
+	}
 	e.snapFree = append(e.snapFree, s)
 }
 
@@ -133,11 +243,13 @@ func (e *Exec) ReleaseState(st sched.ExecState) {
 // since rewind to their registration pre-image) and bookkeeping rolls back.
 // Then every lane that moved since the capture — was granted, crashed or
 // restarted, so its move stamp differs from the captured one — has reset (if
-// non-nil) clear the caller's body-external capture for it, and is re-rooted
-// and caught up from its read log. A lane that did not move keeps its frames,
-// Proc and outcome untouched; only its pending bit is set again. On return
-// the engine is at the captured decision point: same pending set, same
-// posted intents, same StateHash, same Fingerprint. No grant is re-executed.
+// non-nil) clear the caller's body-external capture for it, and is put back
+// at its captured state: by copying its saved frames, M cells and Proc
+// position when the capture saved the lane, by catch-up replay when it did
+// not. A lane that did not move keeps its frames, Proc and outcome
+// untouched; only its pending bit is set again. On return the engine is at
+// the captured decision point: same pending set, same posted intents, same
+// StateHash, same Fingerprint. No grant is re-executed.
 func (e *Exec) Restore(st sched.ExecState, reset func(pid int)) {
 	if !e.st.enabled {
 		panic("vexec: Restore without EnableState")
@@ -173,10 +285,7 @@ func (e *Exec) Restore(st sched.ExecState, reset func(pid int)) {
 	e.restarts = s.restarts
 	if e.model.Regs != shmem.RegAtomic {
 		for pid := range e.staleWin {
-			e.staleWin[pid] = e.staleWin[pid][:0]
-			if s.stale != nil {
-				e.staleWin[pid] = append(e.staleWin[pid], s.stale[pid]...)
-			}
+			e.staleWin[pid] = append(e.staleWin[pid][:0], s.stale[pid]...)
 		}
 	}
 	for i := range e.pbits {
@@ -188,7 +297,15 @@ func (e *Exec) Restore(st sched.ExecState, reset func(pid int)) {
 			if reset != nil {
 				reset(pid)
 			}
-			e.catchUp(pid, s.procs[pid], s.phase[pid])
+			ls := s.lanes[pid]
+			if ls != nil && !e.replayOnly {
+				e.loadLane(pid, s.procs[pid], s.phase[pid], ls)
+			} else {
+				e.catchUp(pid, s.procs[pid], s.phase[pid])
+			}
+			if ls != nil {
+				e.holdLane(pid, ls)
+			}
 			e.st.moved[pid] = s.moved[pid]
 			continue
 		}
@@ -203,11 +320,34 @@ func (e *Exec) Restore(st sched.ExecState, reset func(pid int)) {
 	}
 }
 
+// loadLane puts lane pid back at a captured state by copy: Restore's work
+// for a lane that moved since a capture that saved it. The root frame loads
+// its saved copy, the stack and M cells are copied back, and the Proc goes
+// straight to its captured position, so the lane stands exactly where the
+// capture found it without re-running an access.
+func (e *Exec) loadLane(pid int, ps shmem.ProcState, phase uint8, ls *laneSave) {
+	e.procs[pid].RestoreState(ps)
+	e.phase[pid] = phase
+	e.err[pid] = nil
+	e.retI[pid], e.retB[pid] = 0, false
+	m := &e.ms[pid]
+	clear(m.stack)
+	m.stack = append(m.stack[:0], ls.stack...)
+	if ls.root != nil {
+		ls.root.Load(ls.saved)
+	}
+	m.intent, m.RetI, m.RetB = ls.intent, ls.retI, ls.retB
+	if phase == phasePending {
+		e.pbits[uint(pid)>>6] |= 1 << (uint(pid) & 63)
+		e.npending++
+	}
+}
+
 // catchUp re-roots lane pid and replays its current incarnation to the
-// captured position: Restore's work for a lane that moved since the capture.
-// ps carries the lane's read-log cursor and step target; want is the phase
-// the lane must land in (asserted — a mismatch means the body is not
-// deterministic).
+// captured position: the reference path of Restore, and the path of a lane
+// the capture could not save by copy. ps carries the lane's read-log cursor
+// and step target; want is the phase the lane must land in (asserted — a
+// mismatch means the body is not deterministic).
 func (e *Exec) catchUp(pid int, ps shmem.ProcState, want uint8) {
 	p := e.procs[pid]
 	p.LoadState(ps)
