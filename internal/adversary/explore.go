@@ -325,8 +325,9 @@ func exploreCell(spec *Spec, fam Family, n int, seen map[uint64]struct{}) cellRe
 	// Algorithms that compile to frame automata run on the vectorized engine:
 	// independent (Seeded) cells fan across vexec.RunBatch, sequential
 	// strategies (coverage-guided) recycle one vexec engine per run, and
-	// stateful cells (source DPOR) checkpoint/restore on it — explore's
-	// EngineAuto picks vexec whenever the Frame factory is present. Run 0's
+	// stateful cells (source DPOR) checkpoint/restore on it — explore picks
+	// vexec whenever the Frame factory is present, and a stateful strategy
+	// requires it. Run 0's
 	// instance is sniffed for the interface and then runs as usual (a
 	// genome-driven strategy has picked run 0's genome at construction).
 	// Fingerprints are bit-identical across engines (the vexec differential

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/shmem"
+	"repro/internal/vexec"
 )
 
 // brokenRenamer is the sacrificial fixture: a claim protocol with a planted
@@ -34,6 +35,36 @@ func (b *brokenRenamer) Rename(p *shmem.Proc, orig int64) (int64, bool) {
 func (b *brokenRenamer) MaxName() int64 { return int64(len(b.slots)) }
 func (b *brokenRenamer) Registers() int { return len(b.slots) }
 
+// brokenFrame is brokenRenamer's frame twin: the same slot scan, access for
+// access.
+type brokenFrame struct {
+	b     *brokenRenamer
+	orig  int64
+	i     int
+	phase int // 0: post slot i's read; 1: perform it; 2: perform the claiming write
+}
+
+func (b *brokenRenamer) FrameRename(orig int64) vexec.Frame { return &brokenFrame{b: b, orig: orig} }
+
+func (f *brokenFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
+	switch f.phase {
+	case 1:
+		if p.Read(&f.b.slots[f.i]) == shmem.Null {
+			f.phase = 2
+			return m.Intend(shmem.OpWrite, &f.b.slots[f.i])
+		}
+		f.i++
+	case 2:
+		p.Write(&f.b.slots[f.i], f.orig)
+		return m.Return(int64(f.i+1), true)
+	}
+	if f.i == len(f.b.slots) {
+		return m.Return(0, false)
+	}
+	f.phase = 1
+	return m.Intend(shmem.OpRead, &f.b.slots[f.i])
+}
+
 // fairRenamer is a correct contrast fixture: slot i is owned by pid i, so
 // exclusiveness holds under every schedule.
 type fairRenamer struct {
@@ -49,6 +80,24 @@ func (f *fairRenamer) Rename(p *shmem.Proc, orig int64) (int64, bool) {
 
 func (f *fairRenamer) MaxName() int64 { return int64(len(f.slots)) }
 func (f *fairRenamer) Registers() int { return len(f.slots) }
+
+// fairFrame is fairRenamer's frame twin.
+type fairFrame struct {
+	f     *fairRenamer
+	orig  int64
+	armed bool
+}
+
+func (f *fairRenamer) FrameRename(orig int64) vexec.Frame { return &fairFrame{f: f, orig: orig} }
+
+func (f *fairFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
+	if f.armed {
+		p.Write(&f.f.slots[p.ID()], f.orig)
+		return m.Return(int64(p.ID()+1), true)
+	}
+	f.armed = true
+	return m.Intend(shmem.OpWrite, &f.f.slots[p.ID()])
+}
 
 func brokenSpec() Spec {
 	return Spec{

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/shmem"
+	"repro/internal/vexec"
 )
 
 // contendedRenamer is correct (slot i is owned by pid i) but funnels every
@@ -33,6 +34,39 @@ func (c *contendedRenamer) Rename(p *shmem.Proc, orig int64) (int64, bool) {
 
 func (c *contendedRenamer) MaxName() int64 { return int64(len(c.slots)) }
 func (c *contendedRenamer) Registers() int { return len(c.slots) + 1 }
+
+// contendedFrame is contendedRenamer's frame twin.
+type contendedFrame struct {
+	c     *contendedRenamer
+	orig  int64
+	round int
+	phase int // the access the next Run performs: 0 none yet, 1 the shared write, 2 the shared read, 3 the slot write
+}
+
+func (c *contendedRenamer) FrameRename(orig int64) vexec.Frame {
+	return &contendedFrame{c: c, orig: orig}
+}
+
+func (f *contendedFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
+	switch f.phase {
+	case 1:
+		p.Write(&f.c.shared, f.orig)
+		f.phase = 2
+		return m.Intend(shmem.OpRead, &f.c.shared)
+	case 2:
+		p.Read(&f.c.shared)
+		f.round++
+	case 3:
+		p.Write(&f.c.slots[p.ID()], f.orig)
+		return m.Return(int64(p.ID()+1), true)
+	}
+	if f.round < f.c.rounds {
+		f.phase = 1
+		return m.Intend(shmem.OpWrite, &f.c.shared)
+	}
+	f.phase = 3
+	return m.Intend(shmem.OpWrite, &f.c.slots[p.ID()])
+}
 
 // strategySpec is the planted-bug campaign pinned to one cell so tree
 // strategies search a single deterministic system.

@@ -16,8 +16,9 @@
 //     sleep-set pruning of commuting grants. Unbudgeted it exhausts the tree.
 //   - SourceDPOR: the stateful engine — source sets instead of all-pairs
 //     backtracking, state-hash dedup of revisited states, and
-//     checkpoint/restore instead of prefix replay. The engine internal/model
-//     proves tiny populations with.
+//     checkpoint/restore instead of prefix replay, on the vectorized engine
+//     (Config.Frame is required). The engine internal/model proves tiny
+//     populations with.
 //   - CoverageGuided: fuzz-style mutation of (configuration, seed) pairs,
 //     keeping the genomes whose schedules reach never-seen prefix
 //     fingerprints.
@@ -81,9 +82,8 @@ type Stats struct {
 	// DPOR) reconstruct by checkpoint restore instead and always report 0.
 	Replayed int
 	// Restored counts checkpoint restores performed by stateful strategies —
-	// the rewind (the goroutine engine's undo-log walk and handoff-free
-	// catch-up, the vectorized engine's copy of the moved lanes) that
-	// replaces each Replayed prefix re-execution.
+	// the vectorized engine's copy of the lanes that moved, which replaces
+	// each Replayed prefix re-execution.
 	Restored int
 	// Pruned counts enabled choices the strategy skipped because partial-order
 	// reasoning (sleep sets, backtrack sets) showed them redundant.
@@ -142,17 +142,18 @@ type Independent interface {
 }
 
 // Stateful is implemented by strategies that search over one persistent
-// engine with checkpoint/restore (sched.StateEngine) instead of rebuilding a
-// fresh instance and replaying the choice prefix per execution. Drive builds
-// the engine once — from run 0's body (or frame factory) — with state capture
-// enabled, and calls BacktrackState in place of Backtrack at the end of every
-// execution: the strategy restores the engine to its next frontier node
-// (passing reset through to Restore so the caller can clear a process's
-// body-external capture before it is put back) and returns false when the
-// search is exhausted.
+// engine with checkpoint/restore instead of rebuilding a fresh instance and
+// replaying the choice prefix per execution. Checkpoint/restore is the
+// vectorized engine's, so a stateful drive needs Config.Frame: Drive builds
+// one vexec.Exec from run 0's frame factory with state capture enabled, and
+// calls BacktrackState in place of Backtrack at the end of every execution.
+// The strategy restores the engine to its next frontier node (passing reset
+// through to Restore so the caller can clear a process's body-external
+// capture before it is put back) and returns false when the search is
+// exhausted.
 type Stateful interface {
 	Strategy
-	BacktrackState(e sched.StateEngine, t sched.Trace, res sched.Result, reset func(pid int)) bool
+	BacktrackState(e *vexec.Exec, t sched.Trace, res sched.Result, reset func(pid int)) bool
 }
 
 // Seeder is implemented by strategies that dictate the instance seed of each
@@ -165,25 +166,6 @@ type Seeder interface {
 	// strategies it is only valid for the next execution to start.
 	RunSeed(run int) uint64
 }
-
-// EngineKind selects the execution engine sequential and stateful drives
-// construct per execution (the Independent fast path has always chosen by
-// Frame presence and is unaffected by the explicit settings).
-type EngineKind int
-
-const (
-	// EngineAuto picks the vectorized engine whenever Config.Frame is set and
-	// falls back to the goroutine oracle otherwise. The engines are
-	// bit-identical on the decision surface (same Results, fingerprints and —
-	// for scalar-register algorithms — state hashes), so auto-selection
-	// changes wall-clock, not outcomes.
-	EngineAuto EngineKind = iota
-	// EngineGoroutine forces the goroutine oracle (sched.NewController) even
-	// when a Frame factory is available — the conformance cross-check path.
-	EngineGoroutine
-	// EngineVexec forces the vectorized engine; Config.Frame must be set.
-	EngineVexec
-)
 
 // Config describes the system a strategy searches over.
 type Config struct {
@@ -202,16 +184,13 @@ type Config struct {
 	Body func(run int) sched.Body
 	// Frame, when non-nil, is the vectorized form of Body: a frame-automaton
 	// root factory for execution run, over a fresh instance equivalent to
-	// Body(run)'s. Strategies whose runs are independent (Seeded) are then
-	// fanned across vexec.RunBatch — no goroutines, no gate handoffs — with
-	// bit-identical results and fingerprints (the vexec differential suite's
-	// contract). Sequential and stateful strategies drive a vexec.Exec built
-	// from it when Engine selects the vectorized engine (EngineAuto does so
-	// whenever Frame is non-nil).
+	// Body(run)'s. It picks the engine: with Frame set every drive runs on
+	// vexec — independent strategies (Seeded) fan across vexec.RunBatch,
+	// sequential ones recycle one vexec.Exec — with results and fingerprints
+	// bit-identical to the goroutine oracle's (the vexec differential
+	// suite's contract); without it they run on goroutine controllers built
+	// from Body. Stateful strategies require it.
 	Frame func(run int) func(p *shmem.Proc) vexec.Frame
-	// Engine picks the execution engine for sequential and stateful drives;
-	// the zero value (EngineAuto) uses vexec exactly when Frame is set.
-	Engine EngineKind
 	// MaxExecutions hard-caps the number of executions regardless of the
 	// strategy's own budget; 0 means the strategy decides.
 	MaxExecutions int
@@ -223,14 +202,12 @@ type Config struct {
 	// violation, say) must copy it first.
 	OnResult func(run int, t sched.Trace, res sched.Result) bool
 	// Reset clears process pid's body-external per-execution capture (its
-	// slot of the outcome arrays the body writes into) before a stateful
+	// slot of the outcome arrays the frames write into) before a stateful
 	// strategy's restore puts that process back. It is called only for the
-	// processes the restore puts back: the goroutine engine re-runs every
-	// process, while the vectorized engine leaves a lane that did not move
-	// since the capture untouched — and its captured outcome with it, which
-	// is why Reset must clear pid's slot only. Stateless strategies never
-	// call it — they rebuild via Body(run) instead. nil is fine when the
-	// body captures nothing.
+	// lanes that moved since the capture: an unmoved lane is left untouched
+	// — and its captured outcome with it, which is why Reset must clear
+	// pid's slot only. Stateless strategies never call it — they rebuild via
+	// Body or Frame instead. nil is fine when the frames capture nothing.
 	Reset func(pid int)
 }
 
@@ -241,33 +218,17 @@ func (cfg *Config) names(run int) []int64 {
 	return nil
 }
 
-// vexecSelected reports whether sequential/stateful executions run on the
-// vectorized engine under cfg's Engine setting.
-func (cfg *Config) vexecSelected() bool {
-	switch cfg.Engine {
-	case EngineVexec:
-		if cfg.Frame == nil {
-			panic("explore: Config.Engine = EngineVexec without a Frame factory")
-		}
-		return true
-	case EngineAuto:
-		return cfg.Frame != nil
-	}
-	return false
-}
-
-// newEngine constructs the execution engine for one sequential (or, with
-// run 0, stateful) execution: a fresh system instance behind the state-capable
-// search surface, fault model applied. Both concrete engines implement
-// sched.StateEngine, so the caller arms tracing or state capture itself.
+// newEngine constructs the execution engine for one sequential execution: a
+// fresh system instance, fault model applied, on vexec when cfg.Frame is set
+// and on a goroutine controller otherwise.
 //
 // prev, when non-nil, is the engine of the previous execution, offered for
 // in-place reuse: the vectorized engine rewinds via Reset — recycling lanes,
 // machines and bitmaps across the thousands of executions a tree walk drives
 // — while the goroutine engine is rebuilt per run (its lanes are goroutines;
 // construction IS the spawn).
-func newEngine(cfg *Config, run int, prev sched.StateEngine) sched.StateEngine {
-	if cfg.vexecSelected() {
+func newEngine(cfg *Config, run int, prev sched.SearchEngine) sched.SearchEngine {
+	if cfg.Frame != nil {
 		e, ok := prev.(*vexec.Exec)
 		if ok {
 			e.Reset(cfg.names(run), cfg.Frame(run))
@@ -300,7 +261,7 @@ func Drive(s Strategy, cfg Config) Stats {
 	}
 	run := 0
 	var tbuf sched.Trace // reused across executions; see Config.OnResult
-	var e sched.StateEngine
+	var e sched.SearchEngine
 	for cfg.MaxExecutions <= 0 || run < cfg.MaxExecutions {
 		e = newEngine(&cfg, run, e)
 		e.EnableTrace()
@@ -374,14 +335,17 @@ func restartableMask(e sched.Engine) uint64 {
 	return m
 }
 
-// driveStateful is the checkpoint/restore drive: one engine, one instance,
-// built from run 0's body (or frame factory) and never rebuilt. The strategy
+// driveStateful is the checkpoint/restore drive: one vexec engine, one
+// instance, built from run 0's frame factory and never rebuilt. The strategy
 // extends the in-flight execution decision by decision; at every backtrack
 // the strategy restores the engine to the frontier node — no grant is ever
 // re-executed, so the Replayed accounting of stateless tree search stays at
 // zero by construction.
 func driveStateful(s Stateful, cfg Config) Stats {
-	e := newEngine(&cfg, 0, nil)
+	if cfg.Frame == nil {
+		panic(fmt.Sprintf("explore: stateful strategy %s needs Config.Frame (checkpoint/restore runs on vexec); supply Frame or use a stateless strategy such as SleepSet", s.Name()))
+	}
+	e := newEngine(&cfg, 0, nil).(*vexec.Exec)
 	e.EnableState()
 	// The loop shape mirrors the stateless drive exactly: BacktrackState is
 	// called on every finished execution — including the one that hits

@@ -7,21 +7,55 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/shmem"
+	"repro/internal/vexec"
 )
+
+// system is one instance of a test fixture in both engine forms: the
+// goroutine body, its frame twin for the vectorized engine (which stateful
+// strategies require), the per-lane capture reset a restore calls, and the
+// renderer of an execution's observable outcome.
+type system struct {
+	body  sched.Body
+	frame func(p *shmem.Proc) vexec.Frame
+	reset func(pid int)
+	fin   func(res sched.Result) string
+}
 
 // raceBody is a tiny nondeterministic protocol: each process writes its id
 // into the shared register, reads it back, and returns what it saw. The
 // final values depend on the interleaving, so the set of reachable outcome
 // vectors is a faithful signature of schedule coverage. The body clears its
-// own capture slot first, so a single fixture driven by a stateful
-// (checkpoint/restore) strategy never leaks an abandoned branch's
-// observation into the next: catch-up re-runs the body from the top.
+// own capture slot first, so a fixture reused across executions (as
+// driveSharded's shards do) never leaks an earlier run's observation into a
+// run where the process crashes before reading.
 func raceBody(r *shmem.Reg, got []int64) sched.Body {
 	return func(p *shmem.Proc) {
 		got[p.ID()] = 0
 		p.Write(r, int64(p.ID()+1))
 		got[p.ID()] = p.Read(r)
 	}
+}
+
+// writeReadFrame is raceBody's frame twin:
+// p.Write(r, id+1); *got = p.Read(r).
+type writeReadFrame struct {
+	r   *shmem.Reg
+	got *int64
+	pc  int
+}
+
+func (f *writeReadFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		return m.Intend(shmem.OpWrite, f.r)
+	case 1:
+		p.Write(f.r, int64(p.ID()+1))
+		f.pc = 2
+		return m.Intend(shmem.OpRead, f.r)
+	}
+	*f.got = p.Read(f.r)
+	return vexec.Done
 }
 
 // outcome renders an execution's observable final state.
@@ -37,18 +71,18 @@ func outcome(got []int64, res sched.Result) string {
 // bruteForce enumerates every complete crash-free schedule of mk's system by
 // explicit tree walking (rebuild + replay per node) and returns the set of
 // reachable outcomes. Exponential — callers keep the system tiny.
-func bruteForce(t *testing.T, n int, mk func() (sched.Body, func(res sched.Result) string)) map[string]bool {
+func bruteForce(t *testing.T, n int, mk func() system) map[string]bool {
 	t.Helper()
 	out := make(map[string]bool)
 	var walk func(prefix sched.Trace)
 	walk = func(prefix sched.Trace) {
-		body, fin := mk()
-		c, err := sched.ReplayTrace(n, nil, body, prefix)
+		sys := mk()
+		c, err := sched.ReplayTrace(n, nil, sys.body, prefix)
 		if err != nil {
 			t.Fatalf("brute-force replay: %v", err)
 		}
 		if c.PendingCount() == 0 {
-			out[fin(c.Result())] = true
+			out[sys.fin(c.Result())] = true
 			return
 		}
 		var pids []int
@@ -69,18 +103,26 @@ func bruteForce(t *testing.T, n int, mk func() (sched.Body, func(res sched.Resul
 
 // driveTree runs a tree strategy over mk's system and returns the outcomes
 // of its complete executions plus the final stats.
-func driveTree(t *testing.T, s Strategy, n int, mk func() (sched.Body, func(res sched.Result) string)) (map[string]bool, Stats) {
+func driveTree(t *testing.T, s Strategy, n int, mk func() system) (map[string]bool, Stats) {
+	t.Helper()
+	return driveTreeModel(t, s, n, shmem.Model{}, mk)
+}
+
+// driveTreeModel is driveTree under a fault model. A stateful strategy
+// searches one persistent fixture on its frame twin; the others rebuild the
+// goroutine body per execution and so run on the oracle.
+func driveTreeModel(t *testing.T, s Strategy, n int, m shmem.Model, mk func() system) (map[string]bool, Stats) {
 	t.Helper()
 	outcomes := make(map[string]bool)
 	if _, stateful := s.(Stateful); stateful {
-		// One persistent fixture for the whole search; the bodies used here
-		// re-clear their own captures, so no Reset hook is needed.
-		body, fin := mk()
+		sys := mk()
 		st := Drive(s, Config{
-			N:    n,
-			Body: func(run int) sched.Body { return body },
+			N:     n,
+			Model: m,
+			Frame: func(run int) func(p *shmem.Proc) vexec.Frame { return sys.frame },
+			Reset: sys.reset,
 			OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
-				outcomes[fin(res)] = true
+				outcomes[sys.fin(res)] = true
 				return true
 			},
 		})
@@ -88,14 +130,15 @@ func driveTree(t *testing.T, s Strategy, n int, mk func() (sched.Body, func(res 
 	}
 	var fins []func(res sched.Result) string
 	st := Drive(s, Config{
-		N: n,
+		N:     n,
+		Model: m,
 		Body: func(run int) sched.Body {
-			body, fin := mk()
+			sys := mk()
 			for len(fins) <= run {
 				fins = append(fins, nil)
 			}
-			fins[run] = fin
-			return body
+			fins[run] = sys.fin
+			return sys.body
 		},
 		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
 			outcomes[fins[run](res)] = true
@@ -106,12 +149,18 @@ func driveTree(t *testing.T, s Strategy, n int, mk func() (sched.Body, func(res 
 }
 
 // raceSystem builds the shared fixture for n processes.
-func raceSystem(n int) func() (sched.Body, func(res sched.Result) string) {
-	return func() (sched.Body, func(res sched.Result) string) {
+func raceSystem(n int) func() system {
+	return func() system {
 		var r shmem.Reg
 		got := make([]int64, n)
-		body := raceBody(&r, got)
-		return body, func(res sched.Result) string { return outcome(got, res) }
+		return system{
+			body: raceBody(&r, got),
+			frame: func(p *shmem.Proc) vexec.Frame {
+				return &writeReadFrame{r: &r, got: &got[p.ID()]}
+			},
+			reset: func(pid int) { got[pid] = 0 },
+			fin:   func(res sched.Result) string { return outcome(got, res) },
+		}
 	}
 }
 
@@ -158,13 +207,15 @@ func TestDPORMatchesBruteForce(t *testing.T) {
 // the population.
 func TestSleepSetPrunesCommutingGrants(t *testing.T) {
 	const n = 4
-	mk := func() (sched.Body, func(res sched.Result) string) {
+	mk := func() system {
 		regs := make([]shmem.Reg, n)
-		body := func(p *shmem.Proc) {
-			p.Write(&regs[p.ID()], 1)
-			p.Read(&regs[p.ID()])
+		return system{
+			body: func(p *shmem.Proc) {
+				p.Write(&regs[p.ID()], 1)
+				p.Read(&regs[p.ID()])
+			},
+			fin: func(res sched.Result) string { return "done" },
 		}
-		return body, func(res sched.Result) string { return "done" }
 	}
 	_, st := driveTree(t, NewSleepSet(1, 0, 0), n, mk)
 	if !st.Complete {

@@ -8,44 +8,6 @@ import (
 	"repro/internal/shmem"
 )
 
-// driveTreeModel is driveTree under a fault model: the stateful walker keeps
-// one persistent fixture, the stateless walkers rebuild per execution.
-func driveTreeModel(t *testing.T, s Strategy, n int, m shmem.Model, mk func() (sched.Body, func(res sched.Result) string)) (map[string]bool, Stats) {
-	t.Helper()
-	outcomes := make(map[string]bool)
-	if _, stateful := s.(Stateful); stateful {
-		body, fin := mk()
-		st := Drive(s, Config{
-			N:     n,
-			Model: m,
-			Body:  func(run int) sched.Body { return body },
-			OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
-				outcomes[fin(res)] = true
-				return true
-			},
-		})
-		return outcomes, st
-	}
-	var fins []func(res sched.Result) string
-	st := Drive(s, Config{
-		N:     n,
-		Model: m,
-		Body: func(run int) sched.Body {
-			body, fin := mk()
-			for len(fins) <= run {
-				fins = append(fins, nil)
-			}
-			fins[run] = fin
-			return body
-		},
-		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
-			outcomes[fins[run](res)] = true
-			return true
-		},
-	})
-	return outcomes, st
-}
-
 // TestTraceNeverOutrunsStack pins the frame/trace alignment invariant the
 // happens-before layer's watermarks ride on (and that updateRaces' former
 // clamp silently guarded): driving the fault models whose frames append no
@@ -112,7 +74,7 @@ func TestSourceDPORWeakInitialsRecovery(t *testing.T) {
 // bit-identical searches — same outcomes, same stats up to the work counters
 // the modes define differently (RaceEvents) and wall-clock (RaceNs).
 func TestHBModesIdenticalWalks(t *testing.T) {
-	for name, mk := range map[string]func() (sched.Body, func(res sched.Result) string){
+	for name, mk := range map[string]func() system{
 		"race":     raceSystem(3),
 		"converge": convergeSystem(3, 2),
 	} {

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/shmem"
+	"repro/internal/vexec"
 )
 
 // driveSharded runs a sharded parallel search over the raceSystem fixture
@@ -15,27 +17,33 @@ func driveSharded(t *testing.T, mk func() Strategy, n, workers, maxCrashes int) 
 	t.Helper()
 	var mu sync.Mutex
 	outcomes := make(map[string]bool)
+	_, stateful := mk().(Stateful)
 	st := DriveParallel(ParallelSpec{
 		Workers:    workers,
 		N:          n,
 		MaxCrashes: maxCrashes,
 		Probe: func() Config {
-			body, _ := raceSystem(n)()
-			return Config{N: n, Body: func(int) sched.Body { return body }}
+			sys := raceSystem(n)()
+			return Config{N: n, Body: func(int) sched.Body { return sys.body }}
 		},
 		NewStrategy: mk,
 		Config: func(shard int) Config {
-			body, fin := raceSystem(n)()
-			return Config{
+			sys := raceSystem(n)()
+			cfg := Config{
 				N:    n,
-				Body: func(run int) sched.Body { return body },
+				Body: func(run int) sched.Body { return sys.body },
 				OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
 					mu.Lock()
-					outcomes[fin(res)] = true
+					outcomes[sys.fin(res)] = true
 					mu.Unlock()
 					return true
 				},
 			}
+			if stateful {
+				cfg.Frame = func(int) func(p *shmem.Proc) vexec.Frame { return sys.frame }
+				cfg.Reset = sys.reset
+			}
+			return cfg
 		},
 	})
 	return outcomes, st

@@ -7,12 +7,13 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/shmem"
+	"repro/internal/vexec"
 )
 
 // SourceDPOR is the stateful tree search: source-set dynamic partial-order
 // reduction (Abdulla, Aronis, Jonsson, Sagonas, POPL 2014) with sleep sets,
 // optional exhaustive crash branching, and 128-bit state-hash dedup of
-// revisited nodes, driven over one persistent controller through
+// revisited nodes, driven over one persistent vexec engine through
 // checkpoint/restore. It differs from the stateless Tree engine (NewDPOR /
 // NewSleepSet) in all three dimensions the ROADMAP named:
 //
@@ -23,7 +24,7 @@ import (
 //     process" over-approximation. Fewer scheduled points, same guarantee:
 //     at least one representative per Mazurkiewicz trace.
 //
-//   - Each node carries the engine's checkpoint (sched.ExecState);
+//   - Each node carries the engine's checkpoint (*vexec.Snapshot);
 //     backtracking restores it in O(changes since the node) rather than
 //     re-executing the O(depth) prefix, so Stats.Replayed is zero by
 //     construction and Stats.Restored counts the restores.
@@ -76,7 +77,7 @@ type SourceDPOR struct {
 // SourceDPOR.footKeys).
 type sframe struct {
 	frame
-	snap          sched.ExecState
+	snap          *vexec.Snapshot
 	key           [2]uint64
 	sleepStep     uint64
 	sleepCrash    uint64
@@ -189,10 +190,10 @@ func (t *SourceDPOR) Backtrack(tr sched.Trace, res sched.Result) bool {
 // Next implements Strategy. Unlike the stateless Tree there is no replay
 // phase: the engine is already at the frontier, so Next either commits the
 // choice BacktrackState just picked or opens a new node. The stateful walk
-// needs the checkpoint/StateHash surface, so the engine must be a
-// sched.StateEngine (both concrete engines are).
+// needs the checkpoint/StateHash surface, so the engine is the *vexec.Exec
+// Drive's stateful path builds.
 func (t *SourceDPOR) Next(eng sched.Engine) Choice {
-	c := eng.(sched.StateEngine)
+	c := eng.(*vexec.Exec)
 	if t.resumeAt >= 0 {
 		f := &t.stack[t.resumeAt]
 		t.resumeAt = -1
@@ -308,7 +309,7 @@ func (t *SourceDPOR) commit(c sched.Engine, f *sframe) {
 // into the backtrack sets, close and pop exhausted frames (recording their
 // states in the dedup table), and restore the engine to the deepest frame
 // with an unexplored scheduled choice.
-func (t *SourceDPOR) BacktrackState(c sched.StateEngine, tr sched.Trace, res sched.Result, reset func(pid int)) bool {
+func (t *SourceDPOR) BacktrackState(c *vexec.Exec, tr sched.Trace, res sched.Result, reset func(pid int)) bool {
 	if t.abandoned {
 		t.abandoned = false
 		t.stats.Partial++
@@ -319,16 +320,13 @@ func (t *SourceDPOR) BacktrackState(c sched.StateEngine, tr sched.Trace, res sch
 	if t.budget > 0 && t.stats.Executions+t.stats.Partial >= t.budget {
 		return false
 	}
-	releaser, _ := c.(sched.StateReleaser)
 	for i := len(t.stack) - 1; i >= 0; i-- {
 		f := &t.stack[i]
 		if !frameOpen(&f.frame) {
 			t.closeFrame(i)
-			if releaser != nil {
-				// The frame is fully explored: its checkpoint will never be
-				// restored again, so the engine may recycle the capture.
-				releaser.ReleaseState(f.snap)
-			}
+			// The frame is fully explored: its checkpoint will never be
+			// restored again, so the engine may recycle the capture.
+			c.ReleaseState(f.snap)
 			f.snap = nil
 			t.stack = t.stack[:i]
 			continue

@@ -91,16 +91,38 @@ func TestSourceDPORNotWeakerThanDPOR(t *testing.T) {
 // several times. All writes conflict (no commuting to prune), but after any
 // k grants the state is the same no matter who moved — exactly what
 // state-hash dedup collapses and pure partial-order reasoning cannot.
-func convergeSystem(n, rounds int) func() (sched.Body, func(res sched.Result) string) {
-	return func() (sched.Body, func(res sched.Result) string) {
+func convergeSystem(n, rounds int) func() system {
+	return func() system {
 		var r shmem.Reg
-		body := func(p *shmem.Proc) {
-			for i := 0; i < rounds; i++ {
-				p.Write(&r, 7)
-			}
+		return system{
+			body: func(p *shmem.Proc) {
+				for i := 0; i < rounds; i++ {
+					p.Write(&r, 7)
+				}
+			},
+			frame: func(p *shmem.Proc) vexec.Frame { return &blindWritesFrame{r: &r, left: rounds} },
+			fin:   func(res sched.Result) string { return "done" },
 		}
-		return body, func(res sched.Result) string { return "done" }
 	}
+}
+
+// blindWritesFrame is convergeSystem's frame twin: left writes of 7 to r.
+type blindWritesFrame struct {
+	r     *shmem.Reg
+	left  int
+	armed bool
+}
+
+func (f *blindWritesFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
+	if f.armed {
+		p.Write(f.r, 7)
+		f.left--
+	}
+	if f.left == 0 {
+		return vexec.Done
+	}
+	f.armed = true
+	return m.Intend(shmem.OpWrite, f.r)
 }
 
 // TestSourceDPORDedupCollapsesConvergingStates: on the converging fixture
@@ -146,102 +168,73 @@ func TestSourceDPORDeterminism(t *testing.T) {
 
 // TestSourceDPORStatefulReset: a restore must call Reset(pid) before it
 // re-roots process pid, and only then, so body-external capture never leaks
-// across branches — while the vectorized engine's unmoved lanes, which are
-// not re-rooted, keep their captured outcome. Both engines are driven: the
-// goroutine engine re-roots every process on every restore, the vectorized
-// engine only the lanes that moved since the capture.
+// across branches — while unmoved lanes, which are not re-rooted, keep
+// their captured outcome.
 func TestSourceDPORStatefulReset(t *testing.T) {
 	const n = 3
-	for _, onVexec := range []bool{false, true} {
-		got := make([]int64, n)
-		var r shmem.Reg
-		roots := make([]int, n)  // body starts / root frames built, by pid
-		resets := make([]int, n) // Reset calls, by pid
-		armed := make([]bool, n) // Reset(pid) called, re-root not yet seen
-		root := func(pid int) {
-			if roots[pid] > 0 {
-				if !armed[pid] {
-					t.Fatalf("vexec=%v: process %d re-rooted without a Reset", onVexec, pid)
-				}
-				armed[pid] = false
-			}
-			roots[pid]++
-		}
-		cfg := Config{
-			N: n,
-			Body: func(run int) sched.Body {
-				return func(p *shmem.Proc) {
-					root(p.ID())
-					p.Write(&r, int64(p.ID()+1))
-					got[p.ID()] = p.Read(&r)
-				}
-			},
-			Reset: func(pid int) {
-				if armed[pid] {
-					t.Fatalf("vexec=%v: Reset(%d) twice without a re-root", onVexec, pid)
-				}
-				armed[pid] = true
-				resets[pid]++
-				got[pid] = 0
-			},
-			OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
-				for pid := 0; pid < n; pid++ {
-					if got[pid] < 1 || got[pid] > n {
-						t.Fatalf("vexec=%v run %d: stale capture got[%d]=%d", onVexec, run, pid, got[pid])
+	got := make([]int64, n)
+	var r shmem.Reg
+	roots := make([]int, n)  // root frames built, by pid
+	resets := make([]int, n) // Reset calls, by pid
+	armed := make([]bool, n) // Reset(pid) called, re-root not yet seen
+	st := Drive(NewSourceDPOR(1, 0, 0), Config{
+		N: n,
+		Frame: func(run int) func(p *shmem.Proc) vexec.Frame {
+			return func(p *shmem.Proc) vexec.Frame {
+				pid := p.ID()
+				if roots[pid] > 0 {
+					if !armed[pid] {
+						t.Fatalf("process %d re-rooted without a Reset", pid)
 					}
+					armed[pid] = false
 				}
-				return true
-			},
-		}
-		if onVexec {
-			cfg.Frame = func(run int) func(p *shmem.Proc) vexec.Frame {
-				return func(p *shmem.Proc) vexec.Frame {
-					root(p.ID())
-					return &writeReadFrame{r: &r, got: &got[p.ID()]}
-				}
+				roots[pid]++
+				return &writeReadFrame{r: &r, got: &got[pid]}
 			}
-		}
-		st := Drive(NewSourceDPOR(1, 0, 0), cfg)
-		if !st.Complete {
-			t.Fatalf("vexec=%v: walk incomplete: %+v", onVexec, st)
-		}
-		total := 0
-		for pid := 0; pid < n; pid++ {
+		},
+		Reset: func(pid int) {
 			if armed[pid] {
-				t.Fatalf("vexec=%v: Reset(%d) without a re-root", onVexec, pid)
+				t.Fatalf("Reset(%d) twice without a re-root", pid)
 			}
-			if roots[pid]-1 != resets[pid] {
-				t.Fatalf("vexec=%v: process %d re-rooted %d times, reset %d times", onVexec, pid, roots[pid]-1, resets[pid])
+			armed[pid] = true
+			resets[pid]++
+			got[pid] = 0
+		},
+		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
+			for pid := 0; pid < n; pid++ {
+				if got[pid] < 1 || got[pid] > n {
+					t.Fatalf("run %d: stale capture got[%d]=%d", run, pid, got[pid])
+				}
 			}
-			total += resets[pid]
+			return true
+		},
+	})
+	if !st.Complete {
+		t.Fatalf("walk incomplete: %+v", st)
+	}
+	total := 0
+	for pid := 0; pid < n; pid++ {
+		if armed[pid] {
+			t.Fatalf("Reset(%d) without a re-root", pid)
 		}
-		if !onVexec && total != n*st.Restored {
-			t.Fatalf("goroutine engine: %d resets for %d restores of %d processes", total, st.Restored, n)
+		if roots[pid]-1 != resets[pid] {
+			t.Fatalf("process %d re-rooted %d times, reset %d times", pid, roots[pid]-1, resets[pid])
 		}
-		if onVexec && total >= n*st.Restored {
-			t.Fatalf("vexec: %d resets for %d restores of %d lanes: no unmoved lane was left alone", total, st.Restored, n)
-		}
+		total += resets[pid]
+	}
+	if total >= n*st.Restored {
+		t.Fatalf("%d resets for %d restores of %d lanes: no unmoved lane was left alone", total, st.Restored, n)
 	}
 }
 
-// writeReadFrame is the frame compilation of the body
-// p.Write(r, id+1); *got = p.Read(r).
-type writeReadFrame struct {
-	r   *shmem.Reg
-	got *int64
-	pc  int
-}
-
-func (f *writeReadFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
-	switch f.pc {
-	case 0:
-		f.pc = 1
-		return m.Intend(shmem.OpWrite, f.r)
-	case 1:
-		p.Write(f.r, int64(p.ID()+1))
-		f.pc = 2
-		return m.Intend(shmem.OpRead, f.r)
-	}
-	*f.got = p.Read(f.r)
-	return vexec.Done
+// TestStatefulNeedsFrame: a stateful strategy over a frameless config fails
+// with one line that names the fix.
+func TestStatefulNeedsFrame(t *testing.T) {
+	defer func() {
+		want := "explore: stateful strategy sourcedpor needs Config.Frame (checkpoint/restore runs on vexec); supply Frame or use a stateless strategy such as SleepSet"
+		if got := recover(); got != want {
+			t.Fatalf("panic %q, want %q", got, want)
+		}
+	}()
+	Drive(NewSourceDPOR(1, 0, 0), Config{N: 2, Body: func(int) sched.Body { return raceSystem(2)().body }})
 }

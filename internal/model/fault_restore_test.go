@@ -6,15 +6,17 @@ import (
 	"repro/internal/conformance"
 	"repro/internal/sched"
 	"repro/internal/shmem"
+	"repro/internal/vexec"
 	"repro/internal/xrand"
 )
 
 // TestRestoreEquivalentToReplayFaultModel extends the checkpoint/restore
 // ground truth to executions that exercise the full fault model: stale reads
 // under safe registers, crashes, and restarts within the recovery budget.
-// Restoring a mid-execution snapshot and replaying the same trace prefix on
-// a fresh controller must land in indistinguishable states — same hash,
-// fingerprint, read logs, restart accounting — and identical continuations
+// Restoring a mid-execution vexec snapshot and replaying the same trace
+// prefix on a fresh engine (vexec, or the goroutine oracle) must land in
+// indistinguishable states — same hash (vexec replay), fingerprint, read
+// logs, restart accounting — and identical continuations
 // (which themselves keep crashing, restarting, and reading stale) must
 // produce bit-identical executions. This is the soundness base of fault
 // exploration: the stateful source-DPOR engine reconstructs interior tree
@@ -30,7 +32,7 @@ func TestRestoreEquivalentToReplayFaultModel(t *testing.T) {
 		t.Fatal("firstfit case missing from the conformance table")
 	}
 	m := shmem.Model{Regs: shmem.RegSafe, Recovery: true}
-	for _, pair := range enginePairs(ff) {
+	for _, pair := range enginePairs() {
 		pair := pair
 		t.Run(pair.name, func(t *testing.T) {
 			restarts, stales := 0, 0
@@ -113,7 +115,7 @@ func runFaultRestoreEquivalence(t *testing.T, tc conformance.Case, n int, m shme
 
 	// System 1: random faulty prefix, checkpoint, divergent continuation,
 	// restore.
-	c1, got1, reset1 := pair.snap(tc, n, seed, m)
+	c1, got1, reset1 := mkVexec(tc, n, seed, m)
 	c1.EnableTrace()
 	rng := xrand.New(xrand.Mix(seed, 0x5eed))
 	randDriveFault(c1, rng, 3+int(seed%11), n-1)
@@ -137,16 +139,16 @@ func runFaultRestoreEquivalence(t *testing.T, tc conformance.Case, n int, m shme
 
 	// System 2: a fresh identical instance, prefix reconstructed by replay of
 	// the trace — including its crash, restart and stale-read events.
-	c2, got2, _ := pair.replay(tc, n, seed, m)
+	c2, got2 := pair.replay(tc, n, seed, m)
 	c2.EnableTrace()
 	if err := c2.ApplyTrace(prefix); err != nil {
 		t.Fatalf("seed %#x: replay: %v", seed, err)
 	}
-	if pair.name != "vexec-to-goroutine" {
-		// Same-engine pairs must agree bit-for-bit; the cross-engine pair
-		// skips the hash (firstfit's capture stage stamps Refs per instance)
-		// and still certifies reads, fingerprints and continuations below.
-		if h := c2.StateHash(); h != wantHash {
+	if e2, ok := c2.(*vexec.Exec); ok {
+		// The vexec replay must agree bit-for-bit; the oracle has no state
+		// hash and still certifies reads, fingerprints and continuations
+		// below.
+		if h := e2.StateHash(); h != wantHash {
 			t.Fatalf("seed %#x: replayed engine hash %x != checkpoint hash %x", seed, h, wantHash)
 		}
 	}
@@ -171,7 +173,7 @@ func runFaultRestoreEquivalence(t *testing.T, tc conformance.Case, n int, m shme
 		}
 	}
 	// Identical faulty continuations must produce bit-identical executions.
-	finish := func(c sched.StateEngine) sched.Result {
+	finish := func(c sched.Engine) sched.Result {
 		r := xrand.New(xrand.Mix(seed, 0xf1a1))
 		randDriveFault(c, r, 1<<20, n-1)
 		return c.Result()

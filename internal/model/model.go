@@ -12,20 +12,23 @@
 //   - WalkerSourceDPOR (the default): the stateful search of
 //     explore.NewSourceDPOR — source-set partial-order reduction, state-hash
 //     dedup of revisited states, and checkpoint/restore instead of prefix
-//     replay. One instance is built for the whole search and rewound at
-//     every backtrack; Report.Replayed is zero by construction. Proofs are
+//     replay. One vexec instance is built for the whole search and rewound
+//     at every backtrack; Report.Replayed is zero by construction. Proofs are
 //     modulo the 128-bit state hash: merging two genuinely distinct states
-//     requires a collision in both independent channels.
+//     requires a collision in both independent channels. It needs frame
+//     automata: a renamer without vexec.FrameRenamer is walked by
+//     WalkerSleepSet instead, and Report.Walker records the substitution.
 //
 //   - WalkerSleepSet: the stateless exhaustive DFS of explore.NewSleepSet —
 //     fresh instance plus prefix replay per execution, no hashing anywhere.
 //     Slower and larger, kept as the hash-free cross-check.
 //
-// Orthogonally, Options.Engine selects the *execution* engine the walker
-// drives: the goroutine oracle (sched.Controller) or the vectorized frame
-// engine (vexec.Exec). The engines are bit-identical on the decision surface,
-// so the walker visits the same tree either way; only wall-clock changes. The
-// default resolves to vexec whenever the algorithm ships frame automata.
+// The *execution* engine follows from the renamer: one that implements
+// vexec.FrameRenamer walks on the vectorized frame engine (vexec.Exec), any
+// other on the goroutine oracle (sched.Controller). The engines are
+// bit-identical on the decision surface, so a sleep-set walk visits the same
+// tree on either; tests reach the oracle by hiding FrameRename behind a
+// wrapper struct. Report.Engine records which engine ran.
 //
 // Workers > 1 shards the root decisions of the tree across goroutines
 // (explore.DriveParallel): each enabled first grant is searched as an
@@ -72,29 +75,22 @@ func (w Walker) String() string {
 	}
 }
 
-// Engine selects the execution engine the walker drives. Both engines are
-// bit-identical on the decision surface (internal/vexec's differential
-// contract), so the choice affects wall-clock only — a Complete report is a
-// proof on either.
+// Engine names the execution engine a walk ran on (Report.Engine). Both
+// engines are bit-identical on the decision surface (internal/vexec's
+// differential contract), so a Complete report is a proof on either.
 type Engine int
 
 const (
-	// EngineAuto resolves to EngineVexec when the algorithm under check ships
-	// frame automata (implements vexec.FrameRenamer) and to the goroutine
-	// oracle otherwise.
-	EngineAuto Engine = iota
-	// EngineGoroutine forces the goroutine oracle (sched.Controller) — the
-	// conformance cross-check path.
-	EngineGoroutine
-	// EngineVexec forces the vectorized frame engine (vexec.Exec); Check
-	// panics if the algorithm has no frame automata.
+	// EngineGoroutine is the goroutine oracle (sched.Controller): the engine
+	// of renamers without frame automata.
+	EngineGoroutine Engine = iota
+	// EngineVexec is the vectorized frame engine (vexec.Exec): the engine of
+	// every renamer that implements vexec.FrameRenamer.
 	EngineVexec
 )
 
 func (e Engine) String() string {
 	switch e {
-	case EngineAuto:
-		return "auto"
 	case EngineGoroutine:
 		return "goroutine"
 	case EngineVexec:
@@ -159,11 +155,9 @@ type Options struct {
 	// tree. A budgeted run that stops early reports Complete=false — it
 	// degrades to a systematic sample, never to a false proof.
 	Budget int
-	// Walker selects the search strategy; the zero value is WalkerSourceDPOR.
+	// Walker selects the search strategy; the zero value is WalkerSourceDPOR,
+	// which needs frame automata (see the package doc).
 	Walker Walker
-	// Engine selects the execution engine the walker drives; the zero value
-	// (EngineAuto) uses vexec whenever the algorithm ships frame automata.
-	Engine Engine
 	// Workers > 1 shards the root decisions across that many goroutines.
 	Workers int
 	// Race selects the source-DPOR race-analysis implementation; the zero
@@ -184,7 +178,7 @@ type Report struct {
 	N          int
 	Model      shmem.Model
 	Walker     Walker
-	Engine     Engine // resolved: never EngineAuto in a returned report
+	Engine     Engine // vexec exactly when the renamer implements vexec.FrameRenamer
 	Workers    int
 	Executions int // complete executions checked
 	Partial    int // redundant prefixes cut by sleep sets or state dedup
@@ -305,15 +299,16 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 	mkInstance := func() *instance {
 		return &instance{renamer: new(), got: make([]int64, n), oks: make([]bool, n)}
 	}
-	// Resolve the execution engine once, against a probe instance: EngineAuto
-	// takes the fast path exactly when the algorithm ships frame automata.
-	engine := opt.Engine
-	if engine == EngineAuto {
-		if _, ok := mkInstance().renamer.(vexec.FrameRenamer); ok {
-			engine = EngineVexec
-		} else {
-			engine = EngineGoroutine
-		}
+	// Resolve the execution engine once, against a probe instance: the walk
+	// runs on vexec exactly when the algorithm ships frame automata.
+	engine := EngineGoroutine
+	if _, ok := mkInstance().renamer.(vexec.FrameRenamer); ok {
+		engine = EngineVexec
+	} else if opt.Walker == WalkerSourceDPOR {
+		// Checkpoint/restore is vexec's alone, so a renamer without frame
+		// automata is walked by the stateless sleep-set walker on the
+		// oracle; Report.Walker says so.
+		opt.Walker = WalkerSleepSet
 	}
 	rep := Report{Label: label, N: n, Model: opt.Model, Walker: opt.Walker, Engine: engine, Workers: opt.Workers}
 	start := time.Now()
@@ -356,10 +351,9 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 	configFor := func(in *instance, fresh func() *instance) explore.Config {
 		cur := in
 		cfg := explore.Config{
-			N:      n,
-			Model:  opt.Model,
-			Engine: explore.EngineGoroutine,
-			Names:  func(run int) []int64 { return origs },
+			N:     n,
+			Model: opt.Model,
+			Names: func(run int) []int64 { return origs },
 			Body: func(run int) sched.Body {
 				if run > 0 {
 					// Stateless walker: a fresh system per execution.
@@ -382,10 +376,6 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 			},
 		}
 		if engine == EngineVexec {
-			if _, ok := cur.renamer.(vexec.FrameRenamer); !ok {
-				panic(fmt.Sprintf("model: Options.Engine=vexec but %T ships no frame automata", cur.renamer))
-			}
-			cfg.Engine = explore.EngineVexec
 			cfg.Frame = func(run int) func(p *shmem.Proc) vexec.Frame {
 				if run > 0 {
 					cur = fresh()

@@ -36,19 +36,27 @@ func TestProveLongLivedService(t *testing.T) {
 		// exhaustion frontier (n=3 exceeds 3M budget even crash-free).
 		{"firstfit", 2, 2, model.EngineVexec},
 		// Engine cross-check: the same workload walked on the goroutine
-		// oracle (session bodies instead of frame automata).
+		// oracle (session bodies instead of frame automata, reached by
+		// hiding FrameRename).
 		{"firstfit", 2, 2, model.EngineGoroutine},
 		// majority spreads contenders across expander neighborhoods, which
 		// keeps its tree small enough to prove at n=3.
 		{"majority", 3, 3, model.EngineVexec},
 	}
+	reports := map[string]model.Report{}
 	for _, c := range cells {
 		c := c
+		rep := model.Report{}
 		t.Run(fmt.Sprintf("%s-n%d-%s", c.algo, c.n, c.engine), func(t *testing.T) {
-			rep := model.Check("service-"+c.algo,
-				func() check.Renamer { return service.NewLLFixture(c.algo, c.n, c.cap, sessionsPer, 7) },
-				c.n, nil, check.Suite{check.Exclusive()},
-				model.Options{MaxCrashes: c.n - 1, Walker: model.WalkerSleepSet, Engine: c.engine})
+			mk := func() check.Renamer { return service.NewLLFixture(c.algo, c.n, c.cap, sessionsPer, 7) }
+			if c.engine == model.EngineGoroutine {
+				mk = func() check.Renamer { return oracleOnly{service.NewLLFixture(c.algo, c.n, c.cap, sessionsPer, 7)} }
+			}
+			rep = model.Check("service-"+c.algo, mk, c.n, nil, check.Suite{check.Exclusive()},
+				model.Options{MaxCrashes: c.n - 1, Walker: model.WalkerSleepSet})
+			if rep.Engine != c.engine {
+				t.Fatalf("walk ran on %v, want %v", rep.Engine, c.engine)
+			}
 			if rep.Violation != nil {
 				t.Fatalf("long-lived invariant VIOLATED:\n%s", rep.Violation)
 			}
@@ -57,5 +65,13 @@ func TestProveLongLivedService(t *testing.T) {
 			}
 			t.Log(rep.Summary())
 		})
+		reports[fmt.Sprintf("%s/%s", c.algo, c.engine)] = rep
+	}
+	// The oracle re-proof must walk the identical tree.
+	v, g := reports["firstfit/vexec"], reports["firstfit/goroutine"]
+	vc := [...]int{v.Executions, v.Partial, v.Explored, v.Pruned, v.Replayed}
+	gc := [...]int{g.Executions, g.Partial, g.Explored, g.Pruned, g.Replayed}
+	if vc != gc {
+		t.Fatalf("firstfit (executions, partial, decisions, pruned, replayed): vexec %v, goroutine %v", vc, gc)
 	}
 }

@@ -14,11 +14,16 @@ import (
 // explicit frame automata with no goroutines, no parking and no stacks.
 //
 // The contract is bit-identity: for the same bodies, the same decision
-// sequence issued through this interface must produce the same Result, the
-// same Fingerprint (both engines fold decisions through FoldGrant) and — for
-// scalar-register algorithms — the same StateHash on either engine. The
+// sequence issued through this interface must produce the same Result and
+// the same Fingerprint (both engines fold decisions through FoldGrant). The
 // differential tests in internal/vexec enforce this over the conformance
 // table, randomized traces and the fault models.
+//
+// Execution state as a value — Checkpoint, Restore, StateHash — belongs to
+// the vectorized engine alone (vexec.Exec); the Controller stays a plain
+// oracle. The differential tests check vexec's StateHash against a
+// reference folded from the oracle's observable surface: read logs,
+// register pre-images and stale windows.
 //
 // An Engine is not safe for concurrent driving: exactly one goroutine may
 // issue grants at a time, mirroring Controller's rule.
@@ -57,76 +62,22 @@ type Engine interface {
 }
 
 // Controller is the reference Engine.
-var _ Engine = (*Controller)(nil)
-
-// ExecState is an opaque captured execution state: the value returned by a
-// StateEngine's Checkpoint and accepted by its Restore. Each engine has its
-// own concrete representation (the goroutine engine's Snapshot watermarks
-// its undo log; the vectorized engine's snapshot is a plain struct copy of
-// register cells and lane positions), and a capture is only meaningful to
-// the engine that produced it — Restore panics on a foreign state.
-type ExecState interface {
-	execState()
-}
-
-// StateTag marks a concrete snapshot type as an ExecState: engines outside
-// this package embed it in their snapshot struct to satisfy the sealed
-// interface (the marker method itself stays unexported so arbitrary values
-// cannot masquerade as captured states).
-type StateTag struct{}
-
-func (StateTag) execState() {}
+var _ SearchEngine = (*Controller)(nil)
 
 // SearchEngine is the surface the exploration layers (internal/explore,
 // internal/adversary, internal/model) drive: everything a Policy may use,
 // plus the capability knobs and replay machinery a search harness arms
-// between runs. Both engines implement it.
+// between runs. Both engines implement it; the stateful source-DPOR walk
+// additionally needs checkpoint/restore and so drives *vexec.Exec.
 type SearchEngine interface {
 	Engine
 	SetModel(m shmem.Model)
 	EnableTrace()
 	Trace() Trace
 	TraceInto(buf Trace) Trace
-	// TraceLen returns the number of grant events currently recorded — the
-	// event cursor incremental layers above the engine (the source-DPOR
-	// happens-before relation) align their suffix watermarks against. A
-	// StateEngine's Restore truncates the recorded trace to the snapshot's
-	// watermark, so TraceLen after a restore reports the checkpoint-time
-	// length.
-	TraceLen() int
 	ApplyTrace(prefix Trace) error
 	Abort()
 }
-
-// StateReleaser is optionally implemented by state engines that recycle
-// checkpoint storage: a search hands back a capture it will never Restore to
-// again (its tree node is fully explored) and the engine may reuse the
-// allocation for a later Checkpoint. Releasing is strictly an optimization —
-// captures are garbage-collected like anything else without it.
-type StateReleaser interface {
-	ReleaseState(s ExecState)
-}
-
-// StateEngine is a SearchEngine whose execution state is first-class:
-// checkpoint/restore with canonical state hashing, the contract the
-// stateful source-DPOR walk is built on (PR 5 semantics on either engine).
-// Restore rewinds to a state captured earlier on the current branch and
-// re-executes no grants. It calls reset(pid) before it re-runs process pid
-// from its read log, and only then: the vectorized engine leaves every lane
-// that did not move since the capture untouched, so reset must clear pid's
-// body-external capture only. StateHash at equal decision points is
-// bit-identical across engines for scalar-register algorithms.
-type StateEngine interface {
-	SearchEngine
-	EnableState()
-	StateEnabled() bool
-	StateHash() [2]uint64
-	Checkpoint() ExecState
-	Restore(s ExecState, reset func(pid int))
-}
-
-// The goroutine engine implements the full state-capable surface.
-var _ StateEngine = (*Controller)(nil)
 
 // CheckStaleChoice pins the StalePolicy index convention shared by every
 // driver (DriveEngine here, policyChoice in internal/explore): PickStale

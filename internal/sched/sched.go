@@ -117,12 +117,10 @@ type Controller struct {
 
 	fp     uint64 // incremental schedule fingerprint (see Fingerprint)
 	grants int64  // scheduling decisions executed (see Grants)
-	body   Body   // retained for Restore's respawn
+	body   Body   // retained for Restart's respawn
 
 	tracing  bool         // record grants into traceBuf (see EnableTrace)
 	traceBuf []TraceEvent // the recorded grant sequence
-
-	st stateLayer // checkpoint/restore bookkeeping (see state.go)
 
 	// Fault-model capability knob (see shmem.Model and SetModel). The zero
 	// model is the paper's: atomic registers, fail-stop crashes. All of the
@@ -258,8 +256,7 @@ func (c *Controller) runProc(pid int, body Body) {
 	defer func() {
 		r := recover()
 		c.mu.Lock()
-		c.seats[pid].budget = 0    // surrender any unconsumed StepN grant
-		c.procs[pid].ClearReplay() // a finished catch-up leaves no stale cursor
+		c.seats[pid].budget = 0 // surrender any unconsumed StepN grant
 		switch r := r.(type) {
 		case nil:
 			c.phase[pid] = phaseDone
@@ -379,6 +376,10 @@ func (c *Controller) NextPendingKind(after int, kind shmem.OpKind) int {
 // adversary made the same decisions in the same order. Explorers use it to
 // count distinct interleavings actually exercised.
 func (c *Controller) Fingerprint() uint64 { return c.fp }
+
+// Grants returns the number of scheduling decisions (grants, crashes and
+// restarts) executed so far.
+func (c *Controller) Grants() int64 { return c.grants }
 
 // Proc returns the process handle (for step counts and identity).
 func (c *Controller) Proc(pid int) *shmem.Proc { return c.procs[pid] }
@@ -573,9 +574,6 @@ func (c *Controller) grant(pid, k int, crash bool, stale int) {
 	if c.model.Regs != shmem.RegAtomic {
 		c.noteWeakGrant(pid, crash)
 	}
-	if c.st.enabled {
-		c.stateBeforeGrant(pid, k, crash)
-	}
 	if c.tracing {
 		in := c.intent[pid]
 		c.traceBuf = append(c.traceBuf, TraceEvent{Pid: pid, Op: in.Kind, Reg: in.Reg, K: k, Crash: crash, Stale: stale})
@@ -594,9 +592,6 @@ func (c *Controller) grant(pid, k int, crash bool, stale int) {
 	}
 	c.mu.Unlock()
 	c.waitQuiesce()
-	if c.st.enabled {
-		c.stateAfterGrant()
-	}
 }
 
 // Step grants one shared-memory operation to a pending process and returns

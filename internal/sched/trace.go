@@ -159,11 +159,6 @@ func (c *Controller) TraceInto(buf Trace) Trace {
 	return append(buf[:0], c.traceBuf...)
 }
 
-// TraceLen returns the number of grant events currently recorded; after a
-// Restore it reports the restored snapshot's watermark (see
-// SearchEngine.TraceLen).
-func (c *Controller) TraceLen() int { return len(c.traceBuf) }
-
 // ApplyTrace re-applies a recorded grant sequence to a freshly constructed
 // controller, reconstructing the execution state at the end of the prefix.
 // The bodies must be deterministic (every algorithm in this repository is,

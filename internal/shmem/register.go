@@ -14,9 +14,9 @@
 // Both register types are versioned state cells (see state.go): writes of
 // recording processes (and harness Pokes) bump a version counter, and
 // StateInto/LoadState capture and restore the (contents, version) pair,
-// which is what lets a checkpointing scheduler rewind memory through an
-// undo log instead of replaying the schedule. The free-running hot path
-// never touches the version machinery.
+// which is what lets a checkpointing engine rewind memory by copy instead
+// of replaying the schedule. The free-running hot path never touches the
+// version machinery.
 package shmem
 
 import "sync/atomic"

@@ -3,24 +3,25 @@ package shmem
 import "sync/atomic"
 
 // This file is the state-capture surface of the shared-memory layer: the
-// pieces that let a scheduler treat the complete condition of an in-flight
-// execution as a first-class value (sched.Snapshot). Two mechanisms live
-// here:
+// pieces that let an engine treat the complete condition of an in-flight
+// execution as a first-class value (vexec.Snapshot, the repository's one
+// checkpoint/restore stack). Two mechanisms live here:
 //
 //   - CellState / StateCell: every register type can capture and restore its
-//     contents (plus a write-version), so a checkpointing scheduler keeps an
-//     undo log of pre-images and rewinds memory in O(writes since
-//     checkpoint) instead of re-executing the schedule prefix.
+//     contents (plus a write-version), so a checkpointing engine copies the
+//     registers a walk has written and loads them back instead of
+//     re-executing the schedule prefix.
 //
-//   - The per-process read log on Proc: a goroutine's local state cannot be
-//     copied, but for the deterministic bodies this repository runs it is a
-//     pure function of the sequence of values the process has read. Recording
-//     that sequence makes local state restorable: a fresh goroutine re-runs
-//     the body consuming logged reads (and suppressing writes — memory is
-//     already restored) until it has retaken its step count, at which point
-//     its stack is bit-identical to the captured process's. The catch-up is
-//     pure local computation with no scheduler handoffs, so restoring does
-//     not re-execute any part of the interleaving.
+//   - The per-process read log on Proc: for the deterministic bodies this
+//     repository runs, a process's local state is a pure function of the
+//     sequence of values it has read, so the log's running hash names that
+//     state for state hashing, and the log itself makes the state restorable
+//     by catch-up: the process re-runs from its start consuming logged reads
+//     (and suppressing writes — memory is already restored) until it has
+//     retaken its step count. The catch-up is pure local computation, so
+//     restoring does not re-execute any part of the interleaving. The frame
+//     engine restores by copy (RestoreState) where a frame can be saved, and
+//     by this catch-up otherwise.
 
 // CellState is one register's captured contents: the scalar word of a Reg or
 // the pointer of a Ref, plus the cell's write-version and (for Refs) the
@@ -75,9 +76,9 @@ type readRec struct {
 }
 
 // replayState is the catch-up cursor armed by Proc.LoadState: the process
-// consumes its own read log locally (no gate, no memory) until it has
-// retaken target steps, then crashes (if the capture recorded a crashed
-// process) or rejoins the scheduler gate.
+// consumes its own read log locally (no memory access) until it has retaken
+// target steps, then crashes (if the capture recorded a crashed process) or
+// posts its next access as the captured process had.
 type replayState struct {
 	active bool
 	crash  bool  // raise Crash when the target is reached
@@ -118,9 +119,9 @@ func (p *Proc) EnableReadLog() {
 	p.recording = true
 }
 
-// StateInto captures the process's execution position. The scheduler calls
-// it only while the process is quiescent (blocked on its gate, crashed, or
-// finished), so the fields are stable.
+// StateInto captures the process's execution position. The engine calls it
+// only at a decision point (the process pending, crashed, or finished), so
+// the fields are stable.
 func (p *Proc) StateInto(s *ProcState) {
 	if !p.recording {
 		panic("shmem: Proc.StateInto without EnableReadLog")
@@ -134,13 +135,12 @@ func (p *Proc) StateInto(s *ProcState) {
 }
 
 // LoadState arms the process handle for catch-up replay of a captured
-// position: the caller resets shared memory to the capture, truncates and
-// then re-runs the body on a fresh goroutine, and the handle consumes its
-// logged reads (suppressing writes) until it has retaken s.Steps steps.
-// Reaching the target, the process crashes (if s.Crashed) or falls through
-// to its gate exactly as the captured process was: blocked publishing its
-// next intent. The log suffix beyond s.Reads belongs to an abandoned
-// continuation and is discarded.
+// position: the caller resets shared memory to the capture and re-runs the
+// process from its start, and the handle consumes its logged reads
+// (suppressing writes) until it has retaken s.Steps steps. Reaching the
+// target, the process crashes (if s.Crashed) or goes on exactly as the
+// captured process was: posting its next intent. The log suffix beyond
+// s.Reads belongs to an abandoned continuation and is discarded.
 func (p *Proc) LoadState(s ProcState) {
 	if !p.recording {
 		panic("shmem: Proc.LoadState without EnableReadLog")
@@ -152,7 +152,7 @@ func (p *Proc) LoadState(s ProcState) {
 	p.baseSteps = s.BaseSteps
 	p.restarts = s.Restarts
 	p.staleArm = false
-	// Replay covers the current incarnation only: the respawned body re-runs
+	// Replay covers the current incarnation only: the re-rooted process re-runs
 	// from scratch (exactly what a restarted process does) consuming reads
 	// from the incarnation base until it has retaken the captured cumulative
 	// step count. Under the default model IncBase and BaseSteps are zero and
@@ -191,14 +191,11 @@ func (p *Proc) ReadLogLen() int { return len(p.readLog) }
 
 // ReadWord returns the i-th logged read as (scalar word, isRef). Ref reads
 // report (0, true): their pointer values are process-local identities with
-// no canonical cross-controller form. Harness use (equivalence tests).
+// no canonical cross-engine form. Harness use (equivalence tests).
 func (p *Proc) ReadWord(i int) (int64, bool) {
 	r := p.readLog[i]
 	return r.word, r.isRef
 }
-
-// Replaying reports whether the handle is in catch-up replay.
-func (p *Proc) Replaying() bool { return p.rp.active }
 
 // foldRead mixes one read into the two read-history hash channels.
 func (p *Proc) foldRead(word uint64) {
@@ -237,11 +234,6 @@ func (p *Proc) exitReplay() {
 		panic(Crash{})
 	}
 }
-
-// ClearReplay force-exits catch-up mode without consistency checks; the
-// scheduler's runner calls it when a goroutine unwinds so a stale cursor
-// never leaks into a later respawn.
-func (p *Proc) ClearReplay() { p.rp, p.staleArm = replayState{}, false }
 
 // mix64 is the SplitMix64 finalizer, inlined here so shmem (the bottom of
 // the dependency order) does not import xrand.

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/conformance"
 	"repro/internal/explore"
-	"repro/internal/sched"
 	"repro/internal/shmem"
 	"repro/internal/vexec"
 	"repro/internal/xrand"
@@ -129,7 +128,7 @@ func TestRestoreCopyMatchesReplay(t *testing.T) {
 					e, got, oks := newVexec(t, c, n, seed, md.m, true)
 					reset := func(pid int) { got[pid], oks[pid] = 0, false }
 					rng := xrand.New(seed)
-					var snaps []sched.ExecState
+					var snaps []*vexec.Snapshot
 					var want []point
 					crashes := 0
 					for {

@@ -3,11 +3,13 @@ package vexec_test
 // The differential suite: the goroutine engine (sched.Controller) is the
 // conformance oracle, and every run here drives both engines over identical
 // instances and decision processes, requiring bit-identical results — same
-// per-pid steps, crash flags, restarts, rename outcomes, fingerprints, and
-// (for scalar-register algorithms) the same 128-bit state hash. Coverage
-// spans the full conformance table, randomized schedules with crash
-// injection, the fault models (weak registers, crash-recovery), trace replay
-// in both directions, and a fuzz arm with committed corpus seeds.
+// per-pid steps, crash flags, restarts, rename outcomes and fingerprints.
+// For scalar-register algorithms vexec's 128-bit state hash must also equal,
+// at every decision point, the reference refHash folds from the oracle
+// (state_test.go). Coverage spans the full conformance table, randomized
+// schedules with crash injection, the fault models (weak registers,
+// crash-recovery), trace replay in both directions, and a fuzz arm with
+// committed corpus seeds.
 
 import (
 	"testing"
@@ -25,7 +27,7 @@ import (
 // shmem.Reg registers. Snapshot-based stages allocate Ref segments whose
 // identity stamps come from a process-global counter, so their StateHash is
 // canonical within one engine but not across two independently built
-// instances; the differential compares StateHash only on the scalar cases
+// instances; the differential checks StateHash only on the scalar cases
 // and compares everything else on all of them.
 var scalarOnly = map[string]bool{
 	"majority": true,
@@ -39,34 +41,55 @@ type outcome struct {
 	res   sched.Result
 	got   []int64
 	oks   []bool
-	sh    [2]uint64
-	hasSH bool
 	trace sched.Trace
 }
 
-// driveOracle runs the goroutine engine over a fresh instance of the case.
-func driveOracle(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Model, policy sched.Policy, plan sched.CrashPlan, wantState bool) outcome {
-	t.Helper()
+// newOracle builds the goroutine engine over a fresh instance of the case.
+func newOracle(c conformance.Case, n int, seed uint64, m shmem.Model) (*sched.Controller, []int64, []bool) {
 	r := c.New(n, seed)
-	origs := c.Origs(n, seed)
 	got := make([]int64, n)
 	oks := make([]bool, n)
-	ctl := sched.NewController(n, origs, func(p *shmem.Proc) {
+	ctl := sched.NewController(n, c.Origs(n, seed), func(p *shmem.Proc) {
 		got[p.ID()], oks[p.ID()] = r.Rename(p, p.Name())
 	})
 	if !m.Atomic() {
 		ctl.SetModel(m)
 	}
-	if wantState {
-		ctl.EnableState()
-	}
+	return ctl, got, oks
+}
+
+// driveOracle runs the goroutine engine over a fresh instance of the case.
+func driveOracle(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Model, policy sched.Policy, plan sched.CrashPlan) outcome {
+	t.Helper()
+	ctl, got, oks := newOracle(c, n, seed, m)
 	ctl.EnableTrace()
 	res := ctl.Run(policy, plan)
-	out := outcome{res: res, got: got, oks: oks, trace: ctl.Trace()}
-	if wantState {
-		out.sh, out.hasSH = ctl.StateHash(), true
+	return outcome{res: res, got: got, oks: oks, trace: ctl.Trace()}
+}
+
+// checkStateHash replays trace decision by decision on a fresh vexec engine
+// with state capture and on a fresh oracle under refHash, requiring equal
+// state hashes at the start and after every decision.
+func checkStateHash(t *testing.T, label string, c conformance.Case, n int, seed uint64, m shmem.Model, trace sched.Trace) {
+	t.Helper()
+	e, _, _ := newVexec(t, c, n, seed, m, true)
+	ctl, _, _ := newOracle(c, n, seed, m)
+	ref := newRefHash(t, ctl)
+	defer ref.Abort()
+	for i := 0; ; i++ {
+		if v, o := e.StateHash(), ref.StateHash(); v != o {
+			t.Fatalf("%s: state hash after %d decisions: vexec %#x, oracle reference %#x", label, i, v, o)
+		}
+		if i == len(trace) {
+			return
+		}
+		if err := sched.ApplyTraceTo(e, trace[i:i+1]); err != nil {
+			t.Fatalf("%s: vexec replay: %v", label, err)
+		}
+		if err := sched.ApplyTraceTo(ref, trace[i:i+1]); err != nil {
+			t.Fatalf("%s: oracle replay: %v", label, err)
+		}
 	}
-	return out
 }
 
 // newVexec builds the vectorized engine over a fresh instance of the case.
@@ -98,11 +121,7 @@ func driveVexec(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Mo
 	t.Helper()
 	e, got, oks := newVexec(t, c, n, seed, m, wantState)
 	res := e.Run(policy, plan)
-	out := outcome{res: res, got: got, oks: oks, trace: e.Trace()}
-	if wantState {
-		out.sh, out.hasSH = e.StateHash(), true
-	}
-	return out
+	return outcome{res: res, got: got, oks: oks, trace: e.Trace()}
 }
 
 // compare asserts bit-identity between the oracle's outcome and vexec's.
@@ -134,9 +153,6 @@ func compare(t *testing.T, label string, o, v outcome) {
 		if o.got[pid] != v.got[pid] || o.oks[pid] != v.oks[pid] {
 			t.Errorf("%s: pid %d rename: oracle (%d,%v), vexec (%d,%v)", label, pid, o.got[pid], o.oks[pid], v.got[pid], v.oks[pid])
 		}
-	}
-	if o.hasSH && v.hasSH && o.sh != v.sh {
-		t.Errorf("%s: state hash: oracle %#x, vexec %#x", label, o.sh, v.sh)
 	}
 	if len(o.trace) != len(v.trace) {
 		t.Errorf("%s: trace length: oracle %d, vexec %d", label, len(o.trace), len(v.trace))
@@ -189,9 +205,12 @@ func TestDifferentialConformanceTable(t *testing.T) {
 						{"random-crash", func() sched.Policy { return sched.NewRandom(seed * 101) }, func() sched.CrashPlan { return seededCrashes(seed, n-1) }},
 					}
 					for _, md := range modes {
-						o := driveOracle(t, c, n, seed, shmem.Model{}, md.policy(), md.plan(), wantState)
+						o := driveOracle(t, c, n, seed, shmem.Model{}, md.policy(), md.plan())
 						v := driveVexec(t, c, n, seed, shmem.Model{}, md.policy(), md.plan(), wantState)
 						compare(t, c.Name+"/"+md.name, o, v)
+						if wantState {
+							checkStateHash(t, c.Name+"/"+md.name, c, n, seed, shmem.Model{}, o.trace)
+						}
 					}
 				}
 			}
@@ -234,9 +253,12 @@ func TestDifferentialFaultModels(t *testing.T) {
 							return adversary.NewRestarter(seed*13, n, 0.05, n-1)
 						}
 						wantState := scalarOnly[name]
-						o := driveOracle(t, c, n, seed, mm.m, mkPolicy(), mkPlan(), wantState)
+						o := driveOracle(t, c, n, seed, mm.m, mkPolicy(), mkPlan())
 						v := driveVexec(t, c, n, seed, mm.m, mkPolicy(), mkPlan(), wantState)
 						compare(t, name+"/"+mm.name, o, v)
+						if wantState {
+							checkStateHash(t, name+"/"+mm.name, c, n, seed, mm.m, o.trace)
+						}
 					}
 				}
 			}
@@ -254,7 +276,7 @@ func TestDifferentialReplay(t *testing.T) {
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
 			const n, seed = 3, 2
-			o := driveOracle(t, c, n, seed, shmem.Model{}, sched.NewRandom(99), seededCrashes(seed, n-1), false)
+			o := driveOracle(t, c, n, seed, shmem.Model{}, sched.NewRandom(99), seededCrashes(seed, n-1))
 
 			// Oracle trace → vexec replay.
 			e, got, oks := newVexec(t, c, n, seed, shmem.Model{}, false)
@@ -266,13 +288,7 @@ func TestDifferentialReplay(t *testing.T) {
 
 			// vexec trace → oracle replay.
 			v2 := driveVexec(t, c, n, seed, shmem.Model{}, sched.NewRandom(99), seededCrashes(seed, n-1), false)
-			r := c.New(n, seed)
-			origs := c.Origs(n, seed)
-			got2 := make([]int64, n)
-			oks2 := make([]bool, n)
-			ctl := sched.NewController(n, origs, func(p *shmem.Proc) {
-				got2[p.ID()], oks2[p.ID()] = r.Rename(p, p.Name())
-			})
+			ctl, got2, oks2 := newOracle(c, n, seed, shmem.Model{})
 			ctl.EnableTrace()
 			if err := ctl.ApplyTrace(v2.trace); err != nil {
 				t.Fatalf("oracle replay of vexec trace: %v", err)
@@ -306,43 +322,19 @@ func TestVexecReturned(t *testing.T) {
 	}
 }
 
-// driveDetour re-executes a recorded schedule with a checkpoint/restore
-// detour at decision d: replay d events, checkpoint, run a divergent seeded
-// excursion to completion, restore, replay the rest. The detour must be
-// invisible — the returned outcome must be bit-identical to the straight
-// drive that recorded the schedule, on either engine. The one deliberate
+// driveDetour re-executes a recorded schedule on vexec with a
+// checkpoint/restore detour at decision d: replay d events, checkpoint, run a
+// divergent seeded excursion to completion, restore, replay the rest. The
+// detour must be invisible — the returned outcome must be bit-identical to
+// the straight drive that recorded the schedule. The one deliberate
 // exception is the final StateHash: its register-id fold is assigned in
 // first-write order within an instance, and the excursion's extra grants can
 // permute that order, so cross-instance hash equality is only guaranteed for
 // identical grant sequences. The hash identity the detour owes — restore
 // lands exactly on the checkpoint — is asserted internally instead.
-func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Model, trace sched.Trace, d int, wantState, onVexec bool) outcome {
+func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Model, trace sched.Trace, d int, wantState bool) outcome {
 	t.Helper()
-	var (
-		e       sched.StateEngine
-		got     []int64
-		oks     []bool
-		myReset func(pid int)
-	)
-	if onVexec {
-		var ve *vexec.Exec
-		ve, got, oks = newVexec(t, c, n, seed, m, false)
-		e = ve
-	} else {
-		r := c.New(n, seed)
-		got = make([]int64, n)
-		oks = make([]bool, n)
-		ctl := sched.NewController(n, c.Origs(n, seed), func(p *shmem.Proc) {
-			got[p.ID()], oks[p.ID()] = r.Rename(p, p.Name())
-		})
-		if !m.Atomic() {
-			ctl.SetModel(m)
-		}
-		e = ctl
-	}
-	myReset = func(pid int) { got[pid], oks[pid] = 0, false }
-	e.EnableState()
-	e.EnableTrace()
+	e, got, oks := newVexec(t, c, n, seed, m, true)
 	if err := e.ApplyTrace(trace[:d]); err != nil {
 		t.Fatalf("detour prefix replay (d=%d): %v", d, err)
 	}
@@ -355,7 +347,7 @@ func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.M
 	// Divergent excursion: run the rest of the execution under an unrelated
 	// schedule, then rewind as if it never happened.
 	sched.DriveEngine(e, sched.NewRandom(xrand.Mix(seed, 0xde70)), nil)
-	e.Restore(snap, myReset)
+	e.Restore(snap, func(pid int) { got[pid], oks[pid] = 0, false })
 	if e.Fingerprint() != wantFP {
 		t.Fatalf("detour restore (d=%d): fingerprint %#x != checkpoint %#x", d, e.Fingerprint(), wantFP)
 	}
@@ -372,9 +364,10 @@ func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.M
 
 // FuzzDifferential is the randomized arm of the differential contract: any
 // (case, population, seed, schedule) tuple the fuzzer invents must produce
-// bit-identical outcomes on both engines — including when the execution is
-// reconstructed through a mid-schedule checkpoint/restore detour on either
-// engine. Committed corpus seeds live in testdata/fuzz/FuzzDifferential.
+// bit-identical outcomes on both engines — including when the vexec
+// execution is reconstructed through a mid-schedule checkpoint/restore
+// detour — and, for scalar cases, vexec's state hash must match the oracle
+// reference at every decision point. Committed corpus seeds live in testdata/fuzz/FuzzDifferential.
 func FuzzDifferential(f *testing.F) {
 	f.Add(uint64(0), uint64(3), uint64(1), uint64(0))
 	f.Add(uint64(6), uint64(4), uint64(42), uint64(2))
@@ -409,16 +402,17 @@ func FuzzDifferential(f *testing.F) {
 			return seededCrashes(seed, k-1)
 		}
 		wantState := scalarOnly[c.Name]
-		o := driveOracle(t, c, k, seed, m, mkPolicy(), mkPlan(), wantState)
+		o := driveOracle(t, c, k, seed, m, mkPolicy(), mkPlan())
 		v := driveVexec(t, c, k, seed, m, mkPolicy(), mkPlan(), wantState)
 		compare(t, c.Name, o, v)
+		if wantState {
+			checkStateHash(t, c.Name, c, k, seed, m, o.trace)
+		}
 		// Checkpoint/restore arm: rebuild the same execution around a
-		// mid-schedule detour on each engine; the detour must be invisible.
+		// mid-schedule detour; the detour must be invisible.
 		if len(o.trace) > 0 {
 			d := int(xrand.Mix(seed, 0xd7) % uint64(len(o.trace)+1))
-			od := driveDetour(t, c, k, seed, m, o.trace, d, wantState, false)
-			compare(t, c.Name+"/detour-oracle", o, od)
-			vd := driveDetour(t, c, k, seed, m, o.trace, d, wantState, true)
+			vd := driveDetour(t, c, k, seed, m, o.trace, d, wantState)
 			compare(t, c.Name+"/detour-vexec", o, vd)
 		}
 	})

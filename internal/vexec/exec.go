@@ -11,8 +11,8 @@ import (
 )
 
 // Lane phases. The numeric values deliberately match sched's procPhase —
-// they are folded verbatim into StateHash, and cross-engine hash equality
-// requires the same encoding.
+// they are folded verbatim into StateHash, and the differential tests'
+// reference hash derives the same encoding from the goroutine oracle.
 const (
 	phaseRunning  uint8 = iota // advancing frames (transient within a grant)
 	phasePending               // intent posted, awaiting grant
@@ -635,9 +635,11 @@ func (e *Exec) TraceInto(buf sched.Trace) sched.Trace {
 	return append(buf[:0], e.traceBuf...)
 }
 
-// TraceLen returns the number of grant events currently recorded; after a
-// Restore it reports the restored snapshot's watermark, as
-// Controller.TraceLen.
+// TraceLen returns the number of grant events currently recorded — the
+// event cursor the source-DPOR happens-before layer aligns its suffix
+// watermarks against. Restore truncates the recorded trace to the
+// snapshot's watermark, so after a restore TraceLen reports the
+// checkpoint-time length.
 func (e *Exec) TraceLen() int { return len(e.traceBuf) }
 
 // Run drives the engine to completion — sched.DriveEngine over this engine,
@@ -672,14 +674,11 @@ func (e *Exec) Result() sched.Result {
 	return res
 }
 
-// stateMirror is sched's stateLayer without the undo log: register
-// registration in first-write-grant order and the incremental 128-bit state
-// hash, bit-identical to the goroutine engine's by construction (the
-// differential tests compare hashes at every decision point of
-// scalar-register runs). Restore (state.go) needs no undo log because a
-// frame machine's state is plain data: a checkpoint copies every registered
-// cell's CellState outright, and cells registered later rewind to the
-// pre-image captured at registration.
+// stateMirror is the engine's state layer: register registration in
+// first-write-grant order and the incremental 128-bit state hash. Restore
+// (state.go) needs no undo log because a frame machine's state is plain
+// data: a checkpoint copies every registered cell's CellState outright, and
+// cells registered later rewind to the pre-image captured at registration.
 type stateMirror struct {
 	enabled bool
 	regID   map[any]int
@@ -723,9 +722,10 @@ type pendingWrite struct {
 	preWord uint64
 }
 
-// EnableState turns on read logging and incremental state hashing. As with
-// the goroutine engine it must run before any grant, enables tracing, and
-// rules out StepN batching.
+// EnableState turns on read logging and incremental state hashing. It must
+// run before any grant (so the logs cover the whole execution), enables
+// tracing, and rules out StepN batching: checkpoints and traces must see
+// every decision individually.
 func (e *Exec) EnableState() {
 	if e.grants != 0 {
 		panic("vexec: EnableState after grants were issued")
@@ -744,9 +744,6 @@ func (e *Exec) EnableState() {
 		p.EnableReadLog()
 	}
 }
-
-// StateEnabled reports whether state capture is on.
-func (e *Exec) StateEnabled() bool { return e.st.enabled }
 
 func (e *Exec) stateBeforeGrant(pid, k int, crash bool) {
 	if k != 1 {
@@ -793,10 +790,17 @@ func (s *stateMirror) fold(id int, init, word uint64) {
 	s.regHash[1] ^= xrand.Mix(^uint64(id), word)
 }
 
-// StateHash returns the canonical 128-bit state identity — the same formula
-// as Controller.StateHash over the same encodings, so two engines that
-// executed the same grant sequence over same-seed scalar-register instances
-// report the same hash.
+// StateHash returns the canonical 128-bit identity of the current decision
+// point: memory (every register differing from its initial value, XOR-folded
+// so the hash does not depend on which registers a schedule touched), each
+// lane's position (read-history hash, step count, restarts, phase) and,
+// under weak registers, the pending reads' stale windows. Equal hashes mean
+// — up to a collision in both channels — identical register contents and
+// lane local states, hence identical reachable futures. Ref registers hash
+// by never-reused write stamps, so the hash is canonical within one engine;
+// for scalar-register instances built from the same seed it depends only on
+// the grant sequence, which the differential tests check against a
+// reference folded from the goroutine oracle's observable surface.
 func (e *Exec) StateHash() [2]uint64 {
 	if !e.st.enabled {
 		panic("vexec: StateHash without EnableState")

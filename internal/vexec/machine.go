@@ -10,11 +10,16 @@
 // decision loop (sched.DriveEngine), trace replay (sched.ApplyTraceTo) and
 // fingerprint fold (sched.FoldGrant), so a policy, crash plan or recorded
 // trace drives either engine unchanged. The contract is bit-identity: same
-// Result, same Fingerprint, and — for scalar-register algorithms — the same
-// StateHash as the goroutine engine on every decision sequence. The
-// goroutine engine stays the conformance oracle; the differential tests in
-// this package enforce the contract over the conformance table, randomized
-// traces and the fault models.
+// Result and same Fingerprint on every decision sequence. The goroutine
+// engine stays the conformance oracle; the differential tests in this
+// package enforce the contract over the conformance table, randomized traces
+// and the fault models.
+//
+// This engine alone has first-class execution state (state.go):
+// Checkpoint, Restore and StateHash, the surface the stateful source-DPOR
+// proof walks drive. For scalar-register algorithms the differential tests
+// check its StateHash against a reference folded from the oracle's
+// observable surface — read logs, register pre-images and stale windows.
 //
 // An algorithm is compiled by hand into a Frame per loop/call structure: a
 // resumable state machine whose Run method advances the process's local

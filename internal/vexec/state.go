@@ -3,19 +3,19 @@ package vexec
 import (
 	"fmt"
 
-	"repro/internal/sched"
 	"repro/internal/shmem"
 )
 
-// This file gives the vectorized engine first-class execution state with the
-// semantics sched.Controller grew in PR 5 — Checkpoint/Restore/StateHash —
-// but without the machinery the goroutine engine needs. A frame machine's
-// state is plain data (register cells, lane positions, frame structs), so a
-// Snapshot is a copy: the CellState of every registered register, each
-// lane's ProcState and phase, and a saved copy of each lane's frames. There
-// is no undo log — restoring loads the captured cell states outright (cells
-// first written after the capture rewind to the pre-image taken at
-// registration) — and no goroutine respawn.
+// This file gives the vectorized engine first-class execution state —
+// Checkpoint/Restore/StateHash — the contract the stateful source-DPOR walk
+// (internal/explore) is built on. It is the repository's only
+// checkpoint/restore stack: the goroutine oracle stays stateless. A frame
+// machine's state is plain data (register cells, lane positions, frame
+// structs), so a Snapshot is a copy: the CellState of every registered
+// register, each lane's ProcState and phase, and a saved copy of each
+// lane's frames. There is no undo log — restoring loads the captured cell
+// states outright (cells first written after the capture rewind to the
+// pre-image taken at registration).
 //
 // Lanes are restored by copy. A capture saves
 // only the lanes that moved since they were last saved: a lane's move stamp
@@ -41,22 +41,15 @@ import (
 // recovery marks the lane crashed with its stack discarded — exactly the
 // state the crash grant left it in.
 
-var _ sched.StateEngine = (*Exec)(nil)
-var _ sched.StateReleaser = (*Exec)(nil)
-
 // Snapshot captures the complete state of an in-flight vexec execution at a
-// decision point. Unlike the goroutine engine's watermark-based snapshot it
-// holds full register pre-images, so it stays valid regardless of what the
-// engine does afterwards; the ancestor discipline (snapshots form a stack
-// along a DFS branch) is still asserted for engine-swap parity.
+// decision point. It holds full register pre-images; the ancestor discipline
+// (snapshots form a stack along a DFS branch) is asserted on Restore.
 //
 // Snapshots are pooled: a search that is done with a capture hands it back
-// via ReleaseState (sched.StateReleaser) and a later Checkpoint reuses its
-// backing arrays. A deep DFS checkpoints at every node, so without reuse the
-// captures dominate the walk's allocation profile.
+// via ReleaseState and a later Checkpoint reuses its backing arrays. A deep
+// DFS checkpoints at every node, so without reuse the captures dominate the
+// walk's allocation profile.
 type Snapshot struct {
-	sched.StateTag
-
 	e        *Exec
 	grants   int64
 	fp       uint64
@@ -95,7 +88,7 @@ type laneSave struct {
 
 // Checkpoint captures the current decision point: O(registered registers +
 // n), plus one frame copy per lane that moved since it was last saved.
-func (e *Exec) Checkpoint() sched.ExecState {
+func (e *Exec) Checkpoint() *Snapshot {
 	if !e.st.enabled {
 		panic("vexec: Checkpoint without EnableState")
 	}
@@ -223,10 +216,9 @@ func grow[T any](buf []T, n int) []T {
 // its backing arrays. Only captures this engine produced are accepted, and a
 // released snapshot must never be Restored again (Restore panics on one).
 // Releasing is optional — unreleased snapshots are simply garbage.
-func (e *Exec) ReleaseState(st sched.ExecState) {
-	s, ok := st.(*Snapshot)
-	if !ok || s.e != e {
-		return // foreign or already-released capture: nothing to recycle
+func (e *Exec) ReleaseState(s *Snapshot) {
+	if s.e != e {
+		return // another engine's or an already-released capture: nothing to recycle
 	}
 	s.e = nil
 	for pid, ls := range s.lanes {
@@ -250,13 +242,9 @@ func (e *Exec) ReleaseState(st sched.ExecState) {
 // untouched; only its pending bit is set again. On return the engine is at
 // the captured decision point: same pending set, same posted intents, same
 // StateHash, same Fingerprint. No grant is re-executed.
-func (e *Exec) Restore(st sched.ExecState, reset func(pid int)) {
+func (e *Exec) Restore(s *Snapshot, reset func(pid int)) {
 	if !e.st.enabled {
 		panic("vexec: Restore without EnableState")
-	}
-	s, ok := st.(*Snapshot)
-	if !ok {
-		panic(fmt.Sprintf("vexec: Restore of a %T capture on the vectorized engine (snapshots are engine-specific)", st))
 	}
 	if s.e != e {
 		if s.e == nil {
