@@ -132,7 +132,7 @@ type CellStats struct {
 	Replayed  int    // prefix grants re-executed for state reconstruction (stateless tree strategies)
 	Restored  int    // checkpoint restores performed (stateful strategies; replaces Replayed)
 	Pruned    int    // enabled choices skipped by partial-order reasoning
-	Deduped   int    // nodes cut as already-explored states (stateful strategies)
+	Deduped   int    // always 0: no strategy cuts a state by hash; kept because perfbench reads it
 	Complete  bool   // the strategy exhausted its search space for this cell
 }
 
@@ -146,7 +146,7 @@ type Outcome struct {
 	Replayed   int   // reconstruction grants re-executed by stateless tree strategies
 	Restored   int   // checkpoint restores performed by stateful strategies
 	Pruned     int   // choices skipped by partial-order reasoning
-	Deduped    int   // nodes cut as already-explored states
+	Deduped    int   // always 0: no strategy cuts a state by hash; kept because perfbench reads it
 	Cells      []CellStats
 	Violations []Violation
 }
@@ -196,7 +196,6 @@ func Explore(spec Spec) Outcome {
 			out.Replayed += cell.stats.Replayed
 			out.Restored += cell.stats.Restored
 			out.Pruned += cell.stats.Pruned
-			out.Deduped += cell.stats.Deduped
 			if cell.stats.MaxSteps > out.MaxSteps {
 				out.MaxSteps = cell.stats.MaxSteps
 			}
@@ -407,7 +406,6 @@ func exploreCell(spec *Spec, fam Family, n int, seen map[uint64]struct{}) cellRe
 	cell.stats.Replayed = stats.Replayed
 	cell.stats.Restored = stats.Restored
 	cell.stats.Pruned = stats.Pruned
-	cell.stats.Deduped = stats.Deduped
 	cell.stats.Complete = stats.Complete
 	cell.stats.Distinct = len(cellSeen)
 	return cell

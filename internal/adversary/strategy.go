@@ -43,14 +43,14 @@ func DPOR(budget int) StrategyMaker {
 }
 
 // SourceDPOR is the stateful search: source-set partial-order reduction
-// with state-hash dedup, driving one persistent instance through
+// with sleep sets, driving one persistent instance through
 // checkpoint/restore instead of rebuilding and replaying per execution
-// (CellStats.Replayed stays zero; Restored counts the rewinds). The cell's
-// family only names the cell, the instance is pinned to the cell's first
-// seed, budget caps executions (0 uses the cell's run budget), and
-// maxCrashes enables exhaustive crash branching. An unbudgeted completed
-// cell is a proof for that instance — internal/model runs exactly this
-// engine.
+// (CellStats.Replayed stays zero; Restored counts the rewinds). No node is
+// cut by a state hash. The cell's family only names the cell, the instance
+// is pinned to the cell's first seed, budget caps executions (0 uses the
+// cell's run budget), and maxCrashes enables exhaustive crash branching. An
+// unbudgeted completed cell is an exact proof for that instance —
+// internal/model runs exactly this engine.
 func SourceDPOR(budget, maxCrashes int) StrategyMaker {
 	return func(fam Family, n int, seeds []uint64) explore.Strategy {
 		b := budget

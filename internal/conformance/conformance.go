@@ -39,14 +39,15 @@ type Case struct {
 	// Proven lists the cells at which the exhaustive model checker
 	// (internal/model) proves — not samples — the full suite: every schedule,
 	// and every crash pattern up to the cell's cap, of the fixed-seed
-	// instance is covered up to commuting-grant equivalence. Sizes absent
-	// here are sampled by adversary.Explore. The split is a budget statement:
+	// instance is covered up to commuting-grant equivalence. The proof is
+	// exact: the walk cuts no node by a state hash, so no hash collision can
+	// enter the verdict. Sizes absent here are sampled by adversary.Explore. The split is a budget statement:
 	// the walk must exhaust within the CI model-check job's time box, and the
 	// reachable cells differ per algorithm. The stage-light algorithms close
 	// through n=5 with full crash branching under the stateful source-DPOR
 	// engine; Efficient and Adaptive chain the snapshot-based AF stage, whose
-	// seq-counter-bearing scan states defeat both partial-order reduction and
-	// state dedup, and stop at n=2 (now with full crash branching) — see the
+	// seq-counter-bearing scan states defeat partial-order reduction, and
+	// stop at n=2 (now with full crash branching) — see the
 	// ROADMAP's compositional-proof item for the measured wall.
 	Proven []ModelCell
 	// Fault lists the fault-model columns: cells the model checker exhausts

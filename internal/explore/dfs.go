@@ -157,40 +157,12 @@ func (t *Tree) Next(e sched.Engine) Choice {
 		}
 		return f.chosen
 	}
-	f := frame{enabled: enabledMask(e)}
+	var parent *frame
 	if t.pos > 0 {
-		parent := &t.stack[t.pos-1]
-		f.crashesBefore = parent.crashesBefore
-		if parent.chosen.Crash {
-			f.crashesBefore++
-		}
-		f.sleep = childSleep(e, parent)
+		parent = &t.stack[t.pos-1]
 	}
-	faultOpen(e, &f)
-	// Sleeping transitions are pre-marked done: exploring one would re-derive
-	// a schedule already covered under an earlier sibling.
-	for _, e := range f.sleep {
-		bit := uint64(1) << uint(e.pid)
-		if e.restart {
-			if f.restartable&bit != 0 && f.doneRestart&bit == 0 {
-				f.doneRestart |= bit
-				t.stats.Pruned++
-			}
-			continue
-		}
-		if f.enabled&bit == 0 {
-			continue
-		}
-		if e.crash {
-			if f.doneCrash&bit == 0 {
-				f.doneCrash |= bit
-				t.stats.Pruned++
-			}
-		} else if f.doneStep&bit == 0 {
-			f.doneStep |= bit
-			t.stats.Pruned++
-		}
-	}
+	f, pruned := openFrame(e, parent)
+	t.stats.Pruned += pruned
 	switch {
 	case t.rootPin != nil && t.pos == 0:
 		bit := uint64(1) << uint(t.rootPin.Pid)
@@ -231,6 +203,46 @@ func (t *Tree) Next(e sched.Engine) Choice {
 	t.pos++
 	t.stats.Explored++
 	return t.stack[len(t.stack)-1].chosen
+}
+
+// openFrame builds the frame of a node first reached on the current branch,
+// below parent (nil at the root): its pending mask, crash count, sleep set
+// and fault-model branching. Sleeping transitions are pre-marked done —
+// exploring one would re-derive a schedule already covered under an earlier
+// sibling — and pruned counts them.
+func openFrame(e sched.Engine, parent *frame) (f frame, pruned int) {
+	f.enabled = enabledMask(e)
+	if parent != nil {
+		f.crashesBefore = parent.crashesBefore
+		if parent.chosen.Crash {
+			f.crashesBefore++
+		}
+		f.sleep = childSleep(e, parent)
+	}
+	faultOpen(e, &f)
+	for _, s := range f.sleep {
+		bit := uint64(1) << uint(s.pid)
+		if s.restart {
+			if f.restartable&bit != 0 && f.doneRestart&bit == 0 {
+				f.doneRestart |= bit
+				pruned++
+			}
+			continue
+		}
+		if f.enabled&bit == 0 {
+			continue
+		}
+		if s.crash {
+			if f.doneCrash&bit == 0 {
+				f.doneCrash |= bit
+				pruned++
+			}
+		} else if f.doneStep&bit == 0 {
+			f.doneStep |= bit
+			pruned++
+		}
+	}
+	return f, pruned
 }
 
 // childSleep derives the sleep set of the node reached by parent.chosen:

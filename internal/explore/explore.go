@@ -15,10 +15,10 @@
 //   - SleepSet: the exhaustive DFS over the full schedule-and-crash tree with
 //     sleep-set pruning of commuting grants. Unbudgeted it exhausts the tree.
 //   - SourceDPOR: the stateful engine — source sets instead of all-pairs
-//     backtracking, state-hash dedup of revisited states, and
-//     checkpoint/restore instead of prefix replay, on the vectorized engine
-//     (Config.Frame is required). The engine internal/model proves tiny
-//     populations with.
+//     backtracking, and checkpoint/restore instead of prefix replay, on the
+//     vectorized engine (Config.Frame is required). The engine
+//     internal/model proves tiny populations with. No node is cut by a
+//     state hash, so a complete walk is an exact proof.
 //   - CoverageGuided: fuzz-style mutation of (configuration, seed) pairs,
 //     keeping the genomes whose schedules reach never-seen prefix
 //     fingerprints.
@@ -88,9 +88,6 @@ type Stats struct {
 	// Pruned counts enabled choices the strategy skipped because partial-order
 	// reasoning (sleep sets, backtrack sets) showed them redundant.
 	Pruned int
-	// Deduped counts nodes cut because their full state (registers + process
-	// local states, by 128-bit hash) had already been exhaustively explored.
-	Deduped int
 	// RaceEvents counts happens-before rows derived by race analysis
 	// (source-DPOR only): the incremental layer derives one row per distinct
 	// trace event, the rebuild reference re-derives every row of the whole

@@ -21,9 +21,10 @@ import (
 //     backtrack additions at its root frame (PinRoot) — those name other
 //     root decisions, each owned by another shard.
 //
-//   - Sleep sets and state-dedup tables are per shard. Losing cross-shard
-//     sleep propagation and dedup can only re-explore work another shard
-//     also covers — never skip any, so completeness is preserved.
+//   - Sleep sets are per shard. Losing cross-shard sleep propagation can
+//     only re-explore work another shard also covers — never skip any, so
+//     completeness is preserved. No shard cuts a node by a state hash, so
+//     the union of complete shards is an exact proof.
 //
 // Workers above the shard count idle; shards above the worker count queue.
 
@@ -137,7 +138,6 @@ func DriveParallel(spec ParallelSpec) Stats {
 				total.Replayed += st.Replayed
 				total.Restored += st.Restored
 				total.Pruned += st.Pruned
-				total.Deduped += st.Deduped
 				total.RaceEvents += st.RaceEvents
 				total.RaceNs += st.RaceNs
 				total.Complete = total.Complete && st.Complete

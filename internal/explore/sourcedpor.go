@@ -11,11 +11,10 @@ import (
 )
 
 // SourceDPOR is the stateful tree search: source-set dynamic partial-order
-// reduction (Abdulla, Aronis, Jonsson, Sagonas, POPL 2014) with sleep sets,
-// optional exhaustive crash branching, and 128-bit state-hash dedup of
-// revisited nodes, driven over one persistent vexec engine through
-// checkpoint/restore. It differs from the stateless Tree engine (NewDPOR /
-// NewSleepSet) in all three dimensions the ROADMAP named:
+// reduction (Abdulla, Aronis, Jonsson, Sagonas, POPL 2014) with sleep sets
+// and optional exhaustive crash branching, driven over one persistent vexec
+// engine through checkpoint/restore. It differs from the stateless Tree
+// engine (NewDPOR / NewSleepSet) in two ways:
 //
 //   - Backtrack points come from source sets: for a race between events e_i
 //     and e_j, it schedules one *initial* of the sub-sequence leading to e_j
@@ -29,14 +28,9 @@ import (
 //     re-executing the O(depth) prefix, so Stats.Replayed is zero by
 //     construction and Stats.Restored counts the restores.
 //
-//   - Nodes whose complete state (registers + every process's read-history
-//     hash) was already exhaustively explored are cut (Stats.Deduped).
-//     Soundness bookkeeping for the cut: a node is only matched against
-//     closed records whose sleep set was a subset of the current one and
-//     whose remaining crash budget was at least the current one, and every
-//     closed record carries the register-access footprint of its subtree so
-//     the races its re-exploration would have surfaced are re-applied to the
-//     current prefix's backtrack sets.
+// No node is ever cut by a state hash: a state reached along two
+// inequivalent schedules is walked both times, so a complete walk is an
+// exact proof, with no hash in the verdict.
 //
 // Like the stateless engines it pins every execution to one instance seed:
 // the search is over the schedules of a single deterministic system.
@@ -44,7 +38,6 @@ type SourceDPOR struct {
 	seed       uint64
 	budget     int // executions (complete + partial) cap; 0 = exhaust
 	maxCrashes int // crash-branching cap per execution; 0 = schedule-only
-	dedup      bool
 
 	stack     []sframe
 	resumeAt  int // frame whose freshly picked choice executes next; -1 none
@@ -56,79 +49,12 @@ type SourceDPOR struct {
 	diffSave  []uint64    // RaceDifferential: btStep snapshots across the two runs
 	diffRef   []uint64
 	stats     Stats
-
-	// The dedup table holds no pointer, so the garbage collector never scans
-	// it however large it grows: closed records sit back to back in recs,
-	// chained per state key by index, and their footprints back to back in
-	// footWords. A footprint is a bitset over footKeys, the accesses interned
-	// once per walk in footIdx; footFree recycles the per-frame bitsets of
-	// closed frames.
-	table     map[[2]uint64]recChain
-	recs      []closedRec
-	footWords []uint64
-	footIdx   map[footKey]int32
-	footKeys  []footKey
-	footFree  [][]uint64
 }
 
-// sframe extends the shared tree frame with the stateful machinery: the
-// node's snapshot, its state key, its sleep set as masks (for the dedup
-// subset test), and the accumulated subtree footprint (a bitset over
-// SourceDPOR.footKeys).
+// sframe extends the shared tree frame with the node's engine checkpoint.
 type sframe struct {
 	frame
-	snap          *vexec.Snapshot
-	key           [2]uint64
-	sleepStep     uint64
-	sleepCrash    uint64
-	sleepRestart  uint64
-	restartBudget int // remaining global restarts at node entry (dedup mode)
-	foot          []uint64
-}
-
-// footKey identifies one kind of register access occurring in a subtree:
-// which process performed which operation on which register. Crashes touch
-// no register and commute with everything, so they never enter a footprint.
-// Each distinct footKey is interned to a dense bit index once per walk.
-type footKey struct {
-	reg  any
-	kind shmem.OpKind
-	pid  int
-}
-
-// closedRec is one fully explored state: everything reachable from it
-// (outside its sleep set, within its crash budget) has been executed and
-// checked. A later visit to the same state may be cut if its obligations
-// are covered — see matches. Its footprint is
-// footWords[footOff : footOff+footLen], and next is the index in recs of the
-// state key's next record (-1: none).
-type closedRec struct {
-	sleepStep     uint64
-	sleepCrash    uint64
-	sleepRestart  uint64
-	crashBudget   int32
-	restartBudget int32
-	footOff       int32
-	footLen       int32
-	next          int32
-}
-
-// recChain is a state key's entry in the dedup table: the indices in recs of
-// its first and last closed records. Records are matched in the order they
-// were closed.
-type recChain struct{ first, last int32 }
-
-// matches reports whether the record's coverage subsumes a revisit carrying
-// the given sleep masks and remaining fault budgets: the record explored
-// everything outside ITS sleep set within ITS budgets, so the revisit — which
-// only owes everything outside its own, larger-or-equal sleep set within
-// smaller-or-equal budgets — is covered. The restart budget matters even
-// though the state hash folds per-process restart counts: two visits can
-// reach the same state having spent different global budgets.
-func (r *closedRec) matches(sleepStep, sleepCrash, sleepRestart uint64, crashBudget, restartBudget int) bool {
-	return r.sleepStep&^sleepStep == 0 && r.sleepCrash&^sleepCrash == 0 &&
-		r.sleepRestart&^sleepRestart == 0 &&
-		int(r.crashBudget) >= crashBudget && int(r.restartBudget) >= restartBudget
+	snap *vexec.Snapshot
 }
 
 // NewSourceDPOR returns the stateful source-set DPOR strategy. budget caps
@@ -141,18 +67,8 @@ func NewSourceDPOR(seed uint64, budget, maxCrashes int) *SourceDPOR {
 		seed:       seed,
 		budget:     budget,
 		maxCrashes: maxCrashes,
-		dedup:      true,
 		resumeAt:   -1,
-		table:      make(map[[2]uint64]recChain),
-		footIdx:    make(map[footKey]int32),
 	}
-}
-
-// DisableDedup turns off state-hash dedup (for measuring its contribution;
-// the search degenerates to pure source-DPOR). Returns the receiver.
-func (t *SourceDPOR) DisableDedup() *SourceDPOR {
-	t.dedup = false
-	return t
 }
 
 // SetRaceAnalysis selects the race-analysis implementation (the zero value,
@@ -190,8 +106,8 @@ func (t *SourceDPOR) Backtrack(tr sched.Trace, res sched.Result) bool {
 // Next implements Strategy. Unlike the stateless Tree there is no replay
 // phase: the engine is already at the frontier, so Next either commits the
 // choice BacktrackState just picked or opens a new node. The stateful walk
-// needs the checkpoint/StateHash surface, so the engine is the *vexec.Exec
-// Drive's stateful path builds.
+// needs the checkpoint surface, so the engine is the *vexec.Exec Drive's
+// stateful path builds.
 func (t *SourceDPOR) Next(eng sched.Engine) Choice {
 	c := eng.(*vexec.Exec)
 	if t.resumeAt >= 0 {
@@ -200,59 +116,13 @@ func (t *SourceDPOR) Next(eng sched.Engine) Choice {
 		t.commit(c, f)
 		return f.chosen
 	}
-	f := sframe{frame: frame{enabled: enabledMask(c)}}
+	var parent *frame
 	if len(t.stack) > 0 {
-		parent := &t.stack[len(t.stack)-1]
-		f.crashesBefore = parent.crashesBefore
-		if parent.chosen.Crash {
-			f.crashesBefore++
-		}
-		f.sleep = childSleep(c, &parent.frame)
+		parent = &t.stack[len(t.stack)-1].frame
 	}
-	faultOpen(c, &f.frame)
-	// Sleeping transitions are pre-marked done: exploring one would re-derive
-	// a schedule already covered under an earlier sibling.
-	for _, e := range f.sleep {
-		bit := uint64(1) << uint(e.pid)
-		if e.restart {
-			if f.restartable&bit != 0 && f.doneRestart&bit == 0 {
-				f.doneRestart |= bit
-				f.sleepRestart |= bit
-				t.stats.Pruned++
-			}
-			continue
-		}
-		if f.enabled&bit == 0 {
-			continue
-		}
-		if e.crash {
-			if f.doneCrash&bit == 0 {
-				f.doneCrash |= bit
-				f.sleepCrash |= bit
-				t.stats.Pruned++
-			}
-		} else if f.doneStep&bit == 0 {
-			f.doneStep |= bit
-			f.sleepStep |= bit
-			t.stats.Pruned++
-		}
-	}
-	if t.dedup && len(t.stack) > 0 {
-		key := c.StateHash()
-		f.restartBudget = c.Model().MaxRestarts - c.Restarts()
-		if ch, ok := t.table[key]; ok {
-			budget := t.maxCrashes - f.crashesBefore
-			for r := ch.first; r >= 0; r = t.recs[r].next {
-				if t.recs[r].matches(f.sleepStep, f.sleepCrash, f.sleepRestart, budget, f.restartBudget) {
-					t.coverDedup(&t.recs[r])
-					t.stats.Deduped++
-					t.abandoned = true
-					return Abandon
-				}
-			}
-		}
-		f.key = key
-	}
+	fr, pruned := openFrame(c, parent)
+	t.stats.Pruned += pruned
+	f := sframe{frame: fr}
 	if t.rootPin != nil && len(t.stack) == 0 {
 		bit := uint64(1) << uint(t.rootPin.Pid)
 		f.btRestart = 0
@@ -287,28 +157,20 @@ func (t *SourceDPOR) Next(eng sched.Engine) Choice {
 }
 
 // commit finalizes an about-to-execute choice on its frame: refresh the
-// posted intent (live — the controller is at the frame's state), record the
-// access in the subtree footprint (dedup mode only — footprints exist to
-// replay a closed subtree's race obligations at a dedup cut), and count the
+// posted intent (live — the engine is at the frame's state) and count the
 // decision.
 func (t *SourceDPOR) commit(c sched.Engine, f *sframe) {
-	if f.chosen.Restart || f.chosen.Pid < 0 {
-		// Restarts carry no intent (the process is crashed) and Halt grants
-		// nothing; neither touches a register, so no footprint entry either.
-		t.stats.Explored++
-		return
-	}
-	f.chosenIn = c.Intent(f.chosen.Pid)
-	if t.dedup && !f.chosen.Crash {
-		t.footAdd(f, footKey{reg: f.chosenIn.Reg, kind: f.chosenIn.Kind, pid: f.chosen.Pid})
+	// Restarts carry no intent (the process is crashed) and Halt grants
+	// nothing.
+	if !f.chosen.Restart && f.chosen.Pid >= 0 {
+		f.chosenIn = c.Intent(f.chosen.Pid)
 	}
 	t.stats.Explored++
 }
 
 // BacktrackState implements Stateful: fold the finished execution's races
-// into the backtrack sets, close and pop exhausted frames (recording their
-// states in the dedup table), and restore the engine to the deepest frame
-// with an unexplored scheduled choice.
+// into the backtrack sets, pop exhausted frames, and restore the engine to
+// the deepest frame with an unexplored scheduled choice.
 func (t *SourceDPOR) BacktrackState(c *vexec.Exec, tr sched.Trace, res sched.Result, reset func(pid int)) bool {
 	if t.abandoned {
 		t.abandoned = false
@@ -323,7 +185,6 @@ func (t *SourceDPOR) BacktrackState(c *vexec.Exec, tr sched.Trace, res sched.Res
 	for i := len(t.stack) - 1; i >= 0; i-- {
 		f := &t.stack[i]
 		if !frameOpen(&f.frame) {
-			t.closeFrame(i)
 			// The frame is fully explored: its checkpoint will never be
 			// restored again, so the engine may recycle the capture.
 			c.ReleaseState(f.snap)
@@ -351,120 +212,6 @@ func (t *SourceDPOR) BacktrackState(c *vexec.Exec, tr sched.Trace, res sched.Res
 	}
 	t.stats.Complete = true
 	return false
-}
-
-// closeFrame records a fully explored frame's state as closed, folds its
-// subtree footprint into its parent's, and recycles the frame's footprint
-// buffer.
-func (t *SourceDPOR) closeFrame(i int) {
-	if !t.dedup {
-		return
-	}
-	f := &t.stack[i]
-	if i > 0 {
-		t.addRec(f.key, closedRec{
-			sleepStep:     f.sleepStep,
-			sleepCrash:    f.sleepCrash,
-			sleepRestart:  f.sleepRestart,
-			crashBudget:   int32(t.maxCrashes - f.crashesBefore),
-			restartBudget: int32(f.restartBudget),
-		}, f.foot)
-		t.mergeFoot(&t.stack[i-1], f.foot)
-	}
-	if f.foot != nil {
-		t.footFree = append(t.footFree, f.foot[:0])
-		f.foot = nil
-	}
-}
-
-// addRec appends rec, with a copy of foot as its footprint, to the end of
-// key's chain.
-func (t *SourceDPOR) addRec(key [2]uint64, rec closedRec, foot []uint64) {
-	idx := len(t.recs)
-	rec.footOff, rec.footLen, rec.next = int32(len(t.footWords)), int32(len(foot)), -1
-	t.footWords = append(t.footWords, foot...)
-	t.recs = append(t.recs, rec)
-	ch, ok := t.table[key]
-	if ok {
-		t.recs[ch.last].next = int32(idx)
-		ch.last = int32(idx)
-	} else {
-		ch = recChain{first: int32(idx), last: int32(idx)}
-	}
-	t.table[key] = ch
-}
-
-// footAdd records access k in frame f's subtree footprint.
-func (t *SourceDPOR) footAdd(f *sframe, k footKey) {
-	b, ok := t.footIdx[k]
-	if !ok {
-		b = int32(len(t.footKeys))
-		t.footIdx[k] = b
-		t.footKeys = append(t.footKeys, k)
-	}
-	t.growFoot(f, int(b>>6)+1)
-	rowSet(f.foot, int(b))
-}
-
-// growFoot makes f's footprint at least n words long, taking a recycled
-// buffer for a frame that has none. Footprints only grow to hold a set bit,
-// so a footprint's last word is never zero.
-func (t *SourceDPOR) growFoot(f *sframe, n int) {
-	if f.foot == nil {
-		if k := len(t.footFree); k > 0 {
-			f.foot = t.footFree[k-1]
-			t.footFree = t.footFree[:k-1]
-		}
-	}
-	for len(f.foot) < n {
-		f.foot = append(f.foot, 0)
-	}
-}
-
-// coverDedup re-applies a closed subtree's obligations at a dedup cut: every
-// race between a prefix event and a footprint access is scheduled at the
-// prefix frame (the PR-3-style over-approximation — always at least what the
-// subtree's own race analysis would have added), and the footprint is
-// credited to the cut point's parent so enclosing subtrees stay complete.
-func (t *SourceDPOR) coverDedup(rec *closedRec) {
-	foot := t.footWords[rec.footOff : rec.footOff+rec.footLen]
-	for i := range t.stack {
-		if t.rootPin != nil && i == 0 {
-			continue
-		}
-		f := &t.stack[i]
-		if f.chosen.Crash || f.chosen.Restart || f.chosen.Pid < 0 {
-			continue
-		}
-		for w, word := range foot {
-			for ; word != 0; word &= word - 1 {
-				fe := &t.footKeys[w<<6+bits.TrailingZeros64(word)]
-				if fe.pid == f.chosen.Pid {
-					continue
-				}
-				if f.chosenIn.Reg != fe.reg || (f.chosenIn.Kind == shmem.OpRead && fe.kind == shmem.OpRead) {
-					continue // commuting accesses: no race
-				}
-				if bit := uint64(1) << uint(fe.pid); f.enabled&bit != 0 {
-					f.btStep |= bit
-				} else {
-					f.btStep |= f.enabled
-				}
-			}
-		}
-	}
-	t.mergeFoot(&t.stack[len(t.stack)-1], foot)
-}
-
-// mergeFoot unions the footprint src into dst's subtree footprint.
-func (t *SourceDPOR) mergeFoot(dst *sframe, src []uint64) {
-	if len(src) == 0 {
-		return
-	}
-	t.growFoot(dst, len(src))
-	for w, word := range src {
-		dst.foot[w] |= word
-	}
 }
 
 // raceScratch holds the per-execution race-analysis buffers, reused across
@@ -570,7 +317,7 @@ func (t *SourceDPOR) updateRaces(tr sched.Trace) {
 	// frame per node it opens, every dispatched choice (step, stale variant,
 	// crash, restart) appends exactly one trace event against that node's
 	// frame, and the two choices that append nothing (Halt, and the Abandon
-	// of a dedup cut or sleep-blocked node) push no frame or leave theirs
+	// of a sleep-blocked node) push no frame or leave theirs
 	// undispatched on top. So len(stack) >= L always — the stack runs one
 	// PAST the trace when the top frame's choice was Halt. The former clamp
 	// here (L = min(L, len(stack))) guarded the impossible direction by

@@ -10,38 +10,30 @@ import (
 
 // TestSourceDPORMatchesBruteForce is the soundness anchor: the stateful
 // source-set engine must reach every final-state outcome the full schedule
-// tree reaches, while marking the search complete.
+// tree reaches, while marking the search complete — on the racing fixture
+// and on the converging one, whose revisited states are walked again.
 func TestSourceDPORMatchesBruteForce(t *testing.T) {
-	for _, n := range []int{2, 3} {
-		want := bruteForce(t, n, raceSystem(n))
-		got, st := driveTree(t, NewSourceDPOR(1, 0, 0), n, raceSystem(n))
+	for _, tc := range []struct {
+		name string
+		n    int
+		sys  func() system
+	}{
+		{"race", 2, raceSystem(2)},
+		{"race", 3, raceSystem(3)},
+		{"converge", 3, convergeSystem(3, 3)},
+	} {
+		want := bruteForce(t, tc.n, tc.sys)
+		got, st := driveTree(t, NewSourceDPOR(1, 0, 0), tc.n, tc.sys)
 		if !st.Complete {
-			t.Fatalf("n=%d: source-DPOR did not exhaust its reduced tree: %+v", n, st)
+			t.Fatalf("%s n=%d: source-DPOR did not exhaust its reduced tree: %+v", tc.name, tc.n, st)
 		}
 		for o := range want {
 			if !got[o] {
-				t.Fatalf("n=%d: outcome %q reachable but never explored by source-DPOR", n, o)
+				t.Fatalf("%s n=%d: outcome %q reachable but never explored by source-DPOR", tc.name, tc.n, o)
 			}
 		}
 		if st.Replayed != 0 {
-			t.Fatalf("n=%d: stateful search replayed %d grants; restore must replace replay entirely", n, st.Replayed)
-		}
-	}
-}
-
-// TestSourceDPORNoDedupMatchesBruteForce: the pure source-set engine
-// (dedup off) is sound on its own.
-func TestSourceDPORNoDedupMatchesBruteForce(t *testing.T) {
-	for _, n := range []int{2, 3} {
-		want := bruteForce(t, n, raceSystem(n))
-		got, st := driveTree(t, NewSourceDPOR(1, 0, 0).DisableDedup(), n, raceSystem(n))
-		if !st.Complete {
-			t.Fatalf("n=%d: search incomplete: %+v", n, st)
-		}
-		for o := range want {
-			if !got[o] {
-				t.Fatalf("n=%d: outcome %q reachable but never explored", n, o)
-			}
+			t.Fatalf("%s n=%d: stateful search replayed %d grants; restore must replace replay entirely", tc.name, tc.n, st.Replayed)
 		}
 	}
 }
@@ -89,8 +81,8 @@ func TestSourceDPORNotWeakerThanDPOR(t *testing.T) {
 // convergeSystem builds a fixture whose interleavings converge to identical
 // states: every process blind-writes the same value to the same register
 // several times. All writes conflict (no commuting to prune), but after any
-// k grants the state is the same no matter who moved — exactly what
-// state-hash dedup collapses and pure partial-order reasoning cannot.
+// k grants the state is the same no matter who moved: partial-order
+// reasoning cannot merge those states, so the walk revisits them.
 func convergeSystem(n, rounds int) func() system {
 	return func() system {
 		var r shmem.Reg
@@ -123,24 +115,6 @@ func (f *blindWritesFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	}
 	f.armed = true
 	return m.Intend(shmem.OpWrite, f.r)
-}
-
-// TestSourceDPORDedupCollapsesConvergingStates: on the converging fixture
-// the dedup'd search must cut revisited states and finish strictly smaller
-// than the dedup-free search, with identical (complete) coverage.
-func TestSourceDPORDedupCollapsesConvergingStates(t *testing.T) {
-	const n, rounds = 3, 3
-	_, plain := driveTree(t, NewSourceDPOR(1, 0, 0).DisableDedup(), n, convergeSystem(n, rounds))
-	_, dedup := driveTree(t, NewSourceDPOR(1, 0, 0), n, convergeSystem(n, rounds))
-	if !plain.Complete || !dedup.Complete {
-		t.Fatalf("incomplete walks: plain %+v, dedup %+v", plain, dedup)
-	}
-	if dedup.Deduped == 0 {
-		t.Fatalf("no states deduped on a converging system: %+v", dedup)
-	}
-	if dedup.Explored >= plain.Explored {
-		t.Fatalf("dedup did not shrink the walk: %d explored with dedup, %d without", dedup.Explored, plain.Explored)
-	}
 }
 
 // TestSourceDPORBudgetStops: a budget caps executions without claiming

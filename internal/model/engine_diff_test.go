@@ -53,8 +53,7 @@ func TestEngineReportDifferential(t *testing.T) {
 		// The default stateful walker, crash-free and with full branching.
 		{"majority-n3-sourcedpor", "majority", 3, 0, shmem.Model{}, model.WalkerSourceDPOR, 1, -1},
 		{"firstfit-n2-sourcedpor-crash1", "firstfit", 2, 1, shmem.Model{}, model.WalkerSourceDPOR, 1, -1},
-		// The stateless hash-free walker: counts must agree without any
-		// dedup in the loop.
+		// The stateless walker: counts must agree across engines.
 		{"basic-n3-sleepset", "basic", 3, 0, shmem.Model{}, model.WalkerSleepSet, 1, -1},
 		{"firstfit-n2-sleepset-crash1", "firstfit", 2, 1, shmem.Model{}, model.WalkerSleepSet, 1, -1},
 		// Fault models: stale-choice branching and restart branching add
@@ -97,11 +96,11 @@ func TestEngineReportDifferential(t *testing.T) {
 				g := run(true, model.WalkerSleepSet, cell.maxCrashes, cell.workers)
 				v := run(false, model.WalkerSleepSet, cell.maxCrashes, cell.workers)
 				type counts struct {
-					Executions, Partial, Explored, Pruned, Replayed, Restored, Deduped int
-					Complete                                                           bool
+					Executions, Partial, Explored, Pruned, Replayed, Restored int
+					Complete                                                  bool
 				}
-				gc := counts{g.Executions, g.Partial, g.Explored, g.Pruned, g.Replayed, g.Restored, g.Deduped, g.Complete}
-				vc := counts{v.Executions, v.Partial, v.Explored, v.Pruned, v.Replayed, v.Restored, v.Deduped, v.Complete}
+				gc := counts{g.Executions, g.Partial, g.Explored, g.Pruned, g.Replayed, g.Restored, g.Complete}
+				vc := counts{v.Executions, v.Partial, v.Explored, v.Pruned, v.Replayed, v.Restored, v.Complete}
 				if gc != vc {
 					t.Fatalf("reports diverge:\n  goroutine %+v\n  vexec     %+v", gc, vc)
 				}

@@ -34,12 +34,12 @@ func checkCell(tc conformance.Case, n, maxCrashes int, m shmem.Model, workers, b
 // describes the walked tree. RaceEvents/RaceTime are work accounting and
 // differ across modes by design.
 type raceCounts struct {
-	Executions, Partial, Explored, Pruned, Replayed, Restored, Deduped int
-	Complete, Violated                                                 bool
+	Executions, Partial, Explored, Pruned, Replayed, Restored int
+	Complete, Violated                                        bool
 }
 
 func countsOf(r model.Report) raceCounts {
-	return raceCounts{r.Executions, r.Partial, r.Explored, r.Pruned, r.Replayed, r.Restored, r.Deduped, r.Complete, r.Violation != nil}
+	return raceCounts{r.Executions, r.Partial, r.Explored, r.Pruned, r.Replayed, r.Restored, r.Complete, r.Violation != nil}
 }
 
 func TestIncrementalHBDifferential(t *testing.T) {

@@ -10,18 +10,18 @@
 // Two walkers cover the tree:
 //
 //   - WalkerSourceDPOR (the default): the stateful search of
-//     explore.NewSourceDPOR — source-set partial-order reduction, state-hash
-//     dedup of revisited states, and checkpoint/restore instead of prefix
-//     replay. One vexec instance is built for the whole search and rewound
-//     at every backtrack; Report.Replayed is zero by construction. Proofs are
-//     modulo the 128-bit state hash: merging two genuinely distinct states
-//     requires a collision in both independent channels. It needs frame
-//     automata: a renamer without vexec.FrameRenamer is walked by
-//     WalkerSleepSet instead, and Report.Walker records the substitution.
+//     explore.NewSourceDPOR — source-set partial-order reduction with sleep
+//     sets, and checkpoint/restore instead of prefix replay. One vexec
+//     instance is built for the whole search and rewound at every
+//     backtrack; Report.Replayed is zero by construction. Its proofs are
+//     exact: no node is cut by a state hash, so no hash enters the verdict.
+//     It needs frame automata: a renamer without vexec.FrameRenamer is
+//     walked by WalkerSleepSet instead, and Report.Walker records the
+//     substitution.
 //
 //   - WalkerSleepSet: the stateless exhaustive DFS of explore.NewSleepSet —
-//     fresh instance plus prefix replay per execution, no hashing anywhere.
-//     Slower and larger, kept as the hash-free cross-check.
+//     fresh instance plus prefix replay per execution. Slower and larger,
+//     kept as the independent cross-check on the goroutine oracle.
 //
 // The *execution* engine follows from the renamer: one that implements
 // vexec.FrameRenamer walks on the vectorized frame engine (vexec.Exec), any
@@ -56,11 +56,11 @@ import (
 type Walker int
 
 const (
-	// WalkerSourceDPOR is the stateful source-set walker with state dedup
-	// and checkpoint/restore — the default.
+	// WalkerSourceDPOR is the stateful source-set walker with sleep sets and
+	// checkpoint/restore — the default. Its proofs are exact.
 	WalkerSourceDPOR Walker = iota
-	// WalkerSleepSet is the stateless exhaustive sleep-set DFS (hash-free
-	// cross-check).
+	// WalkerSleepSet is the stateless exhaustive sleep-set DFS (the
+	// independent cross-check).
 	WalkerSleepSet
 )
 
@@ -164,12 +164,6 @@ type Options struct {
 	// value (RaceIncremental) is the default. Ignored by the stateless
 	// walkers.
 	Race RaceMode
-	// NoDedup disables state-hash dedup in the source-DPOR engine: a pure
-	// partial-order walk with no hashing anywhere in the proof. Dedup pays
-	// off on state-converging systems; on systems whose read histories never
-	// converge it is bookkeeping overhead, and benchmarks isolate its
-	// contribution with this switch.
-	NoDedup bool
 }
 
 // Report is the outcome of one model-checking run.
@@ -181,12 +175,12 @@ type Report struct {
 	Engine     Engine // vexec exactly when the renamer implements vexec.FrameRenamer
 	Workers    int
 	Executions int // complete executions checked
-	Partial    int // redundant prefixes cut by sleep sets or state dedup
+	Partial    int // redundant prefixes cut by sleep sets
 	Explored   int // scheduling decisions executed
 	Pruned     int // enabled choices skipped as commuting-equivalent
 	Replayed   int // prefix grants re-executed (stateless engine only)
 	Restored   int // checkpoint restores (stateful engine only)
-	Deduped    int // nodes cut as already-explored states (stateful engine)
+	Deduped    int // always 0: no walker cuts a state by hash; kept because perfbench reads it
 	// RaceEvents counts happens-before rows derived by source-DPOR's race
 	// analysis — per-event with the incremental layer, per-trace-per-leaf
 	// with the rebuild reference — and RaceTime the wall-clock spent there.
@@ -234,9 +228,6 @@ func (r *Report) Summary() string {
 		s += fmt.Sprintf(" x%d", r.Workers)
 	}
 	s += fmt.Sprintf("]: %s — %d executions, %d pruned prefixes, %d decisions (%d pruned", verdict, r.Executions, r.Partial, r.Explored, r.Pruned)
-	if r.Deduped > 0 {
-		s += fmt.Sprintf(", %d deduped", r.Deduped)
-	}
 	if r.Replayed > 0 {
 		s += fmt.Sprintf(", %d replayed", r.Replayed)
 	}
@@ -336,9 +327,6 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 			return explore.NewSleepSet(1, opt.Budget, opt.MaxCrashes)
 		default:
 			s := explore.NewSourceDPOR(1, opt.Budget, opt.MaxCrashes)
-			if opt.NoDedup {
-				s.DisableDedup()
-			}
 			switch opt.Race {
 			case RaceRebuild:
 				s.SetRaceAnalysis(explore.RaceRebuild)
@@ -412,7 +400,6 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 	rep.Pruned = stats.Pruned
 	rep.Replayed = stats.Replayed
 	rep.Restored = stats.Restored
-	rep.Deduped = stats.Deduped
 	rep.RaceEvents = stats.RaceEvents
 	rep.RaceTime = time.Duration(stats.RaceNs)
 	rep.Complete = stats.Complete && rep.Violation == nil

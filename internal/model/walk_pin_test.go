@@ -10,11 +10,11 @@ import (
 
 // TestProveWalkCountsPinned fixes the Report counts of the benchmark's three
 // proof walks (default options: source-DPOR on the vectorized engine, one
-// worker, conformance seed 1). Restore and the dedup table are performance
-// layers only: a change to either that alters which tree the walk explores —
-// an unmoved lane restored wrongly, a closed record matched out of order, a
-// footprint bit lost — moves one of these numbers. The efficient cell's 20
-// dedup cuts exercise the footprint replay (coverDedup).
+// worker, conformance seed 1). Restore is a performance layer only: a change
+// to it that alters which tree the walk explores — an unmoved lane restored
+// wrongly, a frame rewound to the wrong watermark — moves one of these
+// numbers. No node is cut by a state hash, so the counts are those of pure
+// source-set DPOR with sleep sets.
 func TestProveWalkCountsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three complete proof walks; run without -short")
@@ -23,11 +23,11 @@ func TestProveWalkCountsPinned(t *testing.T) {
 		name                          string
 		n, crashes                    int
 		executions, partial, explored int
-		pruned, deduped, restored     int
+		pruned, restored              int
 	}{
-		{"efficient", 2, 1, 29704, 37705, 199843, 73289, 20, 67408},
-		{"basic", 5, 4, 4651, 10520, 31745, 43645, 0, 15170},
-		{"almostadaptive", 4, 3, 4641, 7030, 31910, 25990, 0, 11670},
+		{"efficient", 2, 1, 35470, 44888, 238304, 87287, 80357},
+		{"basic", 5, 4, 4651, 10520, 31745, 43645, 15170},
+		{"almostadaptive", 4, 3, 4641, 7030, 31910, 25990, 11670},
 	} {
 		var tc conformance.Case
 		for _, c := range conformance.Cases() {
@@ -44,10 +44,10 @@ func TestProveWalkCountsPinned(t *testing.T) {
 		if !rep.Proven() || rep.Engine != model.EngineVexec {
 			t.Fatalf("%s n=%d: not proven on vexec: %s", want.name, n, rep.Summary())
 		}
-		got := [...]int{rep.Executions, rep.Partial, rep.Explored, rep.Pruned, rep.Deduped, rep.Restored}
-		exp := [...]int{want.executions, want.partial, want.explored, want.pruned, want.deduped, want.restored}
+		got := [...]int{rep.Executions, rep.Partial, rep.Explored, rep.Pruned, rep.Restored}
+		exp := [...]int{want.executions, want.partial, want.explored, want.pruned, want.restored}
 		if got != exp {
-			t.Errorf("%s n=%d crashes<=%d: (executions, partial, decisions, pruned, deduped, restored) = %v, want %v",
+			t.Errorf("%s n=%d crashes<=%d: (executions, partial, decisions, pruned, restored) = %v, want %v",
 				want.name, n, want.crashes, got, exp)
 		}
 	}

@@ -110,8 +110,8 @@ func (r *Ref[T]) LoadState(s CellState) {
 // StateWord implements StateCell: the current value's write stamp. Written
 // values are immutable and every store takes a fresh never-reused stamp
 // (restores put back the captured value's original one), so distinct
-// contents always carry distinct words — stamp hashing can only under-merge
-// (miss a dedup), never alias two different states, and unlike pointer
+// contents always carry distinct words — stamp hashing can only tell equal
+// states apart, never alias two different ones, and unlike pointer
 // identity it stays sound after abandoned snapshot values are collected and
 // their addresses reused.
 func (r *Ref[T]) StateWord() uint64 { return r.stamp.Load() }

@@ -54,8 +54,8 @@ type StateCell interface {
 	// StateWord returns a word identifying the current contents for state
 	// hashing: the value itself for a Reg, the never-reused write stamp of
 	// the held value for a Ref (see refStamps). Ref words are canonical
-	// within one process lifetime only — the scope state-hash dedup operates
-	// in.
+	// within one process lifetime only — the scope in which the restore
+	// tests compare a restored state's hash with the replayed one's.
 	StateWord() uint64
 }
 
@@ -182,8 +182,8 @@ func (p *Proc) RestoreState(s ProcState) {
 // ReadHash returns the running hash of the process's read history — the
 // canonical fingerprint of its local state, since a deterministic body's
 // stack is a pure function of the values it has read. Two channels with
-// independent fold constants keep the collision probability of state dedup
-// negligible.
+// independent fold constants keep the collision probability of the restore
+// tests' hash comparisons negligible.
 func (p *Proc) ReadHash() [2]uint64 { return p.readHash }
 
 // ReadLogLen returns the current read-log length (harness/assertion use).
@@ -250,7 +250,8 @@ func mix64(z uint64) uint64 {
 // counter). Stamps therefore identify a written value *instance* uniquely
 // for the process lifetime — unlike pointer addresses, which the allocator
 // reuses once an abandoned branch's snapshot values are collected, and
-// which would let two genuinely different states alias in a dedup table
-// that outlives them. Distinct contents always carry distinct stamps, so
-// stamp hashing can only under-merge (miss a dedup), never alias.
+// which would let two genuinely different states hash alike when a test
+// compares hashes taken far apart in a walk. Distinct contents always carry
+// distinct stamps, so stamp hashing can only tell equal states apart, never
+// alias two different ones.
 var refStamps atomic.Uint64

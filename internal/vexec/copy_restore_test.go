@@ -304,7 +304,7 @@ func TestEfficientWalkRestoresByCopy(t *testing.T) {
 		},
 		Reset: func(pid int) { got[pid], oks[pid] = 0, false },
 	})
-	if !stats.Complete || stats.Executions != 29704 || stats.Restored != 67408 {
+	if !stats.Complete || stats.Executions != 35470 || stats.Restored != 80357 {
 		t.Fatalf("not the pinned walk: complete=%v, %d executions, %d restores", stats.Complete, stats.Executions, stats.Restored)
 	}
 	if roots != n {

@@ -16,8 +16,8 @@
 // and the fault models.
 //
 // This engine alone has first-class execution state (state.go):
-// Checkpoint, Restore and StateHash, the surface the stateful source-DPOR
-// proof walks drive. For scalar-register algorithms the differential tests
+// Checkpoint and Restore, the surface the stateful source-DPOR proof walks
+// drive, and StateHash, the restore tests' oracle. For scalar-register algorithms the differential tests
 // check its StateHash against a reference folded from the oracle's
 // observable surface — read logs, register pre-images and stale windows.
 //

@@ -6,9 +6,10 @@ import (
 	"repro/internal/shmem"
 )
 
-// This file gives the vectorized engine first-class execution state —
-// Checkpoint/Restore/StateHash — the contract the stateful source-DPOR walk
-// (internal/explore) is built on. It is the repository's only
+// This file gives the vectorized engine first-class execution state:
+// Checkpoint/Restore, the contract the stateful source-DPOR walk
+// (internal/explore) is built on, and StateHash, the oracle the restore
+// tests compare a restored state with. It is the repository's only
 // checkpoint/restore stack: the goroutine oracle stays stateless. A frame
 // machine's state is plain data (register cells, lane positions, frame
 // structs), so a Snapshot is a copy: the CellState of every registered
