@@ -10,30 +10,41 @@ import (
 
 // TestSourceDPORMatchesBruteForce is the soundness anchor: the stateful
 // source-set engine must reach every final-state outcome the full schedule
-// tree reaches, while marking the search complete — on the racing fixture
-// and on the converging one, whose revisited states are walked again.
+// tree reaches, while marking the search complete.
 func TestSourceDPORMatchesBruteForce(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		n    int
-		sys  func() system
-	}{
-		{"race", 2, raceSystem(2)},
-		{"race", 3, raceSystem(3)},
-		{"converge", 3, convergeSystem(3, 3)},
-	} {
-		want := bruteForce(t, tc.n, tc.sys)
-		got, st := driveTree(t, NewSourceDPOR(1, 0, 0), tc.n, tc.sys)
+	for _, n := range []int{2, 3} {
+		want := bruteForce(t, n, raceSystem(n))
+		got, st := driveTree(t, NewSourceDPOR(1, 0, 0), n, raceSystem(n))
 		if !st.Complete {
-			t.Fatalf("%s n=%d: source-DPOR did not exhaust its reduced tree: %+v", tc.name, tc.n, st)
+			t.Fatalf("n=%d: source-DPOR did not exhaust its reduced tree: %+v", n, st)
 		}
 		for o := range want {
 			if !got[o] {
-				t.Fatalf("%s n=%d: outcome %q reachable but never explored by source-DPOR", tc.name, tc.n, o)
+				t.Fatalf("n=%d: outcome %q reachable but never explored by source-DPOR", n, o)
 			}
 		}
 		if st.Replayed != 0 {
-			t.Fatalf("%s n=%d: stateful search replayed %d grants; restore must replace replay entirely", tc.name, tc.n, st.Replayed)
+			t.Fatalf("n=%d: stateful search replayed %d grants; restore must replace replay entirely", n, st.Replayed)
+		}
+	}
+}
+
+// TestSourceDPORNoDedupMatchesBruteForce: the engine keeps no table of
+// visited states, so on the converging fixture, whose interleavings reach
+// identical states, every revisit is walked again and the walk still reaches
+// every outcome of the full schedule tree.
+func TestSourceDPORNoDedupMatchesBruteForce(t *testing.T) {
+	for _, rounds := range []int{2, 3} {
+		const n = 3
+		want := bruteForce(t, n, convergeSystem(n, rounds))
+		got, st := driveTree(t, NewSourceDPOR(1, 0, 0), n, convergeSystem(n, rounds))
+		if !st.Complete {
+			t.Fatalf("rounds=%d: search incomplete: %+v", rounds, st)
+		}
+		for o := range want {
+			if !got[o] {
+				t.Fatalf("rounds=%d: outcome %q reachable but never explored", rounds, o)
+			}
 		}
 	}
 }
