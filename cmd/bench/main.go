@@ -120,7 +120,7 @@ func controllerLoop(n int, model *shmem.Model, body sched.Body) (func(int64), fu
 	rr := &sched.RoundRobin{}
 	return func(ops int64) {
 		for i := int64(0); i < ops; i++ {
-			c.Step(rr.NextIter(c))
+			c.Step(rr.Next(c))
 		}
 	}, c.Abort
 }
@@ -156,7 +156,7 @@ func grantRows(n int, ops int64) []Row {
 			rr := &sched.RoundRobin{}
 			return func(ops int64) {
 				for i := int64(0); i < ops; i++ {
-					e.Step(rr.NextIter(e))
+					e.Step(rr.Next(e))
 				}
 			}, func() {}
 		}},

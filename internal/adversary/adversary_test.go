@@ -25,8 +25,8 @@ func TestStarverDefersVictim(t *testing.T) {
 	var r shmem.Reg
 	var order []int
 	base := NewStarver(7, n, victim)
-	res := sched.Run(n, nil, sched.PolicyFunc(func(c sched.Engine, pending []int) int {
-		pid := base.Next(c, pending)
+	res := sched.Run(n, nil, sched.PolicyFunc(func(c sched.Engine) int {
+		pid := base.Next(c)
 		order = append(order, pid)
 		return pid
 	}), nil, spinBody(&r, 4))
@@ -62,8 +62,10 @@ func TestWriteBlockerPrefersReaders(t *testing.T) {
 		p.Read(&b)
 	}
 	wb := NewWriteBlocker(3)
-	res := sched.Run(n, nil, sched.PolicyFunc(func(c sched.Engine, pending []int) int {
-		pid := wb.Next(c, pending)
+	var pending []int
+	res := sched.Run(n, nil, sched.PolicyFunc(func(c sched.Engine) int {
+		pending = sched.Pending(c, pending)
+		pid := wb.Next(c)
 		if c.Intent(pid).Kind == shmem.OpWrite {
 			for _, q := range pending {
 				if c.Intent(q).Kind == shmem.OpRead {
@@ -78,28 +80,6 @@ func TestWriteBlockerPrefersReaders(t *testing.T) {
 	}
 }
 
-// TestWriteBlockerIterMatchesPolicyContract runs the IterPolicy path through
-// a full execution and checks it, too, never releases a writer while a
-// reader waits (the iterator path is what sched.Run actually uses).
-func TestWriteBlockerIterMatchesPolicyContract(t *testing.T) {
-	const n = 6
-	var a, b shmem.Reg
-	c := sched.NewController(n, nil, func(p *shmem.Proc) {
-		p.Read(&a)
-		p.Write(&b, p.Name())
-	})
-	wb := NewWriteBlocker(9)
-	for c.PendingCount() > 0 {
-		pid := wb.NextIter(c)
-		if c.Intent(pid).Kind == shmem.OpWrite {
-			if rd := c.NextPendingKind(-1, shmem.OpRead); rd >= 0 {
-				t.Fatalf("iter path granted writer %d while reader %d was pending", pid, rd)
-			}
-		}
-		c.Step(pid)
-	}
-}
-
 // TestCollapseWindow verifies contention collapse: with k=2, at most two
 // distinct processes are ever interleaved before one of them terminates.
 func TestCollapseWindow(t *testing.T) {
@@ -108,8 +88,9 @@ func TestCollapseWindow(t *testing.T) {
 	cl := NewCollapse(11, n, k)
 	active := make(map[int]bool)
 	done := make(map[int]bool)
-	var mu_order []int
-	res := sched.Run(n, nil, sched.PolicyFunc(func(c sched.Engine, pending []int) int {
+	var mu_order, pending []int
+	res := sched.Run(n, nil, sched.PolicyFunc(func(c sched.Engine) int {
+		pending = sched.Pending(c, pending)
 		// Retire window members that terminated since the last decision.
 		for pid := range active {
 			found := false
@@ -123,7 +104,7 @@ func TestCollapseWindow(t *testing.T) {
 				done[pid] = true
 			}
 		}
-		pid := cl.Next(c, pending)
+		pid := cl.Next(c)
 		if done[pid] {
 			t.Fatalf("terminated process %d scheduled again", pid)
 		}
@@ -156,8 +137,8 @@ func TestLockstepCohortRounds(t *testing.T) {
 		}
 	}
 	var order []int
-	res := sched.Run(n, nil, sched.PolicyFunc(func(c sched.Engine, pending []int) int {
-		pid := ls.Next(c, pending)
+	res := sched.Run(n, nil, sched.PolicyFunc(func(c sched.Engine) int {
+		pid := ls.Next(c)
 		order = append(order, pid)
 		return pid
 	}), nil, spinBody(&r, steps))

@@ -28,11 +28,8 @@ func NewStaleReader(seed uint64) *StaleReader {
 	return &StaleReader{rng: xrand.New(seed)}
 }
 
-// Next implements sched.Policy through NextIter.
-func (s *StaleReader) Next(e sched.Engine, _ []int) int { return s.NextIter(e) }
-
-// NextIter implements sched.IterPolicy: uniform over the pending set.
-func (s *StaleReader) NextIter(e sched.Engine) int {
+// Next implements sched.Policy: uniform over the pending set.
+func (s *StaleReader) Next(e sched.Engine) int {
 	return sched.NthPending(e, s.rng.Intn(e.PendingCount()))
 }
 
@@ -135,15 +132,11 @@ func NewOpDelayer(seed uint64, n int) *OpDelayer {
 	}
 }
 
-// Next implements sched.Policy through NextIter.
-func (d *OpDelayer) Next(e sched.Engine, _ []int) int { return d.NextIter(e) }
-
-// NextIter implements sched.IterPolicy. While the hold is active, the
-// victim's target op is pending, and anyone else is pending, grant the
-// others; a sole-pending victim is granted (the run must terminate — the
-// remaining hold is simply forfeited, as for a victim that crashes or
-// finishes early).
-func (d *OpDelayer) NextIter(e sched.Engine) int {
+// Next implements sched.Policy. While the hold is active, the victim's
+// target op is pending, and anyone else is pending, grant the others; a
+// sole-pending victim is granted (the run must terminate — the remaining
+// hold is simply forfeited, as for a victim that crashes or finishes early).
+func (d *OpDelayer) Next(e sched.Engine) int {
 	pending := e.PendingCount()
 	if d.hold > 0 && isPending(e, d.victim) && e.Proc(d.victim).Steps() == d.op {
 		if pending == 1 {

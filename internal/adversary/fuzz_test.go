@@ -12,12 +12,13 @@ import (
 // strategy) space: the seed determinizes the sampled expander graphs, the
 // schedule and the crash pattern at once, so every crashing input is a
 // complete reproducer. stratIdx selects the search strategy driving the
-// schedules — the direct seeded drive, a budgeted DPOR walk, a budgeted
-// sleep-set walk, a budgeted stateful source-DPOR walk (checkpoint/restore
-// state reconstruction), or coverage-guided mutation — so the fuzz smoke
-// job exercises every code path of the exploration engine, not just the
-// seeded one. The invariants asserted are the unconditional ones — exclusiveness
-// and full accounting — which no schedule or crash pattern may violate.
+// schedules — the direct seeded drive, a budgeted schedule-only source-DPOR
+// walk, a budgeted sleep-set walk, a budgeted source-DPOR walk with crash
+// branching (checkpoint/restore state reconstruction), or coverage-guided
+// mutation — so the fuzz smoke job exercises every code path of the
+// exploration engine, not just the seeded one. The invariants asserted are
+// the unconditional ones — exclusiveness and full accounting — which no
+// schedule or crash pattern may violate.
 //
 // famIdx beyond All() selects a FaultFamilies() entry, arming the fault
 // model: safe registers, crash-recovery, or op-level delays. Those runs
@@ -86,7 +87,7 @@ func FuzzRenameSchedule(f *testing.F) {
 			}
 			return
 		case 1:
-			maker = DPOR(24)
+			maker = SourceDPOR(24, 0)
 			n = 1 + (n-1)%4 // tree walks stay tiny
 		case 2:
 			maker = SleepSets(24, 1)

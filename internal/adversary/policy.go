@@ -47,13 +47,9 @@ func NewStarver(seed uint64, n int, victims ...int) *Starver {
 	return s
 }
 
-// Next implements sched.Policy through NextIter: pending is the engine's
-// pending set, which NextIter reads from e directly.
-func (s *Starver) Next(e sched.Engine, _ []int) int { return s.NextIter(e) }
-
-// NextIter implements sched.IterPolicy: one draw, uniform over the pending
+// Next implements sched.Policy: one draw, uniform over the pending
 // non-victims, or over the whole pending set when only victims are left.
-func (s *Starver) NextIter(e sched.Engine) int {
+func (s *Starver) Next(e sched.Engine) int {
 	pending, starved := e.PendingCount(), 0
 	for _, v := range s.victims {
 		if isPending(e, v) {
@@ -97,13 +93,10 @@ func NewWriteBlocker(seed uint64) *WriteBlocker {
 	return &WriteBlocker{rng: xrand.New(seed)}
 }
 
-// Next implements sched.Policy through NextIter.
-func (w *WriteBlocker) Next(e sched.Engine, _ []int) int { return w.NextIter(e) }
-
-// NextIter implements sched.IterPolicy via the intent-aware pending
-// iterator: it reservoir-samples the readers in one bitmap walk (one draw
-// per reader), and the writers the same way when no reader is pending.
-func (w *WriteBlocker) NextIter(e sched.Engine) int {
+// Next implements sched.Policy via the intent-aware pending iterator: it
+// reservoir-samples the readers in one bitmap walk (one draw per reader),
+// and the writers the same way when no reader is pending.
+func (w *WriteBlocker) Next(e sched.Engine) int {
 	chosen, seen := -1, 0
 	for pid := e.NextPendingKind(-1, shmem.OpRead); pid >= 0; pid = e.NextPendingKind(pid, shmem.OpRead) {
 		seen++
@@ -147,12 +140,9 @@ func NewCollapse(seed uint64, n, k int) *Collapse {
 	return &Collapse{k: k, order: rng.Perm(n), active: make([]int, 0, k), rng: rng}
 }
 
-// Next implements sched.Policy through NextIter.
-func (cl *Collapse) Next(e sched.Engine, _ []int) int { return cl.NextIter(e) }
-
-// NextIter implements sched.IterPolicy. At a decision point every live
-// process is pending, so a window member no longer pending has terminated.
-func (cl *Collapse) NextIter(e sched.Engine) int {
+// Next implements sched.Policy. At a decision point every live process is
+// pending, so a window member no longer pending has terminated.
+func (cl *Collapse) Next(e sched.Engine) int {
 	// Evict terminated members, then top the window up from the admission
 	// order.
 	live := cl.active[:0]
@@ -208,12 +198,9 @@ func NewLockstep(seed uint64, n, g int) *Lockstep {
 	return l
 }
 
-// Next implements sched.Policy through NextIter.
-func (l *Lockstep) Next(e sched.Engine, _ []int) int { return l.NextIter(e) }
-
-// NextIter implements sched.IterPolicy: finish the current cohort's round,
-// then rotate. A cohort with no pending member forfeits its round.
-func (l *Lockstep) NextIter(e sched.Engine) int {
+// Next implements sched.Policy: finish the current cohort's round, then
+// rotate. A cohort with no pending member forfeits its round.
+func (l *Lockstep) Next(e sched.Engine) int {
 	// At most one full rotation is needed: some process is pending, so some
 	// cohort has a pending member.
 	for scanned := 0; scanned <= len(l.cohorts); scanned++ {

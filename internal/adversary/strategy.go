@@ -9,7 +9,7 @@ import (
 // Explore campaign: fam is the cell's adversary family, n its population,
 // and seeds the per-run seed sequence the campaign derived for the cell
 // (len(seeds) is the cell's run budget). The shipped makers are Seeded (the
-// default), DPOR, SleepSets and CoverageGuided; anything returning an
+// default), SourceDPOR, SleepSets and CoverageGuided; anything returning an
 // explore.Strategy plugs in.
 type StrategyMaker func(fam Family, n int, seeds []uint64) explore.Strategy
 
@@ -23,22 +23,6 @@ func Seeded() StrategyMaker {
 			seed := seeds[run]
 			return fam.NewPolicy(seed, n), fam.NewPlan(seed, n)
 		}, func(run int) uint64 { return seeds[run] })
-	}
-}
-
-// DPOR is dynamic partial-order reduction over the intent graph: the cell's
-// family only names the cell (the search makes its own scheduling
-// decisions), the instance is pinned to the cell's first seed, and budget
-// caps executions (0 uses the cell's run budget). Every execution lands a
-// distinct Mazurkiewicz trace, so equal fingerprint coverage costs strictly
-// fewer decisions than blind seeding wherever schedules commute.
-func DPOR(budget int) StrategyMaker {
-	return func(fam Family, n int, seeds []uint64) explore.Strategy {
-		b := budget
-		if b <= 0 {
-			b = len(seeds)
-		}
-		return explore.NewDPOR(seeds[0], b)
 	}
 }
 

@@ -90,26 +90,6 @@ func mustFamily(name string) Family {
 	return f
 }
 
-// TestDPORStrategyFindsPlantedBug: the DPOR search walks into the planted
-// exclusiveness violation systematically — no seed luck — and the violation
-// carries the grant schedule that produced it.
-func TestDPORStrategyFindsPlantedBug(t *testing.T) {
-	out := Explore(strategySpec(DPOR(256), 8))
-	if len(out.Violations) == 0 {
-		t.Fatalf("DPOR missed the planted bug: %d runs, %d distinct, %d explored", out.Runs, out.Distinct, out.Explored)
-	}
-	v := out.Violations[0]
-	if !strings.Contains(v.Err.Error(), "exclusive") {
-		t.Fatalf("violation is not the planted exclusiveness bug: %v", v.Err)
-	}
-	if len(v.Trace) == 0 {
-		t.Fatal("tree-strategy violation carries no schedule trace")
-	}
-	if out.Cells[0].Strategy != "dpor" {
-		t.Fatalf("cell strategy %q, want dpor", out.Cells[0].Strategy)
-	}
-}
-
 // TestSleepSetStrategyProvesFairCell: on the correct fixture the exhaustive
 // strategy completes its cell — Explore reports the cell Complete, turning a
 // sampled sweep into a per-cell proof.
@@ -135,17 +115,17 @@ func TestSleepSetStrategyProvesFairCell(t *testing.T) {
 	}
 }
 
-// TestDPORPrunesAgainstSeededBaseline is the acceptance comparison: on the
-// same contended cell, DPOR matches the seeded fingerprint coverage with
-// strictly fewer explored decisions. The comparison is coverage-matched:
-// every DPOR execution lands a fresh Mazurkiewicz trace (hence a fresh
-// fingerprint), so a DPOR budget equal to the seeded sweep's distinct count
-// reaches equal coverage, and partial-order reduction plus shared replay
-// prefixes make it pay fewer decisions for it.
-func TestDPORPrunesAgainstSeededBaseline(t *testing.T) {
+// TestSourceDPORPrunesAgainstSeededBaseline is the acceptance comparison: on
+// the same contended cell, source-DPOR matches the seeded fingerprint
+// coverage with strictly fewer explored decisions. The comparison is
+// coverage-matched: every source-DPOR execution lands a fresh Mazurkiewicz
+// trace (hence a fresh fingerprint), so a budget equal to the seeded sweep's
+// distinct count reaches equal coverage, and partial-order reduction plus
+// restoring shared prefixes make it pay fewer decisions for it.
+func TestSourceDPORPrunesAgainstSeededBaseline(t *testing.T) {
 	const runs = 16
-	mk := func(maker StrategyMaker, budget int) Outcome {
-		spec := Spec{
+	mk := func(maker StrategyMaker) Outcome {
+		return Explore(Spec{
 			Label:    "contended",
 			New:      func(n int, seed uint64) check.Renamer { return newContended(n, 3) },
 			Ns:       []int{2},
@@ -153,27 +133,24 @@ func TestDPORPrunesAgainstSeededBaseline(t *testing.T) {
 			Runs:     runs,
 			Seed:     7,
 			Strategy: maker,
-		}
-		if budget > 0 {
-			spec.Runs = budget
-		}
-		return Explore(spec)
+		})
 	}
-	seeded := mk(nil, 0)
-	dpor := mk(DPOR(seeded.Distinct), 0)
-	if len(seeded.Violations)+len(dpor.Violations) != 0 {
-		t.Fatalf("contended fixture is correct, yet violations: %v %v", seeded.Violations, dpor.Violations)
+	seeded := mk(nil)
+	src := mk(SourceDPOR(seeded.Distinct, 0))
+	if len(seeded.Violations)+len(src.Violations) != 0 {
+		t.Fatalf("contended fixture is correct, yet violations: %v %v", seeded.Violations, src.Violations)
 	}
-	if dpor.Distinct < seeded.Distinct {
-		t.Fatalf("DPOR coverage %d below seeded %d", dpor.Distinct, seeded.Distinct)
+	if src.Distinct < seeded.Distinct {
+		t.Fatalf("source-DPOR coverage %d below seeded %d", src.Distinct, seeded.Distinct)
 	}
-	if dpor.Explored >= seeded.Explored {
-		t.Fatalf("DPOR explored %d decisions for coverage %d, seeded %d for %d — no pruning",
-			dpor.Explored, dpor.Distinct, seeded.Explored, seeded.Distinct)
+	if src.Explored >= seeded.Explored {
+		t.Fatalf("source-DPOR explored %d decisions for coverage %d, seeded %d for %d — no pruning",
+			src.Explored, src.Distinct, seeded.Explored, seeded.Distinct)
 	}
-	// Every DPOR execution is a distinct Mazurkiewicz trace, so none repeat.
-	if dpor.Distinct != dpor.Runs {
-		t.Fatalf("DPOR produced %d distinct schedules over %d runs; tree executions must not repeat", dpor.Distinct, dpor.Runs)
+	// Every source-DPOR execution is a distinct Mazurkiewicz trace, so none
+	// repeat.
+	if src.Distinct != src.Runs {
+		t.Fatalf("source-DPOR produced %d distinct schedules over %d runs; tree executions must not repeat", src.Distinct, src.Runs)
 	}
 }
 

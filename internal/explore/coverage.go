@@ -48,7 +48,6 @@ type CoverageGuided struct {
 	started bool
 	policy  sched.Policy
 	plan    sched.CrashPlan
-	pendBuf []int
 	stats   Stats
 	novel   int
 
@@ -103,7 +102,7 @@ func (cg *CoverageGuided) Next(e sched.Engine) Choice {
 		cg.started = true
 	}
 	cg.stats.Explored++
-	return policyChoice(e, cg.policy, cg.plan, &cg.pendBuf)
+	return policyChoice(e, cg.policy, cg.plan)
 }
 
 // Backtrack implements Strategy: bank the genome (with its first-novelty

@@ -3,20 +3,19 @@
 // drivers (internal/adversary, internal/model). A Strategy decides, at every
 // decision point of an in-flight execution, which pending process to grant
 // (or crash), and — when the execution completes — consumes its recorded
-// Trace to steer the next one. Five strategies ship:
+// Trace to steer the next one. Four strategies ship:
 //
 //   - Seeded: wraps a (policy, crash plan) factory per run seed — the
 //     pre-existing blind-seeding behavior, bit-for-bit, and embarrassingly
 //     parallel (Drive fans it across sched.ParallelRuns).
-//   - DPOR: dynamic partial-order reduction (Flanagan & Godefroid) with
-//     backtrack sets computed from races over the intent graph, plus sleep
-//     sets. Explores at least one representative per Mazurkiewicz trace, so
-//     final-state invariants checked on its executions are checked on all.
 //   - SleepSet: the exhaustive DFS over the full schedule-and-crash tree with
 //     sleep-set pruning of commuting grants. Unbudgeted it exhausts the tree.
-//   - SourceDPOR: the stateful engine — source sets instead of all-pairs
-//     backtracking, and checkpoint/restore instead of prefix replay, on the
-//     vectorized engine (Config.Frame is required). The engine
+//   - SourceDPOR: the stateful dynamic partial-order reduction — backtrack
+//     source sets computed from races over the intent graph, plus sleep
+//     sets, with checkpoint/restore instead of prefix replay on the
+//     vectorized engine (Config.Frame is required). It explores at least
+//     one representative per Mazurkiewicz trace, so final-state invariants
+//     checked on its executions are checked on all. The engine
 //     internal/model proves tiny populations with. No node is cut by a
 //     state hash, so a complete walk is an exact proof.
 //   - CoverageGuided: fuzz-style mutation of (configuration, seed) pairs,
@@ -154,10 +153,10 @@ type Stateful interface {
 }
 
 // Seeder is implemented by strategies that dictate the instance seed of each
-// execution. Tree searches (DPOR, SleepSet) pin every execution to one seed —
-// the search is over schedules of a single deterministic system — while
-// CoverageGuided picks the seed of the genome it is mutating. Drivers that
-// build a fresh algorithm instance per execution must consult it.
+// execution. Tree searches (SleepSet, SourceDPOR) pin every execution to one
+// seed — the search is over schedules of a single deterministic system —
+// while CoverageGuided picks the seed of the genome it is mutating. Drivers
+// that build a fresh algorithm instance per execution must consult it.
 type Seeder interface {
 	// RunSeed returns the instance seed for execution run. For sequential
 	// strategies it is only valid for the next execution to start.
@@ -444,8 +443,8 @@ func driveParallel(s Strategy, ind Independent, cfg Config) Stats {
 // extensions: a plan implementing sched.RestartPlan is offered every crashed
 // process first, a pending-free state with restarts declined halts, and a
 // policy implementing sched.StalePolicy picks among a weak read's stale
-// alternatives. pendBuf is the caller's reusable pending-slice buffer.
-func policyChoice(e sched.Engine, policy sched.Policy, plan sched.CrashPlan, pendBuf *[]int) Choice {
+// alternatives.
+func policyChoice(e sched.Engine, policy sched.Policy, plan sched.CrashPlan) Choice {
 	if rp, ok := plan.(sched.RestartPlan); ok && e.Model().Recovery {
 		for pid := 0; pid < e.N(); pid++ {
 			if e.CanRestart(pid) && rp.ShouldRestart(pid, e.Proc(pid).Restarts()) {
@@ -456,15 +455,7 @@ func policyChoice(e sched.Engine, policy sched.Policy, plan sched.CrashPlan, pen
 	if e.PendingCount() == 0 {
 		return Halt
 	}
-	var pid int
-	if ip, ok := policy.(sched.IterPolicy); ok {
-		pid = ip.NextIter(e)
-	} else {
-		if cap(*pendBuf) < e.N() {
-			*pendBuf = make([]int, 0, e.N())
-		}
-		pid = policy.Next(e, e.PendingInto(*pendBuf))
-	}
+	pid := policy.Next(e)
 	if plan != nil && plan.ShouldCrash(pid, e.Proc(pid).Steps(), e.Intent(pid)) {
 		return Choice{Pid: pid, Crash: true}
 	}

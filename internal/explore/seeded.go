@@ -9,8 +9,8 @@ import (
 // Independent, so Drive fans its runs across sched.ParallelRuns exactly as
 // the seeded explorer always has: wrapping is a zero-behavior-change
 // refactor. The sequential Next/Backtrack path mirrors sched.Run's decision
-// loop decision for decision (IterPolicy fast path included), so a Seeded
-// run driven either way produces the same schedule fingerprint.
+// loop decision for decision, so a Seeded run driven either way produces the
+// same schedule fingerprint.
 type Seeded struct {
 	name string
 	runs int
@@ -22,7 +22,6 @@ type Seeded struct {
 	started bool
 	policy  sched.Policy
 	plan    sched.CrashPlan
-	pendBuf []int
 	stats   Stats
 }
 
@@ -50,16 +49,15 @@ func (s *Seeded) PolicyPlan(run int) (sched.Policy, sched.CrashPlan) { return s.
 // RunSeed implements Seeder.
 func (s *Seeded) RunSeed(run int) uint64 { return s.seed(run) }
 
-// Next implements Strategy: the sched.Run decision loop — IterPolicy if the
-// policy offers it, else a materialized pending slice — followed by the crash
-// plan's veto, exactly the semantics a driven run has.
+// Next implements Strategy: the sched.Run decision loop — the policy's pick
+// followed by the crash plan's veto — exactly the semantics a driven run has.
 func (s *Seeded) Next(e sched.Engine) Choice {
 	if !s.started {
 		s.policy, s.plan = s.mk(s.run)
 		s.started = true
 	}
 	s.stats.Explored++
-	return policyChoice(e, s.policy, s.plan, &s.pendBuf)
+	return policyChoice(e, s.policy, s.plan)
 }
 
 // Backtrack implements Strategy: advance to the next run seed.

@@ -14,14 +14,14 @@ import (
 // reduction (Abdulla, Aronis, Jonsson, Sagonas, POPL 2014) with sleep sets
 // and optional exhaustive crash branching, driven over one persistent vexec
 // engine through checkpoint/restore. It differs from the stateless Tree
-// engine (NewDPOR / NewSleepSet) in two ways:
+// engine (NewSleepSet) in two ways:
 //
-//   - Backtrack points come from source sets: for a race between events e_i
-//     and e_j, it schedules one *initial* of the sub-sequence leading to e_j
-//     — and nothing at all when the backtrack set already contains one —
-//     instead of the PR-3 engine's "schedule the racer or every enabled
-//     process" over-approximation. Fewer scheduled points, same guarantee:
-//     at least one representative per Mazurkiewicz trace.
+//   - Backtrack points come from source sets: each node starts with one
+//     enabled process, and for a race between events e_i and e_j it
+//     schedules one *initial* of the sub-sequence leading to e_j — and
+//     nothing at all when the backtrack set already contains one — instead
+//     of every enabled process. Fewer scheduled points, same guarantee: at
+//     least one representative per Mazurkiewicz trace.
 //
 //   - Each node carries the engine's checkpoint (*vexec.Snapshot);
 //     backtracking restores it in O(changes since the node) rather than

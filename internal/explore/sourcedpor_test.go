@@ -66,18 +66,18 @@ func TestSourceDPORCrashBranching(t *testing.T) {
 }
 
 // TestSourceDPORNotWeakerThanDPOR: on the contended fixture the source-set
-// engine must explore no more decisions than the PR-3 all-pairs engine at
-// full coverage — the reduction the refactor claims — and restore instead of
-// replay.
+// engine must explore no more decisions than the unreduced stateless
+// sleep-set walk at full coverage — the reduction source sets claim — and
+// restore instead of replay.
 func TestSourceDPORNotWeakerThanDPOR(t *testing.T) {
 	for _, n := range []int{3, 4} {
-		_, old := driveTree(t, NewDPOR(1, 0), n, raceSystem(n))
+		_, old := driveTree(t, NewSleepSet(1, 0, 0), n, raceSystem(n))
 		_, src := driveTree(t, NewSourceDPOR(1, 0, 0), n, raceSystem(n))
 		if !old.Complete || !src.Complete {
-			t.Fatalf("n=%d: incomplete walks: dpor %+v, sourcedpor %+v", n, old, src)
+			t.Fatalf("n=%d: incomplete walks: sleepset %+v, sourcedpor %+v", n, old, src)
 		}
 		if src.Explored > old.Explored {
-			t.Fatalf("n=%d: source-DPOR explored %d decisions, stateless DPOR %d — source sets must not be weaker",
+			t.Fatalf("n=%d: source-DPOR explored %d decisions, stateless sleep-set %d — source sets must not be weaker",
 				n, src.Explored, old.Explored)
 		}
 		if src.Replayed != 0 || old.Replayed == 0 {

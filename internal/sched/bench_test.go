@@ -23,9 +23,8 @@ var stepSizes = []int{1, 8, 64, 512, 4096}
 
 // BenchmarkControllerStep measures the steady-state driven grant path — one
 // round-robin policy decision plus one granted step per iteration, exactly
-// the decision loop Run executes (RoundRobin implements IterPolicy, so the
-// decision walks the pending bitmap without building a slice), with 0
-// allocs/op.
+// the decision loop Run executes (the decision walks the pending bitmap
+// without building a slice), with 0 allocs/op.
 func BenchmarkControllerStep(b *testing.B) {
 	for _, n := range stepSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -36,28 +35,7 @@ func BenchmarkControllerStep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Step(rr.NextIter(c))
-			}
-			b.StopTimer()
-		})
-	}
-}
-
-// BenchmarkControllerStepPendingInto measures the slice-based decision loop
-// (for policies that need the full pending set, e.g. Random): PendingInto
-// into a reused buffer, then a slice policy, then the grant.
-func BenchmarkControllerStepPendingInto(b *testing.B) {
-	for _, n := range []int{8, 512} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var r shmem.Reg
-			c := NewController(n, nil, spinReader(&r))
-			defer c.Abort()
-			rr := &RoundRobin{}
-			buf := make([]int, 0, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Step(rr.Next(c, c.PendingInto(buf)))
+				c.Step(rr.Next(c))
 			}
 			b.StopTimer()
 		})

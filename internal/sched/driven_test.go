@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,8 +17,8 @@ func TestRoundRobinStartsAtZero(t *testing.T) {
 	var log []int
 	rr := &RoundRobin{}
 	var r shmem.Reg
-	res := Run(3, nil, PolicyFunc(func(c Engine, pending []int) int {
-		pid := rr.Next(c, pending)
+	res := Run(3, nil, PolicyFunc(func(c Engine) int {
+		pid := rr.Next(c)
 		log = append(log, pid)
 		return pid
 	}), nil, counterBody(&r))
@@ -36,42 +37,10 @@ func TestRoundRobinStartsAtZero(t *testing.T) {
 	}
 }
 
-// TestRoundRobinIterMatchesSlice pins the IterPolicy fast path to the slice
-// policy: driving two identical executions through rr.Next and rr.NextIter
-// must produce the same grant order.
-func TestRoundRobinIterMatchesSlice(t *testing.T) {
-	drive := func(useIter bool) []int {
-		var r shmem.Reg
-		c := NewController(5, nil, counterBody(&r))
-		rr := &RoundRobin{}
-		var log []int
-		buf := make([]int, 0, 5)
-		for c.PendingCount() > 0 {
-			var pid int
-			if useIter {
-				pid = rr.NextIter(c)
-			} else {
-				pid = rr.Next(c, c.PendingInto(buf))
-			}
-			log = append(log, pid)
-			c.Step(pid)
-		}
-		return log
-	}
-	slicePath, iterPath := drive(false), drive(true)
-	if len(slicePath) != len(iterPath) {
-		t.Fatalf("lengths differ: %v vs %v", slicePath, iterPath)
-	}
-	for i := range slicePath {
-		if slicePath[i] != iterPath[i] {
-			t.Fatalf("orders diverge at %d: %v vs %v", i, slicePath, iterPath)
-		}
-	}
-}
-
-// TestPendingIterator exercises PendingInto / NextPending / PendingCount
-// against the allocating Pending across a driven execution, including pids
-// beyond one bitmap word.
+// TestPendingIterator exercises NextPending / PendingCount (and the Pending
+// slice built on them) against an independent reference — the pids whose
+// lifecycle phase is pending, each with a posted intent — across a driven
+// execution, including pids beyond one bitmap word.
 func TestPendingIterator(t *testing.T) {
 	const n = 70 // spans two uint64 words
 	var r shmem.Reg
@@ -79,22 +48,24 @@ func TestPendingIterator(t *testing.T) {
 	defer c.Abort()
 	buf := make([]int, 0, n)
 	for steps := 0; c.PendingCount() > 0 && steps < 50; steps++ {
-		want := c.Pending()
-		got := c.PendingInto(buf)
-		if len(got) != len(want) {
-			t.Fatalf("PendingInto len %d, Pending len %d", len(got), len(want))
+		var want []int
+		for pid := 0; pid < n; pid++ {
+			if c.phase[pid] == phasePending {
+				if c.Intent(pid).Kind == 0 {
+					t.Fatalf("pending process %d has no posted intent", pid)
+				}
+				want = append(want, pid)
+			}
 		}
 		var iter []int
 		for pid := c.NextPending(-1); pid >= 0; pid = c.NextPending(pid) {
 			iter = append(iter, pid)
 		}
-		if len(iter) != len(want) {
-			t.Fatalf("NextPending walk len %d, Pending len %d", len(iter), len(want))
+		if !slices.Equal(iter, want) {
+			t.Fatalf("NextPending walk %v, want %v", iter, want)
 		}
-		for i := range want {
-			if got[i] != want[i] || iter[i] != want[i] {
-				t.Fatalf("pending mismatch at %d: slice %d, into %d, iter %d", i, want[i], got[i], iter[i])
-			}
+		if got := Pending(c, buf); !slices.Equal(got, want) {
+			t.Fatalf("Pending %v, want %v", got, want)
 		}
 		if c.PendingCount() != len(want) {
 			t.Fatalf("PendingCount %d, want %d", c.PendingCount(), len(want))
@@ -344,28 +315,30 @@ func TestParallelRunsCrashPlans(t *testing.T) {
 }
 
 // TestStepGrantPathZeroAlloc asserts the acceptance criterion directly: the
-// steady-state decision+grant loop (iterator policy and slice policy alike)
-// performs zero heap allocations.
+// steady-state decision+grant loop, single and batched, performs zero heap
+// allocations, and so does the Pending slice view given a buffer of
+// capacity n.
 func TestStepGrantPathZeroAlloc(t *testing.T) {
 	var r shmem.Reg
 	c := NewController(8, nil, spinReader(&r))
 	defer c.Abort()
 	rr := &RoundRobin{}
-	buf := make([]int, 0, 8)
-	iterLoop := testing.AllocsPerRun(500, func() {
-		c.Step(rr.NextIter(c))
+	loop := testing.AllocsPerRun(500, func() {
+		c.Step(rr.Next(c))
 	})
-	if iterLoop != 0 {
-		t.Fatalf("iterator grant loop allocates %.1f/op, want 0", iterLoop)
+	if loop != 0 {
+		t.Fatalf("grant loop allocates %.1f/op, want 0", loop)
 	}
+	buf := make([]int, 0, 8)
 	sliceLoop := testing.AllocsPerRun(500, func() {
-		c.Step(rr.Next(c, c.PendingInto(buf)))
+		buf = Pending(c, buf)
+		c.Step(buf[0])
 	})
 	if sliceLoop != 0 {
-		t.Fatalf("slice grant loop allocates %.1f/op, want 0", sliceLoop)
+		t.Fatalf("Pending slice view allocates %.1f/op, want 0", sliceLoop)
 	}
 	batched := testing.AllocsPerRun(500, func() {
-		c.StepN(rr.NextIter(c), 32)
+		c.StepN(rr.Next(c), 32)
 	})
 	if batched != 0 {
 		t.Fatalf("batched grant loop allocates %.1f/op, want 0", batched)

@@ -152,7 +152,7 @@ func TestNextPendingWraparound(t *testing.T) {
 		t.Fatalf("NextPending(63) after retiring tail = %d, want -1", got)
 	}
 	rr := &RoundRobin{next: 64}
-	if got := rr.NextIter(c); got != 0 {
+	if got := rr.Next(c); got != 0 {
 		t.Fatalf("RoundRobin wraparound returned %d, want 0", got)
 	}
 
@@ -163,7 +163,7 @@ func TestNextPendingWraparound(t *testing.T) {
 	if got := c.NextPending(-1); got != -1 {
 		t.Fatalf("NextPending on empty set = %d, want -1", got)
 	}
-	if got := (&RoundRobin{}).NextIter(c); got != -1 {
+	if got := (&RoundRobin{}).Next(c); got != -1 {
 		t.Fatalf("RoundRobin on empty set = %d, want -1", got)
 	}
 }

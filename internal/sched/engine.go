@@ -31,7 +31,6 @@ type Engine interface {
 	// Observation surface: what a policy may inspect at a decision point.
 	N() int
 	PendingCount() int
-	PendingInto(buf []int) []int
 	NextPending(after int) int
 	NextPendingKind(after int, kind shmem.OpKind) int
 	Intent(pid int) shmem.Intent
@@ -98,22 +97,12 @@ func CheckStaleChoice(s, count int) {
 // delegates here — so the decision order (restart offers, crash veto, stale
 // consultation, grant) is identical by construction, which is what makes
 // cross-engine fingerprints comparable.
-//
-// The pending slice passed to the policy is reused between decisions;
-// policies must not retain it. Policies that also implement IterPolicy are
-// driven through the pending-set iterator and never receive a slice at all,
-// making each decision O(1) instead of O(pending).
 func DriveEngine(e Engine, policy Policy, plan CrashPlan) Result {
-	ip, iter := policy.(IterPolicy)
 	sp, hasStale := policy.(StalePolicy)
 	hasStale = hasStale && e.Model().Regs != shmem.RegAtomic
 	rp, hasRestart := plan.(RestartPlan)
 	hasRestart = hasRestart && e.Model().Recovery
 	n := e.N()
-	var pendBuf []int
-	if !iter {
-		pendBuf = make([]int, 0, n)
-	}
 	for {
 		if hasRestart {
 			// Offer every crashed process back to the plan before each
@@ -129,12 +118,7 @@ func DriveEngine(e Engine, policy Policy, plan CrashPlan) Result {
 		if e.PendingCount() == 0 {
 			break
 		}
-		var pid int
-		if iter {
-			pid = ip.NextIter(e)
-		} else {
-			pid = policy.Next(e, e.PendingInto(pendBuf))
-		}
+		pid := policy.Next(e)
 		if plan != nil && plan.ShouldCrash(pid, e.Proc(pid).Steps(), e.Intent(pid)) {
 			e.Crash(pid)
 			continue

@@ -22,7 +22,7 @@
 // bounds the reachable n and schedule count. A step handoff is a single
 // mutex-protected park/unpark pair per side (no channel select, no per-step
 // data transfer), the pending set is maintained incrementally as a bitmap
-// (PendingInto and NextPending expose it without allocating), and StepN
+// (NextPending and PendingCount expose it without allocating), and StepN
 // grants a run of consecutive steps with one wakeup. A granted step is
 // zero-allocation in steady state; see BenchmarkControllerStep and the
 // controller_step rows of cmd/bench.
@@ -293,27 +293,6 @@ func (c *Controller) waitQuiesce() {
 	}
 	c.driverParked.Store(false)
 	c.mu.Unlock()
-}
-
-// Pending returns the pids blocked on a shared-memory operation, in pid
-// order. The slice is freshly allocated; the driven hot loop should prefer
-// PendingInto or NextPending, which do not allocate.
-func (c *Controller) Pending() []int {
-	return c.PendingInto(make([]int, 0, c.npending))
-}
-
-// PendingInto appends the pending pids, in pid order, to buf[:0] and returns
-// it. It allocates only if buf is too small; passing a buffer with capacity
-// >= n makes the call allocation-free.
-func (c *Controller) PendingInto(buf []int) []int {
-	buf = buf[:0]
-	for w, word := range c.pbits {
-		for word != 0 {
-			buf = append(buf, w<<6+bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-	return buf
 }
 
 // PendingCount returns the number of processes blocked on a shared-memory
@@ -686,11 +665,7 @@ func (c *Controller) result() Result {
 // Run drives the controller with policy (and optional crash plan) until every
 // process has finished or crashed, then returns the execution summary. It is
 // DriveEngine over this controller — the decision loop itself lives in
-// engine.go so both execution engines share it verbatim. The pending slice
-// passed to the policy is reused between decisions; policies must not retain
-// it. Policies that also implement IterPolicy are driven through the
-// pending-set iterator and never receive a slice at all, making each decision
-// O(1) instead of O(pending).
+// engine.go so both execution engines share it verbatim.
 func (c *Controller) Run(policy Policy, plan CrashPlan) Result {
 	return DriveEngine(c, policy, plan)
 }
@@ -799,34 +774,34 @@ func ParallelRuns(m int, mk func(run int) RunSpec) []Result {
 	return results
 }
 
-// Policy chooses the next process to step among the pending ones. The
-// pending slice is sorted by pid and valid only for the duration of the
-// call. Policies decide through the Engine seam, so the same policy drives
-// the goroutine controller and the vectorized engine unchanged.
+// Policy chooses the next process to step among the pending ones. It reads
+// the pending set through the engine's iterator (NextPending, PendingCount,
+// NextPendingKind — see Pending for a slice) and must return a pending pid;
+// the drivers call Next only while at least one process is pending.
+// Policies decide through the Engine seam, so the same policy drives the
+// goroutine controller and the vectorized engine unchanged, and each policy
+// has exactly one decision procedure.
 type Policy interface {
-	Next(e Engine, pending []int) int
-}
-
-// IterPolicy is the allocation-free decision interface: policies that can
-// pick the next process from the engine's pending-set iterator
-// (NextPending / PendingCount) implement it in addition to Policy, and Run
-// then never materializes a pending slice. NextIter must return a pending
-// pid; Run guarantees at least one process is pending when it calls.
-//
-// NextIter and Next must make identical decisions — the same pid from the
-// same engine state, with the same rng draws — so a seeded schedule does
-// not depend on which entry point a driver (or a caller holding a plain
-// Policy, such as a PolicyFunc wrapper) goes through. The simplest way to
-// keep that promise is one decision procedure: Next delegates to NextIter.
-type IterPolicy interface {
-	NextIter(e Engine) int
+	Next(e Engine) int
 }
 
 // PolicyFunc adapts a function to the Policy interface.
-type PolicyFunc func(e Engine, pending []int) int
+type PolicyFunc func(e Engine) int
 
 // Next implements Policy.
-func (f PolicyFunc) Next(e Engine, pending []int) int { return f(e, pending) }
+func (f PolicyFunc) Next(e Engine) int { return f(e) }
+
+// Pending appends the pending pids of e, in pid order, to buf[:0] and returns
+// it: the slice form of the NextPending iterator, for policies and tests that
+// want the whole set at once. Passing a buffer with capacity >= e.N() makes
+// the call allocation-free.
+func Pending(e Engine, buf []int) []int {
+	buf = buf[:0]
+	for pid := e.NextPending(-1); pid >= 0; pid = e.NextPending(pid) {
+		buf = append(buf, pid)
+	}
+	return buf
+}
 
 // RoundRobin cycles through the processes in pid order, starting from pid 0.
 // The zero value is ready to use.
@@ -834,21 +809,9 @@ type RoundRobin struct {
 	next int // smallest pid eligible before wrapping
 }
 
-// Next implements Policy.
-func (rr *RoundRobin) Next(e Engine, pending []int) int {
-	for _, pid := range pending {
-		if pid >= rr.next {
-			rr.next = pid + 1
-			return pid
-		}
-	}
-	rr.next = pending[0] + 1
-	return pending[0]
-}
-
-// NextIter implements IterPolicy: an O(1) amortized cyclic scan of the
-// pending bitmap.
-func (rr *RoundRobin) NextIter(e Engine) int {
+// Next implements Policy: an O(1) amortized cyclic scan of the pending
+// bitmap.
+func (rr *RoundRobin) Next(e Engine) int {
 	pid := e.NextPending(rr.next - 1)
 	if pid < 0 {
 		pid = e.NextPending(-1)
@@ -868,11 +831,6 @@ type Random struct {
 // NewRandom returns a seeded random policy.
 func NewRandom(seed uint64) *Random {
 	return &Random{rng: xrand.New(seed)}
-}
-
-// Next implements Policy.
-func (r *Random) Next(e Engine, pending []int) int {
-	return pending[r.rng.Intn(len(pending))]
 }
 
 // NthPender is implemented by engines that can select the i-th pending pid
@@ -896,11 +854,9 @@ func NthPending(e Engine, i int) int {
 	return pid
 }
 
-// NextIter implements IterPolicy: the identical uniform choice as Next —
-// the r-th pending pid in ascending order for r = Intn(PendingCount) with
-// one rng draw — without materializing the pending slice, so seeded
-// schedules are unchanged while the per-decision O(pending) copy is gone.
-func (r *Random) NextIter(e Engine) int {
+// Next implements Policy: the r-th pending pid in ascending order for
+// r = Intn(PendingCount), one rng draw per decision.
+func (r *Random) Next(e Engine) int {
 	return NthPending(e, r.rng.Intn(e.PendingCount()))
 }
 

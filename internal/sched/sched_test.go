@@ -35,8 +35,8 @@ func TestRandomPolicyDeterminism(t *testing.T) {
 	order := func(seed uint64) []int64 {
 		var r shmem.Reg
 		var log []int64
-		Run(5, nil, PolicyFunc(func(c Engine, pending []int) int {
-			pid := NewRandom(seed).Next(c, pending)
+		Run(5, nil, PolicyFunc(func(c Engine) int {
+			pid := NewRandom(seed).Next(c)
 			log = append(log, int64(pid))
 			return pid
 		}), nil, counterBody(&r))
@@ -112,7 +112,7 @@ func TestControllerIntentVisibility(t *testing.T) {
 	var r shmem.Reg
 	c := NewController(2, nil, counterBody(&r))
 	defer c.Abort()
-	for _, pid := range c.Pending() {
+	for _, pid := range Pending(c, nil) {
 		in := c.Intent(pid)
 		if in.Kind != shmem.OpRead {
 			t.Fatalf("process %d first intent = %v, want read", pid, in.Kind)
@@ -135,7 +135,7 @@ func TestAbortReleasesEveryone(t *testing.T) {
 		}
 	})
 	c.Abort()
-	if got := len(c.Pending()); got != 0 {
+	if got := len(Pending(c, nil)); got != 0 {
 		t.Fatalf("%d processes still pending after Abort", got)
 	}
 	for pid := 0; pid < 6; pid++ {
@@ -230,7 +230,7 @@ func TestSchedulingIsSerialized(t *testing.T) {
 		}
 	})
 	for {
-		pending := c.Pending()
+		pending := Pending(c, nil)
 		if len(pending) == 0 {
 			break
 		}

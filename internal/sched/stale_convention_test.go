@@ -102,8 +102,8 @@ func engines(t *testing.T, m shmem.Model) map[string]func() (sched.Engine, *fixt
 // writerFirst grants pid 0 while it is pending, then pid 1 — building the
 // full stale window before the read is granted.
 func writerFirst() sched.Policy {
-	return sched.PolicyFunc(func(e sched.Engine, pending []int) int {
-		return pending[0]
+	return sched.PolicyFunc(func(e sched.Engine) int {
+		return e.NextPending(-1)
 	})
 }
 

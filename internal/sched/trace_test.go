@@ -100,9 +100,8 @@ func TestTraceReplayDeterminism(t *testing.T) {
 	c.EnableTrace()
 	policy := NewRandom(11)
 	plan := RandomCrashes(13, 0.05, n/2)
-	var pend []int
 	for c.PendingCount() > 0 {
-		pid := policy.Next(c, c.PendingInto(pend))
+		pid := policy.Next(c)
 		if plan.ShouldCrash(pid, c.Proc(pid).Steps(), c.Intent(pid)) {
 			c.Crash(pid)
 			continue
@@ -162,7 +161,7 @@ func TestReplayPrefixReconstructsMidState(t *testing.T) {
 	c.EnableTrace()
 	rr := &RoundRobin{}
 	for c.PendingCount() > 0 {
-		c.Step(rr.NextIter(c))
+		c.Step(rr.Next(c))
 	}
 	full := c.Trace()
 

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/conformance"
 	"repro/internal/explore"
+	"repro/internal/sched"
 	"repro/internal/shmem"
 	"repro/internal/vexec"
 	"repro/internal/xrand"
@@ -86,7 +87,7 @@ type point struct {
 }
 
 func observe(e *vexec.Exec, got []int64, oks []bool, hash bool) point {
-	pt := point{fp: e.Fingerprint(), pending: e.PendingInto(nil)}
+	pt := point{fp: e.Fingerprint(), pending: sched.Pending(e, nil)}
 	if hash {
 		pt.sh = e.StateHash()
 	}

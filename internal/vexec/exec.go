@@ -481,18 +481,6 @@ func (e *Exec) N() int { return e.n }
 // PendingCount returns the number of lanes with a posted intent.
 func (e *Exec) PendingCount() int { return e.npending }
 
-// PendingInto appends the pending pids, in pid order, to buf[:0].
-func (e *Exec) PendingInto(buf []int) []int {
-	buf = buf[:0]
-	for w, word := range e.pbits {
-		for word != 0 {
-			buf = append(buf, w<<6+bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-	return buf
-}
-
 // NthPending returns the i-th pending pid in ascending order (i in
 // [0, PendingCount)), or -1 — sched.NthPender, selected straight out of the
 // pending bitmap so uniform random policies decide in O(n/64).

@@ -139,8 +139,8 @@ func TestResetMatchesNew(t *testing.T) {
 	fresh := vexec.New(3, nil, func(p *shmem.Proc) vexec.Frame { return ff3.FrameRename(p.Name()) })
 	rr1, rr2 := &sched.RoundRobin{}, &sched.RoundRobin{}
 	for fresh.PendingCount() > 0 {
-		e.Step(rr1.NextIter(e))
-		fresh.Step(rr2.NextIter(fresh))
+		e.Step(rr1.Next(e))
+		fresh.Step(rr2.Next(fresh))
 		if e.Fingerprint() != fresh.Fingerprint() {
 			t.Fatalf("after %d grants: recycled fingerprint %#x, fresh %#x", fresh.Grants(), e.Fingerprint(), fresh.Fingerprint())
 		}

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/shmem"
 	"repro/internal/vexec"
 )
@@ -81,7 +82,7 @@ func TestRestoreLeavesUnmovedLanes(t *testing.T) {
 			}
 			snap := e.Checkpoint()
 			wantHash, wantFP := e.StateHash(), e.Fingerprint()
-			wantPending := e.PendingInto(nil)
+			wantPending := sched.Pending(e, nil)
 			wantIntent := e.Intent(1)
 
 			// The divergent continuation grants lane 1 only: under the
@@ -119,7 +120,7 @@ func TestRestoreLeavesUnmovedLanes(t *testing.T) {
 			if fp := e.Fingerprint(); fp != wantFP {
 				t.Fatalf("fingerprint %#x, captured %#x", fp, wantFP)
 			}
-			if p := e.PendingInto(nil); !slices.Equal(p, wantPending) {
+			if p := sched.Pending(e, nil); !slices.Equal(p, wantPending) {
 				t.Fatalf("pending %v, captured %v", p, wantPending)
 			}
 			if in := e.Intent(1); in != wantIntent {

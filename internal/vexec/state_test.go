@@ -292,7 +292,7 @@ func forRestorePaths(t *testing.T, f func(t *testing.T, replay bool)) {
 func roundRobin(e *vexec.Exec, k int) {
 	rr := &sched.RoundRobin{}
 	for i := 0; i < k && e.PendingCount() > 0; i++ {
-		e.Step(rr.NextIter(e))
+		e.Step(rr.Next(e))
 	}
 }
 
