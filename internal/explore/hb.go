@@ -31,6 +31,16 @@ import (
 //     the first write after them, which is in the last write's causal past.
 //     So the rows are bit-identical to prepare's full all-pairs pass.
 //
+//   - Direct edges are spanning-edge sources. An event's row is its sources
+//     plus their rows, so every element of the row lies at or below one of
+//     the sources, and the union of the rows of the row's elements (the
+//     cover the race scan would subtract) is exactly the union of the
+//     sources' rows. The direct (Hasse) predecessors are therefore the
+//     sources outside that union: link records them per event as the row is
+//     built, and the scan reads them instead of re-deriving the cover from
+//     every earlier row. The rebuild's cover scan (raceScratch.directRow)
+//     stays the reference RaceDifferential compares them with bit for bit.
+//
 //   - Re-analyzing an old pair is a no-op. Backtrack-set bits are monotone
 //     over a frame's lifetime, and addSource adds nothing once a weak initial
 //     of the race is scheduled or done — so the pairs (i, j) with j below the
@@ -77,9 +87,10 @@ func (m RaceAnalysis) String() string {
 type hbRel interface {
 	// eventRow returns event j's packed happens-before row.
 	eventRow(j int) []uint64
-	// coveredRow returns the scratch row (same width as event rows) the scan
-	// accumulates covering sets into.
-	coveredRow() []uint64
+	// directRow returns event j's direct (Hasse) predecessors as a packed row
+	// of the same width: the events of row j not below any other event of
+	// row j. It is valid until the next directRow call.
+	directRow(j int) []uint64
 	// depends reports a direct dependence edge m -> k of the digested trace.
 	depends(tr sched.Trace, m, k int) bool
 }
@@ -100,19 +111,19 @@ type hbState struct {
 	prevP  []int32  // previous event of the same process; -1 none
 	prevW  []int32  // writes only: previous write to the same register; -1 none
 	rows   []uint64 // n rows of width stride: row j = events happening-before j
+	dirs   []uint64 // n rows of width stride: row j = j's direct predecessors
 
 	// Frontiers, rewound through the prev chains on truncate.
 	lastEvt []int32   // per process: its latest event; -1 none
 	lastW   []int32   // per register key: latest write; -1 none
 	acc     [][]int32 // per register key: its accesses, in trace order
 
-	stride  int      // words per row (capacity; rows re-lay when n outgrows it)
-	n       int      // events digested
-	covered []uint64 // scratch row for the race scan
+	stride int // words per row (capacity; rows re-lay when n outgrows it)
+	n      int // events digested
 }
 
-func (h *hbState) eventRow(j int) []uint64 { return h.rows[j*h.stride : (j+1)*h.stride] }
-func (h *hbState) coveredRow() []uint64    { return h.covered }
+func (h *hbState) eventRow(j int) []uint64  { return h.rows[j*h.stride : (j+1)*h.stride] }
+func (h *hbState) directRow(j int) []uint64 { return h.dirs[j*h.stride : (j+1)*h.stride] }
 
 // depends mirrors raceScratch.depends over the incremental columns.
 func (h *hbState) depends(tr sched.Trace, m, k int) bool {
@@ -125,10 +136,10 @@ func (h *hbState) depends(tr sched.Trace, m, k int) bool {
 	return h.keys[m] == h.keys[k] && (h.writes[m] || h.writes[k])
 }
 
-// grow makes room for L events: per-event columns at length >= L, rows at
-// width >= (L+63)/64 words. Widening re-lays the digested rows into the new
-// stride; both growth directions are geometric so a whole walk amortizes to
-// O(1) per event.
+// grow makes room for L events: per-event columns at length >= L, rows and
+// direct rows at width >= (L+63)/64 words. Widening re-lays the digested rows
+// into the new stride; both growth directions are geometric so a whole walk
+// amortizes to O(1) per event.
 func (h *hbState) grow(L int) {
 	need := (L + 63) / 64
 	if need > h.stride {
@@ -139,18 +150,13 @@ func (h *hbState) grow(L int) {
 		for ns < need {
 			ns *= 2
 		}
-		rows := make([]uint64, max(L, 2*h.n)*ns)
-		for j := 0; j < h.n; j++ {
-			copy(rows[j*ns:j*ns+h.stride], h.rows[j*h.stride:(j+1)*h.stride])
-		}
-		h.rows = rows
+		h.rows = h.relay(h.rows, max(L, 2*h.n), ns)
+		h.dirs = h.relay(h.dirs, max(L, 2*h.n), ns)
 		h.stride = ns
-		h.covered = make([]uint64, ns)
 	}
 	if len(h.rows) < L*h.stride {
-		rows := make([]uint64, 2*L*h.stride)
-		copy(rows, h.rows[:h.n*h.stride])
-		h.rows = rows
+		h.rows = h.relay(h.rows, 2*L, h.stride)
+		h.dirs = h.relay(h.dirs, 2*L, h.stride)
 	}
 	if len(h.keys) < L {
 		grow := L - len(h.keys)
@@ -162,8 +168,21 @@ func (h *hbState) grow(L int) {
 	}
 }
 
+// relay copies the h.n digested rows of src into a fresh buffer of capacity
+// rows at width stride.
+func (h *hbState) relay(src []uint64, rows, stride int) []uint64 {
+	dst := make([]uint64, rows*stride)
+	for j := 0; j < h.n; j++ {
+		copy(dst[j*stride:j*stride+h.stride], src[j*h.stride:(j+1)*h.stride])
+	}
+	return dst
+}
+
 // extend digests tr's new suffix [h.n, len(tr)), building each event's row
-// from its spanning direct edges and advancing the frontiers.
+// from its spanning edges and advancing the frontiers. The row first gathers
+// the sources' rows; a source not already in that union is a direct
+// predecessor (see the file comment), recorded in the event's direct row
+// before the sources themselves join the row.
 func (h *hbState) extend(tr sched.Trace) {
 	L := len(tr)
 	if h.n > L {
@@ -176,18 +195,15 @@ func (h *hbState) extend(tr sched.Trace) {
 	h.grow(L)
 	for j := h.n; j < L; j++ {
 		e := tr[j]
-		row := h.eventRow(j)
-		clear(row)
 		pid := e.Pid
 		for pid >= len(h.lastEvt) {
 			h.lastEvt = append(h.lastEvt, -1)
 		}
 		h.pids[j] = int32(pid)
-		h.prevP[j] = h.lastEvt[pid]
-		if p := h.lastEvt[pid]; p >= 0 {
-			rowOr(row, h.eventRow(int(p)))
-			rowSet(row, int(p))
-		}
+		p := h.lastEvt[pid]
+		h.prevP[j] = p
+		lw := int32(-1)
+		var reads []int32
 		if e.Crash || e.Restart {
 			// Crashes and restarts touch no register: program order only.
 			h.keys[j], h.writes[j], h.prevW[j] = -1, false, -1
@@ -204,20 +220,16 @@ func (h *hbState) extend(tr sched.Trace) {
 			h.keys[j] = k
 			w := e.Op == shmem.OpWrite
 			h.writes[j] = w
-			lw := h.lastW[k]
-			if lw >= 0 {
-				rowOr(row, h.eventRow(int(lw)))
-				rowSet(row, int(lw))
-			}
+			lw = h.lastW[k]
 			if w {
 				// A write also races the reads since that last write; reads
 				// before it are already in its causal past.
 				a := h.acc[k]
-				for t := len(a) - 1; t >= 0 && a[t] > lw; t-- {
-					m := int(a[t])
-					rowOr(row, h.eventRow(m))
-					rowSet(row, m)
+				t := len(a)
+				for t > 0 && a[t-1] > lw {
+					t--
 				}
+				reads = a[t:]
 				h.prevW[j] = lw
 				h.lastW[k] = int32(j)
 			} else {
@@ -226,8 +238,40 @@ func (h *hbState) extend(tr sched.Trace) {
 			h.acc[k] = append(h.acc[k], int32(j))
 		}
 		h.lastEvt[pid] = int32(j)
+		h.link(j, p, lw, reads)
 	}
 	h.n = L
+}
+
+// link builds event j's row and direct row from its spanning-edge sources:
+// its process's previous event p and the register's last write lw (-1 for
+// none), and for a write the reads since lw. A source inside another
+// source's row is an indirect predecessor; the rest are the direct ones.
+func (h *hbState) link(j int, p, lw int32, reads []int32) {
+	row, dir := h.eventRow(j), h.directRow(j)
+	clear(row)
+	clear(dir)
+	if p >= 0 {
+		rowOr(row, h.eventRow(int(p)))
+	}
+	if lw >= 0 {
+		rowOr(row, h.eventRow(int(lw)))
+	}
+	for _, m := range reads {
+		rowOr(row, h.eventRow(int(m)))
+	}
+	if p >= 0 && !rowGet(row, int(p)) {
+		rowSet(dir, int(p))
+	}
+	if lw >= 0 && !rowGet(row, int(lw)) {
+		rowSet(dir, int(lw))
+	}
+	for _, m := range reads {
+		if !rowGet(row, int(m)) {
+			rowSet(dir, int(m))
+		}
+	}
+	rowOr(row, dir)
 }
 
 // assertPrefix is the cross-reset differential guard: the suffix contract
@@ -262,7 +306,7 @@ func (h *hbState) assertPrefix(tr sched.Trace) {
 // truncate rewinds the relation to w events — the watermark of the frame the
 // walk just restored to — by walking the removed events newest-first and
 // popping each one off its frontiers through the prev chains. Rows need no
-// clearing; extend clears on append. A watermark at or past the digested
+// clearing; link clears on append. A watermark at or past the digested
 // prefix is a no-op (the layer may lag the trace when analysis was skipped on
 // a sub-2-event execution).
 func (h *hbState) truncate(w int) {

@@ -217,12 +217,12 @@ func (t *SourceDPOR) BacktrackState(c *vexec.Exec, tr sched.Trace, res sched.Res
 // raceScratch holds the per-execution race-analysis buffers, reused across
 // executions so the hot search loop stays allocation-light.
 type raceScratch struct {
-	regKey  map[any]int32 // register identity -> dense key for this trace
-	keys    []int32       // per event: register key (-1 for crashes)
-	writes  []bool        // per event: the access was a write
-	hb      []uint64      // L x words bitset: hb[j] = events happening-before j
-	covered []uint64      // scratch row: union of hb[m] over m in hb[j]
-	words   int
+	regKey map[any]int32 // register identity -> dense key for this trace
+	keys   []int32       // per event: register key (-1 for crashes)
+	writes []bool        // per event: the access was a write
+	hb     []uint64      // L x words bitset: hb[j] = events happening-before j
+	direct []uint64      // scratch row: the cover of hb[j], then hb[j] minus it
+	words  int
 }
 
 // growClear resizes buf to length n with every element zeroed, reusing the
@@ -244,7 +244,27 @@ func (s *raceScratch) row(r []uint64, j int) []uint64 { return r[j*s.words : (j+
 // raceScratch implements hbRel so the shared race scan runs over either the
 // from-scratch relation or the incremental layer.
 func (s *raceScratch) eventRow(j int) []uint64 { return s.row(s.hb, j) }
-func (s *raceScratch) coveredRow() []uint64    { return s.covered[:s.words] }
+
+// directRow derives event j's direct predecessors from the whole relation:
+// hb[j] minus the union of hb[m] over every m in hb[j]. It is the reference
+// the incremental layer's spanning-edge shortcut (hbState.directRow) is
+// checked against.
+func (s *raceScratch) directRow(j int) []uint64 {
+	hbj := s.eventRow(j)
+	dir := s.direct[:s.words]
+	clear(dir)
+	for w, word := range hbj {
+		for word != 0 {
+			m := w<<6 + trailingZeros(word)
+			word &= word - 1
+			rowOr(dir, s.eventRow(m))
+		}
+	}
+	for w := range dir {
+		dir[w] = hbj[w] &^ dir[w]
+	}
+	return dir
+}
 
 func rowGet(row []uint64, i int) bool { return row[i>>6]&(1<<(uint(i)&63)) != 0 }
 func rowSet(row []uint64, i int)      { row[i>>6] |= 1 << (uint(i) & 63) }
@@ -281,7 +301,7 @@ func (s *raceScratch) prepare(tr sched.Trace) {
 	}
 	s.words = (L + 63) / 64
 	s.hb = growClear(s.hb, L*s.words)
-	s.covered = growClear(s.covered, s.words)
+	s.direct = growClear(s.direct, s.words)
 	for j := 1; j < L; j++ {
 		hbj := s.row(s.hb, j)
 		for m := 0; m < j; m++ {
@@ -348,7 +368,7 @@ func (t *SourceDPOR) updateRaces(tr sched.Trace) {
 // updateRacesDiff is the RaceDifferential body: run the from-scratch
 // reference against the current backtrack sets, capture what it produced,
 // rewind, run the incremental layer for real, and require bit-identical
-// backtrack sets and bit-identical relation rows. The rebuild pass also
+// backtrack sets, relation rows and direct rows. The rebuild pass also
 // re-analyzes every pair below the incremental watermark — asserting, on
 // every backtrack of every fuzzed walk, that re-analysis is the no-op the
 // incremental mode's suffix skip claims it is.
@@ -379,11 +399,16 @@ func (t *SourceDPOR) updateRacesDiff(tr sched.Trace) {
 	}
 	if L >= 2 {
 		for j := 0; j < L; j++ {
-			inc, ref := t.hb.eventRow(j), t.scratch.row(t.scratch.hb, j)
+			inc, ref := t.hb.eventRow(j), t.scratch.eventRow(j)
+			incDir, refDir := t.hb.directRow(j), t.scratch.directRow(j)
 			for i := 0; i < L; i++ {
 				if rowGet(inc, i) != rowGet(ref, i) {
 					panic(fmt.Sprintf("explore: happens-before divergence at pair (%d, %d): incremental %v, rebuild %v",
 						i, j, rowGet(inc, i), rowGet(ref, i)))
+				}
+				if rowGet(incDir, i) != rowGet(refDir, i) {
+					panic(fmt.Sprintf("explore: direct-edge divergence at pair (%d, %d): spanning-edge %v, cover scan %v",
+						i, j, rowGet(incDir, i), rowGet(refDir, i)))
 				}
 			}
 		}
@@ -394,10 +419,11 @@ func (t *SourceDPOR) updateRacesDiff(tr sched.Trace) {
 // edges and feeds each to addSource. A race is a DIRECT edge between events
 // of different processes: i in hb[j] but not covered by any intermediate
 // event of hb[j] (non-direct dependent pairs are reached inductively through
-// the direct ones — the classic DPOR race relation). Only pairs whose later
-// event j lies in [from, L) are scanned: the caller passes 0 (or 1 — event 0
-// has no predecessors) to scan a whole trace, or the incremental watermark to
-// scan just the suffix the last call has not seen.
+// the direct ones — the classic DPOR race relation), read off
+// rel.directRow(j). Only pairs whose later event j lies in [from, L) are
+// scanned: the caller passes 0 (or 1 — event 0 has no predecessors) to scan a
+// whole trace, or the incremental watermark to scan just the suffix the last
+// call has not seen.
 func (t *SourceDPOR) scanRaces(tr sched.Trace, rel hbRel, from, L int) {
 	if from < 1 {
 		from = 1
@@ -406,18 +432,7 @@ func (t *SourceDPOR) scanRaces(tr sched.Trace, rel hbRel, from, L int) {
 		if tr[j].Crash || tr[j].Restart {
 			continue // crashes and restarts commute with every other-process event
 		}
-		hbj := rel.eventRow(j)
-		cov := rel.coveredRow()
-		clear(cov)
-		for w, word := range hbj {
-			for word != 0 {
-				m := w<<6 + trailingZeros(word)
-				word &= word - 1
-				rowOr(cov, rel.eventRow(m))
-			}
-		}
-		for w := range hbj {
-			direct := hbj[w] &^ cov[w]
+		for w, direct := range rel.directRow(j) {
 			for direct != 0 {
 				i := w<<6 + trailingZeros(direct)
 				direct &= direct - 1

@@ -8,9 +8,9 @@ import "sync/atomic"
 // checkpoint/restore stack). Two mechanisms live here:
 //
 //   - CellState / StateCell: every register type can capture and restore its
-//     contents (plus a write-version), so a checkpointing engine copies the
-//     registers a walk has written and loads them back instead of
-//     re-executing the schedule prefix.
+//     contents (plus a write-version), so a checkpointing engine keeps the
+//     pre-image of each register a grant writes and loads it back instead
+//     of re-executing the schedule prefix.
 //
 //   - The per-process read log on Proc: for the deterministic bodies this
 //     repository runs, a process's local state is a pure function of the

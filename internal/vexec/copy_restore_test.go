@@ -341,3 +341,33 @@ func TestCheckpointWeakRegistersAllocsNothing(t *testing.T) {
 		t.Fatalf("Checkpoint+ReleaseState under safe registers allocates %.1f times, want 0", a)
 	}
 }
+
+// TestGrantRestoreCycleAllocsNothing: once warm, a write grant pushes onto
+// the undo log's reused backing array, and a grant → Checkpoint → write grant
+// → Restore → ReleaseState cycle over scalar registers allocates nothing.
+func TestGrantRestoreCycleAllocsNothing(t *testing.T) {
+	var ff conformance.Case
+	for _, c := range conformance.Cases() {
+		if c.Name == "firstfit" {
+			ff = c
+		}
+	}
+	e, _, _ := newVexec(t, ff, 3, 1, shmem.Model{}, true)
+	base := e.Checkpoint()
+	cycle := func() {
+		e.Step(e.NextPending(-1))
+		s := e.Checkpoint()
+		w := e.NextPendingKind(-1, shmem.OpWrite)
+		if w < 0 {
+			t.Fatal("no pending writer after the first grant; the check is vacuous")
+		}
+		e.Step(w)
+		e.Restore(s, nil)
+		e.ReleaseState(s)
+		e.Restore(base, nil)
+	}
+	cycle()
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Fatalf("grant/Checkpoint/grant/Restore/ReleaseState allocates %.1f times per cycle, want 0", a)
+	}
+}

@@ -134,7 +134,7 @@ func (e *Exec) Reset(names []int64, root func(p *shmem.Proc) Frame) {
 	e.model = shmem.Model{}
 	e.tracing = false
 	e.traceBuf = e.traceBuf[:0]
-	e.st = stateMirror{}
+	e.st = stateMirror{clock: e.st.clock} // serials stay never-reused across resets
 	for i := range e.pbits {
 		e.pbits[i] = 0
 	}
@@ -663,16 +663,22 @@ func (e *Exec) Result() sched.Result {
 }
 
 // stateMirror is the engine's state layer: register registration in
-// first-write-grant order and the incremental 128-bit state hash. Restore
-// (state.go) needs no undo log because a frame machine's state is plain
-// data: a checkpoint copies every registered cell's CellState outright, and
-// cells registered later rewind to the pre-image captured at registration.
+// first-write-grant order, the incremental 128-bit state hash, and the undo
+// log Restore (state.go) pops registers back through.
 type stateMirror struct {
 	enabled bool
 	regID   map[any]int
 	cells   []regCell
 	regHash [2]uint64
 	pending pendingWrite
+
+	// undo holds, per write grant on the current branch, the written cell
+	// and its contents before the write, oldest first.
+	undo []undoEntry
+	// events[i+1] is the serial of trace event i: the move stamp its grant or
+	// restart took. events[0] is the serial EnableState took for the empty
+	// trace.
+	events []uint64
 
 	// moved[pid] is lane pid's move stamp: a fresh value from clock on every
 	// grant (step, stale read or crash) and restart of the lane, and the
@@ -689,19 +695,22 @@ type stateMirror struct {
 	laneFree []*laneSave
 }
 
-// move gives lane pid a fresh move stamp.
+// move gives lane pid a fresh move stamp, which also serves as the serial
+// of the trace event the move records.
 func (s *stateMirror) move(pid int) {
 	s.clock++
 	s.moved[pid] = s.clock
+	s.events = append(s.events, s.clock)
 }
 
 type regCell struct {
 	cell shmem.StateCell
 	init uint64
-	// initState is the full pre-image at registration (the state before any
-	// write grant touched the cell): what Restore rewinds to for cells
-	// registered after the snapshot being restored was taken.
-	initState shmem.CellState
+}
+
+type undoEntry struct {
+	cell shmem.StateCell
+	pre  shmem.CellState
 }
 
 type pendingWrite struct {
@@ -722,6 +731,8 @@ func (e *Exec) EnableState() {
 		return
 	}
 	e.st.enabled = true
+	e.st.clock++
+	e.st.events = []uint64{e.st.clock}
 	e.st.regID = make(map[any]int)
 	e.st.moved = make([]uint64, e.n)
 	e.st.saved = make([]*laneSave, e.n)
@@ -752,10 +763,10 @@ func (e *Exec) stateBeforeGrant(pid, k int, crash bool) {
 	if !seen {
 		id = len(e.st.cells)
 		e.st.regID[in.Reg] = id
-		rc := regCell{cell: cell, init: cell.StateWord()}
-		cell.StateInto(&rc.initState)
-		e.st.cells = append(e.st.cells, rc)
+		e.st.cells = append(e.st.cells, regCell{cell: cell, init: cell.StateWord()})
 	}
+	e.st.undo = append(e.st.undo, undoEntry{cell: cell})
+	cell.StateInto(&e.st.undo[len(e.st.undo)-1].pre)
 	e.st.pending = pendingWrite{active: true, id: id, preWord: cell.StateWord()}
 }
 

@@ -12,11 +12,18 @@ import (
 // tests compare a restored state with. It is the repository's only
 // checkpoint/restore stack: the goroutine oracle stays stateless. A frame
 // machine's state is plain data (register cells, lane positions, frame
-// structs), so a Snapshot is a copy: the CellState of every registered
-// register, each lane's ProcState and phase, and a saved copy of each
-// lane's frames. There is no undo log — restoring loads the captured cell
-// states outright (cells first written after the capture rewind to the
-// pre-image taken at registration).
+// structs). Registers are restored through an undo log: every write grant
+// pushes the written cell and its pre-image (stateMirror.undo), a Snapshot
+// records the log's length, and Restore pops the log back to that length,
+// newest first, loading each pre-image. A DFS node is one grant away from its
+// parent, so a restore touches only the cells written since the capture, not
+// every register the walk has written. The log only describes the current
+// branch, so Restore accepts ancestors of the current state only and rejects
+// any other snapshot in O(1): every trace event carries a never-reused serial
+// (its move stamp) and a snapshot keeps the serial of its last event.
+//
+// The rest of a Snapshot is a copy: each lane's ProcState and phase, and a
+// saved copy of each lane's frames.
 //
 // Lanes are restored by copy. A capture saves
 // only the lanes that moved since they were last saved: a lane's move stamp
@@ -42,9 +49,10 @@ import (
 // recovery marks the lane crashed with its stack discarded — exactly the
 // state the crash grant left it in.
 
-// Snapshot captures the complete state of an in-flight vexec execution at a
-// decision point. It holds full register pre-images; the ancestor discipline
-// (snapshots form a stack along a DFS branch) is asserted on Restore.
+// Snapshot captures the state of an in-flight vexec execution at a decision
+// point. Registers are not copied: the snapshot records the undo log's length,
+// so it can only be restored while it is an ancestor of the current state
+// (snapshots form a stack along a DFS branch), which Restore asserts.
 //
 // Snapshots are pooled: a search that is done with a capture hands it back
 // via ReleaseState and a later Checkpoint reuses its backing arrays. A deep
@@ -55,11 +63,11 @@ type Snapshot struct {
 	grants   int64
 	fp       uint64
 	traceLen int
+	serial   uint64 // st.events[traceLen]: the serial of the last event
 	restarts int
 
-	regHash  [2]uint64
-	cellsLen int               // st.cells registered at capture time
-	cells    []shmem.CellState // their contents, by id
+	regHash [2]uint64
+	undoLen int // st.undo's length at capture
 
 	procs []shmem.ProcState
 	phase []uint8
@@ -87,8 +95,8 @@ type laneSave struct {
 	retB   bool
 }
 
-// Checkpoint captures the current decision point: O(registered registers +
-// n), plus one frame copy per lane that moved since it was last saved.
+// Checkpoint captures the current decision point: O(n), plus one frame copy
+// per lane that moved since it was last saved.
 func (e *Exec) Checkpoint() *Snapshot {
 	if !e.st.enabled {
 		panic("vexec: Checkpoint without EnableState")
@@ -105,16 +113,13 @@ func (e *Exec) Checkpoint() *Snapshot {
 	s.grants = e.grants
 	s.fp = e.fp
 	s.traceLen = len(e.traceBuf)
+	s.serial = e.st.events[len(e.st.events)-1]
 	s.restarts = e.restarts
 	s.regHash = e.st.regHash
-	s.cellsLen = len(e.st.cells)
-	s.cells = grow(s.cells, len(e.st.cells))
+	s.undoLen = len(e.st.undo)
 	s.procs = grow(s.procs, e.n)
 	s.phase = append(s.phase[:0], e.phase...)
 	s.moved = append(s.moved[:0], e.st.moved...)
-	for id := range e.st.cells {
-		e.st.cells[id].cell.StateInto(&s.cells[id])
-	}
 	for pid, p := range e.procs {
 		p.StateInto(&s.procs[pid])
 		s.procs[pid].Crashed = e.phase[pid] == phaseCrashed
@@ -232,8 +237,10 @@ func (e *Exec) ReleaseState(s *Snapshot) {
 }
 
 // Restore rewinds the engine to a Snapshot taken earlier on the current
-// branch: registered cells load their captured states (cells registered
-// since rewind to their registration pre-image) and bookkeeping rolls back.
+// branch: the undo log pops back to the capture's length, each cell written
+// since loading its pre-image, and bookkeeping rolls back. A snapshot that is
+// not an ancestor of the current state (one taken on a branch a later
+// Restore abandoned), a released one and another engine's one panic.
 // Then every lane that moved since the capture — was granted, crashed or
 // restarted, so its move stamp differs from the captured one — has reset (if
 // non-nil) clear the caller's body-external capture for it, and is put back
@@ -253,19 +260,20 @@ func (e *Exec) Restore(s *Snapshot, reset func(pid int)) {
 		}
 		panic("vexec: Restore of a snapshot from a different engine")
 	}
-	if s.traceLen > len(e.traceBuf) || s.grants > e.grants {
+	// The event at the capture's trace position still carries the serial
+	// the capture saw only if no Restore has rewound below it since: then
+	// the capture is an ancestor and the undo log above its length is
+	// exactly the writes made since.
+	if s.traceLen >= len(e.st.events) || e.st.events[s.traceLen] != s.serial {
 		panic("vexec: Restore target is not an ancestor of the current state (snapshots form a stack)")
 	}
-	for id := range e.st.cells {
-		if id < s.cellsLen {
-			e.st.cells[id].cell.LoadState(s.cells[id])
-		} else {
-			// First written after the capture: back to the contents it had
-			// then (no write grant had touched it, so its registration
-			// pre-image is its state at every earlier decision point).
-			e.st.cells[id].cell.LoadState(e.st.cells[id].initState)
-		}
+	for i := len(e.st.undo) - 1; i >= s.undoLen; i-- {
+		u := &e.st.undo[i]
+		u.cell.LoadState(u.pre)
+		*u = undoEntry{}
 	}
+	e.st.undo = e.st.undo[:s.undoLen]
+	e.st.events = e.st.events[:s.traceLen+1]
 	e.st.regHash = s.regHash
 	e.st.pending = pendingWrite{}
 	e.traceBuf = e.traceBuf[:s.traceLen]

@@ -2,6 +2,7 @@ package vexec_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -470,4 +471,55 @@ func TestRestoreRefRegisters(t *testing.T) {
 	if got[1] != 20 || *ref.PeekRef() != 21 {
 		t.Fatalf("continuation after restore: got[1]=%d final=%d, want 20/21", got[1], *ref.PeekRef())
 	}
+}
+
+// mustPanic runs f and requires it to panic with a message containing want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic, want one containing %q", want)
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, want) {
+			t.Fatalf("panic %v, want one containing %q", r, want)
+		}
+	}()
+	f()
+}
+
+// TestRestoreRejectsNonAncestor: registers are restored through an undo log
+// that describes only the current branch, so a snapshot taken on a branch a
+// later Restore abandoned must be refused — even when the current branch is
+// at least as deep, which a trace-length or grant-count check cannot tell
+// apart from an ancestor.
+func TestRestoreRejectsNonAncestor(t *testing.T) {
+	s := newTwoRegs(2, false)
+	e := s.e
+	reset := func(pid int) { s.got[pid] = 0 }
+	a := e.Checkpoint()
+	e.Step(0)
+	e.Step(0)
+	b := e.Checkpoint()
+	e.Restore(a, reset)
+	e.Step(1)
+	e.Step(1)
+	e.Step(1)
+	mustPanic(t, "not an ancestor", func() { e.Restore(b, reset) })
+	// The refusal left the engine alone: the ancestor still restores.
+	e.Restore(a, reset)
+	if e.TraceLen() != 0 || s.a.Peek() != 0 || s.b.Peek() != 0 {
+		t.Fatalf("after restoring the root: trace %d, registers (%d, %d), want 0, (0, 0)", e.TraceLen(), s.a.Peek(), s.b.Peek())
+	}
+}
+
+// TestRestoreRejectsForeignSnapshots: a released snapshot and another
+// engine's snapshot are refused.
+func TestRestoreRejectsForeignSnapshots(t *testing.T) {
+	s, o := newTwoRegs(2, false), newTwoRegs(2, false)
+	released := s.e.Checkpoint()
+	s.e.ReleaseState(released)
+	mustPanic(t, "released snapshot", func() { s.e.Restore(released, nil) })
+	mustPanic(t, "different engine", func() { s.e.Restore(o.e.Checkpoint(), nil) })
 }
