@@ -37,7 +37,6 @@ type Tree struct {
 	pos       int // replay cursor: next stack index to re-apply
 	abandoned bool
 	done      bool
-	rootPin   *Choice // restrict the search to one root decision (sharding)
 	stats     Stats
 }
 
@@ -95,11 +94,6 @@ func NewSleepSet(seed uint64, budget, maxCrashes int) *Tree {
 // Name implements Strategy.
 func (t *Tree) Name() string { return t.name }
 
-// PinRoot restricts the search to the subtree under one root decision, for
-// sharding a tree across DriveParallel workers: every enabled root choice is
-// some worker's pin, so the union of the shards covers the tree.
-func (t *Tree) PinRoot(ch Choice) { t.rootPin = &ch }
-
 // RunSeed implements Seeder: tree searches explore the schedules of one
 // deterministic system, so every execution rebuilds from the same seed.
 func (t *Tree) RunSeed(run int) uint64 { return t.seed }
@@ -147,24 +141,9 @@ func (t *Tree) Next(e sched.Engine) Choice {
 	}
 	f, pruned := openFrame(e, parent)
 	t.stats.Pruned += pruned
-	switch {
-	case t.rootPin != nil && t.pos == 0:
-		bit := uint64(1) << uint(t.rootPin.Pid)
-		f.btStep, f.btCrash, f.btRestart = 0, 0, 0
-		f.haltBt = false
-		switch {
-		case t.rootPin.Restart:
-			f.btRestart = bit & f.restartable
-		case t.rootPin.Crash:
-			f.btCrash = bit & f.enabled
-		default:
-			f.btStep = bit & f.enabled
-		}
-	default:
-		f.btStep = f.enabled
-		if t.maxCrashes > 0 && f.crashesBefore < t.maxCrashes {
-			f.btCrash = f.enabled
-		}
+	f.btStep = f.enabled
+	if t.maxCrashes > 0 && f.crashesBefore < t.maxCrashes {
+		f.btCrash = f.enabled
 	}
 	if !pickNext(&f) {
 		// Every scheduled transition is asleep: this whole subtree reorders

@@ -45,28 +45,25 @@ func TestEngineReportDifferential(t *testing.T) {
 		maxCrashes int
 		model      shmem.Model
 		walker     model.Walker
-		workers    int
 		// oracleCrashes is the crash budget of the oracle sleep-set walk a
 		// source-DPOR cell's verdict is compared with; -1 means maxCrashes.
 		oracleCrashes int
 	}{
 		// The default stateful walker, crash-free and with full branching.
-		{"majority-n3-sourcedpor", "majority", 3, 0, shmem.Model{}, model.WalkerSourceDPOR, 1, -1},
-		{"firstfit-n2-sourcedpor-crash1", "firstfit", 2, 1, shmem.Model{}, model.WalkerSourceDPOR, 1, -1},
+		{"majority-n3-sourcedpor", "majority", 3, 0, shmem.Model{}, model.WalkerSourceDPOR, -1},
+		{"majority-n3-sourcedpor-crash1", "majority", 3, 1, shmem.Model{}, model.WalkerSourceDPOR, -1},
+		{"firstfit-n2-sourcedpor-crash1", "firstfit", 2, 1, shmem.Model{}, model.WalkerSourceDPOR, -1},
 		// The stateless walker: counts must agree across engines.
-		{"basic-n3-sleepset", "basic", 3, 0, shmem.Model{}, model.WalkerSleepSet, 1, -1},
-		{"firstfit-n2-sleepset-crash1", "firstfit", 2, 1, shmem.Model{}, model.WalkerSleepSet, 1, -1},
+		{"basic-n3-sleepset", "basic", 3, 0, shmem.Model{}, model.WalkerSleepSet, -1},
+		{"firstfit-n2-sleepset-crash1", "firstfit", 2, 1, shmem.Model{}, model.WalkerSleepSet, -1},
 		// Fault models: stale-choice branching and restart branching add
 		// engine-driven decisions to the tree.
-		{"firstfit-n2-safe", "firstfit", 2, 1, shmem.Model{Regs: shmem.RegSafe}, model.WalkerSourceDPOR, 1, -1},
-		{"basic-n2-recovery", "basic", 2, 1, shmem.Model{Recovery: true}, model.WalkerSourceDPOR, 1, -1},
-		// The sharded parallel drive: per-shard trees walked concurrently,
-		// totals summed.
-		{"majority-n3-sourcedpor-x2", "majority", 3, 1, shmem.Model{}, model.WalkerSourceDPOR, 2, -1},
+		{"firstfit-n2-safe", "firstfit", 2, 1, shmem.Model{Regs: shmem.RegSafe}, model.WalkerSourceDPOR, -1},
+		{"basic-n2-recovery", "basic", 2, 1, shmem.Model{Recovery: true}, model.WalkerSourceDPOR, -1},
 		// A stage-chaining algorithm (snapshot frames, Ref registers). Its
 		// oracle sleep-set walk is crash-free to stay affordable; the leaf
 		// replay covers the crash branches.
-		{"efficient-n2-sourcedpor", "efficient", 2, 1, shmem.Model{}, model.WalkerSourceDPOR, 1, 0},
+		{"efficient-n2-sourcedpor", "efficient", 2, 1, shmem.Model{}, model.WalkerSourceDPOR, 0},
 	}
 	for _, cell := range cells {
 		cell := cell
@@ -76,13 +73,13 @@ func TestEngineReportDifferential(t *testing.T) {
 			if !ok {
 				t.Fatalf("conformance case %s missing", cell.algo)
 			}
-			run := func(oracle bool, walker model.Walker, maxCrashes, workers int) model.Report {
+			run := func(oracle bool, walker model.Walker, maxCrashes int) model.Report {
 				mk := func() check.Renamer { return tc.New(cell.n, 1) }
 				if oracle {
 					mk = func() check.Renamer { return oracleOnly{tc.New(cell.n, 1)} }
 				}
 				rep := model.Check(tc.Name, mk, cell.n, tc.Origs(cell.n, 1), tc.Suite(cell.n, "model"),
-					model.Options{MaxCrashes: maxCrashes, Model: cell.model, Walker: walker, Workers: workers})
+					model.Options{MaxCrashes: maxCrashes, Model: cell.model, Walker: walker})
 				want := model.EngineVexec
 				if oracle {
 					want = model.EngineGoroutine
@@ -93,8 +90,8 @@ func TestEngineReportDifferential(t *testing.T) {
 				return rep
 			}
 			if cell.walker == model.WalkerSleepSet {
-				g := run(true, model.WalkerSleepSet, cell.maxCrashes, cell.workers)
-				v := run(false, model.WalkerSleepSet, cell.maxCrashes, cell.workers)
+				g := run(true, model.WalkerSleepSet, cell.maxCrashes)
+				v := run(false, model.WalkerSleepSet, cell.maxCrashes)
 				type counts struct {
 					Executions, Partial, Explored, Pruned, Replayed, Restored int
 					Complete                                                  bool
@@ -117,8 +114,8 @@ func TestEngineReportDifferential(t *testing.T) {
 			if oc < 0 {
 				oc = cell.maxCrashes
 			}
-			src := run(false, model.WalkerSourceDPOR, oc, cell.workers)
-			ref := run(true, model.WalkerSleepSet, oc, 1)
+			src := run(false, model.WalkerSourceDPOR, oc)
+			ref := run(true, model.WalkerSleepSet, oc)
 			if (src.Violation == nil) != (ref.Violation == nil) || src.Complete != ref.Complete {
 				t.Fatalf("source-DPOR and the oracle's sleep-set walk disagree:\n  %s\n  %s", src.Summary(), ref.Summary())
 			}

@@ -30,10 +30,6 @@
 // tree on either; tests reach the oracle by hiding FrameRename behind a
 // wrapper struct. Report.Engine records which engine ran.
 //
-// Workers > 1 shards the root decisions of the tree across goroutines
-// (explore.DriveParallel): each enabled first grant is searched as an
-// independent subtree over its own instance.
-//
 // This is the ROADMAP's "prove, don't sample" item: Explore samples the
 // adversary's space at every size, the model checker closes it at small n,
 // and internal/conformance records per algorithm which sizes are proven
@@ -42,7 +38,6 @@ package model
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/check"
@@ -100,39 +95,6 @@ func (e Engine) String() string {
 	}
 }
 
-// RaceMode selects the source-DPOR race-analysis implementation (see
-// explore.RaceAnalysis). Every mode walks the same tree and produces the same
-// verdict; they differ in how much work each backtrack costs, and
-// RaceDifferential additionally cross-checks the two on every backtrack.
-type RaceMode int
-
-const (
-	// RaceIncremental (the default) maintains the happens-before relation
-	// incrementally across backtracks, truncated by watermark alongside the
-	// engine's checkpoint restores.
-	RaceIncremental RaceMode = iota
-	// RaceRebuild re-derives the relation from the whole trace at every
-	// backtrack — the reference TestIncrementalHBDifferential checks the
-	// incremental layer against.
-	RaceRebuild
-	// RaceDifferential runs both implementations on every backtrack and
-	// panics on any divergence. Testing only.
-	RaceDifferential
-)
-
-func (m RaceMode) String() string {
-	switch m {
-	case RaceIncremental:
-		return "incremental"
-	case RaceRebuild:
-		return "rebuild"
-	case RaceDifferential:
-		return "differential"
-	default:
-		return fmt.Sprintf("RaceMode(%d)", int(m))
-	}
-}
-
 // Options tunes a model-checking run.
 type Options struct {
 	// MaxCrashes caps crash branching: at every decision point with fewer
@@ -158,12 +120,11 @@ type Options struct {
 	// Walker selects the search strategy; the zero value is WalkerSourceDPOR,
 	// which needs frame automata (see the package doc).
 	Walker Walker
-	// Workers > 1 shards the root decisions across that many goroutines.
-	Workers int
-	// Race selects the source-DPOR race-analysis implementation; the zero
-	// value (RaceIncremental) is the default. Ignored by the stateless
-	// walkers.
-	Race RaceMode
+
+	// race selects the source-DPOR race analysis; the zero value
+	// (explore.RaceIncremental) is the production one. Tests set the rebuild
+	// reference or the differential through WithRace.
+	race explore.RaceAnalysis
 }
 
 // Report is the outcome of one model-checking run.
@@ -173,14 +134,13 @@ type Report struct {
 	Model      shmem.Model
 	Walker     Walker
 	Engine     Engine // vexec exactly when the renamer implements vexec.FrameRenamer
-	Workers    int
-	Executions int // complete executions checked
-	Partial    int // redundant prefixes cut by sleep sets
-	Explored   int // scheduling decisions executed
-	Pruned     int // enabled choices skipped as commuting-equivalent
-	Replayed   int // prefix grants re-executed (stateless engine only)
-	Restored   int // checkpoint restores (stateful engine only)
-	Deduped    int // always 0: no walker cuts a state by hash; kept because perfbench reads it
+	Executions int    // complete executions checked
+	Partial    int    // redundant prefixes cut by sleep sets
+	Explored   int    // scheduling decisions executed
+	Pruned     int    // enabled choices skipped as commuting-equivalent
+	Replayed   int    // prefix grants re-executed (stateless engine only)
+	Restored   int    // checkpoint restores (stateful engine only)
+	Deduped    int    // always 0: no walker cuts a state by hash; kept because perfbench reads it
 	// RaceEvents counts happens-before rows derived by source-DPOR's race
 	// analysis — per-event with the incremental layer, per-trace-per-leaf
 	// with the rebuild reference — and RaceTime the wall-clock spent there.
@@ -223,11 +183,7 @@ func (r *Report) Summary() string {
 	if !r.Model.Atomic() {
 		s += fmt.Sprintf(" model=%s", r.Model)
 	}
-	s += fmt.Sprintf(" [%s@%s", r.Walker, r.Engine)
-	if r.Workers > 1 {
-		s += fmt.Sprintf(" x%d", r.Workers)
-	}
-	s += fmt.Sprintf("]: %s — %d executions, %d pruned prefixes, %d decisions (%d pruned", verdict, r.Executions, r.Partial, r.Explored, r.Pruned)
+	s += fmt.Sprintf(" [%s@%s]: %s — %d executions, %d pruned prefixes, %d decisions (%d pruned", r.Walker, r.Engine, verdict, r.Executions, r.Partial, r.Explored, r.Pruned)
 	if r.Replayed > 0 {
 		s += fmt.Sprintf(", %d replayed", r.Replayed)
 	}
@@ -239,8 +195,7 @@ func (r *Report) Summary() string {
 
 // instance is one system under check: a fresh renamer with its per-pid
 // outcome capture. The stateful engine uses exactly one; the stateless
-// engine builds one per execution; the sharded parallel drive builds one per
-// root shard.
+// engine builds one per execution.
 type instance struct {
 	renamer check.Renamer
 	got     []int64
@@ -284,16 +239,14 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 			origs[i] = int64(i + 1)
 		}
 	}
-	if opt.Workers < 1 {
-		opt.Workers = 1
-	}
 	mkInstance := func() *instance {
 		return &instance{renamer: new(), got: make([]int64, n), oks: make([]bool, n)}
 	}
-	// Resolve the execution engine once, against a probe instance: the walk
+	cur := mkInstance()
+	// Resolve the execution engine once, against the first instance: the walk
 	// runs on vexec exactly when the algorithm ships frame automata.
 	engine := EngineGoroutine
-	if _, ok := mkInstance().renamer.(vexec.FrameRenamer); ok {
+	if _, ok := cur.renamer.(vexec.FrameRenamer); ok {
 		engine = EngineVexec
 	} else if opt.Walker == WalkerSourceDPOR {
 		// Checkpoint/restore is vexec's alone, so a renamer without frame
@@ -301,99 +254,52 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 		// oracle; Report.Walker says so.
 		opt.Walker = WalkerSleepSet
 	}
-	rep := Report{Label: label, N: n, Model: opt.Model, Walker: opt.Walker, Engine: engine, Workers: opt.Workers}
+	rep := Report{Label: label, N: n, Model: opt.Model, Walker: opt.Walker, Engine: engine}
 	start := time.Now()
 
-	var vmu sync.Mutex // parallel shards report violations concurrently
-	// checkRun validates one completed execution; shared by every drive
-	// shape. It must be called with the instance that ran it.
-	checkRun := func(in *instance, t sched.Trace, res sched.Result) *Violation {
-		var err error
-		if res.Err != nil {
-			err = fmt.Errorf("process panic: %w", res.Err)
-		} else {
-			err = suite.Check(check.NewRun(origs, in.got, in.oks, res, in.renamer.MaxName()))
-		}
-		if err != nil {
-			// t aliases the drive's reused trace buffer; the violation is the
-			// report's durable artifact, so copy.
-			return &Violation{Err: err, Trace: append(sched.Trace(nil), t...)}
-		}
-		return nil
+	var strat explore.Strategy
+	if opt.Walker == WalkerSleepSet {
+		strat = explore.NewSleepSet(1, opt.Budget, opt.MaxCrashes)
+	} else {
+		strat = explore.NewSourceDPOR(1, opt.Budget, opt.MaxCrashes).SetRaceAnalysis(opt.race)
 	}
-	mkStrategy := func() explore.Strategy {
-		switch opt.Walker {
-		case WalkerSleepSet:
-			return explore.NewSleepSet(1, opt.Budget, opt.MaxCrashes)
-		default:
-			s := explore.NewSourceDPOR(1, opt.Budget, opt.MaxCrashes)
-			switch opt.Race {
-			case RaceRebuild:
-				s.SetRaceAnalysis(explore.RaceRebuild)
-			case RaceDifferential:
-				s.SetRaceAnalysis(explore.RaceDifferential)
-			}
-			return s
+	// fresh returns the system execution run drives, outcomes cleared: the
+	// stateful walker rewinds the one instance, the stateless walker builds a
+	// new one per execution.
+	fresh := func(run int) *instance {
+		if run > 0 {
+			cur = mkInstance()
 		}
+		cur.reset()
+		return cur
 	}
-	configFor := func(in *instance, fresh func() *instance) explore.Config {
-		cur := in
-		cfg := explore.Config{
-			N:     n,
-			Model: opt.Model,
-			Names: func(run int) []int64 { return origs },
-			Body: func(run int) sched.Body {
-				if run > 0 {
-					// Stateless walker: a fresh system per execution.
-					cur = fresh()
-				}
-				cur.reset()
-				return cur.body()
-			},
-			Reset: func(pid int) { cur.resetPid(pid) }, // stateful walker: same system, rewound
-			OnResult: func(run int, t sched.Trace, res sched.Result) bool {
-				if v := checkRun(cur, t, res); v != nil {
-					vmu.Lock()
-					if rep.Violation == nil {
-						rep.Violation = v
-					}
-					vmu.Unlock()
-					return false
-				}
-				return true
-			},
-		}
-		if engine == EngineVexec {
-			cfg.Frame = func(run int) func(p *shmem.Proc) vexec.Frame {
-				if run > 0 {
-					cur = fresh()
-				}
-				cur.reset()
-				return cur.frames()
+	cfg := explore.Config{
+		N:     n,
+		Model: opt.Model,
+		Names: func(run int) []int64 { return origs },
+		Body:  func(run int) sched.Body { return fresh(run).body() },
+		Reset: func(pid int) { cur.resetPid(pid) }, // stateful walker: same system, rewound
+		OnResult: func(run int, t sched.Trace, res sched.Result) bool {
+			var err error
+			if res.Err != nil {
+				err = fmt.Errorf("process panic: %w", res.Err)
+			} else {
+				err = suite.Check(check.NewRun(origs, cur.got, cur.oks, res, cur.renamer.MaxName()))
 			}
-		}
-		return cfg
+			if err != nil {
+				// t aliases the drive's reused trace buffer; the violation is
+				// the report's durable artifact, so copy.
+				rep.Violation = &Violation{Err: err, Trace: append(sched.Trace(nil), t...)}
+				return false
+			}
+			return true
+		},
+	}
+	if engine == EngineVexec {
+		cfg.Frame = func(run int) func(p *shmem.Proc) vexec.Frame { return fresh(run).frames() }
 	}
 
-	var stats explore.Stats
-	if opt.Workers > 1 {
-		stats = explore.DriveParallel(explore.ParallelSpec{
-			Workers:    opt.Workers,
-			N:          n,
-			MaxCrashes: opt.MaxCrashes,
-			Probe: func() explore.Config {
-				in := mkInstance()
-				return explore.Config{N: n, Names: func(int) []int64 { return origs }, Body: func(int) sched.Body { return in.body() }}
-			},
-			NewStrategy: mkStrategy,
-			Config: func(shard int) explore.Config {
-				in := mkInstance()
-				return configFor(in, mkInstance)
-			},
-		})
-	} else {
-		stats = explore.Drive(mkStrategy(), configFor(mkInstance(), mkInstance))
-	}
+	stats := explore.Drive(strat, cfg)
 	rep.Executions = stats.Executions
 	rep.Partial = stats.Partial
 	rep.Explored = stats.Explored

@@ -174,31 +174,6 @@ func TestEnginesAgree(t *testing.T) {
 	}
 }
 
-// TestCheckParallelWorkers: sharding the root decisions across workers must
-// preserve both verdicts — the proof (all shards complete) and the bug.
-func TestCheckParallelWorkers(t *testing.T) {
-	const n = 3
-	for _, walker := range []Walker{WalkerSourceDPOR, WalkerSleepSet} {
-		opt := Options{Walker: walker, MaxCrashes: n - 1, Workers: 4}
-		good := Check("fair", func() check.Renamer { return &fairRenamer{slots: make([]shmem.Reg, n)} },
-			n, nil, check.Basic(), opt)
-		if !good.Proven() {
-			t.Fatalf("%s x4: sharded walk failed to prove: %s", walker, good.Summary())
-		}
-		seq := Check("fair", func() check.Renamer { return &fairRenamer{slots: make([]shmem.Reg, n)} },
-			n, nil, check.Basic(), Options{Walker: walker, MaxCrashes: n - 1})
-		if good.Executions < seq.Executions {
-			t.Fatalf("%s x4: sharded walk ran %d executions, sequential %d — shards may not skip work",
-				walker, good.Executions, seq.Executions)
-		}
-		bad := Check("broken", func() check.Renamer { return &brokenRenamer{slots: make([]shmem.Reg, n)} },
-			n, nil, check.Suite{check.Exclusive(), check.Returned()}, opt)
-		if bad.Violation == nil {
-			t.Fatalf("%s x4: sharded walk missed the planted bug: %s", walker, bad.Summary())
-		}
-	}
-}
-
 // TestCheckBudgetDegradesToSample: a budget too small for the tree must
 // report Complete=false — never a false proof.
 func TestCheckBudgetDegradesToSample(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 )
 
 // TestProveWalkCountsPinned fixes the Report counts of the benchmark's three
-// proof walks (default options: source-DPOR on the vectorized engine, one
-// worker, conformance seed 1). Restore is a performance layer only: a change
+// proof walks (default options: source-DPOR on the vectorized engine,
+// conformance seed 1). Restore is a performance layer only: a change
 // to it that alters which tree the walk explores — an unmoved lane restored
 // wrongly, a frame rewound to the wrong watermark — moves one of these
 // numbers. No node is cut by a state hash, so the counts are those of pure

@@ -186,10 +186,10 @@ type Service struct {
 	cfg Config
 	// mu guards all bookkeeping. Bookkeeping calls happen inside granted
 	// steps, which the engines serialize, so the lock is uncontended by
-	// construction on the vectorized driver and contended only across the
-	// goroutine engine's gate handoffs; it exists for the race detector and
-	// for the sharded parallel driver, where distinct engines drive
-	// disjoint shards but share this Service value.
+	// construction on the vectorized driver. On the goroutine driver each
+	// grant hands the gate to another process goroutine, so consecutive
+	// bookkeeping calls run on different goroutines; the lock makes that
+	// ordering explicit to the race detector.
 	mu     sync.Mutex
 	shards []*shard
 
