@@ -65,6 +65,9 @@ func (f *brokenFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return m.Intend(shmem.OpRead, &f.b.slots[f.i])
 }
 
+func (f *brokenFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *brokenFrame) Load(src vexec.Frame)             { *f = *src.(*brokenFrame) }
+
 // fairRenamer is a correct contrast fixture: slot i is owned by pid i, so
 // exclusiveness holds under every schedule.
 type fairRenamer struct {
@@ -98,6 +101,9 @@ func (f *fairFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	f.armed = true
 	return m.Intend(shmem.OpWrite, &f.f.slots[p.ID()])
 }
+
+func (f *fairFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *fairFrame) Load(src vexec.Frame)             { *f = *src.(*fairFrame) }
 
 func brokenSpec() Spec {
 	return Spec{

@@ -68,6 +68,9 @@ func (f *contendedFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return m.Intend(shmem.OpWrite, &f.c.slots[p.ID()])
 }
 
+func (f *contendedFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *contendedFrame) Load(src vexec.Frame)             { *f = *src.(*contendedFrame) }
+
 // strategySpec is the planted-bug campaign pinned to one cell so tree
 // strategies search a single deterministic system.
 func strategySpec(maker StrategyMaker, runs int) Spec {

@@ -58,6 +58,9 @@ func (f *writeReadFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return vexec.Done
 }
 
+func (f *writeReadFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *writeReadFrame) Load(src vexec.Frame)             { *f = *src.(*writeReadFrame) }
+
 // outcome renders an execution's observable final state.
 func outcome(got []int64, res sched.Result) string {
 	s := ""

@@ -128,6 +128,9 @@ func (f *blindWritesFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return m.Intend(shmem.OpWrite, f.r)
 }
 
+func (f *blindWritesFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *blindWritesFrame) Load(src vexec.Frame)             { *f = *src.(*blindWritesFrame) }
+
 // TestSourceDPORBudgetStops: a budget caps executions without claiming
 // completeness.
 func TestSourceDPORBudgetStops(t *testing.T) {
@@ -151,35 +154,60 @@ func TestSourceDPORDeterminism(t *testing.T) {
 	}
 }
 
-// TestSourceDPORStatefulReset: a restore must call Reset(pid) before it
-// re-roots process pid, and only then, so body-external capture never leaks
-// across branches — while unmoved lanes, which are not re-rooted, keep
-// their captured outcome.
+// loadWatchFrame is writeReadFrame counting its Runs, with onLoad called
+// before each Load with the run counts of the frame and of the saved copy.
+type loadWatchFrame struct {
+	writeReadFrame
+	runs   int
+	onLoad func(pid, runs, savedRuns int)
+	pid    int
+}
+
+func (f *loadWatchFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
+	f.runs++
+	return f.writeReadFrame.Run(m, p)
+}
+
+func (f *loadWatchFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *loadWatchFrame) Load(src vexec.Frame) {
+	s := src.(*loadWatchFrame)
+	f.onLoad(f.pid, f.runs, s.runs)
+	*f = *s
+}
+
+// TestSourceDPORStatefulReset: a restore builds no frame — the root builder
+// runs only for the n initial spawns — and calls Reset(pid) only for lanes
+// that moved since the capture, each right before it loads the lane's saved
+// frames, so body-external capture never leaks across branches, while
+// unmoved lanes keep their captured outcome.
 func TestSourceDPORStatefulReset(t *testing.T) {
 	const n = 3
 	got := make([]int64, n)
 	var r shmem.Reg
 	roots := make([]int, n)  // root frames built, by pid
 	resets := make([]int, n) // Reset calls, by pid
-	armed := make([]bool, n) // Reset(pid) called, re-root not yet seen
+	armed := make([]bool, n) // Reset(pid) called, load not yet seen
+	onLoad := func(pid, runs, savedRuns int) {
+		if !armed[pid] {
+			t.Fatalf("lane %d loaded without a Reset", pid)
+		}
+		if runs <= savedRuns {
+			t.Fatalf("lane %d reset and loaded though it did not move (%d runs, %d at capture)", pid, runs, savedRuns)
+		}
+		armed[pid] = false
+	}
 	st := Drive(NewSourceDPOR(1, 0, 0), Config{
 		N: n,
 		Frame: func(run int) func(p *shmem.Proc) vexec.Frame {
 			return func(p *shmem.Proc) vexec.Frame {
 				pid := p.ID()
-				if roots[pid] > 0 {
-					if !armed[pid] {
-						t.Fatalf("process %d re-rooted without a Reset", pid)
-					}
-					armed[pid] = false
-				}
 				roots[pid]++
-				return &writeReadFrame{r: &r, got: &got[pid]}
+				return &loadWatchFrame{writeReadFrame: writeReadFrame{r: &r, got: &got[pid]}, onLoad: onLoad, pid: pid}
 			}
 		},
 		Reset: func(pid int) {
 			if armed[pid] {
-				t.Fatalf("Reset(%d) twice without a re-root", pid)
+				t.Fatalf("Reset(%d) twice without a load", pid)
 			}
 			armed[pid] = true
 			resets[pid]++
@@ -200,15 +228,15 @@ func TestSourceDPORStatefulReset(t *testing.T) {
 	total := 0
 	for pid := 0; pid < n; pid++ {
 		if armed[pid] {
-			t.Fatalf("Reset(%d) without a re-root", pid)
+			t.Fatalf("Reset(%d) without a load", pid)
 		}
-		if roots[pid]-1 != resets[pid] {
-			t.Fatalf("process %d re-rooted %d times, reset %d times", pid, roots[pid]-1, resets[pid])
+		if roots[pid] != 1 {
+			t.Fatalf("root builder ran %d times for process %d, want only its initial spawn", roots[pid], pid)
 		}
 		total += resets[pid]
 	}
-	if total >= n*st.Restored {
-		t.Fatalf("%d resets for %d restores of %d lanes: no unmoved lane was left alone", total, st.Restored, n)
+	if total == 0 || total >= n*st.Restored {
+		t.Fatalf("%d resets for %d restores of %d lanes: want some lanes reset and the unmoved ones left alone", total, st.Restored, n)
 	}
 }
 

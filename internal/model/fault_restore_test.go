@@ -6,7 +6,6 @@ import (
 	"repro/internal/conformance"
 	"repro/internal/sched"
 	"repro/internal/shmem"
-	"repro/internal/vexec"
 	"repro/internal/xrand"
 )
 
@@ -15,12 +14,13 @@ import (
 // under safe registers, crashes, and restarts within the recovery budget.
 // Restoring a mid-execution vexec snapshot and replaying the same trace
 // prefix on a fresh engine (vexec, or the goroutine oracle) must land in
-// indistinguishable states — same hash (vexec replay), fingerprint, read
-// logs, restart accounting — and identical continuations
-// (which themselves keep crashing, restarting, and reading stale) must
-// produce bit-identical executions. This is the soundness base of fault
-// exploration: the stateful source-DPOR engine reconstructs interior tree
-// nodes by exactly these two mechanisms and assumes they agree.
+// indistinguishable states — the observables TestRestoreEquivalentToReplay
+// compares, restart accounting and stale choices among them — and identical
+// continuations (which themselves keep crashing, restarting, and reading
+// stale) must produce bit-identical executions. This is the soundness base
+// of fault exploration: the stateful source-DPOR walk reconstructs interior
+// tree nodes by restore, while reproducers and the oracle cross-checks
+// reconstruct them by replay, and both assume the two agree.
 func TestRestoreEquivalentToReplayFaultModel(t *testing.T) {
 	var ff conformance.Case
 	for _, tc := range conformance.Cases() {
@@ -121,21 +121,8 @@ func runFaultRestoreEquivalence(t *testing.T, tc conformance.Case, n int, m shme
 	randDriveFault(c1, rng, 3+int(seed%11), n-1)
 	snap := c1.Checkpoint()
 	prefix := append(sched.Trace(nil), c1.Trace()...)
-	wantHash := c1.StateHash()
-	wantFP := c1.Fingerprint()
-	wantRestarts := c1.Restarts()
 	randDriveFault(c1, xrand.New(xrand.Mix(seed, 0xd1f)), 1<<20, n-1)
 	c1.Restore(snap, reset1)
-
-	if got := c1.StateHash(); got != wantHash {
-		t.Fatalf("seed %#x: restore hash %x != checkpoint hash %x", seed, got, wantHash)
-	}
-	if c1.Fingerprint() != wantFP {
-		t.Fatalf("seed %#x: restore fingerprint %#x != checkpoint %#x", seed, c1.Fingerprint(), wantFP)
-	}
-	if c1.Restarts() != wantRestarts {
-		t.Fatalf("seed %#x: restore restart budget %d != checkpoint %d", seed, c1.Restarts(), wantRestarts)
-	}
 
 	// System 2: a fresh identical instance, prefix reconstructed by replay of
 	// the trace — including its crash, restart and stale-read events.
@@ -144,53 +131,10 @@ func runFaultRestoreEquivalence(t *testing.T, tc conformance.Case, n int, m shme
 	if err := c2.ApplyTrace(prefix); err != nil {
 		t.Fatalf("seed %#x: replay: %v", seed, err)
 	}
-	if e2, ok := c2.(*vexec.Exec); ok {
-		// The vexec replay must agree bit-for-bit; the oracle has no state
-		// hash and still certifies reads, fingerprints and continuations
-		// below.
-		if h := e2.StateHash(); h != wantHash {
-			t.Fatalf("seed %#x: replayed engine hash %x != checkpoint hash %x", seed, h, wantHash)
-		}
-	}
-	if c2.Fingerprint() != wantFP {
-		t.Fatalf("seed %#x: replayed fingerprint %#x != %#x", seed, c2.Fingerprint(), wantFP)
-	}
-	if c2.Restarts() != wantRestarts {
-		t.Fatalf("seed %#x: replayed restart budget %d != %d", seed, c2.Restarts(), wantRestarts)
-	}
-	for pid := 0; pid < n; pid++ {
-		p1, p2 := c1.Proc(pid), c2.Proc(pid)
-		if p1.Steps() != p2.Steps() || p1.ReadLogLen() != p2.ReadLogLen() || p1.Restarts() != p2.Restarts() {
-			t.Fatalf("seed %#x: proc %d position (%d steps, %d reads, %d restarts) != replay (%d, %d, %d)",
-				seed, pid, p1.Steps(), p1.ReadLogLen(), p1.Restarts(), p2.Steps(), p2.ReadLogLen(), p2.Restarts())
-		}
-		for i := 0; i < p1.ReadLogLen(); i++ {
-			w1, ref1 := p1.ReadWord(i)
-			w2, ref2 := p2.ReadWord(i)
-			if ref1 != ref2 || (!ref1 && w1 != w2) {
-				t.Fatalf("seed %#x: proc %d read %d: restored (%d,%v) != replayed (%d,%v)", seed, pid, i, w1, ref1, w2, ref2)
-			}
-		}
-	}
 	// Identical faulty continuations must produce bit-identical executions.
-	finish := func(c sched.Engine) sched.Result {
-		r := xrand.New(xrand.Mix(seed, 0xf1a1))
-		randDriveFault(c, r, 1<<20, n-1)
-		return c.Result()
-	}
-	res1, res2 := finish(c1), finish(c2)
-	if res1.Fingerprint != res2.Fingerprint {
-		t.Fatalf("seed %#x: continuation fingerprints diverge: %#x vs %#x", seed, res1.Fingerprint, res2.Fingerprint)
-	}
-	for pid := 0; pid < n; pid++ {
-		if res1.Steps[pid] != res2.Steps[pid] || res1.Crashed[pid] != res2.Crashed[pid] {
-			t.Fatalf("seed %#x: proc %d outcome (%d steps, crashed=%v) != (%d, %v)",
-				seed, pid, res1.Steps[pid], res1.Crashed[pid], res2.Steps[pid], res2.Crashed[pid])
-		}
-		if got1[pid] != got2[pid] {
-			t.Fatalf("seed %#x: proc %d acquired name %d after restore, %d after replay", seed, pid, got1[pid], got2[pid])
-		}
-	}
+	checkRestoreEquivalence(t, seed, n, c1, got1, c2, got2, func(c sched.Engine) {
+		randDriveFault(c, xrand.New(xrand.Mix(seed, 0xf1a1)), 1<<20, n-1)
+	})
 	for _, ev := range c1.Trace() {
 		if ev.Restart {
 			restarts++

@@ -60,6 +60,9 @@ func (f *brokenFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return m.Intend(shmem.OpRead, &f.b.slots[f.i])
 }
 
+func (f *brokenFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *brokenFrame) Load(src vexec.Frame)             { *f = *src.(*brokenFrame) }
+
 // fairRenamer is the correct contrast: slot i belongs to pid i.
 type fairRenamer struct {
 	slots []shmem.Reg
@@ -90,6 +93,9 @@ func (f *fairFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	f.armed = true
 	return m.Intend(shmem.OpWrite, &f.f.slots[p.ID()])
 }
+
+func (f *fairFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *fairFrame) Load(src vexec.Frame)             { *f = *src.(*fairFrame) }
 
 // TestCheckFindsPlantedBugExhaustively: the model checker must find the
 // unconfirmed-claim bug at n=2 without any seed luck — it is in the tree,

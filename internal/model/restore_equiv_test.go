@@ -1,6 +1,8 @@
 package model_test
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/conformance"
@@ -11,26 +13,18 @@ import (
 )
 
 // TestRestoreEquivalentToReplay is the checkpoint/restore ground truth for
-// the real algorithms: over randomized traces of all six, restoring a
-// mid-execution vexec snapshot must land bit-identically where (a) the same
-// engine stood at capture time — same StateHash, fingerprint, read logs
-// — and (b) where a fresh engine lands by replay of the same
-// prefix: same observable reads, same pending intents, and a bit-identical
-// continuation (same schedule fingerprint, steps, and acquired names under
-// identical subsequent decisions).
+// the real algorithms: over randomized traces of all of them, restoring a
+// mid-execution vexec snapshot must land where a fresh engine lands by
+// replay of the same prefix — same fingerprint, grants, trace, pending set
+// and intent kinds, stale choices, and per-lane steps, restarts, phase and
+// outcome — and identical continuations from both must be bit-identical
+// (same schedule fingerprint, steps, and acquired names).
 //
 // The replay side runs on a fresh vexec engine (pair "vexec") and on the
 // goroutine oracle (pair "vexec-to-goroutine"), which is exactly the
 // reconstruction contract engine-mixed tooling relies on (a vexec-discovered
-// violation replayed on a goroutine controller). The oracle has no state
-// hash; its reads are compared through the read logs it keeps.
-//
-// StateHash is additionally compared with the replaying vexec engine for
-// the algorithms built purely from scalar registers; the snapshot-based
-// stages of Efficient and Adaptive hash Ref contents by write stamp, which
-// is canonical within one engine instance only.
+// violation replayed on a goroutine controller).
 func TestRestoreEquivalentToReplay(t *testing.T) {
-	scalarOnly := map[string]bool{"majority": true, "basic": true, "polylog": true, "almostadaptive": true}
 	for _, tc := range conformance.Cases() {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
@@ -39,11 +33,7 @@ func TestRestoreEquivalentToReplay(t *testing.T) {
 				t.Run(pair.name, func(t *testing.T) {
 					for trial := 0; trial < 4; trial++ {
 						seed := uint64(trial+1) * 0x9e3779b9
-						// Cross-engine hash comparison needs scalar registers
-						// AND identical engines per side for Ref-bearing
-						// algorithms; same-engine pairs follow the scalarOnly
-						// rule as before.
-						runRestoreEquivalence(t, tc, 3, seed, scalarOnly[tc.Name], pair)
+						runRestoreEquivalence(t, tc, 3, seed, pair)
 					}
 				})
 			}
@@ -59,8 +49,7 @@ type enginePair struct {
 	replay func(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.SearchEngine, []int64)
 }
 
-// mkGoroutine builds the oracle with read logs on, so its reads compare
-// with the restored engine's.
+// mkGoroutine builds the oracle over a fresh instance of the case.
 func mkGoroutine(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.SearchEngine, []int64) {
 	r := tc.New(n, seed)
 	got := make([]int64, n)
@@ -69,9 +58,6 @@ func mkGoroutine(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.
 			got[p.ID()] = name
 		}
 	})
-	for pid := 0; pid < n; pid++ {
-		c.Proc(pid).EnableReadLog()
-	}
 	if !m.Atomic() {
 		c.SetModel(m)
 	}
@@ -91,7 +77,7 @@ func mkVexec(tc conformance.Case, n int, seed uint64, m shmem.Model) (*vexec.Exe
 	e.EnableState()
 	// Capture writes a lane's outcome only at completion, so stale outcomes
 	// from an abandoned branch must be cleared for every lane the restore
-	// re-roots — the same per-lane Config.Reset contract the search drivers
+	// puts back — the same per-lane Config.Reset contract the search drivers
 	// use.
 	return e, got, func(pid int) { got[pid], oks[pid] = 0, false }
 }
@@ -127,69 +113,54 @@ func randDrive(c sched.Engine, rng *xrand.Rand, k int, maxCrashes int) {
 	}
 }
 
-func runRestoreEquivalence(t *testing.T, tc conformance.Case, n int, seed uint64, compareHash bool, pair enginePair) {
+// lanePoint is one process's observable state at a decision point.
+type lanePoint struct {
+	steps         int64
+	restarts      int
+	done, crashed bool
+	got           int64
+	kind          shmem.OpKind // the posted intent's kind; zero unless pending
+	stale         []int64      // StaleVals of the pending read
+}
+
+// point is an engine's observable state at a decision point, in terms both
+// engines share. Register identities are per instance, so the trace is
+// compared by its rendering, which leaves them out.
+type point struct {
+	fp       uint64
+	grants   int64
+	restarts int
+	trace    string
+	pending  []int
+	lanes    []lanePoint
+}
+
+func observe(c sched.SearchEngine, got []int64) point {
+	pt := point{fp: c.Fingerprint(), grants: c.Grants(), restarts: c.Restarts(), trace: c.Trace().String(), pending: sched.Pending(c, nil)}
+	for pid := 0; pid < c.N(); pid++ {
+		p := c.Proc(pid)
+		lp := lanePoint{steps: p.Steps(), restarts: p.Restarts(), done: c.Done(pid), crashed: c.Crashed(pid), got: got[pid]}
+		if slices.Contains(pt.pending, pid) {
+			lp.kind = c.Intent(pid).Kind
+			lp.stale = c.StaleVals(pid, nil)
+		}
+		pt.lanes = append(pt.lanes, lp)
+	}
+	return pt
+}
+
+// checkRestoreEquivalence compares restored engine c1 with c2, which
+// replayed the same prefix, then drives both through the continuation
+// finish and requires bit-identical executions: same grants accepted, same
+// fingerprint, same steps, same acquired names.
+func checkRestoreEquivalence(t *testing.T, seed uint64, n int, c1 *vexec.Exec, got1 []int64, c2 sched.SearchEngine, got2 []int64, finish func(c sched.Engine)) {
 	t.Helper()
-	var m shmem.Model // the paper's: atomic registers, fail-stop
-
-	// System 1: random prefix, checkpoint, divergent continuation, restore.
-	c1, got1, reset1 := mkVexec(tc, n, seed, m)
-	c1.EnableTrace()
-	rng := xrand.New(xrand.Mix(seed, 0x5eed))
-	randDrive(c1, rng, 2+int(seed%9), 1)
-	snap := c1.Checkpoint()
-	prefix := append(sched.Trace(nil), c1.Trace()...)
-	wantHash := c1.StateHash()
-	wantFP := c1.Fingerprint()
-	randDrive(c1, xrand.New(xrand.Mix(seed, 0xd1f)), 1<<20, n-1) // run the divergent branch to completion
-	c1.Restore(snap, reset1)
-
-	if got := c1.StateHash(); got != wantHash {
-		t.Fatalf("seed %#x: restore hash %x != checkpoint hash %x", seed, got, wantHash)
+	if p1, p2 := observe(c1, got1), observe(c2, got2); !reflect.DeepEqual(p1, p2) {
+		t.Fatalf("seed %#x: restored\n%+v\nreplayed\n%+v", seed, p1, p2)
 	}
-	if c1.Fingerprint() != wantFP {
-		t.Fatalf("seed %#x: restore fingerprint %#x != checkpoint %#x", seed, c1.Fingerprint(), wantFP)
-	}
-
-	// System 2: a fresh identical instance, prefix reconstructed by replay.
-	c2, got2 := pair.replay(tc, n, seed, m)
-	c2.EnableTrace()
-	if err := c2.ApplyTrace(prefix); err != nil {
-		t.Fatalf("seed %#x: replay: %v", seed, err)
-	}
-	if e2, ok := c2.(*vexec.Exec); ok && compareHash {
-		if h := e2.StateHash(); h != wantHash {
-			t.Fatalf("seed %#x: replayed engine hash %x != checkpoint hash %x", seed, h, wantHash)
-		}
-	}
-	if c2.Fingerprint() != wantFP {
-		t.Fatalf("seed %#x: replayed fingerprint %#x != %#x", seed, c2.Fingerprint(), wantFP)
-	}
-	// Observable reads: every process must have logged the identical word
-	// sequence (Ref reads compare as Ref reads; their pointers are
-	// per-instance).
-	for pid := 0; pid < n; pid++ {
-		p1, p2 := c1.Proc(pid), c2.Proc(pid)
-		if p1.Steps() != p2.Steps() || p1.ReadLogLen() != p2.ReadLogLen() {
-			t.Fatalf("seed %#x: proc %d position (%d steps, %d reads) != replay (%d, %d)",
-				seed, pid, p1.Steps(), p1.ReadLogLen(), p2.Steps(), p2.ReadLogLen())
-		}
-		for i := 0; i < p1.ReadLogLen(); i++ {
-			w1, ref1 := p1.ReadWord(i)
-			w2, ref2 := p2.ReadWord(i)
-			if ref1 != ref2 || (!ref1 && w1 != w2) {
-				t.Fatalf("seed %#x: proc %d read %d: restored (%d,%v) != replayed (%d,%v)", seed, pid, i, w1, ref1, w2, ref2)
-			}
-		}
-	}
-	// Identical continuations from both reconstructions must produce
-	// bit-identical executions: same grants accepted, same fingerprint, same
-	// steps, same acquired names.
-	finish := func(c sched.Engine) sched.Result {
-		r := xrand.New(xrand.Mix(seed, 0xf1a1))
-		randDrive(c, r, 1<<20, n-1)
-		return c.Result()
-	}
-	res1, res2 := finish(c1), finish(c2)
+	finish(c1)
+	finish(c2)
+	res1, res2 := c1.Result(), c2.Result()
 	if res1.Fingerprint != res2.Fingerprint {
 		t.Fatalf("seed %#x: continuation fingerprints diverge: %#x vs %#x", seed, res1.Fingerprint, res2.Fingerprint)
 	}
@@ -202,4 +173,29 @@ func runRestoreEquivalence(t *testing.T, tc conformance.Case, n int, seed uint64
 			t.Fatalf("seed %#x: proc %d acquired name %d after restore, %d after replay", seed, pid, got1[pid], got2[pid])
 		}
 	}
+}
+
+func runRestoreEquivalence(t *testing.T, tc conformance.Case, n int, seed uint64, pair enginePair) {
+	t.Helper()
+	var m shmem.Model // the paper's: atomic registers, fail-stop
+
+	// System 1: random prefix, checkpoint, divergent continuation, restore.
+	c1, got1, reset1 := mkVexec(tc, n, seed, m)
+	c1.EnableTrace()
+	rng := xrand.New(xrand.Mix(seed, 0x5eed))
+	randDrive(c1, rng, 2+int(seed%9), 1)
+	snap := c1.Checkpoint()
+	prefix := append(sched.Trace(nil), c1.Trace()...)
+	randDrive(c1, xrand.New(xrand.Mix(seed, 0xd1f)), 1<<20, n-1) // run the divergent branch to completion
+	c1.Restore(snap, reset1)
+
+	// System 2: a fresh identical instance, prefix reconstructed by replay.
+	c2, got2 := pair.replay(tc, n, seed, m)
+	c2.EnableTrace()
+	if err := c2.ApplyTrace(prefix); err != nil {
+		t.Fatalf("seed %#x: replay: %v", seed, err)
+	}
+	checkRestoreEquivalence(t, seed, n, c1, got1, c2, got2, func(c sched.Engine) {
+		randDrive(c, xrand.New(xrand.Mix(seed, 0xf1a1)), 1<<20, n-1)
+	})
 }

@@ -19,11 +19,10 @@ import (
 // differential tests in internal/vexec enforce this over the conformance
 // table, randomized traces and the fault models.
 //
-// Execution state as a value — Checkpoint, Restore, StateHash — belongs to
-// the vectorized engine alone (vexec.Exec); the Controller stays a plain
-// oracle. The differential tests check vexec's StateHash against a
-// reference folded from the oracle's observable surface: read logs,
-// register pre-images and stale windows.
+// Execution state as a value — Checkpoint and Restore — belongs to the
+// vectorized engine alone (vexec.Exec); the Controller stays a plain
+// oracle. The restore tests check a restored vexec engine against a fresh
+// engine driven through the same trace prefix with ApplyTraceTo.
 //
 // An Engine is not safe for concurrent driving: exactly one goroutine may
 // issue grants at a time, mirroring Controller's rule.

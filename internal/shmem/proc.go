@@ -66,12 +66,6 @@ type Proc struct {
 	steps int64 // local steps taken so far
 	gate  Gate  // nil means free-running (no scheduler)
 
-	// State-capture machinery (see state.go); inert unless EnableReadLog.
-	recording bool        // append counted reads to readLog
-	readLog   []readRec   // the values read so far, in program order
-	readHash  [2]uint64   // running hash of the read history (local-state id)
-	rp        replayState // catch-up cursor armed by LoadState
-
 	// Weak-register override (see Model): a scheduler granting a stale read
 	// arms the value the read must return instead of the register contents.
 	// Never set on the free-running path, so the knob costs one predictable
@@ -79,13 +73,9 @@ type Proc struct {
 	staleArm bool
 	staleVal int64
 
-	// Crash-recovery incarnation bookkeeping (see Model.Recovery): a
-	// restarted process keeps its cumulative step count and read log but its
-	// body re-runs from scratch, so catch-up replay must consume only the
-	// current incarnation's reads.
-	incBase   int   // read-log length at the start of the current incarnation
-	baseSteps int64 // cumulative steps at the start of the current incarnation
-	restarts  int   // incarnations spawned beyond the first
+	// Crash-recovery bookkeeping (see Model.Recovery): a restarted process
+	// keeps its cumulative step count while its body re-runs from scratch.
+	restarts int // incarnations spawned beyond the first
 }
 
 // NewProc returns a process handle with index id (0-based) and original name
@@ -98,14 +88,13 @@ func NewProc(id int, name int64, gate Gate) *Proc {
 }
 
 // Reset rewinds the handle in place to the state NewProc(id, name, gate)
-// would return, reusing the read-log allocation. Harness use only: batched
-// engines recycle lanes across independent runs instead of reallocating
-// every handle.
+// would return. Harness use only: batched engines recycle lanes across
+// independent runs instead of reallocating every handle.
 func (p *Proc) Reset(id int, name int64, gate Gate) {
 	if name < 1 {
 		panic(fmt.Sprintf("shmem: original name %d must be >= 1", name))
 	}
-	*p = Proc{id: id, name: name, gate: gate, readLog: p.readLog[:0]}
+	*p = Proc{id: id, name: name, gate: gate}
 }
 
 // ID returns the process index in [0, n).
@@ -125,14 +114,8 @@ func (p *Proc) AddSteps(n int64) { p.steps += n }
 // scheduler gate when one is attached. The nil check lives here, before the
 // Intent exists, so the free-running path never materializes an Intent: the
 // hot loop of RunFree is a step-counter increment plus the atomic register
-// access, with nothing escaping to the heap. A process finishing catch-up
-// replay (LoadState) exits replay mode on its first post-target step: it
-// either re-raises its recorded crash or rejoins the gate exactly where the
-// captured process was blocked.
+// access, with nothing escaping to the heap.
 func (p *Proc) step(kind OpKind, reg any) {
-	if p.rp.active {
-		p.exitReplay()
-	}
 	if g := p.gate; g != nil {
 		g.Step(p.id, Intent{Kind: kind, Reg: reg})
 	}
@@ -141,23 +124,12 @@ func (p *Proc) step(kind OpKind, reg any) {
 
 // Read performs a counted atomic read of a scalar register.
 func (p *Proc) Read(r *Reg) int64 {
-	if p.rp.active && p.steps < p.rp.target {
-		rec := p.replayRead()
-		if rec.isRef {
-			panic("shmem: replay log mismatch: Reg read where a Ref read was recorded")
-		}
-		return rec.word
-	}
 	p.step(OpRead, r)
 	v := r.v.Load()
 	if p.staleArm {
 		// A weak-register grant (sched.StepStale) armed a stale value: the
-		// read observes it instead of the current contents. The override is
-		// recorded like any read — the read log is the observed history.
+		// read observes it instead of the current contents.
 		v, p.staleArm = p.staleVal, false
-	}
-	if p.recording {
-		p.record(readRec{word: v}, uint64(v))
 	}
 	return v
 }
@@ -169,34 +141,17 @@ func (p *Proc) Read(r *Reg) int64 {
 func (p *Proc) ArmStale(v int64) { p.staleArm, p.staleVal = true, v }
 
 // BeginIncarnation marks a crash-recovery restart: the body is about to
-// re-run from scratch while the cumulative step count and read log persist.
-// Catch-up replay (LoadState) of a restarted process consumes only the reads
-// taken since this point. A restart marker is folded into the read-history
-// hash so states differing only in their incarnation structure never alias.
+// re-run from scratch while the cumulative step count persists.
 func (p *Proc) BeginIncarnation() {
-	p.incBase = len(p.readLog)
-	p.baseSteps = p.steps
 	p.restarts++
 	p.staleArm = false
-	if p.recording {
-		p.foldRead(0xc2b2ae3d27d4eb4f ^ uint64(p.restarts))
-	}
 }
 
 // Restarts returns how many times the process has been restarted.
 func (p *Proc) Restarts() int { return p.restarts }
 
-// Write performs a counted atomic write of a scalar register. The version
-// counter is maintained only under state capture (its sole consumer): the
-// free-running hot path stays one atomic store.
+// Write performs a counted atomic write of a scalar register.
 func (p *Proc) Write(r *Reg, v int64) {
-	if p.rp.active && p.steps < p.rp.target {
-		p.steps++ // memory is already restored; the write must not re-land
-		return
-	}
 	p.step(OpWrite, r)
 	r.v.Store(v)
-	if p.recording {
-		r.ver.Add(1)
-	}
 }

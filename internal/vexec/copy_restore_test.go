@@ -1,10 +1,10 @@
 package vexec_test
 
-// Restore puts a moved lane back by copying its saved frames when the
-// lane's root frame is a vexec.Cloner, and by catch-up replay otherwise.
-// Replay is the reference path: these tests hold the copy path to it, hold
-// every Cloner's Save and Load to a complete, alias-free copy, and check
-// that the conformance frames never fall back to replay silently.
+// Restore puts a moved lane back by copying its saved frames: every root
+// frame under state capture is a vexec.Cloner. These tests hold restore to
+// a reference that shares no code with it — a fresh engine driven through
+// the same trace prefix with sched.ApplyTraceTo — and hold every Cloner's
+// Save and Load to a complete, alias-free copy.
 
 import (
 	"fmt"
@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/conformance"
 	"repro/internal/explore"
@@ -21,7 +22,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// restoreModels are the fault models the copy-vs-replay differential covers.
+// restoreModels are the fault models the restore differential covers.
 var restoreModels = []struct {
 	name string
 	m    shmem.Model
@@ -69,54 +70,159 @@ func faultStep(e *vexec.Exec, rng *xrand.Rand, m shmem.Model, crashes *int, maxC
 type lanePoint struct {
 	steps         int64
 	restarts      int
-	reads         []int64 // scalar words; Ref reads log as -1
 	done, crashed bool
 	ret           int64
 	retOK         bool
 	got           int64
 	ok            bool
-	intent        shmem.Intent // zero unless pending
+	kind          shmem.OpKind // the posted intent's kind; zero unless pending
+	stale         []int64      // StaleVals of the pending read
 }
 
-// point is the engine's observable state at a decision point.
+// point is the engine's observable state at a decision point. Register
+// identities are per instance, so the trace is compared by its rendering,
+// which leaves them out.
 type point struct {
-	sh      [2]uint64
 	fp      uint64
+	grants  int64
+	trace   string
 	pending []int
 	lanes   []lanePoint
 }
 
-func observe(e *vexec.Exec, got []int64, oks []bool, hash bool) point {
-	pt := point{fp: e.Fingerprint(), pending: sched.Pending(e, nil)}
-	if hash {
-		pt.sh = e.StateHash()
-	}
+func observe(e *vexec.Exec, got []int64, oks []bool) point {
+	pt := point{fp: e.Fingerprint(), grants: e.Grants(), trace: e.Trace().String(), pending: sched.Pending(e, nil)}
 	for pid := 0; pid < e.N(); pid++ {
 		p := e.Proc(pid)
 		lp := lanePoint{steps: p.Steps(), restarts: p.Restarts(), done: e.Done(pid), crashed: e.Crashed(pid), got: got[pid], ok: oks[pid]}
-		for i := 0; i < p.ReadLogLen(); i++ {
-			w, ref := p.ReadWord(i)
-			if ref {
-				w = -1
-			}
-			lp.reads = append(lp.reads, w)
-		}
 		lp.ret, lp.retOK = e.Returned(pid)
 		if slices.Contains(pt.pending, pid) {
-			lp.intent = e.Intent(pid)
+			lp.kind = e.Intent(pid).Kind
+			lp.stale = e.StaleVals(pid, nil)
 		}
 		pt.lanes = append(pt.lanes, lp)
 	}
 	return pt
 }
 
-// TestRestoreCopyMatchesReplay is the copy path's differential against the
-// reference path. Over randomized traces of every conformance case and
-// fault model it checkpoints at every decision point, then restores the
-// checkpoints deepest first, each one twice: by copy, and with catch-up
-// replay forced. Both restores must land on the captured state — StateHash,
-// fingerprint, pending set, intents, read logs and outcomes — and identical
-// continuations from them must be bit-identical.
+// rootsDiff compares every lane's root Save copy on engine a with the one on
+// engine b, in one stateWalk shared by all lanes, and describes the first
+// difference.
+func rootsDiff(a, b *vexec.Exec) string {
+	w := stateWalk{seen: map[stateKey]bool{}}
+	for pid := 0; pid < a.N(); pid++ {
+		ra, rb := a.LaneRoot(pid), b.LaneRoot(pid)
+		if (ra == nil) != (rb == nil) {
+			return fmt.Sprintf("lane %d: root present %v, reference %v", pid, ra != nil, rb != nil)
+		}
+		if ra == nil {
+			continue
+		}
+		sa, sb := ra.(vexec.Cloner).Save(nil), rb.(vexec.Cloner).Save(nil)
+		if d := w.diff(reflect.ValueOf(sa), reflect.ValueOf(sb)); d != "" {
+			return fmt.Sprintf("lane %d root%s", pid, d)
+		}
+	}
+	return ""
+}
+
+// stateKey is one pair of objects a stateWalk has compared.
+type stateKey struct {
+	a, b unsafe.Pointer
+	t    reflect.Type
+}
+
+// stateWalk is a deep equality walk over the state of two independently
+// built instances. Unlike copyDiff it follows pointers, so it compares what
+// a frame points at — register contents among it — and not addresses. Each
+// pair of objects is compared once, which also cuts cycles.
+type stateWalk struct{ seen map[stateKey]bool }
+
+// diff returns "" when a and b hold equal state, or the path to the first
+// difference and what differs there.
+func (w *stateWalk) diff(a, b reflect.Value) string {
+	switch a.Kind() {
+	case reflect.Struct:
+		if t := a.Type(); t.PkgPath() == "sync/atomic" && strings.HasPrefix(t.Name(), "Pointer[") {
+			// atomic.Pointer[T] keeps its *T as an unsafe.Pointer; its
+			// zero-length first field carries T.
+			elem := t.Field(0).Type.Elem().Elem()
+			return w.ptr(a.Field(2).UnsafePointer(), b.Field(2).UnsafePointer(), elem)
+		}
+		for i := 0; i < a.NumField(); i++ {
+			if d := w.diff(a.Field(i), b.Field(i)); d != "" {
+				return "." + a.Type().Field(i).Name + d
+			}
+		}
+	case reflect.Array, reflect.Slice:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf(": length %d, reference %d", a.Len(), b.Len())
+		}
+		for i := 0; i < a.Len(); i++ {
+			if d := w.diff(a.Index(i), b.Index(i)); d != "" {
+				return fmt.Sprintf("[%d]%s", i, d)
+			}
+		}
+	case reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			if a.IsNil() != b.IsNil() {
+				return ": nil mismatch"
+			}
+			return ""
+		}
+		if a.Elem().Type() != b.Elem().Type() {
+			return fmt.Sprintf(": dynamic type %s, reference %s", a.Elem().Type(), b.Elem().Type())
+		}
+		return w.diff(a.Elem(), b.Elem())
+	case reflect.Pointer:
+		return w.ptr(a.UnsafePointer(), b.UnsafePointer(), a.Type().Elem())
+	case reflect.Bool:
+		if a.Bool() != b.Bool() {
+			return fmt.Sprintf(": %v, reference %v", a.Bool(), b.Bool())
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		if a.Int() != b.Int() {
+			return fmt.Sprintf(": %d, reference %d", a.Int(), b.Int())
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		if a.Uint() != b.Uint() {
+			return fmt.Sprintf(": %d, reference %d", a.Uint(), b.Uint())
+		}
+	default:
+		return fmt.Sprintf(": unhandled kind %s", a.Kind())
+	}
+	return ""
+}
+
+// ptr compares the objects of type t at pa and pb.
+func (w *stateWalk) ptr(pa, pb unsafe.Pointer, t reflect.Type) string {
+	if pa == nil || pb == nil {
+		if (pa == nil) != (pb == nil) {
+			return ": nil mismatch"
+		}
+		return ""
+	}
+	k := stateKey{pa, pb, t}
+	if pa == pb || w.seen[k] {
+		return ""
+	}
+	w.seen[k] = true
+	if d := w.diff(reflect.NewAt(t, pa).Elem(), reflect.NewAt(t, pb).Elem()); d != "" {
+		return "->" + d
+	}
+	return ""
+}
+
+// TestRestoreCopyMatchesReplay holds restore to a reference that shares no
+// code with it. Over randomized traces of every conformance case and fault
+// model it checkpoints at every decision point, then restores the
+// checkpoints deepest first. After each restore a fresh engine of the same
+// case, seed and model is driven through the captured trace prefix
+// (sched.ApplyTraceTo), and the two must agree: fingerprint, grants, trace,
+// pending set, intent kinds, stale choices, each lane's steps, restarts,
+// phase and outcome, and each lane's root Save copy, compared by a walk that
+// follows pointers and so compares register contents too. One seeded
+// continuation on both engines must then give identical Results.
 func TestRestoreCopyMatchesReplay(t *testing.T) {
 	const n = 3
 	for _, c := range conformance.Cases() {
@@ -130,34 +236,37 @@ func TestRestoreCopyMatchesReplay(t *testing.T) {
 					reset := func(pid int) { got[pid], oks[pid] = 0, false }
 					rng := xrand.New(seed)
 					var snaps []*vexec.Snapshot
-					var want []point
 					crashes := 0
 					for {
 						snaps = append(snaps, e.Checkpoint())
-						want = append(want, observe(e, got, oks, true))
 						if !faultStep(e, rng, md.m, &crashes, n-1) {
 							break
 						}
 					}
+					trace := e.Trace()
 					for i := len(snaps) - 1; i >= 0; i-- {
-						var ends [2]point
-						for arm, replay := range []bool{false, true} {
-							e.ForceReplay(replay)
-							e.Restore(snaps[i], reset)
-							if pt := observe(e, got, oks, true); !reflect.DeepEqual(pt, want[i]) {
-								t.Fatalf("trial %d, checkpoint %d, replay=%v: restored\n%+v\ncaptured\n%+v", trial, i, replay, pt, want[i])
-							}
+						e.Restore(snaps[i], reset)
+						f, fgot, foks := newVexec(t, c, n, seed, md.m, false)
+						if err := sched.ApplyTraceTo(f, trace[:i]); err != nil {
+							t.Fatalf("trial %d, checkpoint %d: reference replay: %v", trial, i, err)
+						}
+						if pt, want := observe(e, got, oks), observe(f, fgot, foks); !reflect.DeepEqual(pt, want) {
+							t.Fatalf("trial %d, checkpoint %d: restored\n%+v\nreference\n%+v", trial, i, pt, want)
+						}
+						if d := rootsDiff(e, f); d != "" {
+							t.Fatalf("trial %d, checkpoint %d: %s", trial, i, d)
+						}
+						var ends [2]sched.Result
+						for arm, x := range []*vexec.Exec{e, f} {
 							crng := xrand.New(xrand.Mix(seed, uint64(i)))
 							cc := 0
-							for faultStep(e, crng, md.m, &cc, n-1) {
+							for faultStep(x, crng, md.m, &cc, n-1) {
 							}
-							// Ref write stamps are fresh on every branch, so
-							// only scalar-register states hash alike.
-							ends[arm] = observe(e, got, oks, scalarOnly[c.Name])
+							ends[arm] = x.Result()
 						}
-						e.ForceReplay(false)
-						if !reflect.DeepEqual(ends[0], ends[1]) {
-							t.Fatalf("trial %d, checkpoint %d: continuation after copy\n%+v\nafter replay\n%+v", trial, i, ends[0], ends[1])
+						if !reflect.DeepEqual(ends[0], ends[1]) || !slices.Equal(got, fgot) || !slices.Equal(oks, foks) {
+							t.Fatalf("trial %d, checkpoint %d: continuation after restore %+v %v %v, reference %+v %v %v",
+								trial, i, ends[0], got, oks, ends[1], fgot, foks)
 						}
 					}
 				}
@@ -278,11 +387,10 @@ func TestClonerSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestEfficientWalkRestoresByCopy: the efficient n=2, crashes<=1 proof walk
-// — most of the prove benchmark — restores every moved lane by copy. Every
-// catch-up re-roots its lane through the root builder, so counting the
-// builder's calls counts catch-ups: across the walk's tens of thousands of
-// restores it must run only for the n initial spawns, and no catch-up grant
-// is replayed. The walk is the pinned one (TestProveWalkCountsPinned).
+// — most of the prove benchmark — restores every moved lane by loading its
+// saved frames and never builds a frame to do it: across the walk's tens of
+// thousands of restores the root builder runs only for the n initial
+// spawns. The walk is the pinned one (TestProveWalkCountsPinned).
 func TestEfficientWalkRestoresByCopy(t *testing.T) {
 	var tc conformance.Case
 	for _, c := range conformance.Cases() {
@@ -309,7 +417,7 @@ func TestEfficientWalkRestoresByCopy(t *testing.T) {
 		t.Fatalf("not the pinned walk: complete=%v, %d executions, %d restores", stats.Complete, stats.Executions, stats.Restored)
 	}
 	if roots != n {
-		t.Fatalf("%d restores caught up %d lanes by replay, want 0", stats.Restored, roots-n)
+		t.Fatalf("the root builder ran %d times over %d restores, want only the %d initial spawns", roots, stats.Restored, n)
 	}
 }
 

@@ -4,14 +4,15 @@ package vexec_test
 // conformance oracle, and every run here drives both engines over identical
 // instances and decision processes, requiring bit-identical results — same
 // per-pid steps, crash flags, restarts, rename outcomes and fingerprints.
-// For scalar-register algorithms vexec's 128-bit state hash must also equal,
-// at every decision point, the reference refHash folds from the oracle
-// (state_test.go). Coverage spans the full conformance table, randomized
-// schedules with crash injection, the fault models (weak registers,
-// crash-recovery), trace replay in both directions, and a fuzz arm with
-// committed corpus seeds.
+// Replaying the oracle's trace decision by decision, both engines must also
+// agree after every decision on the scalar register it wrote and on each
+// pending read's stale choices (checkDecisions). Coverage spans the full
+// conformance table, randomized schedules with crash injection, the fault
+// models (weak registers, crash-recovery), trace replay in both directions,
+// and a fuzz arm with committed corpus seeds.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
@@ -22,19 +23,6 @@ import (
 	"repro/internal/vexec"
 	"repro/internal/xrand"
 )
-
-// scalarOnly marks the conformance cases whose algorithms touch only scalar
-// shmem.Reg registers. Snapshot-based stages allocate Ref segments whose
-// identity stamps come from a process-global counter, so their StateHash is
-// canonical within one engine but not across two independently built
-// instances; the differential checks StateHash only on the scalar cases
-// and compares everything else on all of them.
-var scalarOnly = map[string]bool{
-	"majority": true,
-	"basic":    true,
-	"polylog":  true,
-	"firstfit": true,
-}
 
 // outcome is everything observable about one driven execution.
 type outcome struct {
@@ -67,27 +55,35 @@ func driveOracle(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.M
 	return outcome{res: res, got: got, oks: oks, trace: ctl.Trace()}
 }
 
-// checkStateHash replays trace decision by decision on a fresh vexec engine
-// with state capture and on a fresh oracle under refHash, requiring equal
-// state hashes at the start and after every decision.
-func checkStateHash(t *testing.T, label string, c conformance.Case, n int, seed uint64, m shmem.Model, trace sched.Trace) {
+// checkDecisions replays trace decision by decision on a fresh vexec engine
+// with state capture and on a fresh oracle, requiring after every decision
+// the same contents in the scalar register a write grant wrote (Ref
+// contents are per-instance pointers; the outcome comparison covers them)
+// and the same stale choices for every pending read.
+func checkDecisions(t *testing.T, label string, c conformance.Case, n int, seed uint64, m shmem.Model, trace sched.Trace) {
 	t.Helper()
 	e, _, _ := newVexec(t, c, n, seed, m, true)
 	ctl, _, _ := newOracle(c, n, seed, m)
-	ref := newRefHash(t, ctl)
-	defer ref.Abort()
-	for i := 0; ; i++ {
-		if v, o := e.StateHash(), ref.StateHash(); v != o {
-			t.Fatalf("%s: state hash after %d decisions: vexec %#x, oracle reference %#x", label, i, v, o)
-		}
-		if i == len(trace) {
-			return
+	defer ctl.Abort()
+	for i, ev := range trace {
+		var ve, oe *shmem.Reg
+		if !ev.Restart && !ev.Crash && ev.Op == shmem.OpWrite {
+			ve, _ = e.Intent(ev.Pid).Reg.(*shmem.Reg)
+			oe, _ = ctl.Intent(ev.Pid).Reg.(*shmem.Reg)
 		}
 		if err := sched.ApplyTraceTo(e, trace[i:i+1]); err != nil {
 			t.Fatalf("%s: vexec replay: %v", label, err)
 		}
-		if err := sched.ApplyTraceTo(ref, trace[i:i+1]); err != nil {
+		if err := sched.ApplyTraceTo(ctl, trace[i:i+1]); err != nil {
 			t.Fatalf("%s: oracle replay: %v", label, err)
+		}
+		if ve != nil && ve.Peek() != oe.Peek() {
+			t.Fatalf("%s: decision %d (%s) wrote %d on vexec, %d on the oracle", label, i, ev, ve.Peek(), oe.Peek())
+		}
+		for pid := e.NextPending(-1); pid >= 0; pid = e.NextPending(pid) {
+			if v, o := e.StaleVals(pid, nil), ctl.StaleVals(pid, nil); !slices.Equal(v, o) {
+				t.Fatalf("%s: after decision %d, process %d stale choices: vexec %v, oracle %v", label, i, pid, v, o)
+			}
 		}
 	}
 }
@@ -194,7 +190,6 @@ func TestDifferentialConformanceTable(t *testing.T) {
 			t.Parallel()
 			for _, n := range []int{2, 3} {
 				for seed := uint64(1); seed <= 3; seed++ {
-					wantState := scalarOnly[c.Name]
 					modes := []struct {
 						name   string
 						policy func() sched.Policy
@@ -206,11 +201,9 @@ func TestDifferentialConformanceTable(t *testing.T) {
 					}
 					for _, md := range modes {
 						o := driveOracle(t, c, n, seed, shmem.Model{}, md.policy(), md.plan())
-						v := driveVexec(t, c, n, seed, shmem.Model{}, md.policy(), md.plan(), wantState)
+						v := driveVexec(t, c, n, seed, shmem.Model{}, md.policy(), md.plan(), true)
 						compare(t, c.Name+"/"+md.name, o, v)
-						if wantState {
-							checkStateHash(t, c.Name+"/"+md.name, c, n, seed, shmem.Model{}, o.trace)
-						}
+						checkDecisions(t, c.Name+"/"+md.name, c, n, seed, shmem.Model{}, o.trace)
 					}
 				}
 			}
@@ -252,13 +245,10 @@ func TestDifferentialFaultModels(t *testing.T) {
 							}
 							return adversary.NewRestarter(seed*13, n, 0.05, n-1)
 						}
-						wantState := scalarOnly[name]
 						o := driveOracle(t, c, n, seed, mm.m, mkPolicy(), mkPlan())
-						v := driveVexec(t, c, n, seed, mm.m, mkPolicy(), mkPlan(), wantState)
+						v := driveVexec(t, c, n, seed, mm.m, mkPolicy(), mkPlan(), true)
 						compare(t, name+"/"+mm.name, o, v)
-						if wantState {
-							checkStateHash(t, name+"/"+mm.name, c, n, seed, mm.m, o.trace)
-						}
+						checkDecisions(t, name+"/"+mm.name, c, n, seed, mm.m, o.trace)
 					}
 				}
 			}
@@ -326,13 +316,8 @@ func TestVexecReturned(t *testing.T) {
 // checkpoint/restore detour at decision d: replay d events, checkpoint, run a
 // divergent seeded excursion to completion, restore, replay the rest. The
 // detour must be invisible — the returned outcome must be bit-identical to
-// the straight drive that recorded the schedule. The one deliberate
-// exception is the final StateHash: its register-id fold is assigned in
-// first-write order within an instance, and the excursion's extra grants can
-// permute that order, so cross-instance hash equality is only guaranteed for
-// identical grant sequences. The hash identity the detour owes — restore
-// lands exactly on the checkpoint — is asserted internally instead.
-func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Model, trace sched.Trace, d int, wantState bool) outcome {
+// the straight drive that recorded the schedule.
+func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Model, trace sched.Trace, d int) outcome {
 	t.Helper()
 	e, got, oks := newVexec(t, c, n, seed, m, true)
 	if err := e.ApplyTrace(trace[:d]); err != nil {
@@ -340,21 +325,12 @@ func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.M
 	}
 	snap := e.Checkpoint()
 	wantFP := e.Fingerprint()
-	var wantSH [2]uint64
-	if wantState {
-		wantSH = e.StateHash()
-	}
 	// Divergent excursion: run the rest of the execution under an unrelated
 	// schedule, then rewind as if it never happened.
 	sched.DriveEngine(e, sched.NewRandom(xrand.Mix(seed, 0xde70)), nil)
 	e.Restore(snap, func(pid int) { got[pid], oks[pid] = 0, false })
 	if e.Fingerprint() != wantFP {
 		t.Fatalf("detour restore (d=%d): fingerprint %#x != checkpoint %#x", d, e.Fingerprint(), wantFP)
-	}
-	if wantState {
-		if h := e.StateHash(); h != wantSH {
-			t.Fatalf("detour restore (d=%d): state hash %x != checkpoint %x", d, h, wantSH)
-		}
 	}
 	if err := e.ApplyTrace(trace[d:]); err != nil {
 		t.Fatalf("detour suffix replay (d=%d): %v", d, err)
@@ -366,8 +342,9 @@ func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.M
 // (case, population, seed, schedule) tuple the fuzzer invents must produce
 // bit-identical outcomes on both engines — including when the vexec
 // execution is reconstructed through a mid-schedule checkpoint/restore
-// detour — and, for scalar cases, vexec's state hash must match the oracle
-// reference at every decision point. Committed corpus seeds live in testdata/fuzz/FuzzDifferential.
+// detour — and the engines must agree decision by decision
+// (checkDecisions). Committed corpus seeds live in
+// testdata/fuzz/FuzzDifferential.
 func FuzzDifferential(f *testing.F) {
 	f.Add(uint64(0), uint64(3), uint64(1), uint64(0))
 	f.Add(uint64(6), uint64(4), uint64(42), uint64(2))
@@ -401,18 +378,15 @@ func FuzzDifferential(f *testing.F) {
 			}
 			return seededCrashes(seed, k-1)
 		}
-		wantState := scalarOnly[c.Name]
 		o := driveOracle(t, c, k, seed, m, mkPolicy(), mkPlan())
-		v := driveVexec(t, c, k, seed, m, mkPolicy(), mkPlan(), wantState)
+		v := driveVexec(t, c, k, seed, m, mkPolicy(), mkPlan(), true)
 		compare(t, c.Name, o, v)
-		if wantState {
-			checkStateHash(t, c.Name, c, k, seed, m, o.trace)
-		}
+		checkDecisions(t, c.Name, c, k, seed, m, o.trace)
 		// Checkpoint/restore arm: rebuild the same execution around a
 		// mid-schedule detour; the detour must be invisible.
 		if len(o.trace) > 0 {
 			d := int(xrand.Mix(seed, 0xd7) % uint64(len(o.trace)+1))
-			vd := driveDetour(t, c, k, seed, m, o.trace, d, wantState)
+			vd := driveDetour(t, c, k, seed, m, o.trace, d)
 			compare(t, c.Name+"/detour-vexec", o, vd)
 		}
 	})
@@ -422,8 +396,8 @@ func FuzzDifferential(f *testing.F) {
 // every table entry — a conformance case that loses its frame compilation
 // fails here at build-run time rather than silently dropping out of the
 // differential. Every case's root frame, bare and capture-wrapped as the
-// model checker roots it, must also restore by copy (vexec.Cloner): a root
-// without it would fall back to catch-up replay without a word.
+// model checker roots it, must also be a vexec.Cloner: Restore puts lanes
+// back only by copy, so a checkpointing walk would fail on a root without it.
 func TestEveryCaseCompilesToFrames(t *testing.T) {
 	for _, c := range conformance.Cases() {
 		r := c.New(2, 1)

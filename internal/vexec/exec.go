@@ -7,12 +7,9 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/shmem"
-	"repro/internal/xrand"
 )
 
-// Lane phases. The numeric values deliberately match sched's procPhase —
-// they are folded verbatim into StateHash, and the differential tests'
-// reference hash derives the same encoding from the goroutine oracle.
+// Lane phases.
 const (
 	phaseRunning  uint8 = iota // advancing frames (transient within a grant)
 	phasePending               // intent posted, awaiting grant
@@ -74,9 +71,6 @@ type Exec struct {
 
 	st       stateMirror
 	snapFree []*Snapshot // released captures awaiting reuse (see ReleaseState)
-	// replayOnly makes Restore put every moved lane back by catch-up replay,
-	// the reference path. Only tests set it.
-	replayOnly bool
 }
 
 var _ sched.Engine = (*Exec)(nil)
@@ -184,8 +178,8 @@ func (e *Exec) spawn(pid int) {
 // discarded). The new root also becomes the lane's respawn target for
 // Restart under a recovery model. Relaunch is a harness action, not a
 // scheduling decision: it folds nothing into the fingerprint and records no
-// trace event, so it is incompatible with state capture (EnableState panics
-// replay invariants would no longer hold).
+// trace event, so a snapshot could not describe the lane it re-roots; under
+// EnableState it panics.
 func (e *Exec) Relaunch(pid int, root func(p *shmem.Proc) Frame) {
 	if pid < 0 || pid >= e.n {
 		panic(fmt.Sprintf("vexec: Relaunch of process %d outside [0..%d)", pid, e.n))
@@ -299,9 +293,6 @@ func (e *Exec) grant(pid, k int, crash bool, stale int) {
 		e.phase[pid] = phaseCrashed
 	} else {
 		e.advance(pid, k-1)
-	}
-	if e.st.enabled {
-		e.stateAfterGrant()
 	}
 }
 
@@ -662,15 +653,11 @@ func (e *Exec) Result() sched.Result {
 	return res
 }
 
-// stateMirror is the engine's state layer: register registration in
-// first-write-grant order, the incremental 128-bit state hash, and the undo
-// log Restore (state.go) pops registers back through.
+// stateMirror is the engine's state layer: the undo log Restore (state.go)
+// pops registers back through, and the move stamps that tell Restore which
+// lanes to put back.
 type stateMirror struct {
 	enabled bool
-	regID   map[any]int
-	cells   []regCell
-	regHash [2]uint64
-	pending pendingWrite
 
 	// undo holds, per write grant on the current branch, the written cell
 	// and its contents before the write, oldest first.
@@ -703,26 +690,16 @@ func (s *stateMirror) move(pid int) {
 	s.events = append(s.events, s.clock)
 }
 
-type regCell struct {
-	cell shmem.StateCell
-	init uint64
-}
-
 type undoEntry struct {
 	cell shmem.StateCell
 	pre  shmem.CellState
 }
 
-type pendingWrite struct {
-	active  bool
-	id      int
-	preWord uint64
-}
-
-// EnableState turns on read logging and incremental state hashing. It must
-// run before any grant (so the logs cover the whole execution), enables
-// tracing, and rules out StepN batching: checkpoints and traces must see
-// every decision individually.
+// EnableState turns on checkpoint/restore. It must run before any grant (so
+// the undo log covers the whole execution), enables tracing, and rules out
+// StepN batching: checkpoints and traces must see every decision
+// individually. Every lane's root frame must then be a Cloner; Checkpoint
+// panics on the first pending lane whose root is not.
 func (e *Exec) EnableState() {
 	if e.grants != 0 {
 		panic("vexec: EnableState after grants were issued")
@@ -733,17 +710,15 @@ func (e *Exec) EnableState() {
 	e.st.enabled = true
 	e.st.clock++
 	e.st.events = []uint64{e.st.clock}
-	e.st.regID = make(map[any]int)
 	e.st.moved = make([]uint64, e.n)
 	e.st.saved = make([]*laneSave, e.n)
 	if !e.tracing {
 		e.EnableTrace()
 	}
-	for _, p := range e.procs {
-		p.EnableReadLog()
-	}
 }
 
+// stateBeforeGrant pushes the pre-image of the register a write grant is
+// about to write onto the undo log.
 func (e *Exec) stateBeforeGrant(pid, k int, crash bool) {
 	if k != 1 {
 		panic("vexec: StepN batching is not allowed under EnableState (checkpoints must see every decision)")
@@ -759,65 +734,6 @@ func (e *Exec) stateBeforeGrant(pid, k int, crash bool) {
 	if !ok {
 		panic(fmt.Sprintf("vexec: register %T does not implement shmem.StateCell", in.Reg))
 	}
-	id, seen := e.st.regID[in.Reg]
-	if !seen {
-		id = len(e.st.cells)
-		e.st.regID[in.Reg] = id
-		e.st.cells = append(e.st.cells, regCell{cell: cell, init: cell.StateWord()})
-	}
 	e.st.undo = append(e.st.undo, undoEntry{cell: cell})
 	cell.StateInto(&e.st.undo[len(e.st.undo)-1].pre)
-	e.st.pending = pendingWrite{active: true, id: id, preWord: cell.StateWord()}
-}
-
-func (e *Exec) stateAfterGrant() {
-	if !e.st.pending.active {
-		return
-	}
-	pw := e.st.pending
-	e.st.pending = pendingWrite{}
-	rc := &e.st.cells[pw.id]
-	e.st.fold(pw.id, rc.init, pw.preWord)
-	e.st.fold(pw.id, rc.init, rc.cell.StateWord())
-}
-
-func (s *stateMirror) fold(id int, init, word uint64) {
-	if word == init {
-		return
-	}
-	s.regHash[0] ^= xrand.Mix(uint64(id)+1, word)
-	s.regHash[1] ^= xrand.Mix(^uint64(id), word)
-}
-
-// StateHash returns the canonical 128-bit identity of the current decision
-// point: memory (every register differing from its initial value, XOR-folded
-// so the hash does not depend on which registers a schedule touched), each
-// lane's position (read-history hash, step count, restarts, phase) and,
-// under weak registers, the pending reads' stale windows. Equal hashes mean
-// — up to a collision in both channels — identical register contents and
-// lane local states, hence identical reachable futures. Ref registers hash
-// by never-reused write stamps, so the hash is canonical within one engine;
-// for scalar-register instances built from the same seed it depends only on
-// the grant sequence, which the differential tests check against a
-// reference folded from the goroutine oracle's observable surface.
-func (e *Exec) StateHash() [2]uint64 {
-	if !e.st.enabled {
-		panic("vexec: StateHash without EnableState")
-	}
-	h := e.st.regHash
-	for pid, p := range e.procs {
-		rh := p.ReadHash()
-		pos := uint64(p.Steps())<<8 | uint64(p.Restarts())<<3 | uint64(e.phase[pid])
-		h[0] = xrand.Mix(h[0]^rh[0], uint64(pid)+1) ^ pos
-		h[1] = xrand.Mix(h[1]^rh[1], ^uint64(pid)) + pos
-	}
-	if e.model.Regs != shmem.RegAtomic {
-		for pid := range e.staleWin {
-			for _, v := range e.staleWin[pid] {
-				h[0] ^= xrand.Mix(uint64(pid)+0x51ed, uint64(v))
-				h[1] ^= xrand.Mix(^uint64(pid)-0x51ed, uint64(v))
-			}
-		}
-	}
-	return h
 }

@@ -17,19 +17,17 @@
 //
 // This engine alone has first-class execution state (state.go):
 // Checkpoint and Restore, the surface the stateful source-DPOR proof walks
-// drive, and StateHash, the restore tests' oracle. For scalar-register algorithms the differential tests
-// check its StateHash against a reference folded from the oracle's
-// observable surface — read logs, register pre-images and stale windows.
+// drive. Restore copies each moved lane's saved frames back, so under state
+// capture every root frame must be a Cloner.
 //
 // An algorithm is compiled by hand into a Frame per loop/call structure: a
 // resumable state machine whose Run method advances the process's local
-// computation from one shared-register access to the next. Because a
-// deterministic body's local state is a pure function of the values it has
-// read (the PR-5 catch-up-replay insight), this compilation is mechanical
-// and loses nothing: the frame fields are exactly the live local variables
-// at each access point, the exact step-function framing
-// (localState, readValue) → (localState', nextIntent) of the asynchronous
-// automata literature.
+// computation from one shared-register access to the next. A deterministic
+// body's local state is a function of the values it has read, so this
+// compilation is mechanical and loses nothing: the frame fields are exactly
+// the live local variables at each access point, the exact step-function
+// framing (localState, readValue) → (localState', nextIntent) of the
+// asynchronous automata literature.
 package vexec
 
 import "repro/internal/shmem"
@@ -64,8 +62,8 @@ const (
 //     embedded in the frame) and advance likewise.
 //
 // Exactly one counted access per granted step, performed by the frame that
-// posted it — that invariant is what makes step counts, read logs and read
-// hashes bit-identical to the goroutine engine's.
+// posted it — that invariant is what makes step counts and the values read
+// bit-identical to the goroutine engine's.
 //
 // Children are embedded by value in their parents and re-armed between
 // calls, so a lane's whole frame stack lives in one object tree hanging
@@ -118,15 +116,16 @@ func (m *M) Return(v int64, ok bool) Status {
 // compilation of Rename(p, orig) — same register accesses in the same
 // order, same result. Harnesses detect the interface to route work onto
 // this engine; the differential tests hold every implementation to the
-// bit-identity contract.
+// bit-identity contract. A stateful proof walk checkpoints the engine, so
+// there the returned frame must also be a Cloner.
 type FrameRenamer interface {
 	FrameRename(orig int64) Frame
 }
 
-// Cloner is the optional copy-restore contract of a lane's root frame. A
-// lane whose root implements it is put back by Restore by copying its saved
-// frames, not by re-rooting it and replaying its read log; frames without
-// it keep the replay (catch-up), which stays the reference path.
+// Cloner is the copy-restore contract of a lane's root frame: Restore puts
+// a lane back by loading its root's saved copy. It is required of every root
+// frame of an engine under EnableState, where Checkpoint panics on a root
+// without it; engines without state capture never use it.
 //
 // Save copies the frame's state — every field, including the state of each
 // child the frame embeds or owns — into a saved copy and returns it. dst is

@@ -8,46 +8,32 @@ import (
 
 // This file gives the vectorized engine first-class execution state:
 // Checkpoint/Restore, the contract the stateful source-DPOR walk
-// (internal/explore) is built on, and StateHash, the oracle the restore
-// tests compare a restored state with. It is the repository's only
-// checkpoint/restore stack: the goroutine oracle stays stateless. A frame
-// machine's state is plain data (register cells, lane positions, frame
-// structs). Registers are restored through an undo log: every write grant
-// pushes the written cell and its pre-image (stateMirror.undo), a Snapshot
-// records the log's length, and Restore pops the log back to that length,
-// newest first, loading each pre-image. A DFS node is one grant away from its
-// parent, so a restore touches only the cells written since the capture, not
-// every register the walk has written. The log only describes the current
-// branch, so Restore accepts ancestors of the current state only and rejects
-// any other snapshot in O(1): every trace event carries a never-reused serial
-// (its move stamp) and a snapshot keeps the serial of its last event.
+// (internal/explore) is built on. It is the repository's only
+// checkpoint/restore stack: the goroutine oracle stays stateless. In the
+// paper's model a configuration is the register contents plus each
+// process's local state, and both are plain data here: register cells, and
+// each lane's frames. Registers are restored through an undo log: every
+// write grant pushes the written cell and its pre-image (stateMirror.undo), a
+// Snapshot records the log's length, and Restore pops the log back to that
+// length, newest first, loading each pre-image. A DFS node is one grant away
+// from its parent, so a restore touches only the cells written since the
+// capture, not every register the walk has written. The log only describes
+// the current branch, so Restore accepts ancestors of the current state only
+// and rejects any other snapshot in O(1): every trace event carries a
+// never-reused serial (its move stamp) and a snapshot keeps the serial of
+// its last event.
 //
-// The rest of a Snapshot is a copy: each lane's ProcState and phase, and a
-// saved copy of each lane's frames.
-//
-// Lanes are restored by copy. A capture saves
-// only the lanes that moved since they were last saved: a lane's move stamp
-// identifies its state, so a save is shared by every capture taken while
-// its lane stood still. A save holds the lane's frame stack, a Cloner copy
-// of its root frame, and its M cells. Restore loads the save of each lane
-// that moved since the capture back into the very frame objects it was
-// taken from and puts the lane's Proc at its captured position
-// (shmem.Proc.RestoreState): no frame is built and no access re-runs. A lane
-// that did not move holds exactly its captured frames and Proc, so Restore
-// leaves it alone.
-//
-// Catch-up replay is the reference path, and the path of lanes whose root
-// frame is not a Cloner (and of finished lanes, which never move again on a
-// branch and so are never restored). It re-roots the lane and replays its
-// current incarnation from its read log, reusing the grant budget of
-// advance(): a replaying lane's reads consume the log (shmem replay mode)
-// and its writes are suppressed, so auto-granting exactly
-// steps-since-incarnation intents lands the lane at its captured yield
-// point with a frame stack bit-identical to the capture. A lane captured
-// crashed gets one extra auto-grant: its post-target access exits replay
-// mode, which re-raises the captured crash (shmem.Crash) and advance's
-// recovery marks the lane crashed with its stack discarded — exactly the
-// state the crash grant left it in.
+// Lanes are restored by copy, and only by copy: under EnableState every root
+// frame must be a Cloner. A capture saves only the lanes that moved since
+// they were last saved: a lane's move stamp identifies its state, so a save
+// is shared by every capture taken while its lane stood still. A save holds
+// the lane's frame stack, a Cloner copy of its root frame, and its M cells.
+// Restore loads the save of each lane that moved since the capture back into
+// the very frame objects it was taken from and puts the lane's Proc at its
+// captured position (shmem.Proc.RestoreState): no frame is built and no
+// access re-runs. A lane that did not move holds exactly its captured frames
+// and Proc, so Restore leaves it alone. A finished or panicked lane is never
+// saved: it never moves again on the branch, so no restore needs it.
 
 // Snapshot captures the state of an in-flight vexec execution at a decision
 // point. Registers are not copied: the snapshot records the undo log's length,
@@ -65,15 +51,13 @@ type Snapshot struct {
 	traceLen int
 	serial   uint64 // st.events[traceLen]: the serial of the last event
 	restarts int
-
-	regHash [2]uint64
-	undoLen int // st.undo's length at capture
+	undoLen  int // st.undo's length at capture
 
 	procs []shmem.ProcState
 	phase []uint8
 	moved []uint64 // each lane's move stamp (stateMirror.moved) at capture
 
-	lanes []*laneSave // each lane's saved machine; nil: restore by catch-up
+	lanes []*laneSave // each lane's saved machine; nil: finished or panicked
 
 	stale [][]int64 // pending reads' stale windows (weak registers only)
 }
@@ -115,14 +99,12 @@ func (e *Exec) Checkpoint() *Snapshot {
 	s.traceLen = len(e.traceBuf)
 	s.serial = e.st.events[len(e.st.events)-1]
 	s.restarts = e.restarts
-	s.regHash = e.st.regHash
 	s.undoLen = len(e.st.undo)
 	s.procs = grow(s.procs, e.n)
 	s.phase = append(s.phase[:0], e.phase...)
 	s.moved = append(s.moved[:0], e.st.moved...)
 	for pid, p := range e.procs {
 		p.StateInto(&s.procs[pid])
-		s.procs[pid].Crashed = e.phase[pid] == phaseCrashed
 	}
 	s.lanes = grow(s.lanes, e.n)
 	for pid := range s.lanes {
@@ -142,9 +124,9 @@ func (e *Exec) Checkpoint() *Snapshot {
 }
 
 // laneState returns the save of lane pid's current state, taking it if the
-// lane moved since its last save. nil means the lane restores by catch-up:
-// it is finished (it never moves again on this branch) or its root frame is
-// not a Cloner.
+// lane moved since its last save. A finished or panicked lane gets none: it
+// never moves again on this branch. A pending lane whose root frame is not a
+// Cloner cannot be restored, so meeting one panics.
 func (e *Exec) laneState(pid int) *laneSave {
 	if ls := e.st.saved[pid]; ls != nil {
 		if ls.stamp == e.st.moved[pid] {
@@ -159,7 +141,8 @@ func (e *Exec) laneState(pid int) *laneSave {
 	case phasePending:
 		cl, ok := m.stack[0].(Cloner)
 		if !ok {
-			return nil
+			panic(fmt.Sprintf("vexec: lane %d root frame %T is not a vexec.Cloner (give it Save/Load; vexec.SaveValue serves plain-value frames)",
+				pid, rootType(m.stack[0])))
 		}
 		root = cl
 	case phaseCrashed:
@@ -244,12 +227,11 @@ func (e *Exec) ReleaseState(s *Snapshot) {
 // Then every lane that moved since the capture — was granted, crashed or
 // restarted, so its move stamp differs from the captured one — has reset (if
 // non-nil) clear the caller's body-external capture for it, and is put back
-// at its captured state: by copying its saved frames, M cells and Proc
-// position when the capture saved the lane, by catch-up replay when it did
-// not. A lane that did not move keeps its frames, Proc and outcome
+// at its captured state by copying its saved frames, M cells and Proc
+// position. A lane that did not move keeps its frames, Proc and outcome
 // untouched; only its pending bit is set again. On return the engine is at
-// the captured decision point: same pending set, same posted intents, same
-// StateHash, same Fingerprint. No grant is re-executed.
+// the captured decision point: same registers, pending set, posted intents,
+// lane frames and Fingerprint. No grant is re-executed.
 func (e *Exec) Restore(s *Snapshot, reset func(pid int)) {
 	if !e.st.enabled {
 		panic("vexec: Restore without EnableState")
@@ -274,8 +256,6 @@ func (e *Exec) Restore(s *Snapshot, reset func(pid int)) {
 	}
 	e.st.undo = e.st.undo[:s.undoLen]
 	e.st.events = e.st.events[:s.traceLen+1]
-	e.st.regHash = s.regHash
-	e.st.pending = pendingWrite{}
 	e.traceBuf = e.traceBuf[:s.traceLen]
 	e.fp = s.fp
 	e.grants = s.grants
@@ -295,14 +275,11 @@ func (e *Exec) Restore(s *Snapshot, reset func(pid int)) {
 				reset(pid)
 			}
 			ls := s.lanes[pid]
-			if ls != nil && !e.replayOnly {
-				e.loadLane(pid, s.procs[pid], s.phase[pid], ls)
-			} else {
-				e.catchUp(pid, s.procs[pid], s.phase[pid])
+			if ls == nil {
+				panic(fmt.Sprintf("vexec: lane %d moved after a capture that found it %s", pid, phaseName(s.phase[pid])))
 			}
-			if ls != nil {
-				e.holdLane(pid, ls)
-			}
+			e.loadLane(pid, s.procs[pid], s.phase[pid], ls)
+			e.holdLane(pid, ls)
 			e.st.moved[pid] = s.moved[pid]
 			continue
 		}
@@ -318,7 +295,7 @@ func (e *Exec) Restore(s *Snapshot, reset func(pid int)) {
 }
 
 // loadLane puts lane pid back at a captured state by copy: Restore's work
-// for a lane that moved since a capture that saved it. The root frame loads
+// for a lane that moved since the capture. The root frame loads
 // its saved copy, the stack and M cells are copied back, and the Proc goes
 // straight to its captured position, so the lane stands exactly where the
 // capture found it without re-running an access.
@@ -340,33 +317,11 @@ func (e *Exec) loadLane(pid int, ps shmem.ProcState, phase uint8, ls *laneSave) 
 	}
 }
 
-// catchUp re-roots lane pid and replays its current incarnation to the
-// captured position: the reference path of Restore, and the path of a lane
-// the capture could not save by copy. ps carries the lane's read-log cursor
-// and step target; want is the phase the lane must land in (asserted — a
-// mismatch means the body is not deterministic).
-func (e *Exec) catchUp(pid int, ps shmem.ProcState, want uint8) {
-	p := e.procs[pid]
-	p.LoadState(ps)
-	e.phase[pid] = phaseRunning
-	e.err[pid] = nil
-	e.retI[pid], e.retB[pid] = 0, false
-	budget := int(ps.Steps - ps.BaseSteps)
-	if want == phaseCrashed {
-		// One extra auto-grant: the access after the target is the one the
-		// crash grant intercepted; performing it exits replay mode, which
-		// re-raises the captured crash before the access or its step charge —
-		// the same place the original crash unwound.
-		budget++
+// rootType names a root frame for the Cloner panic: the capture wrapper's
+// child when the root is one, since that is the type to give Save/Load.
+func rootType(f Frame) Frame {
+	if c, ok := f.(*captureFrame); ok {
+		return c.child
 	}
-	m := &e.ms[pid]
-	for i := range m.stack {
-		m.stack[i] = nil
-	}
-	m.stack = append(m.stack[:0], e.root(p))
-	e.advance(pid, budget)
-	if e.phase[pid] != want {
-		panic(fmt.Sprintf("vexec: lane %d restored to phase %s, captured %s (non-deterministic body?)",
-			pid, phaseName(e.phase[pid]), phaseName(want)))
-	}
+	return f
 }

@@ -8,209 +8,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/shmem"
 	"repro/internal/vexec"
-	"repro/internal/xrand"
 )
-
-// refHash is the reference vexec's StateHash is checked against: the same
-// formula, folded from the goroutine oracle's observable surface alone. It
-// wraps a Controller and watches every decision go by:
-//
-//   - memory: before each write grant it reads the target register's word,
-//     registering the register (in first-write-grant order, that word as its
-//     initial value) on first touch; after the grant it folds the pre- and
-//     post-image against the initial value;
-//   - positions: each process's read-history hash (read logs are enabled
-//     right after NewController), steps, restarts and phase, the phase
-//     derived from the pending set, Done and Crashed;
-//   - stale windows (weak registers): it keeps each pending read's window by
-//     the engines' rule — a write grant offers the overwritten value to every
-//     other pending reader of the register, up to eight distinct values, and
-//     any grant clears the granted process's own window — and requires the
-//     window to reproduce the oracle's StaleVals wherever it folds one.
-//
-// Drive it through sched.DriveEngine or sched.ApplyTraceTo so every decision
-// passes through the wrapper.
-type refHash struct {
-	*sched.Controller
-	t       testing.TB
-	regID   map[any]int
-	init    []uint64
-	cells   []shmem.StateCell
-	regHash [2]uint64
-	win     [][]int64
-}
-
-// newRefHash wraps a freshly constructed controller (no grant issued yet).
-func newRefHash(t testing.TB, c *sched.Controller) *refHash {
-	for pid := 0; pid < c.N(); pid++ {
-		c.Proc(pid).EnableReadLog()
-	}
-	return &refHash{Controller: c, t: t, regID: make(map[any]int), win: make([][]int64, c.N())}
-}
-
-func (r *refHash) Step(pid int) { r.grant(pid, false, func() { r.Controller.Step(pid) }) }
-
-func (r *refHash) StepN(pid, k int) {
-	if k != 1 {
-		r.t.Fatalf("refHash: StepN(%d, %d): the state hash needs every decision individually", pid, k)
-	}
-	r.Step(pid)
-}
-
-func (r *refHash) StepStale(pid, idx int) {
-	r.grant(pid, false, func() { r.Controller.StepStale(pid, idx) })
-}
-
-func (r *refHash) Crash(pid int) { r.grant(pid, true, func() { r.Controller.Crash(pid) }) }
-
-// grant runs one grant to pending process pid, folding the register it
-// writes and maintaining the stale windows around it.
-func (r *refHash) grant(pid int, crash bool, do func()) {
-	in := r.Intent(pid)
-	id := -1
-	var pre uint64
-	if !crash && in.Kind == shmem.OpWrite {
-		cell := in.Reg.(shmem.StateCell)
-		var seen bool
-		if id, seen = r.regID[in.Reg]; !seen {
-			id = len(r.cells)
-			r.regID[in.Reg] = id
-			r.cells = append(r.cells, cell)
-			r.init = append(r.init, cell.StateWord())
-		}
-		pre = cell.StateWord()
-		if reg, ok := in.Reg.(*shmem.Reg); ok && r.Model().Regs != shmem.RegAtomic {
-			v := reg.Peek()
-			for q := r.NextPending(-1); q >= 0; q = r.NextPending(q) {
-				if q != pid && r.Intent(q).Kind == shmem.OpRead && r.Intent(q).Reg == in.Reg &&
-					len(r.win[q]) < 8 && !slices.Contains(r.win[q], v) {
-					r.win[q] = append(r.win[q], v)
-				}
-			}
-		}
-	}
-	r.win[pid] = r.win[pid][:0]
-	do()
-	if id >= 0 {
-		r.fold(id, pre)
-		r.fold(id, r.cells[id].StateWord())
-	}
-}
-
-func (r *refHash) fold(id int, word uint64) {
-	if word == r.init[id] {
-		return
-	}
-	r.regHash[0] ^= xrand.Mix(uint64(id)+1, word)
-	r.regHash[1] ^= xrand.Mix(^uint64(id), word)
-}
-
-// StateHash folds the current decision point.
-func (r *refHash) StateHash() [2]uint64 {
-	h := r.regHash
-	for pid := 0; pid < r.N(); pid++ {
-		p := r.Proc(pid)
-		rh := p.ReadHash()
-		pos := uint64(p.Steps())<<8 | uint64(p.Restarts())<<3 | r.phase(pid)
-		h[0] = xrand.Mix(h[0]^rh[0], uint64(pid)+1) ^ pos
-		h[1] = xrand.Mix(h[1]^rh[1], ^uint64(pid)) + pos
-	}
-	if r.Model().Regs == shmem.RegAtomic {
-		return h
-	}
-	for pid, w := range r.win {
-		r.checkWindow(pid)
-		for _, v := range w {
-			h[0] ^= xrand.Mix(uint64(pid)+0x51ed, uint64(v))
-			h[1] ^= xrand.Mix(^uint64(pid)-0x51ed, uint64(v))
-		}
-	}
-	return h
-}
-
-// phase encodes process pid's phase as both engines number it: pending 1,
-// done 2, crashed 3, panicked 4.
-func (r *refHash) phase(pid int) uint64 {
-	switch {
-	case r.NextPending(pid-1) == pid:
-		return 1
-	case r.Done(pid):
-		return 2
-	case r.Crashed(pid):
-		return 3
-	}
-	return 4
-}
-
-// checkWindow requires pid's tracked window to yield exactly the stale
-// choices the oracle offers: the window's values other than the register's
-// current one, plus null under safe registers.
-func (r *refHash) checkWindow(pid int) {
-	r.t.Helper()
-	got := r.StaleVals(pid, nil)
-	var want []int64
-	if len(r.win[pid]) > 0 {
-		if r.NextPending(pid-1) != pid {
-			r.t.Fatalf("refHash: process %d holds a stale window %v but is not pending", pid, r.win[pid])
-		}
-		cur := r.Intent(pid).Reg.(*shmem.Reg).Peek()
-		for _, v := range r.win[pid] {
-			if v != cur {
-				want = append(want, v)
-			}
-		}
-		if r.Model().Regs == shmem.RegSafe && cur != shmem.Null && !slices.Contains(want, shmem.Null) {
-			want = append(want, shmem.Null)
-		}
-	}
-	if !slices.Equal(got, want) {
-		r.t.Fatalf("refHash: process %d window %v implies stale choices %v, the oracle offers %v", pid, r.win[pid], want, got)
-	}
-}
-
-// TestStateHashDistinguishesStates: different interleavings that leave
-// different memory or local states must hash differently; re-reaching the
-// same point must hash identically, on a fresh engine and on the oracle's
-// reference.
-func TestStateHashDistinguishesStates(t *testing.T) {
-	lanes := [][]bool{{true, false, true}, {true, false, true}}
-	mk := func() *vexec.Exec {
-		var r shmem.Reg
-		e := vexec.New(2, []int64{10, 20}, func(p *shmem.Proc) vexec.Frame {
-			return &opsFrame{r: &r, ops: lanes[p.ID()]}
-		})
-		e.EnableState()
-		return e
-	}
-	e1 := mk()
-	e1.Step(0)
-	h1 := e1.StateHash()
-	e2 := mk()
-	e2.Step(1)
-	if e2.StateHash() == h1 {
-		t.Fatal("states after different first writers hash equal")
-	}
-	e3 := mk()
-	e3.Step(0)
-	if got := e3.StateHash(); got != h1 {
-		t.Fatalf("same schedule hashes differently across engines: %x vs %x", got, h1)
-	}
-	var r shmem.Reg
-	ref := newRefHash(t, sched.NewController(2, []int64{10, 20}, func(p *shmem.Proc) {
-		for _, write := range lanes[p.ID()] {
-			if write {
-				p.Write(&r, p.Name())
-			} else {
-				p.Read(&r)
-			}
-		}
-	}))
-	defer ref.Abort()
-	ref.Step(0)
-	if got := ref.StateHash(); got != h1 {
-		t.Fatalf("oracle reference hash %x, vexec %x", got, h1)
-	}
-}
 
 // TestStepNForbiddenUnderState: batching would hide decisions from the
 // checkpoint layer; it must panic loudly.
@@ -231,8 +29,7 @@ func TestStepNForbiddenUnderState(t *testing.T) {
 // twoRegFrame is the contended two-register body the restore tests drive:
 // write id+1 to a, read a, write what it read plus id to b, and read b into
 // *got. Outcomes depend on the interleaving, so restore bugs surface as
-// diverging reads or final values. It is a Cloner, so restores copy it back
-// unless the engine is forced onto catch-up replay.
+// diverging reads or final values.
 type twoRegFrame struct {
 	a, b *shmem.Reg
 	got  *int64
@@ -260,11 +57,8 @@ func (f *twoRegFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return vexec.Done
 }
 
-func (f *twoRegFrame) Save(dst vexec.Frame) vexec.Frame {
-	return vexec.SaveWith(f, dst, func(d, s *twoRegFrame) { *d = *s })
-}
-
-func (f *twoRegFrame) Load(src vexec.Frame) { *f = *src.(*twoRegFrame) }
+func (f *twoRegFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *twoRegFrame) Load(src vexec.Frame)             { *f = *src.(*twoRegFrame) }
 
 // twoRegs is one instance of the two-register system on n lanes.
 type twoRegs struct {
@@ -273,20 +67,19 @@ type twoRegs struct {
 	e    *vexec.Exec
 }
 
-func newTwoRegs(n int, replay bool) *twoRegs {
+func newTwoRegs(n int) *twoRegs {
 	s := &twoRegs{got: make([]int64, n)}
 	s.e = vexec.New(n, nil, func(p *shmem.Proc) vexec.Frame {
 		return &twoRegFrame{a: &s.a, b: &s.b, got: &s.got[p.ID()]}
 	})
 	s.e.EnableState()
-	s.e.ForceReplay(replay)
 	return s
 }
 
-// forRestorePaths runs f with restores by copy and by catch-up replay.
-func forRestorePaths(t *testing.T, f func(t *testing.T, replay bool)) {
-	t.Run("copy", func(t *testing.T) { f(t, false) })
-	t.Run("replay", func(t *testing.T) { f(t, true) })
+// forRestorePaths runs f as the subtest of Restore's one path: copying the
+// moved lanes' saved frames back.
+func forRestorePaths(t *testing.T, f func(t *testing.T)) {
+	t.Run("copy", f)
 }
 
 // roundRobin grants k decisions (or until done) in cyclic pid order.
@@ -299,35 +92,32 @@ func roundRobin(e *vexec.Exec, k int) {
 
 // TestCheckpointRestoreRoundTrip: capture mid-execution, run a divergent
 // continuation to completion, restore, and verify the engine is
-// bit-identical to the capture: hash, fingerprint, grants, trace, pending
-// intents, per-lane steps and read logs, register contents and versions.
+// bit-identical to the capture: fingerprint, grants, trace, pending
+// intents, per-lane steps and register contents.
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
-	forRestorePaths(t, func(t *testing.T, replay bool) {
-		s := newTwoRegs(3, replay)
+	forRestorePaths(t, func(t *testing.T) {
+		s := newTwoRegs(3)
 		e := s.e
 		roundRobin(e, 4)
 		snap := e.Checkpoint()
-		wantHash, wantFP, wantGrants, wantTrace := e.StateHash(), e.Fingerprint(), e.Grants(), e.Trace().String()
+		wantFP, wantGrants, wantTrace := e.Fingerprint(), e.Grants(), e.Trace().String()
 		var wantPending []int
 		var wantKinds []shmem.OpKind
 		for pid := e.NextPending(-1); pid >= 0; pid = e.NextPending(pid) {
 			wantPending = append(wantPending, pid)
 			wantKinds = append(wantKinds, e.Intent(pid).Kind)
 		}
-		var wantPos [3][2]int64
-		for pid := range wantPos {
-			wantPos[pid] = [2]int64{e.Proc(pid).Steps(), int64(e.Proc(pid).ReadLogLen())}
+		var wantSteps [3]int64
+		for pid := range wantSteps {
+			wantSteps[pid] = e.Proc(pid).Steps()
 		}
-		wantRegs := [4]uint64{uint64(s.a.Peek()), uint64(s.b.Peek()), s.a.Version(), s.b.Version()}
+		wantRegs := [2]int64{s.a.Peek(), s.b.Peek()}
 
 		// Diverge: crash one lane, finish the rest.
 		e.Crash(e.NextPending(-1))
 		roundRobin(e, 1<<10)
 
 		e.Restore(snap, func(pid int) { s.got[pid] = 0 })
-		if h := e.StateHash(); h != wantHash {
-			t.Fatalf("StateHash after restore %x, want %x", h, wantHash)
-		}
 		if e.Fingerprint() != wantFP || e.Grants() != wantGrants || e.Trace().String() != wantTrace {
 			t.Fatalf("fingerprint/grants/trace after restore (%#x, %d, %q), want (%#x, %d, %q)",
 				e.Fingerprint(), e.Grants(), e.Trace(), wantFP, wantGrants, wantTrace)
@@ -344,13 +134,13 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 				t.Fatalf("lane %d intent %s after restore, want %s", pid, k, wantKinds[i])
 			}
 		}
-		for pid, want := range wantPos {
-			if got := [2]int64{e.Proc(pid).Steps(), int64(e.Proc(pid).ReadLogLen())}; got != want {
-				t.Fatalf("lane %d (steps, reads) after restore %v, want %v", pid, got, want)
+		for pid, want := range wantSteps {
+			if got := e.Proc(pid).Steps(); got != want {
+				t.Fatalf("lane %d steps after restore %d, want %d", pid, got, want)
 			}
 		}
-		if got := [4]uint64{uint64(s.a.Peek()), uint64(s.b.Peek()), s.a.Version(), s.b.Version()}; got != wantRegs {
-			t.Fatalf("registers (a, b, versions) after restore %v, want %v", got, wantRegs)
+		if got := [2]int64{s.a.Peek(), s.b.Peek()}; got != wantRegs {
+			t.Fatalf("registers (a, b) after restore %v, want %v", got, wantRegs)
 		}
 	})
 }
@@ -358,15 +148,15 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 // TestRestoreContinuationMatchesReplay: after restoring, driving the same
 // continuation must produce exactly the execution an uninterrupted engine
 // produces from the full schedule — same fingerprint, steps, observations
-// and final state hash.
+// and final register contents.
 func TestRestoreContinuationMatchesReplay(t *testing.T) {
-	forRestorePaths(t, func(t *testing.T, replay bool) {
+	forRestorePaths(t, func(t *testing.T) {
 		const n = 3
-		ref := newTwoRegs(n, false)
+		ref := newTwoRegs(n)
 		roundRobin(ref.e, 1<<10)
 		want := ref.e.Result()
 
-		s := newTwoRegs(n, replay)
+		s := newTwoRegs(n)
 		roundRobin(s.e, 3)
 		snap := s.e.Checkpoint()
 		for s.e.PendingCount() > 0 {
@@ -381,8 +171,8 @@ func TestRestoreContinuationMatchesReplay(t *testing.T) {
 			t.Fatalf("restored continuation (%#x, steps %v, got %v), want (%#x, %v, %v)",
 				got.Fingerprint, got.Steps, s.got, want.Fingerprint, want.Steps, ref.got)
 		}
-		if h, w := s.e.StateHash(), ref.e.StateHash(); h != w {
-			t.Fatalf("final StateHash %x, want %x", h, w)
+		if g, w := [2]int64{s.a.Peek(), s.b.Peek()}, [2]int64{ref.a.Peek(), ref.b.Peek()}; g != w {
+			t.Fatalf("final registers (a, b) %v, want %v", g, w)
 		}
 	})
 }
@@ -390,8 +180,8 @@ func TestRestoreContinuationMatchesReplay(t *testing.T) {
 // TestRestoreCrashedProcess: a lane crashed before the checkpoint stays
 // crashed after restore, at the same step count, and the survivors finish.
 func TestRestoreCrashedProcess(t *testing.T) {
-	forRestorePaths(t, func(t *testing.T, replay bool) {
-		s := newTwoRegs(3, replay)
+	forRestorePaths(t, func(t *testing.T) {
+		s := newTwoRegs(3)
 		e := s.e
 		e.Step(0)
 		e.Crash(1)
@@ -438,6 +228,9 @@ func (f *refFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	shmem.WriteRef(p, f.ref, &v)
 	return vexec.Done
 }
+
+func (f *refFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *refFrame) Load(src vexec.Frame)             { *f = *src.(*refFrame) }
 
 // TestRestoreRefRegisters: pointer registers (the atomic-snapshot building
 // block) rewind to the captured pointer, and the continuation reads what
@@ -495,7 +288,7 @@ func mustPanic(t *testing.T, want string, f func()) {
 // at least as deep, which a trace-length or grant-count check cannot tell
 // apart from an ancestor.
 func TestRestoreRejectsNonAncestor(t *testing.T) {
-	s := newTwoRegs(2, false)
+	s := newTwoRegs(2)
 	e := s.e
 	reset := func(pid int) { s.got[pid] = 0 }
 	a := e.Checkpoint()
@@ -517,9 +310,51 @@ func TestRestoreRejectsNonAncestor(t *testing.T) {
 // TestRestoreRejectsForeignSnapshots: a released snapshot and another
 // engine's snapshot are refused.
 func TestRestoreRejectsForeignSnapshots(t *testing.T) {
-	s, o := newTwoRegs(2, false), newTwoRegs(2, false)
+	s, o := newTwoRegs(2), newTwoRegs(2)
 	released := s.e.Checkpoint()
 	s.e.ReleaseState(released)
 	mustPanic(t, "released snapshot", func() { s.e.Restore(released, nil) })
 	mustPanic(t, "different engine", func() { s.e.Restore(o.e.Checkpoint(), nil) })
+}
+
+// readOnceFrame reads r once. It is deliberately not a vexec.Cloner.
+type readOnceFrame struct {
+	r     *shmem.Reg
+	armed bool
+}
+
+func (f *readOnceFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
+	if f.armed {
+		return m.Return(p.Read(f.r), true)
+	}
+	f.armed = true
+	return m.Intend(shmem.OpRead, f.r)
+}
+
+// TestCheckpointNeedsCloner: Restore puts lanes back only by copy, so the
+// first capture that meets a pending lane whose root frame is not a Cloner
+// fails with one line that names the frame type and the fix — bare, and
+// through the capture wrapper, where the type to fix is the wrapped one.
+func TestCheckpointNeedsCloner(t *testing.T) {
+	const want = "vexec: lane 0 root frame *vexec_test.readOnceFrame is not a vexec.Cloner (give it Save/Load; vexec.SaveValue serves plain-value frames)"
+	for _, wrap := range []bool{false, true} {
+		var r shmem.Reg
+		var got int64
+		var ok bool
+		e := vexec.New(1, nil, func(p *shmem.Proc) vexec.Frame {
+			if wrap {
+				return vexec.Capture(&readOnceFrame{r: &r}, &got, &ok)
+			}
+			return &readOnceFrame{r: &r}
+		})
+		e.EnableState()
+		func() {
+			defer func() {
+				if r := recover(); r != want {
+					t.Fatalf("capture-wrapped=%v: panic %v, want %q", wrap, r, want)
+				}
+			}()
+			e.Checkpoint()
+		}()
+	}
 }
