@@ -62,7 +62,8 @@ func (r *Run) Crashes() int {
 func (r *Run) Survivors() int { return r.K - r.Crashes() }
 
 // Checker is one invariant applied to a completed run. Check returns nil
-// when the run satisfies the invariant and a descriptive error otherwise.
+// when the run satisfies the invariant and a descriptive error otherwise. It
+// must not retain r: a proof walk refills one record per execution (Reset).
 type Checker interface {
 	Name() string
 	Check(r *Run) error
@@ -88,24 +89,61 @@ func New(name string, fn func(r *Run) error) Checker {
 // pattern; a violation is always a bug.
 func Exclusive() Checker {
 	return New("exclusive", func(r *Run) error {
-		holder := make(map[int64]int, len(r.Names))
-		pids := make([]int, 0, len(r.Names))
-		for pid := range r.Names {
-			pids = append(pids, pid)
+		if len(r.Names) > smallRun {
+			return exclusiveMap(r)
 		}
-		sort.Ints(pids) // deterministic error messages
-		for _, pid := range pids {
-			n := r.Names[pid]
+		// Small runs (every proof walk) check on the stack: collect the
+		// (pid, name) pairs, sort them by pid, and compare each name with the
+		// names of the lower pids — the same order, and so the same first
+		// violation, as the map path.
+		var pids [smallRun]int
+		var names [smallRun]int64
+		k := 0
+		for pid, n := range r.Names {
+			j := k
+			for ; j > 0 && pids[j-1] > pid; j-- {
+				pids[j], names[j] = pids[j-1], names[j-1]
+			}
+			pids[j], names[j] = pid, n
+			k++
+		}
+		for i := 0; i < k; i++ {
+			n := names[i]
 			if n < 1 {
-				return fmt.Errorf("process %d acquired invalid name %d", pid, n)
+				return fmt.Errorf("process %d acquired invalid name %d", pids[i], n)
 			}
-			if other, dup := holder[n]; dup {
-				return fmt.Errorf("name %d held by both process %d and process %d", n, other, pid)
+			for j := 0; j < i; j++ {
+				if names[j] == n {
+					return fmt.Errorf("name %d held by both process %d and process %d", n, pids[j], pids[i])
+				}
 			}
-			holder[n] = pid
 		}
 		return nil
 	})
+}
+
+// smallRun is the largest name count Exclusive checks without allocating.
+const smallRun = 64
+
+// exclusiveMap is Exclusive for runs with more than smallRun names.
+func exclusiveMap(r *Run) error {
+	holder := make(map[int64]int, len(r.Names))
+	pids := make([]int, 0, len(r.Names))
+	for pid := range r.Names {
+		pids = append(pids, pid)
+	}
+	sort.Ints(pids) // deterministic error messages
+	for _, pid := range pids {
+		n := r.Names[pid]
+		if n < 1 {
+			return fmt.Errorf("process %d acquired invalid name %d", pid, n)
+		}
+		if other, dup := holder[n]; dup {
+			return fmt.Errorf("name %d held by both process %d and process %d", n, other, pid)
+		}
+		holder[n] = pid
+	}
+	return nil
 }
 
 // NameRange checks every acquired name is <= bound; bound 0 means use the
@@ -262,27 +300,35 @@ func DriveModel(r Renamer, k int, origs []int64, m shmem.Model, policy sched.Pol
 
 // NewRun assembles the checked-form record from the raw per-pid outcome of
 // a driven execution: got[pid]/oks[pid] are Rename's return values and res
-// the scheduler summary. It is the single place the crashed/renamed/failed
-// classification lives; Drive uses it, and so do harnesses (the adversary
-// explorer) that must run the execution themselves.
+// the scheduler summary. It is Reset on a fresh Run; Drive uses it, and so do
+// harnesses (the adversary explorer) that run the execution themselves and
+// keep the record.
 func NewRun(origs, got []int64, oks []bool, res sched.Result, maxName int64) *Run {
+	run := &Run{}
+	run.Reset(origs, got, oks, res, maxName)
+	return run
+}
+
+// Reset refills r in place with the record of another execution, reusing its
+// Names map and Failed slice: a proof walk keeps one Run and resets it per
+// execution, so a checker must not retain the record past its Check call. It
+// is the single place the crashed/renamed/failed classification lives.
+func (r *Run) Reset(origs, got []int64, oks []bool, res sched.Result, maxName int64) {
 	k := len(origs)
-	run := &Run{
-		K:       k,
-		Origs:   origs,
-		Names:   make(map[int]int64),
-		Res:     res,
-		MaxName: maxName,
+	if r.Names == nil {
+		r.Names = make(map[int]int64, k)
+	} else {
+		clear(r.Names)
 	}
+	r.K, r.Origs, r.Failed, r.Res, r.MaxName = k, origs, r.Failed[:0], res, maxName
 	for pid := 0; pid < k; pid++ {
 		if res.Crashed[pid] {
 			continue
 		}
 		if !oks[pid] {
-			run.Failed = append(run.Failed, pid)
+			r.Failed = append(r.Failed, pid)
 			continue
 		}
-		run.Names[pid] = got[pid]
+		r.Names[pid] = got[pid]
 	}
-	return run
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -80,6 +81,61 @@ func TestExclusiveDetectsInvalidName(t *testing.T) {
 	run := &Run{K: 1, Names: map[int]int64{0: 0}, Res: emptyResult(1)}
 	if err := Exclusive().Check(run); err == nil {
 		t.Fatal("invalid name 0 accepted")
+	}
+}
+
+// TestExclusiveSmallMatchesMap pins the allocation-free path of Exclusive
+// (runs of at most smallRun names) to the map path byte for byte: same
+// verdict, same message, on clean runs, duplicates and invalid names.
+func TestExclusiveSmallMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 2000; trial++ {
+		k := 1 + rng.IntN(smallRun)
+		run := &Run{K: k, Names: make(map[int]int64), Res: emptyResult(k)}
+		for pid := 0; pid < k; pid++ {
+			if rng.IntN(4) > 0 {
+				// Names drawn from a small range collide often; a few are 0.
+				run.Names[pid] = int64(rng.IntN(3 * k))
+			}
+		}
+		got, want := Exclusive().Check(run), exclusiveMap(run)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("trial %d, names %v: small path %v, map path %v", trial, run.Names, got, want)
+		}
+	}
+}
+
+func TestExclusiveSmallRunsAllocateNothing(t *testing.T) {
+	run := cleanRun(t, 8, nil)
+	ex := Exclusive()
+	if a := testing.AllocsPerRun(100, func() {
+		if err := ex.Check(run); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("Exclusive on 8 names: %v allocations per check, want 0", a)
+	}
+}
+
+// TestRunResetReuses: Reset leaves only the new execution's outcome in the
+// record, and a refill of a warmed record allocates nothing.
+func TestRunResetReuses(t *testing.T) {
+	origs := []int64{10, 20, 30}
+	res := emptyResult(3)
+	res.Crashed[2] = true
+	run := NewRun(origs, []int64{1, 0, 3}, []bool{true, false, true}, res, 5)
+	if len(run.Names) != 1 || run.Names[0] != 1 || len(run.Failed) != 1 || run.Failed[0] != 1 {
+		t.Fatalf("first record: names %v failed %v", run.Names, run.Failed)
+	}
+	clean := emptyResult(3)
+	run.Reset(origs, []int64{3, 2, 1}, []bool{true, true, true}, clean, 7)
+	if len(run.Names) != 3 || run.Names[2] != 1 || len(run.Failed) != 0 || run.MaxName != 7 || run.Crashes() != 0 {
+		t.Fatalf("reset record: %+v", run)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		run.Reset(origs, []int64{0, 2, 1}, []bool{false, true, true}, clean, 7)
+	}); a != 0 {
+		t.Fatalf("Reset of a warmed record: %v allocations, want 0", a)
 	}
 }
 

@@ -118,7 +118,8 @@ func noBound(n int) int64 { return 0 }
 
 // Cases returns the table: all six Section 3 algorithms in paper order,
 // plus the firstfit fault-model fixture. Bounds are seed-independent, so
-// probes are built with a fixed seed.
+// suites compute them with core's bound functions (MajorityBounds and its
+// siblings) instead of building an instance to ask.
 func Cases() []Case {
 	return []Case{
 		{
@@ -131,13 +132,13 @@ func Cases() []Case {
 			},
 			New:       func(n int, seed uint64) check.Renamer { return core.NewMajority(n, Names, core.Config{Seed: seed}) },
 			Origs:     origsFrom(Names),
-			StepBound: func(n int) int64 { return core.NewMajority(n, Names, core.Config{Seed: 1}).MaxSteps() },
+			StepBound: func(n int) int64 { _, steps := core.MajorityBounds(n, Names, core.Config{}); return steps },
 			Suite: func(n int, family string) check.Suite {
-				probe := core.NewMajority(n, Names, core.Config{Seed: 1})
+				maxName, maxSteps := core.MajorityBounds(n, Names, core.Config{})
 				return check.Suite{
 					check.Exclusive(),
-					check.NameRange(probe.MaxName()),
-					check.StepBound(probe.MaxSteps()),
+					check.NameRange(maxName),
+					check.StepBound(maxSteps),
 					check.Returned(),
 					check.HalfRenamed(), // Lemma 4; self-gates on crash-free runs
 				}
@@ -152,13 +153,13 @@ func Cases() []Case {
 			},
 			New:       func(n int, seed uint64) check.Renamer { return core.NewBasic(n, Names, core.Config{Seed: seed}) },
 			Origs:     origsFrom(Names),
-			StepBound: func(n int) int64 { return core.NewBasic(n, Names, core.Config{Seed: 1}).MaxSteps() },
+			StepBound: func(n int) int64 { _, steps := core.BasicBounds(n, Names, core.Config{}); return steps },
 			Suite: func(n int, family string) check.Suite {
-				probe := core.NewBasic(n, Names, core.Config{Seed: 1})
+				maxName, maxSteps := core.BasicBounds(n, Names, core.Config{})
 				return check.Suite{
 					check.Exclusive(),
-					check.NameRange(probe.MaxName()),
-					check.StepBound(probe.MaxSteps()),
+					check.NameRange(maxName),
+					check.StepBound(maxSteps),
 					check.Returned(),
 					check.AllRenamed(),
 				}
@@ -169,13 +170,13 @@ func Cases() []Case {
 			Proven:    []ModelCell{{N: 2, MaxCrashes: 1}, {N: 3, MaxCrashes: 2}, {N: 4, MaxCrashes: 3}, {N: 5, MaxCrashes: 4}},
 			New:       func(n int, seed uint64) check.Renamer { return core.NewPolyLog(n, PolyNames, core.Config{Seed: seed}) },
 			Origs:     origsFrom(PolyNames),
-			StepBound: func(n int) int64 { return core.NewPolyLog(n, PolyNames, core.Config{Seed: 1}).MaxSteps() },
+			StepBound: func(n int) int64 { _, steps := core.PolyLogBounds(n, PolyNames, core.Config{}); return steps },
 			Suite: func(n int, family string) check.Suite {
-				probe := core.NewPolyLog(n, PolyNames, core.Config{Seed: 1})
+				maxName, maxSteps := core.PolyLogBounds(n, PolyNames, core.Config{})
 				return check.Suite{
 					check.Exclusive(),
-					check.NameRange(probe.MaxName()),
-					check.StepBound(probe.MaxSteps()),
+					check.NameRange(maxName),
+					check.StepBound(maxSteps),
 					check.Returned(),
 					check.AllRenamed(),
 				}
@@ -205,10 +206,9 @@ func Cases() []Case {
 			Origs:     origsFrom(Names),
 			StepBound: noBound,
 			Suite: func(n int, family string) check.Suite {
-				probe := core.NewAlmostAdaptive(Names, n, core.Config{Seed: 1})
 				return check.Suite{
 					check.Exclusive(),
-					check.NameRange(probe.NameBound(n)), // Theorem 3 adaptive bound
+					check.NameRange(core.AlmostAdaptiveNameBound(Names, n, n, core.Config{})), // Theorem 3 adaptive bound
 					check.Returned(),
 					check.AllRenamed(),
 				}
@@ -221,10 +221,9 @@ func Cases() []Case {
 			Origs:     origsFrom(HugeNames),
 			StepBound: noBound,
 			Suite: func(n int, family string) check.Suite {
-				probe := core.NewAdaptive(n, core.Config{Seed: 1})
 				return check.Suite{
 					check.Exclusive(),
-					check.NameRange(probe.NameBound(n)), // Theorem 4: 8k - lg k - 1
+					check.NameRange(core.AdaptiveNameBound(n)), // Theorem 4: 8k - lg k - 1
 					check.Returned(),
 					check.AllRenamed(),
 				}

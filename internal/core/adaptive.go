@@ -61,6 +61,16 @@ func (a *Adaptive) NameBound(k int) int64 {
 	if k <= 1 {
 		return a.levels[0].MaxName()
 	}
+	return AdaptiveNameBound(k)
+}
+
+// AdaptiveNameBound returns NameBound(k) of every Adaptive, whatever its
+// size, configuration and seed, without building one: the level-0 block is
+// Efficient(1)'s single name.
+func AdaptiveNameBound(k int) int64 {
+	if k <= 1 {
+		return 1
+	}
 	lg := bits.Len(uint(k - 1)) // ⌈lg k⌉
 	return int64(8*k) - int64(lg) - 1
 }

@@ -33,29 +33,52 @@ type AlmostAdaptive struct {
 // NewAlmostAdaptive builds the object for original names in [1..nNames] and
 // at most nProcs processes.
 func NewAlmostAdaptive(nNames, nProcs int, cfg Config) *AlmostAdaptive {
-	if nNames < 1 || nProcs < 1 {
-		panic(fmt.Sprintf("core: invalid AlmostAdaptive parameters N=%d n=%d", nNames, nProcs))
-	}
 	cfg = cfg.normalize()
 	a := &AlmostAdaptive{nNames: nNames, nProcs: nProcs}
 	var base int64
-	for i, width := 0, 1; ; i, width = i+1, width*2 {
-		if width > nNames {
-			// Contention can never exceed the name range.
-			width = nNames
-		}
+	almostLevels(nNames, nProcs, func(i, width int) bool {
 		lvlCfg := cfg
 		lvlCfg.Seed = subSeed(cfg.Seed, 0x300+uint64(i))
 		lvl := NewPolyLog(width, nNames, lvlCfg)
 		a.levels = append(a.levels, lvl)
 		a.bases = append(a.bases, base)
 		base += lvl.MaxName()
-		if width >= nProcs || width >= nNames {
-			break
-		}
-	}
+		return true
+	})
 	a.fallback = afrename.New(nProcs)
 	return a
+}
+
+// AlmostAdaptiveNameBound returns NameBound(k) of every
+// AlmostAdaptive(nNames, nProcs) built under cfg, whatever its seed, without
+// building its levels.
+func AlmostAdaptiveNameBound(nNames, nProcs, k int, cfg Config) int64 {
+	var bound int64
+	almostLevels(nNames, nProcs, func(i, width int) bool {
+		m, _ := PolyLogBounds(width, nNames, cfg)
+		bound += m
+		return width < k
+	})
+	return bound
+}
+
+// almostLevels lays out the doubling levels of an AlmostAdaptive over names
+// [1..nNames] for at most nProcs processes: level i is a PolyLog(width,
+// nNames) with width = min(2^i, nNames). It calls level for each level, up to
+// the last or until level returns false.
+func almostLevels(nNames, nProcs int, level func(i, width int) bool) {
+	if nNames < 1 || nProcs < 1 {
+		panic(fmt.Sprintf("core: invalid AlmostAdaptive parameters N=%d n=%d", nNames, nProcs))
+	}
+	for i, width := 0, 1; ; i, width = i+1, width*2 {
+		if width > nNames {
+			// Contention can never exceed the name range.
+			width = nNames
+		}
+		if !level(i, width) || width >= nProcs || width >= nNames {
+			return
+		}
+	}
 }
 
 // Levels returns the number of doubling levels (⌈lg n⌉+1).

@@ -38,6 +38,17 @@ func NewBasic(k, nNames int, cfg Config) *Basic {
 	return b
 }
 
+// BasicBounds returns the MaxName and MaxSteps of every Basic(k, nNames)
+// built under cfg, whatever its seed, without building its stages.
+func BasicBounds(k, nNames int, cfg Config) (maxName, maxSteps int64) {
+	cfg = cfg.normalize()
+	maxName = basicStages(k, nNames, cfg.Profile, func(s, l int, base int64) {
+		_, steps := MajorityBounds(l, nNames, cfg)
+		maxSteps += steps
+	})
+	return maxName, maxSteps
+}
+
 // basicStages lays out the stages of a Basic for k contenders out of nNames
 // names under prof: stage s has contender bound l = ⌊k/2^s⌋ and its name
 // block starts at base. It calls stage (when non-nil) for each stage and
@@ -55,7 +66,8 @@ func basicStages(k, nNames int, prof expander.Profile, stage func(s, l int, base
 		if stage != nil {
 			stage(s, l, base)
 		}
-		base += int64(expander.Width(nNames, l, prof))
+		m, _ := expander.Dims(nNames, l, prof)
+		base += int64(m)
 	}
 	return base
 }

@@ -1,15 +1,8 @@
 package core
 
-import "repro/internal/expander"
-
 // Hooks for the external core_test package.
 
 var SubSeed = subSeed
-
-// BasicWidth is the width estimate NewPolyLog sizes an epoch by.
-func BasicWidth(k, nNames int, prof expander.Profile) int64 {
-	return basicStages(k, nNames, prof, nil)
-}
 
 // BuiltWidth sums the widths of the expander graphs b's stages were built
 // on, independently of how b's MaxName was computed.

@@ -31,6 +31,14 @@ func NewMajority(l, nNames int, cfg Config) *Majority {
 	return &Majority{graph: g, field: compete.NewField(g.M)}
 }
 
+// MajorityBounds returns the MaxName and MaxSteps of every Majority(l,
+// nNames) built under cfg, whatever its seed, from the expander parameters
+// alone: no graph or register field is built.
+func MajorityBounds(l, nNames int, cfg Config) (maxName, maxSteps int64) {
+	m, deg := expander.Dims(nNames, l, cfg.normalize().Profile)
+	return int64(m), int64(5 * deg)
+}
+
 // Graph exposes the underlying expander (for verification harnesses).
 func (m *Majority) Graph() *expander.Graph { return m.graph }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/expander"
 	"repro/internal/shmem"
 )
 
@@ -32,14 +33,38 @@ const maxEpochs = 64
 // NewPolyLog builds the object for exactly k contenders out of nNames
 // possible original names.
 func NewPolyLog(k, nNames int, cfg Config) *PolyLog {
+	cfg = cfg.normalize()
+	pl := &PolyLog{k: k, nNames: nNames}
+	pl.maxName = polyLogEpochs(k, nNames, cfg.Profile, func(j, cur int) {
+		epochCfg := cfg
+		epochCfg.Seed = subSeed(cfg.Seed, 0x100+uint64(j))
+		pl.epochs = append(pl.epochs, NewBasic(k, cur, epochCfg))
+	})
+	return pl
+}
+
+// PolyLogBounds returns the MaxName and MaxSteps of every PolyLog(k, nNames)
+// built under cfg, whatever its seed, without building its epochs.
+func PolyLogBounds(k, nNames int, cfg Config) (maxName, maxSteps int64) {
+	cfg = cfg.normalize()
+	maxName = polyLogEpochs(k, nNames, cfg.Profile, func(j, cur int) {
+		_, steps := BasicBounds(k, cur, cfg)
+		maxSteps += steps
+	})
+	return maxName, maxSteps
+}
+
+// polyLogEpochs lays out the epochs of a PolyLog for k contenders out of
+// nNames names under prof: epoch j is a Basic(k, cur) renaming [1..cur] into
+// the next, smaller range. It calls epoch for each epoch and returns MaxName,
+// the range after the last one.
+func polyLogEpochs(k, nNames int, prof expander.Profile, epoch func(j, cur int)) int64 {
 	if k < 1 || nNames < 1 {
 		panic(fmt.Sprintf("core: invalid PolyLog parameters k=%d N=%d", k, nNames))
 	}
 	if k > nNames {
 		panic(fmt.Sprintf("core: contention k=%d exceeds name range N=%d", k, nNames))
 	}
-	cfg = cfg.normalize()
-	pl := &PolyLog{k: k, nNames: nNames, maxName: int64(nNames)}
 	cur := nNames
 	for j := 0; j < maxEpochs; j++ {
 		// Stop when an epoch would shrink the range by less than 10%: the
@@ -49,17 +74,14 @@ func NewPolyLog(k, nNames int, cfg Config) *PolyLog {
 		// it keeps the epoch count O(log log N) for small-constant profiles
 		// that creep near the fixpoint. The epoch's width is a function of
 		// the expander parameters alone, so an epoch is built only if kept.
-		width := basicStages(k, cur, cfg.Profile, nil)
+		width := basicStages(k, cur, prof, nil)
 		if 10*width >= int64(9*cur) {
 			break
 		}
-		epochCfg := cfg
-		epochCfg.Seed = subSeed(cfg.Seed, 0x100+uint64(j))
-		pl.epochs = append(pl.epochs, NewBasic(k, cur, epochCfg))
+		epoch(j, cur)
 		cur = int(width)
 	}
-	pl.maxName = int64(cur)
-	return pl
+	return int64(cur)
 }
 
 // K returns the contender bound the instance was built for.

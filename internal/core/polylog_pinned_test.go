@@ -22,7 +22,7 @@ func refPolyLog(t *testing.T, k, nNames int, cfg core.Config) ([]*core.Basic, in
 		epochCfg.Seed = core.SubSeed(cfg.Seed, 0x100+uint64(j))
 		b := core.NewBasic(k, cur, epochCfg)
 		built := core.BuiltWidth(b)
-		if w := core.BasicWidth(k, cur, cfg.Profile); w != built || b.MaxName() != built {
+		if w, _ := core.BasicBounds(k, cur, cfg); w != built || b.MaxName() != built {
 			t.Fatalf("k=%d N=%d %s: width estimate %d, NewBasic MaxName %d, built stages' width %d",
 				k, cur, cfg.Profile.Name, w, b.MaxName(), built)
 		}

@@ -74,20 +74,14 @@ type Graph struct {
 // New builds a graph for up to l contenders out of nInputs possible names
 // under the given profile and seed.
 func New(nInputs, l int, prof Profile, seed uint64) *Graph {
-	m, deg := dims(nInputs, l, prof)
+	m, deg := Dims(nInputs, l, prof)
 	return &Graph{N: nInputs, L: l, M: m, Degree: deg, Seed: seed}
 }
 
-// Width returns the output width M that New gives a graph for up to l
-// contenders out of nInputs names under prof, for any seed, without
-// building the graph.
-func Width(nInputs, l int, prof Profile) int {
-	m, _ := dims(nInputs, l, prof)
-	return m
-}
-
-// dims returns the width M and degree Δ of the Lemma 3 parameters.
-func dims(nInputs, l int, prof Profile) (m, deg int) {
+// Dims returns the output width M and input degree Δ that New gives a graph
+// for up to l contenders out of nInputs names under prof — the Lemma 3
+// parameters — for any seed, without building the graph.
+func Dims(nInputs, l int, prof Profile) (m, deg int) {
 	if nInputs < 1 || l < 1 {
 		panic(fmt.Sprintf("expander: invalid parameters N=%d L=%d", nInputs, l))
 	}

@@ -22,8 +22,9 @@ import (
 // commuting grants is recognized as redundant and pruned. Every enabled
 // transition is scheduled at every node, so final-state invariants checked
 // on the explored executions hold for every schedule. The frame and sleep-set
-// machinery (openFrame, childSleep) is shared with the stateful SourceDPOR,
-// which schedules per node only a source set grown by race analysis.
+// machinery (push, openFrame, childSleep) is shared with the stateful
+// SourceDPOR, which schedules per node only a source set grown by race
+// analysis.
 //
 // Tree strategies search the schedules of a single deterministic system, so
 // they pin every execution to one instance seed (RunSeed).
@@ -135,19 +136,16 @@ func (t *Tree) Next(e sched.Engine) Choice {
 		}
 		return f.chosen
 	}
-	var parent *frame
-	if t.pos > 0 {
-		parent = &t.stack[t.pos-1]
-	}
-	f, pruned := openFrame(e, parent)
-	t.stats.Pruned += pruned
+	f, parent := push(&t.stack)
+	t.stats.Pruned += openFrame(e, f, parent)
 	f.btStep = f.enabled
 	if t.maxCrashes > 0 && f.crashesBefore < t.maxCrashes {
 		f.btCrash = f.enabled
 	}
-	if !pickNext(&f) {
+	if !pickNext(f) {
 		// Every scheduled transition is asleep: this whole subtree reorders
 		// commuting grants of executions explored elsewhere.
+		t.stack = t.stack[:len(t.stack)-1]
 		t.abandoned = true
 		return Abandon
 	}
@@ -156,27 +154,45 @@ func (t *Tree) Next(e sched.Engine) Choice {
 	if !f.chosen.Restart && f.chosen.Pid >= 0 {
 		f.chosenIn = e.Intent(f.chosen.Pid)
 	}
-	t.stack = append(t.stack, f)
 	t.pos++
 	t.stats.Explored++
-	return t.stack[len(t.stack)-1].chosen
+	return f.chosen
 }
 
-// openFrame builds the frame of a node first reached on the current branch,
-// below parent (nil at the root): its pending mask, crash count, sleep set
-// and fault-model branching. Sleeping transitions are pre-marked done —
-// exploring one would re-derive a schedule already covered under an earlier
-// sibling — and pruned counts them.
-func openFrame(e sched.Engine, parent *frame) (f frame, pruned int) {
+// push extends *stack by one slot and returns it with the slot below it (nil
+// at the root). A slot left by a popped frame is handed back as it was, so
+// openFrame can reuse the buffers it holds.
+func push[T any](stack *[]T) (top, below *T) {
+	d := len(*stack)
+	if d < cap(*stack) {
+		*stack = (*stack)[:d+1]
+	} else {
+		var zero T
+		*stack = append(*stack, zero)
+	}
+	if d > 0 {
+		below = &(*stack)[d-1]
+	}
+	return &(*stack)[d], below
+}
+
+// openFrame fills f, in place, with the frame of a node first reached on the
+// current branch, below parent (nil at the root): its pending mask, crash
+// count, sleep set and fault-model branching. It reuses the sleep-set and
+// stale-variant buffers f still holds from the last frame in its stack slot.
+// Sleeping transitions are pre-marked done — exploring one would re-derive a
+// schedule already covered under an earlier sibling — and pruned counts them.
+func openFrame(e sched.Engine, f, parent *frame) (pruned int) {
+	*f = frame{sleep: f.sleep[:0], staleN: f.staleN[:0], varCur: f.varCur[:0]}
 	f.enabled = enabledMask(e)
 	if parent != nil {
 		f.crashesBefore = parent.crashesBefore
 		if parent.chosen.Crash {
 			f.crashesBefore++
 		}
-		f.sleep = childSleep(e, parent)
+		f.sleep = childSleep(e, parent, f.sleep)
 	}
-	faultOpen(e, &f)
+	faultOpen(e, f)
 	for _, s := range f.sleep {
 		bit := uint64(1) << uint(s.pid)
 		if s.restart {
@@ -199,18 +215,18 @@ func openFrame(e sched.Engine, parent *frame) (f frame, pruned int) {
 			pruned++
 		}
 	}
-	return f, pruned
+	return pruned
 }
 
 // childSleep derives the sleep set of the node reached by parent.chosen:
 // inherited entries that are independent of the chosen transition, plus the
 // parent's previously explored (or pruned) siblings, filtered the same way.
 // All surviving entries belong to processes other than the chosen one, so
-// their posted intents are live on the engine.
-func childSleep(e sched.Engine, parent *frame) []sleepEntry {
+// their posted intents are live on the engine. The set is appended to out,
+// which must not share a backing array with parent.sleep.
+func childSleep(e sched.Engine, parent *frame, out []sleepEntry) []sleepEntry {
 	ch, chIn := parent.chosen, parent.chosenIn
 	chFault := ch.Crash || ch.Restart
-	var out []sleepEntry
 	seen := struct{ step, crash, restart uint64 }{}
 	add := func(e sleepEntry) {
 		bit := uint64(1) << uint(e.pid)

@@ -92,8 +92,11 @@ type Stats struct {
 	// trace event, the rebuild reference re-derives every row of the whole
 	// trace at every backtrack — the gap is the work the layer saves.
 	RaceEvents int
-	// RaceNs is wall-clock nanoseconds spent in race analysis (source-DPOR
-	// only). Timing, not tree shape: determinism comparisons must ignore it.
+	// RaceNs estimates the wall-clock nanoseconds spent in race analysis
+	// (source-DPOR only): one backtrack in raceSample is timed and its time
+	// counted raceSample times, since reading the clock around every one
+	// costs a visible share of the walk. Timing, not tree shape: determinism
+	// comparisons must ignore it.
 	RaceNs int64
 	// Complete reports that the strategy exhausted its search space: every
 	// schedule (modulo commuting-grant equivalence) has been covered. Only
@@ -146,7 +149,9 @@ type Independent interface {
 // The strategy restores the engine to its next frontier node (passing reset
 // through to Restore so the caller can clear a process's body-external
 // capture before it is put back) and returns false when the search is
-// exhausted.
+// exhausted. As in Config.OnResult, the trace and the result's slices alias
+// buffers the drive refills for the next execution: they are valid only
+// during the call.
 type Stateful interface {
 	Strategy
 	BacktrackState(e *vexec.Exec, t sched.Trace, res sched.Result, reset func(pid int)) bool
@@ -193,9 +198,10 @@ type Config struct {
 	// OnResult observes each *completed* execution (abandoned ones are
 	// skipped): its run index, recorded trace, and result. Returning false
 	// stops the drive — how invariant checkers abort on first violation.
-	// The trace aliases a buffer the drive reuses across executions: it is
-	// only valid during the call, and a callback that retains it (to report a
-	// violation, say) must copy it first.
+	// The trace aliases a buffer the drive reuses across executions, and so,
+	// on the stateful drive, do the result's Steps, Crashed and Restarts
+	// slices: they are only valid during the call, and a callback that
+	// retains them (to report a violation, say) must copy them first.
 	OnResult func(run int, t sched.Trace, res sched.Result) bool
 	// Reset clears process pid's body-external per-execution capture (its
 	// slot of the outcome arrays the frames write into) before a stateful
@@ -349,6 +355,7 @@ func driveStateful(s Stateful, cfg Config) Stats {
 	// its races from the backtrack sets.
 	run := 0
 	var tbuf sched.Trace // reused across executions; see Config.OnResult
+	var res sched.Result // likewise: its slices are refilled per execution
 	for cfg.MaxExecutions <= 0 || run < cfg.MaxExecutions {
 		abandoned := false
 		for live(e) {
@@ -363,12 +370,12 @@ func driveStateful(s Stateful, cfg Config) Stats {
 			dispatch(e, ch)
 		}
 		tbuf = e.TraceInto(tbuf)
-		t, res := tbuf, e.Result()
-		if !abandoned && cfg.OnResult != nil && !cfg.OnResult(run, t, res) {
+		e.ResultInto(&res)
+		if !abandoned && cfg.OnResult != nil && !cfg.OnResult(run, tbuf, res) {
 			break
 		}
 		run++
-		if !s.BacktrackState(e, t, res, cfg.Reset) {
+		if !s.BacktrackState(e, tbuf, res, cfg.Reset) {
 			break
 		}
 	}

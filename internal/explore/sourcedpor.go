@@ -47,6 +47,7 @@ type SourceDPOR struct {
 	scratch   raceScratch // from-scratch reference (RaceRebuild)
 	diffSave  []uint64    // RaceDifferential: btStep snapshots across the two runs
 	diffRef   []uint64
+	raceCalls int // updateRaces calls so far, for sampling the race timer
 	stats     Stats
 }
 
@@ -108,13 +109,14 @@ func (t *SourceDPOR) Next(eng sched.Engine) Choice {
 		t.commit(c, f)
 		return f.chosen
 	}
+	// The node's frame is built in its stack slot: taken after push, since a
+	// push that grows the stack moves every frame.
+	f, below := push(&t.stack)
 	var parent *frame
-	if len(t.stack) > 0 {
-		parent = &t.stack[len(t.stack)-1].frame
+	if below != nil {
+		parent = &below.frame
 	}
-	fr, pruned := openFrame(c, parent)
-	t.stats.Pruned += pruned
-	f := sframe{frame: fr}
+	t.stats.Pruned += openFrame(c, &f.frame, parent)
 	// Source mode: the backtrack set starts with one arbitrary (lowest awake)
 	// enabled process; race analysis grows it. Crash branching is exhaustive
 	// within the budget.
@@ -125,12 +127,12 @@ func (t *SourceDPOR) Next(eng sched.Engine) Choice {
 		f.btCrash = f.enabled
 	}
 	if !pickNext(&f.frame) {
+		t.stack = t.stack[:len(t.stack)-1]
 		t.abandoned = true
 		return Abandon
 	}
 	f.snap = c.Checkpoint()
-	t.stack = append(t.stack, f)
-	t.commit(c, &t.stack[len(t.stack)-1])
+	t.commit(c, f)
 	return f.chosen
 }
 
@@ -324,7 +326,13 @@ func (t *SourceDPOR) updateRaces(tr sched.Trace) {
 	if L > len(t.stack) {
 		panic(fmt.Sprintf("explore: trace (%d events) outran the frame stack (%d frames)", L, len(t.stack)))
 	}
-	start := time.Now()
+	// Only every raceSample-th call is timed (see Stats.RaceNs).
+	timed := t.raceCalls%raceSample == 0
+	t.raceCalls++
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
 	switch t.race {
 	case RaceRebuild:
 		if L >= 2 {
@@ -340,8 +348,13 @@ func (t *SourceDPOR) updateRaces(tr sched.Trace) {
 		t.stats.RaceEvents += L - watermark
 		t.scanRaces(tr, &t.hb, watermark, L)
 	}
-	t.stats.RaceNs += time.Since(start).Nanoseconds()
+	if timed {
+		t.stats.RaceNs += raceSample * time.Since(start).Nanoseconds()
+	}
 }
+
+// raceSample is the sampling period of the race-analysis timer.
+const raceSample = 16
 
 // updateRacesDiff is the RaceDifferential body: run the from-scratch
 // reference against the current backtrack sets, capture what it produced,
@@ -489,7 +502,7 @@ func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 func pickNext(f *frame) bool {
 	if avail := f.btStep &^ f.doneStep; avail != 0 {
 		pid := bits.TrailingZeros64(avail)
-		if f.staleN == nil || f.staleN[pid] == 0 {
+		if len(f.staleN) == 0 || f.staleN[pid] == 0 {
 			f.doneStep |= 1 << uint(pid)
 			f.chosen = Choice{Pid: pid}
 			return true
@@ -544,8 +557,8 @@ func faultOpen(c sched.Engine, f *frame) {
 		}
 	}
 	if m.Regs != shmem.RegAtomic && f.enabled != 0 {
-		f.staleN = make([]uint8, c.N())
-		f.varCur = make([]uint8, c.N())
+		f.staleN = growClear(f.staleN, c.N())
+		f.varCur = growClear(f.varCur, c.N())
 		for e := f.enabled; e != 0; e &= e - 1 {
 			pid := bits.TrailingZeros64(e)
 			if k := c.StaleCount(pid); k > 0 {

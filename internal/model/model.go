@@ -143,7 +143,8 @@ type Report struct {
 	Deduped    int    // always 0: no walker cuts a state by hash; kept because perfbench reads it
 	// RaceEvents counts happens-before rows derived by source-DPOR's race
 	// analysis — per-event with the incremental layer, per-trace-per-leaf
-	// with the rebuild reference — and RaceTime the wall-clock spent there.
+	// with the rebuild reference — and RaceTime estimates the wall-clock
+	// spent there from a sample of the backtracks (explore.Stats.RaceNs).
 	// Both are work accounting, not tree shape: differential comparisons of
 	// Reports across engines or race modes must exclude RaceTime (timing)
 	// and, across race modes, RaceEvents (the gap is the point).
@@ -273,6 +274,9 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 		cur.reset()
 		return cur
 	}
+	// One record serves every execution: Reset refills it in place, so the
+	// walk allocates nothing per execution to check it.
+	var record check.Run
 	cfg := explore.Config{
 		N:     n,
 		Model: opt.Model,
@@ -284,7 +288,8 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 			if res.Err != nil {
 				err = fmt.Errorf("process panic: %w", res.Err)
 			} else {
-				err = suite.Check(check.NewRun(origs, cur.got, cur.oks, res, cur.renamer.MaxName()))
+				record.Reset(origs, cur.got, cur.oks, res, cur.renamer.MaxName())
+				err = suite.Check(&record)
 			}
 			if err != nil {
 				// t aliases the drive's reused trace buffer; the violation is

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/shmem"
@@ -268,5 +270,38 @@ func TestFingerprintSeparatesStepNFromSteps(t *testing.T) {
 	}
 	if !a.Done(0) || !b.Done(0) {
 		t.Fatal("both executions should have completed")
+	}
+}
+
+// TestDriverParkedWakeups drives both wakeups of a parked driver on purpose:
+// a process that posts its next intent (gate.Step), and one that finishes
+// (runProc), as the last active process while the driver is parked on idle.
+// The body moves on only after it sees driverParked, so the driver has run
+// out of quiesce yields and parked; without that wait these branches run only
+// when the driver happens to park.
+func TestDriverParkedWakeups(t *testing.T) {
+	var ctrl atomic.Pointer[Controller]
+	waitParked := func() {
+		for !ctrl.Load().driverParked.Load() {
+			runtime.Gosched()
+		}
+	}
+	var r shmem.Reg
+	c := NewController(1, nil, func(p *shmem.Proc) {
+		p.Read(&r)
+		waitParked()
+		p.Read(&r) // posts with the driver parked: gate.Step signals idle
+		waitParked()
+		// returns with the driver parked: runProc signals idle
+	})
+	defer c.Abort()
+	ctrl.Store(c)
+	c.Step(0)
+	if c.PendingCount() != 1 {
+		t.Fatalf("after the first grant: %d pending, want the second read", c.PendingCount())
+	}
+	c.Step(0)
+	if !c.Done(0) || c.PendingCount() != 0 {
+		t.Fatalf("after the second grant: done=%v pending=%d, want a finished process", c.Done(0), c.PendingCount())
 	}
 }

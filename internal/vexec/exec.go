@@ -634,12 +634,27 @@ func (e *Exec) ApplyTrace(prefix sched.Trace) error {
 }
 
 // Result summarizes the execution at the current decision point, mirroring
-// Controller.result field for field.
+// Controller.result field for field. It allocates a fresh summary; see
+// ResultInto for the reusing form.
 func (e *Exec) Result() sched.Result {
-	res := sched.Result{Steps: make([]int64, e.n), Crashed: make([]bool, e.n), Fingerprint: e.fp}
+	var res sched.Result
+	e.ResultInto(&res)
+	return res
+}
+
+// ResultInto overwrites *res with the summary Result returns, reusing the
+// backing arrays of res.Steps and res.Crashed, and of res.Restarts when this
+// execution restarted a process (Restarts stays nil when none did). The
+// stateful search drive keeps one Result for a whole walk this way.
+func (e *Exec) ResultInto(res *sched.Result) {
+	res.Steps = grow(res.Steps, e.n)
+	res.Crashed = grow(res.Crashed, e.n)
 	if e.restarts > 0 {
-		res.Restarts = make([]int, e.n)
+		res.Restarts = grow(res.Restarts, e.n)
+	} else {
+		res.Restarts = nil
 	}
+	res.Err, res.Fingerprint = nil, e.fp
 	for i := 0; i < e.n; i++ {
 		res.Steps[i] = e.procs[i].Steps()
 		res.Crashed[i] = e.phase[i] == phaseCrashed
@@ -650,7 +665,6 @@ func (e *Exec) Result() sched.Result {
 			res.Err = e.err[i]
 		}
 	}
-	return res
 }
 
 // stateMirror is the engine's state layer: the undo log Restore (state.go)
