@@ -2,10 +2,8 @@ package adversary
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/check"
-	"repro/internal/explore"
 	"repro/internal/sched"
 	"repro/internal/shmem"
 	"repro/internal/vexec"
@@ -43,11 +41,6 @@ type Spec struct {
 	// Seed derives every run seed; two campaigns with equal specs explore
 	// identical schedules.
 	Seed uint64
-	// Strategy builds each (family, n) cell's search strategy. nil defaults
-	// to Seeded() — the pre-strategy fan-out of independent runs, one per
-	// seed — so existing campaigns, tests, and shrunk reproducer lines are
-	// untouched. SourceDPOR, SleepSets and CoverageGuided plug in here.
-	Strategy StrategyMaker
 }
 
 func (s *Spec) normalize() {
@@ -106,10 +99,6 @@ type Violation struct {
 	N      int
 	Seed   uint64
 	Err    error
-	// Trace is the grant schedule of the violating execution when the
-	// strategy drove it decision by decision (tree strategies); nil for
-	// seeded runs, whose (family, seed) pair already replays the schedule.
-	Trace sched.Trace
 	// Shrunk is the minimized reproducer (set by Explore; Shrink fills it).
 	Shrunk *Reproducer
 }
@@ -122,18 +111,12 @@ func (v Violation) String() string {
 type CellStats struct {
 	Family    string
 	N         int
-	Strategy  string // search strategy that drove the cell
-	Runs      int    // complete executions
-	Distinct  int    // distinct schedule fingerprints observed
-	MaxSteps  int64  // worst per-process local-step count observed
-	Crashes   int    // total crash injections across runs
-	Violating int    // runs that violated the suite
-	Explored  int    // distinct scheduling decisions executed by the search
-	Replayed  int    // prefix grants re-executed for state reconstruction (stateless tree strategies)
-	Restored  int    // checkpoint restores performed (stateful strategies; replaces Replayed)
-	Pruned    int    // enabled choices skipped by partial-order reasoning
-	Deduped   int    // always 0: no strategy cuts a state by hash; kept because perfbench reads it
-	Complete  bool   // the strategy exhausted its search space for this cell
+	Runs      int   // executions
+	Distinct  int   // distinct schedule fingerprints observed
+	MaxSteps  int64 // worst per-process local-step count observed
+	Crashes   int   // total crash injections across runs
+	Violating int   // runs that violated the suite
+	Explored  int   // scheduling decisions: grants, plus one per crash, plus two per restart
 }
 
 // Outcome is the result of one Explore campaign.
@@ -142,11 +125,9 @@ type Outcome struct {
 	Runs       int   // total runs executed
 	Distinct   int   // distinct schedule fingerprints across the campaign
 	MaxSteps   int64 // worst per-process step count across the campaign
-	Explored   int   // distinct scheduling decisions executed across the campaign
-	Replayed   int   // reconstruction grants re-executed by stateless tree strategies
-	Restored   int   // checkpoint restores performed by stateful strategies
-	Pruned     int   // choices skipped by partial-order reasoning
-	Deduped    int   // always 0: no strategy cuts a state by hash; kept because perfbench reads it
+	Explored   int   // scheduling decisions executed across the campaign
+	Pruned     int   // always 0; kept because perfbench reads it
+	Deduped    int   // always 0; kept because perfbench reads it
 	Cells      []CellStats
 	Violations []Violation
 }
@@ -175,14 +156,13 @@ func runOnce(spec *Spec, fam Family, n int, seed uint64) (*check.Run, error) {
 	return run, spec.suiteFor(n, fam.Name).Check(run)
 }
 
-// Explore sweeps the campaign grid as a thin driver over the strategy
-// layer: each (family, n) cell instantiates the spec's StrategyMaker
-// (Seeded by default, which fans the cell's independent runs across workers
-// via sched.ParallelRuns exactly as before) and hands it to explore.Drive.
-// The outcome reports coverage (distinct schedule fingerprints), search
-// effort (decisions explored, choices pruned), worst-case observed steps,
-// and every invariant violation — the first of which is shrunk to a minimal
-// reproducer.
+// Explore sweeps the campaign grid: every (family, n) cell runs its seeded
+// runs as independent executions fanned across the cores, on the vectorized
+// engine (vexec.RunBatch) when the algorithm compiles to frame automata and
+// on goroutine controllers (sched.ParallelRuns) otherwise. The outcome
+// reports coverage (distinct schedule fingerprints), decisions executed,
+// worst-case observed steps, and every invariant violation — the first of
+// which is shrunk to a minimal reproducer.
 func Explore(spec Spec) Outcome {
 	spec.normalize()
 	out := Outcome{Label: spec.Label}
@@ -193,9 +173,6 @@ func Explore(spec Spec) Outcome {
 			out.Cells = append(out.Cells, cell.stats)
 			out.Runs += cell.stats.Runs
 			out.Explored += cell.stats.Explored
-			out.Replayed += cell.stats.Replayed
-			out.Restored += cell.stats.Restored
-			out.Pruned += cell.stats.Pruned
 			if cell.stats.MaxSteps > out.MaxSteps {
 				out.MaxSteps = cell.stats.MaxSteps
 			}
@@ -204,15 +181,8 @@ func Explore(spec Spec) Outcome {
 	}
 	out.Distinct = len(seen)
 	if len(out.Violations) > 0 {
-		v := out.Violations[0]
-		rep := Shrink(&spec, v)
-		// Tree-strategy violations (non-nil Trace) are attributed to the cell
-		// label and pinned seed, which did not drive the schedule, so Shrink
-		// may come back with a line that does not replay. Attach only a
-		// verified reproducer; otherwise the Trace is the recipe.
-		if v.Trace == nil || Replay(&spec, rep) != nil {
-			out.Violations[0].Shrunk = &rep
-		}
+		rep := Shrink(&spec, out.Violations[0])
+		out.Violations[0].Shrunk = &rep
 	}
 	return out
 }
@@ -222,191 +192,107 @@ type cellResult struct {
 	violations []Violation
 }
 
-// capture is the per-execution record one cell run writes into: the fresh
-// instance, the names it was started with, the Rename return values, and
-// the (family, seed) pair a violation should be reported under.
+// capture is one run's record: its seed, the fresh instance, the names it
+// was started with, and the Rename return values.
 type capture struct {
-	r      check.Renamer
-	family string
-	seed   uint64
-	origs  []int64
-	got    []int64
-	oks    []bool
+	seed  uint64
+	r     check.Renamer
+	origs []int64
+	got   []int64
+	oks   []bool
 }
 
-// genomer is implemented by strategies (CoverageGuided) whose executions are
-// still seeded family runs, just chosen adaptively: the genome names the
-// family and seed actually driving the next run, which is what a violation
-// must be attributed to for the reproducer line to replay.
-type genomer interface {
-	Genome() (string, uint64)
-}
-
-// exploreCell runs one (family, n) cell through its strategy. Instances and
-// outcome arrays are captured per execution (concurrently, when the
-// strategy's runs are independent and fanned out) and checked serially —
-// checkers are cheap; runs are not.
+// exploreCell runs one (family, n) cell. Every run builds its instance in
+// its own slot of the cell's capture slice, from the worker that drives it,
+// so construction stays parallel; the results are checked serially —
+// checkers are cheap, runs are not. Schedule fingerprints are bit-identical
+// across the two engines (the vexec differential contract), so violation
+// seeds and the goroutine-based Replay/Shrink paths agree whichever engine
+// found them.
 func exploreCell(spec *Spec, fam Family, n int, seen map[uint64]struct{}) cellResult {
-	seeds := make([]uint64, spec.Runs)
-	for run := range seeds {
-		seeds[run] = spec.runSeed(fam.Name, n, run)
-	}
-	maker := spec.Strategy
-	if maker == nil {
-		maker = Seeded()
-	}
-	strat := maker(fam, n, seeds)
-	seeder, _ := strat.(explore.Seeder)
-	seedOf := func(run int) uint64 {
-		if seeder != nil {
-			return seeder.RunSeed(run)
+	caps := make([]capture, spec.Runs)
+	// at builds run's capture on first touch. Run 0 is built before the
+	// fan-out, to pick the engine; every other slot is touched only by the
+	// one worker that drives its run.
+	at := func(run int) *capture {
+		c := &caps[run]
+		if c.r == nil {
+			c.seed = spec.runSeed(fam.Name, n, run)
+			c.r = spec.New(n, c.seed)
+			c.origs = spec.origsFor(n, c.seed)
+			c.got, c.oks = make([]int64, n), make([]bool, n)
 		}
-		if run < len(seeds) {
-			return seeds[run]
-		}
-		return spec.runSeed(fam.Name, n, run)
-	}
-
-	// Captures are created on first touch of a run index. Only slice access
-	// is locked: the first touch of any given run is single-threaded (one
-	// ParallelRuns worker builds one run's spec; sequential strategies are
-	// one goroutine), so instance construction itself stays parallel on the
-	// seeded fast path. Stateful strategies (source DPOR) search one
-	// persistent system through checkpoint/restore: every run maps to the
-	// run-0 capture, which lives for the whole cell and is reset — not
-	// rebuilt — between executions.
-	_, fanned := strat.(explore.Independent)
-	_, stateful := strat.(explore.Stateful)
-	var mu sync.Mutex
-	caps := make([]*capture, 0, spec.Runs)
-	capOf := func(run int) *capture {
-		if stateful {
-			run = 0
-		}
-		mu.Lock()
-		for len(caps) <= run {
-			caps = append(caps, nil)
-		}
-		c := caps[run]
-		mu.Unlock()
-		if c != nil {
-			return c
-		}
-		family, seed := fam.Name, seedOf(run)
-		if g, ok := strat.(genomer); ok {
-			family, seed = g.Genome()
-		}
-		c = &capture{
-			r:      spec.New(n, seed),
-			family: family,
-			seed:   seed,
-			origs:  spec.origsFor(n, seed),
-			got:    make([]int64, n),
-			oks:    make([]bool, n),
-		}
-		mu.Lock()
-		caps[run] = c
-		if !fanned && run > 0 {
-			// Sequential strategies advance one run at a time, and the
-			// previous run is fully processed (or abandoned — those skip
-			// OnResult) by the time the next capture is built: release it so
-			// long searches do not retain every instance ever built.
-			caps[run-1] = nil
-		}
-		mu.Unlock()
 		return c
 	}
+	var results []sched.Result
+	if _, ok := at(0).r.(vexec.FrameRenamer); ok {
+		results = vexec.RunBatch(spec.Runs, func(run int) vexec.BatchSpec {
+			c := at(run)
+			fr := c.r.(vexec.FrameRenamer)
+			return vexec.BatchSpec{
+				N:      n,
+				Names:  c.origs,
+				Model:  fam.Model,
+				Policy: fam.NewPolicy(c.seed, n),
+				Plan:   fam.NewPlan(c.seed, n),
+				Root: func(p *shmem.Proc) vexec.Frame {
+					return vexec.Capture(fr.FrameRename(p.Name()), &c.got[p.ID()], &c.oks[p.ID()])
+				},
+			}
+		})
+	} else {
+		results = sched.ParallelRuns(spec.Runs, func(run int) sched.RunSpec {
+			c := at(run)
+			return sched.RunSpec{
+				N:      n,
+				Names:  c.origs,
+				Model:  fam.Model,
+				Policy: fam.NewPolicy(c.seed, n),
+				Plan:   fam.NewPlan(c.seed, n),
+				Body: func(p *shmem.Proc) {
+					c.got[p.ID()], c.oks[p.ID()] = c.r.Rename(p, p.Name())
+				},
+			}
+		})
+	}
 
-	cell := cellResult{stats: CellStats{Family: fam.Name, N: n, Strategy: strat.Name()}}
+	cell := cellResult{stats: CellStats{Family: fam.Name, N: n, Runs: len(results)}}
 	suite := spec.suiteFor(n, fam.Name)
 	cellSeen := make(map[uint64]struct{}, spec.Runs)
-
-	// Algorithms that compile to frame automata run on the vectorized engine:
-	// independent (Seeded) cells fan across vexec.RunBatch, sequential
-	// strategies (coverage-guided) recycle one vexec engine per run, and
-	// stateful cells (source DPOR) checkpoint/restore on it — explore picks
-	// vexec whenever the Frame factory is present, and a stateful strategy
-	// requires it. Run 0's
-	// instance is sniffed for the interface and then runs as usual (a
-	// genome-driven strategy has picked run 0's genome at construction).
-	// Fingerprints are bit-identical across engines (the vexec differential
-	// contract), so violation seeds, committed reproducer lines, and the
-	// goroutine-based Replay/Shrink paths keep working unchanged against
-	// vexec-discovered schedules.
-	probe := capOf(0).r
-	var frame func(run int) func(p *shmem.Proc) vexec.Frame
-	if _, ok := probe.(vexec.FrameRenamer); ok {
-		frame = func(run int) func(p *shmem.Proc) vexec.Frame {
-			c := capOf(run)
-			fr := c.r.(vexec.FrameRenamer)
-			return func(p *shmem.Proc) vexec.Frame {
-				return vexec.Capture(fr.FrameRename(p.Name()), &c.got[p.ID()], &c.oks[p.ID()])
+	for run, res := range results {
+		c := &caps[run]
+		seen[res.Fingerprint] = struct{}{}
+		cellSeen[res.Fingerprint] = struct{}{}
+		if ms := res.MaxSteps(); ms > cell.stats.MaxSteps {
+			cell.stats.MaxSteps = ms
+		}
+		// Every grant is a decision, and so is each crash; a restart is one
+		// decision plus the crash grant the final Crashed flags no longer show.
+		cell.stats.Explored += int(res.TotalSteps())
+		for _, crashed := range res.Crashed {
+			if crashed {
+				cell.stats.Explored++
 			}
 		}
+		for _, r := range res.Restarts {
+			cell.stats.Explored += 2 * r
+		}
+		record := check.NewRun(c.origs, c.got, c.oks, res, c.r.MaxName())
+		cell.stats.Crashes += record.Crashes()
+		// A process panic preempts the suite verdict, mirroring runOnce: the
+		// report and the shrunk reproducer must agree on the failure class.
+		var err error
+		if res.Err != nil {
+			err = fmt.Errorf("process panic: %w", res.Err)
+		} else {
+			err = suite.Check(record)
+		}
+		if err != nil {
+			cell.stats.Violating++
+			cell.violations = append(cell.violations, Violation{Label: spec.Label, Family: fam.Name, N: n, Seed: c.seed, Err: err})
+		}
+		*c = capture{} // checked: release the instance
 	}
-	stats := explore.Drive(strat, explore.Config{
-		N:     n,
-		Model: fam.Model,
-		Names: func(run int) []int64 { return capOf(run).origs },
-		Frame: frame,
-		Body: func(run int) sched.Body {
-			c := capOf(run)
-			return func(p *shmem.Proc) {
-				c.got[p.ID()], c.oks[p.ID()] = c.r.Rename(p, p.Name())
-			}
-		},
-		Reset: func(pid int) {
-			c := capOf(0)
-			c.got[pid], c.oks[pid] = 0, false
-		},
-		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
-			c := capOf(run)
-			seen[res.Fingerprint] = struct{}{}
-			cellSeen[res.Fingerprint] = struct{}{}
-			if ms := res.MaxSteps(); ms > cell.stats.MaxSteps {
-				cell.stats.MaxSteps = ms
-			}
-			record := check.NewRun(c.origs, c.got, c.oks, res, c.r.MaxName())
-			cell.stats.Crashes += record.Crashes()
-			// A process panic preempts the suite verdict, mirroring runOnce:
-			// the report and the shrunk reproducer must agree on the failure
-			// class.
-			var err error
-			if res.Err != nil {
-				err = fmt.Errorf("process panic: %w", res.Err)
-			} else {
-				err = suite.Check(record)
-			}
-			if err != nil {
-				cell.stats.Violating++
-				cell.violations = append(cell.violations, Violation{
-					Label:  spec.Label,
-					Family: c.family,
-					N:      n,
-					Seed:   c.seed,
-					Err:    err,
-					// tr aliases the drive's reused trace buffer; the
-					// violation outlives this callback, so copy.
-					Trace: append(sched.Trace(nil), tr...),
-				})
-			}
-			// The run is checked; release its instance so long sequential
-			// campaigns do not hold every renamer ever built. (Stateful cells
-			// keep theirs: it IS the search state.)
-			if !stateful {
-				mu.Lock()
-				caps[run] = nil
-				mu.Unlock()
-			}
-			return true
-		},
-	})
-	cell.stats.Runs = stats.Executions
-	cell.stats.Explored = stats.Explored
-	cell.stats.Replayed = stats.Replayed
-	cell.stats.Restored = stats.Restored
-	cell.stats.Pruned = stats.Pruned
-	cell.stats.Complete = stats.Complete
 	cell.stats.Distinct = len(cellSeen)
 	return cell
 }

@@ -6,19 +6,26 @@ import (
 	"repro/internal/check"
 	"repro/internal/compete"
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
-// FuzzRenameSchedule fuzzes the (algorithm, family, population, seed,
-// strategy) space: the seed determinizes the sampled expander graphs, the
-// schedule and the crash pattern at once, so every crashing input is a
-// complete reproducer. stratIdx selects the search strategy driving the
-// schedules — the direct seeded drive, a budgeted schedule-only source-DPOR
-// walk, a budgeted sleep-set walk, a budgeted source-DPOR walk with crash
-// branching (checkpoint/restore state reconstruction), or coverage-guided
-// mutation — so the fuzz smoke job exercises every code path of the
-// exploration engine, not just the seeded one. The invariants asserted are
-// the unconditional ones — exclusiveness and full accounting — which no
-// schedule or crash pattern may violate.
+// FuzzRenameSchedule fuzzes the (algorithm, family, population, seed, arm)
+// space: the seed determinizes the sampled expander graphs, the schedule and
+// the crash pattern at once, so every crashing input is a complete
+// reproducer. stratIdx selects the arm driving the schedules:
+//
+//	0  one seeded run driven directly through check.DriveModel
+//	1  a 24-execution model.Check walk: schedule-only source-DPOR
+//	2  a 24-execution model.Check walk: sleep sets, crash branching ≤ 1
+//	3  a 24-execution model.Check walk: source-DPOR (checkpoint/restore),
+//	   crash branching ≤ 1
+//	4  a 16-run seeded Explore campaign over the (family, n) cell
+//
+// so the fuzz smoke job reaches both the sampling and the proving paths.
+// Arms 1–3 walk the instance built from the input seed under the family's
+// fault model, at n ≤ 4. The invariants asserted are the unconditional ones
+// — exclusiveness and full accounting — which no schedule or crash pattern
+// may violate.
 //
 // famIdx beyond All() selects a FaultFamilies() entry, arming the fault
 // model: safe registers, crash-recovery, or op-level delays. Those runs
@@ -32,7 +39,7 @@ func FuzzRenameSchedule(f *testing.F) {
 	f.Add(uint64(0x9e3779b9), 2, 6, 8, 0)
 	f.Add(uint64(7), 0, 7, 3, 0)
 	f.Add(uint64(0xdead), 1, 4, 6, 0)
-	// Tree and mutation strategies over each algorithm class.
+	// Tree walks and campaigns over each algorithm class.
 	f.Add(uint64(3), 0, 0, 2, 1)
 	f.Add(uint64(0xd00a), 1, 1, 3, 1)
 	f.Add(uint64(0x51ee9), 2, 0, 3, 2)
@@ -40,7 +47,7 @@ func FuzzRenameSchedule(f *testing.F) {
 	f.Add(uint64(0xc08), 2, 2, 4, 3)
 	f.Add(uint64(0xc0b), 1, 5, 3, 4)
 	// Fault-model arms: staleread (8), crashrestart (9), opdelay (10),
-	// across the seeded, tree and mutation strategies.
+	// across the seeded run, the tree walks and the campaign.
 	f.Add(uint64(0xfa01), 0, 8, 3, 0)
 	f.Add(uint64(0xfa02), 0, 9, 3, 0)
 	f.Add(uint64(0xfa03), 0, 10, 4, 0)
@@ -73,7 +80,7 @@ func FuzzRenameSchedule(f *testing.F) {
 			mk = func(n int, seed uint64) check.Renamer { return compete.NewFirstFit(n) }
 			suite = check.Suite{check.Returned()}
 		}
-		var maker StrategyMaker
+		var opt model.Options
 		switch uint(stratIdx) % 5 {
 		case 0:
 			// The original direct path: one seeded driven run.
@@ -87,29 +94,31 @@ func FuzzRenameSchedule(f *testing.F) {
 			}
 			return
 		case 1:
-			maker = SourceDPOR(24, 0)
-			n = 1 + (n-1)%4 // tree walks stay tiny
+			opt = model.Options{}
 		case 2:
-			maker = SleepSets(24, 1)
-			n = 1 + (n-1)%4
+			opt = model.Options{MaxCrashes: 1, Walker: model.WalkerSleepSet}
 		case 3:
-			maker = SourceDPOR(24, 1)
-			n = 1 + (n-1)%4
+			opt = model.Options{MaxCrashes: 1}
 		default:
-			maker = CoverageGuided(16)
+			out := Explore(Spec{
+				Label:    "fuzz",
+				New:      mk,
+				Suite:    func(int, string) check.Suite { return suite },
+				Ns:       []int{n},
+				Families: []Family{fam},
+				Runs:     16,
+				Seed:     seed,
+			})
+			for _, v := range out.Violations {
+				t.Fatalf("invariant violated: %v", v)
+			}
+			return
 		}
-		out := Explore(Spec{
-			Label:    "fuzz",
-			New:      mk,
-			Suite:    func(int, string) check.Suite { return suite },
-			Ns:       []int{n},
-			Families: []Family{fam},
-			Runs:     16,
-			Seed:     seed,
-			Strategy: maker,
-		})
-		for _, v := range out.Violations {
-			t.Fatalf("invariant violated under strategy %s: %v (schedule: %s)", out.Cells[0].Strategy, v, v.Trace)
+		n = 1 + (n-1)%4 // tree walks stay tiny
+		opt.Budget, opt.Model = 24, fam.Model
+		rep := model.Check("fuzz", func() check.Renamer { return mk(n, seed) }, n, nil, suite, opt)
+		if rep.Violation != nil {
+			t.Fatalf("%s under %s seed=%#x: %v", rep.Summary(), fam.Name, seed, rep.Violation)
 		}
 	})
 }

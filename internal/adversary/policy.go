@@ -1,8 +1,11 @@
-// Package adversary is the schedule-exploration engine: a library of hostile
+// Package adversary is the schedule-sampling engine: a library of hostile
 // scheduling policies and crash plans modeling the paper's asynchronous
 // adversary, an Explore driver that fans seeded runs across workers and
 // applies invariant suites from package check, and a shrinker that reduces a
-// failing (family, n, seed) tuple to a minimal one-line reproducer.
+// failing (family, n, seed) tuple to a minimal one-line reproducer. It
+// samples the adversary's space at every size; proving a small size — a
+// complete tree walk — is internal/model's job, and this package does not
+// import the tree-search layer (internal/explore).
 //
 // The paper's bounds are claims over *every* schedule and crash pattern, so
 // a single random policy exercises a vanishing corner of the adversary's

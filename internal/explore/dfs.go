@@ -25,19 +25,13 @@ import (
 // machinery (push, openFrame, childSleep) is shared with the stateful
 // SourceDPOR, which schedules per node only a source set grown by race
 // analysis.
-//
-// Tree strategies search the schedules of a single deterministic system, so
-// they pin every execution to one instance seed (RunSeed).
 type Tree struct {
-	name       string
 	maxCrashes int // crash-branching cap per execution; 0 = schedule-only
 	budget     int // executions (complete + partial) cap; 0 = exhaust the tree
-	seed       uint64
 
 	stack     []frame
 	pos       int // replay cursor: next stack index to re-apply
 	abandoned bool
-	done      bool
 	stats     Stats
 }
 
@@ -88,16 +82,9 @@ type sleepEntry struct {
 // maxCrashes crashes have been injected — every crash, is scheduled at every
 // node. Unbudgeted (budget 0) it exhausts the tree, which is how
 // internal/model proves invariant suites at tiny populations.
-func NewSleepSet(seed uint64, budget, maxCrashes int) *Tree {
-	return &Tree{name: "sleepset", budget: budget, maxCrashes: maxCrashes, seed: seed}
+func NewSleepSet(budget, maxCrashes int) *Tree {
+	return &Tree{budget: budget, maxCrashes: maxCrashes}
 }
-
-// Name implements Strategy.
-func (t *Tree) Name() string { return t.name }
-
-// RunSeed implements Seeder: tree searches explore the schedules of one
-// deterministic system, so every execution rebuilds from the same seed.
-func (t *Tree) RunSeed(run int) uint64 { return t.seed }
 
 // Stats implements Strategy.
 func (t *Tree) Stats() Stats { return t.stats }
@@ -309,7 +296,6 @@ func (t *Tree) Backtrack(tr sched.Trace, res sched.Result) bool {
 		t.pos = 0
 		return true
 	}
-	t.done = true
 	t.stats.Complete = true
 	return false
 }

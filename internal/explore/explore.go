@@ -1,13 +1,10 @@
-// Package explore makes schedule-search strategy a first-class, pluggable
-// layer between the lockstep scheduler (internal/sched) and the campaign
-// drivers (internal/adversary, internal/model). A Strategy decides, at every
-// decision point of an in-flight execution, which pending process to grant
-// (or crash), and — when the execution completes — consumes its recorded
-// Trace to steer the next one. Four strategies ship:
+// Package explore is the tree-search layer between the lockstep scheduler
+// (internal/sched) and the exhaustive model checker (internal/model), its
+// only client. A Strategy decides, at every decision point of an in-flight
+// execution, which pending process to grant (or crash), and — when the
+// execution completes — consumes its recorded Trace to steer the next one.
+// Two strategies ship:
 //
-//   - Seeded: wraps a (policy, crash plan) factory per run seed — the
-//     pre-existing blind-seeding behavior, bit-for-bit, and embarrassingly
-//     parallel (Drive fans it across sched.ParallelRuns).
 //   - SleepSet: the exhaustive DFS over the full schedule-and-crash tree with
 //     sleep-set pruning of commuting grants. Unbudgeted it exhausts the tree.
 //   - SourceDPOR: the stateful dynamic partial-order reduction — backtrack
@@ -18,9 +15,9 @@
 //     checked on its executions are checked on all. The engine
 //     internal/model proves tiny populations with. No node is cut by a
 //     state hash, so a complete walk is an exact proof.
-//   - CoverageGuided: fuzz-style mutation of (configuration, seed) pairs,
-//     keeping the genomes whose schedules reach never-seen prefix
-//     fingerprints.
+//
+// Seeded sampling is not a strategy: internal/adversary fans its independent
+// runs straight over vexec.RunBatch or sched.ParallelRuns.
 //
 // The package knows nothing about renaming: independence between grants
 // comes entirely from the Intent metadata the scheduler exposes (distinct
@@ -76,9 +73,10 @@ type Stats struct {
 	// explore new ones and are counted in Replayed, not here.
 	Explored int
 	// Replayed counts prefix grants re-executed during state reconstruction
-	// (tree strategies only) — the bookkeeping cost of statelessness. Total
-	// grants performed = Explored + Replayed. Stateful strategies (source
-	// DPOR) reconstruct by checkpoint restore instead and always report 0.
+	// (the stateless SleepSet only) — the bookkeeping cost of statelessness.
+	// Total grants performed = Explored + Replayed. Stateful strategies
+	// (source DPOR) reconstruct by checkpoint restore instead and always
+	// report 0.
 	Replayed int
 	// Restored counts checkpoint restores performed by stateful strategies —
 	// the vectorized engine's copy of the lanes that moved, which replaces
@@ -99,20 +97,17 @@ type Stats struct {
 	// comparisons must ignore it.
 	RaceNs int64
 	// Complete reports that the strategy exhausted its search space: every
-	// schedule (modulo commuting-grant equivalence) has been covered. Only
-	// the tree strategies can set it; budget exhaustion leaves it false.
+	// schedule (modulo commuting-grant equivalence) has been covered. Budget
+	// exhaustion leaves it false.
 	Complete bool
 }
 
-// Strategy is the pluggable search layer. Drive calls Next at every decision
+// Strategy is the tree-search layer. Drive calls Next at every decision
 // point of the in-flight execution and Backtrack when it ends (completed or
 // abandoned); Backtrack returns false when the strategy wants no further
 // executions. A Strategy instance drives one sequential search and is not
-// safe for concurrent use; strategies whose executions are independent
-// additionally implement Independent and get fanned across workers.
+// safe for concurrent use.
 type Strategy interface {
-	// Name labels the strategy in reports and bench output.
-	Name() string
 	// Next picks the decision at the current point: the engine exposes
 	// the pending set, each pending process's posted Intent, and the
 	// commutation metadata (IntentsCommute) — exactly the paper's adversary
@@ -127,17 +122,6 @@ type Strategy interface {
 	Backtrack(t sched.Trace, res sched.Result) bool
 	// Stats reports the search effort so far.
 	Stats() Stats
-}
-
-// Independent is implemented by strategies whose executions are pure
-// functions of their run index (no cross-execution steering): Drive then
-// fans them across sched.ParallelRuns instead of running sequentially.
-type Independent interface {
-	// Runs is the total number of executions the strategy wants.
-	Runs() int
-	// PolicyPlan builds run's scheduling policy and crash plan. It must be
-	// safe to call concurrently.
-	PolicyPlan(run int) (sched.Policy, sched.CrashPlan)
 }
 
 // Stateful is implemented by strategies that search over one persistent
@@ -157,17 +141,6 @@ type Stateful interface {
 	BacktrackState(e *vexec.Exec, t sched.Trace, res sched.Result, reset func(pid int)) bool
 }
 
-// Seeder is implemented by strategies that dictate the instance seed of each
-// execution. Tree searches (SleepSet, SourceDPOR) pin every execution to one
-// seed — the search is over schedules of a single deterministic system —
-// while CoverageGuided picks the seed of the genome it is mutating. Drivers
-// that build a fresh algorithm instance per execution must consult it.
-type Seeder interface {
-	// RunSeed returns the instance seed for execution run. For sequential
-	// strategies it is only valid for the next execution to start.
-	RunSeed(run int) uint64
-}
-
 // Config describes the system a strategy searches over.
 type Config struct {
 	// N is the population size.
@@ -177,24 +150,20 @@ type Config struct {
 	// branch on the model's extra decisions — stale read choices and restarts
 	// — exactly like on grants and crashes.
 	Model shmem.Model
-	// Names supplies run's original names (nil assigns pids 1..n).
-	Names func(run int) []int64
+	// Names are every execution's original names (nil assigns pids 1..n).
+	Names []int64
 	// Body builds a fresh, deterministic body for execution run. Tree
 	// strategies re-execute the same system many times, so Body must return
-	// an equivalent fresh instance every call for a fixed run seed.
+	// an equivalent fresh instance every call.
 	Body func(run int) sched.Body
 	// Frame, when non-nil, is the vectorized form of Body: a frame-automaton
 	// root factory for execution run, over a fresh instance equivalent to
 	// Body(run)'s. It picks the engine: with Frame set every drive runs on
-	// vexec — independent strategies (Seeded) fan across vexec.RunBatch,
-	// sequential ones recycle one vexec.Exec — with results and fingerprints
-	// bit-identical to the goroutine oracle's (the vexec differential
-	// suite's contract); without it they run on goroutine controllers built
-	// from Body. Stateful strategies require it.
+	// one recycled vexec.Exec, with results and fingerprints bit-identical
+	// to the goroutine oracle's (the vexec differential suite's contract);
+	// without it executions run on goroutine controllers built from Body.
+	// Stateful strategies require it.
 	Frame func(run int) func(p *shmem.Proc) vexec.Frame
-	// MaxExecutions hard-caps the number of executions regardless of the
-	// strategy's own budget; 0 means the strategy decides.
-	MaxExecutions int
 	// OnResult observes each *completed* execution (abandoned ones are
 	// skipped): its run index, recorded trace, and result. Returning false
 	// stops the drive — how invariant checkers abort on first violation.
@@ -213,13 +182,6 @@ type Config struct {
 	Reset func(pid int)
 }
 
-func (cfg *Config) names(run int) []int64 {
-	if cfg.Names != nil {
-		return cfg.Names(run)
-	}
-	return nil
-}
-
 // newEngine constructs the execution engine for one sequential execution: a
 // fresh system instance, fault model applied, on vexec when cfg.Frame is set
 // and on a goroutine controller otherwise.
@@ -233,38 +195,34 @@ func newEngine(cfg *Config, run int, prev sched.SearchEngine) sched.SearchEngine
 	if cfg.Frame != nil {
 		e, ok := prev.(*vexec.Exec)
 		if ok {
-			e.Reset(cfg.names(run), cfg.Frame(run))
+			e.Reset(cfg.Names, cfg.Frame(run))
 		} else {
-			e = vexec.New(cfg.N, cfg.names(run), cfg.Frame(run))
+			e = vexec.New(cfg.N, cfg.Names, cfg.Frame(run))
 		}
 		if !cfg.Model.Atomic() {
 			e.SetModel(cfg.Model)
 		}
 		return e
 	}
-	c := sched.NewController(cfg.N, cfg.names(run), cfg.Body(run))
+	c := sched.NewController(cfg.N, cfg.Names, cfg.Body(run))
 	if !cfg.Model.Atomic() {
 		c.SetModel(cfg.Model)
 	}
 	return c
 }
 
-// Drive runs the strategy's executions over fresh instances from cfg.Body
-// until the strategy declines more, the execution cap is hit, or OnResult
-// stops it. Strategies implementing Independent are fanned across workers
-// via sched.ParallelRuns (their traces are not recorded — nothing consumes
-// them); all others run sequentially with tracing enabled.
+// Drive runs the strategy's executions until the strategy declines more or
+// OnResult stops it. Stateful strategies search one engine through
+// checkpoint/restore; all others run sequentially over fresh instances from
+// cfg.Frame or cfg.Body, with tracing enabled.
 func Drive(s Strategy, cfg Config) Stats {
-	if ind, ok := s.(Independent); ok {
-		return driveParallel(s, ind, cfg)
-	}
 	if ss, ok := s.(Stateful); ok {
 		return driveStateful(ss, cfg)
 	}
 	run := 0
 	var tbuf sched.Trace // reused across executions; see Config.OnResult
 	var e sched.SearchEngine
-	for cfg.MaxExecutions <= 0 || run < cfg.MaxExecutions {
+	for {
 		e = newEngine(&cfg, run, e)
 		e.EnableTrace()
 		abandoned := false
@@ -284,9 +242,6 @@ func Drive(s Strategy, cfg Config) Stats {
 		}
 		tbuf = e.TraceInto(tbuf)
 		t, res := tbuf, e.Result()
-		// Observe before Backtrack mutates the strategy's cursor: checkers
-		// may read per-run state (the coverage-guided genome) that the next
-		// run replaces.
 		if !abandoned && cfg.OnResult != nil && !cfg.OnResult(run, t, res) {
 			break
 		}
@@ -345,18 +300,15 @@ func restartableMask(e sched.Engine) uint64 {
 // zero by construction.
 func driveStateful(s Stateful, cfg Config) Stats {
 	if cfg.Frame == nil {
-		panic(fmt.Sprintf("explore: stateful strategy %s needs Config.Frame (checkpoint/restore runs on vexec); supply Frame or use a stateless strategy such as SleepSet", s.Name()))
+		panic(fmt.Sprintf("explore: stateful strategy %T needs Config.Frame (checkpoint/restore runs on vexec); supply Frame or use a stateless strategy such as SleepSet", s))
 	}
 	e := newEngine(&cfg, 0, nil).(*vexec.Exec)
 	e.EnableState()
-	// The loop shape mirrors the stateless drive exactly: BacktrackState is
-	// called on every finished execution — including the one that hits
-	// MaxExecutions — so the cap never loses an execution from the stats or
-	// its races from the backtrack sets.
+	// The loop shape mirrors the stateless drive.
 	run := 0
 	var tbuf sched.Trace // reused across executions; see Config.OnResult
 	var res sched.Result // likewise: its slices are refilled per execution
-	for cfg.MaxExecutions <= 0 || run < cfg.MaxExecutions {
+	for {
 		abandoned := false
 		for live(e) {
 			ch := s.Next(e)
@@ -381,101 +333,6 @@ func driveStateful(s Stateful, cfg Config) Stats {
 	}
 	e.Abort() // release a partially driven final execution, if any
 	return s.Stats()
-}
-
-// driveParallel is the Independent fast path: the exact fan-out shape the
-// seeded explorer has always used, preserved so the default strategy changes
-// nothing about existing campaigns (schedules, fingerprints, parallelism).
-// When the config carries a Frame factory, the fan-out runs on the
-// vectorized engine instead of goroutine controllers — same results, same
-// fingerprints, an order of magnitude fewer nanoseconds per grant.
-func driveParallel(s Strategy, ind Independent, cfg Config) Stats {
-	m := ind.Runs()
-	if cfg.MaxExecutions > 0 && m > cfg.MaxExecutions {
-		m = cfg.MaxExecutions
-	}
-	var results []sched.Result
-	if cfg.Frame != nil {
-		results = vexec.RunBatch(m, func(run int) vexec.BatchSpec {
-			policy, plan := ind.PolicyPlan(run)
-			return vexec.BatchSpec{
-				N:      cfg.N,
-				Names:  cfg.names(run),
-				Model:  cfg.Model,
-				Policy: policy,
-				Plan:   plan,
-				Root:   cfg.Frame(run),
-			}
-		})
-	} else {
-		results = sched.ParallelRuns(m, func(run int) sched.RunSpec {
-			policy, plan := ind.PolicyPlan(run)
-			return sched.RunSpec{
-				N:      cfg.N,
-				Names:  cfg.names(run),
-				Model:  cfg.Model,
-				Policy: policy,
-				Plan:   plan,
-				Body:   cfg.Body(run),
-			}
-		})
-	}
-	executions := 0
-	for run, res := range results {
-		executions++
-		if cfg.OnResult != nil && !cfg.OnResult(run, nil, res) {
-			break
-		}
-	}
-	st := s.Stats()
-	st.Executions += executions
-	for _, res := range results[:executions] {
-		st.Explored += int(res.TotalSteps())
-		for _, crashed := range res.Crashed {
-			if crashed {
-				st.Explored++ // a crash grant is a decision too
-			}
-		}
-		for _, r := range res.Restarts {
-			// Each restart is one decision and implies one crash grant the
-			// final Crashed flags no longer show.
-			st.Explored += 2 * r
-		}
-	}
-	return st
-}
-
-// policyChoice derives one strategy Choice from a (policy, crash plan) pair,
-// mirroring sched.Run's decision shape exactly — including the fault-model
-// extensions: a plan implementing sched.RestartPlan is offered every crashed
-// process first, a pending-free state with restarts declined halts, and a
-// policy implementing sched.StalePolicy picks among a weak read's stale
-// alternatives.
-func policyChoice(e sched.Engine, policy sched.Policy, plan sched.CrashPlan) Choice {
-	if rp, ok := plan.(sched.RestartPlan); ok && e.Model().Recovery {
-		for pid := 0; pid < e.N(); pid++ {
-			if e.CanRestart(pid) && rp.ShouldRestart(pid, e.Proc(pid).Restarts()) {
-				return Choice{Pid: pid, Restart: true}
-			}
-		}
-	}
-	if e.PendingCount() == 0 {
-		return Halt
-	}
-	pid := policy.Next(e)
-	if plan != nil && plan.ShouldCrash(pid, e.Proc(pid).Steps(), e.Intent(pid)) {
-		return Choice{Pid: pid, Crash: true}
-	}
-	if sp, ok := policy.(sched.StalePolicy); ok && e.Model().Regs != shmem.RegAtomic {
-		if k := e.StaleCount(pid); k > 0 {
-			s := sp.PickStale(e, pid, k)
-			sched.CheckStaleChoice(s, k)
-			if s > 0 {
-				return Choice{Pid: pid, Stale: s}
-			}
-		}
-	}
-	return Choice{Pid: pid}
 }
 
 // independent reports whether two transitions — (pid, crash?, posted op) —

@@ -22,7 +22,7 @@ func TestTraceNeverOutrunsStack(t *testing.T) {
 	}
 	for name, m := range models {
 		for _, mode := range []RaceAnalysis{RaceIncremental, RaceRebuild, RaceDifferential} {
-			_, st := driveTreeModel(t, NewSourceDPOR(1, 0, 2).SetRaceAnalysis(mode), 2, m, raceSystem(2))
+			_, st := driveTreeModel(t, NewSourceDPOR(0, 2).SetRaceAnalysis(mode), 2, m, raceSystem(2))
 			if !st.Complete {
 				t.Fatalf("%s/%v: walk incomplete: %+v", name, mode, st)
 			}
@@ -38,8 +38,8 @@ func TestTraceNeverOutrunsStack(t *testing.T) {
 func TestSourceDPORWeakInitialsStale(t *testing.T) {
 	const n = 2
 	m := shmem.Model{Regs: shmem.RegSafe}
-	want, wst := driveTreeModel(t, NewSleepSet(1, 0, 1), n, m, raceSystem(n))
-	got, st := driveTreeModel(t, NewSourceDPOR(1, 0, 1).SetRaceAnalysis(RaceDifferential), n, m, raceSystem(n))
+	want, wst := driveTreeModel(t, NewSleepSet(0, 1), n, m, raceSystem(n))
+	got, st := driveTreeModel(t, NewSourceDPOR(0, 1).SetRaceAnalysis(RaceDifferential), n, m, raceSystem(n))
 	if !st.Complete || !wst.Complete {
 		t.Fatalf("incomplete walks: sourcedpor %+v, sleepset %+v", st, wst)
 	}
@@ -58,8 +58,8 @@ func TestSourceDPORWeakInitialsStale(t *testing.T) {
 func TestSourceDPORWeakInitialsRecovery(t *testing.T) {
 	const n = 2
 	m := shmem.Model{Recovery: true}
-	want, wst := driveTreeModel(t, NewSleepSet(1, 0, n), n, m, raceSystem(n))
-	got, st := driveTreeModel(t, NewSourceDPOR(1, 0, n).SetRaceAnalysis(RaceDifferential), n, m, raceSystem(n))
+	want, wst := driveTreeModel(t, NewSleepSet(0, n), n, m, raceSystem(n))
+	got, st := driveTreeModel(t, NewSourceDPOR(0, n).SetRaceAnalysis(RaceDifferential), n, m, raceSystem(n))
 	if !st.Complete || !wst.Complete {
 		t.Fatalf("incomplete walks: sourcedpor %+v, sleepset %+v", st, wst)
 	}
@@ -80,7 +80,7 @@ func TestHBModesIdenticalWalks(t *testing.T) {
 	} {
 		var ref *Stats
 		for _, mode := range []RaceAnalysis{RaceIncremental, RaceRebuild, RaceDifferential} {
-			_, st := driveTree(t, NewSourceDPOR(1, 0, 1).SetRaceAnalysis(mode), 3, mk)
+			_, st := driveTree(t, NewSourceDPOR(0, 1).SetRaceAnalysis(mode), 3, mk)
 			st.RaceEvents, st.RaceNs = 0, 0
 			if ref == nil {
 				r := st
@@ -96,8 +96,8 @@ func TestHBModesIdenticalWalks(t *testing.T) {
 // the incremental mode must derive strictly fewer happens-before rows than
 // the rebuild reference re-derives.
 func TestHBIncrementalSavesWork(t *testing.T) {
-	_, inc := driveTree(t, NewSourceDPOR(1, 0, 1), 3, raceSystem(3))
-	_, reb := driveTree(t, NewSourceDPOR(1, 0, 1).SetRaceAnalysis(RaceRebuild), 3, raceSystem(3))
+	_, inc := driveTree(t, NewSourceDPOR(0, 1), 3, raceSystem(3))
+	_, reb := driveTree(t, NewSourceDPOR(0, 1).SetRaceAnalysis(RaceRebuild), 3, raceSystem(3))
 	if inc.RaceEvents == 0 || reb.RaceEvents == 0 {
 		t.Fatalf("race accounting missing: incremental %d, rebuild %d", inc.RaceEvents, reb.RaceEvents)
 	}

@@ -31,11 +31,7 @@ import (
 // No node is ever cut by a state hash: a state reached along two
 // inequivalent schedules is walked both times, so a complete walk is an
 // exact proof, with no hash in the verdict.
-//
-// Like the stateless engines it pins every execution to one instance seed:
-// the search is over the schedules of a single deterministic system.
 type SourceDPOR struct {
-	seed       uint64
 	budget     int // executions (complete + partial) cap; 0 = exhaust
 	maxCrashes int // crash-branching cap per execution; 0 = schedule-only
 
@@ -61,10 +57,9 @@ type sframe struct {
 // executions (complete + partial); 0 exhausts the reduced tree, at which
 // point Stats().Complete reports the proof. maxCrashes enables exhaustive
 // crash branching up to the cap (crash choices are never source-reduced —
-// each is its own branch, as in NewSleepSet). seed pins the instance.
-func NewSourceDPOR(seed uint64, budget, maxCrashes int) *SourceDPOR {
+// each is its own branch, as in NewSleepSet).
+func NewSourceDPOR(budget, maxCrashes int) *SourceDPOR {
 	return &SourceDPOR{
-		seed:       seed,
 		budget:     budget,
 		maxCrashes: maxCrashes,
 		resumeAt:   -1,
@@ -80,12 +75,6 @@ func (t *SourceDPOR) SetRaceAnalysis(m RaceAnalysis) *SourceDPOR {
 	t.race = m
 	return t
 }
-
-// Name implements Strategy.
-func (t *SourceDPOR) Name() string { return "sourcedpor" }
-
-// RunSeed implements Seeder: one deterministic system per search.
-func (t *SourceDPOR) RunSeed(run int) uint64 { return t.seed }
 
 // Stats implements Strategy.
 func (t *SourceDPOR) Stats() Stats { return t.stats }

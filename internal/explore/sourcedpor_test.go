@@ -14,7 +14,7 @@ import (
 func TestSourceDPORMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		want := bruteForce(t, n, raceSystem(n))
-		got, st := driveTree(t, NewSourceDPOR(1, 0, 0), n, raceSystem(n))
+		got, st := driveTree(t, NewSourceDPOR(0, 0), n, raceSystem(n))
 		if !st.Complete {
 			t.Fatalf("n=%d: source-DPOR did not exhaust its reduced tree: %+v", n, st)
 		}
@@ -37,7 +37,7 @@ func TestSourceDPORNoDedupMatchesBruteForce(t *testing.T) {
 	for _, rounds := range []int{2, 3} {
 		const n = 3
 		want := bruteForce(t, n, convergeSystem(n, rounds))
-		got, st := driveTree(t, NewSourceDPOR(1, 0, 0), n, convergeSystem(n, rounds))
+		got, st := driveTree(t, NewSourceDPOR(0, 0), n, convergeSystem(n, rounds))
 		if !st.Complete {
 			t.Fatalf("rounds=%d: search incomplete: %+v", rounds, st)
 		}
@@ -53,11 +53,11 @@ func TestSourceDPORNoDedupMatchesBruteForce(t *testing.T) {
 // every survivor pattern, like the exhaustive sleep-set walker.
 func TestSourceDPORCrashBranching(t *testing.T) {
 	const n = 2
-	got, st := driveTree(t, NewSourceDPOR(1, 0, n), n, raceSystem(n))
+	got, st := driveTree(t, NewSourceDPOR(0, n), n, raceSystem(n))
 	if !st.Complete {
 		t.Fatalf("crash-branching walk incomplete: %+v", st)
 	}
-	want, _ := driveTree(t, NewSleepSet(1, 0, n), n, raceSystem(n))
+	want, _ := driveTree(t, NewSleepSet(0, n), n, raceSystem(n))
 	for o := range want {
 		if !got[o] {
 			t.Fatalf("outcome %q reached by sleep-set crash walk but not source-DPOR", o)
@@ -71,8 +71,8 @@ func TestSourceDPORCrashBranching(t *testing.T) {
 // restore instead of replay.
 func TestSourceDPORNotWeakerThanDPOR(t *testing.T) {
 	for _, n := range []int{3, 4} {
-		_, old := driveTree(t, NewSleepSet(1, 0, 0), n, raceSystem(n))
-		_, src := driveTree(t, NewSourceDPOR(1, 0, 0), n, raceSystem(n))
+		_, old := driveTree(t, NewSleepSet(0, 0), n, raceSystem(n))
+		_, src := driveTree(t, NewSourceDPOR(0, 0), n, raceSystem(n))
 		if !old.Complete || !src.Complete {
 			t.Fatalf("n=%d: incomplete walks: sleepset %+v, sourcedpor %+v", n, old, src)
 		}
@@ -134,7 +134,7 @@ func (f *blindWritesFrame) Load(src vexec.Frame)             { *f = *src.(*blind
 // TestSourceDPORBudgetStops: a budget caps executions without claiming
 // completeness.
 func TestSourceDPORBudgetStops(t *testing.T) {
-	_, st := driveTree(t, NewSourceDPOR(1, 2, 0), 3, raceSystem(3))
+	_, st := driveTree(t, NewSourceDPOR(2, 0), 3, raceSystem(3))
 	if st.Executions+st.Partial > 2 {
 		t.Fatalf("budget 2 exceeded: %+v", st)
 	}
@@ -146,8 +146,8 @@ func TestSourceDPORBudgetStops(t *testing.T) {
 // TestSourceDPORDeterminism: two identical searches take identical stats
 // (RaceNs is wall-clock and excluded).
 func TestSourceDPORDeterminism(t *testing.T) {
-	_, a := driveTree(t, NewSourceDPOR(7, 0, 1), 3, raceSystem(3))
-	_, b := driveTree(t, NewSourceDPOR(7, 0, 1), 3, raceSystem(3))
+	_, a := driveTree(t, NewSourceDPOR(0, 1), 3, raceSystem(3))
+	_, b := driveTree(t, NewSourceDPOR(0, 1), 3, raceSystem(3))
 	a.RaceNs, b.RaceNs = 0, 0
 	if a != b {
 		t.Fatalf("source-DPOR search not deterministic: %+v vs %+v", a, b)
@@ -196,7 +196,7 @@ func TestSourceDPORStatefulReset(t *testing.T) {
 		}
 		armed[pid] = false
 	}
-	st := Drive(NewSourceDPOR(1, 0, 0), Config{
+	st := Drive(NewSourceDPOR(0, 0), Config{
 		N: n,
 		Frame: func(run int) func(p *shmem.Proc) vexec.Frame {
 			return func(p *shmem.Proc) vexec.Frame {
@@ -244,10 +244,10 @@ func TestSourceDPORStatefulReset(t *testing.T) {
 // with one line that names the fix.
 func TestStatefulNeedsFrame(t *testing.T) {
 	defer func() {
-		want := "explore: stateful strategy sourcedpor needs Config.Frame (checkpoint/restore runs on vexec); supply Frame or use a stateless strategy such as SleepSet"
+		want := "explore: stateful strategy *explore.SourceDPOR needs Config.Frame (checkpoint/restore runs on vexec); supply Frame or use a stateless strategy such as SleepSet"
 		if got := recover(); got != want {
 			t.Fatalf("panic %q, want %q", got, want)
 		}
 	}()
-	Drive(NewSourceDPOR(1, 0, 0), Config{N: 2, Body: func(int) sched.Body { return raceSystem(2)().body }})
+	Drive(NewSourceDPOR(0, 0), Config{N: 2, Body: func(int) sched.Body { return raceSystem(2)().body }})
 }

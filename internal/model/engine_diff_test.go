@@ -143,10 +143,10 @@ func replayLeaves(t *testing.T, tc conformance.Case, n, maxCrashes int, m shmem.
 	got := make([]int64, n)
 	oks := make([]bool, n)
 	leaves := 0
-	st := explore.Drive(explore.NewSourceDPOR(1, 0, maxCrashes), explore.Config{
+	st := explore.Drive(explore.NewSourceDPOR(0, maxCrashes), explore.Config{
 		N:     n,
 		Model: m,
-		Names: func(int) []int64 { return origs },
+		Names: origs,
 		Frame: func(int) func(p *shmem.Proc) vexec.Frame {
 			return func(p *shmem.Proc) vexec.Frame {
 				return vexec.Capture(fr.FrameRename(p.Name()), &got[p.ID()], &oks[p.ID()])

@@ -260,9 +260,9 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 
 	var strat explore.Strategy
 	if opt.Walker == WalkerSleepSet {
-		strat = explore.NewSleepSet(1, opt.Budget, opt.MaxCrashes)
+		strat = explore.NewSleepSet(opt.Budget, opt.MaxCrashes)
 	} else {
-		strat = explore.NewSourceDPOR(1, opt.Budget, opt.MaxCrashes).SetRaceAnalysis(opt.race)
+		strat = explore.NewSourceDPOR(opt.Budget, opt.MaxCrashes).SetRaceAnalysis(opt.race)
 	}
 	// fresh returns the system execution run drives, outcomes cleared: the
 	// stateful walker rewinds the one instance, the stateless walker builds a
@@ -280,7 +280,7 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 	cfg := explore.Config{
 		N:     n,
 		Model: opt.Model,
-		Names: func(run int) []int64 { return origs },
+		Names: origs,
 		Body:  func(run int) sched.Body { return fresh(run).body() },
 		Reset: func(pid int) { cur.resetPid(pid) }, // stateful walker: same system, rewound
 		OnResult: func(run int, t sched.Trace, res sched.Result) bool {

@@ -32,7 +32,7 @@ func enumerate(t *testing.T, n, maxCrashes int, m shmem.Model) []crossRec {
 	var recs []crossRec
 	var got []int64
 	var oks []bool
-	strat := explore.NewSleepSet(1, 0, maxCrashes)
+	strat := explore.NewSleepSet(0, maxCrashes)
 	explore.Drive(strat, explore.Config{
 		N:     n,
 		Model: m,

@@ -77,14 +77,14 @@ type SearchEngine interface {
 	Abort()
 }
 
-// CheckStaleChoice pins the StalePolicy index convention shared by every
-// driver (DriveEngine here, policyChoice in internal/explore): PickStale
-// returns 0 for the fresh read or s in 1..count for stale choice s-1. Both
-// boundary values are legal — 0 must read fresh and count must select the
-// last stale index — and anything outside [0..count] is a policy bug
-// reported by name rather than surfacing as StepStale's internal index
-// panic (or, worse, being silently folded to a fresh read).
-func CheckStaleChoice(s, count int) {
+// checkStaleChoice pins the StalePolicy index convention of DriveEngine, the
+// one driver that asks a StalePolicy: PickStale returns 0 for the fresh read
+// or s in 1..count for stale choice s-1. Both boundary values are legal — 0
+// must read fresh and count must select the last stale index — and anything
+// outside [0..count] is a policy bug reported by name rather than surfacing
+// as StepStale's internal index panic (or, worse, being silently folded to a
+// fresh read).
+func checkStaleChoice(s, count int) {
 	if s < 0 || s > count {
 		panic(fmt.Sprintf("sched: StalePolicy.PickStale returned %d with %d stale choices; the convention is 0 for the fresh read or 1..count selecting stale index s-1", s, count))
 	}
@@ -125,7 +125,7 @@ func DriveEngine(e Engine, policy Policy, plan CrashPlan) Result {
 		if hasStale {
 			if k := e.StaleCount(pid); k > 0 {
 				s := sp.PickStale(e, pid, k)
-				CheckStaleChoice(s, k)
+				checkStaleChoice(s, k)
 				if s > 0 {
 					e.StepStale(pid, s-1)
 					continue

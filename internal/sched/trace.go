@@ -79,9 +79,9 @@ type Trace []TraceEvent
 // alias another pid's decision, and the fault-model bits occupy word
 // positions no default-model event can reach, so every pre-knob fingerprint
 // is unchanged. It is the single fingerprint definition shared by the
-// controller's incremental fold, Trace.Fingerprints, and any alternative
-// Engine (internal/vexec) — engines must produce bit-identical fingerprints
-// for identical decision sequences, which the differential tests enforce.
+// controller's incremental fold and any alternative Engine (internal/vexec):
+// engines must produce bit-identical fingerprints for identical decision
+// sequences, which the differential tests enforce.
 func FoldGrant(fp uint64, pid, k int, kind shmem.OpKind, crash bool, stale int, restart bool) uint64 {
 	ev := uint64(k)<<8 | uint64(kind)<<1
 	if crash {
@@ -94,34 +94,6 @@ func FoldGrant(fp uint64, pid, k int, kind shmem.OpKind, crash bool, stale int, 
 		ev |= uint64(stale) << 48
 	}
 	return xrand.Mix(xrand.Mix(fp+1, uint64(pid)), ev)
-}
-
-// Fingerprints returns the cumulative schedule fingerprint at every prefix
-// of the trace: out[i] is the fingerprint after events 0..i, so out[len-1]
-// equals the controller's Fingerprint for the full schedule. Prefix-based
-// coverage (explore.NewCoverageGuided) scores novelty with these: a schedule
-// whose first unseen fingerprint appears at depth d was novel from d on,
-// even if its full-schedule fingerprint had cousins.
-func (t Trace) Fingerprints() []uint64 {
-	out := make([]uint64, len(t))
-	t.EachFingerprint(func(i int, fp uint64) bool {
-		out[i] = fp
-		return true
-	})
-	return out
-}
-
-// EachFingerprint streams the cumulative prefix fingerprints to fn in depth
-// order, stopping early when fn returns false — the allocation-free form of
-// Fingerprints for consumers that usually stop within a few events.
-func (t Trace) EachFingerprint(fn func(depth int, fp uint64) bool) {
-	fp := uint64(0)
-	for i, e := range t {
-		fp = FoldGrant(fp, e.Pid, e.K, e.Op, e.Crash, e.Stale, e.Restart)
-		if !fn(i, fp) {
-			return
-		}
-	}
 }
 
 // String renders the whole schedule on one line.

@@ -402,9 +402,9 @@ func TestEfficientWalkRestoresByCopy(t *testing.T) {
 	fr := tc.New(n, 1).(vexec.FrameRenamer)
 	got, oks := make([]int64, n), make([]bool, n)
 	roots := 0
-	stats := explore.Drive(explore.NewSourceDPOR(1, 0, 1), explore.Config{
+	stats := explore.Drive(explore.NewSourceDPOR(0, 1), explore.Config{
 		N:     n,
-		Names: func(int) []int64 { return tc.Origs(n, 1) },
+		Names: tc.Origs(n, 1),
 		Frame: func(int) func(p *shmem.Proc) vexec.Frame {
 			return func(p *shmem.Proc) vexec.Frame {
 				roots++
