@@ -12,7 +12,12 @@
 // for this by competing only over expander neighborhoods of fresh pairs.
 package compete
 
-import "repro/internal/shmem"
+import (
+	"fmt"
+	"sync/atomic"
+
+	"repro/internal/shmem"
+)
 
 // Pair is one competable register with its reservation placeholder. Both
 // registers start at Null. The zero value is ready for use.
@@ -52,37 +57,89 @@ func Compete(p *shmem.Proc, pr *Pair, id int64) bool {
 	return p.Read(&pr.H) == id
 }
 
-// Field is a contiguous array of competition pairs, used as the register
-// space of one renaming structure (two shared registers per name).
+// pageSize is the number of pairs in one page of a Field (256 bytes of
+// registers).
+const pageSize = 16
+
+// page is the allocation granule of a multi-page Field.
+type page [pageSize]Pair
+
+// Field is an array of competition pairs, used as the register space of one
+// renaming structure (two shared registers per name). A contender touches
+// only the pairs of its expander neighbors, so a field larger than one page
+// backs its pairs lazily: a page is allocated the first time one of its
+// pairs is asked for and installed by CAS, so concurrent first touches (as
+// under sched.RunFree) agree on one page. Allocation is not a shared-memory
+// step (the registers conceptually pre-exist, as in shmem.RegFile), and a
+// pair's address never changes once handed out, which the vectorized
+// engine's undo log relies on. A field of at most one page is allocated
+// whole at construction.
 type Field struct {
-	pairs []Pair
+	m     int
+	small []Pair                 // the whole field when m <= pageSize, else nil
+	pages []atomic.Pointer[page] // pages of a larger field; nil until touched
 }
 
-// NewField allocates m fresh pairs.
+// NewField returns a field of m fresh pairs.
 func NewField(m int) *Field {
-	return &Field{pairs: make([]Pair, m)}
+	if m <= pageSize {
+		return &Field{m: m, small: make([]Pair, m)}
+	}
+	return &Field{m: m, pages: make([]atomic.Pointer[page], (m+pageSize-1)/pageSize)}
 }
 
 // Len returns the number of pairs.
-func (f *Field) Len() int { return len(f.pairs) }
+func (f *Field) Len() int { return f.m }
 
-// Pair returns the i-th pair, 0-based.
-func (f *Field) Pair(i int) *Pair { return &f.pairs[i] }
+// Pair returns the i-th pair, 0-based, installing its page on first touch.
+func (f *Field) Pair(i int) *Pair {
+	if f.small != nil {
+		return &f.small[i]
+	}
+	if uint(i) >= uint(f.m) {
+		panic(fmt.Sprintf("compete: pair %d outside [0..%d)", i, f.m))
+	}
+	slot := &f.pages[i/pageSize]
+	pg := slot.Load()
+	if pg == nil {
+		slot.CompareAndSwap(nil, new(page))
+		pg = slot.Load() // the page this swap or a racing one installed
+	}
+	return &pg[i%pageSize]
+}
 
 // Registers returns the number of shared registers the field occupies.
-func (f *Field) Registers() int { return 2 * len(f.pairs) }
+func (f *Field) Registers() int { return 2 * f.m }
+
+// each calls fn on every pair that may have been written: the whole of a
+// one-page field, the installed pages of a larger one. Pairs of an
+// uninstalled page are Null, as are those past the end of the last page,
+// which Pair never hands out.
+func (f *Field) each(fn func(i int, pr *Pair)) {
+	for i := range f.small {
+		fn(i, &f.small[i])
+	}
+	for k := range f.pages {
+		if pg := f.pages[k].Load(); pg != nil {
+			for j := range pg {
+				fn(k*pageSize+j, &pg[j])
+			}
+		}
+	}
+}
 
 // Reset rewinds every pair to the fresh Null state via direct pokes. It is a
 // harness-level recycling operation, not a register access: no steps are
 // charged and no process may be mid-competition on the field when it runs.
 // The long-lived service layer calls it only at generation quiescence (no
 // attached session can still read or write these registers), which is what
-// makes the poke equivalent to allocating a fresh field.
+// makes the poke equivalent to allocating a fresh field. Installed pages
+// stay installed, so pair addresses survive it.
 func (f *Field) Reset() {
-	for i := range f.pairs {
-		f.pairs[i].H.Poke(shmem.Null)
-		f.pairs[i].R.Poke(shmem.Null)
-	}
+	f.each(func(_ int, pr *Pair) {
+		pr.H.Poke(shmem.Null)
+		pr.R.Poke(shmem.Null)
+	})
 }
 
 // Claimed returns the set of (index, last-claim-id) pairs whose R register is
@@ -90,10 +147,10 @@ func (f *Field) Reset() {
 // loser's.
 func (f *Field) Claimed() map[int]int64 {
 	out := make(map[int]int64)
-	for i := range f.pairs {
-		if w := f.pairs[i].LastClaim(); w != shmem.Null {
+	f.each(func(i int, pr *Pair) {
+		if w := pr.LastClaim(); w != shmem.Null {
 			out[i] = w
 		}
-	}
+	})
 	return out
 }

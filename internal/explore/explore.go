@@ -110,7 +110,7 @@ type Stats struct {
 type Strategy interface {
 	// Next picks the decision at the current point: the engine exposes
 	// the pending set, each pending process's posted Intent, and the
-	// commutation metadata (IntentsCommute) — exactly the paper's adversary
+	// commutation metadata (shmem.Intent.Commutes) — exactly the paper's adversary
 	// view plus the independence structure search needs. Strategies see
 	// sched.Engine, never a concrete engine: the same search drives the
 	// goroutine oracle and the vectorized step-function engine unchanged.

@@ -160,14 +160,6 @@ func ReplayTrace(n int, names []int64, body Body, prefix Trace) (*Controller, er
 	return c, nil
 }
 
-// IntentsCommute reports whether the posted operations of two pending
-// processes commute (see shmem.Intent.Commutes). It is the intent-graph edge
-// predicate search strategies use to compute backtrack and sleep sets without
-// knowing anything about the algorithm under test.
-func (c *Controller) IntentsCommute(p, q int) bool {
-	return c.Intent(p).Commutes(c.Intent(q))
-}
-
 // Result snapshots the execution summary at the current decision point. For
 // a finished execution it equals what Run would have returned; search
 // strategies that drive the controller grant by grant use it to close out an

@@ -10,12 +10,25 @@
 //
 // Construction: each segment register holds (data, seq, view) where view is
 // the embedded scan the writer performed just before updating. A scanner
-// repeatedly double-collects; if two successive collects are identical it
-// returns that direct view. Otherwise it tracks movers: a process observed
-// to move twice since the scan began has completed an entire Update inside
-// the scan's interval, so its embedded view is valid and is borrowed.
-// A scan therefore finishes after at most n+1 collects: each repeat is
-// charged to a distinct second-time mover.
+// repeatedly collects; if two successive collects are identical it returns
+// that direct view. Otherwise it tracks movers: a process observed to move
+// twice since the scan began has completed an entire Update inside the
+// scan's interval, so its embedded view is valid and is borrowed. A scan
+// therefore finishes after at most n+1 collects: each repeat is charged to
+// a distinct second-time mover.
+//
+// Memory: segments are immutable once written, so an embedded view is kept
+// as the collect it came from — n pointers to the segments read, not n
+// copies of their values — and a borrowed view is the mover's slice itself,
+// not a copy. A direct update therefore allocates one segment plus n
+// pointers, a borrowed one a single segment. The price is reachability: a
+// superseded segment stays live while any embedded view points at it, so an
+// object retains its update history for as long as it is itself reachable.
+// Every user in this repository builds a fresh object per one-shot
+// instance.
+//
+// A scan keeps one collect buffer: each read overwrites the entry the
+// previous collect read at the same index, after comparing the two.
 //
 // Cost: one collect is n reads, so Scan is O(n²) reads worst case and Update
 // is Scan plus one write. All accesses are charged to the calling process as
@@ -29,13 +42,22 @@ import (
 	"repro/internal/shmem"
 )
 
-// segment is the immutable content of one snapshot register.
+// segment is the immutable content of one snapshot register. The initial,
+// never-updated state is a nil segment.
 type segment[T any] struct {
 	data T
-	set  bool  // false only in the initial (never-updated) state
-	seq  int64 // writer's update counter
-	view []View[T]
-	// viewSet mirrors set for the embedded view entries.
+	seq  int64 // writer's update counter, from 1
+	// view is the writer's embedded scan as a collect: the segments it read
+	// (nil where unset), or the view it borrowed from a mover, shared.
+	view []*segment[T]
+}
+
+// seqOf returns s's update counter, 0 for the unset state.
+func seqOf[T any](s *segment[T]) int64 {
+	if s == nil {
+		return 0
+	}
+	return s.seq
 }
 
 // View is one entry of a returned scan: the segment's value and whether the
@@ -64,33 +86,65 @@ func (o *Object[T]) Len() int { return len(o.segs) }
 // Registers returns the number of shared registers the object occupies.
 func (o *Object[T]) Registers() int { return len(o.segs) }
 
-// collect reads every segment once (n local steps).
-func (o *Object[T]) collect(p *shmem.Proc) []*segment[T] {
-	out := make([]*segment[T], len(o.segs))
-	for i := range o.segs {
-		out[i] = shmem.ReadRef(p, &o.segs[i])
-	}
-	return out
+// collector is the bookkeeping of one scan, shared by Scan and ScanFrame:
+// the one collect buffer and how often each segment has moved.
+type collector[T any] struct {
+	buf   []*segment[T]
+	moved []uint8 // never exceeds 2: the scan ends with the collect that makes it 2
+	// same reports that the collect in flight has read only what the
+	// previous collect read.
+	same bool
+	// borrow is the first segment seen to move twice in the collect in
+	// flight, or -1.
+	borrow int
 }
 
-func sameCollect[T any](a, b []*segment[T]) bool {
-	for i := range a {
-		as, bs := int64(-1), int64(-1)
-		if a[i] != nil {
-			as = a[i].seq
-		}
-		if b[i] != nil {
-			bs = b[i].seq
-		}
-		if as != bs {
-			return false
+// begin starts a collect.
+func (c *collector[T]) begin() { c.same, c.borrow = true, -1 }
+
+// read records s as entry i of the collect in flight. Unless the collect is
+// the scan's first, s is compared with the entry it overwrites, which the
+// previous collect read: a changed entry is a move.
+func (c *collector[T]) read(i int, s *segment[T], first bool) {
+	if !first && seqOf(c.buf[i]) != seqOf(s) {
+		c.same = false
+		c.moved[i]++
+		if c.moved[i] >= 2 && c.borrow < 0 {
+			c.borrow = i
 		}
 	}
-	return true
+	c.buf[i] = s
 }
 
-func viewOf[T any](c []*segment[T]) []View[T] {
-	return viewInto(make([]View[T], len(c)), c)
+// result returns the scan's view once a collect other than the first has
+// finished: the buffer when it matched the previous collect, else the view
+// embedded in the first segment to move twice, which completed a whole
+// Update inside the scan. ok is false when the scan needs another collect.
+func (c *collector[T]) result() (view []*segment[T], ok bool) {
+	if c.same {
+		return c.buf, true
+	}
+	if c.borrow >= 0 {
+		return c.buf[c.borrow].view, true
+	}
+	return nil, false
+}
+
+// scan runs one scan for p and returns its view as a collect. A direct view
+// is the scan's own freshly allocated buffer; a borrowed one is the mover's
+// embedded slice.
+func (o *Object[T]) scan(p *shmem.Proc) []*segment[T] {
+	n := len(o.segs)
+	c := collector[T]{buf: make([]*segment[T], n), moved: make([]uint8, n)}
+	for first := true; ; first = false {
+		c.begin()
+		for i := range o.segs {
+			c.read(i, shmem.ReadRef(p, &o.segs[i]), first)
+		}
+		if v, ok := c.result(); ok && !first {
+			return v
+		}
+	}
 }
 
 // viewInto writes the view of collect c into dst (len(dst) == len(c)),
@@ -98,7 +152,7 @@ func viewOf[T any](c []*segment[T]) []View[T] {
 func viewInto[T any](dst []View[T], c []*segment[T]) []View[T] {
 	for i, s := range c {
 		if s != nil {
-			dst[i] = View[T]{Data: s.data, Set: s.set}
+			dst[i] = View[T]{Data: s.data, Set: true}
 		} else {
 			dst[i] = View[T]{}
 		}
@@ -108,35 +162,7 @@ func viewInto[T any](dst []View[T], c []*segment[T]) []View[T] {
 
 // Scan returns a linearizable view of all segments.
 func (o *Object[T]) Scan(p *shmem.Proc) []View[T] {
-	n := len(o.segs)
-	moved := make([]int, n)
-	prev := o.collect(p)
-	for {
-		cur := o.collect(p)
-		if sameCollect(prev, cur) {
-			return viewOf(cur)
-		}
-		for i := 0; i < n; i++ {
-			ps, cs := int64(-1), int64(-1)
-			if prev[i] != nil {
-				ps = prev[i].seq
-			}
-			if cur[i] != nil {
-				cs = cur[i].seq
-			}
-			if ps != cs {
-				moved[i]++
-				if moved[i] >= 2 {
-					// Process i completed a full Update inside our interval;
-					// its embedded view is a valid snapshot within it.
-					v := make([]View[T], n)
-					copy(v, cur[i].view)
-					return v
-				}
-			}
-		}
-		prev = cur
-	}
+	return viewInto(make([]View[T], len(o.segs)), o.scan(p))
 }
 
 // Update atomically installs v as process index i's segment. Only the owner
@@ -146,13 +172,9 @@ func (o *Object[T]) Update(p *shmem.Proc, i int, v T) {
 	if i < 0 || i >= len(o.segs) {
 		panic(fmt.Sprintf("snapshot: segment %d outside [0..%d)", i, len(o.segs)))
 	}
-	view := o.Scan(p)
-	old := o.segs[i].PeekRef()
-	var seq int64 = 1
-	if old != nil {
-		seq = old.seq + 1
-	}
-	shmem.WriteRef(p, &o.segs[i], &segment[T]{data: v, set: true, seq: seq, view: view})
+	view := o.scan(p)
+	seq := seqOf(o.segs[i].PeekRef()) + 1
+	shmem.WriteRef(p, &o.segs[i], &segment[T]{data: v, seq: seq, view: view})
 }
 
 // Peek returns segment i's current value without charging steps (harness
@@ -162,5 +184,5 @@ func (o *Object[T]) Peek(i int) View[T] {
 	if s == nil {
 		return View[T]{}
 	}
-	return View[T]{Data: s.data, Set: s.set}
+	return View[T]{Data: s.data, Set: true}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/compete"
 	"repro/internal/conformance"
 	"repro/internal/explore"
 	"repro/internal/sched"
@@ -194,8 +195,30 @@ func (w *stateWalk) diff(a, b reflect.Value) string {
 	return ""
 }
 
-// ptr compares the objects of type t at pa and pb.
+// pageType is the type of one page of a compete.Field, which the field
+// installs on the first touch of one of its pairs.
+var pageType = func() reflect.Type {
+	f, ok := reflect.TypeOf(compete.Field{}).FieldByName("pages")
+	if !ok {
+		panic("compete.Field has no pages")
+	}
+	// An atomic.Pointer[T]'s zero-length first field carries T.
+	return f.Type.Elem().Field(0).Type.Elem().Elem()
+}()
+
+// ptr compares the objects of type t at pa and pb. A page of a
+// compete.Field that only one side installed is compared with a page of
+// Null pairs: a restore rewinds the registers of a page installed after the
+// checkpoint but leaves the page in place, so an uninstalled page and an
+// all-Null one are the same state.
 func (w *stateWalk) ptr(pa, pb unsafe.Pointer, t reflect.Type) string {
+	if (pa == nil) != (pb == nil) && t == pageType {
+		if pa == nil {
+			pa = reflect.New(t).UnsafePointer()
+		} else {
+			pb = reflect.New(t).UnsafePointer()
+		}
+	}
 	if pa == nil || pb == nil {
 		if (pa == nil) != (pb == nil) {
 			return ": nil mismatch"
@@ -211,6 +234,32 @@ func (w *stateWalk) ptr(pa, pb unsafe.Pointer, t reflect.Type) string {
 		return "->" + d
 	}
 	return ""
+}
+
+// TestStateWalkUninstalledPage holds the walk's one rule for lazily
+// installed pages: a page only one side installed equals an uninstalled one
+// while its pairs are Null, and a non-Null pair behind it is still flagged.
+func TestStateWalkUninstalledPage(t *testing.T) {
+	const m = 1 << 10 // many pages, 500 and 900 on different ones
+	diff := func(a, b *compete.Field) string {
+		w := stateWalk{seen: map[stateKey]bool{}}
+		return w.diff(reflect.ValueOf(a), reflect.ValueOf(b))
+	}
+	a, b := compete.NewField(m), compete.NewField(m)
+	a.Pair(500) // installs one of a's pages
+	b.Pair(900)
+	if d := diff(a, b); d != "" {
+		t.Fatalf("installed all-Null pages differ from uninstalled ones: %s", d)
+	}
+	a.Pair(500).R.Poke(5)
+	if d := diff(a, b); !strings.Contains(d, ".pages[") || !strings.Contains(d, ": 5, reference 0") {
+		t.Fatalf("a non-Null pair behind a page only one side installed: diff %q", d)
+	}
+	a.Pair(500).R.Poke(shmem.Null)
+	b.Pair(900).H.Poke(7)
+	if d := diff(a, b); !strings.Contains(d, ".pages[") || !strings.Contains(d, ": 0, reference 7") {
+		t.Fatalf("a non-Null pair behind a page only the reference installed: diff %q", d)
+	}
 }
 
 // TestRestoreCopyMatchesReplay holds restore to a reference that shares no
