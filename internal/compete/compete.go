@@ -61,30 +61,25 @@ func Compete(p *shmem.Proc, pr *Pair, id int64) bool {
 // registers).
 const pageSize = 16
 
-// page is the allocation granule of a multi-page Field.
+// page is the allocation granule of a Field.
 type page [pageSize]Pair
 
 // Field is an array of competition pairs, used as the register space of one
 // renaming structure (two shared registers per name). A contender touches
-// only the pairs of its expander neighbors, so a field larger than one page
-// backs its pairs lazily: a page is allocated the first time one of its
-// pairs is asked for and installed by CAS, so concurrent first touches (as
-// under sched.RunFree) agree on one page. Allocation is not a shared-memory
-// step (the registers conceptually pre-exist, as in shmem.RegFile), and a
-// pair's address never changes once handed out, which the vectorized
-// engine's undo log relies on. A field of at most one page is allocated
-// whole at construction.
+// only the pairs of its expander neighbors, so a field backs its pairs
+// lazily, in pages: a page is allocated the first time one of its pairs is
+// asked for and installed by CAS, so concurrent first touches (as under
+// sched.RunFree) agree on one page. Allocation is not a shared-memory step
+// (the registers conceptually pre-exist, as in shmem.RegFile), and a pair's
+// address never changes once handed out, which the vectorized engine's undo
+// log relies on.
 type Field struct {
 	m     int
-	small []Pair                 // the whole field when m <= pageSize, else nil
-	pages []atomic.Pointer[page] // pages of a larger field; nil until touched
+	pages []atomic.Pointer[page] // nil until one of the page's pairs is touched
 }
 
 // NewField returns a field of m fresh pairs.
 func NewField(m int) *Field {
-	if m <= pageSize {
-		return &Field{m: m, small: make([]Pair, m)}
-	}
 	return &Field{m: m, pages: make([]atomic.Pointer[page], (m+pageSize-1)/pageSize)}
 }
 
@@ -93,9 +88,6 @@ func (f *Field) Len() int { return f.m }
 
 // Pair returns the i-th pair, 0-based, installing its page on first touch.
 func (f *Field) Pair(i int) *Pair {
-	if f.small != nil {
-		return &f.small[i]
-	}
 	if uint(i) >= uint(f.m) {
 		panic(fmt.Sprintf("compete: pair %d outside [0..%d)", i, f.m))
 	}
@@ -111,14 +103,10 @@ func (f *Field) Pair(i int) *Pair {
 // Registers returns the number of shared registers the field occupies.
 func (f *Field) Registers() int { return 2 * f.m }
 
-// each calls fn on every pair that may have been written: the whole of a
-// one-page field, the installed pages of a larger one. Pairs of an
-// uninstalled page are Null, as are those past the end of the last page,
-// which Pair never hands out.
+// each calls fn on every pair of an installed page, the only pairs that may
+// have been written. Pairs of an uninstalled page are Null, as are those past
+// the end of the last page, which Pair never hands out.
 func (f *Field) each(fn func(i int, pr *Pair)) {
-	for i := range f.small {
-		fn(i, &f.small[i])
-	}
 	for k := range f.pages {
 		if pg := f.pages[k].Load(); pg != nil {
 			for j := range pg {

@@ -40,24 +40,6 @@ func TestFieldConstructionIsLazy(t *testing.T) {
 	}
 }
 
-// TestSmallFieldAllocatedAtConstruction: a field of at most one page is one
-// slice of exactly its pairs, so touching it never allocates.
-func TestSmallFieldAllocatedAtConstruction(t *testing.T) {
-	for _, m := range []int{1, 8, pageSize} {
-		f := NewField(m)
-		if len(f.small) != m || f.pages != nil {
-			t.Fatalf("NewField(%d): %d eager pairs and %d page slots, want %d and none", m, len(f.small), len(f.pages), m)
-		}
-		if a := testing.AllocsPerRun(10, func() {
-			for i := 0; i < m; i++ {
-				f.Pair(i).H.Poke(shmem.Null)
-			}
-		}); a != 0 {
-			t.Fatalf("touching NewField(%d) allocates %.1f times, want 0", m, a)
-		}
-	}
-}
-
 // TestFieldPairAddressesStable: the address of a pair never changes — not
 // when other pairs' pages are installed, not across Reset.
 func TestFieldPairAddressesStable(t *testing.T) {
