@@ -83,7 +83,7 @@ func (r *Renamer) Rename(p *shmem.Proc, slot int, id int64) (int64, bool) {
 			return 0, false
 		}
 		r.snap.Update(p, slot, entry{id: id, prop: prop})
-		view := r.snap.Scan(p)
+		view := views(r.snap.Scan(p))
 		if unique(view, slot, prop) {
 			return prop, true
 		}
@@ -94,14 +94,25 @@ func (r *Renamer) Rename(p *shmem.Proc, slot int, id int64) (int64, bool) {
 	}
 }
 
+// decisionView is what a decision reads of a scan: one entry per slot.
+// Rename's scans are slices; RenameFrame reads its scan frame's collect in
+// place.
+type decisionView interface {
+	Len() int
+	At(i int) snapshot.View[entry]
+}
+
+// views is a scan returned as a slice.
+type views []snapshot.View[entry]
+
+func (v views) Len() int                      { return len(v) }
+func (v views) At(i int) snapshot.View[entry] { return v[i] }
+
 // unique reports whether no contender other than slot currently proposes
 // prop.
-func unique(view []snapshot.View[entry], slot int, prop int64) bool {
-	for i, v := range view {
-		if i == slot || !v.Set {
-			continue
-		}
-		if v.Data.prop == prop {
+func unique[V decisionView](view V, slot int, prop int64) bool {
+	for i := 0; i < view.Len(); i++ {
+		if v := view.At(i); i != slot && v.Set && v.Data.prop == prop {
 			return false
 		}
 	}
@@ -113,10 +124,11 @@ func unique(view []snapshot.View[entry], slot int, prop int64) bool {
 // the identities present. taken is scratch reused across calls (callers in
 // the attempt loop retain it between rounds); the grown buffer is returned
 // alongside the name.
-func freeNameByRank(view []snapshot.View[entry], slot int, id int64, taken []int64) (int64, []int64) {
+func freeNameByRank[V decisionView](view V, slot int, id int64, taken []int64) (int64, []int64) {
 	rank := 1
 	taken = taken[:0]
-	for i, v := range view {
+	for i := 0; i < view.Len(); i++ {
+		v := view.At(i)
 		if !v.Set {
 			continue
 		}

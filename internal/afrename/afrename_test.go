@@ -175,15 +175,15 @@ func TestMaxAttemptsCausesCleanFailure(t *testing.T) {
 }
 
 func TestFreeNameByRank(t *testing.T) {
-	mk := func(pairs ...[2]int64) []snapshot.View[entry] {
-		out := make([]snapshot.View[entry], len(pairs)+1)
+	mk := func(pairs ...[2]int64) views {
+		out := make(views, len(pairs)+1)
 		for i, pr := range pairs {
 			out[i+1] = snapshot.View[entry]{Set: true, Data: entry{id: pr[0], prop: pr[1]}}
 		}
 		return out
 	}
 	cases := []struct {
-		view []snapshot.View[entry]
+		view views
 		id   int64
 		want int64
 	}{

@@ -10,7 +10,10 @@ import (
 
 // RenameFrame is the frame compilation of Rename: propose/scan rounds over
 // the embedded snapshot until the proposal is unique in the view (or a
-// configured bound is hit). The (name, ok) result lands in M.RetI/M.RetB.
+// configured bound is hit). An attempt's two scans, the update's and the
+// decision's, run on the update frame's one scan frame, and the decision
+// reads the finished collect in place. The (name, ok) result lands in
+// M.RetI/M.RetB.
 type RenameFrame struct {
 	r       *Renamer
 	slot    int
@@ -18,15 +21,13 @@ type RenameFrame struct {
 	prop    int64
 	attempt int
 	uf      snapshot.UpdateFrame[entry]
-	sf      snapshot.ScanFrame[entry]
-	view    []snapshot.View[entry]
 	taken   []int64
 	pc      uint8
 }
 
 // Init arms the frame for one acquisition on r from slot with identity id.
-// The embedded snapshot frames, the decision view and the taken scratch are
-// re-armed in place, not zeroed, so their buffers carry across acquisitions.
+// The embedded update frame and the taken scratch are re-armed in place, not
+// zeroed, so their buffers carry across acquisitions.
 func (f *RenameFrame) Init(r *Renamer, slot int, id int64) {
 	f.r, f.slot, f.id = r, slot, id
 	f.prop, f.attempt = 0, 0
@@ -34,14 +35,12 @@ func (f *RenameFrame) Init(r *Renamer, slot int, id int64) {
 }
 
 // CopyFrom makes f a copy of src that shares no mutable buffer with it: the
-// embedded snapshot frames copy as their CopyFrom says, the decision view
-// and the taken scratch into f's own backing arrays. It is the save and load
-// of a vexec.Cloner whose frame embeds an acquisition.
+// embedded update frame copies as its CopyFrom says, the taken scratch into
+// f's own backing array. It is the save and load of a vexec.Cloner whose
+// frame embeds an acquisition.
 func (f *RenameFrame) CopyFrom(src *RenameFrame) {
 	f.r, f.slot, f.id, f.prop, f.attempt, f.pc = src.r, src.slot, src.id, src.prop, src.attempt, src.pc
 	f.uf.CopyFrom(&src.uf)
-	f.sf.CopyFrom(&src.sf)
-	f.view = append(f.view[:0], src.view...)
 	f.taken = append(f.taken[:0], src.taken...)
 }
 
@@ -58,17 +57,19 @@ func (f *RenameFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 		f.attempt = 1
 		return f.beginAttempt(m)
 	case 1:
-		// Update finished; scan for the decision view. The view is read
-		// only by this attempt's decision and never published, so the scan
-		// reuses the frame's buffer.
+		// Update finished; scan for the decision view on the update's idle
+		// scan frame. The view is read only by this attempt's decision and
+		// never published, so it is read where the scan left it.
 		f.pc = 2
-		f.sf.Init(f.r.snap, &f.view)
-		return m.Call(&f.sf)
+		sf := f.uf.Scan()
+		sf.Init(f.r.snap)
+		return m.Call(sf)
 	default:
-		if unique(f.view, f.slot, f.prop) {
+		view := f.uf.Scan().View()
+		if unique(view, f.slot, f.prop) {
 			return m.Return(f.prop, true)
 		}
-		f.prop, f.taken = freeNameByRank(f.view, f.slot, f.id, f.taken)
+		f.prop, f.taken = freeNameByRank(view, f.slot, f.id, f.taken)
 		if f.r.MaxAttempts > 0 && f.attempt >= f.r.MaxAttempts {
 			return m.Return(0, false)
 		}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/shmem"
+	"repro/internal/vexec"
 )
 
 func TestAlmostAdaptiveNameBoundScalesWithContention(t *testing.T) {
@@ -168,5 +171,47 @@ func TestAdaptiveBlocksCoverBound(t *testing.T) {
 		if sum > a.NameBound(k) {
 			t.Fatalf("k=%d: blocks sum to %d > bound %d", k, sum, a.NameBound(k))
 		}
+	}
+}
+
+// TestAdaptiveFallbackFrameMatchesRename drives an Adaptive cut down to its
+// level-0 Efficient(1) with four contenders, so the levels overflow and
+// the object-wide fallback lane serves the losers, on both engines under
+// the same seeded schedules and crashes. The frame runs the fallback on the
+// level's idle AF stage frame; every process must take the same steps and
+// return the same name as the goroutine Rename.
+func TestAdaptiveFallbackFrameMatchesRename(t *testing.T) {
+	const n = 4
+	var fallbacks int64
+	for seed := uint64(0); seed < 16; seed++ {
+		build := func() *Adaptive {
+			a := NewAdaptive(n, Config{Seed: seed})
+			a.levels, a.bases = a.levels[:1], a.bases[:1]
+			return a
+		}
+		origs := sampleOrigs(n, 1<<10, seed)
+		plan := func() sched.CrashPlan { return sched.RandomCrashes(seed+5, 0.01, n-1) }
+
+		ga, gname, gok := build(), make([]int64, n), make([]bool, n)
+		gres := sched.Run(n, origs, sched.NewRandom(seed), plan(), func(p *shmem.Proc) {
+			gname[p.ID()], gok[p.ID()] = ga.Rename(p, p.Name())
+		})
+		va, vname, vok := build(), make([]int64, n), make([]bool, n)
+		e := vexec.New(n, origs, func(p *shmem.Proc) vexec.Frame {
+			return vexec.Capture(va.FrameRename(p.Name()), &vname[p.ID()], &vok[p.ID()])
+		})
+		vres := e.Run(sched.NewRandom(seed), plan())
+		if gres.Err != nil || vres.Err != nil {
+			t.Fatalf("seed %d: goroutine %v, vexec %v", seed, gres.Err, vres.Err)
+		}
+		if vres.Fingerprint != gres.Fingerprint || !slices.Equal(vres.Steps, gres.Steps) ||
+			!slices.Equal(vname, gname) || !slices.Equal(vok, gok) || va.FallbackCount() != ga.FallbackCount() {
+			t.Fatalf("seed %d: vexec names %v %v, %d fallbacks, steps %v; goroutine names %v %v, %d fallbacks, steps %v",
+				seed, vname, vok, va.FallbackCount(), vres.Steps, gname, gok, ga.FallbackCount(), gres.Steps)
+		}
+		fallbacks += va.FallbackCount()
+	}
+	if fallbacks == 0 {
+		t.Fatal("no process reached the fallback lane")
 	}
 }

@@ -160,8 +160,11 @@ type efficientFrame struct {
 	pc   uint8
 }
 
+// init re-arms the frame for one walk of e with original name orig. The AF
+// stage is kept, not zeroed: its Init re-arms it, and its buffers carry
+// across the doubling levels an adaptiveFrame walks.
 func (f *efficientFrame) init(e *Efficient, orig int64) {
-	*f = efficientFrame{e: e, orig: orig}
+	*f = efficientFrame{e: e, orig: orig, aff: f.aff}
 }
 
 // FrameRename implements vexec.FrameRenamer.
@@ -284,13 +287,13 @@ func (f *almostFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 }
 
 // adaptiveFrame compiles Adaptive.Rename: Efficient doubling levels in
-// order, then the object-wide fallback lane.
+// order, then the object-wide fallback lane, which runs on the levels' AF
+// stage frame: every level has returned by then, so it is idle.
 type adaptiveFrame struct {
 	a    *Adaptive
 	orig int64
 	i    int
 	ef   efficientFrame
-	aff  afrename.RenameFrame
 	pc   uint8
 }
 
@@ -308,7 +311,6 @@ func (a *Adaptive) FrameRename(orig int64) vexec.Frame {
 func (f *adaptiveFrame) copyFrom(src *adaptiveFrame) {
 	f.a, f.orig, f.i, f.pc = src.a, src.orig, src.i, src.pc
 	f.ef.copyFrom(&src.ef)
-	f.aff.CopyFrom(&src.aff)
 }
 
 func (f *adaptiveFrame) Save(dst vexec.Frame) vexec.Frame {
@@ -337,8 +339,8 @@ func (f *adaptiveFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	}
 	f.a.fallbackCount.Add(1)
 	f.pc = 2
-	f.aff.Init(f.a.fallback, p.ID(), f.orig)
-	return m.Call(&f.aff)
+	f.ef.aff.Init(f.a.fallback, p.ID(), f.orig)
+	return m.Call(&f.ef.aff)
 }
 
 // Compile-time checks that every renaming algorithm compiles to frames,

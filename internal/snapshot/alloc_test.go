@@ -11,16 +11,14 @@ import (
 )
 
 // roundsFrame drives r Update+Scan rounds through the frame automata,
-// re-arming the embedded frames each round — the access pattern of every
-// rename attempt loop built on the snapshot.
+// re-arming the update frame each round and its scan frame for the scan —
+// the access pattern of every rename attempt loop built on the snapshot.
 type roundsFrame struct {
-	o    *Object[int64]
-	r    int
-	cnt  int
-	uf   UpdateFrame[int64]
-	sf   ScanFrame[int64]
-	view []View[int64]
-	pc   uint8
+	o   *Object[int64]
+	r   int
+	cnt int
+	uf  UpdateFrame[int64]
+	pc  uint8
 }
 
 func (f *roundsFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
@@ -35,8 +33,9 @@ func (f *roundsFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	default:
 		f.pc = 0
 		f.cnt++
-		f.sf.Init(f.o, &f.view)
-		return m.Call(&f.sf)
+		sf := f.uf.Scan()
+		sf.Init(f.o)
+		return m.Call(sf)
 	}
 }
 
@@ -62,21 +61,20 @@ func TestFrameAllocsSteadyState(t *testing.T) {
 		e.Run(&sched.RoundRobin{}, nil)
 	})
 	// Per round a solo process performs one Update (the embedded collect's
-	// copy + the installed segment) and one Scan, whose view reuses the previous
-	// round's buffer: 2 escaping allocations, plus a little engine slack.
+	// copy + the installed segment) and one Scan, read in place on the
+	// update's scan frame: 2 escaping allocations, plus a little engine slack.
 	if max := float64(rounds*4 + 8); avg > max {
 		t.Fatalf("steady-state frame drive allocates %.1f allocs/run, want <= %.0f (scratch pooling regressed)", avg, max)
 	}
 }
 
-// scansFrame performs r decision scans, each re-armed with Init into the
-// same view buffer — the access pattern of afrename's decision scan.
+// scansFrame performs r decision scans, each re-armed with Init — the
+// access pattern of afrename's decision scan.
 type scansFrame struct {
-	o    *Object[int64]
-	r    int
-	cnt  int
-	sf   ScanFrame[int64]
-	view []View[int64]
+	o   *Object[int64]
+	r   int
+	cnt int
+	sf  ScanFrame[int64]
 }
 
 func (f *scansFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
@@ -84,14 +82,14 @@ func (f *scansFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 		return vexec.Done
 	}
 	f.cnt++
-	f.sf.Init(f.o, &f.view)
+	f.sf.Init(f.o)
 	return m.Call(&f.sf)
 }
 
-// TestPrivateScanAllocsNothing pins the reused-view contract: once the
-// frame's scratch and view buffer exist, a re-armed decision scan allocates
-// nothing, so a run's allocations are the engine's fixed slack whatever the
-// number of scans.
+// TestPrivateScanAllocsNothing pins the in-place view contract: once the
+// frame's scratch exists, a re-armed decision scan allocates nothing, so a
+// run's allocations are the engine's fixed slack whatever the number of
+// scans.
 func TestPrivateScanAllocsNothing(t *testing.T) {
 	const scans = 64
 	o := New[int64](8)
@@ -114,7 +112,7 @@ func TestPrivateScanAllocsNothing(t *testing.T) {
 	if avg > 8 {
 		t.Fatalf("%d re-armed private scans allocate %.1f allocs/run, want <= 8 (the engine's slack)", scans, avg)
 	}
-	for i, v := range f.view {
+	for i, v := range entries(f.sf.View()) {
 		if v.Set != (i%2 == 0) || v.Set && v.Data != int64(i) {
 			t.Fatalf("private view entry %d = %+v", i, v)
 		}
@@ -239,13 +237,12 @@ func TestBorrowedUpdateBytes(t *testing.T) {
 	}
 }
 
-// scratchFrame reads a spare register, then runs one private scan into a
-// presized view, so the scan's Init happens inside the first granted step.
+// scratchFrame reads a spare register, then runs one private scan, so the
+// scan's Init happens inside the first granted step.
 type scratchFrame struct {
 	o     *Object[pairVal]
 	spare shmem.Reg
 	sf    ScanFrame[pairVal]
-	view  []View[pairVal]
 	pc    uint8
 }
 
@@ -257,7 +254,7 @@ func (f *scratchFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	case 1:
 		p.Read(&f.spare)
 		f.pc = 2
-		f.sf.Init(f.o, &f.view)
+		f.sf.Init(f.o)
 		return m.Call(&f.sf)
 	default:
 		return vexec.Done
@@ -273,9 +270,9 @@ func TestScanFrameScratchBytes(t *testing.T) {
 	var rest uint64
 	armingStep := func(armed bool) uint64 {
 		return minBytes(func() uint64 {
-			f := &scratchFrame{o: New[pairVal](byteN), view: make([]View[pairVal], byteN)}
+			f := &scratchFrame{o: New[pairVal](byteN)}
 			if armed {
-				f.sf.Init(f.o, &f.view)
+				f.sf.Init(f.o)
 			}
 			e := vexec.New(1, nil, func(*shmem.Proc) vexec.Frame { return f })
 			b := stepBytes(e, 0) // the spare read, then Init and the first read's post

@@ -10,34 +10,30 @@ import (
 
 // ScanFrame is the frame compilation of Scan: collects of the n segments in
 // order, one ReadRef per granted step, until two consecutive collects agree
-// or a segment has moved twice. The returned view is delivered through the
-// destination pointer planted by Init (frames returning slices cannot use
-// M.RetI).
+// or a segment has moved twice. The finished view is not copied out: View
+// reads it in place, from the frame's collect buffer or the borrowed
+// mover's embedded view.
 type ScanFrame[T any] struct {
-	o   *Object[T]
-	out *[]View[T]
-	c   collector[T]
-	i   int   // next segment the collect in flight reads
-	pc  uint8 // 0 before the first collect, 1 during it, 2 after
+	o  *Object[T]
+	c  collector[T]
+	i  int   // next segment the collect in flight reads
+	pc uint8 // 0 before the first collect, 1 during it, 2 after
 }
 
-// Init arms the frame for one scan of o; the view lands in *out's backing
-// array (grown when too small) when the frame finishes. out is nil for the
-// scan embedded in an UpdateFrame, which takes the collect itself. The
-// collect buffer and the moved table survive re-arming, so a frame driven
-// through many scans into the same destination allocates only on its first.
-func (f *ScanFrame[T]) Init(o *Object[T], out *[]View[T]) {
+// Init arms the frame for one scan of o. The collect buffer and the moved
+// table survive re-arming, so a frame driven through many scans allocates
+// only on its first.
+func (f *ScanFrame[T]) Init(o *Object[T]) {
 	c := f.c
-	*f = ScanFrame[T]{o: o, out: out}
+	*f = ScanFrame[T]{o: o}
 	f.c.buf = grow(c.buf, len(o.segs))
 	f.c.moved = grow(c.moved, len(o.segs))
 	clear(f.c.moved)
 }
 
 // CopyFrom makes f a copy of src that shares no buffer with it: the moved
-// table and the collect are copied into f's own backing arrays. The
-// destination pointer is copied verbatim. It is the save and load of a
-// vexec.Cloner whose frame embeds a scan.
+// table and the collect are copied into f's own backing arrays. It is the
+// save and load of a vexec.Cloner whose frame embeds a scan.
 func (f *ScanFrame[T]) CopyFrom(src *ScanFrame[T]) {
 	buf, moved := f.c.buf, f.c.moved
 	*f = *src
@@ -75,14 +71,27 @@ func (f *ScanFrame[T]) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 		f.pc = 2
 		return f.collect(m)
 	}
-	v, ok := f.c.result()
-	if !ok {
+	if _, ok := f.c.result(); !ok {
 		return f.collect(m)
 	}
-	if f.out != nil {
-		*f.out = viewInto(grow(*f.out, len(v)), v)
-	}
 	return vexec.Done
+}
+
+// Collect is a finished scan's view read in place: entry i is segment i as
+// the scan saw it. It reads the scan frame's collect buffer, so it is valid
+// until that frame is re-armed.
+type Collect[T any] struct{ segs []*segment[T] }
+
+// Len returns the number of entries, one per segment.
+func (c Collect[T]) Len() int { return len(c.segs) }
+
+// At returns entry i.
+func (c Collect[T]) At(i int) View[T] { return viewOf(c.segs[i]) }
+
+// View returns the view of the scan the frame has finished.
+func (f *ScanFrame[T]) View() Collect[T] {
+	v, _ := f.c.result()
+	return Collect[T]{v}
 }
 
 // published returns the finished scan's view as a segment embeds it: a
@@ -97,7 +106,8 @@ func (f *ScanFrame[T]) published() []*segment[T] {
 }
 
 // UpdateFrame is the frame compilation of Update: the embedded scan's reads
-// followed by one WriteRef installing the new segment.
+// followed by one WriteRef installing the new segment. The embedded scan
+// frame is lent out by Scan between updates.
 type UpdateFrame[T any] struct {
 	o   *Object[T]
 	i   int
@@ -123,6 +133,13 @@ func (f *UpdateFrame[T]) CopyFrom(src *UpdateFrame[T]) {
 	f.sf.CopyFrom(&src.sf)
 }
 
+// Scan returns the update's embedded scan frame. Once the update has
+// returned the frame is idle, and the caller may re-arm it for a scan of its
+// own until the update frame runs again: the published segment holds a copy
+// of the collect buffer or a mover's slice, never the buffer itself, so the
+// re-armed scan cannot change it.
+func (f *UpdateFrame[T]) Scan() *ScanFrame[T] { return &f.sf }
+
 func (f *UpdateFrame[T]) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	switch f.pc {
 	case 0:
@@ -130,7 +147,7 @@ func (f *UpdateFrame[T]) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 			panic(fmt.Sprintf("snapshot: segment %d outside [0..%d)", f.i, len(f.o.segs)))
 		}
 		f.pc = 1
-		f.sf.Init(f.o, nil)
+		f.sf.Init(f.o)
 		return m.Call(&f.sf)
 	case 1:
 		seq := seqOf(f.o.segs[f.i].PeekRef()) + 1

@@ -147,22 +147,22 @@ func (o *Object[T]) scan(p *shmem.Proc) []*segment[T] {
 	}
 }
 
-// viewInto writes the view of collect c into dst (len(dst) == len(c)),
-// overwriting every entry, and returns it.
-func viewInto[T any](dst []View[T], c []*segment[T]) []View[T] {
-	for i, s := range c {
-		if s != nil {
-			dst[i] = View[T]{Data: s.data, Set: true}
-		} else {
-			dst[i] = View[T]{}
-		}
+// viewOf returns the view entry of segment s as a collect holds it.
+func viewOf[T any](s *segment[T]) View[T] {
+	if s == nil {
+		return View[T]{}
 	}
-	return dst
+	return View[T]{Data: s.data, Set: true}
 }
 
 // Scan returns a linearizable view of all segments.
 func (o *Object[T]) Scan(p *shmem.Proc) []View[T] {
-	return viewInto(make([]View[T], len(o.segs)), o.scan(p))
+	c := o.scan(p)
+	v := make([]View[T], len(c))
+	for i, s := range c {
+		v[i] = viewOf(s)
+	}
+	return v
 }
 
 // Update atomically installs v as process index i's segment. Only the owner
@@ -179,10 +179,4 @@ func (o *Object[T]) Update(p *shmem.Proc, i int, v T) {
 
 // Peek returns segment i's current value without charging steps (harness
 // use only).
-func (o *Object[T]) Peek(i int) View[T] {
-	s := o.segs[i].PeekRef()
-	if s == nil {
-		return View[T]{}
-	}
-	return View[T]{Data: s.data, Set: true}
-}
+func (o *Object[T]) Peek(i int) View[T] { return viewOf(o.segs[i].PeekRef()) }

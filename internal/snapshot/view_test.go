@@ -18,10 +18,17 @@ type published struct {
 	want []View[int64]
 }
 
-// materialize returns the view embedded collect c stands for.
-func materialize(c []*segment[int64]) []View[int64] {
-	return viewInto(make([]View[int64], len(c)), c)
+// entries returns every entry of v.
+func entries[T any](v Collect[T]) []View[T] {
+	out := make([]View[T], v.Len())
+	for i := range out {
+		out[i] = v.At(i)
+	}
+	return out
 }
+
+// materialize returns the view embedded collect c stands for.
+func materialize(c []*segment[int64]) []View[int64] { return entries(Collect[int64]{c}) }
 
 // changed reports whether pb's embedded view no longer holds the pointers,
 // or the pointers no longer the values, it was installed with.
@@ -30,16 +37,14 @@ func (pb published) changed() bool {
 }
 
 // decideFrame is the rename attempt loop's snapshot use: each round an
-// Update (whose embedded view is published) followed by a decision scan
-// into the frame's private buffer. It records every decision view and every
-// view its updates published.
+// Update (whose embedded view is published) followed by a decision scan on
+// the update's scan frame, read in place. It records every decision view
+// and every view its updates published.
 type decideFrame struct {
 	o      *Object[int64]
 	i, r   int
 	cnt    int
 	uf     UpdateFrame[int64]
-	sf     ScanFrame[int64]
-	view   []View[int64]
 	views  [][]View[int64]
 	pubs   *[]published
 	pc     uint8
@@ -62,22 +67,28 @@ func (f *decideFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 		*f.pubs = append(*f.pubs, published{view: pub, ptrs: slices.Clone(pub), want: materialize(pub)})
 		f.pc = 2
 		f.start = p.Steps()
-		f.sf.Init(f.o, &f.view)
-		return m.Call(&f.sf)
+		sf := f.uf.Scan()
+		sf.Init(f.o)
+		return m.Call(sf)
 	default:
 		if p.Steps()-f.start > int64(2*len(f.o.segs)) {
 			*f.longer++
 		}
-		// The update's published view must survive this frame's decision
-		// scan untouched: neither scan's collect buffer aliases it.
+		// The update's published view must survive the decision scan that
+		// re-armed the update's scan frame untouched: the frame's collect
+		// buffer does not alias it.
 		last := (*f.pubs)[len(*f.pubs)-1]
 		if last.changed() {
 			f.t.Errorf("segment %d's published view changed by its own decision scan: %v, published %v", f.i, materialize(last.view), last.want)
 		}
-		if &f.sf.c.buf[0] == &last.view[0] || &f.uf.sf.c.buf[0] == &last.view[0] {
-			f.t.Errorf("segment %d's published view aliases a scan's collect buffer", f.i)
+		if &f.uf.sf.c.buf[0] == &last.view[0] {
+			f.t.Errorf("segment %d's published view aliases the scan frame's collect buffer", f.i)
 		}
-		f.views = append(f.views, slices.Clone(f.view))
+		view := f.uf.Scan().View()
+		if view.Len() != len(f.o.segs) {
+			f.t.Errorf("decision view has %d entries, want %d", view.Len(), len(f.o.segs))
+		}
+		f.views = append(f.views, entries(view))
 		f.cnt++
 		f.pc = 0
 		return f.Run(m, p)
@@ -85,11 +96,12 @@ func (f *decideFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 }
 
 // TestPrivateScanFrameMatchesScan is the differential test of the
-// private-view ScanFrame against the goroutine Scan: every process runs
+// in-place ScanFrame view against the goroutine Scan: every process runs
 // Update/decision-scan rounds under the same seeded random schedule on both
-// engines, and every decision view must come out equal, as must the
-// schedule fingerprints. Every view an update published must also be
-// unchanged at the end of the run, whatever private scans ran after it.
+// engines, and every decision view's Len and At entries must equal Scan's
+// Views, as must the schedule fingerprints. Every view an update published
+// must also be unchanged at the end of the run, whatever scans re-armed the
+// update's scan frame after it.
 func TestPrivateScanFrameMatchesScan(t *testing.T) {
 	const rounds = 5
 	longer := 0
@@ -169,7 +181,7 @@ func TestScanBorrowsFirstDoubleMover(t *testing.T) {
 		t.Fatal("the scan did not end with its third collect")
 	}
 	set := func(v int64) View[pairVal] { return View[pairVal]{Data: pairVal{v}, Set: true} }
-	if want := []View[pairVal]{{}, set(1), set(1)}; !slices.Equal(sc.view, want) {
-		t.Fatalf("scan returned %v, want segment 1's embedded view %v", sc.view, want)
+	if got, want := entries(sc.sf.View()), []View[pairVal]{{}, set(1), set(1)}; !slices.Equal(got, want) {
+		t.Fatalf("scan returned %v, want segment 1's embedded view %v", got, want)
 	}
 }

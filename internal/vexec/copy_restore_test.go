@@ -327,21 +327,19 @@ func TestRestoreCopyMatchesReplay(t *testing.T) {
 // copyDiff describes the first difference between frame state a and its
 // copy b, or returns "". Pointers, maps and funcs must be identical (a copy
 // shares what the frame points at); slices must hold equal elements (nil
-// equals empty) in different backing arrays, except where shared is set: a
-// snapshot update's view, which is immutable once built.
-func copyDiff(a, b reflect.Value, path string, shared bool) string {
+// equals empty) in different backing arrays.
+func copyDiff(a, b reflect.Value, path string) string {
 	switch a.Kind() {
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
 			f := a.Type().Field(i)
-			sh := strings.HasPrefix(a.Type().Name(), "UpdateFrame[") && f.Name == "view"
-			if d := copyDiff(a.Field(i), b.Field(i), path+"."+f.Name, sh); d != "" {
+			if d := copyDiff(a.Field(i), b.Field(i), path+"."+f.Name); d != "" {
 				return d
 			}
 		}
 	case reflect.Array:
 		for i := 0; i < a.Len(); i++ {
-			if d := copyDiff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i), shared); d != "" {
+			if d := copyDiff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i)); d != "" {
 				return d
 			}
 		}
@@ -349,11 +347,11 @@ func copyDiff(a, b reflect.Value, path string, shared bool) string {
 		if a.Len() != b.Len() {
 			return fmt.Sprintf("%s: length %d, copy %d", path, a.Len(), b.Len())
 		}
-		if a.Len() > 0 && a.Pointer() == b.Pointer() && !shared {
+		if a.Len() > 0 && a.Pointer() == b.Pointer() {
 			return path + ": copy shares the backing array"
 		}
 		for i := 0; i < a.Len(); i++ {
-			if d := copyDiff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i), shared); d != "" {
+			if d := copyDiff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i)); d != "" {
 				return d
 			}
 		}
@@ -367,7 +365,7 @@ func copyDiff(a, b reflect.Value, path string, shared bool) string {
 		if a.Elem().Type() != b.Elem().Type() {
 			return path + ": dynamic type mismatch"
 		}
-		return copyDiff(a.Elem(), b.Elem(), path, shared)
+		return copyDiff(a.Elem(), b.Elem(), path)
 	case reflect.Pointer, reflect.Map, reflect.Func, reflect.Chan, reflect.UnsafePointer:
 		if a.Pointer() != b.Pointer() {
 			return path + ": points elsewhere"
@@ -412,7 +410,7 @@ func TestClonerSaveLoadRoundTrip(t *testing.T) {
 						root := e.LaneRoot(pid).(vexec.Cloner)
 						rv := reflect.ValueOf(root).Elem()
 						saved[pid] = root.Save(saved[pid])
-						if d := copyDiff(rv, reflect.ValueOf(saved[pid]).Elem(), "Save", false); d != "" {
+						if d := copyDiff(rv, reflect.ValueOf(saved[pid]).Elem(), "Save"); d != "" {
 							t.Fatalf("trial %d, step %d, lane %d: %s", trial, step, pid, d)
 						}
 						fresh := reflect.New(rv.Type()).Interface().(vexec.Cloner)
@@ -421,7 +419,7 @@ func TestClonerSaveLoadRoundTrip(t *testing.T) {
 						}
 						for _, dst := range []vexec.Cloner{fresh, loaded[pid]} {
 							dst.Load(saved[pid])
-							if d := copyDiff(rv, reflect.ValueOf(dst).Elem(), "Load", false); d != "" {
+							if d := copyDiff(rv, reflect.ValueOf(dst).Elem(), "Load"); d != "" {
 								t.Fatalf("trial %d, step %d, lane %d: %s", trial, step, pid, d)
 							}
 						}

@@ -43,7 +43,7 @@ const (
 	// the child immediately (a call is local computation, not an access).
 	Call
 	// Done: the frame finished. Its return value, if any, was published via
-	// M.Return (or through destination pointers the parent planted).
+	// M.Return or left in its own fields for the parent to read.
 	Done
 )
 
@@ -76,11 +76,12 @@ type Frame interface {
 // M is a process lane's machine: its frame stack plus the communication
 // cells between frames and engine. Frames return values to their parents
 // through RetI/RetB (set by Return, read by the parent on its next Run); a
-// child that returns more than that (a scan's view) writes it through a
-// destination pointer into its parent's fields. The engine reads the root
-// frame's final RetI/RetB as the lane's result. The stack holds pointers
-// into the root's object tree; Restore's copy path saves and reloads the
-// stack as it is, since it loads state back into the same objects.
+// child that returns more than that leaves it in its own fields, which the
+// parent embeds and reads, as a scan frame leaves its view. The engine
+// reads the root frame's final RetI/RetB as the lane's result. The stack
+// holds pointers into the root's object tree; Restore's copy path saves and
+// reloads the stack as it is, since it loads state back into the same
+// objects.
 type M struct {
 	stack  []Frame
 	intent shmem.Intent
@@ -132,9 +133,9 @@ type FrameRenamer interface {
 // nil or a copy an earlier Save of the same frame type returned, reused
 // with its buffers. Load copies a saved copy back into the frame. A saved
 // copy is inert (the engine never runs it) and shares no slice that either
-// side mutates in place. Pointers into the frame's own tree, such as a
-// child's destination pointer, are copied verbatim: Restore loads a copy
-// back into the very objects it was saved from, so they stay valid.
+// side mutates in place. Pointers, such as a capture's result cells, are
+// copied verbatim: Restore loads a copy back into the very objects it was
+// saved from, so they stay valid.
 type Cloner interface {
 	Frame
 	Save(dst Frame) Frame
