@@ -66,6 +66,8 @@ type Stats struct {
 	// Executions is the number of completed executions driven.
 	Executions int
 	// Partial counts executions abandoned mid-flight (sleep-blocked prefixes).
+	// SourceDPOR enters no dead crash branch, so its partials are step
+	// choices into sleep-blocked nodes only.
 	Partial int
 	// Explored counts distinct scheduling decisions executed — the "states
 	// visited" of the search. Stateless tree strategies re-execute committed
@@ -83,7 +85,8 @@ type Stats struct {
 	// each Replayed prefix re-execution.
 	Restored int
 	// Pruned counts enabled choices the strategy skipped because partial-order
-	// reasoning (sleep sets, backtrack sets) showed them redundant.
+	// reasoning (sleep sets, backtrack sets) showed them redundant, and, for
+	// SourceDPOR, the dead crash branches it settles unwalked.
 	Pruned int
 	// RaceEvents counts happens-before rows derived by race analysis
 	// (source-DPOR only): the incremental layer derives one row per distinct

@@ -12,9 +12,9 @@ import (
 
 // SourceDPOR is the stateful tree search: source-set dynamic partial-order
 // reduction (Abdulla, Aronis, Jonsson, Sagonas, POPL 2014) with sleep sets
-// and optional exhaustive crash branching, driven over one persistent vexec
-// engine through checkpoint/restore. It differs from the stateless Tree
-// engine (NewSleepSet) in two ways:
+// and optional crash branching, driven over one persistent vexec engine
+// through checkpoint/restore. It differs from the stateless Tree engine
+// (NewSleepSet) in three ways:
 //
 //   - Backtrack points come from source sets: each node starts with one
 //     enabled process, and for a race between events e_i and e_j it
@@ -23,10 +23,18 @@ import (
 //     of every enabled process. Fewer scheduled points, same guarantee: at
 //     least one representative per Mazurkiewicz trace.
 //
-//   - Each node carries the engine's checkpoint (*vexec.Snapshot);
-//     backtracking restores it in O(changes since the node) rather than
-//     re-executing the O(depth) prefix, so Stats.Replayed is zero by
-//     construction and Stats.Restored counts the restores.
+//   - Crash branching is exhaustive except for dead branches: a scheduled
+//     crash whose subtree provably holds no execution, only sleep-blocked
+//     prefixes, is marked done unwalked and counted in Stats.Pruned (see
+//     settleDeadCrashes). The walk reaches the same Mazurkiewicz classes,
+//     one execution each; under the recovery model every crash is walked.
+//
+//   - Each node a backtrack can return to carries the engine's checkpoint
+//     (*vexec.Snapshot); backtracking restores it in O(changes since the
+//     node) rather than re-executing the O(depth) prefix, so Stats.Replayed
+//     is zero by construction and Stats.Restored counts the restores. A
+//     node with one enabled process and no open choice can never reopen,
+//     so it takes no checkpoint.
 //
 // No node is ever cut by a state hash: a state reached along two
 // inequivalent schedules is walked both times, so a complete walk is an
@@ -55,9 +63,9 @@ type sframe struct {
 
 // NewSourceDPOR returns the stateful source-set DPOR strategy. budget caps
 // executions (complete + partial); 0 exhausts the reduced tree, at which
-// point Stats().Complete reports the proof. maxCrashes enables exhaustive
-// crash branching up to the cap (crash choices are never source-reduced —
-// each is its own branch, as in NewSleepSet).
+// point Stats().Complete reports the proof. maxCrashes enables crash
+// branching up to the cap (crash choices are never source-reduced — each is
+// its own branch, as in NewSleepSet — but dead ones are settled unwalked).
 func NewSourceDPOR(budget, maxCrashes int) *SourceDPOR {
 	return &SourceDPOR{
 		budget:     budget,
@@ -115,14 +123,43 @@ func (t *SourceDPOR) Next(eng sched.Engine) Choice {
 	if t.maxCrashes > 0 && f.crashesBefore < t.maxCrashes {
 		f.btCrash = f.enabled
 	}
+	t.settleDeadCrashes(c, &f.frame)
 	if !pickNext(&f.frame) {
 		t.stack = t.stack[:len(t.stack)-1]
 		t.abandoned = true
 		return Abandon
 	}
-	f.snap = c.Checkpoint()
+	// A closed node with one enabled process is never restored: addSource
+	// schedules only enabled processes, and that one's step is done.
+	if frameOpen(&f.frame) || bits.OnesCount64(f.enabled) != 1 {
+		f.snap = c.Checkpoint()
+	}
 	t.commit(c, f)
 	return f.chosen
+}
+
+// settleDeadCrashes marks done, unwalked, every scheduled crash of f whose
+// subtree holds no execution. A crash of p commutes with every other
+// process's events, so the child inherits f's done steps and crashes as
+// sleep entries; below it crashes only shrink the enabled set. If every
+// other enabled process (rest) has its step done or asleep, the only way to
+// finish is to crash all of rest, which is impossible when rest outnumbers
+// the crashes left or one of its crashes is done or asleep. Such a subtree
+// is crash events only, which race analysis skips. Under recovery a crashed
+// process can restart, so nothing is settled.
+func (t *SourceDPOR) settleDeadCrashes(c *vexec.Exec, f *frame) {
+	if f.btCrash&^f.doneCrash == 0 || c.Model().Recovery {
+		return
+	}
+	left := t.maxCrashes - f.crashesBefore - 1
+	for m := f.btCrash &^ f.doneCrash; m != 0; m &= m - 1 {
+		p := m & -m
+		rest := f.enabled &^ p
+		if rest&^f.doneStep == 0 && (bits.OnesCount64(rest) > left || rest&f.doneCrash != 0) {
+			f.doneCrash |= p
+			t.stats.Pruned++
+		}
+	}
 }
 
 // commit finalizes an about-to-execute choice on its frame: refresh the
@@ -153,13 +190,19 @@ func (t *SourceDPOR) BacktrackState(c *vexec.Exec, tr sched.Trace, res sched.Res
 	}
 	for i := len(t.stack) - 1; i >= 0; i-- {
 		f := &t.stack[i]
+		t.settleDeadCrashes(c, &f.frame)
 		if !frameOpen(&f.frame) {
 			// The frame is fully explored: its checkpoint will never be
 			// restored again, so the engine may recycle the capture.
-			c.ReleaseState(f.snap)
-			f.snap = nil
+			if f.snap != nil {
+				c.ReleaseState(f.snap)
+				f.snap = nil
+			}
 			t.stack = t.stack[:i]
 			continue
+		}
+		if f.snap == nil {
+			panic(fmt.Sprintf("explore: frame %d reopened without a checkpoint", i))
 		}
 		t.stack = t.stack[:i+1]
 		c.Restore(f.snap, reset)

@@ -8,8 +8,8 @@ package model_test
 //   - sleep-set cells walk on both engines and must produce byte-identical
 //     Reports — same execution, prefix, decision, prune and replay counts,
 //     and the same verdict;
-//   - source-DPOR cells must reach the verdict and completeness of a
-//     sleep-set walk on the oracle, and every leaf of the source-DPOR walk is
+//   - source-DPOR cells must reach the verdict, completeness and execution
+//     count of a sleep-set walk on the oracle, and every leaf of the source-DPOR walk is
 //     replayed on a fresh goroutine controller, which must land on the same
 //     Result, fingerprint and outcomes and pass the suite.
 //
@@ -60,6 +60,7 @@ func TestEngineReportDifferential(t *testing.T) {
 		// engine-driven decisions to the tree.
 		{"firstfit-n2-safe", "firstfit", 2, 1, shmem.Model{Regs: shmem.RegSafe}, model.WalkerSourceDPOR, -1},
 		{"basic-n2-recovery", "basic", 2, 1, shmem.Model{Recovery: true}, model.WalkerSourceDPOR, -1},
+		{"firstfit-n2-recovery", "firstfit", 2, 1, shmem.Model{Recovery: true}, model.WalkerSourceDPOR, -1},
 		// A stage-chaining algorithm (snapshot frames, Ref registers). Its
 		// oracle sleep-set walk is crash-free to stay affordable; the leaf
 		// replay covers the crash branches.
@@ -116,7 +117,9 @@ func TestEngineReportDifferential(t *testing.T) {
 			}
 			src := run(false, model.WalkerSourceDPOR, oc)
 			ref := run(true, model.WalkerSleepSet, oc)
-			if (src.Violation == nil) != (ref.Violation == nil) || src.Complete != ref.Complete {
+			// Sleep sets walk no class twice and the exhaustive walk misses
+			// none, so both execution counts are the number of classes.
+			if (src.Violation == nil) != (ref.Violation == nil) || src.Complete != ref.Complete || src.Executions != ref.Executions {
 				t.Fatalf("source-DPOR and the oracle's sleep-set walk disagree:\n  %s\n  %s", src.Summary(), ref.Summary())
 			}
 			if !src.Proven() {

@@ -135,9 +135,9 @@ type Report struct {
 	Walker     Walker
 	Engine     Engine // vexec exactly when the renamer implements vexec.FrameRenamer
 	Executions int    // complete executions checked
-	Partial    int    // redundant prefixes cut by sleep sets
+	Partial    int    // sleep-blocked prefixes abandoned (source-DPOR enters no dead crash branch)
 	Explored   int    // scheduling decisions executed
-	Pruned     int    // enabled choices skipped as commuting-equivalent
+	Pruned     int    // choices skipped as commuting-equivalent, and source-DPOR's dead crash branches
 	Replayed   int    // prefix grants re-executed (stateless engine only)
 	Restored   int    // checkpoint restores (stateful engine only)
 	Deduped    int    // always 0: no walker cuts a state by hash; kept because perfbench reads it

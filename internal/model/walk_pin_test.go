@@ -14,7 +14,8 @@ import (
 // to it that alters which tree the walk explores — an unmoved lane restored
 // wrongly, a frame rewound to the wrong watermark — moves one of these
 // numbers. No node is cut by a state hash, so the counts are those of pure
-// source-set DPOR with sleep sets.
+// source-set DPOR with sleep sets, dead crash branches settled unwalked
+// (TestCrashBranchingClassSets checks that this keeps every class).
 func TestProveWalkCountsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three complete proof walks; run without -short")
@@ -25,9 +26,9 @@ func TestProveWalkCountsPinned(t *testing.T) {
 		executions, partial, explored int
 		pruned, restored              int
 	}{
-		{"efficient", 2, 1, 35470, 44888, 238304, 87287, 80357},
-		{"basic", 5, 4, 4651, 10520, 31745, 43645, 15170},
-		{"almostadaptive", 4, 3, 4641, 7030, 31910, 25990, 11670},
+		{"efficient", 2, 1, 35470, 0, 193416, 72620, 35469},
+		{"basic", 5, 4, 4651, 1545, 22770, 32795, 6195},
+		{"almostadaptive", 4, 3, 4641, 530, 25410, 20090, 5170},
 	} {
 		var tc conformance.Case
 		for _, c := range conformance.Cases() {

@@ -460,7 +460,7 @@ func TestEfficientWalkRestoresByCopy(t *testing.T) {
 		},
 		Reset: func(pid int) { got[pid], oks[pid] = 0, false },
 	})
-	if !stats.Complete || stats.Executions != 35470 || stats.Restored != 80357 {
+	if !stats.Complete || stats.Executions != 35470 || stats.Restored != 35469 {
 		t.Fatalf("not the pinned walk: complete=%v, %d executions, %d restores", stats.Complete, stats.Executions, stats.Restored)
 	}
 	if roots != n {

@@ -42,8 +42,8 @@ import (
 //
 // Snapshots are pooled: a search that is done with a capture hands it back
 // via ReleaseState and a later Checkpoint reuses its backing arrays. A deep
-// DFS checkpoints at every node, so without reuse the captures dominate the
-// walk's allocation profile.
+// DFS checkpoints at every node it can backtrack to, so without reuse the
+// captures dominate the walk's allocation profile.
 type Snapshot struct {
 	e        *Exec
 	grants   int64
