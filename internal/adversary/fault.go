@@ -30,7 +30,7 @@ func NewStaleReader(seed uint64) *StaleReader {
 
 // Next implements sched.Policy: uniform over the pending set.
 func (s *StaleReader) Next(e sched.Engine) int {
-	return sched.NthPending(e, s.rng.Intn(e.PendingCount()))
+	return sched.NthBit(e.Pending(), s.rng.Intn(e.PendingCount()))
 }
 
 // PickStale implements sched.StalePolicy.
@@ -116,17 +116,20 @@ func (r *Restarter) ShouldRestart(pid int, restarts int) bool {
 type OpDelayer struct {
 	rng    *xrand.Rand
 	victim int
-	op     int64 // the victim's op index to hold (its op-th register access)
-	hold   int   // grants of others remaining while the target op is held
+	others except // everyone but the victim
+	op     int64  // the victim's op index to hold (its op-th register access)
+	hold   int    // grants of others remaining while the target op is held
 }
 
 // NewOpDelayer builds the policy for n processes: the victim, the operation
 // index (0-7) and the hold length (1-6 grants) are all drawn from the seed.
 func NewOpDelayer(seed uint64, n int) *OpDelayer {
 	rng := xrand.New(seed)
+	victim := rng.Intn(n)
 	return &OpDelayer{
 		rng:    rng,
-		victim: rng.Intn(n),
+		victim: victim,
+		others: newExcept(n, victim),
 		op:     int64(rng.Intn(8)),
 		hold:   1 + rng.Intn(6),
 	}
@@ -137,13 +140,14 @@ func NewOpDelayer(seed uint64, n int) *OpDelayer {
 // sole-pending victim is granted (the run must terminate — the remaining
 // hold is simply forfeited, as for a victim that crashes or finishes early).
 func (d *OpDelayer) Next(e sched.Engine) int {
-	pending := e.PendingCount()
-	if d.hold > 0 && isPending(e, d.victim) && e.Proc(d.victim).Steps() == d.op {
-		if pending == 1 {
+	pending := e.Pending()
+	if d.hold > 0 && sched.HasBit(pending, d.victim) && e.Proc(d.victim).Steps() == d.op {
+		free := d.others.filter(pending)
+		if free == 0 {
 			return d.victim
 		}
 		d.hold--
-		return nthPendingExcept(e, d.rng.Intn(pending-1), []int{d.victim})
+		return sched.NthBit(d.others.free, d.rng.Intn(free))
 	}
-	return sched.NthPending(e, d.rng.Intn(pending))
+	return sched.NthBit(pending, d.rng.Intn(e.PendingCount()))
 }

@@ -19,8 +19,9 @@
 package adversary
 
 import (
+	"math/bits"
+
 	"repro/internal/sched"
-	"repro/internal/shmem"
 	"repro/internal/xrand"
 )
 
@@ -30,56 +31,48 @@ import (
 // legal starvation an asynchronous adversary can impose — wait-freedom says
 // the victims' step bounds must hold anyway.
 type Starver struct {
-	victims []int // ascending, distinct
+	victims except
 	rng     *xrand.Rand
 }
 
 // NewStarver builds a starvation policy over n processes with the given
 // victims. Picks among eligible processes are seed-deterministic.
 func NewStarver(seed uint64, n int, victims ...int) *Starver {
-	isVictim := make([]bool, n)
-	for _, v := range victims {
-		isVictim[v] = true
-	}
-	s := &Starver{rng: xrand.New(seed)}
-	for pid, v := range isVictim {
-		if v {
-			s.victims = append(s.victims, pid)
-		}
-	}
-	return s
+	return &Starver{victims: newExcept(n, victims...), rng: xrand.New(seed)}
 }
 
 // Next implements sched.Policy: one draw, uniform over the pending
 // non-victims, or over the whole pending set when only victims are left.
 func (s *Starver) Next(e sched.Engine) int {
-	pending, starved := e.PendingCount(), 0
-	for _, v := range s.victims {
-		if isPending(e, v) {
-			starved++
-		}
+	if free := s.victims.filter(e.Pending()); free > 0 {
+		return sched.NthBit(s.victims.free, s.rng.Intn(free))
 	}
-	if starved == pending {
-		return sched.NthPending(e, s.rng.Intn(pending))
-	}
-	return nthPendingExcept(e, s.rng.Intn(pending-starved), s.victims)
+	return sched.NthBit(e.Pending(), s.rng.Intn(e.PendingCount()))
 }
 
-// isPending reports whether pid has a posted intent in e.
-func isPending(e sched.Engine, pid int) bool { return e.NextPending(pid-1) == pid }
+// except is a policy's fixed set of excluded pids as bit words, with
+// scratch words for the pending pids outside it.
+type except struct {
+	mask, free []uint64
+}
 
-// nthPendingExcept returns the k-th (0-based, ascending) pending pid of e
-// that is not in skip, an ascending list of pids: the pending pid of rank k,
-// moved one pending pid further for every pending skipped pid at or below
-// it. skip is ascending, so a pid the walk moves past is never revisited.
-func nthPendingExcept(e sched.Engine, k int, skip []int) int {
-	pid := sched.NthPending(e, k)
-	for _, v := range skip {
-		if v <= pid && isPending(e, v) {
-			pid = e.NextPending(pid)
-		}
+// newExcept builds the exclusion words of pids over n processes.
+func newExcept(n int, pids ...int) except {
+	x := except{mask: make([]uint64, (n+63)/64), free: make([]uint64, (n+63)/64)}
+	for _, pid := range pids {
+		x.mask[pid>>6] |= 1 << (uint(pid) & 63)
 	}
-	return pid
+	return x
+}
+
+// filter sets x.free to pending &^ x.mask and returns how many bits it holds.
+func (x *except) filter(pending []uint64) int {
+	c := 0
+	for w, word := range pending {
+		x.free[w] = word &^ x.mask[w]
+		c += bits.OnesCount64(x.free[w])
+	}
+	return c
 }
 
 // WriteBlocker is the intent-aware adversary: it grants pending readers
@@ -96,25 +89,27 @@ func NewWriteBlocker(seed uint64) *WriteBlocker {
 	return &WriteBlocker{rng: xrand.New(seed)}
 }
 
-// Next implements sched.Policy via the intent-aware pending iterator: it
-// reservoir-samples the readers in one bitmap walk (one draw per reader),
-// and the writers the same way when no reader is pending.
+// Next implements sched.Policy off the engine's reader words: it
+// reservoir-samples the pending readers in ascending order (one draw per
+// reader), and the writers the same way when no reader is pending.
 func (w *WriteBlocker) Next(e sched.Engine) int {
-	chosen, seen := -1, 0
-	for pid := e.NextPendingKind(-1, shmem.OpRead); pid >= 0; pid = e.NextPendingKind(pid, shmem.OpRead) {
-		seen++
-		if w.rng.Intn(seen) == 0 {
-			chosen = pid
-		}
-	}
-	if chosen >= 0 {
-		return chosen
+	if pid := w.reservoir(e.PendingReads()); pid >= 0 {
+		return pid
 	}
 	// All pending processes are writers; release one at random.
-	for pid := e.NextPending(-1); pid >= 0; pid = e.NextPending(pid) {
-		seen++
-		if w.rng.Intn(seen) == 0 {
-			chosen = pid
+	return w.reservoir(e.Pending())
+}
+
+// reservoir samples the set bits of words in ascending order, one
+// draw per bit, and returns the chosen one (-1 for empty words).
+func (w *WriteBlocker) reservoir(words []uint64) int {
+	chosen, seen := -1, 0
+	for i, word := range words {
+		for ; word != 0; word &= word - 1 {
+			seen++
+			if w.rng.Intn(seen) == 0 {
+				chosen = i<<6 + bits.TrailingZeros64(word)
+			}
 		}
 	}
 	return chosen
@@ -148,9 +143,10 @@ func NewCollapse(seed uint64, n, k int) *Collapse {
 func (cl *Collapse) Next(e sched.Engine) int {
 	// Evict terminated members, then top the window up from the admission
 	// order.
+	pending := e.Pending()
 	live := cl.active[:0]
 	for _, pid := range cl.active {
-		if isPending(e, pid) {
+		if sched.HasBit(pending, pid) {
 			live = append(live, pid)
 		}
 	}
@@ -158,14 +154,14 @@ func (cl *Collapse) Next(e sched.Engine) int {
 	for len(cl.active) < cl.k && cl.next < len(cl.order) {
 		pid := cl.order[cl.next]
 		cl.next++
-		if isPending(e, pid) {
+		if sched.HasBit(pending, pid) {
 			cl.active = append(cl.active, pid)
 		}
 	}
 	if len(cl.active) == 0 {
 		// Everyone admissible has terminated; drain stragglers (possible only
 		// if admission skipped a process that was mid-step at window checks).
-		return sched.NthPending(e, cl.rng.Intn(e.PendingCount()))
+		return sched.NthBit(pending, cl.rng.Intn(e.PendingCount()))
 	}
 	return cl.active[cl.rng.Intn(len(cl.active))]
 }
@@ -206,17 +202,18 @@ func NewLockstep(seed uint64, n, g int) *Lockstep {
 func (l *Lockstep) Next(e sched.Engine) int {
 	// At most one full rotation is needed: some process is pending, so some
 	// cohort has a pending member.
+	pending := e.Pending()
 	for scanned := 0; scanned <= len(l.cohorts); scanned++ {
 		cohort := l.cohorts[l.ci]
 		for l.mi < len(cohort) {
 			pid := cohort[l.mi]
 			l.mi++
-			if isPending(e, pid) {
+			if sched.HasBit(pending, pid) {
 				return pid
 			}
 		}
 		l.mi = 0
 		l.ci = (l.ci + 1) % len(l.cohorts)
 	}
-	return e.NextPending(-1)
+	return sched.NextBit(pending, -1)
 }

@@ -98,7 +98,7 @@ func (t *Tree) Next(e sched.Engine) Choice {
 			if !e.CanRestart(f.chosen.Pid) {
 				panic(fmt.Sprintf("explore: replay diverged at depth %d: process %d not restartable (non-deterministic body?)", t.pos, f.chosen.Pid))
 			}
-		} else if e.NextPending(f.chosen.Pid-1) != f.chosen.Pid {
+		} else if !sched.HasBit(e.Pending(), f.chosen.Pid) {
 			panic(fmt.Sprintf("explore: replay diverged at depth %d: process %d not pending (non-deterministic body?)", t.pos, f.chosen.Pid))
 		}
 		// Refresh the intents captured in this frame: register identities are

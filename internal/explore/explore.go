@@ -351,16 +351,12 @@ func independent(p int, pCrash bool, pIn shmem.Intent, q int, qCrash bool, qIn s
 	return pIn.Commutes(qIn)
 }
 
-// enabledMask collects the pending set as a bitmask. Tree strategies are
-// built for tiny populations; 64 pids is far beyond what an exhaustive or
-// DPOR search can sweep anyway.
+// enabledMask returns the pending set as a bitmask: the engine's first
+// pending word. Tree strategies are built for tiny populations; 64 pids is
+// far beyond what an exhaustive or DPOR search can sweep anyway.
 func enabledMask(e sched.Engine) uint64 {
 	if e.N() > 64 {
 		panic(fmt.Sprintf("explore: tree strategies support at most 64 processes, got %d", e.N()))
 	}
-	var m uint64
-	for pid := e.NextPending(-1); pid >= 0; pid = e.NextPending(pid) {
-		m |= 1 << uint(pid)
-	}
-	return m
+	return e.Pending()[0]
 }

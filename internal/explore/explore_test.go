@@ -89,7 +89,7 @@ func bruteForce(t *testing.T, n int, mk func() system) map[string]bool {
 			return
 		}
 		var pids []int
-		for pid := c.NextPending(-1); pid >= 0; pid = c.NextPending(pid) {
+		for pid := sched.NextBit(c.Pending(), -1); pid >= 0; pid = sched.NextBit(c.Pending(), pid) {
 			pids = append(pids, pid)
 		}
 		ev := make(sched.Trace, len(prefix), len(prefix)+1)

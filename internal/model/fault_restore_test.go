@@ -91,9 +91,9 @@ func randDriveFault(c sched.Engine, rng *xrand.Rand, k int, maxCrashes int) {
 			continue
 		}
 		idx := rng.Intn(c.PendingCount())
-		pid := c.NextPending(-1)
+		pid := sched.NextBit(c.Pending(), -1)
 		for ; idx > 0; idx-- {
-			pid = c.NextPending(pid)
+			pid = sched.NextBit(c.Pending(), pid)
 		}
 		if crashes < maxCrashes && rng.Intn(10) == 0 {
 			c.Crash(pid)

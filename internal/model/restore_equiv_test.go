@@ -100,9 +100,9 @@ func randDrive(c sched.Engine, rng *xrand.Rand, k int, maxCrashes int) {
 	crashes := 0
 	for i := 0; i < k && c.PendingCount() > 0; i++ {
 		idx := rng.Intn(c.PendingCount())
-		pid := c.NextPending(-1)
+		pid := sched.NextBit(c.Pending(), -1)
 		for ; idx > 0; idx-- {
-			pid = c.NextPending(pid)
+			pid = sched.NextBit(c.Pending(), pid)
 		}
 		if crashes < maxCrashes && rng.Intn(10) == 0 {
 			c.Crash(pid)

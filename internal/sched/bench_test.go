@@ -54,9 +54,9 @@ func BenchmarkControllerStepN(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += k {
-				pid := c.NextPending(last)
+				pid := NextBit(c.Pending(), last)
 				if pid < 0 {
-					pid = c.NextPending(-1)
+					pid = NextBit(c.Pending(), -1)
 				}
 				c.StepN(pid, k)
 				last = pid

@@ -37,8 +37,8 @@ func TestRoundRobinStartsAtZero(t *testing.T) {
 	}
 }
 
-// TestPendingIterator exercises NextPending / PendingCount (and the Pending
-// slice built on them) against an independent reference — the pids whose
+// TestPendingIterator exercises the Pending words / PendingCount (and the
+// Pending slice built on them) against an independent reference — the pids whose
 // lifecycle phase is pending, each with a posted intent — across a driven
 // execution, including pids beyond one bitmap word.
 func TestPendingIterator(t *testing.T) {
@@ -58,11 +58,11 @@ func TestPendingIterator(t *testing.T) {
 			}
 		}
 		var iter []int
-		for pid := c.NextPending(-1); pid >= 0; pid = c.NextPending(pid) {
+		for pid := NextBit(c.Pending(), -1); pid >= 0; pid = NextBit(c.Pending(), pid) {
 			iter = append(iter, pid)
 		}
 		if !slices.Equal(iter, want) {
-			t.Fatalf("NextPending walk %v, want %v", iter, want)
+			t.Fatalf("NextBit walk %v, want %v", iter, want)
 		}
 		if got := Pending(c, buf); !slices.Equal(got, want) {
 			t.Fatalf("Pending %v, want %v", got, want)
@@ -138,7 +138,7 @@ func TestAbortPartialExecution(t *testing.T) {
 		}
 	})
 	for i := 0; i < 7; i++ { // a few grants before aborting
-		c.Step(c.NextPending(-1))
+		c.Step(NextBit(c.Pending(), -1))
 	}
 	c.Abort()
 	if got := c.PendingCount(); got != 0 {

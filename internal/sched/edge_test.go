@@ -105,7 +105,7 @@ func TestAbortRacingParallelRuns(t *testing.T) {
 			}
 		})
 		for s := 0; s < 5; s++ {
-			c.Step(c.NextPending(-1))
+			c.Step(NextBit(c.Pending(), -1))
 		}
 		c.Abort()
 		for pid := 0; pid < 6; pid++ {
@@ -117,32 +117,33 @@ func TestAbortRacingParallelRuns(t *testing.T) {
 	wg.Wait()
 }
 
-// TestNextPendingWraparound pins the iterator's boundary behavior: negative
-// after clamps to the start, after at or beyond the last pid yields -1, and
-// word boundaries (pid 63/64) are crossed correctly.
+// TestNextPendingWraparound pins NextBit's boundary behavior over a
+// Controller's pending words: negative after clamps to the start, after at or
+// beyond the last pid yields -1, and word boundaries (pid 63/64) are crossed
+// correctly.
 func TestNextPendingWraparound(t *testing.T) {
 	const n = 130 // three bitmap words, last one partial
 	var r shmem.Reg
 	c := NewController(n, nil, func(p *shmem.Proc) { p.Read(&r) })
 	defer c.Abort()
 
-	if got := c.NextPending(-1); got != 0 {
-		t.Fatalf("NextPending(-1) = %d, want 0", got)
+	if got := NextBit(c.Pending(), -1); got != 0 {
+		t.Fatalf("NextBit(Pending, -1) = %d, want 0", got)
 	}
-	if got := c.NextPending(-100); got != 0 {
-		t.Fatalf("NextPending(-100) = %d, want 0 (negative after clamps)", got)
+	if got := NextBit(c.Pending(), -100); got != 0 {
+		t.Fatalf("NextBit(Pending, -100) = %d, want 0 (negative after clamps)", got)
 	}
-	if got := c.NextPending(n - 1); got != -1 {
-		t.Fatalf("NextPending(n-1) = %d, want -1", got)
+	if got := NextBit(c.Pending(), n-1); got != -1 {
+		t.Fatalf("NextBit(Pending, n-1) = %d, want -1", got)
 	}
-	if got := c.NextPending(n + 50); got != -1 {
-		t.Fatalf("NextPending(beyond n) = %d, want -1", got)
+	if got := NextBit(c.Pending(), n+50); got != -1 {
+		t.Fatalf("NextBit(Pending, beyond n) = %d, want -1", got)
 	}
-	if got := c.NextPending(62); got != 63 {
-		t.Fatalf("NextPending(62) = %d, want 63", got)
+	if got := NextBit(c.Pending(), 62); got != 63 {
+		t.Fatalf("NextBit(Pending, 62) = %d, want 63", got)
 	}
-	if got := c.NextPending(63); got != 64 {
-		t.Fatalf("NextPending(63) = %d, want 64 (word boundary)", got)
+	if got := NextBit(c.Pending(), 63); got != 64 {
+		t.Fatalf("NextBit(Pending, 63) = %d, want 64 (word boundary)", got)
 	}
 
 	// Retire pids 64..129 and verify iteration from a now-empty tail wraps
@@ -150,8 +151,8 @@ func TestNextPendingWraparound(t *testing.T) {
 	for pid := 64; pid < n; pid++ {
 		c.Step(pid)
 	}
-	if got := c.NextPending(63); got != -1 {
-		t.Fatalf("NextPending(63) after retiring tail = %d, want -1", got)
+	if got := NextBit(c.Pending(), 63); got != -1 {
+		t.Fatalf("NextBit(Pending, 63) after retiring tail = %d, want -1", got)
 	}
 	rr := &RoundRobin{next: 64}
 	if got := rr.Next(c); got != 0 {
@@ -159,11 +160,11 @@ func TestNextPendingWraparound(t *testing.T) {
 	}
 
 	// Retire everything; both iterators must report exhaustion.
-	for pid := c.NextPending(-1); pid >= 0; pid = c.NextPending(-1) {
+	for pid := NextBit(c.Pending(), -1); pid >= 0; pid = NextBit(c.Pending(), -1) {
 		c.Step(pid)
 	}
-	if got := c.NextPending(-1); got != -1 {
-		t.Fatalf("NextPending on empty set = %d, want -1", got)
+	if got := NextBit(c.Pending(), -1); got != -1 {
+		t.Fatalf("NextBit on an empty set = %d, want -1", got)
 	}
 	if got := (&RoundRobin{}).Next(c); got != -1 {
 		t.Fatalf("RoundRobin on empty set = %d, want -1", got)

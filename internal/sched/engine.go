@@ -30,8 +30,15 @@ type Engine interface {
 	// Observation surface: what a policy may inspect at a decision point.
 	N() int
 	PendingCount() int
-	NextPending(after int) int
-	NextPendingKind(after int, kind shmem.OpKind) int
+	// Pending and PendingReads are live bit-word views of engine state (see
+	// NextBit, NthBit, HasBit): bit pid of Pending is set exactly when pid
+	// has a posted intent, and of PendingReads when that intent is an
+	// OpRead, so the pending writers are Pending &^ PendingReads. Each
+	// slice has one word per 64 pids and lives as long as the engine:
+	// every grant, Reset and Restore updates it in place. Callers must
+	// never write it.
+	Pending() []uint64
+	PendingReads() []uint64
 	Intent(pid int) shmem.Intent
 	Proc(pid int) *shmem.Proc
 	Done(pid int) bool
@@ -153,7 +160,7 @@ func ApplyTraceTo(e Engine, prefix Trace) error {
 			e.Restart(ev.Pid)
 			continue
 		}
-		if ev.Pid < 0 || ev.Pid >= e.N() || e.NextPending(ev.Pid-1) != ev.Pid {
+		if ev.Pid < 0 || ev.Pid >= e.N() || !HasBit(e.Pending(), ev.Pid) {
 			return fmt.Errorf("sched: trace event %d (%s) grants a non-pending process", i, ev)
 		}
 		if got := e.Intent(ev.Pid).Kind; got != ev.Op {

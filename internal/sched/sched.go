@@ -21,8 +21,8 @@
 // bound in the paper is stated in local steps and simulation cost per step
 // bounds the reachable n and schedule count. A step handoff is a single
 // mutex-protected park/unpark pair per side (no channel select, no per-step
-// data transfer), the pending set is maintained incrementally as a bitmap
-// (NextPending and PendingCount expose it without allocating), and StepN
+// data transfer), the pending set is maintained incrementally as bit words
+// (Pending and PendingReads expose them without copying), and StepN
 // grants a run of consecutive steps with one wakeup. A granted step is
 // zero-allocation in steady state; see BenchmarkControllerStep and the
 // controller_step rows of cmd/bench.
@@ -30,7 +30,6 @@ package sched
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -113,6 +112,7 @@ type Controller struct {
 	active       atomic.Int32 // processes currently computing (not blocked/finished)
 
 	pbits    []uint64 // pending bitmap: bit pid set ⟺ phase[pid] == phasePending
+	rbits    []uint64 // the pending pids whose posted intent is an OpRead
 	npending int
 
 	fp     uint64 // incremental schedule fingerprint (see Fingerprint)
@@ -167,6 +167,9 @@ func (g gate) Step(pid int, intent shmem.Intent) {
 	c.intent[pid] = intent
 	c.phase[pid] = phasePending
 	c.pbits[uint(pid)>>6] |= 1 << (uint(pid) & 63)
+	if intent.Kind == shmem.OpRead {
+		c.rbits[uint(pid)>>6] |= 1 << (uint(pid) & 63)
+	}
 	c.npending++
 	// With other processes pending the next grant is probably not ours, so
 	// park straight away; as the sole pending process the driver's only
@@ -233,6 +236,7 @@ func NewController(n int, names []int64, body Body) *Controller {
 		err:    make([]error, n),
 		seats:  make([]seat, n),
 		pbits:  make([]uint64, (n+63)/64),
+		rbits:  make([]uint64, (n+63)/64),
 		body:   body,
 	}
 	c.idle.L = &c.mu
@@ -299,30 +303,14 @@ func (c *Controller) waitQuiesce() {
 // operation.
 func (c *Controller) PendingCount() int { return c.npending }
 
-// NextPending returns the smallest pending pid greater than after, or -1 if
-// there is none. Iterating with after = -1, then the previous return value,
-// visits the pending set in pid order without allocating.
-func (c *Controller) NextPending(after int) int {
-	i := after + 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= c.n {
-		return -1
-	}
-	w := uint(i) >> 6
-	word := c.pbits[w] &^ (1<<(uint(i)&63) - 1)
-	for {
-		if word != 0 {
-			return int(w)<<6 + bits.TrailingZeros64(word)
-		}
-		w++
-		if w >= uint(len(c.pbits)) {
-			return -1
-		}
-		word = c.pbits[w]
-	}
-}
+// Pending returns the live pending bitmap (see Engine.Pending). The
+// processes write it under c.mu while they post; the driver reads it at
+// decision points, once waitQuiesce has seen every process block or finish.
+func (c *Controller) Pending() []uint64 { return c.pbits }
+
+// PendingReads returns the live bitmap of pending readers (see
+// Engine.PendingReads).
+func (c *Controller) PendingReads() []uint64 { return c.rbits }
 
 // Intent returns the published next operation of a pending process.
 func (c *Controller) Intent(pid int) shmem.Intent {
@@ -334,20 +322,6 @@ func (c *Controller) Intent(pid int) shmem.Intent {
 
 // N returns the number of processes the controller was built with.
 func (c *Controller) N() int { return c.n }
-
-// NextPendingKind returns the smallest pending pid greater than after whose
-// posted intent is a kind operation, or -1 if there is none. It is the
-// intent-aware counterpart of NextPending, letting adversarial policies scan
-// just the pending readers (or writers) without materializing the pending
-// set.
-func (c *Controller) NextPendingKind(after int, kind shmem.OpKind) int {
-	for pid := c.NextPending(after); pid >= 0; pid = c.NextPending(pid) {
-		if c.intent[pid].Kind == kind {
-			return pid
-		}
-	}
-	return -1
-}
 
 // Fingerprint returns a hash identifying the schedule driven so far: every
 // grant and crash folds (pid, operation kind, run length, crash) into it, so
@@ -408,8 +382,8 @@ func (c *Controller) noteWeakGrant(pid int, crash bool) {
 	if !crash && in.Kind == shmem.OpWrite {
 		if r, ok := in.Reg.(*shmem.Reg); ok {
 			v := r.Peek()
-			for q := c.NextPending(-1); q >= 0; q = c.NextPending(q) {
-				if q == pid || c.intent[q].Kind != shmem.OpRead || c.intent[q].Reg != in.Reg {
+			for q := NextBit(c.rbits, -1); q >= 0; q = NextBit(c.rbits, q) {
+				if q == pid || c.intent[q].Reg != in.Reg {
 					continue
 				}
 				w := c.staleWin[q]
@@ -560,6 +534,7 @@ func (c *Controller) grant(pid, k int, crash bool, stale int) {
 	c.mu.Lock()
 	c.phase[pid] = phaseRunning
 	c.pbits[uint(pid)>>6] &^= 1 << (uint(pid) & 63)
+	c.rbits[uint(pid)>>6] &^= 1 << (uint(pid) & 63)
 	c.npending--
 	c.active.Add(1)
 	s := &c.seats[pid]
@@ -606,7 +581,7 @@ func (c *Controller) Crash(pid int) {
 // cleanup path for partially driven executions.
 func (c *Controller) Abort() {
 	for {
-		pid := c.NextPending(-1)
+		pid := NextBit(c.pbits, -1)
 		if pid < 0 {
 			return
 		}
@@ -775,9 +750,10 @@ func ParallelRuns(m int, mk func(run int) RunSpec) []Result {
 }
 
 // Policy chooses the next process to step among the pending ones. It reads
-// the pending set through the engine's iterator (NextPending, PendingCount,
-// NextPendingKind — see Pending for a slice) and must return a pending pid;
-// the drivers call Next only while at least one process is pending.
+// the pending set off the engine's bit words (Pending, PendingReads and
+// PendingCount, walked with NextBit, NthBit and HasBit) and must return a
+// pending pid; the drivers call Next only while at least one process is
+// pending.
 // Policies decide through the Engine seam, so the same policy drives the
 // goroutine controller and the vectorized engine unchanged, and each policy
 // has exactly one decision procedure.
@@ -792,12 +768,12 @@ type PolicyFunc func(e Engine) int
 func (f PolicyFunc) Next(e Engine) int { return f(e) }
 
 // Pending appends the pending pids of e, in pid order, to buf[:0] and returns
-// it: the slice form of the NextPending iterator, for policies and tests that
-// want the whole set at once. Passing a buffer with capacity >= e.N() makes
-// the call allocation-free.
+// it: the slice form of e.Pending, for tests that want the whole set at once.
+// Passing a buffer with capacity >= e.N() makes the call allocation-free.
 func Pending(e Engine, buf []int) []int {
 	buf = buf[:0]
-	for pid := e.NextPending(-1); pid >= 0; pid = e.NextPending(pid) {
+	words := e.Pending()
+	for pid := NextBit(words, -1); pid >= 0; pid = NextBit(words, pid) {
 		buf = append(buf, pid)
 	}
 	return buf
@@ -809,12 +785,13 @@ type RoundRobin struct {
 	next int // smallest pid eligible before wrapping
 }
 
-// Next implements Policy: an O(1) amortized cyclic scan of the pending
-// bitmap.
+// Next implements Policy: the next pending pid at or after rr.next, wrapping
+// around to the smallest — a scan of the pending words.
 func (rr *RoundRobin) Next(e Engine) int {
-	pid := e.NextPending(rr.next - 1)
+	words := e.Pending()
+	pid := NextBit(words, rr.next-1)
 	if pid < 0 {
-		pid = e.NextPending(-1)
+		pid = NextBit(words, -1)
 		if pid < 0 {
 			return -1
 		}
@@ -833,31 +810,10 @@ func NewRandom(seed uint64) *Random {
 	return &Random{rng: xrand.New(seed)}
 }
 
-// NthPender is implemented by engines that can select the i-th pending pid
-// (ascending) faster than i NextPending hops — vexec selects it straight
-// out of its pending bitmap.
-type NthPender interface {
-	NthPending(i int) int
-}
-
-// NthPending returns the i-th pending pid of e in ascending order (i in
-// [0, PendingCount)): straight from the engine when it is an NthPender,
-// otherwise by i NextPending hops.
-func NthPending(e Engine, i int) int {
-	if np, ok := e.(NthPender); ok {
-		return np.NthPending(i)
-	}
-	pid := e.NextPending(-1)
-	for ; i > 0; i-- {
-		pid = e.NextPending(pid)
-	}
-	return pid
-}
-
 // Next implements Policy: the r-th pending pid in ascending order for
 // r = Intn(PendingCount), one rng draw per decision.
 func (r *Random) Next(e Engine) int {
-	return NthPending(e, r.rng.Intn(e.PendingCount()))
+	return NthBit(e.Pending(), r.rng.Intn(e.PendingCount()))
 }
 
 // CrashPlan decides, just before a chosen process would take a step, whether

@@ -103,7 +103,7 @@ func engines(t *testing.T, m shmem.Model) map[string]func() (sched.Engine, *fixt
 // full stale window before the read is granted.
 func writerFirst() sched.Policy {
 	return sched.PolicyFunc(func(e sched.Engine) int {
-		return e.NextPending(-1)
+		return sched.NextBit(e.Pending(), -1)
 	})
 }
 
@@ -239,7 +239,7 @@ func TestStepStaleRecomputesAcrossWriterRestart(t *testing.T) {
 			}
 			// Drain the restarted writer; the run must complete cleanly.
 			for e.PendingCount() > 0 {
-				e.Step(e.NextPending(-1))
+				e.Step(sched.NextBit(e.Pending(), -1))
 			}
 			res := e.Result()
 			if res.Err != nil {

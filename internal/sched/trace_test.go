@@ -6,10 +6,10 @@ import (
 	"repro/internal/shmem"
 )
 
-// TestNextPendingKindAtWordBoundary pins the intent-aware iterator across
+// TestNextPendingKindAtWordBoundary pins the reader and writer words across
 // the pending bitmap's 64-bit word boundary: pids 63 and 64 live in
-// different words, and the iteration must neither skip nor duplicate either
-// side under mixed read/write intents.
+// different words, and walking PendingReads and Pending &^ PendingReads must
+// neither skip nor duplicate either side under mixed read/write intents.
 func TestNextPendingKindAtWordBoundary(t *testing.T) {
 	const n = 66
 	var r shmem.Reg
@@ -26,9 +26,23 @@ func TestNextPendingKindAtWordBoundary(t *testing.T) {
 	})
 	defer c.Abort()
 
+	// nextKind is the smallest pending pid after after with a kind intent.
+	nextKind := func(after int, kind shmem.OpKind) int {
+		words := make([]uint64, len(c.Pending()))
+		for w := range words {
+			words[w] = c.Pending()[w] &^ c.PendingReads()[w]
+			if kind == shmem.OpRead {
+				words[w] = c.PendingReads()[w]
+			}
+		}
+		return NextBit(words, after)
+	}
 	collect := func(kind shmem.OpKind) []int {
 		var got []int
-		for pid := c.NextPendingKind(-1, kind); pid >= 0; pid = c.NextPendingKind(pid, kind) {
+		for pid := nextKind(-1, kind); pid >= 0; pid = nextKind(pid, kind) {
+			if c.Intent(pid).Kind != kind {
+				t.Fatalf("pid %d in the %s words posted %s", pid, kind, c.Intent(pid).Kind)
+			}
 			got = append(got, pid)
 		}
 		return got
@@ -50,27 +64,27 @@ func TestNextPendingKindAtWordBoundary(t *testing.T) {
 	}
 
 	// Resume exactly at the boundary from both sides.
-	if got := c.NextPendingKind(62, shmem.OpWrite); got != 63 {
+	if got := nextKind(62, shmem.OpWrite); got != 63 {
 		t.Fatalf("next writer after 62 = %d, want 63", got)
 	}
-	if got := c.NextPendingKind(63, shmem.OpRead); got != 64 {
+	if got := nextKind(63, shmem.OpRead); got != 64 {
 		t.Fatalf("next reader after 63 = %d, want 64", got)
 	}
-	if got := c.NextPendingKind(63, shmem.OpWrite); got != 65 {
+	if got := nextKind(63, shmem.OpWrite); got != 65 {
 		t.Fatalf("next writer after 63 = %d, want 65", got)
 	}
-	if got := c.NextPendingKind(64, shmem.OpRead); got != -1 {
+	if got := nextKind(64, shmem.OpRead); got != -1 {
 		t.Fatalf("next reader after 64 = %d, want -1", got)
 	}
 
 	// Step pid 63 and 64 across their first ops: 63 flips to a read intent,
-	// 64 to a write intent, and the iterators must track the change.
+	// 64 to a write intent, and the words must track the change.
 	c.Step(63)
 	c.Step(64)
-	if got := c.NextPendingKind(62, shmem.OpRead); got != 63 {
+	if got := nextKind(62, shmem.OpRead); got != 63 {
 		t.Fatalf("after stepping, next reader after 62 = %d, want 63", got)
 	}
-	if got := c.NextPendingKind(63, shmem.OpWrite); got != 64 {
+	if got := nextKind(63, shmem.OpWrite); got != 64 {
 		t.Fatalf("after stepping, next writer after 63 = %d, want 64", got)
 	}
 }
@@ -177,7 +191,7 @@ func TestReplayPrefixReconstructsMidState(t *testing.T) {
 	// The pending set at the prefix point must match what the original
 	// execution's next event implies: its pid is pending with that op.
 	next := full[len(half)]
-	if rc.NextPending(next.Pid-1) != next.Pid {
+	if NextBit(rc.Pending(), next.Pid-1) != next.Pid {
 		t.Fatalf("process %d not pending after prefix replay", next.Pid)
 	}
 	if got := rc.Intent(next.Pid).Kind; got != next.Op {

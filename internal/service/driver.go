@@ -100,6 +100,7 @@ type Driver struct {
 	svc   *Service
 	w     Workload
 	e     sched.Engine
+	pend  []uint64    // e.Pending(), the engine's live pending words
 	vx    *vexec.Exec // non-nil when driving the vectorized engine
 	ctl   *sched.Controller
 	lanes []*Lane
@@ -143,7 +144,7 @@ func NewVexecDriver(svc *Service, w Workload) *Driver {
 	d.vx = vexec.New(n, nil, func(p *shmem.Proc) vexec.Frame {
 		return d.lanes[p.ID()].SpawnFrame(p)
 	})
-	d.e = d.vx
+	d.e, d.pend = d.vx, d.vx.Pending()
 	return d
 }
 
@@ -184,7 +185,7 @@ func NewGoroutineDriver(svc *Service, w Workload) *Driver {
 	d.ctl = sched.NewController(n, nil, func(p *shmem.Proc) {
 		d.lanes[p.ID()].Body(p)
 	})
-	d.e = d.ctl
+	d.e, d.pend = d.ctl, d.ctl.Pending()
 	return d
 }
 
@@ -208,8 +209,8 @@ func (d *Driver) tryStart(pid int, steps int64) bool {
 	return true
 }
 
-// eligible reports whether lane pid may be granted now: pending, and not a
-// holder whose release is still withheld.
+// eligible reports whether pending lane pid may be granted now: it is not a
+// holder whose release is still withheld. pick supplies only pending pids.
 func (d *Driver) eligible(pid int) bool {
 	if d.lanes[pid].Holding() && d.releaseAt[pid] > d.now {
 		return false
@@ -220,12 +221,12 @@ func (d *Driver) eligible(pid int) bool {
 // pick selects the next lane to grant, round-robin from the cursor over the
 // engine's pending set, or -1 when nothing is grantable now.
 func (d *Driver) pick() int {
-	for pid := d.e.NextPending(d.cursor); pid >= 0; pid = d.e.NextPending(pid) {
+	for pid := sched.NextBit(d.pend, d.cursor); pid >= 0; pid = sched.NextBit(d.pend, pid) {
 		if d.eligible(pid) {
 			return pid
 		}
 	}
-	for pid := d.e.NextPending(-1); pid >= 0 && pid <= d.cursor; pid = d.e.NextPending(pid) {
+	for pid := sched.NextBit(d.pend, -1); pid >= 0 && pid <= d.cursor; pid = sched.NextBit(d.pend, pid) {
 		if d.eligible(pid) {
 			return pid
 		}

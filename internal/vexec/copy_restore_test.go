@@ -54,7 +54,7 @@ func faultStep(e *vexec.Exec, rng *xrand.Rand, m shmem.Model, crashes *int, maxC
 	if m.Recovery && rng.Intn(6) == 0 && restart() {
 		return true
 	}
-	pid := e.NthPending(rng.Intn(e.PendingCount()))
+	pid := sched.NthBit(e.Pending(), rng.Intn(e.PendingCount()))
 	switch {
 	case *crashes < maxCrashes && rng.Intn(8) == 0:
 		*crashes++
@@ -406,7 +406,7 @@ func TestClonerSaveLoadRoundTrip(t *testing.T) {
 				rng := xrand.New(seed)
 				crashes := 0
 				for step := 0; ; step++ {
-					for pid := e.NextPending(-1); pid >= 0; pid = e.NextPending(pid) {
+					for pid := sched.NextBit(e.Pending(), -1); pid >= 0; pid = sched.NextBit(e.Pending(), pid) {
 						root := e.LaneRoot(pid).(vexec.Cloner)
 						rv := reflect.ValueOf(root).Elem()
 						saved[pid] = root.Save(saved[pid])
@@ -483,8 +483,8 @@ func TestCheckpointWeakRegistersAllocsNothing(t *testing.T) {
 	e, _, _ := newVexec(t, ff, n, 1, shmem.Model{Regs: shmem.RegSafe}, true)
 	stale := false
 	for !stale && e.PendingCount() > 0 {
-		e.Step(e.NextPending(-1))
-		for pid := e.NextPending(-1); pid >= 0; pid = e.NextPending(pid) {
+		e.Step(sched.NextBit(e.Pending(), -1))
+		for pid := sched.NextBit(e.Pending(), -1); pid >= 0; pid = sched.NextBit(e.Pending(), pid) {
 			stale = stale || e.StaleCount(pid) > 0
 		}
 	}
@@ -510,9 +510,12 @@ func TestGrantRestoreCycleAllocsNothing(t *testing.T) {
 	e, _, _ := newVexec(t, ff, 3, 1, shmem.Model{}, true)
 	base := e.Checkpoint()
 	cycle := func() {
-		e.Step(e.NextPending(-1))
+		e.Step(sched.NextBit(e.Pending(), -1))
 		s := e.Checkpoint()
-		w := e.NextPendingKind(-1, shmem.OpWrite)
+		w := sched.NextBit(e.Pending(), -1)
+		for w >= 0 && sched.HasBit(e.PendingReads(), w) {
+			w = sched.NextBit(e.Pending(), w)
+		}
 		if w < 0 {
 			t.Fatal("no pending writer after the first grant; the check is vacuous")
 		}

@@ -80,7 +80,7 @@ func checkDecisions(t *testing.T, label string, c conformance.Case, n int, seed 
 		if ve != nil && ve.Peek() != oe.Peek() {
 			t.Fatalf("%s: decision %d (%s) wrote %d on vexec, %d on the oracle", label, i, ev, ve.Peek(), oe.Peek())
 		}
-		for pid := e.NextPending(-1); pid >= 0; pid = e.NextPending(pid) {
+		for pid := sched.NextBit(e.Pending(), -1); pid >= 0; pid = sched.NextBit(e.Pending(), pid) {
 			if v, o := e.StaleVals(pid, nil), ctl.StaleVals(pid, nil); !slices.Equal(v, o) {
 				t.Fatalf("%s: after decision %d, process %d stale choices: vexec %v, oracle %v", label, i, pid, v, o)
 			}

@@ -2,7 +2,6 @@ package vexec
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime/debug"
 
 	"repro/internal/sched"
@@ -51,6 +50,7 @@ type Exec struct {
 	retB  []bool
 
 	pbits    []uint64 // pending bitmap: bit pid set ⟺ phase[pid] == phasePending
+	rbits    []uint64 // the pending pids whose posted intent is an OpRead
 	npending int
 	fp       uint64
 	grants   int64
@@ -95,6 +95,7 @@ func New(n int, names []int64, root func(p *shmem.Proc) Frame) *Exec {
 		retI:  make([]int64, n),
 		retB:  make([]bool, n),
 		pbits: make([]uint64, (n+63)/64),
+		rbits: make([]uint64, (n+63)/64),
 		root:  root,
 	}
 	for i := 0; i < n; i++ {
@@ -129,9 +130,8 @@ func (e *Exec) Reset(names []int64, root func(p *shmem.Proc) Frame) {
 	e.tracing = false
 	e.traceBuf = e.traceBuf[:0]
 	e.st = stateMirror{clock: e.st.clock} // serials stay never-reused across resets
-	for i := range e.pbits {
-		e.pbits[i] = 0
-	}
+	clear(e.pbits)
+	clear(e.rbits)
 	for i := 0; i < e.n; i++ {
 		name := int64(i + 1)
 		if names != nil {
@@ -245,12 +245,24 @@ func (e *Exec) advance(pid, budget int) {
 				budget--
 				continue
 			}
-			e.phase[pid] = phasePending
-			e.pbits[uint(pid)>>6] |= 1 << (uint(pid) & 63)
-			e.npending++
+			e.post(pid)
 			return
 		}
 	}
+}
+
+// post marks lane pid pending on its posted intent: the pending bit, the
+// reader bit for an OpRead, and the count. The reader bit is set without a
+// branch: reads and writes interleave unpredictably.
+func (e *Exec) post(pid int) {
+	var read uint64
+	if e.ms[pid].intent.Kind == shmem.OpRead {
+		read = 1
+	}
+	e.phase[pid] = phasePending
+	e.pbits[uint(pid)>>6] |= 1 << (uint(pid) & 63)
+	e.rbits[uint(pid)>>6] |= read << (uint(pid) & 63)
+	e.npending++
 }
 
 // grant is the engine's single decision-execution path, mirroring
@@ -279,6 +291,7 @@ func (e *Exec) grant(pid, k int, crash bool, stale int) {
 	}
 	e.phase[pid] = phaseRunning
 	e.pbits[uint(pid)>>6] &^= 1 << (uint(pid) & 63)
+	e.rbits[uint(pid)>>6] &^= 1 << (uint(pid) & 63)
 	e.npending--
 	if crash {
 		// The posted operation never executes and no step is charged — the
@@ -322,7 +335,7 @@ func (e *Exec) Crash(pid int) {
 // Abort crashes every pending process — cleanup for partially driven runs.
 func (e *Exec) Abort() {
 	for {
-		pid := e.NextPending(-1)
+		pid := sched.NextBit(e.pbits, -1)
 		if pid < 0 {
 			return
 		}
@@ -359,8 +372,8 @@ func (e *Exec) noteWeakGrant(pid int, crash bool) {
 	if !crash && in.Kind == shmem.OpWrite {
 		if r, ok := in.Reg.(*shmem.Reg); ok {
 			v := r.Peek()
-			for q := e.NextPending(-1); q >= 0; q = e.NextPending(q) {
-				if q == pid || e.ms[q].intent.Kind != shmem.OpRead || e.ms[q].intent.Reg != in.Reg {
+			for q := sched.NextBit(e.rbits, -1); q >= 0; q = sched.NextBit(e.rbits, q) {
+				if q == pid || e.ms[q].intent.Reg != in.Reg {
 					continue
 				}
 				w := e.staleWin[q]
@@ -472,98 +485,12 @@ func (e *Exec) N() int { return e.n }
 // PendingCount returns the number of lanes with a posted intent.
 func (e *Exec) PendingCount() int { return e.npending }
 
-// NthPending returns the i-th pending pid in ascending order (i in
-// [0, PendingCount)), or -1 — sched.NthPender, selected straight out of the
-// pending bitmap so uniform random policies decide in O(n/64).
-func (e *Exec) NthPending(i int) int {
-	if i < 0 {
-		return -1
-	}
-	for w, word := range e.pbits {
-		c := bits.OnesCount64(word)
-		if i >= c {
-			i -= c
-			continue
-		}
-		return w<<6 + select64(word, i)
-	}
-	return -1
-}
+// Pending returns the live pending bitmap (see sched.Engine.Pending).
+func (e *Exec) Pending() []uint64 { return e.pbits }
 
-// selByte[b|k<<8] is the position of the k-th (0-based) set bit of byte b,
-// or 8 when b has fewer than k+1 bits. 2KB, built once; the table keeps
-// select64 free of data-dependent branches, which mispredict badly under
-// random schedules.
-var selByte [2048]uint8
-
-func init() {
-	for b := 0; b < 256; b++ {
-		k := 0
-		for pos := 0; pos < 8; pos++ {
-			if b>>pos&1 == 1 {
-				selByte[b|k<<8] = uint8(pos)
-				k++
-			}
-		}
-		for ; k < 8; k++ {
-			selByte[b|k<<8] = 8
-		}
-	}
-}
-
-// select64 returns the position of the k-th (0-based) set bit of x, for
-// k < popcount(x). Branchless broadword select (Vigna): byte-wise popcount
-// prefix sums via multiply, a SIMD-within-a-register byte comparison to
-// locate the target byte, then a table lookup inside it.
-func select64(x uint64, k int) int {
-	const (
-		ones = 0x0101010101010101
-		msbs = 0x8080808080808080
-	)
-	s := x - ((x >> 1) & 0x5555555555555555)
-	s = (s & 0x3333333333333333) + ((s >> 2) & 0x3333333333333333)
-	s = ((s + (s >> 4)) & 0x0f0f0f0f0f0f0f0f) * ones
-	// Byte i of s now holds popcount(bytes 0..i of x); all values <= 64, so
-	// the carry trick below is an exact byte-wise "prefix <= k" test.
-	leq := ((uint64(k)*ones | msbs) - s) & msbs
-	place := uint(bits.OnesCount64(leq)) << 3
-	byteRank := uint64(k) - ((s<<8)>>place)&0xff
-	return int(place) + int(selByte[(x>>place)&0xff|byteRank<<8])
-}
-
-// NextPending returns the smallest pending pid greater than after, or -1.
-func (e *Exec) NextPending(after int) int {
-	i := after + 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= e.n {
-		return -1
-	}
-	w := uint(i) >> 6
-	word := e.pbits[w] &^ (1<<(uint(i)&63) - 1)
-	for {
-		if word != 0 {
-			return int(w)<<6 + bits.TrailingZeros64(word)
-		}
-		w++
-		if w >= uint(len(e.pbits)) {
-			return -1
-		}
-		word = e.pbits[w]
-	}
-}
-
-// NextPendingKind returns the smallest pending pid greater than after whose
-// posted intent is a kind operation, or -1.
-func (e *Exec) NextPendingKind(after int, kind shmem.OpKind) int {
-	for pid := e.NextPending(after); pid >= 0; pid = e.NextPending(pid) {
-		if e.ms[pid].intent.Kind == kind {
-			return pid
-		}
-	}
-	return -1
-}
+// PendingReads returns the live bitmap of pending readers (see
+// sched.Engine.PendingReads).
+func (e *Exec) PendingReads() []uint64 { return e.rbits }
 
 // Intent returns the posted next operation of a pending lane.
 func (e *Exec) Intent(pid int) shmem.Intent {

@@ -265,9 +265,8 @@ func (e *Exec) Restore(s *Snapshot, reset func(pid int)) {
 			e.staleWin[pid] = append(e.staleWin[pid][:0], s.stale[pid]...)
 		}
 	}
-	for i := range e.pbits {
-		e.pbits[i] = 0
-	}
+	clear(e.pbits)
+	clear(e.rbits)
 	e.npending = 0
 	for pid := 0; pid < e.n; pid++ {
 		if e.st.moved[pid] != s.moved[pid] {
@@ -288,8 +287,7 @@ func (e *Exec) Restore(s *Snapshot, reset func(pid int)) {
 				pid, phaseName(e.phase[pid]), phaseName(s.phase[pid])))
 		}
 		if e.phase[pid] == phasePending {
-			e.pbits[uint(pid)>>6] |= 1 << (uint(pid) & 63)
-			e.npending++
+			e.post(pid)
 		}
 	}
 }
@@ -312,8 +310,7 @@ func (e *Exec) loadLane(pid int, ps shmem.ProcState, phase uint8, ls *laneSave) 
 	}
 	m.intent, m.RetI, m.RetB = ls.intent, ls.retI, ls.retB
 	if phase == phasePending {
-		e.pbits[uint(pid)>>6] |= 1 << (uint(pid) & 63)
-		e.npending++
+		e.post(pid)
 	}
 }
 

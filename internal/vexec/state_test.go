@@ -103,7 +103,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		wantFP, wantGrants, wantTrace := e.Fingerprint(), e.Grants(), e.Trace().String()
 		var wantPending []int
 		var wantKinds []shmem.OpKind
-		for pid := e.NextPending(-1); pid >= 0; pid = e.NextPending(pid) {
+		for pid := sched.NextBit(e.Pending(), -1); pid >= 0; pid = sched.NextBit(e.Pending(), pid) {
 			wantPending = append(wantPending, pid)
 			wantKinds = append(wantKinds, e.Intent(pid).Kind)
 		}
@@ -114,7 +114,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		wantRegs := [2]int64{s.a.Peek(), s.b.Peek()}
 
 		// Diverge: crash one lane, finish the rest.
-		e.Crash(e.NextPending(-1))
+		e.Crash(sched.NextBit(e.Pending(), -1))
 		roundRobin(e, 1<<10)
 
 		e.Restore(snap, func(pid int) { s.got[pid] = 0 })
@@ -123,7 +123,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 				e.Fingerprint(), e.Grants(), e.Trace(), wantFP, wantGrants, wantTrace)
 		}
 		var gotPending []int
-		for pid := e.NextPending(-1); pid >= 0; pid = e.NextPending(pid) {
+		for pid := sched.NextBit(e.Pending(), -1); pid >= 0; pid = sched.NextBit(e.Pending(), pid) {
 			gotPending = append(gotPending, pid)
 		}
 		if !slices.Equal(gotPending, wantPending) {
@@ -160,7 +160,7 @@ func TestRestoreContinuationMatchesReplay(t *testing.T) {
 		roundRobin(s.e, 3)
 		snap := s.e.Checkpoint()
 		for s.e.PendingCount() > 0 {
-			s.e.Step(s.e.NextPending(-1))
+			s.e.Step(sched.NextBit(s.e.Pending(), -1))
 		}
 		s.e.Restore(snap, func(pid int) { s.got[pid] = 0 })
 		// Restore rewinds the engine, never the policy; after 3 cyclic grants
@@ -187,14 +187,14 @@ func TestRestoreCrashedProcess(t *testing.T) {
 		e.Crash(1)
 		snap := e.Checkpoint()
 		for e.PendingCount() > 0 {
-			e.Step(e.NextPending(-1))
+			e.Step(sched.NextBit(e.Pending(), -1))
 		}
 		e.Restore(snap, func(pid int) { s.got[pid] = 0 })
 		if !e.Crashed(1) || e.Proc(1).Steps() != 0 {
 			t.Fatalf("lane 1 after restore: crashed=%v steps=%d, want crashed at 0 steps", e.Crashed(1), e.Proc(1).Steps())
 		}
 		for e.PendingCount() > 0 {
-			e.Step(e.NextPending(-1))
+			e.Step(sched.NextBit(e.Pending(), -1))
 		}
 		if res := e.Result(); !slices.Equal(res.Crashed, []bool{false, true, false}) || !e.Done(0) || !e.Done(2) {
 			t.Fatalf("restored run: crashed %v, done %v/%v; want only lane 1 crashed and the rest done", res.Crashed, e.Done(0), e.Done(2))
@@ -259,7 +259,7 @@ func TestRestoreRefRegisters(t *testing.T) {
 	// Continuation (lowest pending first): lane 0 writes {20}, lane 1 reads
 	// it, lane 1 writes {21}.
 	for e.PendingCount() > 0 {
-		e.Step(e.NextPending(-1))
+		e.Step(sched.NextBit(e.Pending(), -1))
 	}
 	if got[1] != 20 || *ref.PeekRef() != 21 {
 		t.Fatalf("continuation after restore: got[1]=%d final=%d, want 20/21", got[1], *ref.PeekRef())
