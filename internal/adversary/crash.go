@@ -27,26 +27,3 @@ func CrashOnWrite(seed uint64, prob float64, maxCrashes int) sched.CrashPlan {
 		return false
 	})
 }
-
-// CrashLateWriters crashes every process except the survivors on its w-th
-// posted write (counting posted, not executed, writes). It models an
-// adversary that lets processes invest work — reads, early claims — and
-// kills them mid-protocol, maximizing the spoiled state survivors must
-// tolerate.
-func CrashLateWriters(w int, survivors ...int) sched.CrashPlan {
-	if w < 1 {
-		w = 1
-	}
-	surv := make(map[int]bool, len(survivors))
-	for _, s := range survivors {
-		surv[s] = true
-	}
-	writes := make(map[int]int)
-	return sched.CrashPlanFunc(func(pid int, steps int64, intent shmem.Intent) bool {
-		if surv[pid] || intent.Kind != shmem.OpWrite {
-			return false
-		}
-		writes[pid]++
-		return writes[pid] >= w
-	})
-}

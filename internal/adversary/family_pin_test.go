@@ -23,11 +23,11 @@ func driveFamily(t *testing.T, fam Family, c conformance.Case, n int, seed uint6
 		t.Fatalf("%s does not compile to frames", c.Name)
 	}
 	got, oks := make([]int64, n), make([]bool, n)
-	res := vexec.RunOne(vexec.BatchSpec{N: n, Names: c.Origs(n, seed), Model: fam.Model,
-		Policy: fam.NewPolicy(seed, n), Plan: fam.NewPlan(seed, n),
-		Root: func(p *shmem.Proc) vexec.Frame {
-			return vexec.Capture(fr.FrameRename(p.Name()), &got[p.ID()], &oks[p.ID()])
-		}})
+	e := vexec.New(n, c.Origs(n, seed), func(p *shmem.Proc) vexec.Frame {
+		return vexec.Capture(fr.FrameRename(p.Name()), &got[p.ID()], &oks[p.ID()])
+	})
+	e.SetModel(fam.Model)
+	res := e.Run(fam.NewPolicy(seed, n), fam.NewPlan(seed, n))
 	if res.Err != nil {
 		t.Fatalf("%s/%s n=%d seed=%#x: %v", c.Name, fam.Name, n, seed, res.Err)
 	}

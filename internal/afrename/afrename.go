@@ -59,9 +59,6 @@ func New(slots int) *Renamer {
 	return &Renamer{snap: snapshot.New[entry](slots)}
 }
 
-// Slots returns the number of contender slots.
-func (r *Renamer) Slots() int { return r.snap.Len() }
-
 // Registers returns the number of shared registers the renamer occupies.
 func (r *Renamer) Registers() int { return r.snap.Registers() }
 

@@ -33,8 +33,8 @@ import (
 	"repro/internal/vexec"
 )
 
-// Choice is one scheduling decision: grant pid a run of K steps (K < 1 means
-// one), or crash it before its posted operation executes. A negative Pid
+// Choice is one scheduling decision: grant pid one step, or crash it before
+// its posted operation executes. A negative Pid
 // abandons the in-flight execution — the strategy has recognized the prefix
 // as redundant (sleep-blocked) and wants to backtrack without finishing it.
 //
@@ -45,7 +45,6 @@ import (
 // model.
 type Choice struct {
 	Pid     int
-	K       int
 	Crash   bool
 	Stale   int
 	Restart bool
@@ -90,8 +89,8 @@ type Stats struct {
 	Pruned int
 	// RaceEvents counts happens-before rows derived by race analysis
 	// (source-DPOR only): the incremental layer derives one row per distinct
-	// trace event, the rebuild reference re-derives every row of the whole
-	// trace at every backtrack — the gap is the work the layer saves.
+	// trace event, where the rebuild reference kept in the package's tests
+	// re-derives every row of the whole trace at every backtrack.
 	RaceEvents int
 	// RaceNs estimates the wall-clock nanoseconds spent in race analysis
 	// (source-DPOR only): one backtrack in raceSample is timed and its time
@@ -274,8 +273,6 @@ func dispatch(e sched.Engine, ch Choice) {
 		e.Crash(ch.Pid)
 	case ch.Stale > 0:
 		e.StepStale(ch.Pid, ch.Stale-1)
-	case ch.K > 1:
-		e.StepN(ch.Pid, ch.K)
 	default:
 		e.Step(ch.Pid)
 	}

@@ -80,8 +80,9 @@ func bruteForce(t *testing.T, n int, mk func() system) map[string]bool {
 	var walk func(prefix sched.Trace)
 	walk = func(prefix sched.Trace) {
 		sys := mk()
-		c, err := sched.ReplayTrace(n, nil, sys.body, prefix)
-		if err != nil {
+		c := sched.NewController(n, nil, sys.body)
+		if err := c.ApplyTrace(prefix); err != nil {
+			c.Abort()
 			t.Fatalf("brute-force replay: %v", err)
 		}
 		if c.PendingCount() == 0 {
@@ -96,7 +97,7 @@ func bruteForce(t *testing.T, n int, mk func() system) map[string]bool {
 		copy(ev, prefix)
 		for _, pid := range pids {
 			in := c.Intent(pid)
-			walk(append(ev, sched.TraceEvent{Pid: pid, Op: in.Kind, Reg: in.Reg, K: 1}))
+			walk(append(ev, sched.TraceEvent{Pid: pid, Op: in.Kind, Reg: in.Reg}))
 		}
 		c.Abort()
 	}

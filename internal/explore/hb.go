@@ -7,19 +7,20 @@ import (
 	"repro/internal/shmem"
 )
 
-// This file is the incremental happens-before layer behind SourceDPOR's race
-// analysis. The former path (raceScratch.prepare, kept as the RaceRebuild
-// reference) re-derived the whole relation from the trace at every backtrack:
-// O(L²·words) bit work per explored leaf, which BENCH_PR8 measured at ~40% of
-// a stateful walk — engine-independent, so the vexec engine swap could not
-// touch it. Here the relation is first-class search state instead: one packed
-// row per trace event, appended as the DFS commits grants and truncated to
-// the restored frame's watermark on backtrack, exactly like the engines
-// truncate their recorded trace on Restore. Each updateRaces call then
-// analyzes only the suffix since the last one.
+// This file is the incremental happens-before layer, the one production
+// implementation of SourceDPOR's race analysis. The relation is search state:
+// one packed row per trace event, appended as the DFS commits grants and
+// truncated to the restored frame's watermark on backtrack, exactly like the
+// engines truncate their recorded trace on Restore. Each updateRaces call
+// then analyzes only the suffix since the last one. The path it replaced
+// re-derived the whole relation from the trace at every backtrack:
+// O(L²·words) bit work per explored leaf, which BENCH_PR8.json measured at
+// ~40% of a stateful walk. That rebuild survives in the package's tests
+// (raceScratch) as the reference a test wrapper walks alone or checks this
+// layer against at every backtrack.
 //
-// Correctness hinges on two facts, both exercised by RaceDifferential and the
-// FuzzIncrementalHB arm:
+// Correctness hinges on three facts, all exercised by that differential and
+// the FuzzIncrementalHB arm:
 //
 //   - Spanning edges suffice. An event's row is the union of the rows (plus
 //     the events themselves) of: its process's previous event, the register's
@@ -29,7 +30,7 @@ import (
 //     earlier same-process events chain through the previous one; earlier
 //     writes chain through the last write; earlier reads are direct edges of
 //     the first write after them, which is in the last write's causal past.
-//     So the rows are bit-identical to prepare's full all-pairs pass.
+//     So the rows are bit-identical to the all-pairs rebuild's.
 //
 //   - Direct edges are spanning-edge sources. An event's row is its sources
 //     plus their rows, so every element of the row lies at or below one of
@@ -38,52 +39,18 @@ import (
 //     sources' rows. The direct (Hasse) predecessors are therefore the
 //     sources outside that union: link records them per event as the row is
 //     built, and the scan reads them instead of re-deriving the cover from
-//     every earlier row. The rebuild's cover scan (raceScratch.directRow)
-//     stays the reference RaceDifferential compares them with bit for bit.
+//     every earlier row.
 //
 //   - Re-analyzing an old pair is a no-op. Backtrack-set bits are monotone
 //     over a frame's lifetime, and addSource adds nothing once a weak initial
 //     of the race is scheduled or done — so the pairs (i, j) with j below the
 //     watermark, analyzed by an earlier call against the same frames, need
-//     not be revisited: the rebuild path revisits them and provably changes
-//     nothing (the differential mode re-runs it to assert exactly that).
+//     not be revisited (the differential re-analyzes them to assert exactly
+//     that).
 
-// RaceAnalysis selects how SourceDPOR derives the race relation feeding its
-// backtrack sets. All modes produce identical backtrack sets and therefore
-// identical walks; they differ only in how much work each backtrack costs.
-type RaceAnalysis int
-
-const (
-	// RaceIncremental (the default) maintains per-event happens-before rows
-	// and per-process/per-register frontiers across backtracks, truncated by
-	// watermark alongside the engine's own trace buffer on Restore.
-	RaceIncremental RaceAnalysis = iota
-	// RaceRebuild re-derives the relation from the whole trace at every
-	// backtrack — the pre-incremental path, kept as the reference
-	// implementation the differential suite measures and checks against.
-	RaceRebuild
-	// RaceDifferential runs both on every backtrack and panics on any
-	// divergence, in the backtrack sets or in the relation's rows. Testing
-	// only: it does strictly more work than either mode alone.
-	RaceDifferential
-)
-
-func (m RaceAnalysis) String() string {
-	switch m {
-	case RaceIncremental:
-		return "incremental"
-	case RaceRebuild:
-		return "rebuild"
-	case RaceDifferential:
-		return "differential"
-	default:
-		return fmt.Sprintf("RaceAnalysis(%d)", int(m))
-	}
-}
-
-// hbRel is the read surface the race scan and addSource consume — implemented
-// by both raceScratch (rebuild) and hbState (incremental), so one scan serves
-// both modes.
+// hbRel is the read surface the race scan and addSource consume. hbState
+// implements it, and so does the tests' from-scratch reference, so one scan
+// serves both.
 type hbRel interface {
 	// eventRow returns event j's packed happens-before row.
 	eventRow(j int) []uint64
@@ -125,7 +92,9 @@ type hbState struct {
 func (h *hbState) eventRow(j int) []uint64  { return h.rows[j*h.stride : (j+1)*h.stride] }
 func (h *hbState) directRow(j int) []uint64 { return h.dirs[j*h.stride : (j+1)*h.stride] }
 
-// depends mirrors raceScratch.depends over the incremental columns.
+// depends reports a direct dependence edge m -> k: same process (program
+// order), or accesses to the same register that are not both reads. Crashes
+// and restarts touch no register and depend only on their own process.
 func (h *hbState) depends(tr sched.Trace, m, k int) bool {
 	if tr[m].Pid == tr[k].Pid {
 		return true

@@ -1,40 +1,67 @@
-package model_test
+package explore
 
-// Race-analysis differential: source-DPOR's incremental happens-before layer
-// must drive a walk bit-identical to the from-scratch rebuild reference —
-// same backtrack sets (asserted per backtrack by RaceDifferential inside the
-// engine), and same Report counts over every fixture and fault model here.
-// The fuzz arm widens the cell coordinates; its committed corpus pins a
-// restart-carrying and a stale-read trace.
+// Race-analysis differential over proof cells: source-DPOR's incremental
+// happens-before layer must drive a walk bit-identical to the from-scratch
+// rebuild reference — same backtrack sets (asserted per backtrack by the
+// differential wrapper, see raceref_test.go), and same walk counts over every
+// fixture and fault model here. The fuzz arm widens the cell coordinates; its
+// committed corpus pins a restart-carrying and a stale-read trace.
 
 import (
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/conformance"
-	"repro/internal/explore"
-	"repro/internal/model"
+	"repro/internal/sched"
 	"repro/internal/shmem"
+	"repro/internal/vexec"
 )
 
-// checkCell runs one model-checking cell in the given race mode.
-func checkCell(tc conformance.Case, n, maxCrashes int, m shmem.Model, budget int, race explore.RaceAnalysis) model.Report {
-	return model.Check(tc.Name,
-		func() check.Renamer { return tc.New(n, 1) },
-		n, tc.Origs(n, 1), tc.Suite(n, "model"),
-		model.WithRace(model.Options{MaxCrashes: maxCrashes, Model: m, Budget: budget}, race))
+// checkCell walks one conformance cell under mode with model.Check's wiring:
+// one instance whose frames capture each lane's outcome, a per-lane reset on
+// restore, and every complete execution checked against the cell's suite
+// until the first violation, which it reports. A case without frame automata
+// is skipped: source-DPOR cannot walk it.
+func checkCell(t *testing.T, tc conformance.Case, n, maxCrashes int, m shmem.Model, budget int, mode raceMode) (st Stats, violated bool) {
+	t.Helper()
+	ren := tc.New(n, 1)
+	fr, ok := ren.(vexec.FrameRenamer)
+	if !ok {
+		t.Skipf("%s ships no frame automata", tc.Name)
+	}
+	origs, suite := tc.Origs(n, 1), tc.Suite(n, "model")
+	got, oks := make([]int64, n), make([]bool, n)
+	var record check.Run
+	st = Drive(sourceDPOR(budget, maxCrashes, mode), Config{
+		N:     n,
+		Model: m,
+		Names: origs,
+		Frame: func(int) func(p *shmem.Proc) vexec.Frame {
+			return func(p *shmem.Proc) vexec.Frame {
+				return vexec.Capture(fr.FrameRename(p.Name()), &got[p.ID()], &oks[p.ID()])
+			}
+		},
+		Reset: func(pid int) { got[pid], oks[pid] = 0, false },
+		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
+			if res.Err == nil {
+				record.Reset(origs, got, oks, res, ren.MaxName())
+				if suite.Check(&record) == nil {
+					return true
+				}
+			}
+			violated = true
+			return false
+		},
+	})
+	return st, violated
 }
 
-// raceCounts is the mode-independent slice of a Report: everything that
-// describes the walked tree. RaceEvents/RaceTime are work accounting and
+// walkShape is the mode-independent part of a walk: everything that
+// describes the walked tree. RaceEvents and RaceNs are work accounting and
 // differ across modes by design.
-type raceCounts struct {
-	Executions, Partial, Explored, Pruned, Replayed, Restored int
-	Complete, Violated                                        bool
-}
-
-func countsOf(r model.Report) raceCounts {
-	return raceCounts{r.Executions, r.Partial, r.Explored, r.Pruned, r.Replayed, r.Restored, r.Complete, r.Violation != nil}
+func walkShape(st Stats) Stats {
+	st.RaceEvents, st.RaceNs = 0, 0
+	return st
 }
 
 func TestIncrementalHBDifferential(t *testing.T) {
@@ -64,17 +91,17 @@ func TestIncrementalHBDifferential(t *testing.T) {
 			if !ok {
 				t.Fatalf("conformance case %s missing", cell.algo)
 			}
-			inc := checkCell(tc, cell.n, cell.maxCrashes, cell.model, 0, explore.RaceIncremental)
-			reb := checkCell(tc, cell.n, cell.maxCrashes, cell.model, 0, explore.RaceRebuild)
+			inc, iv := checkCell(t, tc, cell.n, cell.maxCrashes, cell.model, 0, raceIncremental)
+			reb, rv := checkCell(t, tc, cell.n, cell.maxCrashes, cell.model, 0, raceRebuild)
 			// The differential mode re-runs the walk asserting per-backtrack
-			// equality of backtrack sets and relation rows inside the engine.
-			diff := checkCell(tc, cell.n, cell.maxCrashes, cell.model, 0, explore.RaceDifferential)
-			ic, rc, dc := countsOf(inc), countsOf(reb), countsOf(diff)
-			if ic != rc || ic != dc {
-				t.Fatalf("race modes walked different trees:\n  incremental  %+v\n  rebuild      %+v\n  differential %+v", ic, rc, dc)
+			// equality of backtrack sets and relation rows.
+			diff, dv := checkCell(t, tc, cell.n, cell.maxCrashes, cell.model, 0, raceDifferential)
+			ic, rc, dc := walkShape(inc), walkShape(reb), walkShape(diff)
+			if ic != rc || ic != dc || iv != rv || iv != dv {
+				t.Fatalf("race modes walked different trees:\n  incremental  %+v violated=%v\n  rebuild      %+v violated=%v\n  differential %+v violated=%v", ic, iv, rc, rv, dc, dv)
 			}
-			if !inc.Complete {
-				t.Fatalf("cell must exhaust its tree, got %s", inc.Summary())
+			if !inc.Complete || iv {
+				t.Fatalf("cell must exhaust its tree unviolated, got %+v violated=%v", inc, iv)
 			}
 			if inc.RaceEvents == 0 || reb.RaceEvents == 0 {
 				t.Fatalf("race accounting missing: incremental %d, rebuild %d", inc.RaceEvents, reb.RaceEvents)
@@ -89,8 +116,8 @@ func TestIncrementalHBDifferential(t *testing.T) {
 }
 
 // FuzzIncrementalHB mutates the cell coordinates — algorithm, population,
-// crash budget, fault model — and runs the checker with explore.RaceDifferential:
-// the engine panics on the first backtrack where the incremental relation or
+// crash budget, fault model — and walks the cell under raceDifferential: the
+// wrapper panics on the first backtrack where the incremental relation or
 // the backtrack sets it feeds diverge from the from-scratch reference. The
 // committed corpus includes a restart-carrying cell (recovery model) and a
 // stale-read cell (regular registers).
@@ -129,6 +156,6 @@ func FuzzIncrementalHB(f *testing.F) {
 		// algorithms); a budgeted walk still differentials every backtrack
 		// it performs. Expected invariant violations (firstfit under weak
 		// registers) stop the walk cleanly and are not failures here.
-		checkCell(tc, pop, maxCrashes, m, 3000, explore.RaceDifferential)
+		checkCell(t, tc, pop, maxCrashes, m, 3000, raceDifferential)
 	})
 }

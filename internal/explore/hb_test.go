@@ -21,8 +21,8 @@ func TestTraceNeverOutrunsStack(t *testing.T) {
 		"both":     {Regs: shmem.RegRegular, Recovery: true},
 	}
 	for name, m := range models {
-		for _, mode := range []RaceAnalysis{RaceIncremental, RaceRebuild, RaceDifferential} {
-			_, st := driveTreeModel(t, NewSourceDPOR(0, 2).SetRaceAnalysis(mode), 2, m, raceSystem(2))
+		for _, mode := range raceModes {
+			_, st := driveTreeModel(t, sourceDPOR(0, 2, mode), 2, m, raceSystem(2))
 			if !st.Complete {
 				t.Fatalf("%s/%v: walk incomplete: %+v", name, mode, st)
 			}
@@ -39,7 +39,7 @@ func TestSourceDPORWeakInitialsStale(t *testing.T) {
 	const n = 2
 	m := shmem.Model{Regs: shmem.RegSafe}
 	want, wst := driveTreeModel(t, NewSleepSet(0, 1), n, m, raceSystem(n))
-	got, st := driveTreeModel(t, NewSourceDPOR(0, 1).SetRaceAnalysis(RaceDifferential), n, m, raceSystem(n))
+	got, st := driveTreeModel(t, sourceDPOR(0, 1, raceDifferential), n, m, raceSystem(n))
 	if !st.Complete || !wst.Complete {
 		t.Fatalf("incomplete walks: sourcedpor %+v, sleepset %+v", st, wst)
 	}
@@ -59,7 +59,7 @@ func TestSourceDPORWeakInitialsRecovery(t *testing.T) {
 	const n = 2
 	m := shmem.Model{Recovery: true}
 	want, wst := driveTreeModel(t, NewSleepSet(0, n), n, m, raceSystem(n))
-	got, st := driveTreeModel(t, NewSourceDPOR(0, n).SetRaceAnalysis(RaceDifferential), n, m, raceSystem(n))
+	got, st := driveTreeModel(t, sourceDPOR(0, n, raceDifferential), n, m, raceSystem(n))
 	if !st.Complete || !wst.Complete {
 		t.Fatalf("incomplete walks: sourcedpor %+v, sleepset %+v", st, wst)
 	}
@@ -79,8 +79,8 @@ func TestHBModesIdenticalWalks(t *testing.T) {
 		"converge": convergeSystem(3, 2),
 	} {
 		var ref *Stats
-		for _, mode := range []RaceAnalysis{RaceIncremental, RaceRebuild, RaceDifferential} {
-			_, st := driveTree(t, NewSourceDPOR(0, 1).SetRaceAnalysis(mode), 3, mk)
+		for _, mode := range raceModes {
+			_, st := driveTree(t, sourceDPOR(0, 1, mode), 3, mk)
 			st.RaceEvents, st.RaceNs = 0, 0
 			if ref == nil {
 				r := st
@@ -97,7 +97,7 @@ func TestHBModesIdenticalWalks(t *testing.T) {
 // the rebuild reference re-derives.
 func TestHBIncrementalSavesWork(t *testing.T) {
 	_, inc := driveTree(t, NewSourceDPOR(0, 1), 3, raceSystem(3))
-	_, reb := driveTree(t, NewSourceDPOR(0, 1).SetRaceAnalysis(RaceRebuild), 3, raceSystem(3))
+	_, reb := driveTree(t, sourceDPOR(0, 1, raceRebuild), 3, raceSystem(3))
 	if inc.RaceEvents == 0 || reb.RaceEvents == 0 {
 		t.Fatalf("race accounting missing: incremental %d, rebuild %d", inc.RaceEvents, reb.RaceEvents)
 	}

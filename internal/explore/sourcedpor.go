@@ -46,12 +46,8 @@ type SourceDPOR struct {
 	stack     []sframe
 	resumeAt  int // frame whose freshly picked choice executes next; -1 none
 	abandoned bool
-	race      RaceAnalysis
-	hb        hbState     // incremental happens-before layer (RaceIncremental)
-	scratch   raceScratch // from-scratch reference (RaceRebuild)
-	diffSave  []uint64    // RaceDifferential: btStep snapshots across the two runs
-	diffRef   []uint64
-	raceCalls int // updateRaces calls so far, for sampling the race timer
+	hb        hbState // incremental happens-before layer the races are read off
+	raceCalls int     // updateRaces calls so far, for sampling the race timer
 	stats     Stats
 }
 
@@ -72,16 +68,6 @@ func NewSourceDPOR(budget, maxCrashes int) *SourceDPOR {
 		maxCrashes: maxCrashes,
 		resumeAt:   -1,
 	}
-}
-
-// SetRaceAnalysis selects the race-analysis implementation (the zero value,
-// RaceIncremental, is the default). Every mode yields the same backtrack sets
-// and the same walk; RaceRebuild re-derives the relation per backtrack (the
-// measured reference), RaceDifferential runs both and panics on divergence.
-// Returns the receiver.
-func (t *SourceDPOR) SetRaceAnalysis(m RaceAnalysis) *SourceDPOR {
-	t.race = m
-	return t
 }
 
 // Stats implements Strategy.
@@ -174,17 +160,30 @@ func (t *SourceDPOR) commit(c sched.Engine, f *sframe) {
 	t.stats.Explored++
 }
 
-// BacktrackState implements Stateful: fold the finished execution's races
-// into the backtrack sets, pop exhausted frames, and restore the engine to
-// the deepest frame with an unexplored scheduled choice.
+// BacktrackState implements Stateful: count the finished execution, fold its
+// races into the backtrack sets, and retreat to the deepest frame with an
+// unexplored scheduled choice.
 func (t *SourceDPOR) BacktrackState(c *vexec.Exec, tr sched.Trace, res sched.Result, reset func(pid int)) bool {
+	t.count()
+	t.updateRaces(tr)
+	return t.retreat(c, reset)
+}
+
+// count tallies the execution that just ended: partial when the walk
+// abandoned it as sleep-blocked, complete otherwise.
+func (t *SourceDPOR) count() {
 	if t.abandoned {
 		t.abandoned = false
 		t.stats.Partial++
 	} else {
 		t.stats.Executions++
 	}
-	t.updateRaces(tr)
+}
+
+// retreat ends the walk at the budget, pops exhausted frames, and restores
+// the engine to the deepest frame with an unexplored scheduled choice,
+// rewinding the happens-before layer with it.
+func (t *SourceDPOR) retreat(c *vexec.Exec, reset func(pid int)) bool {
 	if t.budget > 0 && t.stats.Executions+t.stats.Partial >= t.budget {
 		return false
 	}
@@ -207,34 +206,21 @@ func (t *SourceDPOR) BacktrackState(c *vexec.Exec, tr sched.Trace, res sched.Res
 		t.stack = t.stack[:i+1]
 		c.Restore(f.snap, reset)
 		t.stats.Restored++
-		if t.race != RaceRebuild {
-			// Frame i's checkpoint was taken at trace length i, and Restore
-			// truncated the engine's trace buffer to that watermark; rewind
-			// the happens-before layer in lockstep. The TraceLen cross-check
-			// ties the layer's watermark to the engine's actual cursor — a
-			// frame/trace misalignment would silently corrupt the relation.
-			if got := c.TraceLen(); got != i {
-				panic(fmt.Sprintf("explore: engine trace holds %d events after restoring frame %d", got, i))
-			}
-			t.hb.truncate(i)
+		// Frame i's checkpoint was taken at trace length i, and Restore
+		// truncated the engine's trace buffer to that watermark; rewind the
+		// happens-before layer in lockstep. The TraceLen cross-check ties the
+		// layer's watermark to the engine's actual cursor — a frame/trace
+		// misalignment would silently corrupt the relation.
+		if got := c.TraceLen(); got != i {
+			panic(fmt.Sprintf("explore: engine trace holds %d events after restoring frame %d", got, i))
 		}
+		t.hb.truncate(i)
 		pickNext(&f.frame)
 		t.resumeAt = i
 		return true
 	}
 	t.stats.Complete = true
 	return false
-}
-
-// raceScratch holds the per-execution race-analysis buffers, reused across
-// executions so the hot search loop stays allocation-light.
-type raceScratch struct {
-	regKey map[any]int32 // register identity -> dense key for this trace
-	keys   []int32       // per event: register key (-1 for crashes)
-	writes []bool        // per event: the access was a write
-	hb     []uint64      // L x words bitset: hb[j] = events happening-before j
-	direct []uint64      // scratch row: the cover of hb[j], then hb[j] minus it
-	words  int
 }
 
 // growClear resizes buf to length n with every element zeroed, reusing the
@@ -250,34 +236,6 @@ func growClear[T any](buf []T, n int) []T {
 	return buf
 }
 
-// bit helpers over packed rows of width s.words.
-func (s *raceScratch) row(r []uint64, j int) []uint64 { return r[j*s.words : (j+1)*s.words] }
-
-// raceScratch implements hbRel so the shared race scan runs over either the
-// from-scratch relation or the incremental layer.
-func (s *raceScratch) eventRow(j int) []uint64 { return s.row(s.hb, j) }
-
-// directRow derives event j's direct predecessors from the whole relation:
-// hb[j] minus the union of hb[m] over every m in hb[j]. It is the reference
-// the incremental layer's spanning-edge shortcut (hbState.directRow) is
-// checked against.
-func (s *raceScratch) directRow(j int) []uint64 {
-	hbj := s.eventRow(j)
-	dir := s.direct[:s.words]
-	clear(dir)
-	for w, word := range hbj {
-		for word != 0 {
-			m := w<<6 + trailingZeros(word)
-			word &= word - 1
-			rowOr(dir, s.eventRow(m))
-		}
-	}
-	for w := range dir {
-		dir[w] = hbj[w] &^ dir[w]
-	}
-	return dir
-}
-
 func rowGet(row []uint64, i int) bool { return row[i>>6]&(1<<(uint(i)&63)) != 0 }
 func rowSet(row []uint64, i int)      { row[i>>6] |= 1 << (uint(i) & 63) }
 func rowOr(dst, src []uint64) {
@@ -286,63 +244,10 @@ func rowOr(dst, src []uint64) {
 	}
 }
 
-// prepare digests a trace: dense register keys (interface comparisons are
-// the profile's hot spot — one map lookup per event replaces O(L²) of them)
-// and the happens-before relation as bitsets, computed by one transitive
-// pass over direct dependences (same process, or non-commuting accesses).
-func (s *raceScratch) prepare(tr sched.Trace) {
-	L := len(tr)
-	if s.regKey == nil {
-		s.regKey = make(map[any]int32)
-	}
-	clear(s.regKey)
-	s.keys = growClear(s.keys, L)
-	s.writes = growClear(s.writes, L)
-	for j, e := range tr {
-		if e.Crash || e.Restart {
-			s.keys[j] = -1
-			continue
-		}
-		k, ok := s.regKey[e.Reg]
-		if !ok {
-			k = int32(len(s.regKey))
-			s.regKey[e.Reg] = k
-		}
-		s.keys[j] = k
-		s.writes[j] = e.Op == shmem.OpWrite
-	}
-	s.words = (L + 63) / 64
-	s.hb = growClear(s.hb, L*s.words)
-	s.direct = growClear(s.direct, s.words)
-	for j := 1; j < L; j++ {
-		hbj := s.row(s.hb, j)
-		for m := 0; m < j; m++ {
-			if s.depends(tr, m, j) {
-				rowOr(hbj, s.row(s.hb, m))
-				rowSet(hbj, m)
-			}
-		}
-	}
-}
-
-// depends reports a direct dependence edge m -> k: same process (program
-// order), or accesses to the same register that are not both reads. Crashes
-// touch no register and depend only on their own process.
-func (s *raceScratch) depends(tr sched.Trace, m, k int) bool {
-	if tr[m].Pid == tr[k].Pid {
-		return true
-	}
-	if s.keys[m] < 0 || s.keys[k] < 0 {
-		return false
-	}
-	return s.keys[m] == s.keys[k] && (s.writes[m] || s.writes[k])
-}
-
-// updateRaces grows backtrack sets from the executed trace with source sets,
-// dispatching to the configured race-analysis implementation (see
-// RaceAnalysis) and accounting the work: RaceEvents counts the
-// happens-before rows derived — the whole trace per leaf for the rebuild
-// reference, only the new suffix for the incremental layer.
+// updateRaces grows backtrack sets from the executed trace with source sets:
+// it digests the suffix the happens-before layer has not seen, scans the
+// races whose later event lies in it, and accounts the work — RaceEvents
+// counts the happens-before rows derived, one per new trace event.
 func (t *SourceDPOR) updateRaces(tr sched.Trace) {
 	L := len(tr)
 	// The trace can never outrun the frame stack: Next pushes exactly one
@@ -365,21 +270,10 @@ func (t *SourceDPOR) updateRaces(tr sched.Trace) {
 	if timed {
 		start = time.Now()
 	}
-	switch t.race {
-	case RaceRebuild:
-		if L >= 2 {
-			t.scratch.prepare(tr)
-			t.stats.RaceEvents += L
-			t.scanRaces(tr, &t.scratch, 1, L)
-		}
-	case RaceDifferential:
-		t.updateRacesDiff(tr)
-	default:
-		watermark := t.hb.n
-		t.hb.extend(tr)
-		t.stats.RaceEvents += L - watermark
-		t.scanRaces(tr, &t.hb, watermark, L)
-	}
+	watermark := t.hb.n
+	t.hb.extend(tr)
+	t.stats.RaceEvents += L - watermark
+	t.scanRaces(tr, &t.hb, watermark, L)
 	if timed {
 		t.stats.RaceNs += raceSample * time.Since(start).Nanoseconds()
 	}
@@ -387,56 +281,6 @@ func (t *SourceDPOR) updateRaces(tr sched.Trace) {
 
 // raceSample is the sampling period of the race-analysis timer.
 const raceSample = 16
-
-// updateRacesDiff is the RaceDifferential body: run the from-scratch
-// reference against the current backtrack sets, capture what it produced,
-// rewind, run the incremental layer for real, and require bit-identical
-// backtrack sets, relation rows and direct rows. The rebuild pass also
-// re-analyzes every pair below the incremental watermark — asserting, on
-// every backtrack of every fuzzed walk, that re-analysis is the no-op the
-// incremental mode's suffix skip claims it is.
-func (t *SourceDPOR) updateRacesDiff(tr sched.Trace) {
-	L := len(tr)
-	t.diffSave = growClear(t.diffSave, L)
-	for i := 0; i < L; i++ {
-		t.diffSave[i] = t.stack[i].btStep
-	}
-	if L >= 2 {
-		t.scratch.prepare(tr)
-		t.scanRaces(tr, &t.scratch, 1, L)
-	}
-	t.diffRef = growClear(t.diffRef, L)
-	for i := 0; i < L; i++ {
-		t.diffRef[i] = t.stack[i].btStep
-		t.stack[i].btStep = t.diffSave[i]
-	}
-	watermark := t.hb.n
-	t.hb.extend(tr)
-	t.stats.RaceEvents += L - watermark
-	t.scanRaces(tr, &t.hb, watermark, L)
-	for i := 0; i < L; i++ {
-		if t.stack[i].btStep != t.diffRef[i] {
-			panic(fmt.Sprintf("explore: race-analysis divergence at frame %d: incremental btStep %b, rebuild %b (watermark %d, trace %d)",
-				i, t.stack[i].btStep, t.diffRef[i], watermark, L))
-		}
-	}
-	if L >= 2 {
-		for j := 0; j < L; j++ {
-			inc, ref := t.hb.eventRow(j), t.scratch.eventRow(j)
-			incDir, refDir := t.hb.directRow(j), t.scratch.directRow(j)
-			for i := 0; i < L; i++ {
-				if rowGet(inc, i) != rowGet(ref, i) {
-					panic(fmt.Sprintf("explore: happens-before divergence at pair (%d, %d): incremental %v, rebuild %v",
-						i, j, rowGet(inc, i), rowGet(ref, i)))
-				}
-				if rowGet(incDir, i) != rowGet(refDir, i) {
-					panic(fmt.Sprintf("explore: direct-edge divergence at pair (%d, %d): spanning-edge %v, cover scan %v",
-						i, j, rowGet(incDir, i), rowGet(refDir, i)))
-				}
-			}
-		}
-	}
-}
 
 // scanRaces finds the races among the trace's direct (Hasse) happens-before
 // edges and feeds each to addSource. A race is a DIRECT edge between events

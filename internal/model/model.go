@@ -120,11 +120,6 @@ type Options struct {
 	// Walker selects the search strategy; the zero value is WalkerSourceDPOR,
 	// which needs frame automata (see the package doc).
 	Walker Walker
-
-	// race selects the source-DPOR race analysis; the zero value
-	// (explore.RaceIncremental) is the production one. Tests set the rebuild
-	// reference or the differential through WithRace.
-	race explore.RaceAnalysis
 }
 
 // Report is the outcome of one model-checking run.
@@ -142,12 +137,11 @@ type Report struct {
 	Restored   int    // checkpoint restores (stateful engine only)
 	Deduped    int    // always 0: no walker cuts a state by hash; kept because perfbench reads it
 	// RaceEvents counts happens-before rows derived by source-DPOR's race
-	// analysis — per-event with the incremental layer, per-trace-per-leaf
-	// with the rebuild reference — and RaceTime estimates the wall-clock
-	// spent there from a sample of the backtracks (explore.Stats.RaceNs).
-	// Both are work accounting, not tree shape: differential comparisons of
-	// Reports across engines or race modes must exclude RaceTime (timing)
-	// and, across race modes, RaceEvents (the gap is the point).
+	// analysis, one per trace event its incremental layer digests, and
+	// RaceTime estimates the wall-clock spent there from a sample of the
+	// backtracks (explore.Stats.RaceNs). Both are work accounting, not tree
+	// shape: differential comparisons of Reports across engines must exclude
+	// RaceTime (timing).
 	RaceEvents int
 	RaceTime   time.Duration
 	Complete   bool // the full tree was exhausted: the suite is proven at this n
@@ -262,7 +256,7 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 	if opt.Walker == WalkerSleepSet {
 		strat = explore.NewSleepSet(opt.Budget, opt.MaxCrashes)
 	} else {
-		strat = explore.NewSourceDPOR(opt.Budget, opt.MaxCrashes).SetRaceAnalysis(opt.race)
+		strat = explore.NewSourceDPOR(opt.Budget, opt.MaxCrashes)
 	}
 	// fresh returns the system execution run drives, outcomes cleared: the
 	// stateful walker rewinds the one instance, the stateless walker builds a

@@ -42,30 +42,6 @@ func BenchmarkControllerStep(b *testing.B) {
 	}
 }
 
-// BenchmarkControllerStepN measures batched grants: each iteration delivers
-// one step as part of a k-step run granted with a single wakeup.
-func BenchmarkControllerStepN(b *testing.B) {
-	for _, k := range []int{8, 64, 512} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			var r shmem.Reg
-			c := NewController(8, nil, spinReader(&r))
-			defer c.Abort()
-			last := -1
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += k {
-				pid := NextBit(c.Pending(), last)
-				if pid < 0 {
-					pid = NextBit(c.Pending(), -1)
-				}
-				c.StepN(pid, k)
-				last = pid
-			}
-			b.StopTimer()
-		})
-	}
-}
-
 // BenchmarkRunRoundRobin measures a whole driven execution (construction to
 // result) of 8 processes taking 64 steps each.
 func BenchmarkRunRoundRobin(b *testing.B) {

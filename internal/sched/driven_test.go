@@ -75,41 +75,7 @@ func TestPendingIterator(t *testing.T) {
 	}
 }
 
-// TestStepNConsumesRun verifies batched grants: one StepN(k) delivers
-// exactly k operations to the process without intermediate decisions, and
-// the per-process step accounting matches.
-func TestStepNConsumesRun(t *testing.T) {
-	var r shmem.Reg
-	c := NewController(2, nil, func(p *shmem.Proc) {
-		for i := 0; i < 10; i++ {
-			p.Read(&r)
-		}
-	})
-	c.StepN(0, 7)
-	if got := c.Proc(0).Steps(); got != 7 {
-		t.Fatalf("after StepN(0, 7): process 0 took %d steps, want 7", got)
-	}
-	if got := c.Proc(1).Steps(); got != 0 {
-		t.Fatalf("process 1 took %d steps, want 0", got)
-	}
-	if c.PendingCount() != 2 {
-		t.Fatalf("PendingCount %d, want 2", c.PendingCount())
-	}
-	// Surplus budget is discarded when the process finishes early.
-	c.StepN(0, 100)
-	if !c.Done(0) {
-		t.Fatal("process 0 not done after exhausting its 10 steps")
-	}
-	if got := c.Proc(0).Steps(); got != 10 {
-		t.Fatalf("process 0 took %d steps, want 10", got)
-	}
-	c.StepN(1, 10)
-	if !c.Done(1) {
-		t.Fatal("process 1 not done")
-	}
-}
-
-// TestStepNIntentAfterRun checks that after a batched run the process's
+// TestStepNIntentAfterRun checks that after k single grants the process's
 // published intent is its (k+1)-th operation.
 func TestStepNIntentAfterRun(t *testing.T) {
 	var a, b shmem.Reg
@@ -120,10 +86,12 @@ func TestStepNIntentAfterRun(t *testing.T) {
 		p.Write(&b, 1)
 	})
 	defer c.Abort()
-	c.StepN(0, 3) // consumes the three reads of a
+	for i := 0; i < 3; i++ {
+		c.Step(0) // the three reads of a
+	}
 	in := c.Intent(0)
 	if in.Kind != shmem.OpWrite || in.Reg != any(&b) {
-		t.Fatalf("intent after batched run = %+v, want write of b", in)
+		t.Fatalf("intent after three steps = %+v, want write of b", in)
 	}
 }
 
@@ -337,25 +305,4 @@ func TestStepGrantPathZeroAlloc(t *testing.T) {
 	if sliceLoop != 0 {
 		t.Fatalf("Pending slice view allocates %.1f/op, want 0", sliceLoop)
 	}
-	batched := testing.AllocsPerRun(500, func() {
-		c.StepN(rr.Next(c), 32)
-	})
-	if batched != 0 {
-		t.Fatalf("batched grant loop allocates %.1f/op, want 0", batched)
-	}
-}
-
-// TestStepNValidation pins the panic contract of the batched grant.
-func TestStepNValidation(t *testing.T) {
-	var r shmem.Reg
-	c := NewController(1, nil, counterBody(&r))
-	defer c.Abort()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("StepN with k=0 should panic")
-			}
-		}()
-		c.StepN(0, 0)
-	}()
 }

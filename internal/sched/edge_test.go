@@ -10,10 +10,10 @@ import (
 	"repro/internal/shmem"
 )
 
-// TestStepNCrossesCrashBoundary covers a batched grant whose run is cut
-// short by the process crashing mid-run (the body raises shmem.Crash after
-// consuming part of the budget): the process must be marked crashed, the
-// surplus budget surrendered, and the rest of the population unaffected.
+// TestStepNCrossesCrashBoundary covers a process that crashes itself in the
+// middle of its body (the body raises shmem.Crash after three granted
+// steps): the process must be marked crashed with exactly those steps
+// charged, and the rest of the population unaffected.
 func TestStepNCrossesCrashBoundary(t *testing.T) {
 	var r shmem.Reg
 	c := NewController(2, nil, func(p *shmem.Proc) {
@@ -25,9 +25,11 @@ func TestStepNCrossesCrashBoundary(t *testing.T) {
 		}
 		p.Read(&r)
 	})
-	c.StepN(0, 10) // budget 10, process dies after 3 steps
+	for i := 0; i < 3; i++ {
+		c.Step(0) // the third read's return runs into the self-raised crash
+	}
 	if !c.Crashed(0) {
-		t.Fatal("process 0 not marked crashed after mid-batch crash")
+		t.Fatal("process 0 not marked crashed after its mid-body crash")
 	}
 	if got := c.Proc(0).Steps(); got != 3 {
 		t.Fatalf("process 0 took %d steps, want 3", got)
@@ -41,9 +43,9 @@ func TestStepNCrossesCrashBoundary(t *testing.T) {
 	}
 }
 
-// TestCrashAfterPartialStepN drives a process through part of its body with
-// a batched grant and then crash-injects it at the next posted operation:
-// the posted operation must not execute.
+// TestCrashAfterPartialStepN drives a process through part of its body one
+// step at a time and then crash-injects it at the next posted operation: the
+// posted write must not execute.
 func TestCrashAfterPartialStepN(t *testing.T) {
 	var a, b shmem.Reg
 	c := NewController(1, nil, func(p *shmem.Proc) {
@@ -51,9 +53,10 @@ func TestCrashAfterPartialStepN(t *testing.T) {
 		p.Read(&a)
 		p.Write(&b, 42)
 	})
-	c.StepN(0, 2) // consume the two reads; the write intent is now posted
+	c.Step(0)
+	c.Step(0) // the two reads are done; the write intent is now posted
 	if in := c.Intent(0); in.Kind != shmem.OpWrite {
-		t.Fatalf("posted intent after batch = %v, want write", in.Kind)
+		t.Fatalf("posted intent after the reads = %v, want write", in.Kind)
 	}
 	c.Crash(0)
 	if !c.Crashed(0) {
@@ -246,31 +249,6 @@ func TestFingerprintDistinguishesSchedules(t *testing.T) {
 	}
 	if a1 == 0 {
 		t.Fatal("driven execution has zero fingerprint")
-	}
-}
-
-// TestFingerprintSeparatesStepNFromSteps: a batched StepN(k) is a different
-// adversarial decision than k single grants and must hash differently.
-func TestFingerprintSeparatesStepNFromSteps(t *testing.T) {
-	mk := func() *Controller {
-		var r shmem.Reg
-		return NewController(1, nil, func(p *shmem.Proc) {
-			for i := 0; i < 4; i++ {
-				p.Read(&r)
-			}
-		})
-	}
-	a := mk()
-	a.StepN(0, 4)
-	b := mk()
-	for i := 0; i < 4; i++ {
-		b.Step(0)
-	}
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("StepN(4) and 4×Step share a fingerprint")
-	}
-	if !a.Done(0) || !b.Done(0) {
-		t.Fatal("both executions should have completed")
 	}
 }
 

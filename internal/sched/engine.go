@@ -57,7 +57,6 @@ type Engine interface {
 
 	// Grant operations: the scheduling decisions themselves.
 	Step(pid int)
-	StepN(pid, k int)
 	StepStale(pid, idx int)
 	Crash(pid int)
 	Restart(pid int)
@@ -174,8 +173,6 @@ func ApplyTraceTo(e Engine, prefix Trace) error {
 				return fmt.Errorf("sched: replay diverged at event %d: stale choice %d of %d (model mismatch or non-deterministic body?)", i, ev.Stale-1, n)
 			}
 			e.StepStale(ev.Pid, ev.Stale-1)
-		case ev.K > 1:
-			e.StepN(ev.Pid, ev.K)
 		default:
 			e.Step(ev.Pid)
 		}

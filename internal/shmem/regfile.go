@@ -41,14 +41,6 @@ func (f *RegFile) Get(i int64) *Reg {
 	return r
 }
 
-// Allocated returns the number of registers currently backed by memory
-// (a multiple of the chunk size). Harness use only.
-func (f *RegFile) Allocated() int64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return int64(len(f.chunks)) * fileChunk
-}
-
 // Scan calls fn(i, value) for every allocated register index from 1 through
 // hi without charging steps. Harness use only (hole accounting in the
 // repository experiments).

@@ -57,9 +57,6 @@ type Ref[T any] struct {
 // only).
 func (r *Ref[T]) PeekRef() *T { return r.v.Load() }
 
-// PokeRef sets the contents without charging a step (harness use only).
-func (r *Ref[T]) PokeRef(p *T) { r.v.Store(p) }
-
 // StateInto implements StateCell. The capture holds the pointer as a live
 // reference, keeping the snapshot value reachable while any checkpoint that
 // might restore it is alive.

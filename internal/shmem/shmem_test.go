@@ -111,6 +111,14 @@ func TestRegFileRejectsIndexZero(t *testing.T) {
 	f.Get(0)
 }
 
+// Allocated returns the number of registers currently backed by memory
+// (a multiple of the chunk size).
+func (f *RegFile) Allocated() int64 {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return int64(len(f.chunks)) * fileChunk
+}
+
 func TestRegFileConcurrentGet(t *testing.T) {
 	var f RegFile
 	var wg sync.WaitGroup

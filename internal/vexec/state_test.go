@@ -10,22 +10,6 @@ import (
 	"repro/internal/vexec"
 )
 
-// TestStepNForbiddenUnderState: batching would hide decisions from the
-// checkpoint layer; it must panic loudly.
-func TestStepNForbiddenUnderState(t *testing.T) {
-	var r shmem.Reg
-	e := vexec.New(2, nil, func(p *shmem.Proc) vexec.Frame {
-		return &opsFrame{r: &r, ops: []bool{false, false}}
-	})
-	e.EnableState()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StepN under EnableState did not panic")
-		}
-	}()
-	e.StepN(0, 2)
-}
-
 // twoRegFrame is the contended two-register body the restore tests drive:
 // write id+1 to a, read a, write what it read plus id to b, and read b into
 // *got. Outcomes depend on the interleaving, so restore bugs surface as
