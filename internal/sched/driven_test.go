@@ -50,7 +50,7 @@ func TestPendingIterator(t *testing.T) {
 	for steps := 0; c.PendingCount() > 0 && steps < 50; steps++ {
 		var want []int
 		for pid := 0; pid < n; pid++ {
-			if c.phase[pid] == phasePending {
+			if c.phase[pid] == PhasePending {
 				if c.Intent(pid).Kind == 0 {
 					t.Fatalf("pending process %d has no posted intent", pid)
 				}

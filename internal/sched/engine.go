@@ -15,8 +15,12 @@ import (
 //
 // The contract is bit-identity: for the same bodies, the same decision
 // sequence issued through this interface must produce the same Result and
-// the same Fingerprint (both engines fold decisions through FoldGrant). The
-// differential tests in internal/vexec enforce this over the conformance
+// the same Fingerprint. Half of it holds by construction: both engines embed
+// a Ledger, which implements the whole observation surface below and
+// records every decision (checks, FoldGrant, stale windows, trace, restart
+// budget), and both are driven by DriveEngine and ApplyTraceTo. The other
+// half is how each engine runs a granted process to its next access; the
+// differential tests in internal/vexec enforce it over the conformance
 // table, randomized traces and the fault models.
 //
 // Execution state as a value — Checkpoint and Restore — belongs to the
@@ -25,7 +29,7 @@ import (
 // engine driven through the same trace prefix with ApplyTraceTo.
 //
 // An Engine is not safe for concurrent driving: exactly one goroutine may
-// issue grants at a time, mirroring Controller's rule.
+// issue grants at a time.
 type Engine interface {
 	// Observation surface: what a policy may inspect at a decision point.
 	N() int
@@ -98,8 +102,8 @@ func checkStaleChoice(s, count int) {
 
 // DriveEngine drives any Engine with policy (and optional crash plan) until
 // every process has finished or crashed, then returns the execution summary.
-// It is the single decision loop shared by both engines — Controller.Run
-// delegates here — so the decision order (restart offers, crash veto, stale
+// It is the single decision loop shared by both engines — Ledger.Run, the
+// Run of each, delegates here — so the decision order (restart offers, crash veto, stale
 // consultation, grant) is identical by construction, which is what makes
 // cross-engine fingerprints comparable.
 func DriveEngine(e Engine, policy Policy, plan CrashPlan) Result {
@@ -145,7 +149,7 @@ func DriveEngine(e Engine, policy Policy, plan CrashPlan) Result {
 
 // ApplyTraceTo re-applies a recorded grant sequence to a freshly constructed
 // engine, reconstructing the execution state at the end of the prefix. It is
-// the engine-generic form of Controller.ApplyTrace (which delegates here):
+// the engine-generic form of Ledger.ApplyTrace (which delegates here):
 // the bodies must be deterministic; each event's process must be pending
 // with the recorded operation kind posted, otherwise the replay has diverged
 // and an error is returned with the engine left mid-execution. Register

@@ -13,6 +13,11 @@
 //   - RunFree: free-running goroutines over atomic registers, for throughput
 //     benchmarks and race-detector coverage.
 //
+// The decision bookkeeping (pending set, intents, phases, fingerprint,
+// trace, fault-model state) lives in a Ledger, which the Controller embeds
+// and the vectorized engine (internal/vexec) embeds too; the Controller adds
+// only the goroutine handoff.
+//
 // Crashes are modeled by unwinding the process goroutine with a
 // panic(shmem.Crash{}) raised inside the gate; the runner recovers it. A
 // crashed process takes no further steps, matching the model.
@@ -43,36 +48,6 @@ import (
 // name are available on p.
 type Body func(p *shmem.Proc)
 
-// procPhase tracks where a process is in its lifecycle.
-type procPhase uint8
-
-const (
-	phaseRunning  procPhase = iota // computing locally (or not yet started)
-	phasePending                   // blocked, intent posted, awaiting grant
-	phaseDone                      // finished normally
-	phaseCrashed                   // crash-injected
-	phasePanicked                  // failed with an unexpected panic
-)
-
-// String names the phase for diagnostics (notably the non-pending panics,
-// where "done" versus "crashed" tells the policy author what went wrong).
-func (ph procPhase) String() string {
-	switch ph {
-	case phaseRunning:
-		return "running"
-	case phasePending:
-		return "pending"
-	case phaseDone:
-		return "done"
-	case phaseCrashed:
-		return "crashed"
-	case phasePanicked:
-		return "panicked"
-	default:
-		return fmt.Sprintf("procPhase(%d)", uint8(ph))
-	}
-}
-
 // seat is the per-process handoff slot. The grant itself is a lock-free
 // publication: the driver writes crash, then releases it with
 // granted.Store(1); the process observes the flag (spinning briefly, then
@@ -96,11 +71,10 @@ type seat struct {
 // goroutine may call Step/Crash/Run at a time. (Use ParallelRuns for
 // many independent executions.)
 type Controller struct {
-	n      int
-	procs  []*shmem.Proc
-	phase  []procPhase
-	intent []shmem.Intent
-	err    []error
+	// Ledger is the decision bookkeeping. The processes post intents and
+	// record their exits into it under mu; the driver records decisions
+	// while every process is blocked or finished.
+	Ledger
 
 	mu           sync.Mutex
 	idle         sync.Cond    // driver parks here until active == 0
@@ -108,25 +82,7 @@ type Controller struct {
 	seats        []seat       // one handoff slot per process
 	active       atomic.Int32 // processes currently computing (not blocked/finished)
 
-	pbits    []uint64 // pending bitmap: bit pid set ⟺ phase[pid] == phasePending
-	rbits    []uint64 // the pending pids whose posted intent is an OpRead
-	npending int
-
-	fp     uint64 // incremental schedule fingerprint (see Fingerprint)
-	grants int64  // scheduling decisions executed (see Grants)
-	body   Body   // retained for Restart's respawn
-
-	tracing  bool         // record grants into traceBuf (see EnableTrace)
-	traceBuf []TraceEvent // the recorded grant sequence
-
-	// Fault-model capability knob (see shmem.Model and SetModel). The zero
-	// model is the paper's: atomic registers, fail-stop crashes. All of the
-	// bookkeeping below is dead when the model is atomic — the grant hot path
-	// pays one predictable branch.
-	model    shmem.Model
-	restarts int       // restarts issued so far (recovery budget accounting)
-	staleWin [][]int64 // per-pid stale windows of pending reads (weak regs only)
-	staleBuf []int64   // scratch for StaleVals/StaleCount
+	body Body // retained for Restart's respawn
 }
 
 // gate adapts the Controller to shmem.Gate for one process.
@@ -154,12 +110,7 @@ func (g gate) Step(pid int, intent shmem.Intent) {
 	s := &c.seats[pid]
 	c.mu.Lock()
 	c.intent[pid] = intent
-	c.phase[pid] = phasePending
-	c.pbits[uint(pid)>>6] |= 1 << (uint(pid) & 63)
-	if intent.Kind == shmem.OpRead {
-		c.rbits[uint(pid)>>6] |= 1 << (uint(pid) & 63)
-	}
-	c.npending++
+	c.Post(pid)
 	// With other processes pending the next grant is probably not ours, so
 	// park straight away; as the sole pending process the driver's only
 	// move is to grant (or crash) us, so briefly yield for it instead of
@@ -211,31 +162,12 @@ func (c *Controller) parkLocked(s *seat) {
 // already finished. names[i] is process i's original name; a nil names
 // assigns pid+1.
 func NewController(n int, names []int64, body Body) *Controller {
-	if n <= 0 {
-		panic("sched: controller needs at least one process")
-	}
-	if names != nil && len(names) != n {
-		panic("sched: names length must equal n")
-	}
-	c := &Controller{
-		n:      n,
-		procs:  make([]*shmem.Proc, n),
-		phase:  make([]procPhase, n),
-		intent: make([]shmem.Intent, n),
-		err:    make([]error, n),
-		seats:  make([]seat, n),
-		pbits:  make([]uint64, (n+63)/64),
-		rbits:  make([]uint64, (n+63)/64),
-		body:   body,
-	}
+	c := &Controller{body: body}
+	c.Ledger = NewLedger(n, names, func(pid int) shmem.Gate { return gate{c: c, pid: pid} }, c, c.grant)
+	c.seats = make([]seat, n)
 	c.idle.L = &c.mu
-	for i := 0; i < n; i++ {
-		name := int64(i + 1)
-		if names != nil {
-			name = names[i]
-		}
+	for i := range c.seats {
 		c.seats[i].cond.L = &c.mu
-		c.procs[i] = shmem.NewProc(i, name, gate{c: c, pid: i})
 	}
 	c.active.Store(int32(n))
 	for i := 0; i < n; i++ {
@@ -249,15 +181,7 @@ func (c *Controller) runProc(pid int, body Body) {
 	defer func() {
 		r := recover()
 		c.mu.Lock()
-		switch r := r.(type) {
-		case nil:
-			c.phase[pid] = phaseDone
-		case shmem.Crash:
-			c.phase[pid] = phaseCrashed
-		default:
-			c.phase[pid] = phasePanicked
-			c.err[pid] = fmt.Errorf("sched: process %d panicked: %v\n%s", pid, r, debug.Stack())
-		}
+		c.Exit(pid, r)
 		if c.active.Add(-1) == 0 && c.driverParked.Load() {
 			c.idle.Signal()
 		}
@@ -287,169 +211,6 @@ func (c *Controller) waitQuiesce() {
 	c.mu.Unlock()
 }
 
-// PendingCount returns the number of processes blocked on a shared-memory
-// operation.
-func (c *Controller) PendingCount() int { return c.npending }
-
-// Pending returns the live pending bitmap (see Engine.Pending). The
-// processes write it under c.mu while they post; the driver reads it at
-// decision points, once waitQuiesce has seen every process block or finish.
-func (c *Controller) Pending() []uint64 { return c.pbits }
-
-// PendingReads returns the live bitmap of pending readers (see
-// Engine.PendingReads).
-func (c *Controller) PendingReads() []uint64 { return c.rbits }
-
-// Intent returns the published next operation of a pending process.
-func (c *Controller) Intent(pid int) shmem.Intent {
-	if c.phase[pid] != phasePending {
-		panic(fmt.Sprintf("sched: Intent(%d) of non-pending process (phase %s)", pid, c.phase[pid]))
-	}
-	return c.intent[pid]
-}
-
-// N returns the number of processes the controller was built with.
-func (c *Controller) N() int { return c.n }
-
-// Fingerprint returns a hash identifying the schedule driven so far: every
-// grant and crash folds (pid, operation kind, crash) into it, so
-// for a fixed body two executions share a fingerprint exactly when the
-// adversary made the same decisions in the same order. Explorers use it to
-// count distinct interleavings actually exercised.
-func (c *Controller) Fingerprint() uint64 { return c.fp }
-
-// Grants returns the number of scheduling decisions (grants, crashes and
-// restarts) executed so far.
-func (c *Controller) Grants() int64 { return c.grants }
-
-// Proc returns the process handle (for step counts and identity).
-func (c *Controller) Proc(pid int) *shmem.Proc { return c.procs[pid] }
-
-// Done reports whether the process finished normally.
-func (c *Controller) Done(pid int) bool { return c.phase[pid] == phaseDone }
-
-// Crashed reports whether the process was crash-injected.
-func (c *Controller) Crashed(pid int) bool { return c.phase[pid] == phaseCrashed }
-
-// SetModel opens the fault-model capability knob (see shmem.Model). It must
-// be called before any grant so the model covers the whole execution. The
-// zero model is the default and needs no call; setting it again is a no-op.
-// A recovery model with MaxRestarts == 0 is normalized to a budget of n.
-func (c *Controller) SetModel(m shmem.Model) {
-	if c.grants != 0 {
-		panic("sched: SetModel after grants were issued")
-	}
-	if m.Recovery && m.MaxRestarts == 0 {
-		m.MaxRestarts = c.n
-	}
-	c.model = m
-	if m.Regs != shmem.RegAtomic && c.staleWin == nil {
-		c.staleWin = make([][]int64, c.n)
-	}
-}
-
-// Model returns the controller's fault model (the zero value by default).
-func (c *Controller) Model() shmem.Model { return c.model }
-
-// staleCap bounds a pending read's stale window so weak-register search trees
-// stay finite: at most this many distinct overwritten values are retained as
-// stale choices (oldest first — the window fills front to back).
-const staleCap = 8
-
-// noteWeakGrant maintains the stale windows under weak register semantics,
-// driver-side, at every grant: a write grant appends the register's
-// pre-overwrite value to the window of every other pending read targeting the
-// same scalar register (those reads overlap the write), and the granted
-// process's own window closes — its posted operation executes (or is crashed
-// away) now. Values already in the window are not duplicated; duplicate
-// choices would only multiply equivalent branches.
-func (c *Controller) noteWeakGrant(pid int, crash bool) {
-	in := c.intent[pid]
-	if !crash && in.Kind == shmem.OpWrite {
-		if r, ok := in.Reg.(*shmem.Reg); ok {
-			v := r.Peek()
-			for q := NextBit(c.rbits, -1); q >= 0; q = NextBit(c.rbits, q) {
-				if q == pid || c.intent[q].Reg != in.Reg {
-					continue
-				}
-				w := c.staleWin[q]
-				if len(w) < staleCap && !containsI64(w, v) {
-					c.staleWin[q] = append(w, v)
-				}
-			}
-		}
-	}
-	c.staleWin[pid] = c.staleWin[pid][:0]
-}
-
-func containsI64(s []int64, v int64) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// StaleVals appends to buf[:0] the stale values the adversary may have pid's
-// pending scalar read return instead of the current contents, and returns the
-// slice. It is empty unless the model has weak registers, pid is pending on a
-// Reg read, and the read overlaps at least one already-granted write. Under
-// regular semantics the choices are the pre-overwrite values the register
-// held while the read was pending; safe semantics add junk (shmem.Null) as a
-// final choice when the read overlapped any write. Values equal to the
-// current contents are filtered — returning them is the fresh read.
-func (c *Controller) StaleVals(pid int, buf []int64) []int64 {
-	buf = buf[:0]
-	if c.model.Regs == shmem.RegAtomic || c.phase[pid] != phasePending {
-		return buf
-	}
-	in := c.intent[pid]
-	if in.Kind != shmem.OpRead {
-		return buf
-	}
-	r, ok := in.Reg.(*shmem.Reg)
-	if !ok {
-		return buf // Ref registers stay atomic under every model
-	}
-	w := c.staleWin[pid]
-	if len(w) == 0 {
-		return buf
-	}
-	cur := r.Peek()
-	for _, v := range w {
-		if v != cur {
-			buf = append(buf, v)
-		}
-	}
-	if c.model.Regs == shmem.RegSafe && cur != shmem.Null && !containsI64(buf, shmem.Null) {
-		buf = append(buf, shmem.Null)
-	}
-	return buf
-}
-
-// StaleCount returns the number of stale alternatives for pid's pending read
-// (0 under the atomic model, for writes, and for non-overlapped reads). A
-// search strategy branches the grant of pid StaleCount+1 ways: the fresh read
-// plus one StepStale per index.
-func (c *Controller) StaleCount(pid int) int {
-	c.staleBuf = c.StaleVals(pid, c.staleBuf)
-	return len(c.staleBuf)
-}
-
-// StepStale grants pid's pending scalar read one step returning stale choice
-// idx (an index into StaleVals) instead of the current register contents.
-// The decision folds into the fingerprint and trace distinctly from a fresh
-// Step, so schedules differing only in staleness choices stay distinct.
-func (c *Controller) StepStale(pid, idx int) {
-	c.staleBuf = c.StaleVals(pid, c.staleBuf)
-	if idx < 0 || idx >= len(c.staleBuf) {
-		panic(fmt.Sprintf("sched: StepStale(%d, %d) with %d stale choices", pid, idx, len(c.staleBuf)))
-	}
-	c.procs[pid].ArmStale(c.staleBuf[idx])
-	c.grant(pid, false, idx+1)
-}
-
 // Restart respawns a crashed process under a recovery model: its registers
 // keep their contents, its local state is lost, and the body re-runs from
 // the beginning (cumulative step count preserved). The restart is a
@@ -459,67 +220,22 @@ func (c *Controller) StepStale(pid, idx int) {
 // to pid can only ever execute an operation the new incarnation posted:
 // intents of the dead incarnation were discarded at the crash.
 func (c *Controller) Restart(pid int) {
-	if !c.model.Recovery {
-		panic("sched: Restart without a recovery model (SetModel)")
-	}
-	if pid < 0 || pid >= c.n || c.phase[pid] != phaseCrashed {
-		panic(fmt.Sprintf("sched: Restart(%d) of non-crashed process (phase %s)", pid, c.phase[pid]))
-	}
-	if c.restarts >= c.model.MaxRestarts {
-		panic(fmt.Sprintf("sched: Restart(%d) beyond the model's budget of %d", pid, c.model.MaxRestarts))
-	}
-	c.fp = FoldGrant(c.fp, pid, 0, false, 0, true)
-	c.grants++
-	c.restarts++
-	if c.tracing {
-		c.traceBuf = append(c.traceBuf, TraceEvent{Pid: pid, Restart: true})
-	}
-	c.procs[pid].BeginIncarnation()
+	c.RecordRestart(pid)
 	c.mu.Lock()
-	c.phase[pid] = phaseRunning
-	c.err[pid] = nil
+	c.Revive(pid)
 	c.mu.Unlock()
 	c.active.Add(1)
 	go c.runProc(pid, c.body)
 	c.waitQuiesce()
 }
 
-// CanRestart reports whether Restart(pid) is currently legal: recovery model,
-// pid crashed, budget remaining.
-func (c *Controller) CanRestart(pid int) bool {
-	return c.model.Recovery && c.phase[pid] == phaseCrashed && c.restarts < c.model.MaxRestarts
-}
-
-// Restarts returns the number of restarts issued so far.
-func (c *Controller) Restarts() int { return c.restarts }
-
 // grant hands a pending process one step (crash aborts it instead) and blocks
 // until every process is again blocked or finished. stale > 0 marks a
 // weak-register read grant returning stale choice stale-1.
 func (c *Controller) grant(pid int, crash bool, stale int) {
-	if pid < 0 || pid >= c.n {
-		panic(fmt.Sprintf("sched: grant to process %d outside [0..%d)", pid, c.n))
-	}
-	if c.phase[pid] != phasePending {
-		panic(fmt.Sprintf("sched: grant to non-pending process %d (phase %s): the policy returned a pid with no posted intent", pid, c.phase[pid]))
-	}
-	// Fold the decision into the schedule fingerprint before executing it:
-	// (pid, posted operation kind, crash bit, staleness choice) per grant
-	// uniquely identifies the interleaving for a fixed body.
-	c.fp = FoldGrant(c.fp, pid, c.intent[pid].Kind, crash, stale, false)
-	c.grants++
-	if c.model.Regs != shmem.RegAtomic {
-		c.noteWeakGrant(pid, crash)
-	}
-	if c.tracing {
-		in := c.intent[pid]
-		c.traceBuf = append(c.traceBuf, TraceEvent{Pid: pid, Op: in.Kind, Reg: in.Reg, Crash: crash, Stale: stale})
-	}
+	c.record(pid, crash, stale, false)
 	c.mu.Lock()
-	c.phase[pid] = phaseRunning
-	c.pbits[uint(pid)>>6] &^= 1 << (uint(pid) & 63)
-	c.rbits[uint(pid)>>6] &^= 1 << (uint(pid) & 63)
-	c.npending--
+	c.unpend(pid)
 	c.active.Add(1)
 	s := &c.seats[pid]
 	s.crash = crash
@@ -534,27 +250,6 @@ func (c *Controller) grant(pid int, crash bool, stale int) {
 // Step grants one shared-memory operation to a pending process and returns
 // when every process is again blocked or finished.
 func (c *Controller) Step(pid int) { c.grant(pid, false, 0) }
-
-// Crash terminates a pending process before its posted operation executes.
-// The operation is not performed — the paper's crash model.
-func (c *Controller) Crash(pid int) {
-	if c.phase[pid] != phasePending {
-		panic(fmt.Sprintf("sched: Crash(%d) of non-pending process (phase %s)", pid, c.phase[pid]))
-	}
-	c.grant(pid, true, 0)
-}
-
-// Abort crashes every pending process, releasing all goroutines. It is the
-// cleanup path for partially driven executions.
-func (c *Controller) Abort() {
-	for {
-		pid := NextBit(c.pbits, -1)
-		if pid < 0 {
-			return
-		}
-		c.Crash(pid)
-	}
-}
 
 // Result summarizes a completed execution.
 type Result struct {
@@ -584,32 +279,6 @@ func (r Result) TotalSteps() int64 {
 		t += s
 	}
 	return t
-}
-
-func (c *Controller) result() Result {
-	res := Result{Steps: make([]int64, c.n), Crashed: make([]bool, c.n), Fingerprint: c.fp}
-	if c.restarts > 0 {
-		res.Restarts = make([]int, c.n)
-	}
-	for i := 0; i < c.n; i++ {
-		res.Steps[i] = c.procs[i].Steps()
-		res.Crashed[i] = c.phase[i] == phaseCrashed
-		if res.Restarts != nil {
-			res.Restarts[i] = c.procs[i].Restarts()
-		}
-		if c.err[i] != nil && res.Err == nil {
-			res.Err = c.err[i]
-		}
-	}
-	return res
-}
-
-// Run drives the controller with policy (and optional crash plan) until every
-// process has finished or crashed, then returns the execution summary. It is
-// DriveEngine over this controller — the decision loop itself lives in
-// engine.go so both execution engines share it verbatim.
-func (c *Controller) Run(policy Policy, plan CrashPlan) Result {
-	return DriveEngine(c, policy, plan)
 }
 
 // Run is the one-call entry point: construct a controller, drive it with

@@ -20,7 +20,7 @@ type TraceEvent struct {
 
 	// Fault-model decisions (zero under the default model). Stale > 0 marks a
 	// weak-register read grant that returned stale choice Stale-1 (see
-	// Controller.StepStale); Restart marks a crash-recovery respawn of a
+	// Ledger.StepStale); Restart marks a crash-recovery respawn of a
 	// crashed process (Op and Reg are zero — a restart grants no
 	// operation).
 	Stale   int
@@ -105,45 +105,3 @@ func (t Trace) String() string {
 	}
 	return s
 }
-
-// EnableTrace turns on grant recording: every subsequent grant, crash or
-// restart appends a TraceEvent, retrievable via Trace. Any previously recorded events
-// are discarded. Recording costs an amortized slice append per grant, so the
-// zero-allocation benchmarks leave it off; search strategies always enable
-// it.
-func (c *Controller) EnableTrace() {
-	c.tracing = true
-	c.traceBuf = c.traceBuf[:0]
-}
-
-// Trace returns a copy of the grant sequence recorded since EnableTrace.
-func (c *Controller) Trace() Trace {
-	return append(Trace(nil), c.traceBuf...)
-}
-
-// TraceInto overwrites buf (reusing its storage) with the recorded grant
-// sequence and returns it — the allocation-free form of Trace for drive
-// loops that consume each execution's trace before the next one overwrites
-// the buffer.
-func (c *Controller) TraceInto(buf Trace) Trace {
-	return append(buf[:0], c.traceBuf...)
-}
-
-// ApplyTrace re-applies a recorded grant sequence to a freshly constructed
-// controller, reconstructing the execution state at the end of the prefix.
-// The bodies must be deterministic (every algorithm in this repository is,
-// given its seed): each event's process must be pending with the recorded
-// operation kind posted, otherwise the replay has diverged and an error is
-// returned with the controller left mid-execution (callers should Abort it).
-// Register identities are per-instance and deliberately not compared.
-// It is ApplyTraceTo over this controller — the replay loop lives in
-// engine.go so both execution engines share it verbatim.
-func (c *Controller) ApplyTrace(prefix Trace) error {
-	return ApplyTraceTo(c, prefix)
-}
-
-// Result snapshots the execution summary at the current decision point. For
-// a finished execution it equals what Run would have returned; search
-// strategies that drive the controller grant by grant use it to close out an
-// execution.
-func (c *Controller) Result() Result { return c.result() }

@@ -18,8 +18,9 @@ type Workload struct {
 	Sessions int64
 	// Lanes is the number of engine processes sessions are multiplexed onto.
 	Lanes int
-	// Seed derives every sampled quantity (holds, crash picks) — two runs
-	// with equal Workload and service config are identical executions.
+	// Seed derives the sampled holds (see holdSampler); crash picks are not
+	// seeded (crashTick takes holders round-robin). Two runs with equal
+	// Workload and service config are identical executions.
 	Seed uint64
 	// HoldMin/HoldMax bound the per-session hold, sampled uniformly in
 	// grants of virtual time. Zero both for release-immediately.
@@ -274,8 +275,9 @@ func (d *Driver) refill() {
 	}
 }
 
-// crashTick kills one holding lane (seeded round-robin among holders),
-// reclaims its lease, and refills the lane with a fresh arrival.
+// crashTick kills one holding lane, picked round-robin among the holders
+// from crashCur (the seed plays no part in the pick), reclaims its lease,
+// and refills the lane with a fresh arrival.
 func (d *Driver) crashTick() {
 	n := len(d.lanes)
 	for k := 0; k < n; k++ {

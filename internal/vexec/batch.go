@@ -24,7 +24,7 @@ type BatchSpec struct {
 // fits, constructing a fresh one otherwise; it returns the engine to recycle
 // next.
 func runReusing(e *Exec, sp BatchSpec) (*Exec, sched.Result) {
-	if e == nil || e.n != sp.N {
+	if e == nil || e.N() != sp.N {
 		e = New(sp.N, sp.Names, sp.Root)
 	} else {
 		e.Reset(sp.Names, sp.Root)

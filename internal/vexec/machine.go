@@ -6,14 +6,20 @@
 // the floor recorded by BENCH_PR5.json), a vexec grant is a method call into
 // the process's top frame — nanoseconds.
 //
-// The two engines implement the same seam (sched.Engine) and share the same
-// decision loop (sched.DriveEngine), trace replay (sched.ApplyTraceTo) and
-// fingerprint fold (sched.FoldGrant), so a policy, crash plan or recorded
-// trace drives either engine unchanged. The contract is bit-identity: same
-// Result and same Fingerprint on every decision sequence. The goroutine
-// engine stays the conformance oracle; the differential tests in this
-// package enforce the contract over the conformance table, randomized traces
-// and the fault models.
+// The two engines implement the same seam (sched.Engine) and share the
+// decision bookkeeping (sched.Ledger, which each embeds: pending set,
+// intents, phases, fingerprint, trace, fault-model windows and restart
+// budget), the decision loop (sched.DriveEngine), trace replay
+// (sched.ApplyTraceTo) and the fingerprint fold (sched.FoldGrant), so a
+// policy, crash plan or recorded trace drives either engine unchanged. What
+// differs is how a granted process runs up to its next access: a goroutine
+// body behind a gate there, a frame automaton here. The contract is
+// bit-identity: same Result and same Fingerprint on every decision sequence.
+// The goroutine engine stays the conformance oracle; the differential tests
+// in this package enforce the contract over the conformance table,
+// randomized traces and the fault models, and so check what the ledger does
+// not hold by construction: frame automata against goroutine bodies, crash
+// unwinding, respawn and step charging.
 //
 // This engine alone has first-class execution state (state.go):
 // Checkpoint and Restore, the surface the stateful source-DPOR proof walks
@@ -84,7 +90,7 @@ type Frame interface {
 // objects.
 type M struct {
 	stack  []Frame
-	intent shmem.Intent
+	intent *shmem.Intent // the lane's intent slot in the engine's ledger
 
 	// RetI, RetB carry the most recent Done frame's return value (the
 	// int64-and-ok shape shared by every Rename in the repository).
@@ -95,7 +101,7 @@ type M struct {
 // Intend posts the frame's next register access and yields. The access is
 // not performed; the frame performs it itself on its next Run invocation.
 func (m *M) Intend(k shmem.OpKind, reg any) Status {
-	m.intent = shmem.Intent{Kind: k, Reg: reg}
+	*m.intent = shmem.Intent{Kind: k, Reg: reg}
 	return Yield
 }
 
@@ -134,7 +140,7 @@ type FrameRenamer interface {
 // with its buffers. Load copies a saved copy back into the frame. A saved
 // copy is inert (the engine never runs it) and shares no slice that either
 // side mutates in place. Pointers, such as a capture's result cells, are
-// copied verbatim: Restore loads a copy back into the very objects it was
+// copied as they are: Restore loads a copy back into the very objects it was
 // saved from, so they stay valid.
 type Cloner interface {
 	Frame
@@ -170,7 +176,7 @@ func SaveValue[F any, P interface {
 
 // captureFrame adapts the check-harness calling convention to frames: it
 // runs the wrapped frame and stores its (name, ok) result through the
-// planted pointers, mirroring the goroutine harness body
+// planted pointers, as the goroutine harness body does with
 // got[p.ID()], oks[p.ID()] = r.Rename(p, p.Name()).
 type captureFrame struct {
 	child   Frame

@@ -3,6 +3,7 @@ package vexec
 import (
 	"fmt"
 
+	"repro/internal/sched"
 	"repro/internal/shmem"
 )
 
@@ -45,21 +46,15 @@ import (
 // DFS checkpoints at every node it can backtrack to, so without reuse the
 // captures dominate the walk's allocation profile.
 type Snapshot struct {
-	e        *Exec
-	grants   int64
-	fp       uint64
-	traceLen int
-	serial   uint64 // st.events[traceLen]: the serial of the last event
-	restarts int
-	undoLen  int // st.undo's length at capture
+	e       *Exec
+	led     sched.LedgerMark
+	serial  uint64 // st.events[led.TraceLen()]: the serial of the last event
+	undoLen int    // st.undo's length at capture
 
 	procs []shmem.ProcState
-	phase []uint8
 	moved []uint64 // each lane's move stamp (stateMirror.moved) at capture
 
 	lanes []*laneSave // each lane's saved machine; nil: finished or panicked
-
-	stale [][]int64 // pending reads' stale windows (weak registers only)
 }
 
 // laneSave is one lane's machine at a capture, as Restore copies it back:
@@ -94,31 +89,21 @@ func (e *Exec) Checkpoint() *Snapshot {
 		s = &Snapshot{}
 	}
 	s.e = e
-	s.grants = e.grants
-	s.fp = e.fp
-	s.traceLen = len(e.traceBuf)
+	e.Mark(&s.led)
 	s.serial = e.st.events[len(e.st.events)-1]
-	s.restarts = e.restarts
 	s.undoLen = len(e.st.undo)
-	s.procs = grow(s.procs, e.n)
-	s.phase = append(s.phase[:0], e.phase...)
+	s.procs = grow(s.procs, e.N())
 	s.moved = append(s.moved[:0], e.st.moved...)
-	for pid, p := range e.procs {
-		p.StateInto(&s.procs[pid])
+	for pid := range s.procs {
+		e.Proc(pid).StateInto(&s.procs[pid])
 	}
-	s.lanes = grow(s.lanes, e.n)
+	s.lanes = grow(s.lanes, e.N())
 	for pid := range s.lanes {
 		ls := e.laneState(pid)
 		if ls != nil {
 			ls.refs++
 		}
 		s.lanes[pid] = ls
-	}
-	if e.model.Regs != shmem.RegAtomic {
-		s.stale = grow(s.stale, e.n)
-		for pid, w := range e.staleWin {
-			s.stale[pid] = append(s.stale[pid][:0], w...)
-		}
 	}
 	return s
 }
@@ -137,15 +122,15 @@ func (e *Exec) laneState(pid int) *laneSave {
 	}
 	m := &e.ms[pid]
 	var root Cloner
-	switch e.phase[pid] {
-	case phasePending:
+	switch e.Phase(pid) {
+	case sched.PhasePending:
 		cl, ok := m.stack[0].(Cloner)
 		if !ok {
 			panic(fmt.Sprintf("vexec: lane %d root frame %T is not a vexec.Cloner (give it Save/Load; vexec.SaveValue serves plain-value frames)",
 				pid, rootType(m.stack[0])))
 		}
 		root = cl
-	case phaseCrashed:
+	case sched.PhaseCrashed:
 		// The stack is gone; only the M cells are left to save.
 	default:
 		return nil
@@ -162,7 +147,7 @@ func (e *Exec) laneState(pid int) *laneSave {
 		ls.saved = root.Save(ls.saved)
 	}
 	ls.stack = append(ls.stack[:0], m.stack...)
-	ls.intent, ls.retI, ls.retB = m.intent, m.RetI, m.RetB
+	ls.intent, ls.retI, ls.retB = *m.intent, m.RetI, m.RetB
 	e.st.saved[pid] = ls
 	return ls
 }
@@ -221,13 +206,13 @@ func (e *Exec) ReleaseState(s *Snapshot) {
 
 // Restore rewinds the engine to a Snapshot taken earlier on the current
 // branch: the undo log pops back to the capture's length, each cell written
-// since loading its pre-image, and bookkeeping rolls back. A snapshot that is
-// not an ancestor of the current state (one taken on a branch a later
-// Restore abandoned), a released one and another engine's one panic.
-// Then every lane that moved since the capture — was granted, crashed or
-// restarted, so its move stamp differs from the captured one — has reset (if
-// non-nil) clear the caller's body-external capture for it, and is put back
-// at its captured state by copying its saved frames, M cells and Proc
+// since loading its pre-image, and the ledger rewinds to the capture's mark.
+// A snapshot that is not an ancestor of the current state (one taken on a
+// branch a later Restore abandoned), a released one and another engine's one
+// panic. Then every lane that moved since the capture — was granted, crashed
+// or restarted, so its move stamp differs from the captured one — has reset
+// (if non-nil) clear the caller's body-external capture for it, and is put
+// back at its captured state by copying its saved frames, M cells and Proc
 // position. A lane that did not move keeps its frames, Proc and outcome
 // untouched; only its pending bit is set again. On return the engine is at
 // the captured decision point: same registers, pending set, posted intents,
@@ -246,7 +231,8 @@ func (e *Exec) Restore(s *Snapshot, reset func(pid int)) {
 	// the capture saw only if no Restore has rewound below it since: then
 	// the capture is an ancestor and the undo log above its length is
 	// exactly the writes made since.
-	if s.traceLen >= len(e.st.events) || e.st.events[s.traceLen] != s.serial {
+	traceLen := s.led.TraceLen()
+	if traceLen >= len(e.st.events) || e.st.events[traceLen] != s.serial {
 		panic("vexec: Restore target is not an ancestor of the current state (snapshots form a stack)")
 	}
 	for i := len(e.st.undo) - 1; i >= s.undoLen; i-- {
@@ -255,52 +241,36 @@ func (e *Exec) Restore(s *Snapshot, reset func(pid int)) {
 		*u = undoEntry{}
 	}
 	e.st.undo = e.st.undo[:s.undoLen]
-	e.st.events = e.st.events[:s.traceLen+1]
-	e.traceBuf = e.traceBuf[:s.traceLen]
-	e.fp = s.fp
-	e.grants = s.grants
-	e.restarts = s.restarts
-	if e.model.Regs != shmem.RegAtomic {
-		for pid := range e.staleWin {
-			e.staleWin[pid] = append(e.staleWin[pid][:0], s.stale[pid]...)
-		}
-	}
-	clear(e.pbits)
-	clear(e.rbits)
-	e.npending = 0
-	for pid := 0; pid < e.n; pid++ {
-		if e.st.moved[pid] != s.moved[pid] {
-			if reset != nil {
-				reset(pid)
+	e.st.events = e.st.events[:traceLen+1]
+	for pid := range s.lanes {
+		if e.st.moved[pid] == s.moved[pid] {
+			if ph := e.Phase(pid); ph != s.led.Phase(pid) {
+				panic(fmt.Sprintf("vexec: unmoved lane %d in phase %s, captured %s", pid, ph, s.led.Phase(pid)))
 			}
-			ls := s.lanes[pid]
-			if ls == nil {
-				panic(fmt.Sprintf("vexec: lane %d moved after a capture that found it %s", pid, phaseName(s.phase[pid])))
-			}
-			e.loadLane(pid, s.procs[pid], s.phase[pid], ls)
-			e.holdLane(pid, ls)
-			e.st.moved[pid] = s.moved[pid]
 			continue
 		}
-		if e.phase[pid] != s.phase[pid] {
-			panic(fmt.Sprintf("vexec: unmoved lane %d in phase %s, captured %s",
-				pid, phaseName(e.phase[pid]), phaseName(s.phase[pid])))
+		if reset != nil {
+			reset(pid)
 		}
-		if e.phase[pid] == phasePending {
-			e.post(pid)
+		ls := s.lanes[pid]
+		if ls == nil {
+			panic(fmt.Sprintf("vexec: lane %d moved after a capture that found it %s", pid, s.led.Phase(pid)))
 		}
+		e.loadLane(pid, s.procs[pid], ls)
+		e.holdLane(pid, ls)
+		e.st.moved[pid] = s.moved[pid]
 	}
+	e.Rewind(&s.led)
 }
 
 // loadLane puts lane pid back at a captured state by copy: Restore's work
 // for a lane that moved since the capture. The root frame loads
 // its saved copy, the stack and M cells are copied back, and the Proc goes
 // straight to its captured position, so the lane stands exactly where the
-// capture found it without re-running an access.
-func (e *Exec) loadLane(pid int, ps shmem.ProcState, phase uint8, ls *laneSave) {
-	e.procs[pid].RestoreState(ps)
-	e.phase[pid] = phase
-	e.err[pid] = nil
+// capture found it without re-running an access. Its phase, error and
+// pending bits are the ledger's, which Rewind puts back.
+func (e *Exec) loadLane(pid int, ps shmem.ProcState, ls *laneSave) {
+	e.Proc(pid).RestoreState(ps)
 	e.retI[pid], e.retB[pid] = 0, false
 	m := &e.ms[pid]
 	clear(m.stack)
@@ -308,10 +278,7 @@ func (e *Exec) loadLane(pid int, ps shmem.ProcState, phase uint8, ls *laneSave) 
 	if ls.root != nil {
 		ls.root.Load(ls.saved)
 	}
-	m.intent, m.RetI, m.RetB = ls.intent, ls.retI, ls.retB
-	if phase == phasePending {
-		e.post(pid)
-	}
+	*m.intent, m.RetI, m.RetB = ls.intent, ls.retI, ls.retB
 }
 
 // rootType names a root frame for the Cloner panic: the capture wrapper's
