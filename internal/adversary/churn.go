@@ -2,7 +2,6 @@ package adversary
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/check"
@@ -104,53 +103,31 @@ func (r ChurnReproducer) String() string {
 // ParseChurn reads a line produced by ChurnReproducer.String.
 func ParseChurn(line string) (ChurnReproducer, error) {
 	var rep ChurnReproducer
-	line = strings.TrimSpace(line)
-	const prefix = "churn:"
-	if !strings.HasPrefix(line, prefix) {
-		return rep, fmt.Errorf("adversary: churn spec line must start with %q: %q", prefix, line)
-	}
-	for _, field := range strings.Fields(line[len(prefix):]) {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return rep, fmt.Errorf("adversary: malformed field %q in churn spec %q", field, line)
-		}
+	err := parseFields(line, "churn", "churn spec", func(key, val string) (err error) {
 		switch key {
 		case "algo":
 			rep.Algo = val
 		case "family":
 			rep.Family = val
 		case "sessions":
-			v, err := strconv.ParseInt(val, 10, 64)
-			if err != nil || v < 1 {
-				return rep, fmt.Errorf("adversary: bad sessions in churn spec %q", line)
-			}
-			rep.Sessions = v
+			var v int
+			v, err = parseCount(val, 1)
+			rep.Sessions = int64(v)
 		case "lanes":
-			v, err := strconv.Atoi(val)
-			if err != nil || v < 1 {
-				return rep, fmt.Errorf("adversary: bad lanes in churn spec %q", line)
-			}
-			rep.Lanes = v
+			rep.Lanes, err = parseCount(val, 1)
 		case "cap":
-			v, err := strconv.Atoi(val)
-			if err != nil || v < 1 {
-				return rep, fmt.Errorf("adversary: bad cap in churn spec %q", line)
-			}
-			rep.Cap = v
+			rep.Cap, err = parseCount(val, 1)
 		case "seed":
-			seed, err := strconv.ParseUint(strings.TrimPrefix(val, "0x"), 16, 64)
-			if err != nil {
-				return rep, fmt.Errorf("adversary: bad seed in churn spec %q", line)
-			}
-			rep.Seed = seed
+			rep.Seed, err = parseSeed(val)
 		default:
-			return rep, fmt.Errorf("adversary: unknown field %q in churn spec %q", key, line)
+			return errUnknownField
 		}
+		return err
+	})
+	if err == nil && (rep.Algo == "" || rep.Family == "" || rep.Sessions == 0 || rep.Lanes == 0 || rep.Cap == 0) {
+		err = fmt.Errorf("adversary: incomplete churn spec %q", strings.TrimSpace(line))
 	}
-	if rep.Algo == "" || rep.Family == "" || rep.Sessions == 0 || rep.Lanes == 0 || rep.Cap == 0 {
-		return rep, fmt.Errorf("adversary: incomplete churn spec %q", line)
-	}
-	return rep, nil
+	return rep, err
 }
 
 // ReplayChurn re-executes a churn reproducer with the full audit armed and

@@ -2,10 +2,12 @@ package adversary
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/check"
 	"repro/internal/sched"
-	"repro/internal/shmem"
 	"repro/internal/vexec"
 	"repro/internal/xrand"
 )
@@ -78,18 +80,17 @@ func (s *Spec) runSeed(family string, n, run int) uint64 {
 	return h
 }
 
-// origsFor supplies one run's original names: the spec's sampler verbatim
-// (the explore and replay paths must agree, down to panicking identically on
-// a malformed length), or pids 1..n.
-func (s *Spec) origsFor(n int, seed uint64) []int64 {
+// instance builds one run's system from the spec: a fresh renamer and its
+// original names, from the spec's sampler verbatim (the explore and replay
+// paths must agree, down to panicking identically on a malformed length) or
+// pids 1..n.
+func (s *Spec) instance(n int, seed uint64) *check.Instance {
+	r := s.New(n, seed)
+	var origs []int64
 	if s.Origs != nil {
-		return s.Origs(n, seed)
+		origs = s.Origs(n, seed)
 	}
-	names := make([]int64, n)
-	for i := range names {
-		names[i] = int64(i + 1)
-	}
-	return names
+	return check.NewInstance(r, n, origs)
 }
 
 // Violation is one invariant failure found during exploration.
@@ -144,25 +145,49 @@ func (o *Outcome) WorstCell() CellStats {
 	return worst
 }
 
-// runOnce executes a single (family, n, seed) run and checks it against the
-// spec's suite. It returns the run record and the first violation (nil if
-// the run is clean).
-func runOnce(spec *Spec, fam Family, n int, seed uint64) (*check.Run, error) {
-	r := spec.New(n, seed)
-	run := check.DriveModel(r, n, spec.origsFor(n, seed), fam.Model, fam.NewPolicy(seed, n), fam.NewPlan(seed, n))
-	if run.Res.Err != nil {
-		return run, fmt.Errorf("process panic: %w", run.Res.Err)
+// drive executes one seeded (family, n, seed) run of in and returns its
+// result: on the vectorized engine when the renamer ships frame automata,
+// and on a goroutine controller otherwise. e is the caller's engine from its
+// previous run, rewound through Exec.Reset when its lane count still fits
+// and rebuilt otherwise; drive returns the engine to offer next time (nil
+// starts afresh). Schedule fingerprints are bit-identical across the two
+// engines (the vexec differential contract), so a seed means the same run
+// on either.
+func drive(e *vexec.Exec, in *check.Instance, fam Family, n int, seed uint64) (*vexec.Exec, sched.Result) {
+	policy, plan := fam.NewPolicy(seed, n), fam.NewPlan(seed, n)
+	root := in.Frames()
+	if root == nil {
+		return e, sched.RunModel(n, in.Origs, fam.Model, policy, plan, in.Body())
 	}
-	return run, spec.suiteFor(n, fam.Name).Check(run)
+	if e == nil || e.N() != n {
+		e = vexec.New(n, in.Origs, root)
+	} else {
+		e.Reset(in.Origs, root)
+	}
+	if !fam.Model.Atomic() {
+		e.SetModel(fam.Model)
+	}
+	return e, e.Run(policy, plan)
+}
+
+// runOnce executes a single (family, n, seed) run, on the engine a campaign
+// would pick, and checks it against the spec's suite. It returns the run
+// record and the first violation (nil if the run is clean).
+func runOnce(spec *Spec, fam Family, n int, seed uint64) (*check.Run, error) {
+	in := spec.instance(n, seed)
+	_, res := drive(nil, in, fam, n, seed)
+	run := &check.Run{}
+	in.Record(run, res)
+	return run, spec.suiteFor(n, fam.Name).Verdict(run)
 }
 
 // Explore sweeps the campaign grid: every (family, n) cell runs its seeded
-// runs as independent executions fanned across the cores, on the vectorized
-// engine (vexec.RunBatch) when the algorithm compiles to frame automata and
-// on goroutine controllers (sched.ParallelRuns) otherwise. The outcome
-// reports coverage (distinct schedule fingerprints), decisions executed,
-// worst-case observed steps, and every invariant violation — the first of
-// which is shrunk to a minimal reproducer.
+// runs as independent executions fanned across the cores, each run on the
+// vectorized engine when the algorithm compiles to frame automata and on a
+// goroutine controller otherwise (drive). The outcome reports coverage
+// (distinct schedule fingerprints), decisions executed, worst-case observed
+// steps, and every invariant violation — the first of which is shrunk to a
+// minimal reproducer.
 func Explore(spec Spec) Outcome {
 	spec.normalize()
 	out := Outcome{Label: spec.Label}
@@ -192,75 +217,49 @@ type cellResult struct {
 	violations []Violation
 }
 
-// capture is one run's record: its seed, the fresh instance, the names it
-// was started with, and the Rename return values.
-type capture struct {
-	seed  uint64
-	r     check.Renamer
-	origs []int64
-	got   []int64
-	oks   []bool
+// slot is one run of a cell: its seed, its instance and its result.
+type slot struct {
+	seed uint64
+	in   *check.Instance
+	res  sched.Result
 }
 
-// exploreCell runs one (family, n) cell. Every run builds its instance in
-// its own slot of the cell's capture slice, from the worker that drives it,
-// so construction stays parallel; the results are checked serially —
-// checkers are cheap, runs are not. Schedule fingerprints are bit-identical
-// across the two engines (the vexec differential contract), so violation
-// seeds and the goroutine-based Replay/Shrink paths agree whichever engine
-// found them.
+// exploreCell runs one (family, n) cell. The runs are fanned across up to
+// GOMAXPROCS workers; each worker builds every instance it drives, so
+// construction stays parallel, and recycles one vexec engine across its runs.
+// The results are then checked serially in run order into one reused record —
+// checkers are cheap, runs are not.
 func exploreCell(spec *Spec, fam Family, n int, seen map[uint64]struct{}) cellResult {
-	caps := make([]capture, spec.Runs)
-	// at builds run's capture on first touch. Run 0 is built before the
-	// fan-out, to pick the engine; every other slot is touched only by the
-	// one worker that drives its run.
-	at := func(run int) *capture {
-		c := &caps[run]
-		if c.r == nil {
-			c.seed = spec.runSeed(fam.Name, n, run)
-			c.r = spec.New(n, c.seed)
-			c.origs = spec.origsFor(n, c.seed)
-			c.got, c.oks = make([]int64, n), make([]bool, n)
-		}
-		return c
-	}
-	var results []sched.Result
-	if _, ok := at(0).r.(vexec.FrameRenamer); ok {
-		results = vexec.RunBatch(spec.Runs, func(run int) vexec.BatchSpec {
-			c := at(run)
-			fr := c.r.(vexec.FrameRenamer)
-			return vexec.BatchSpec{
-				N:      n,
-				Names:  c.origs,
-				Model:  fam.Model,
-				Policy: fam.NewPolicy(c.seed, n),
-				Plan:   fam.NewPlan(c.seed, n),
-				Root: func(p *shmem.Proc) vexec.Frame {
-					return vexec.Capture(fr.FrameRename(p.Name()), &c.got[p.ID()], &c.oks[p.ID()])
-				},
+	slots := make([]slot, spec.Runs)
+	workers := min(runtime.GOMAXPROCS(0), len(slots))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			var e *vexec.Exec // this worker's engine, recycled across its runs
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(slots) {
+					return
+				}
+				s := &slots[i]
+				s.seed = spec.runSeed(fam.Name, n, i)
+				s.in = spec.instance(n, s.seed)
+				e, s.res = drive(e, s.in, fam, n, s.seed)
 			}
-		})
-	} else {
-		results = sched.ParallelRuns(spec.Runs, func(run int) sched.RunSpec {
-			c := at(run)
-			return sched.RunSpec{
-				N:      n,
-				Names:  c.origs,
-				Model:  fam.Model,
-				Policy: fam.NewPolicy(c.seed, n),
-				Plan:   fam.NewPlan(c.seed, n),
-				Body: func(p *shmem.Proc) {
-					c.got[p.ID()], c.oks[p.ID()] = c.r.Rename(p, p.Name())
-				},
-			}
-		})
+		}()
 	}
+	wg.Wait()
 
-	cell := cellResult{stats: CellStats{Family: fam.Name, N: n, Runs: len(results)}}
+	cell := cellResult{stats: CellStats{Family: fam.Name, N: n, Runs: len(slots)}}
 	suite := spec.suiteFor(n, fam.Name)
 	cellSeen := make(map[uint64]struct{}, spec.Runs)
-	for run, res := range results {
-		c := &caps[run]
+	var record check.Run
+	for i := range slots {
+		s := &slots[i]
+		res := s.res
 		seen[res.Fingerprint] = struct{}{}
 		cellSeen[res.Fingerprint] = struct{}{}
 		if ms := res.MaxSteps(); ms > cell.stats.MaxSteps {
@@ -277,21 +276,13 @@ func exploreCell(spec *Spec, fam Family, n int, seen map[uint64]struct{}) cellRe
 		for _, r := range res.Restarts {
 			cell.stats.Explored += 2 * r
 		}
-		record := check.NewRun(c.origs, c.got, c.oks, res, c.r.MaxName())
+		s.in.Record(&record, res)
 		cell.stats.Crashes += record.Crashes()
-		// A process panic preempts the suite verdict, mirroring runOnce: the
-		// report and the shrunk reproducer must agree on the failure class.
-		var err error
-		if res.Err != nil {
-			err = fmt.Errorf("process panic: %w", res.Err)
-		} else {
-			err = suite.Check(record)
-		}
-		if err != nil {
+		if err := suite.Verdict(&record); err != nil {
 			cell.stats.Violating++
-			cell.violations = append(cell.violations, Violation{Label: spec.Label, Family: fam.Name, N: n, Seed: c.seed, Err: err})
+			cell.violations = append(cell.violations, Violation{Label: spec.Label, Family: fam.Name, N: n, Seed: s.seed, Err: err})
 		}
-		*c = capture{} // checked: release the instance
+		*s = slot{} // checked: release the instance
 	}
 	cell.stats.Distinct = len(cellSeen)
 	return cell

@@ -11,7 +11,7 @@ import (
 // semantics, crash-recovery, op-level latency — and is, like every family, a
 // deterministic function of its seed, so (family, n, seed) reproducer lines
 // replay bit-for-bit. The model a family needs rides on Family.Model and is
-// threaded to the controller by runOnce/exploreCell, so a pasted reproducer
+// threaded to the engine by drive, so a pasted reproducer
 // line re-creates not just the schedule but the fault semantics it ran under.
 
 // StaleReader is the weak-register adversary: uniform random scheduling,

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -54,53 +55,70 @@ func (r Reproducer) String() string {
 // Parse reads a one-line spec produced by String.
 func Parse(line string) (Reproducer, error) {
 	var rep Reproducer
-	line = strings.TrimSpace(line)
-	const prefix = "adversary:"
-	if !strings.HasPrefix(line, prefix) {
-		return rep, fmt.Errorf("adversary: spec line must start with %q: %q", prefix, line)
-	}
-	for _, field := range strings.Fields(line[len(prefix):]) {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return rep, fmt.Errorf("adversary: malformed field %q in spec %q", field, line)
-		}
+	err := parseFields(line, "adversary", "spec", func(key, val string) (err error) {
 		switch key {
 		case "algo":
 			rep.Label = val
 		case "family":
 			rep.Family = val
 		case "n":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return rep, fmt.Errorf("adversary: bad n in spec %q", line)
-			}
-			rep.N = n
+			rep.N, err = parseCount(val, 1)
 		case "seed":
-			seed, err := strconv.ParseUint(strings.TrimPrefix(val, "0x"), 16, 64)
-			if err != nil {
-				return rep, fmt.Errorf("adversary: bad seed in spec %q", line)
-			}
-			rep.Seed = seed
+			rep.Seed, err = parseSeed(val)
 		case "model":
-			m, err := shmem.ParseModel(val)
-			if err != nil {
-				return rep, fmt.Errorf("adversary: bad model in spec %q: %v", line, err)
-			}
-			rep.Model = m
+			rep.Model, err = shmem.ParseModel(val)
 		case "restarts":
-			r, err := strconv.Atoi(val)
-			if err != nil || r < 0 {
-				return rep, fmt.Errorf("adversary: bad restarts in spec %q", line)
-			}
-			rep.Restarts = r
+			rep.Restarts, err = parseCount(val, 0)
 		default:
-			return rep, fmt.Errorf("adversary: unknown field %q in spec %q", key, line)
+			return errUnknownField
+		}
+		return err
+	})
+	if err == nil && (rep.Label == "" || rep.Family == "" || rep.N == 0) {
+		err = fmt.Errorf("adversary: incomplete spec %q", strings.TrimSpace(line))
+	}
+	return rep, err
+}
+
+// errUnknownField is what a parseFields setter returns for a key its line
+// format does not have.
+var errUnknownField = errors.New("unknown field")
+
+// parseFields reads a reproducer line: the "kind:" prefix, then
+// space-separated key=value fields, each handed to set. what names the line
+// format in errors. A field set rejects fails the parse, naming the key.
+func parseFields(line, kind, what string, set func(key, val string) error) error {
+	line = strings.TrimSpace(line)
+	prefix := kind + ":"
+	if !strings.HasPrefix(line, prefix) {
+		return fmt.Errorf("adversary: %s line must start with %q: %q", what, prefix, line)
+	}
+	for _, field := range strings.Fields(line[len(prefix):]) {
+		key, val, ok := strings.Cut(field, "=")
+		if !ok {
+			return fmt.Errorf("adversary: malformed field %q in %s %q", field, what, line)
+		}
+		if err := set(key, val); errors.Is(err, errUnknownField) {
+			return fmt.Errorf("adversary: unknown field %q in %s %q", key, what, line)
+		} else if err != nil {
+			return fmt.Errorf("adversary: bad %s in %s %q: %v", key, what, line, err)
 		}
 	}
-	if rep.Label == "" || rep.Family == "" || rep.N == 0 {
-		return rep, fmt.Errorf("adversary: incomplete spec %q", line)
+	return nil
+}
+
+// parseSeed reads a hex seed, with or without its 0x prefix.
+func parseSeed(val string) (uint64, error) {
+	return strconv.ParseUint(strings.TrimPrefix(val, "0x"), 16, 64)
+}
+
+// parseCount reads a decimal count of at least least.
+func parseCount(val string, least int) (int, error) {
+	v, err := strconv.Atoi(val)
+	if err == nil && v < least {
+		err = fmt.Errorf("%d is below %d", v, least)
 	}
-	return rep, nil
+	return v, err
 }
 
 // Replay re-executes a reproducer against the spec's algorithm and returns

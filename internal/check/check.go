@@ -13,9 +13,13 @@
 //   - Returned: wait-freedom's observable core — every non-crashed process
 //     comes back with a decision.
 //
-// Drive executes k contenders through a Renamer under an arbitrary policy
-// and crash plan and produces the Run record the checkers consume. The
-// package deliberately depends only on shmem and sched — the Renamer
+// Instance is the one harness that runs a renamer: it holds the renamer,
+// the original names and the per-pid capture of Rename's results, in the
+// goroutine form (Body) and the frame-automaton form (Frames), and refills
+// the Run record the checkers consume (Record). Campaigns, replays, shrinks
+// and proof walks all run through it. Drive executes k contenders through
+// an Instance on the goroutine oracle under an arbitrary policy and crash
+// plan. The package depends only on shmem, sched and vexec — the Renamer
 // interface is structural, identical to core.Renamer — so the core package's
 // own tests (and the adversary explorer) can use it without import cycles.
 package check
@@ -26,6 +30,7 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/shmem"
+	"repro/internal/vexec"
 )
 
 // Renamer is the structural mirror of core.Renamer: a one-shot renaming
@@ -254,6 +259,16 @@ func (s Suite) Check(r *Run) error {
 	return nil
 }
 
+// Verdict is a recorded run's failure, or nil: a process panic (Res.Err)
+// preempts the checkers, so every harness — campaign, replay, shrink and
+// proof walk — reports the same failure class for the same run.
+func (s Suite) Verdict(r *Run) error {
+	if r.Res.Err != nil {
+		return fmt.Errorf("process panic: %w", r.Res.Err)
+	}
+	return s.Check(r)
+}
+
 // Names lists the checker names, for reporting.
 func (s Suite) Names() []string {
 	out := make([]string, len(s))
@@ -270,6 +285,59 @@ func Basic() Suite {
 	return Suite{Exclusive(), NameRange(0), Returned()}
 }
 
+// Instance is one system under check: a renamer, the original names its k
+// contenders hold, and each process's Rename result. A fresh Instance starts
+// with every outcome cleared. An Instance runs one execution at a time.
+type Instance struct {
+	Renamer Renamer
+	Origs   []int64 // original names, by pid
+	Got     []int64 // Rename's name, by pid
+	Oks     []bool  // Rename's ok, by pid
+}
+
+// NewInstance wraps r for k contenders holding origs; nil assigns 1..k.
+func NewInstance(r Renamer, k int, origs []int64) *Instance {
+	if origs == nil {
+		origs = make([]int64, k)
+		for i := range origs {
+			origs[i] = int64(i + 1)
+		}
+	}
+	return &Instance{Renamer: r, Origs: origs, Got: make([]int64, k), Oks: make([]bool, k)}
+}
+
+// Body is the goroutine form of the instance: each process renames with its
+// original name and stores the result in its slot.
+func (in *Instance) Body() sched.Body {
+	return func(p *shmem.Proc) {
+		in.Got[p.ID()], in.Oks[p.ID()] = in.Renamer.Rename(p, p.Name())
+	}
+}
+
+// Frames is the vectorized form of Body: one capture-wrapped frame automaton
+// per lane, writing the lane's result into the same slots Body assigns. It
+// is nil when the renamer ships no frame automata (vexec.FrameRenamer), so
+// a non-nil Frames is what routes an execution onto the vectorized engine.
+func (in *Instance) Frames() func(p *shmem.Proc) vexec.Frame {
+	fr, ok := in.Renamer.(vexec.FrameRenamer)
+	if !ok {
+		return nil
+	}
+	return func(p *shmem.Proc) vexec.Frame {
+		return vexec.Capture(fr.FrameRename(p.Name()), &in.Got[p.ID()], &in.Oks[p.ID()])
+	}
+}
+
+// ResetPid clears process pid's result: a stateful walk's per-lane restore
+// hook, for a lane put back before its rename returned.
+func (in *Instance) ResetPid(pid int) { in.Got[pid], in.Oks[pid] = 0, false }
+
+// Record refills run with the checked-form record of the execution that
+// ended in res (see Run.Reset).
+func (in *Instance) Record(run *Run, res sched.Result) {
+	run.Reset(in.Origs, in.Got, in.Oks, res, in.Renamer.MaxName())
+}
+
 // Drive runs k contenders holding origs (nil assigns 1..k) through r under
 // policy and plan and returns the checked-form record. It does not apply any
 // checkers itself — callers pick the suite matching the algorithm's claims.
@@ -282,27 +350,21 @@ func Drive(r Renamer, k int, origs []int64, policy sched.Policy, plan sched.Cras
 // DriveModel is Drive under an explicit fault model (see shmem.Model): weak
 // register reads consult the policy's sched.StalePolicy extension, and under
 // a recovery model the plan's sched.RestartPlan extension is offered every
-// crashed process. The zero model makes it identical to Drive.
+// crashed process. The zero model makes it identical to Drive. It always
+// runs on the goroutine oracle, whatever the renamer ships: it is the driver
+// of the core packages' own tests and of the fuzz harness's direct arm,
+// which exercise the Rename bodies themselves.
 func DriveModel(r Renamer, k int, origs []int64, m shmem.Model, policy sched.Policy, plan sched.CrashPlan) *Run {
-	if origs == nil {
-		origs = make([]int64, k)
-		for i := range origs {
-			origs[i] = int64(i + 1)
-		}
-	}
-	got := make([]int64, k)
-	oks := make([]bool, k)
-	res := sched.RunModel(k, origs, m, policy, plan, func(p *shmem.Proc) {
-		got[p.ID()], oks[p.ID()] = r.Rename(p, p.Name())
-	})
-	return NewRun(origs, got, oks, res, r.MaxName())
+	in := NewInstance(r, k, origs)
+	run := &Run{}
+	in.Record(run, sched.RunModel(k, in.Origs, m, policy, plan, in.Body()))
+	return run
 }
 
 // NewRun assembles the checked-form record from the raw per-pid outcome of
 // a driven execution: got[pid]/oks[pid] are Rename's return values and res
-// the scheduler summary. It is Reset on a fresh Run; Drive uses it, and so do
-// harnesses (the adversary explorer) that run the execution themselves and
-// keep the record.
+// the scheduler summary. It is Reset on a fresh Run, for harnesses that run
+// the execution themselves and keep the record.
 func NewRun(origs, got []int64, oks []bool, res sched.Result, maxName int64) *Run {
 	run := &Run{}
 	run.Reset(origs, got, oks, res, maxName)

@@ -1,12 +1,16 @@
 package check
 
 import (
+	"errors"
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/compete"
 	"repro/internal/sched"
 	"repro/internal/shmem"
+	"repro/internal/vexec"
 )
 
 // idRenamer assigns pid+1: correct, bounded, two steps per process.
@@ -212,6 +216,14 @@ func TestSuiteReportsCheckerName(t *testing.T) {
 	if len(names) != 3 || names[0] != "exclusive" {
 		t.Fatalf("suite names wrong: %v", names)
 	}
+	if err := Basic().Verdict(run); err == nil || err.Error() != "exclusive: name 1 held by both process 0 and process 1" {
+		t.Fatalf("verdict of a clean-exit run is not the suite's: %v", err)
+	}
+	// A process panic preempts the checkers, even ones the record fails.
+	run.Res.Err = errors.New("boom")
+	if err := Basic().Verdict(run); err == nil || err.Error() != "process panic: boom" {
+		t.Fatalf("verdict of a panicked run: %v", err)
+	}
 }
 
 func TestAdHocChecker(t *testing.T) {
@@ -223,4 +235,46 @@ func TestAdHocChecker(t *testing.T) {
 
 func emptyResult(k int) sched.Result {
 	return sched.Result{Steps: make([]int64, k), Crashed: make([]bool, k)}
+}
+
+// TestInstanceEnginesAgree drives fresh instances of one renamer through
+// Body on the goroutine oracle and through Frames on the vectorized engine
+// under the same seeded schedule and crash plan: the two records must be
+// equal, down to the fingerprint. A renamer without frame automata has no
+// Frames, and ResetPid clears one process's result.
+func TestInstanceEnginesAgree(t *testing.T) {
+	const k = 4
+	origs := []int64{40, 10, 30, 20}
+	for seed := uint64(1); seed <= 8; seed++ {
+		plan := func() sched.CrashPlan { return sched.RandomCrashes(seed, 0.2, k-1) }
+		oracle := NewInstance(compete.NewFirstFit(k), k, origs)
+		var want Run
+		oracle.Record(&want, sched.Run(k, oracle.Origs, sched.NewRandom(seed), plan(), oracle.Body()))
+
+		in := NewInstance(compete.NewFirstFit(k), k, origs)
+		frames := in.Frames()
+		if frames == nil {
+			t.Fatal("firstfit ships frame automata, but Frames is nil")
+		}
+		var got Run
+		in.Record(&got, vexec.New(k, in.Origs, frames).Run(sched.NewRandom(seed), plan()))
+		if want.Res.Err != nil || got.Res.Err != nil {
+			t.Fatalf("seed %d: oracle err %v, vexec err %v", seed, want.Res.Err, got.Res.Err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: vexec record %+v, oracle %+v", seed, got, want)
+		}
+		if len(got.Names) == 0 {
+			t.Fatalf("seed %d: nobody renamed", seed)
+		}
+		for pid := range in.Got {
+			in.ResetPid(pid)
+			if in.Got[pid] != 0 || in.Oks[pid] {
+				t.Fatalf("ResetPid(%d) left (%d, %v)", pid, in.Got[pid], in.Oks[pid])
+			}
+		}
+	}
+	if NewInstance(&idRenamer{slots: make([]shmem.Reg, k)}, k, nil).Frames() != nil {
+		t.Fatal("a renamer without frame automata has Frames")
+	}
 }

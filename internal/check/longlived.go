@@ -17,7 +17,7 @@
 // LLVerifier checks all four incrementally, one event at a time, so the
 // service's audit mode can run it online (panicking on the violating event,
 // which the model checker surfaces with the schedule that produced it) and
-// the checkers below can run it over a recorded history.
+// LLCheckAll can run it over a recorded history.
 package check
 
 import "fmt"
@@ -219,80 +219,11 @@ func (v *LLVerifier) dropName(s *llSession) {
 // reclaimed) at the current point of the history.
 func (v *LLVerifier) LiveNames() int { return len(v.live) }
 
-// LLChecker judges a recorded long-lived history.
-type LLChecker struct {
-	Name string
-	Fn   func(r *LLRecord) error
-}
-
-// verify replays a record through a fresh LLVerifier, tagging any violation
-// with the event index; only errors matching keep are reported (empty keep
-// means all).
-func llVerify(r *LLRecord, keep string) error {
-	var v LLVerifier
-	for i, e := range r.Events {
-		if err := v.Apply(e); err != nil {
-			if keep != "" && !matchInvariant(err, keep) {
-				// A different invariant broke first; this checker stays
-				// silent and lets its sibling report it.
-				return nil
-			}
-			return fmt.Errorf("event %d (%s): %w", i, e, err)
-		}
-	}
-	return nil
-}
-
-func matchInvariant(err error, prefix string) bool {
-	s := err.Error()
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
-}
-
-// LLExclusive checks live exclusivity: no name ever has two live holders.
-func LLExclusive() LLChecker {
-	return LLChecker{Name: "ll-exclusive", Fn: func(r *LLRecord) error {
-		return llVerify(r, "live-exclusive")
-	}}
-}
-
-// LLNoLeak checks that recycling never rewinds registers under a live name.
-func LLNoLeak() LLChecker {
-	return LLChecker{Name: "ll-no-leak", Fn: func(r *LLRecord) error {
-		return llVerify(r, "no-leak")
-	}}
-}
-
-// LLEpochMono checks per-shard strict epoch growth.
-func LLEpochMono() LLChecker {
-	return LLChecker{Name: "ll-epoch-mono", Fn: func(r *LLRecord) error {
-		return llVerify(r, "epoch-monotone")
-	}}
-}
-
-// LLReclaimOnce checks that crashed leases are reclaimed exactly once and
-// only for attached sessions.
-func LLReclaimOnce() LLChecker {
-	return LLChecker{Name: "ll-reclaim-once", Fn: func(r *LLRecord) error {
-		return llVerify(r, "reclaim-once")
-	}}
-}
-
-// LLLifecycle checks session lifecycle sanity (join/issue/depart ordering).
-func LLLifecycle() LLChecker {
-	return LLChecker{Name: "ll-lifecycle", Fn: func(r *LLRecord) error {
-		return llVerify(r, "lifecycle")
-	}}
-}
-
-// LLAll is the full long-lived suite.
-func LLAll() []LLChecker {
-	return []LLChecker{LLExclusive(), LLNoLeak(), LLEpochMono(), LLReclaimOnce(), LLLifecycle()}
-}
-
-// LLCheckAll runs the whole suite, returning the first failure.
+// LLCheckAll replays a recorded history through a fresh LLVerifier and
+// returns the first violation, tagged with its event index. The wrapped
+// error names the violated invariant (live-exclusive, no-leak,
+// epoch-monotone, reclaim-once or lifecycle).
 func LLCheckAll(r *LLRecord) error {
-	// One strict pass first: any violation at all is a failure, and the
-	// per-invariant checkers exist to classify it.
 	var v LLVerifier
 	for i, e := range r.Events {
 		if err := v.Apply(e); err != nil {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -33,22 +34,16 @@ func TestLLVerifierCleanHistory(t *testing.T) {
 	if err := LLCheckAll(goodHistory()); err != nil {
 		t.Fatalf("clean history rejected: %v", err)
 	}
-	for _, c := range LLAll() {
-		if err := c.Fn(goodHistory()); err != nil {
-			t.Fatalf("checker %s rejected clean history: %v", c.Name, err)
-		}
-	}
 }
 
 func TestLLVerifierCatchesViolations(t *testing.T) {
 	cases := []struct {
-		name    string
-		checker LLChecker
-		want    string // substring of the violation
-		events  []LLEvent
+		name   string
+		want   string // the invariant the violation names
+		events []LLEvent
 	}{
 		{
-			name: "double-issue-same-name", checker: LLExclusive(), want: "live-exclusive",
+			name: "double-issue-same-name", want: "live-exclusive",
 			events: []LLEvent{
 				ev(LLOpen, 0, 1, 0, 0, 0),
 				ev(LLJoin, 0, 1, 0, 1, 0),
@@ -58,7 +53,7 @@ func TestLLVerifierCatchesViolations(t *testing.T) {
 			},
 		},
 		{
-			name: "recycle-under-live-name", checker: LLNoLeak(), want: "no-leak",
+			name: "recycle-under-live-name", want: "no-leak",
 			events: []LLEvent{
 				ev(LLOpen, 0, 1, 0, 0, 0),
 				ev(LLJoin, 0, 1, 0, 1, 0),
@@ -67,7 +62,7 @@ func TestLLVerifierCatchesViolations(t *testing.T) {
 			},
 		},
 		{
-			name: "join-recycled-generation", checker: LLNoLeak(), want: "no-leak",
+			name: "join-recycled-generation", want: "no-leak",
 			events: []LLEvent{
 				ev(LLOpen, 0, 1, 0, 0, 0),
 				ev(LLRecycle, 0, 1, 0, 0, 0),
@@ -75,14 +70,14 @@ func TestLLVerifierCatchesViolations(t *testing.T) {
 			},
 		},
 		{
-			name: "epoch-regression", checker: LLEpochMono(), want: "epoch-monotone",
+			name: "epoch-regression", want: "epoch-monotone",
 			events: []LLEvent{
 				ev(LLOpen, 0, 2, 0, 0, 0),
 				ev(LLOpen, 0, 2, 0, 0, 0), // not strictly increasing
 			},
 		},
 		{
-			name: "reclaim-released-session", checker: LLReclaimOnce(), want: "reclaim-once",
+			name: "reclaim-released-session", want: "reclaim-once",
 			events: []LLEvent{
 				ev(LLOpen, 0, 1, 0, 0, 0),
 				ev(LLJoin, 0, 1, 0, 1, 0),
@@ -92,7 +87,7 @@ func TestLLVerifierCatchesViolations(t *testing.T) {
 			},
 		},
 		{
-			name: "double-reclaim", checker: LLReclaimOnce(), want: "reclaim-once",
+			name: "double-reclaim", want: "reclaim-once",
 			events: []LLEvent{
 				ev(LLOpen, 0, 1, 0, 0, 0),
 				ev(LLJoin, 0, 1, 0, 1, 0),
@@ -102,7 +97,7 @@ func TestLLVerifierCatchesViolations(t *testing.T) {
 			},
 		},
 		{
-			name: "release-without-name", checker: LLLifecycle(), want: "lifecycle",
+			name: "release-without-name", want: "lifecycle",
 			events: []LLEvent{
 				ev(LLOpen, 0, 1, 0, 0, 0),
 				ev(LLJoin, 0, 1, 0, 1, 0),
@@ -110,7 +105,7 @@ func TestLLVerifierCatchesViolations(t *testing.T) {
 			},
 		},
 		{
-			name: "issue-while-detached", checker: LLLifecycle(), want: "lifecycle",
+			name: "issue-while-detached", want: "lifecycle",
 			events: []LLEvent{
 				ev(LLOpen, 0, 1, 0, 0, 0),
 				ev(LLIssue, 0, 1, 0, 1, 0x11),
@@ -120,33 +115,14 @@ func TestLLVerifierCatchesViolations(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			r := &LLRecord{Events: tc.events}
-			err := tc.checker.Fn(r)
+			err := LLCheckAll(&LLRecord{Events: tc.events})
 			if err == nil {
-				t.Fatalf("checker %s missed the violation", tc.checker.Name)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("checker %s reported %q, want invariant %q", tc.checker.Name, err, tc.want)
-			}
-			if LLCheckAll(r) == nil {
 				t.Fatal("LLCheckAll missed the violation")
 			}
+			if inner := errors.Unwrap(err); inner == nil || !strings.HasPrefix(inner.Error(), tc.want+":") {
+				t.Fatalf("LLCheckAll reported %q, want a wrapped %q violation", err, tc.want)
+			}
 		})
-	}
-}
-
-// TestLLCheckerScoping: a checker stays silent when a *different* invariant
-// breaks first — its sibling owns that report.
-func TestLLCheckerScoping(t *testing.T) {
-	r := &LLRecord{Events: []LLEvent{
-		ev(LLOpen, 0, 1, 0, 0, 0),
-		ev(LLIssue, 0, 1, 0, 1, 0x11), // lifecycle violation, not exclusivity
-	}}
-	if err := LLExclusive().Fn(r); err != nil {
-		t.Fatalf("LLExclusive reported a lifecycle violation: %v", err)
-	}
-	if err := LLLifecycle().Fn(r); err == nil {
-		t.Fatal("LLLifecycle missed its own violation")
 	}
 }
 

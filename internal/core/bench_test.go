@@ -85,26 +85,3 @@ func BenchmarkEfficientRenameFree(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkEfficientRenameParallel measures schedule exploration: 8 seeded
-// executions per iteration spread across workers via ParallelRuns.
-func BenchmarkEfficientRenameParallel(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		results := sched.ParallelRuns(8, func(run int) sched.RunSpec {
-			r := NewEfficient(8, 0, Config{Seed: uint64(i*8+run) + 1})
-			return sched.RunSpec{
-				N:      8,
-				Policy: sched.NewRandom(uint64(run) + 1),
-				Body: func(p *shmem.Proc) {
-					r.Rename(p, p.Name())
-				},
-			}
-		})
-		for _, res := range results {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-		}
-	}
-}

@@ -17,7 +17,7 @@
 //     state hash, so a complete walk is an exact proof.
 //
 // Seeded sampling is not a strategy: internal/adversary fans its independent
-// runs straight over vexec.RunBatch or sched.ParallelRuns.
+// runs straight over the engines, one check.Instance per run.
 //
 // The package knows nothing about renaming: independence between grants
 // comes entirely from the Intent metadata the scheduler exposes (distinct

@@ -188,60 +188,17 @@ func (r *Report) Summary() string {
 	return s + fmt.Sprintf(") in %v", r.Elapsed.Round(time.Millisecond))
 }
 
-// instance is one system under check: a fresh renamer with its per-pid
-// outcome capture. The stateful engine uses exactly one; the stateless
-// engine builds one per execution.
-type instance struct {
-	renamer check.Renamer
-	got     []int64
-	oks     []bool
-}
-
-func (in *instance) reset() {
-	for i := range in.got {
-		in.resetPid(i)
-	}
-}
-
-// resetPid clears process pid's outcome: the stateful walker's per-lane
-// restore hook (explore.Config.Reset).
-func (in *instance) resetPid(pid int) { in.got[pid], in.oks[pid] = 0, false }
-
-func (in *instance) body() sched.Body {
-	return func(p *shmem.Proc) {
-		in.got[p.ID()], in.oks[p.ID()] = in.renamer.Rename(p, p.Name())
-	}
-}
-
-// frames is the vectorized form of body: one capture-wrapped frame automaton
-// per lane, writing the lane's outcome into the same arrays body assigns.
-// Valid only when the renamer ships frame automata.
-func (in *instance) frames() func(p *shmem.Proc) vexec.Frame {
-	fr := in.renamer.(vexec.FrameRenamer)
-	return func(p *shmem.Proc) vexec.Frame {
-		return vexec.Capture(fr.FrameRename(p.Name()), &in.got[p.ID()], &in.oks[p.ID()])
-	}
-}
-
 // Check walks the complete schedule-and-crash tree of the renamer built by
 // new (which must return an equivalent fresh deterministic instance on every
 // call) for n contenders holding origs (nil assigns 1..n), checking every
 // complete execution against suite. It stops at the first violation.
 func Check(label string, new func() check.Renamer, n int, origs []int64, suite check.Suite, opt Options) Report {
-	if origs == nil {
-		origs = make([]int64, n)
-		for i := range origs {
-			origs[i] = int64(i + 1)
-		}
-	}
-	mkInstance := func() *instance {
-		return &instance{renamer: new(), got: make([]int64, n), oks: make([]bool, n)}
-	}
-	cur := mkInstance()
+	cur := check.NewInstance(new(), n, origs)
+	origs = cur.Origs // nil resolves to 1..n once; every later instance shares it
 	// Resolve the execution engine once, against the first instance: the walk
 	// runs on vexec exactly when the algorithm ships frame automata.
 	engine := EngineGoroutine
-	if _, ok := cur.renamer.(vexec.FrameRenamer); ok {
+	if cur.Frames() != nil {
 		engine = EngineVexec
 	} else if opt.Walker == WalkerSourceDPOR {
 		// Checkpoint/restore is vexec's alone, so a renamer without frame
@@ -258,34 +215,27 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 	} else {
 		strat = explore.NewSourceDPOR(opt.Budget, opt.MaxCrashes)
 	}
-	// fresh returns the system execution run drives, outcomes cleared: the
-	// stateful walker rewinds the one instance, the stateless walker builds a
-	// new one per execution.
-	fresh := func(run int) *instance {
+	// fresh returns the system execution run drives: the stateful walker
+	// rewinds the one instance, the stateless walker builds a new one per
+	// execution. Either way its outcomes start cleared.
+	fresh := func(run int) *check.Instance {
 		if run > 0 {
-			cur = mkInstance()
+			cur = check.NewInstance(new(), n, origs)
 		}
-		cur.reset()
 		return cur
 	}
-	// One record serves every execution: Reset refills it in place, so the
+	// One record serves every execution: Record refills it in place, so the
 	// walk allocates nothing per execution to check it.
 	var record check.Run
 	cfg := explore.Config{
 		N:     n,
 		Model: opt.Model,
 		Names: origs,
-		Body:  func(run int) sched.Body { return fresh(run).body() },
-		Reset: func(pid int) { cur.resetPid(pid) }, // stateful walker: same system, rewound
+		Body:  func(run int) sched.Body { return fresh(run).Body() },
+		Reset: func(pid int) { cur.ResetPid(pid) }, // stateful walker: same system, rewound
 		OnResult: func(run int, t sched.Trace, res sched.Result) bool {
-			var err error
-			if res.Err != nil {
-				err = fmt.Errorf("process panic: %w", res.Err)
-			} else {
-				record.Reset(origs, cur.got, cur.oks, res, cur.renamer.MaxName())
-				err = suite.Check(&record)
-			}
-			if err != nil {
+			cur.Record(&record, res)
+			if err := suite.Verdict(&record); err != nil {
 				// t aliases the drive's reused trace buffer; the violation is
 				// the report's durable artifact, so copy.
 				rep.Violation = &Violation{Err: err, Trace: append(sched.Trace(nil), t...)}
@@ -295,7 +245,7 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 		},
 	}
 	if engine == EngineVexec {
-		cfg.Frame = func(run int) func(p *shmem.Proc) vexec.Frame { return fresh(run).frames() }
+		cfg.Frame = func(run int) func(p *shmem.Proc) vexec.Frame { return fresh(run).Frames() }
 	}
 
 	stats := explore.Drive(strat, cfg)

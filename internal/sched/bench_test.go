@@ -59,32 +59,6 @@ func BenchmarkRunRoundRobin(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelRuns measures m independent seeded executions spread
-// across GOMAXPROCS workers, the schedule-exploration workload.
-func BenchmarkParallelRuns(b *testing.B) {
-	const m = 32
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		results := ParallelRuns(m, func(run int) RunSpec {
-			var r shmem.Reg
-			return RunSpec{
-				N:      8,
-				Policy: NewRandom(uint64(run) + 1),
-				Body: func(p *shmem.Proc) {
-					for j := 0; j < 64; j++ {
-						p.Read(&r)
-					}
-				},
-			}
-		})
-		for _, res := range results {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-		}
-	}
-}
-
 // BenchmarkRunFree measures the uncontrolled mode: free-running goroutines
 // over atomic registers.
 func BenchmarkRunFree(b *testing.B) {

@@ -3,7 +3,6 @@ package sched
 import (
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/shmem"
@@ -215,70 +214,6 @@ func TestControllerPanicReleasesDriver(t *testing.T) {
 	}
 	if res.Err != nil && !strings.Contains(res.Err.Error(), "process 1") {
 		t.Fatalf("error should name process 1: %v", res.Err)
-	}
-}
-
-// TestParallelRuns checks the fan-out helper: m independent seeded
-// executions, each complete and deterministic per seed.
-func TestParallelRuns(t *testing.T) {
-	const m = 16
-	var bodies atomic.Int64
-	results := ParallelRuns(m, func(run int) RunSpec {
-		var r shmem.Reg
-		return RunSpec{
-			N:      4,
-			Policy: NewRandom(uint64(run) + 1),
-			Body: func(p *shmem.Proc) {
-				bodies.Add(1)
-				p.Read(&r)
-				p.Write(&r, int64(p.ID()+1))
-			},
-		}
-	})
-	if len(results) != m {
-		t.Fatalf("got %d results, want %d", len(results), m)
-	}
-	for run, res := range results {
-		if res.Err != nil {
-			t.Fatalf("run %d: %v", run, res.Err)
-		}
-		if res.TotalSteps() != 8 {
-			t.Fatalf("run %d took %d total steps, want 8", run, res.TotalSteps())
-		}
-	}
-	if got := bodies.Load(); got != m*4 {
-		t.Fatalf("%d bodies executed, want %d", got, m*4)
-	}
-	if ParallelRuns(0, nil) != nil {
-		t.Fatal("ParallelRuns(0) should return nil")
-	}
-}
-
-// TestParallelRunsCrashPlans fans out executions with distinct crash plans
-// and verifies per-run crash accounting stays independent.
-func TestParallelRunsCrashPlans(t *testing.T) {
-	results := ParallelRuns(8, func(run int) RunSpec {
-		var r shmem.Reg
-		return RunSpec{
-			N:      3,
-			Policy: &RoundRobin{},
-			Plan:   CrashAllBut(run % 3),
-			Body: func(p *shmem.Proc) {
-				p.Read(&r)
-				p.Write(&r, p.Name())
-			},
-		}
-	})
-	for run, res := range results {
-		if res.Err != nil {
-			t.Fatalf("run %d: %v", run, res.Err)
-		}
-		survivor := run % 3
-		for pid, crashed := range res.Crashed {
-			if (pid != survivor) != crashed {
-				t.Fatalf("run %d: process %d crashed=%v (survivor %d)", run, pid, crashed, survivor)
-			}
-		}
 	}
 }
 

@@ -71,35 +71,30 @@ func TestCrashAfterPartialStepN(t *testing.T) {
 }
 
 // TestAbortRacingParallelRuns exercises Abort on partially driven
-// controllers while ParallelRuns executions churn on the same scheduler
-// machinery concurrently — the cleanup path must not interfere with
-// independent runs (run under -race in CI).
+// controllers while independent runs on their own goroutines churn on the
+// same scheduler machinery concurrently — the cleanup path must not
+// interfere with independent runs (run under -race in CI).
 func TestAbortRacingParallelRuns(t *testing.T) {
+	const runs = 16
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		results := ParallelRuns(16, func(run int) RunSpec {
+	wg.Add(runs)
+	for run := 0; run < runs; run++ {
+		go func(run int) {
+			defer wg.Done()
 			var r shmem.Reg
-			return RunSpec{
-				N:      4,
-				Policy: NewRandom(uint64(run) + 1),
-				Body: func(p *shmem.Proc) {
-					for i := 0; i < 32; i++ {
-						p.Read(&r)
-					}
-				},
-			}
-		})
-		for run, res := range results {
+			res := Run(4, nil, NewRandom(uint64(run)+1), nil, func(p *shmem.Proc) {
+				for i := 0; i < 32; i++ {
+					p.Read(&r)
+				}
+			})
 			if res.Err != nil {
 				t.Errorf("parallel run %d: %v", run, res.Err)
 			}
 			if res.TotalSteps() != 4*32 {
 				t.Errorf("parallel run %d: %d steps, want %d", run, res.TotalSteps(), 4*32)
 			}
-		}
-	}()
+		}(run)
+	}
 	for i := 0; i < 8; i++ {
 		var r shmem.Reg
 		c := NewController(6, nil, func(p *shmem.Proc) {

@@ -185,9 +185,7 @@ func (l *Ledger) RecordGrant(pid int, crash bool, stale int) { l.record(pid, cra
 // wrapper inlines into vexec's grant. The Controller passes unpend false and
 // takes pid out of the pending set itself, under its mutex.
 func (l *Ledger) record(pid int, crash bool, stale int, unpend bool) {
-	if pid < 0 || pid >= l.n {
-		panic(fmt.Sprintf("sched: grant to process %d outside [0..%d)", pid, l.n))
-	}
+	l.checkPid("grant to", pid)
 	if l.phase[pid] != PhasePending {
 		panic(fmt.Sprintf("sched: grant to non-pending process %d (phase %s): the policy returned a pid with no posted intent", pid, l.phase[pid]))
 	}
@@ -206,6 +204,25 @@ func (l *Ledger) record(pid int, crash bool, stale int, unpend bool) {
 	if unpend {
 		l.unpend(pid)
 	}
+}
+
+// checkPid panics, naming the operation, the pid and the range, when pid is
+// not one of the engine's processes. Every decision, and every query about a
+// pending process's operation (Intent, StaleVals, StaleCount), checks its pid
+// here before indexing. The phase queries (Phase, Done, Crashed, CanRestart)
+// index directly, so they stay inlinable in the drivers' per-grant loops.
+func (l *Ledger) checkPid(op string, pid int) {
+	if uint(pid) >= uint(l.n) {
+		pidOutOfRange(op, pid, l.n)
+	}
+}
+
+// pidOutOfRange is checkPid's cold path, kept out of line so checkPid
+// inlines into the grant.
+//
+//go:noinline
+func pidOutOfRange(op string, pid, n int) {
+	panic(fmt.Sprintf("sched: %s process %d outside [0..%d)", op, pid, n))
 }
 
 func (l *Ledger) unpend(pid int) {
@@ -238,9 +255,7 @@ func (l *Ledger) RecordRestart(pid int) {
 	if !l.model.Recovery {
 		panic("sched: Restart without a recovery model (SetModel)")
 	}
-	if pid < 0 || pid >= l.n {
-		panic(fmt.Sprintf("sched: Restart of process %d outside [0..%d)", pid, l.n))
-	}
+	l.checkPid("Restart of", pid)
 	if l.phase[pid] != PhaseCrashed {
 		panic(fmt.Sprintf("sched: Restart(%d) of non-crashed process (phase %s)", pid, l.phase[pid]))
 	}
@@ -347,6 +362,7 @@ func (l *Ledger) PendingReads() []uint64 { return l.rbits }
 
 // Intent returns the posted next operation of a pending process.
 func (l *Ledger) Intent(pid int) shmem.Intent {
+	l.checkPid("Intent of", pid)
 	if l.phase[pid] != PhasePending {
 		panic(fmt.Sprintf("sched: Intent(%d) of non-pending process (phase %s)", pid, l.phase[pid]))
 	}
@@ -379,6 +395,7 @@ func (l *Ledger) Grants() int64 { return l.grants }
 // Crash terminates a pending process before its posted operation executes.
 // The operation is not performed — the paper's crash model.
 func (l *Ledger) Crash(pid int) {
+	l.checkPid("Crash of", pid)
 	if l.phase[pid] != PhasePending {
 		panic(fmt.Sprintf("sched: Crash(%d) of non-pending process (phase %s)", pid, l.phase[pid]))
 	}
@@ -466,6 +483,11 @@ func containsI64(s []int64, v int64) bool {
 // final choice when the read overlapped any write. Values equal to the
 // current contents are filtered — returning them is the fresh read.
 func (l *Ledger) StaleVals(pid int, buf []int64) []int64 {
+	l.checkPid("StaleVals of", pid)
+	return l.staleVals(pid, buf)
+}
+
+func (l *Ledger) staleVals(pid int, buf []int64) []int64 {
 	buf = buf[:0]
 	if l.model.Regs == shmem.RegAtomic || l.phase[pid] != PhasePending {
 		return buf
@@ -499,7 +521,8 @@ func (l *Ledger) StaleVals(pid int, buf []int64) []int64 {
 // search strategy branches the grant of pid StaleCount+1 ways: the fresh read
 // plus one StepStale per index.
 func (l *Ledger) StaleCount(pid int) int {
-	l.staleBuf = l.StaleVals(pid, l.staleBuf)
+	l.checkPid("StaleCount of", pid)
+	l.staleBuf = l.staleVals(pid, l.staleBuf)
 	return len(l.staleBuf)
 }
 
@@ -508,7 +531,8 @@ func (l *Ledger) StaleCount(pid int) int {
 // The decision folds into the fingerprint and trace distinctly from a fresh
 // Step, so schedules differing only in staleness choices stay distinct.
 func (l *Ledger) StepStale(pid, idx int) {
-	l.staleBuf = l.StaleVals(pid, l.staleBuf)
+	l.checkPid("StepStale of", pid)
+	l.staleBuf = l.staleVals(pid, l.staleBuf)
 	if idx < 0 || idx >= len(l.staleBuf) {
 		panic(fmt.Sprintf("sched: StepStale(%d, %d) with %d stale choices", pid, idx, len(l.staleBuf)))
 	}

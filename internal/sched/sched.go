@@ -68,8 +68,8 @@ type seat struct {
 // picks which process performs its next shared-memory operation.
 //
 // The Controller is not itself safe for concurrent driving: exactly one
-// goroutine may call Step/Crash/Run at a time. (Use ParallelRuns for
-// many independent executions.)
+// goroutine may call Step/Crash/Run at a time; independent executions each
+// need their own Controller.
 type Controller struct {
 	// Ledger is the decision bookkeeping. The processes post intents and
 	// record their exits into it under mu; the driver records decisions
@@ -337,52 +337,6 @@ func RunFree(n int, names []int64, body Body) Result {
 		}
 	}
 	return res
-}
-
-// RunSpec describes one independent driven execution for ParallelRuns.
-type RunSpec struct {
-	N      int
-	Names  []int64 // nil assigns pid+1
-	Model  shmem.Model
-	Policy Policy
-	Plan   CrashPlan // nil injects no crashes
-	Body   Body
-}
-
-// ParallelRuns executes m independent driven executions across up to
-// GOMAXPROCS workers and returns their results in run order. mk is called
-// once per run index, concurrently from the workers, and must return a
-// self-contained spec: runs share nothing unless the caller's specs
-// deliberately alias state that is safe for concurrent use. It is the
-// schedule-exploration primitive: m seeded schedules (or crash plans) over
-// the same algorithm in one call.
-func ParallelRuns(m int, mk func(run int) RunSpec) []Result {
-	if m <= 0 {
-		return nil
-	}
-	results := make([]Result, m)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= m {
-					return
-				}
-				sp := mk(i)
-				results[i] = RunModel(sp.N, sp.Names, sp.Model, sp.Policy, sp.Plan, sp.Body)
-			}
-		}()
-	}
-	wg.Wait()
-	return results
 }
 
 // Policy chooses the next process to step among the pending ones. It reads

@@ -51,9 +51,10 @@ func New(n int, names []int64, root func(p *shmem.Proc) Frame) *Exec {
 
 // Reset rewinds the engine in place to the state New(n, names, root) would
 // return, reusing every allocation — lanes, machines, bitmaps, stale
-// windows. It is the batched fan-out's construction amortizer: a worker
-// recycles one engine across thousands of independent runs (vexec.RunBatch)
-// instead of reallocating the lane set per run. Capability knobs (model,
+// windows. It is the construction amortizer of repeated runs: a campaign
+// worker recycles one engine across thousands of independent runs, and a
+// stateless tree walk across its executions, instead of reallocating the
+// lane set per run. Capability knobs (model,
 // tracing, state capture) come back down; re-arm them after Reset as after
 // New.
 func (e *Exec) Reset(names []int64, root func(p *shmem.Proc) Frame) {

@@ -68,6 +68,10 @@ func TestMisusePanicsOnBothEngines(t *testing.T) {
 			}
 			mustPanic(t, "grant to process -1 outside [0..3)", func() { e.Step(-1) })
 			mustPanic(t, "grant to process 3 outside [0..3)", func() { e.Step(3) })
+			mustPanic(t, "Crash of process -1 outside [0..3)", func() { e.Crash(-1) })
+			mustPanic(t, "Intent of process 3 outside [0..3)", func() { e.Intent(3) })
+			mustPanic(t, "StepStale of process -1 outside [0..3)", func() { e.StepStale(-1, 0) })
+			mustPanic(t, "StaleCount of process 3 outside [0..3)", func() { e.StaleCount(3) })
 			mustPanic(t, "StepStale(2, 0) with 0 stale choices", func() { e.StepStale(2, 0) })
 			mustPanic(t, "Restart without a recovery model", func() { e.Restart(1) })
 			mustPanic(t, "SetModel after grants were issued", func() { e.SetModel(shmem.Model{Recovery: true}) })

@@ -1,13 +1,13 @@
 package vexec_test
 
-// Exec.Reset lets RunBatch recycle one engine per worker across thousands of
+// Exec.Reset lets a campaign worker recycle one engine across thousands of
 // independent runs. The contract is that a recycled engine is
 // indistinguishable from a fresh one: same fingerprints, steps, crash flags
 // and rename results run for run — including when consecutive runs switch
 // fault models (the capability knobs must come back down) and when runs
-// leave lanes crashed or mid-execution state behind. RunBatch must also
-// agree with the goroutine oracle's sched.ParallelRuns at populations the
-// differential suites do not reach.
+// leave lanes crashed or mid-execution state behind. A recycled engine must
+// also agree with the goroutine oracle at populations the differential
+// suites do not reach.
 
 import (
 	"testing"
@@ -19,9 +19,17 @@ import (
 	"repro/internal/vexec"
 )
 
-func batchSpecs(t *testing.T, runs int) []vexec.BatchSpec {
-	t.Helper()
-	specs := make([]vexec.BatchSpec, runs)
+// resetSpec is one independent run of the recycling test.
+type resetSpec struct {
+	n      int
+	model  shmem.Model
+	policy sched.Policy
+	plan   sched.CrashPlan // nil injects no crashes
+	root   func(p *shmem.Proc) vexec.Frame
+}
+
+func resetSpecs(runs int) []resetSpec {
+	specs := make([]resetSpec, runs)
 	for i := range specs {
 		n := 2 + i%3
 		var m shmem.Model
@@ -38,38 +46,53 @@ func batchSpecs(t *testing.T, runs int) []vexec.BatchSpec {
 			plan = sched.RandomCrashes(uint64(i)*31+7, 0.1, n-1)
 		}
 		ff := compete.NewFirstFit(n)
-		specs[i] = vexec.BatchSpec{
-			N:      n,
-			Model:  m,
-			Policy: sched.NewRandom(uint64(i)*2654435761 + 1),
-			Plan:   plan,
-			Root:   func(p *shmem.Proc) vexec.Frame { return ff.FrameRename(p.Name()) },
+		specs[i] = resetSpec{
+			n:      n,
+			model:  m,
+			policy: sched.NewRandom(uint64(i)*2654435761 + 1),
+			plan:   plan,
+			root:   func(p *shmem.Proc) vexec.Frame { return ff.FrameRename(p.Name()) },
 		}
 	}
 	return specs
 }
 
-func TestRunBatchRecycledEnginesMatchFresh(t *testing.T) {
+// run drives sp to completion on e, rewound through Reset, or on a fresh
+// engine when e is nil, and returns the engine it ran on.
+func (sp resetSpec) run(e *vexec.Exec) (*vexec.Exec, sched.Result) {
+	if e == nil {
+		e = vexec.New(sp.n, nil, sp.root)
+	} else {
+		e.Reset(nil, sp.root)
+	}
+	if !sp.model.Atomic() {
+		e.SetModel(sp.model)
+	}
+	return e, e.Run(sp.policy, sp.plan)
+}
+
+func TestResetRecycledEnginesMatchFresh(t *testing.T) {
 	const runs = 64
 	// Fresh engine per run: the reference. Policies and plans are stateful,
 	// so each arm gets its own spec list (identical seeds).
 	ref := make([]sched.Result, runs)
-	for i, sp := range batchSpecs(t, runs) {
-		ref[i] = vexec.RunFresh(sp)
+	for i, sp := range resetSpecs(runs) {
+		_, ref[i] = sp.run(nil)
 	}
-	// RunBatch recycles engines worker-side via Exec.Reset. Lane counts vary
-	// run to run on purpose: the reuse path must handle both the n-matches
-	// recycle and the n-changed reconstruct.
-	specs := batchSpecs(t, runs)
-	got := vexec.RunBatch(runs, func(run int) vexec.BatchSpec { return specs[run] })
-	for i := range ref {
-		if got[i].Fingerprint != ref[i].Fingerprint {
-			t.Fatalf("run %d: recycled fingerprint %#x, fresh %#x", i, got[i].Fingerprint, ref[i].Fingerprint)
+	// One engine per lane count, recycled through Reset after its first
+	// run. Lane counts cycle run to run, so every recycle follows a run at
+	// another lane count on another engine, under another fault model.
+	engines := map[int]*vexec.Exec{}
+	for i, sp := range resetSpecs(runs) {
+		var got sched.Result
+		engines[sp.n], got = sp.run(engines[sp.n])
+		if got.Fingerprint != ref[i].Fingerprint {
+			t.Fatalf("run %d: recycled fingerprint %#x, fresh %#x", i, got.Fingerprint, ref[i].Fingerprint)
 		}
 		for pid := range ref[i].Steps {
-			if got[i].Steps[pid] != ref[i].Steps[pid] || got[i].Crashed[pid] != ref[i].Crashed[pid] {
+			if got.Steps[pid] != ref[i].Steps[pid] || got.Crashed[pid] != ref[i].Crashed[pid] {
 				t.Fatalf("run %d pid %d: recycled (steps %d, crashed %v), fresh (steps %d, crashed %v)",
-					i, pid, got[i].Steps[pid], got[i].Crashed[pid], ref[i].Steps[pid], ref[i].Crashed[pid])
+					i, pid, got.Steps[pid], got.Crashed[pid], ref[i].Steps[pid], ref[i].Crashed[pid])
 			}
 		}
 	}
@@ -91,29 +114,20 @@ func TestRunBatchRecycledEnginesMatchFresh(t *testing.T) {
 		{"adaptive", 16, func(n int, seed uint64) renamer { return core.NewAdaptive(n, core.Config{Seed: seed}) }},
 	} {
 		const runs = 16
-		oracle := sched.ParallelRuns(runs, func(run int) sched.RunSpec {
-			r := cfg.build(cfg.n, seed(run))
-			return sched.RunSpec{
-				N:      cfg.n,
-				Policy: sched.NewRandom(seed(run)),
-				Body:   func(p *shmem.Proc) { r.Rename(p, p.Name()) },
+		var e *vexec.Exec
+		for i := 0; i < runs; i++ {
+			r := cfg.build(cfg.n, seed(i))
+			oracle := sched.Run(cfg.n, nil, sched.NewRandom(seed(i)), nil, func(p *shmem.Proc) { r.Rename(p, p.Name()) })
+			if oracle.Err != nil || oracle.TotalSteps() == 0 {
+				t.Fatalf("%s n=%d run %d: oracle ran nothing (err %v)", cfg.name, cfg.n, i, oracle.Err)
 			}
-		})
-		batch := vexec.RunBatch(runs, func(run int) vexec.BatchSpec {
-			r := cfg.build(cfg.n, seed(run))
-			return vexec.BatchSpec{
-				N:      cfg.n,
-				Policy: sched.NewRandom(seed(run)),
-				Root:   func(p *shmem.Proc) vexec.Frame { return r.FrameRename(p.Name()) },
-			}
-		})
-		for i := range oracle {
-			if oracle[i].Err != nil || oracle[i].TotalSteps() == 0 {
-				t.Fatalf("%s n=%d run %d: oracle ran nothing (err %v)", cfg.name, cfg.n, i, oracle[i].Err)
-			}
-			if batch[i].Fingerprint != oracle[i].Fingerprint {
-				t.Fatalf("%s n=%d run %d: RunBatch fingerprint %#x, ParallelRuns %#x",
-					cfg.name, cfg.n, i, batch[i].Fingerprint, oracle[i].Fingerprint)
+			r = cfg.build(cfg.n, seed(i))
+			sp := resetSpec{n: cfg.n, policy: sched.NewRandom(seed(i)), root: func(p *shmem.Proc) vexec.Frame { return r.FrameRename(p.Name()) }}
+			var got sched.Result
+			e, got = sp.run(e)
+			if got.Fingerprint != oracle.Fingerprint {
+				t.Fatalf("%s n=%d run %d: recycled fingerprint %#x, oracle %#x",
+					cfg.name, cfg.n, i, got.Fingerprint, oracle.Fingerprint)
 			}
 		}
 	}
