@@ -6,10 +6,12 @@ import (
 )
 
 // churnRows streams the steady churn family through the long-lived service
-// on firstfit, once on the goroutine oracle and once on the vexec driver,
-// three rounds each with the engines interleaved, and keeps each engine's
-// fastest round. The goroutine runs have fewer sessions (its grant path is
-// the slow side); names/sec is a rate, so the two rows still compare.
+// on firstfit with the one streaming driver, once attached to the goroutine
+// oracle and once to the vexec engine, three rounds each with the engines
+// interleaved, and keeps each engine's fastest round. The goroutine runs
+// have fewer sessions (its grant path is the slow side, and it spends one
+// goroutine per session); names/sec is a rate, so the two rows still
+// compare.
 func churnRows(quick bool) []Row {
 	const lanes = 64
 	sessions := map[string]int64{"goroutine": 100_000, "vexec": 200_000}

@@ -65,6 +65,11 @@ type Engine interface {
 	Crash(pid int)
 	Restart(pid int)
 
+	// Relaunch re-runs the engine's root on a finished or crashed pid as a
+	// fresh logical process. It is a harness action, not a decision: nothing
+	// goes into the fingerprint or the trace.
+	Relaunch(pid int)
+
 	// Result summarizes the execution at the current decision point.
 	Result() Result
 }

@@ -48,8 +48,8 @@ func (ph Phase) String() string {
 // advances its frame automaton.
 //
 // The engine that embeds a ledger keeps it current through the engine-side
-// methods: NewLedger, Post, RecordGrant, Exit, RecordRestart, Revive,
-// ResetGateless, IntentSlot, and the Mark/Rewind pair behind vexec's
+// methods: NewLedger, Post, RecordGrant, Exit, RecordRestart, CheckRelaunch,
+// Revive, ResetGateless, IntentSlot, and the Mark/Rewind pair behind vexec's
 // checkpoints. Policies, plans and search strategies never call them; they
 // read the ledger and decide through the engine.
 type Ledger struct {
@@ -271,8 +271,20 @@ func (l *Ledger) RecordRestart(pid int) {
 	l.procs[pid].BeginIncarnation()
 }
 
+// CheckRelaunch is the precondition of an engine's Relaunch: pid is one of
+// the engine's processes and has finished or crashed. A relaunch is a
+// harness action, not a decision, so the ledger records nothing for it: no
+// fingerprint fold, no trace event, no restart budget. The engine then
+// respawns pid from its root and calls Revive.
+func (l *Ledger) CheckRelaunch(pid int) {
+	l.checkPid("Relaunch of", pid)
+	if ph := l.phase[pid]; ph != PhaseDone && ph != PhaseCrashed {
+		panic(fmt.Sprintf("sched: Relaunch(%d) of live process (phase %s)", pid, ph))
+	}
+}
+
 // Revive puts a finished or crashed pid back to running with no error: a
-// restart's, or a recycled lane's, fresh incarnation.
+// restart's, or a relaunched lane's, fresh incarnation.
 func (l *Ledger) Revive(pid int) {
 	l.phase[pid] = PhaseRunning
 	l.err[pid] = nil

@@ -82,7 +82,7 @@ type Controller struct {
 	seats        []seat       // one handoff slot per process
 	active       atomic.Int32 // processes currently computing (not blocked/finished)
 
-	body Body // retained for Restart's respawn
+	body Body // retained for Restart's and Relaunch's respawn
 }
 
 // gate adapts the Controller to shmem.Gate for one process.
@@ -221,6 +221,26 @@ func (c *Controller) waitQuiesce() {
 // intents of the dead incarnation were discarded at the crash.
 func (c *Controller) Restart(pid int) {
 	c.RecordRestart(pid)
+	c.respawn(pid)
+}
+
+// Relaunch re-runs the body on a finished or crashed pid as a fresh logical
+// process — the long-lived driver's lane recycling: one controller serves a
+// stream of sessions over a fixed process set, one body run (and goroutine)
+// per session. The Proc's identity and cumulative step count persist; a
+// crashed process's discarded intent stays discarded. Relaunch is a harness
+// action, not a scheduling decision: it folds nothing into the fingerprint,
+// records no trace event and consumes no restart budget. On return the
+// controller is quiesced with the fresh run's first intent posted (or the
+// run already finished).
+func (c *Controller) Relaunch(pid int) {
+	c.CheckRelaunch(pid)
+	c.respawn(pid)
+}
+
+// respawn starts a fresh run of the body on pid and waits for it to post its
+// first intent or finish.
+func (c *Controller) respawn(pid int) {
 	c.mu.Lock()
 	c.Revive(pid)
 	c.mu.Unlock()

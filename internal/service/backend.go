@@ -12,11 +12,13 @@ import (
 
 // Backend is a one-shot renaming algorithm a generation activates: runnable
 // both as procedure code (goroutine engine) and as a frame automaton
-// (vectorized engine), with a known name bound.
+// (vectorized engine), with a known name bound. Recycle rewinds its register
+// field in place at generation quiescence instead of reallocating it.
 type Backend interface {
 	Rename(p *shmem.Proc, orig int64) (int64, bool)
 	MaxName() int64
 	Registers() int
+	Recycle()
 	vexec.FrameRenamer
 }
 
@@ -46,16 +48,6 @@ func NewLaneArmer(algo string) func(b Backend, orig int64) vexec.Frame {
 	}
 }
 
-// Recyclable marks backends whose register field can be rewound in place at
-// generation quiescence instead of reallocated.
-type Recyclable interface{ Recycle() }
-
-// NewBackend constructs the named backend sized for cap contenders per
-// generation with default sizing. Known algos: "firstfit", "majority".
-func NewBackend(algo string, cap int, seed uint64) Backend {
-	return Config{Algo: algo, Cap: cap, Seed: seed}.newBackend()
-}
-
 // newBackend builds the configured backend for one generation.
 func (c Config) newBackend() Backend {
 	switch c.Algo {
@@ -80,8 +72,3 @@ func (c Config) newBackend() Backend {
 type firstfitBackend struct{ *compete.FirstFit }
 
 type majorityBackend struct{ *core.Majority }
-
-var (
-	_ Recyclable = firstfitBackend{}
-	_ Recyclable = majorityBackend{}
-)

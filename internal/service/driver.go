@@ -27,9 +27,8 @@ type Workload struct {
 	HoldMin, HoldMax int64
 	// SpikePeriod/SpikeBurst gate arrivals into bursts: arrival i may not
 	// start before virtual time (i/SpikeBurst)*SpikePeriod. Zero for open
-	// arrivals. (Vectorized driver only: the goroutine engine's bodies pull
-	// arrivals inline and cannot wait on a gate without deadlocking their
-	// lane.)
+	// arrivals. A lane with no startable arrival idles until the driver
+	// relaunches it when the next burst opens.
 	SpikePeriod, SpikeBurst int64
 	// AlignRelease rounds every release up to a multiple of this period —
 	// the synchronized-departure family, which empties whole generations at
@@ -93,26 +92,27 @@ type Metrics struct {
 // but not the quantiles' resolution).
 const histSize = 4096
 
-// Driver streams a Workload through a Service on one engine. Construction
-// performs every allocation; Run is the steady loop — on the vectorized
-// engine it allocates nothing per session, which the regression test in
-// this package pins.
+// Driver streams a Workload through a Service on one engine. It alone
+// feeds the lanes: it starts each arrival on an idle lane and relaunches the
+// lane's process (sched.Engine.Relaunch), one session per spawn on either
+// engine. Construction performs every allocation; Run is the steady loop —
+// on the vectorized engine it allocates nothing per session, which the
+// regression test in this package pins (the goroutine engine spends one
+// goroutine per session).
 type Driver struct {
-	svc   *Service
-	w     Workload
-	e     sched.Engine
-	pend  []uint64    // e.Pending(), the engine's live pending words
-	vx    *vexec.Exec // non-nil when driving the vectorized engine
-	ctl   *sched.Controller
-	lanes []*Lane
-	roots []func(p *shmem.Proc) vexec.Frame
+	svc    *Service
+	w      Workload
+	e      sched.Engine
+	engine string   // Metrics.Engine
+	pend   []uint64 // e.Pending(), the engine's live pending words
+	lanes  []*Lane
 
 	releaseAt []int64
 	prevDone  []int64
 	hist      []int64
 
 	now        int64
-	nextIdx    int64 // next arrival index (vectorized driver manages arrivals)
+	nextIdx    int64 // arrivals started so far: the next arrival's index, and the last started sid (sids are 1-based)
 	crashedCnt int64
 	acquired   int64
 	failed     int64
@@ -121,72 +121,42 @@ type Driver struct {
 	cursor     int
 }
 
-// NewVexecDriver builds a streaming driver on the vectorized engine.
+// NewVexecDriver builds a streaming driver on the vectorized engine, whose
+// lanes run SpawnFrame.
 func NewVexecDriver(svc *Service, w Workload) *Driver {
+	return newDriver(svc, w, "vexec", func(lanes []*Lane) sched.Engine {
+		return vexec.New(len(lanes), nil, func(p *shmem.Proc) vexec.Frame { return lanes[p.ID()].SpawnFrame(p) })
+	})
+}
+
+// NewGoroutineDriver builds the same streaming run on the goroutine oracle,
+// whose lanes run Body.
+func NewGoroutineDriver(svc *Service, w Workload) *Driver {
+	return newDriver(svc, w, "goroutine", func(lanes []*Lane) sched.Engine {
+		return sched.NewController(len(lanes), nil, func(p *shmem.Proc) { lanes[p.ID()].Body(p) })
+	})
+}
+
+// newDriver builds the lanes, starts the first arrivals on them (lanes whose
+// arrival is gated spawn idle and are relaunched when their burst opens),
+// and attaches the engine, which spawns every lane.
+func newDriver(svc *Service, w Workload, engine string, attach func(lanes []*Lane) sched.Engine) *Driver {
 	w = w.normalize()
-	d := &Driver{svc: svc, w: w}
+	d := &Driver{svc: svc, w: w, engine: engine}
 	hold := holdSampler(w)
 	n := w.Lanes
 	d.lanes = make([]*Lane, n)
-	d.roots = make([]func(p *shmem.Proc) vexec.Frame, n)
-	for i := 0; i < n; i++ {
-		ln := NewLane(svc, nil, hold)
-		d.lanes[i] = ln
-		d.roots[i] = ln.SpawnFrame
+	for i := range d.lanes {
+		d.lanes[i] = NewLane(svc, hold)
 	}
 	d.releaseAt = make([]int64, n)
 	d.prevDone = make([]int64, n)
 	d.hist = make([]int64, histSize+1)
-	// Seed the lanes with the first arrivals (gated lanes spawn idle and are
-	// relaunched when their burst opens).
 	for i := 0; i < n; i++ {
 		d.tryStart(i, 0)
 	}
-	d.vx = vexec.New(n, nil, func(p *shmem.Proc) vexec.Frame {
-		return d.lanes[p.ID()].SpawnFrame(p)
-	})
-	d.e, d.pend = d.vx, d.vx.Pending()
-	return d
-}
-
-// NewGoroutineDriver builds the same streaming run on the goroutine oracle.
-// Lanes pull arrivals inline from a shared stream (the engine has no lane
-// relaunch), so the spike gate is not supported here.
-func NewGoroutineDriver(svc *Service, w Workload) *Driver {
-	w = w.normalize()
-	if w.SpikePeriod > 0 {
-		panic("service: spike arrivals require the vectorized driver")
-	}
-	d := &Driver{svc: svc, w: w}
-	hold := holdSampler(w)
-	var idx int64
-	pull := func() (int64, bool) {
-		if idx >= w.Sessions {
-			return 0, false
-		}
-		idx++
-		return idx, true
-	}
-	n := w.Lanes
-	d.lanes = make([]*Lane, n)
-	for i := 0; i < n; i++ {
-		d.lanes[i] = NewLane(svc, pull, hold)
-	}
-	d.releaseAt = make([]int64, n)
-	d.prevDone = make([]int64, n)
-	d.hist = make([]int64, histSize+1)
-	// Pre-pull the first session per lane at a deterministic point — before
-	// the bodies exist, so no body code races the arrival counter.
-	for i := 0; i < n; i++ {
-		if sid, ok := pull(); ok {
-			d.lanes[i].Start(sid, 0)
-		}
-	}
-	d.nextIdx = idx
-	d.ctl = sched.NewController(n, nil, func(p *shmem.Proc) {
-		d.lanes[p.ID()].Body(p)
-	})
-	d.e, d.pend = d.ctl, d.ctl.Pending()
+	d.e = attach(d.lanes)
+	d.pend = d.e.Pending()
 	return d
 }
 
@@ -199,14 +169,24 @@ func (d *Driver) gateAt(idx int64) int64 {
 }
 
 // tryStart hands the next arrival to lane pid if one is available and its
-// gate has opened (vectorized driver's arrival management). It reports
-// whether a session was started.
+// gate has opened. It reports whether a session was started.
 func (d *Driver) tryStart(pid int, steps int64) bool {
 	if d.nextIdx >= d.w.Sessions || d.gateAt(d.nextIdx) > d.now {
 		return false
 	}
 	d.nextIdx++
 	d.lanes[pid].Start(d.nextIdx, steps) // sids are 1-based
+	return true
+}
+
+// feed starts the next arrival on idle lane pid, whose process has finished
+// or crashed, and relaunches the process on it. It reports whether an
+// arrival was startable.
+func (d *Driver) feed(pid int) bool {
+	if !d.tryStart(pid, d.e.Proc(pid).Steps()) {
+		return false
+	}
+	d.e.Relaunch(pid)
 	return true
 }
 
@@ -246,7 +226,7 @@ func (d *Driver) jump() bool {
 			next = d.releaseAt[pid]
 		}
 	}
-	if d.vx != nil && d.nextIdx < d.w.Sessions {
+	if d.nextIdx < d.w.Sessions {
 		if g := d.gateAt(d.nextIdx); g > d.now && g < next {
 			next = g
 		}
@@ -259,19 +239,15 @@ func (d *Driver) jump() bool {
 	return true
 }
 
-// refill relaunches idle vectorized lanes while arrivals are startable.
+// refill feeds idle lanes while arrivals are startable.
 func (d *Driver) refill() {
-	if d.vx == nil {
-		return
-	}
 	for pid, ln := range d.lanes {
-		if ln.InFlight() || !(d.vx.Done(pid) || d.vx.Crashed(pid)) {
+		if ln.InFlight() || !(d.e.Done(pid) || d.e.Crashed(pid)) {
 			continue
 		}
-		if !d.tryStart(pid, d.vx.Proc(pid).Steps()) {
+		if !d.feed(pid) {
 			return
 		}
-		d.vx.Relaunch(pid, d.roots[pid])
 	}
 }
 
@@ -290,9 +266,7 @@ func (d *Driver) crashTick() {
 		d.e.Crash(pid)
 		ln.DriverReclaim()
 		d.crashedCnt++
-		if d.vx != nil && d.tryStart(pid, d.vx.Proc(pid).Steps()) {
-			d.vx.Relaunch(pid, d.roots[pid])
-		}
+		d.feed(pid)
 		return
 	}
 }
@@ -327,10 +301,8 @@ func (d *Driver) observe(pid int, wasHolding bool) {
 			d.failed++
 		}
 	}
-	if d.vx != nil && d.vx.Done(pid) && !ln.InFlight() {
-		if d.tryStart(pid, d.vx.Proc(pid).Steps()) {
-			d.vx.Relaunch(pid, d.roots[pid])
-		}
+	if !ln.InFlight() && d.e.Done(pid) {
+		d.feed(pid)
 	}
 }
 
@@ -361,19 +333,9 @@ func (d *Driver) Run() Metrics {
 			panic(fmt.Sprintf("service: driver exceeded %d grants (stuck workload?)", d.w.MaxGrants))
 		}
 	}
-	if d.ctl != nil {
-		// Crashed goroutine lanes may strand arrivals (no relaunch on this
-		// engine); everything still pending at exit is dead weight the
-		// controller cleans up.
-		d.ctl.Abort()
-	}
 	elapsed := time.Since(start)
-	engine := "goroutine"
-	if d.vx != nil {
-		engine = "vexec"
-	}
 	m := Metrics{
-		Engine:     engine,
+		Engine:     d.engine,
 		Sessions:   d.acquired + d.failed + d.crashedCnt,
 		Acquired:   d.acquired,
 		Failed:     d.failed,

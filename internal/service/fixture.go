@@ -7,11 +7,14 @@ import (
 
 // LLFixture packages a small long-lived service as a check.Renamer so the
 // model checker can walk its complete schedule-and-crash tree: each of n
-// "contenders" is a lane running a short stream of sessions
+// "contenders" is a lane fed by its own short stream of sessions
 // (acquire → release → reacquire → release for sessionsPer=2) against one
-// shared Service. Rename/FrameRename return the lane's last issued packed
-// name, so the one-shot Exclusive checker applies verbatim — packed names
-// are globally unique across the whole history, not just per generation.
+// shared Service. The fixture is the lanes' feeder: Rename runs the lane's
+// Body once per session and FrameRename's StreamFrame spawns each session
+// through SpawnFrame, starting the next session of the lane's stream in
+// between. Both return the lane's last issued packed name, so the one-shot
+// Exclusive checker applies verbatim — packed names are globally unique
+// across the whole history, not just per generation.
 //
 // The deep invariants ride on Config.Audit: every bookkeeping transition is
 // folded into check.LLVerifier online, and a violation panics inside the
@@ -27,8 +30,10 @@ import (
 // walking every execution rebuilds the fixture from scratch (fresh Service)
 // and bookkeeping is a pure function of the grant sequence.
 type LLFixture struct {
-	svc   *Service
-	lanes []*Lane
+	svc     *Service
+	lanes   []*Lane
+	started []int // sessions started per lane
+	per     int   // sessions per lane
 }
 
 // NewLLFixture builds the fixture: n lanes over one shard, generations of
@@ -38,36 +43,41 @@ type LLFixture struct {
 // execution length; it is exercised by the streaming tests and the churn
 // adversaries instead).
 func NewLLFixture(algo string, n, cap, sessionsPer int, seed uint64) *LLFixture {
-	svc := New(Config{Cap: cap, Algo: algo, Seed: seed, Audit: true, MaxAttempts: 1, FFPairs: cap, PoolGens: 2})
-	fx := &LLFixture{svc: svc, lanes: make([]*Lane, n)}
-	for i := 0; i < n; i++ {
-		i := i
-		k := 0
-		next := func() (int64, bool) {
-			if k >= sessionsPer {
-				return 0, false
-			}
-			k++
-			return int64((k-1)*n + i + 1), true
-		}
-		fx.lanes[i] = NewLane(svc, next, nil)
+	svc := New(Config{Cap: cap, Algo: algo, Seed: seed, Audit: true, MaxAttempts: 1, FFPairs: cap})
+	fx := &LLFixture{svc: svc, lanes: make([]*Lane, n), started: make([]int, n), per: sessionsPer}
+	for i := range fx.lanes {
+		fx.lanes[i] = NewLane(svc, nil)
 	}
-	// Pre-start every lane's first session in pid order — the deterministic
-	// construction-time join that replaces the streaming driver's relaunch.
-	for _, ln := range fx.lanes {
-		ln.StartNext(0)
+	// Start every lane's first session in pid order — a deterministic
+	// construction-time join, before any process is spawned.
+	for i := range fx.lanes {
+		fx.startNext(i, 0)
 	}
 	return fx
 }
 
-// Service exposes the underlying service (tests read Stats and Record).
-func (fx *LLFixture) Service() *Service { return fx.svc }
+// startNext starts lane i's next session, if its stream has one, and
+// reports whether it did. Session ids interleave the lanes: lane i's k-th
+// session (from 0) is k*n + i + 1.
+func (fx *LLFixture) startNext(i int, steps int64) bool {
+	k := fx.started[i]
+	if k >= fx.per {
+		return false
+	}
+	fx.started[i]++
+	fx.lanes[i].Start(int64(k*len(fx.lanes)+i+1), steps)
+	return true
+}
 
 // Rename implements check.Renamer: contender orig is lane orig-1; the lane
 // runs its whole session stream and reports its last session's outcome.
 func (fx *LLFixture) Rename(p *shmem.Proc, orig int64) (int64, bool) {
-	ln := fx.lanes[orig-1]
+	i := int(orig - 1)
+	ln := fx.lanes[i]
 	ln.Body(p)
+	for fx.startNext(i, p.Steps()) {
+		ln.Body(p)
+	}
 	if ln.Done > 0 && ln.Acquired {
 		return ln.Name().Int(), true
 	}
@@ -99,34 +109,27 @@ func (fx *LLFixture) Registers() int {
 // FrameRename implements vexec.FrameRenamer: the frame compilation of the
 // same lane stream.
 func (fx *LLFixture) FrameRename(orig int64) vexec.Frame {
-	return &StreamFrame{ln: fx.lanes[orig-1]}
+	return &StreamFrame{fx: fx, i: int(orig - 1)}
 }
 
 var _ vexec.FrameRenamer = (*LLFixture)(nil)
 
-// StreamFrame chains a lane's sessions into one frame automaton: run the
-// current session's frame; when it returns, pull the next arrival and
-// continue; finish with the last session's result. It is the model-checking
-// counterpart of the streaming driver's relaunch loop (which the checker
-// cannot issue — relaunches are harness actions, not replayable decisions).
+// StreamFrame chains lane i's sessions into one frame automaton: spawn the
+// current session through SpawnFrame; when it returns, start the next
+// session of the lane's stream and spawn again; finish with the last
+// session's result. It is the model-checking counterpart of the streaming
+// driver's relaunch (which the checker cannot issue — relaunches are
+// harness actions, not replayable decisions).
 type StreamFrame struct {
-	ln      *Lane
+	fx      *LLFixture
+	i       int
 	entered bool
 }
 
 func (f *StreamFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
-	ln := f.ln
-	if f.entered {
-		if ln.StartNext(p.Steps()) {
-			ln.frame = sessionFrame{ln: ln}
-			return m.Call(&ln.frame)
-		}
+	if f.entered && !f.fx.startNext(f.i, p.Steps()) {
 		return m.Return(m.RetI, m.RetB)
 	}
 	f.entered = true
-	if ln.g == nil {
-		return m.Return(0, false)
-	}
-	ln.frame = sessionFrame{ln: ln}
-	return m.Call(&ln.frame)
+	return m.Call(f.fx.lanes[f.i].SpawnFrame(p))
 }

@@ -23,7 +23,7 @@ func newLeaseHarness(t *testing.T, engine string) *leaseHarness {
 	// Cap 2 and two immediate joiners: both sessions land on epoch 1, which
 	// closes at construction — a crashed holder's rejoin must open epoch 2.
 	svc := New(Config{Cap: 2, Algo: "firstfit", Seed: 9, Audit: true, MaxAttempts: 2})
-	lanes := []*Lane{NewLane(svc, nil, nil), NewLane(svc, nil, nil)}
+	lanes := []*Lane{NewLane(svc, nil), NewLane(svc, nil)}
 	lanes[0].Start(1, 0)
 	lanes[1].Start(2, 0)
 	h := &leaseHarness{svc: svc, lanes: lanes}

@@ -33,13 +33,13 @@
 //
 // Sessions are compiled both ways the repository executes algorithms: as a
 // goroutine body (sched.Controller, the oracle) and as a frame automaton
-// (internal/vexec), so the streaming driver in driver.go can step thousands
-// of concurrent sessions on one thread with lane recycling and zero
-// steady-state allocations. All service bookkeeping mutates only inside a
-// session's granted steps (frame Run invocations / body code between gates),
-// which makes an execution's bookkeeping a deterministic function of its
-// grant sequence — the property the stateless model-checking proofs in
-// internal/model rely on.
+// (internal/vexec). The one streaming driver in driver.go runs on either
+// engine; on vexec it steps thousands of concurrent sessions on one thread
+// with lane recycling and zero steady-state allocations. All service
+// bookkeeping mutates only inside a session's granted steps (frame Run
+// invocations / body code between gates), which makes an execution's
+// bookkeeping a deterministic function of its grant sequence — the property
+// the stateless model-checking proofs in internal/model rely on.
 package service
 
 import (
@@ -102,7 +102,7 @@ type Config struct {
 	// Cap is the contender capacity of one generation: how many sessions a
 	// generation admits before it closes. Default 8.
 	Cap int
-	// Algo selects the one-shot backend by name (see NewBackend): "firstfit"
+	// Algo selects the one-shot backend by name (see newBackend): "firstfit"
 	// (default) or "majority".
 	Algo string
 	// Seed parameterizes backends that embed randomized structure (the
@@ -116,9 +116,6 @@ type Config struct {
 	// generation); zero uses the default 2*Cap+2. Proof fixtures shrink it
 	// so the model checker's schedule trees stay exhaustible.
 	FFPairs int
-	// PoolGens caps the recycled generations kept per shard; excess
-	// quiescent generations are dropped to the garbage collector. Default 8.
-	PoolGens int
 	// Audit turns on the invariant audit: every issuance, release, reclaim
 	// and recycle is logged and cross-checked on the fly, and a violation
 	// panics with a description (surfacing through the engines as a process
@@ -140,11 +137,12 @@ func (c Config) normalize() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
 	}
-	if c.PoolGens <= 0 {
-		c.PoolGens = 8
-	}
 	return c
 }
+
+// poolGens caps the recycled generations kept per shard; excess quiescent
+// generations are dropped to the garbage collector.
+const poolGens = 8
 
 // generation is one activation of a one-shot renamer inside a shard. Its
 // registers (the backend's field plus the presence row) are private to the
@@ -183,10 +181,11 @@ type Service struct {
 	cfg Config
 	// mu guards all bookkeeping. Bookkeeping calls happen inside granted
 	// steps, which the engines serialize, so the lock is uncontended by
-	// construction on the vectorized driver. On the goroutine driver each
-	// grant hands the gate to another process goroutine, so consecutive
-	// bookkeeping calls run on different goroutines; the lock makes that
-	// ordering explicit to the race detector.
+	// construction. On the vectorized engine they all run on the driving
+	// goroutine. On the goroutine engine they run on the session goroutines
+	// (one per session, spawned by Relaunch) and on the driver's goroutine
+	// between grants; the lock makes that ordering explicit to the race
+	// detector.
 	mu     sync.Mutex
 	shards []*shard
 
@@ -219,9 +218,6 @@ func New(cfg Config) *Service {
 	}
 	return s
 }
-
-// Config returns the normalized configuration.
-func (s *Service) Config() Config { return s.cfg }
 
 // ShardFor maps a session identity to its shard.
 func (s *Service) ShardFor(sid int64) int {
@@ -360,12 +356,7 @@ func (s *Service) detachLocked(g *generation, shardID int) {
 	if g.attached == 0 && !g.open {
 		// Quiescent: no session can ever touch these registers again, so the
 		// harness-level reset is equivalent to a fresh allocation.
-		if r, ok := g.backend.(Recyclable); ok {
-			r.Recycle()
-		} else {
-			g.backend = s.cfg.newBackend()
-			s.genAllocs++
-		}
+		g.backend.Recycle()
 		for i := range g.pres {
 			g.pres[i].Poke(shmem.Null)
 		}
@@ -374,7 +365,7 @@ func (s *Service) detachLocked(g *generation, shardID int) {
 		if s.audit != nil {
 			s.audit.recycle(shardID, g.epoch)
 		}
-		if len(sh.pool) < s.cfg.PoolGens {
+		if len(sh.pool) < poolGens {
 			sh.pool = append(sh.pool, g)
 		}
 	}

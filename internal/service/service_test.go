@@ -85,27 +85,43 @@ func TestStreamGoroutineSteady(t *testing.T) {
 }
 
 // TestStreamEnginesAgree: the goroutine oracle and the vectorized engine run
-// the same seeded workload through bit-compatible session loops, so the
-// outcome counters, the service counters, and the acquire-latency quantiles
-// must agree exactly.
+// one driver over bit-compatible session compilations, so on every churn
+// family (the shapes of adversary.ChurnFamilies) and both backends the whole
+// Metrics — outcomes, grants, acquire-latency quantiles, service counters —
+// must agree exactly, wall-clock fields and the engine name aside, and both
+// audit records must replay clean.
 func TestStreamEnginesAgree(t *testing.T) {
-	w := Workload{
-		Sessions: 800, Lanes: 8, Seed: 1234,
-		HoldMin: 1, HoldMax: 9, MaxGrants: 2_000_000,
+	families := []struct {
+		name string
+		w    Workload
+	}{
+		{"steady", Workload{HoldMin: 0, HoldMax: 16}},
+		{"spike", Workload{HoldMin: 1, HoldMax: 32, SpikePeriod: 64, SpikeBurst: 8}},
+		{"syncdepart", Workload{HoldMin: 1, HoldMax: 32, AlignRelease: 32}},
+		{"crashnorelease", Workload{HoldMin: 2, HoldMax: 24, CrashEvery: 97}},
 	}
-	cfg := Config{Cap: 8, Algo: "firstfit", Seed: 5}
-	mv := NewVexecDriver(New(cfg), w).Run()
-	mg := NewGoroutineDriver(New(cfg), w).Run()
-	if mv.Acquired != mg.Acquired || mv.Failed != mg.Failed {
-		t.Fatalf("outcomes diverge: vexec %d/%d vs goroutine %d/%d",
-			mv.Acquired, mv.Failed, mg.Acquired, mg.Failed)
-	}
-	if mv.AcquireP50 != mg.AcquireP50 || mv.AcquireP99 != mg.AcquireP99 || mv.AcquireMax != mg.AcquireMax {
-		t.Fatalf("latency quantiles diverge: vexec p50=%d p99=%d max=%d vs goroutine p50=%d p99=%d max=%d",
-			mv.AcquireP50, mv.AcquireP99, mv.AcquireMax, mg.AcquireP50, mg.AcquireP99, mg.AcquireMax)
-	}
-	if mv.Stats != mg.Stats {
-		t.Fatalf("service counters diverge:\nvexec     %+v\ngoroutine %+v", mv.Stats, mg.Stats)
+	for _, algo := range []string{"firstfit", "majority"} {
+		for _, fam := range families {
+			t.Run(fam.name+"-"+algo, func(t *testing.T) {
+				w := fam.w
+				w.Sessions, w.Lanes, w.Seed, w.MaxGrants = 600, 8, 1234, 5_000_000
+				cfg := Config{Cap: 8, Algo: algo, Seed: 5, Audit: true}
+				sv, sg := New(cfg), New(cfg)
+				mv := NewVexecDriver(sv, w).Run()
+				mg := NewGoroutineDriver(sg, w).Run()
+				if mv.Sessions != w.Sessions {
+					t.Fatalf("vexec processed %d of %d sessions", mv.Sessions, w.Sessions)
+				}
+				for _, m := range []*Metrics{&mv, &mg} {
+					m.Elapsed, m.NamesPerSec, m.Engine = 0, 0, ""
+				}
+				if mv != mg {
+					t.Fatalf("metrics diverge:\nvexec     %+v\ngoroutine %+v", mv, mg)
+				}
+				requireClean(t, sv)
+				requireClean(t, sg)
+			})
+		}
 	}
 }
 

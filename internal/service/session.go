@@ -5,10 +5,12 @@ import (
 	"repro/internal/vexec"
 )
 
-// Lane multiplexes a stream of sessions onto one engine process. The
-// vectorized driver relaunches the lane's engine slot for each session
-// (vexec.Exec.Relaunch); the goroutine driver runs Body, which loops the same
-// lifecycle inline. Both compilations perform the identical access sequence
+// Lane multiplexes a stream of sessions onto one engine process, one session
+// per spawn. Whoever feeds the lane starts a session (Start) and then spawns
+// the lane's process: the streaming driver relaunches it on either engine
+// (sched.Engine.Relaunch), the proof fixture loops its own per-lane stream.
+// The process runs SpawnFrame on the vectorized engine and Body on the
+// goroutine engine; both compilations perform the identical access sequence
 // per session:
 //
 //	W pres[slot]=tag          announce (first access; the crash anchor)
@@ -19,17 +21,16 @@ import (
 //	                          generation and the sequence restarts at the
 //	                          announce
 //
-// All service bookkeeping (join at session start aside, which the driver
-// performs at a deterministic relaunch/arm point) mutates inside granted
+// All service bookkeeping (join at session start aside, which the feeder
+// performs at a deterministic point between grants) mutates inside granted
 // step code, so a lane's bookkeeping is a function of the grant sequence.
 //
 // Lane fields are written by the session code inside granted steps and read
-// by the driver between grants; the engines serialize the two (vexec runs
+// by the feeder between grants; the engines serialize the two (vexec runs
 // frames on the driving goroutine; the goroutine engine's gate handshake
 // orders body code against the decision loop).
 type Lane struct {
 	svc  *Service
-	next func() (int64, bool)                    // arrival stream (nil: driver starts sessions explicitly)
 	arm  func(b Backend, orig int64) vexec.Frame // retained algo frame re-armer
 	hold func(sid int64) int64                   // sampled hold length in grants
 
@@ -42,9 +43,10 @@ type Lane struct {
 	name     Name
 	holding  bool
 
-	// Spawn bookkeeping (vexec root / goroutine restart detection).
-	liveSpawn    bool
-	seenRestarts int
+	// liveSpawn is set while a spawn of the lane's process runs the current
+	// session; a spawn that finds it set is a restart of a crashed
+	// incarnation.
+	liveSpawn bool
 
 	acquireStart int64
 
@@ -57,17 +59,16 @@ type Lane struct {
 	frame sessionFrame
 }
 
-// NewLane builds a lane over svc. next, when non-nil, is the arrival stream
-// the lane pulls its sessions from; hold, when non-nil, samples each
-// session's hold length (in grants) from its session id.
-func NewLane(svc *Service, next func() (int64, bool), hold func(sid int64) int64) *Lane {
-	return &Lane{svc: svc, next: next, hold: hold, arm: NewLaneArmer(svc.cfg.Algo)}
+// NewLane builds a lane over svc. hold, when non-nil, samples each session's
+// hold length (in grants) from its session id.
+func NewLane(svc *Service, hold func(sid int64) int64) *Lane {
+	return &Lane{svc: svc, hold: hold, arm: NewLaneArmer(svc.cfg.Algo)}
 }
 
 // Start begins a session with identity sid on this lane. steps is the lane
 // process's current local step count (acquire cost is measured from it).
-// Called by the driver at a relaunch point or by the lane itself from
-// granted code — both deterministic in the grant sequence.
+// Called by the feeder before it spawns the lane's process — a point the
+// grant sequence determines.
 func (ln *Lane) Start(sid int64, steps int64) {
 	ln.sid = sid
 	ln.attempts = 0
@@ -82,20 +83,6 @@ func (ln *Lane) Start(sid int64, steps int64) {
 	}
 }
 
-// StartNext pulls the next arrival and starts it, reporting whether there
-// was one. With no arrival stream it reports false.
-func (ln *Lane) StartNext(steps int64) bool {
-	if ln.next == nil {
-		return false
-	}
-	sid, ok := ln.next()
-	if !ok {
-		return false
-	}
-	ln.Start(sid, steps)
-	return true
-}
-
 // InFlight reports whether a session is currently attached to a generation.
 func (ln *Lane) InFlight() bool { return ln.g != nil }
 
@@ -106,9 +93,6 @@ func (ln *Lane) Holding() bool { return ln.holding }
 // Name returns the last issued name (meaningful while Holding or right
 // after a released session completes).
 func (ln *Lane) Name() Name { return ln.name }
-
-// Sid returns the current session identity.
-func (ln *Lane) Sid() int64 { return ln.sid }
 
 // DriverReclaim releases the lane's in-flight attachment after the driver
 // observed the lane's process crash fail-stop (no restart coming). The lane
@@ -123,16 +107,25 @@ func (ln *Lane) DriverReclaim() {
 	ln.liveSpawn = false
 }
 
-// reclaimRejoin is the recovery-model path: a crashed incarnation's lease is
-// reclaimed and the same session identity rejoins fresh on a younger
-// generation. Runs at a respawn point, which both engines place
+// spawned is the spawn prologue both compilations share; it reports whether
+// the lane has a session to run. A spawn onto a session that an earlier
+// spawn began and never finished is a recovery-model restart of a crashed
+// incarnation: its lease is reclaimed and the same session identity rejoins
+// fresh on a younger generation. Both engines place a spawn
 // deterministically in the grant sequence.
-func (ln *Lane) reclaimRejoin(steps int64) {
-	ln.svc.Reclaim(ln.g, ln.shardID, ln.slot, ln.sid, ln.holding)
-	ln.holding = false
-	ln.attempts = 0
-	ln.g, ln.slot = ln.svc.join(ln.shardID, ln.sid)
-	ln.acquireStart = steps
+func (ln *Lane) spawned(steps int64) bool {
+	if ln.g == nil {
+		return false
+	}
+	if ln.liveSpawn {
+		ln.svc.Reclaim(ln.g, ln.shardID, ln.slot, ln.sid, ln.holding)
+		ln.holding = false
+		ln.attempts = 0
+		ln.g, ln.slot = ln.svc.join(ln.shardID, ln.sid)
+		ln.acquireStart = steps
+	}
+	ln.liveSpawn = true
+	return true
 }
 
 // sessionDone finalizes the current session's lane state (bookkeeping with
@@ -146,20 +139,13 @@ func (ln *Lane) sessionDone(acquired bool) {
 }
 
 // SpawnFrame is the vexec lane root: it re-arms the lane's retained session
-// frame for the session the driver just started (zero allocations). If the
-// lane is respawned while a session is in flight — a recovery-model restart
-// of a crashed incarnation — the old lease is first reclaimed and the
-// session rejoins fresh. A lane spawned with no session (arrivals gated)
-// gets an immediately finishing frame and waits for a relaunch.
+// frame for the session the feeder just started (zero allocations). A lane
+// spawned with no session (arrivals gated) gets an immediately finishing
+// frame and waits for a relaunch.
 func (ln *Lane) SpawnFrame(p *shmem.Proc) vexec.Frame {
-	if ln.g == nil {
-		ln.liveSpawn = false
+	if !ln.spawned(p.Steps()) {
 		return idleFrame{}
 	}
-	if ln.liveSpawn {
-		ln.reclaimRejoin(p.Steps())
-	}
-	ln.liveSpawn = true
 	ln.frame = sessionFrame{ln: ln}
 	return &ln.frame
 }
@@ -220,21 +206,14 @@ func (f *sessionFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	}
 }
 
-// Body is the goroutine compilation of the lane: the same lifecycle as
-// sessionFrame, looping sessions inline (the goroutine engine has no lane
-// relaunch — one body serves its whole stream). A session must have been
-// started (Start) before the body runs; the body pulls its next sessions
-// from the arrival stream inside granted code.
+// Body is the goroutine compilation of the lane: the same session lifecycle
+// as sessionFrame, one session per run. A lane run with no session returns
+// at once, like idleFrame.
 func (ln *Lane) Body(p *shmem.Proc) {
-	if r := p.Restarts(); r > ln.seenRestarts {
-		// Recovery-model restart of a crashed incarnation: reclaim the old
-		// lease and rejoin as the same session, fresh.
-		ln.seenRestarts = r
-		if ln.g != nil {
-			ln.reclaimRejoin(p.Steps())
-		}
+	if !ln.spawned(p.Steps()) {
+		return
 	}
-	for ln.g != nil {
+	for {
 		p.Write(&ln.g.pres[ln.slot], presTag(ln.slot))
 		local, ok := ln.g.backend.Rename(p, int64(ln.slot)+1)
 		if ok {
@@ -244,19 +223,17 @@ func (ln *Lane) Body(p *shmem.Proc) {
 			p.Write(&ln.g.pres[ln.slot], shmem.Null)
 			ln.svc.depart(ln.g, ln.shardID, ln.slot, ln.sid, true, true)
 			ln.sessionDone(true)
-			ln.StartNext(p.Steps())
-			continue
+			return
 		}
 		ln.svc.closeForRetry(ln.g, ln.shardID)
 		p.Write(&ln.g.pres[ln.slot], shmem.Null)
 		ln.attempts++
-		if ln.attempts < ln.svc.cfg.MaxAttempts {
-			ln.svc.depart(ln.g, ln.shardID, ln.slot, ln.sid, false, false)
-			ln.g, ln.slot = ln.svc.join(ln.shardID, ln.sid)
-			continue
+		if ln.attempts >= ln.svc.cfg.MaxAttempts {
+			ln.svc.depart(ln.g, ln.shardID, ln.slot, ln.sid, false, true)
+			ln.sessionDone(false)
+			return
 		}
-		ln.svc.depart(ln.g, ln.shardID, ln.slot, ln.sid, false, true)
-		ln.sessionDone(false)
-		ln.StartNext(p.Steps())
+		ln.svc.depart(ln.g, ln.shardID, ln.slot, ln.sid, false, false)
+		ln.g, ln.slot = ln.svc.join(ln.shardID, ln.sid)
 	}
 }

@@ -20,10 +20,7 @@ type Exec struct {
 	retI []int64 // root-frame results, by pid (valid when Done)
 	retB []bool
 
-	root func(p *shmem.Proc) Frame // retained for Restart's respawn
-	// laneRoot overrides root per lane once Relaunch has re-rooted it — the
-	// long-lived driver's session multiplexing. nil entries fall back to root.
-	laneRoot []func(p *shmem.Proc) Frame
+	root func(p *shmem.Proc) Frame // retained for Restart's and Relaunch's respawn
 
 	st       stateMirror
 	snapFree []*Snapshot // released captures awaiting reuse (see ReleaseState)
@@ -60,7 +57,6 @@ func New(n int, names []int64, root func(p *shmem.Proc) Frame) *Exec {
 func (e *Exec) Reset(names []int64, root func(p *shmem.Proc) Frame) {
 	e.ResetGateless(names)
 	e.root = root
-	e.laneRoot = nil
 	e.st = stateMirror{clock: e.st.clock} // serials stay never-reused across resets
 	for i := range e.ms {
 		e.retI[i], e.retB[i] = 0, false
@@ -77,40 +73,26 @@ func (e *Exec) Reset(names []int64, root func(p *shmem.Proc) Frame) {
 func (e *Exec) spawn(pid int) {
 	m := &e.ms[pid]
 	clearStack(m)
-	root := e.root
-	if e.laneRoot != nil && e.laneRoot[pid] != nil {
-		root = e.laneRoot[pid]
-	}
-	m.stack = append(m.stack, root(e.Proc(pid)))
+	m.stack = append(m.stack, e.root(e.Proc(pid)))
 	e.advance(pid)
 }
 
-// Relaunch re-roots a finished or crashed lane with a fresh root frame and
+// Relaunch re-roots a finished or crashed lane from the engine's root and
 // advances it to its first decision point — the long-lived driver's lane
 // recycling: one engine multiplexes a stream of sessions over a fixed lane
 // set, so steady-state execution allocates nothing per session (the root
-// builder can re-arm a retained frame). The lane's Proc identity, cumulative
-// step count and register handles persist; a crashed lane is re-rooted as a
+// can re-arm a retained frame). The lane's Proc identity, cumulative step
+// count and register handles persist; a crashed lane is re-rooted as a
 // fresh logical process on the same lane (its discarded intent stays
-// discarded). The new root also becomes the lane's respawn target for
-// Restart under a recovery model. Relaunch is a harness action, not a
-// scheduling decision: it folds nothing into the fingerprint and records no
-// trace event, so a snapshot could not describe the lane it re-roots; under
-// EnableState it panics.
-func (e *Exec) Relaunch(pid int, root func(p *shmem.Proc) Frame) {
-	if pid < 0 || pid >= e.N() {
-		panic(fmt.Sprintf("vexec: Relaunch of process %d outside [0..%d)", pid, e.N()))
-	}
-	if ph := e.Phase(pid); ph != sched.PhaseDone && ph != sched.PhaseCrashed {
-		panic(fmt.Sprintf("vexec: Relaunch(%d) of live process (phase %s)", pid, ph))
-	}
+// discarded). Relaunch is a harness action, not a scheduling decision (see
+// sched.Ledger.CheckRelaunch): it folds nothing into the fingerprint and
+// records no trace event, so a snapshot could not describe the lane it
+// re-roots; under EnableState it panics.
+func (e *Exec) Relaunch(pid int) {
+	e.CheckRelaunch(pid)
 	if e.st.enabled {
 		panic("vexec: Relaunch under EnableState (relaunches are not replayable decisions)")
 	}
-	if e.laneRoot == nil {
-		e.laneRoot = make([]func(p *shmem.Proc) Frame, e.N())
-	}
-	e.laneRoot[pid] = root
 	e.Revive(pid)
 	e.retI[pid], e.retB[pid] = 0, false
 	e.ms[pid].RetI, e.ms[pid].RetB = 0, false

@@ -74,6 +74,8 @@ func TestMisusePanicsOnBothEngines(t *testing.T) {
 			mustPanic(t, "StaleCount of process 3 outside [0..3)", func() { e.StaleCount(3) })
 			mustPanic(t, "StepStale(2, 0) with 0 stale choices", func() { e.StepStale(2, 0) })
 			mustPanic(t, "Restart without a recovery model", func() { e.Restart(1) })
+			mustPanic(t, "Relaunch(2) of live process (phase pending)", func() { e.Relaunch(2) })
+			mustPanic(t, "Relaunch of process 3 outside [0..3)", func() { e.Relaunch(3) })
 			mustPanic(t, "SetModel after grants were issued", func() { e.SetModel(shmem.Model{Recovery: true}) })
 
 			r := eng.new(2, shmem.Model{Recovery: true, MaxRestarts: 1})

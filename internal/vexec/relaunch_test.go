@@ -1,10 +1,20 @@
-package vexec
+package vexec_test
 
 import (
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/shmem"
+	"repro/internal/vexec"
 )
+
+// spawnLog is the one-lane session source of the relaunch table: every spawn
+// of the lane (construction, Relaunch, Restart) begins session k+1, which
+// writes 10*(k+1) to reg and finishes.
+type spawnLog struct {
+	reg shmem.Reg
+	k   int64
+}
 
 // writeFrame posts one write of val to reg, performs it, and finishes.
 type writeFrame struct {
@@ -13,7 +23,7 @@ type writeFrame struct {
 	pc  uint8
 }
 
-func (f *writeFrame) Run(m *M, p *shmem.Proc) Status {
+func (f *writeFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	if f.pc == 0 {
 		f.pc = 1
 		return m.Intend(shmem.OpWrite, f.reg)
@@ -22,104 +32,106 @@ func (f *writeFrame) Run(m *M, p *shmem.Proc) Status {
 	return m.Return(f.val, true)
 }
 
-// TestRelaunchRecyclesLane drives a lane through three consecutive sessions
-// on one engine: steps accumulate on the Proc, each session's result is
-// observable at its completion, and the retained frame object can be re-armed
-// in place (zero-allocation recycling).
-func TestRelaunchRecyclesLane(t *testing.T) {
-	var reg shmem.Reg
-	fr := &writeFrame{}
-	root := func(val int64) func(p *shmem.Proc) Frame {
-		return func(p *shmem.Proc) Frame {
-			*fr = writeFrame{reg: &reg, val: val}
-			return fr
-		}
+// TestRelaunchOnBothEngines: Relaunch re-runs the engine's one root on a
+// finished or crashed lane as a fresh logical process, on either engine.
+// Steps accumulate on the Proc, a crashed session's posted write stays
+// discarded, a later Restart respawns from the same root, and the relaunch
+// itself is no decision: it leaves the grant count, trace, fingerprint and
+// restart budget alone.
+func TestRelaunchOnBothEngines(t *testing.T) {
+	engines := []struct {
+		name string
+		new  func(s *spawnLog) sched.SearchEngine
+	}{
+		{"goroutine", func(s *spawnLog) sched.SearchEngine {
+			return sched.NewController(1, nil, func(p *shmem.Proc) {
+				s.k++
+				p.Write(&s.reg, 10*s.k)
+			})
+		}},
+		{"vexec", func(s *spawnLog) sched.SearchEngine {
+			fr := &writeFrame{}
+			return vexec.New(1, nil, func(p *shmem.Proc) vexec.Frame {
+				s.k++
+				*fr = writeFrame{reg: &s.reg, val: 10 * s.k} // re-armed in place
+				return fr
+			})
+		}},
 	}
-	e := New(1, nil, root(10))
-	for k := int64(0); k < 3; k++ {
-		want := 10 * (k + 1)
-		if e.PendingCount() != 1 {
-			t.Fatalf("session %d: lane not pending", k)
-		}
-		e.Step(0)
-		if !e.Done(0) {
-			t.Fatalf("session %d: lane not done after its single write", k)
-		}
-		if got, ok := e.Returned(0); !ok || got != want {
-			t.Fatalf("session %d: returned (%d, %v), want (%d, true)", k, got, ok, want)
-		}
-		if reg.Peek() != want {
-			t.Fatalf("session %d: register holds %d, want %d", k, reg.Peek(), want)
-		}
-		if steps := e.Proc(0).Steps(); steps != k+1 {
-			t.Fatalf("session %d: cumulative steps %d, want %d", k, steps, k+1)
-		}
-		if k < 2 {
-			e.Relaunch(0, root(10*(k+2)))
-		}
-	}
-}
-
-// TestRelaunchAfterCrash re-roots a crashed lane as a fresh logical process:
-// the crashed session's posted write stays discarded, and the next session
-// runs normally on the same lane.
-func TestRelaunchAfterCrash(t *testing.T) {
-	var reg shmem.Reg
-	e := New(1, nil, func(p *shmem.Proc) Frame { return &writeFrame{reg: &reg, val: 7} })
-	e.Crash(0)
-	if !e.Crashed(0) {
-		t.Fatal("lane not crashed")
-	}
-	if reg.Peek() != shmem.Null {
-		t.Fatalf("crashed session's write applied: register holds %d", reg.Peek())
-	}
-	e.Relaunch(0, func(p *shmem.Proc) Frame { return &writeFrame{reg: &reg, val: 9} })
-	e.Step(0)
-	if got, ok := e.Returned(0); !ok || got != 9 {
-		t.Fatalf("relaunched session returned (%d, %v), want (9, true)", got, ok)
-	}
-	if reg.Peek() != 9 {
-		t.Fatalf("register holds %d after relaunched session, want 9", reg.Peek())
-	}
-}
-
-// TestRelaunchRestartUsesLaneRoot: under a recovery model, a crashed
-// relaunched lane restarts into its current session root, not the engine's
-// original root.
-func TestRelaunchRestartUsesLaneRoot(t *testing.T) {
-	var a, b shmem.Reg
-	e := New(1, nil, func(p *shmem.Proc) Frame { return &writeFrame{reg: &a, val: 1} })
-	e.SetModel(shmem.Model{Recovery: true, MaxRestarts: 2})
-	e.Step(0) // first session completes
-	e.Relaunch(0, func(p *shmem.Proc) Frame { return &writeFrame{reg: &b, val: 2} })
-	e.Crash(0)
-	e.Restart(0)
-	e.Step(0)
-	if b.Peek() != 2 {
-		t.Fatalf("restarted lane wrote b=%d, want 2 (lane root not respawned)", b.Peek())
-	}
-	if a.Peek() != 1 {
-		t.Fatalf("restart disturbed earlier session's register: a=%d", a.Peek())
-	}
-}
-
-func TestRelaunchPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: no panic", name)
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			// Three consecutive sessions on one lane.
+			s := &spawnLog{}
+			e := eng.new(s)
+			e.EnableTrace()
+			fp := uint64(0)
+			for k := int64(1); k <= 3; k++ {
+				if e.PendingCount() != 1 {
+					t.Fatalf("session %d: lane not pending", k)
+				}
+				e.Step(0)
+				fp = sched.FoldGrant(fp, 0, shmem.OpWrite, false, 0, false)
+				if !e.Done(0) {
+					t.Fatalf("session %d: lane not done after its single write", k)
+				}
+				if got := s.reg.Peek(); got != 10*k {
+					t.Fatalf("session %d: register holds %d, want %d", k, got, 10*k)
+				}
+				if steps := e.Proc(0).Steps(); steps != k {
+					t.Fatalf("session %d: cumulative steps %d, want %d", k, steps, k)
+				}
+				if k < 3 {
+					e.Relaunch(0)
+				}
 			}
-		}()
-		f()
+			if e.Grants() != 3 || len(e.Trace()) != 3 || e.Fingerprint() != fp {
+				t.Fatalf("relaunches recorded as decisions: grants %d, trace %d events, fingerprint %#x (want 3, 3, %#x)",
+					e.Grants(), len(e.Trace()), e.Fingerprint(), fp)
+			}
+
+			// A crashed lane relaunches as a fresh session.
+			s = &spawnLog{}
+			e = eng.new(s)
+			e.Crash(0)
+			if !e.Crashed(0) || s.reg.Peek() != shmem.Null {
+				t.Fatalf("crash: crashed=%v register=%d, want true and the write discarded", e.Crashed(0), s.reg.Peek())
+			}
+			e.Relaunch(0)
+			e.Step(0)
+			if got := s.reg.Peek(); got != 20 || !e.Done(0) {
+				t.Fatalf("relaunched session wrote %d (done=%v), want 20", got, e.Done(0))
+			}
+			if steps := e.Proc(0).Steps(); steps != 1 {
+				t.Fatalf("steps after crash and relaunch %d, want 1", steps)
+			}
+
+			// Under a recovery model, a relaunched lane that crashes restarts
+			// from the engine's root, and only the restart spends budget.
+			s = &spawnLog{}
+			e = eng.new(s)
+			e.SetModel(shmem.Model{Recovery: true, MaxRestarts: 2})
+			e.Step(0)
+			e.Relaunch(0)
+			e.Crash(0)
+			e.Restart(0)
+			e.Step(0)
+			if got := s.reg.Peek(); got != 30 {
+				t.Fatalf("restarted session wrote %d, want 30", got)
+			}
+			if e.Restarts() != 1 || e.Proc(0).Restarts() != 1 {
+				t.Fatalf("restarts: engine %d, proc %d, want 1 and 1", e.Restarts(), e.Proc(0).Restarts())
+			}
+		})
 	}
+}
+
+// TestRelaunchPanics: relaunches are not replayable decisions, so a vexec
+// engine with state capture on refuses them. The range and phase checks
+// both engines share are rows of TestMisusePanicsOnBothEngines.
+func TestRelaunchPanics(t *testing.T) {
 	var reg shmem.Reg
-	root := func(p *shmem.Proc) Frame { return &writeFrame{reg: &reg, val: 1} }
-	e := New(1, nil, root)
-	mustPanic("live lane", func() { e.Relaunch(0, root) })
-	mustPanic("out of range", func() { e.Relaunch(1, root) })
-	es := New(1, nil, root)
-	es.EnableState()
-	es.Step(0)
-	mustPanic("under EnableState", func() { es.Relaunch(0, root) })
+	e := vexec.New(1, nil, func(p *shmem.Proc) vexec.Frame { return &writeOnceFrame{reg: &reg} })
+	e.EnableState()
+	e.Step(0)
+	mustPanic(t, "Relaunch under EnableState", func() { e.Relaunch(0) })
 }
