@@ -8,7 +8,7 @@ import (
 	"repro/internal/vexec"
 )
 
-// spawnLog is the one-lane session source of the relaunch table: every spawn
+// spawnLog is the one-lane session source of the relaunch tests: every spawn
 // of the lane (construction, Relaunch, Restart) begins session k+1, which
 // writes 10*(k+1) to reg and finishes.
 type spawnLog struct {
@@ -32,35 +32,35 @@ func (f *writeFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return m.Return(f.val, true)
 }
 
-// TestRelaunchOnBothEngines: Relaunch re-runs the engine's one root on a
-// finished or crashed lane as a fresh logical process, on either engine.
-// Steps accumulate on the Proc, a crashed session's posted write stays
-// discarded, a later Restart respawns from the same root, and the relaunch
-// itself is no decision: it leaves the grant count, trace, fingerprint and
-// restart budget alone.
-func TestRelaunchOnBothEngines(t *testing.T) {
-	engines := []struct {
-		name string
-		new  func(s *spawnLog) sched.SearchEngine
-	}{
-		{"goroutine", func(s *spawnLog) sched.SearchEngine {
-			return sched.NewController(1, nil, func(p *shmem.Proc) {
-				s.k++
-				p.Write(&s.reg, 10*s.k)
-			})
-		}},
-		{"vexec", func(s *spawnLog) sched.SearchEngine {
-			fr := &writeFrame{}
-			return vexec.New(1, nil, func(p *shmem.Proc) vexec.Frame {
-				s.k++
-				*fr = writeFrame{reg: &s.reg, val: 10 * s.k} // re-armed in place
-				return fr
-			})
-		}},
-	}
-	for _, eng := range engines {
+// relaunchEngines builds a one-lane engine of each kind over a spawnLog.
+var relaunchEngines = []struct {
+	name string
+	new  func(s *spawnLog) sched.SearchEngine
+}{
+	{"goroutine", func(s *spawnLog) sched.SearchEngine {
+		return sched.NewController(1, nil, func(p *shmem.Proc) {
+			s.k++
+			p.Write(&s.reg, 10*s.k)
+		})
+	}},
+	{"vexec", func(s *spawnLog) sched.SearchEngine {
+		fr := &writeFrame{}
+		return vexec.New(1, nil, func(p *shmem.Proc) vexec.Frame {
+			s.k++
+			*fr = writeFrame{reg: &s.reg, val: 10 * s.k} // re-armed in place
+			return fr
+		})
+	}},
+}
+
+// TestRelaunchRecyclesLane drives one lane through three consecutive
+// sessions on either engine: Relaunch re-runs the engine's one root as a
+// fresh logical process, steps accumulate on the Proc, and the relaunch
+// itself is no decision: it leaves the grant count, trace and fingerprint
+// alone.
+func TestRelaunchRecyclesLane(t *testing.T) {
+	for _, eng := range relaunchEngines {
 		t.Run(eng.name, func(t *testing.T) {
-			// Three consecutive sessions on one lane.
 			s := &spawnLog{}
 			e := eng.new(s)
 			e.EnableTrace()
@@ -88,10 +88,18 @@ func TestRelaunchOnBothEngines(t *testing.T) {
 				t.Fatalf("relaunches recorded as decisions: grants %d, trace %d events, fingerprint %#x (want 3, 3, %#x)",
 					e.Grants(), len(e.Trace()), e.Fingerprint(), fp)
 			}
+		})
+	}
+}
 
-			// A crashed lane relaunches as a fresh session.
-			s = &spawnLog{}
-			e = eng.new(s)
+// TestRelaunchAfterCrash re-roots a crashed lane as a fresh logical process
+// on either engine: the crashed session's posted write stays discarded, and
+// the next session runs normally on the same lane.
+func TestRelaunchAfterCrash(t *testing.T) {
+	for _, eng := range relaunchEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			s := &spawnLog{}
+			e := eng.new(s)
 			e.Crash(0)
 			if !e.Crashed(0) || s.reg.Peek() != shmem.Null {
 				t.Fatalf("crash: crashed=%v register=%d, want true and the write discarded", e.Crashed(0), s.reg.Peek())
@@ -104,11 +112,18 @@ func TestRelaunchOnBothEngines(t *testing.T) {
 			if steps := e.Proc(0).Steps(); steps != 1 {
 				t.Fatalf("steps after crash and relaunch %d, want 1", steps)
 			}
+		})
+	}
+}
 
-			// Under a recovery model, a relaunched lane that crashes restarts
-			// from the engine's root, and only the restart spends budget.
-			s = &spawnLog{}
-			e = eng.new(s)
+// TestRelaunchRestartUsesLaneRoot: under a recovery model, a relaunched lane
+// that crashes restarts by respawning the lane's root (the engine's one
+// root) on either engine, and only the restart spends restart budget.
+func TestRelaunchRestartUsesLaneRoot(t *testing.T) {
+	for _, eng := range relaunchEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			s := &spawnLog{}
+			e := eng.new(s)
 			e.SetModel(shmem.Model{Recovery: true, MaxRestarts: 2})
 			e.Step(0)
 			e.Relaunch(0)
