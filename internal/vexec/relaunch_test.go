@@ -32,17 +32,20 @@ func (f *writeFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return m.Return(f.val, true)
 }
 
-// relaunchEngines builds a one-lane engine of each kind over a spawnLog.
+// relaunchEngines builds a one-lane engine of each kind over a spawnLog. ret
+// reads lane 0's root-frame result where the engine keeps one (vexec only),
+// so the vexec rows also check that Relaunch resets it per session.
 var relaunchEngines = []struct {
 	name string
 	new  func(s *spawnLog) sched.SearchEngine
+	ret  func(e sched.SearchEngine) (int64, bool)
 }{
 	{"goroutine", func(s *spawnLog) sched.SearchEngine {
 		return sched.NewController(1, nil, func(p *shmem.Proc) {
 			s.k++
 			p.Write(&s.reg, 10*s.k)
 		})
-	}},
+	}, nil},
 	{"vexec", func(s *spawnLog) sched.SearchEngine {
 		fr := &writeFrame{}
 		return vexec.New(1, nil, func(p *shmem.Proc) vexec.Frame {
@@ -50,12 +53,13 @@ var relaunchEngines = []struct {
 			*fr = writeFrame{reg: &s.reg, val: 10 * s.k} // re-armed in place
 			return fr
 		})
-	}},
+	}, func(e sched.SearchEngine) (int64, bool) { return e.(*vexec.Exec).Returned(0) }},
 }
 
 // TestRelaunchRecyclesLane drives one lane through three consecutive
 // sessions on either engine: Relaunch re-runs the engine's one root as a
-// fresh logical process, steps accumulate on the Proc, and the relaunch
+// fresh logical process, steps accumulate on the Proc, each session's result
+// is observable at its completion (vexec), and the relaunch
 // itself is no decision: it leaves the grant count, trace and fingerprint
 // alone.
 func TestRelaunchRecyclesLane(t *testing.T) {
@@ -76,6 +80,11 @@ func TestRelaunchRecyclesLane(t *testing.T) {
 				}
 				if got := s.reg.Peek(); got != 10*k {
 					t.Fatalf("session %d: register holds %d, want %d", k, got, 10*k)
+				}
+				if eng.ret != nil {
+					if got, ok := eng.ret(e); !ok || got != 10*k {
+						t.Fatalf("session %d: returned (%d, %v), want (%d, true)", k, got, ok, 10*k)
+					}
 				}
 				if steps := e.Proc(0).Steps(); steps != k {
 					t.Fatalf("session %d: cumulative steps %d, want %d", k, steps, k)
@@ -108,6 +117,11 @@ func TestRelaunchAfterCrash(t *testing.T) {
 			e.Step(0)
 			if got := s.reg.Peek(); got != 20 || !e.Done(0) {
 				t.Fatalf("relaunched session wrote %d (done=%v), want 20", got, e.Done(0))
+			}
+			if eng.ret != nil {
+				if got, ok := eng.ret(e); !ok || got != 20 {
+					t.Fatalf("relaunched session returned (%d, %v), want (20, true)", got, ok)
+				}
 			}
 			if steps := e.Proc(0).Steps(); steps != 1 {
 				t.Fatalf("steps after crash and relaunch %d, want 1", steps)
