@@ -145,29 +145,40 @@ func (o *Outcome) WorstCell() CellStats {
 	return worst
 }
 
-// drive executes one seeded (family, n, seed) run of in and returns its
+// worker is what a campaign worker carries from run to run, across cells
+// too: its vexec engine, rewound through Exec.Reset while its lane count
+// still fits and rebuilt otherwise, and its last instance, whose lane frames
+// the next instance re-arms (check.Instance.Reuse). The zero worker starts
+// afresh.
+type worker struct {
+	e    *vexec.Exec
+	last *check.Instance
+}
+
+// drive executes one seeded (family, n, seed) run of in on w and returns its
 // result: on the vectorized engine when the renamer ships frame automata,
-// and on a goroutine controller otherwise. e is the caller's engine from its
-// previous run, rewound through Exec.Reset when its lane count still fits
-// and rebuilt otherwise; drive returns the engine to offer next time (nil
-// starts afresh). Schedule fingerprints are bit-identical across the two
-// engines (the vexec differential contract), so a seed means the same run
-// on either.
-func drive(e *vexec.Exec, in *check.Instance, fam Family, n int, seed uint64) (*vexec.Exec, sched.Result) {
+// and on a goroutine controller otherwise. Schedule fingerprints are
+// bit-identical across the two engines (the vexec differential contract),
+// so a seed means the same run on either.
+func (w *worker) drive(in *check.Instance, fam Family, n int, seed uint64) sched.Result {
 	policy, plan := fam.NewPolicy(seed, n), fam.NewPlan(seed, n)
+	if w.last != nil {
+		in.Reuse(w.last)
+	}
+	w.last = in
 	root := in.Frames()
 	if root == nil {
-		return e, sched.RunModel(n, in.Origs, fam.Model, policy, plan, in.Body())
+		return sched.RunModel(n, in.Origs, fam.Model, policy, plan, in.Body())
 	}
-	if e == nil || e.N() != n {
-		e = vexec.New(n, in.Origs, root)
+	if w.e == nil || w.e.N() != n {
+		w.e = vexec.New(n, in.Origs, root)
 	} else {
-		e.Reset(in.Origs, root)
+		w.e.Reset(in.Origs, root)
 	}
 	if !fam.Model.Atomic() {
-		e.SetModel(fam.Model)
+		w.e.SetModel(fam.Model)
 	}
-	return e, e.Run(policy, plan)
+	return w.e.Run(policy, plan)
 }
 
 // runOnce executes a single (family, n, seed) run, on the engine a campaign
@@ -175,7 +186,7 @@ func drive(e *vexec.Exec, in *check.Instance, fam Family, n int, seed uint64) (*
 // record and the first violation (nil if the run is clean).
 func runOnce(spec *Spec, fam Family, n int, seed uint64) (*check.Run, error) {
 	in := spec.instance(n, seed)
-	_, res := drive(nil, in, fam, n, seed)
+	res := new(worker).drive(in, fam, n, seed)
 	run := &check.Run{}
 	in.Record(run, res)
 	return run, spec.suiteFor(n, fam.Name).Verdict(run)
@@ -192,9 +203,10 @@ func Explore(spec Spec) Outcome {
 	spec.normalize()
 	out := Outcome{Label: spec.Label}
 	seen := make(map[uint64]struct{})
+	workers := make([]worker, runtime.GOMAXPROCS(0))
 	for _, fam := range spec.Families {
 		for _, n := range spec.Ns {
-			cell := exploreCell(&spec, fam, n, seen)
+			cell := exploreCell(&spec, fam, n, seen, workers)
 			out.Cells = append(out.Cells, cell.stats)
 			out.Runs += cell.stats.Runs
 			out.Explored += cell.stats.Explored
@@ -225,20 +237,21 @@ type slot struct {
 }
 
 // exploreCell runs one (family, n) cell. The runs are fanned across up to
-// GOMAXPROCS workers; each worker builds every instance it drives, so
-// construction stays parallel, and recycles one vexec engine across its runs.
-// The results are then checked serially in run order into one reused record —
-// checkers are cheap, runs are not.
-func exploreCell(spec *Spec, fam Family, n int, seen map[uint64]struct{}) cellResult {
+// len(workers) workers; each builds every instance it drives, so
+// construction stays parallel, and carries its engine and its last
+// instance's frames from run to run (worker). Each slot keeps its own
+// instance, whose Got and Oks the next run's re-armed frames no longer
+// write. The results are then checked serially in run order into one reused
+// record — checkers are cheap, runs are not.
+func exploreCell(spec *Spec, fam Family, n int, seen map[uint64]struct{}, workers []worker) cellResult {
 	slots := make([]slot, spec.Runs)
-	workers := min(runtime.GOMAXPROCS(0), len(slots))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for i := range workers[:min(len(workers), len(slots))] {
+		w := &workers[i]
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var e *vexec.Exec // this worker's engine, recycled across its runs
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(slots) {
@@ -247,7 +260,7 @@ func exploreCell(spec *Spec, fam Family, n int, seen map[uint64]struct{}) cellRe
 				s := &slots[i]
 				s.seed = spec.runSeed(fam.Name, n, i)
 				s.in = spec.instance(n, s.seed)
-				e, s.res = drive(e, s.in, fam, n, s.seed)
+				s.res = w.drive(s.in, fam, n, s.seed)
 			}
 		}()
 	}

@@ -24,7 +24,7 @@ func driveFamily(t *testing.T, fam Family, c conformance.Case, n int, seed uint6
 	}
 	got, oks := make([]int64, n), make([]bool, n)
 	e := vexec.New(n, c.Origs(n, seed), func(p *shmem.Proc) vexec.Frame {
-		return vexec.Capture(fr.FrameRename(p.Name()), &got[p.ID()], &oks[p.ID()])
+		return vexec.Capture(fr.FrameRename(p.Name(), nil), &got[p.ID()], &oks[p.ID()], nil)
 	})
 	e.SetModel(fam.Model)
 	res := e.Run(fam.NewPolicy(seed, n), fam.NewPlan(seed, n))

@@ -15,7 +15,8 @@
 //
 // Instance is the one harness that runs a renamer: it holds the renamer,
 // the original names and the per-pid capture of Rename's results, in the
-// goroutine form (Body) and the frame-automaton form (Frames), and refills
+// goroutine form (Body) and the frame-automaton form (Frames, whose lane
+// frames an instance re-arms and hands to the next one, Reuse), and refills
 // the Run record the checkers consume (Record). Campaigns, replays, shrinks
 // and proof walks all run through it. Drive executes k contenders through
 // an Instance on the goroutine oracle under an arbitrary policy and crash
@@ -97,31 +98,27 @@ func Exclusive() Checker {
 		if len(r.Names) > smallRun {
 			return exclusiveMap(r)
 		}
-		// Small runs (every proof walk) check on the stack: collect the
-		// (pid, name) pairs, sort them by pid, and compare each name with the
-		// names of the lower pids — the same order, and so the same first
-		// violation, as the map path.
+		// Small runs (every proof walk) check on the stack: read the names
+		// by ascending pid and compare each with the names of the lower pids
+		// — the same order, and so the same first violation, as the map path.
 		var pids [smallRun]int
 		var names [smallRun]int64
 		k := 0
-		for pid, n := range r.Names {
-			j := k
-			for ; j > 0 && pids[j-1] > pid; j-- {
-				pids[j], names[j] = pids[j-1], names[j-1]
+		for pid := 0; pid < r.K && k < len(r.Names); pid++ {
+			n, ok := r.Names[pid]
+			if !ok {
+				continue
 			}
-			pids[j], names[j] = pid, n
-			k++
-		}
-		for i := 0; i < k; i++ {
-			n := names[i]
 			if n < 1 {
-				return fmt.Errorf("process %d acquired invalid name %d", pids[i], n)
+				return fmt.Errorf("process %d acquired invalid name %d", pid, n)
 			}
-			for j := 0; j < i; j++ {
+			for j := 0; j < k; j++ {
 				if names[j] == n {
-					return fmt.Errorf("name %d held by both process %d and process %d", n, pids[j], pids[i])
+					return fmt.Errorf("name %d held by both process %d and process %d", n, pids[j], pid)
 				}
 			}
+			pids[k], names[k] = pid, n
+			k++
 		}
 		return nil
 	})
@@ -161,8 +158,9 @@ func NameRange(bound int64) Checker {
 		if b == 0 {
 			b = r.MaxName
 		}
-		for pid, n := range r.Names {
-			if n > b {
+		// By ascending pid, so the violation named is the same on every call.
+		for pid := 0; pid < r.K; pid++ {
+			if n, ok := r.Names[pid]; ok && n > b {
 				return fmt.Errorf("process %d name %d exceeds bound %d", pid, n, b)
 			}
 		}
@@ -288,11 +286,26 @@ func Basic() Suite {
 // Instance is one system under check: a renamer, the original names its k
 // contenders hold, and each process's Rename result. A fresh Instance starts
 // with every outcome cleared. An Instance runs one execution at a time.
+//
+// The lane roots its Frames builder makes stay with the instance, and the
+// builder re-arms them (vexec.FrameRenamer's dst contract) each time it roots
+// a lane again: on a Reset, a restart or a relaunch of the same instance, or
+// on the next instance once Reuse has handed them over. A campaign worker or
+// a stateless walk that passes its last instance's frames on this way builds
+// its lanes without allocating.
 type Instance struct {
 	Renamer Renamer
 	Origs   []int64 // original names, by pid
 	Got     []int64 // Rename's name, by pid
 	Oks     []bool  // Rename's ok, by pid
+
+	roots []laneRoot // by pid: the frames Frames made, re-armed on its next call
+}
+
+// laneRoot is one lane's root as Frames builds it: the renamer's frame and
+// the capture wrapper around it. Each is kept to be re-armed as itself.
+type laneRoot struct {
+	frame, capture vexec.Frame
 }
 
 // NewInstance wraps r for k contenders holding origs; nil assigns 1..k.
@@ -306,6 +319,14 @@ func NewInstance(r Renamer, k int, origs []int64) *Instance {
 	return &Instance{Renamer: r, Origs: origs, Got: make([]int64, k), Oks: make([]bool, k)}
 }
 
+// Reuse hands prev's lane frames to in, for in's Frames builder to re-arm
+// instead of allocating. prev must run no more: its frames now write into
+// in's result slots. prev's own Got and Oks keep the results of its last
+// execution.
+func (in *Instance) Reuse(prev *Instance) {
+	in.roots, prev.roots = prev.roots, nil
+}
+
 // Body is the goroutine form of the instance: each process renames with its
 // original name and stores the result in its slot.
 func (in *Instance) Body() sched.Body {
@@ -315,16 +336,26 @@ func (in *Instance) Body() sched.Body {
 }
 
 // Frames is the vectorized form of Body: one capture-wrapped frame automaton
-// per lane, writing the lane's result into the same slots Body assigns. It
-// is nil when the renamer ships no frame automata (vexec.FrameRenamer), so
-// a non-nil Frames is what routes an execution onto the vectorized engine.
+// per lane, writing the lane's result into the same slots Body assigns, and
+// re-armed from the frames the lane was last rooted with. It is nil when the
+// renamer ships no frame automata (vexec.FrameRenamer), so a non-nil Frames
+// is what routes an execution onto the vectorized engine. An engine calls
+// the builder only for a lane that no longer runs its old root, which is
+// what the re-arm contract asks.
 func (in *Instance) Frames() func(p *shmem.Proc) vexec.Frame {
 	fr, ok := in.Renamer.(vexec.FrameRenamer)
 	if !ok {
 		return nil
 	}
+	if k := len(in.Got); len(in.roots) < k {
+		in.roots = append(in.roots, make([]laneRoot, k-len(in.roots))...)
+	}
 	return func(p *shmem.Proc) vexec.Frame {
-		return vexec.Capture(fr.FrameRename(p.Name()), &in.Got[p.ID()], &in.Oks[p.ID()])
+		pid := p.ID()
+		r := &in.roots[pid]
+		r.frame = fr.FrameRename(p.Name(), r.frame)
+		r.capture = vexec.Capture(r.frame, &in.Got[pid], &in.Oks[pid], r.capture)
+		return r.capture
 	}
 }
 

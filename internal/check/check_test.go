@@ -153,6 +153,22 @@ func TestNameRange(t *testing.T) {
 	}
 }
 
+// TestNameRangeNamesLowestPid: with two processes past the bound the
+// checker names the lower pid on every call, whatever order the Names map
+// iterates in; so does Exclusive's small path for two clashes.
+func TestNameRangeNamesLowestPid(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		run := &Run{K: 6, MaxName: 5, Names: map[int]int64{0: 1, 1: 2, 2: 3, 3: 9, 4: 4, 5: 8}, Res: emptyResult(6)}
+		if err := NameRange(0).Check(run); err == nil || err.Error() != "process 3 name 9 exceeds bound 5" {
+			t.Fatalf("call %d: %v, want process 3 named", i, err)
+		}
+		run.Names = map[int]int64{0: 1, 1: 2, 2: 2, 3: 4, 4: 1, 5: 3}
+		if err := Exclusive().Check(run); err == nil || err.Error() != "name 2 held by both process 1 and process 2" {
+			t.Fatalf("call %d: %v, want the clash of processes 1 and 2", i, err)
+		}
+	}
+}
+
 func TestStepBound(t *testing.T) {
 	res := emptyResult(2)
 	res.Steps = []int64{5, 9}

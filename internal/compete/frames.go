@@ -54,12 +54,9 @@ func (f *CompeteFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	}
 }
 
-// FirstFitFrame is the frame compilation of FirstFit.Rename: competitions on
-// pairs 0,1,2,... in order, claiming the first one won. The type is exported
-// so long-lived harnesses can embed one per lane and re-arm it between
-// sessions (Init) instead of allocating a frame per acquire — the zero
-// steady-state allocation contract of the service driver.
-type FirstFitFrame struct {
+// firstFitFrame is the frame compilation of FirstFit.Rename: competitions on
+// pairs 0,1,2,... in order, claiming the first one won.
+type firstFitFrame struct {
 	ff      *FirstFit
 	id      int64
 	i       int
@@ -67,30 +64,24 @@ type FirstFitFrame struct {
 	entered bool
 }
 
-// Init re-arms the frame for one scan of ff with identity id, exactly as
-// FrameRename would construct it.
-func (f *FirstFitFrame) Init(ff *FirstFit, id int64) {
-	*f = FirstFitFrame{ff: ff, id: id}
-}
-
 // FrameRename compiles Rename(p, orig) into a frame automaton.
-func (ff *FirstFit) FrameRename(orig int64) vexec.Frame {
-	f := &FirstFitFrame{}
-	f.Init(ff, orig)
+func (ff *FirstFit) FrameRename(orig int64, dst vexec.Frame) vexec.Frame {
+	f := vexec.Rearm[firstFitFrame](dst)
+	*f = firstFitFrame{ff: ff, id: orig}
 	return f
 }
 
 var (
 	_ vexec.FrameRenamer = (*FirstFit)(nil)
-	_ vexec.Cloner       = (*FirstFitFrame)(nil)
+	_ vexec.Cloner       = (*firstFitFrame)(nil)
 )
 
 // Save and Load implement vexec.Cloner: the frame and its competition are
 // plain values.
-func (f *FirstFitFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
-func (f *FirstFitFrame) Load(src vexec.Frame)             { *f = *src.(*FirstFitFrame) }
+func (f *firstFitFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *firstFitFrame) Load(src vexec.Frame)             { *f = *src.(*firstFitFrame) }
 
-func (f *FirstFitFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
+func (f *firstFitFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	if f.entered {
 		if m.RetB {
 			return m.Return(int64(f.i+1), true)

@@ -198,7 +198,7 @@ func TestAdaptiveFallbackFrameMatchesRename(t *testing.T) {
 		})
 		va, vname, vok := build(), make([]int64, n), make([]bool, n)
 		e := vexec.New(n, origs, func(p *shmem.Proc) vexec.Frame {
-			return vexec.Capture(va.FrameRename(p.Name()), &vname[p.ID()], &vok[p.ID()])
+			return vexec.Capture(va.FrameRename(p.Name(), nil), &vname[p.ID()], &vok[p.ID()], nil)
 		})
 		vres := e.Run(sched.NewRandom(seed), plan())
 		if gres.Err != nil || vres.Err != nil {

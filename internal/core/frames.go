@@ -16,11 +16,9 @@ import (
 	"repro/internal/vexec"
 )
 
-// MajorityFrame compiles Majority.Rename: a competition per expander
-// neighbor of the original name, in neighbor order. The type is exported so
-// long-lived harnesses can embed one per lane and re-arm it between sessions
-// (Init) instead of allocating a frame per acquire.
-type MajorityFrame struct {
+// majorityFrame compiles Majority.Rename: a competition per expander
+// neighbor of the original name, in neighbor order.
+type majorityFrame struct {
 	ma      *Majority
 	orig    int64
 	i       int
@@ -29,25 +27,24 @@ type MajorityFrame struct {
 	entered bool
 }
 
-// Init re-arms the frame for one walk of ma with original name orig, exactly
-// as FrameRename would construct it.
-func (f *MajorityFrame) Init(ma *Majority, orig int64) {
-	*f = MajorityFrame{ma: ma, orig: orig}
+// init re-arms the frame for one walk of ma with original name orig.
+func (f *majorityFrame) init(ma *Majority, orig int64) {
+	*f = majorityFrame{ma: ma, orig: orig}
 }
 
 // FrameRename implements vexec.FrameRenamer.
-func (ma *Majority) FrameRename(orig int64) vexec.Frame {
-	f := &MajorityFrame{}
-	f.Init(ma, orig)
+func (ma *Majority) FrameRename(orig int64, dst vexec.Frame) vexec.Frame {
+	f := vexec.Rearm[majorityFrame](dst)
+	f.init(ma, orig)
 	return f
 }
 
 // Save and Load implement vexec.Cloner: the frame and its competition are
 // plain values.
-func (f *MajorityFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
-func (f *MajorityFrame) Load(src vexec.Frame)             { *f = *src.(*MajorityFrame) }
+func (f *majorityFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
+func (f *majorityFrame) Load(src vexec.Frame)             { *f = *src.(*majorityFrame) }
 
-func (f *MajorityFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
+func (f *majorityFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	if !f.entered {
 		if f.orig < 1 || f.orig > int64(f.ma.graph.N) {
 			panic(fmt.Sprintf("core: original name %d outside [1..%d]", f.orig, f.ma.graph.N))
@@ -73,7 +70,7 @@ type basicFrame struct {
 	b       *Basic
 	orig    int64
 	s       int
-	mf      MajorityFrame
+	mf      majorityFrame
 	entered bool
 }
 
@@ -82,8 +79,8 @@ func (f *basicFrame) init(b *Basic, orig int64) {
 }
 
 // FrameRename implements vexec.FrameRenamer.
-func (b *Basic) FrameRename(orig int64) vexec.Frame {
-	f := &basicFrame{}
+func (b *Basic) FrameRename(orig int64, dst vexec.Frame) vexec.Frame {
+	f := vexec.Rearm[basicFrame](dst)
 	f.init(b, orig)
 	return f
 }
@@ -102,7 +99,7 @@ func (f *basicFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	if f.s >= len(f.b.stages) {
 		return m.Return(0, false)
 	}
-	f.mf.Init(f.b.stages[f.s], f.orig)
+	f.mf.init(f.b.stages[f.s], f.orig)
 	return m.Call(&f.mf)
 }
 
@@ -121,8 +118,8 @@ func (f *polylogFrame) init(pl *PolyLog, orig int64) {
 }
 
 // FrameRename implements vexec.FrameRenamer.
-func (pl *PolyLog) FrameRename(orig int64) vexec.Frame {
-	f := &polylogFrame{}
+func (pl *PolyLog) FrameRename(orig int64, dst vexec.Frame) vexec.Frame {
+	f := vexec.Rearm[polylogFrame](dst)
 	f.init(pl, orig)
 	return f
 }
@@ -162,14 +159,15 @@ type efficientFrame struct {
 
 // init re-arms the frame for one walk of e with original name orig. The AF
 // stage is kept, not zeroed: its Init re-arms it, and its buffers carry
-// across the doubling levels an adaptiveFrame walks.
+// across the doubling levels an adaptiveFrame walks and across the walks of
+// a re-armed frame.
 func (f *efficientFrame) init(e *Efficient, orig int64) {
 	*f = efficientFrame{e: e, orig: orig, aff: f.aff}
 }
 
 // FrameRename implements vexec.FrameRenamer.
-func (e *Efficient) FrameRename(orig int64) vexec.Frame {
-	f := &efficientFrame{}
+func (e *Efficient) FrameRename(orig int64, dst vexec.Frame) vexec.Frame {
+	f := vexec.Rearm[efficientFrame](dst)
 	f.init(e, orig)
 	return f
 }
@@ -240,13 +238,15 @@ type almostFrame struct {
 	pc   uint8
 }
 
+// init re-arms the frame for one walk of a with original name orig, keeping
+// the AF stage as efficientFrame.init does.
 func (f *almostFrame) init(a *AlmostAdaptive, orig int64) {
-	*f = almostFrame{a: a, orig: orig}
+	*f = almostFrame{a: a, orig: orig, aff: f.aff}
 }
 
 // FrameRename implements vexec.FrameRenamer.
-func (a *AlmostAdaptive) FrameRename(orig int64) vexec.Frame {
-	f := &almostFrame{}
+func (a *AlmostAdaptive) FrameRename(orig int64, dst vexec.Frame) vexec.Frame {
+	f := vexec.Rearm[almostFrame](dst)
 	f.init(a, orig)
 	return f
 }
@@ -297,13 +297,15 @@ type adaptiveFrame struct {
 	pc   uint8
 }
 
+// init re-arms the frame for one walk of a with original name orig, keeping
+// the levels' AF stage as efficientFrame.init does.
 func (f *adaptiveFrame) init(a *Adaptive, orig int64) {
-	*f = adaptiveFrame{a: a, orig: orig}
+	*f = adaptiveFrame{a: a, orig: orig, ef: efficientFrame{aff: f.ef.aff}}
 }
 
 // FrameRename implements vexec.FrameRenamer.
-func (a *Adaptive) FrameRename(orig int64) vexec.Frame {
-	f := &adaptiveFrame{}
+func (a *Adaptive) FrameRename(orig int64, dst vexec.Frame) vexec.Frame {
+	f := vexec.Rearm[adaptiveFrame](dst)
 	f.init(a, orig)
 	return f
 }
@@ -346,7 +348,7 @@ func (f *adaptiveFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 // Compile-time checks that every renaming algorithm compiles to frames,
 // and that every root frame restores by copy.
 var (
-	_ vexec.Cloner = (*MajorityFrame)(nil)
+	_ vexec.Cloner = (*majorityFrame)(nil)
 	_ vexec.Cloner = (*basicFrame)(nil)
 	_ vexec.Cloner = (*polylogFrame)(nil)
 	_ vexec.Cloner = (*efficientFrame)(nil)

@@ -38,7 +38,7 @@ func checkCell(t *testing.T, tc conformance.Case, n, maxCrashes int, m shmem.Mod
 		Names: origs,
 		Frame: func(int) func(p *shmem.Proc) vexec.Frame {
 			return func(p *shmem.Proc) vexec.Frame {
-				return vexec.Capture(fr.FrameRename(p.Name()), &got[p.ID()], &oks[p.ID()])
+				return vexec.Capture(fr.FrameRename(p.Name(), nil), &got[p.ID()], &oks[p.ID()], nil)
 			}
 		},
 		Reset: func(pid int) { got[pid], oks[pid] = 0, false },

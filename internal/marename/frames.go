@@ -57,8 +57,8 @@ func (f *GridFrame) Init(g *Grid, id int64) {
 }
 
 // FrameRename compiles Rename(p, orig) into a frame automaton.
-func (g *Grid) FrameRename(orig int64) vexec.Frame {
-	f := &GridFrame{}
+func (g *Grid) FrameRename(orig int64, dst vexec.Frame) vexec.Frame {
+	f := vexec.Rearm[GridFrame](dst)
 	f.Init(g, orig)
 	return f
 }

@@ -91,7 +91,7 @@ func classSet(t *testing.T, strat explore.Strategy, n int, m shmem.Model, origs 
 		Names: origs,
 		Frame: func(int) func(p *shmem.Proc) vexec.Frame {
 			fr := mk().(vexec.FrameRenamer)
-			return func(p *shmem.Proc) vexec.Frame { return fr.FrameRename(p.Name()) }
+			return func(p *shmem.Proc) vexec.Frame { return fr.FrameRename(p.Name(), nil) }
 		},
 		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
 			k := keyOf(tr, &s)

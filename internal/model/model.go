@@ -217,10 +217,13 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 	}
 	// fresh returns the system execution run drives: the stateful walker
 	// rewinds the one instance, the stateless walker builds a new one per
-	// execution. Either way its outcomes start cleared.
+	// execution, which re-arms the last one's lane frames (Reuse). Either
+	// way its outcomes start cleared.
 	fresh := func(run int) *check.Instance {
 		if run > 0 {
-			cur = check.NewInstance(new(), n, origs)
+			next := check.NewInstance(new(), n, origs)
+			next.Reuse(cur)
+			cur = next
 		}
 		return cur
 	}

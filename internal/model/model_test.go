@@ -39,7 +39,9 @@ type brokenFrame struct {
 	phase int // 0: post slot i's read; 1: perform it; 2: perform the claiming write
 }
 
-func (b *brokenRenamer) FrameRename(orig int64) vexec.Frame { return &brokenFrame{b: b, orig: orig} }
+func (b *brokenRenamer) FrameRename(orig int64, _ vexec.Frame) vexec.Frame {
+	return &brokenFrame{b: b, orig: orig}
+}
 
 func (f *brokenFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	switch f.phase {
@@ -83,7 +85,9 @@ type fairFrame struct {
 	armed bool
 }
 
-func (f *fairRenamer) FrameRename(orig int64) vexec.Frame { return &fairFrame{f: f, orig: orig} }
+func (f *fairRenamer) FrameRename(orig int64, _ vexec.Frame) vexec.Frame {
+	return &fairFrame{f: f, orig: orig}
+}
 
 func (f *fairFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	if f.armed {

@@ -69,7 +69,7 @@ func mkVexec(tc conformance.Case, n int, seed uint64, m shmem.Model) (*vexec.Exe
 	got := make([]int64, n)
 	oks := make([]bool, n)
 	e := vexec.New(n, tc.Origs(n, seed), func(p *shmem.Proc) vexec.Frame {
-		return vexec.Capture(fr.FrameRename(p.Name()), &got[p.ID()], &oks[p.ID()])
+		return vexec.Capture(fr.FrameRename(p.Name(), nil), &got[p.ID()], &oks[p.ID()], nil)
 	})
 	if !m.Atomic() {
 		e.SetModel(m)

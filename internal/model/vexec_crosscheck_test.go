@@ -66,7 +66,7 @@ func replayOnVexec(t *testing.T, n int, m shmem.Model, rec crossRec, label strin
 	got := make([]int64, n)
 	oks := make([]bool, n)
 	e := vexec.New(n, nil, func(p *shmem.Proc) vexec.Frame {
-		return vexec.Capture(ff.FrameRename(p.Name()), &got[p.ID()], &oks[p.ID()])
+		return vexec.Capture(ff.FrameRename(p.Name(), nil), &got[p.ID()], &oks[p.ID()], nil)
 	})
 	if !m.Atomic() {
 		e.SetModel(m)

@@ -259,8 +259,8 @@ func (d *Driver) crashTick() {
 	for k := 0; k < n; k++ {
 		pid := (d.crashCur + k) % n
 		ln := d.lanes[pid]
-		if !ln.Holding() || d.e.Crashed(pid) {
-			continue
+		if !ln.Holding() || !sched.HasBit(d.pend, pid) {
+			continue // not holding, or crashed or panicked while holding
 		}
 		d.crashCur = pid + 1
 		d.e.Crash(pid)
@@ -307,7 +307,9 @@ func (d *Driver) observe(pid int, wasHolding bool) {
 }
 
 // Run drives the workload to completion and returns the metrics. On the
-// vectorized engine the loop allocates nothing per session.
+// vectorized engine the loop allocates nothing per session. A session that
+// panics stops its lane; once the loop ends, Run panics with the first
+// panicked lane's error (sched.Result.Err).
 func (d *Driver) Run() Metrics {
 	start := time.Now()
 	granted, lastCrash := int64(0), int64(-1)
@@ -334,6 +336,12 @@ func (d *Driver) Run() Metrics {
 		}
 	}
 	elapsed := time.Since(start)
+	// A panicked lane (the audit reports a breach that way) drops out of the
+	// loop above; surface the first one's error rather than report a run
+	// that silently lost its sessions.
+	if err := d.e.Result().Err; err != nil {
+		panic(err)
+	}
 	m := Metrics{
 		Engine:     d.engine,
 		Sessions:   d.acquired + d.failed + d.crashedCnt,

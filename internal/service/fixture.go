@@ -108,8 +108,10 @@ func (fx *LLFixture) Registers() int {
 
 // FrameRename implements vexec.FrameRenamer: the frame compilation of the
 // same lane stream.
-func (fx *LLFixture) FrameRename(orig int64) vexec.Frame {
-	return &StreamFrame{fx: fx, i: int(orig - 1)}
+func (fx *LLFixture) FrameRename(orig int64, dst vexec.Frame) vexec.Frame {
+	f := vexec.Rearm[StreamFrame](dst)
+	*f = StreamFrame{fx: fx, i: int(orig - 1)}
+	return f
 }
 
 var _ vexec.FrameRenamer = (*LLFixture)(nil)

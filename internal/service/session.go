@@ -31,8 +31,7 @@ import (
 // orders body code against the decision loop).
 type Lane struct {
 	svc  *Service
-	arm  func(b Backend, orig int64) vexec.Frame // retained algo frame re-armer
-	hold func(sid int64) int64                   // sampled hold length in grants
+	hold func(sid int64) int64 // sampled hold length in grants
 
 	// Current session.
 	sid      int64
@@ -57,12 +56,16 @@ type Lane struct {
 	Acquired     bool  // last completed session acquired (vs finally failed)
 
 	frame sessionFrame
+	// af is the backend frame the lane's acquires re-arm (FrameRename's
+	// dst): a lane's sessions land on different generations, and so on
+	// different backends, over time.
+	af vexec.Frame
 }
 
 // NewLane builds a lane over svc. hold, when non-nil, samples each session's
 // hold length (in grants) from its session id.
 func NewLane(svc *Service, hold func(sid int64) int64) *Lane {
-	return &Lane{svc: svc, hold: hold, arm: NewLaneArmer(svc.cfg.Algo)}
+	return &Lane{svc: svc, hold: hold}
 }
 
 // Start begins a session with identity sid on this lane. steps is the lane
@@ -159,7 +162,6 @@ func (idleFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status { return m.Return(0
 // sessionFrame is the frame compilation of one session's lifecycle.
 type sessionFrame struct {
 	ln *Lane
-	af vexec.Frame
 	pc uint8
 }
 
@@ -172,8 +174,8 @@ func (f *sessionFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	case 1: // perform the announce, enter the algorithm
 		p.Write(&ln.g.pres[ln.slot], presTag(ln.slot))
 		f.pc = 2
-		f.af = ln.arm(ln.g.backend, int64(ln.slot)+1)
-		return m.Call(f.af)
+		ln.af = ln.g.backend.FrameRename(int64(ln.slot)+1, ln.af)
+		return m.Call(ln.af)
 	case 2: // algorithm returned
 		if m.RetB {
 			ln.AcquireSteps = p.Steps() - ln.acquireStart

@@ -400,7 +400,7 @@ func TestClonerSaveLoadRoundTrip(t *testing.T) {
 			for trial := uint64(1); trial <= 3; trial++ {
 				seed := trial * 0x51ed2701
 				fr := c.New(n, seed).(vexec.FrameRenamer)
-				e := vexec.New(n, c.Origs(n, seed), func(p *shmem.Proc) vexec.Frame { return fr.FrameRename(p.Name()) })
+				e := vexec.New(n, c.Origs(n, seed), func(p *shmem.Proc) vexec.Frame { return fr.FrameRename(p.Name(), nil) })
 				saved := make([]vexec.Frame, n)
 				loaded := make([]vexec.Cloner, n)
 				rng := xrand.New(seed)
@@ -455,7 +455,7 @@ func TestEfficientWalkRestoresByCopy(t *testing.T) {
 		Frame: func(int) func(p *shmem.Proc) vexec.Frame {
 			return func(p *shmem.Proc) vexec.Frame {
 				roots++
-				return vexec.Capture(fr.FrameRename(p.Name()), &got[p.ID()], &oks[p.ID()])
+				return vexec.Capture(fr.FrameRename(p.Name(), nil), &got[p.ID()], &oks[p.ID()], nil)
 			}
 		},
 		Reset: func(pid int) { got[pid], oks[pid] = 0, false },

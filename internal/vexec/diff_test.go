@@ -100,7 +100,7 @@ func newVexec(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Mode
 	got := make([]int64, n)
 	oks := make([]bool, n)
 	e := vexec.New(n, origs, func(p *shmem.Proc) vexec.Frame {
-		return vexec.Capture(fr.FrameRename(p.Name()), &got[p.ID()], &oks[p.ID()])
+		return vexec.Capture(fr.FrameRename(p.Name(), nil), &got[p.ID()], &oks[p.ID()], nil)
 	})
 	if !m.Atomic() {
 		e.SetModel(m)
@@ -407,13 +407,13 @@ func TestEveryCaseCompilesToFrames(t *testing.T) {
 			continue
 		}
 		var _ check.Renamer = r
-		root := fr.FrameRename(c.Origs(2, 1)[0])
+		root := fr.FrameRename(c.Origs(2, 1)[0], nil)
 		if _, ok := root.(vexec.Cloner); !ok {
 			t.Errorf("case %s: root frame %T is not a vexec.Cloner", c.Name, root)
 		}
 		var got int64
 		var done bool
-		if _, ok := vexec.Capture(root, &got, &done).(vexec.Cloner); !ok {
+		if _, ok := vexec.Capture(root, &got, &done, nil).(vexec.Cloner); !ok {
 			t.Errorf("case %s: the capture-wrapped root is not a vexec.Cloner", c.Name)
 		}
 	}

@@ -119,14 +119,35 @@ func (m *M) Return(v int64, ok bool) Status {
 }
 
 // FrameRenamer is implemented by renaming algorithms that can compile their
-// body into a frame automaton: FrameRename(orig) must be the exact frame
+// body into a frame automaton: FrameRename(orig, dst) must be the exact frame
 // compilation of Rename(p, orig) — same register accesses in the same
 // order, same result. Harnesses detect the interface to route work onto
 // this engine; the differential tests hold every implementation to the
 // bit-identity contract. A stateful proof walk checkpoints the engine, so
 // there the returned frame must also be a Cloner.
+//
+// dst is the re-arm contract, modelled on Cloner.Save's: nil, or a frame an
+// earlier FrameRename returned that no engine runs any more — finished, or
+// abandoned mid-run by a crash, a Reset or a relaunch. When dst is a frame
+// of the type this renamer builds, FrameRename re-arms it in place, keeping
+// its scratch buffers, and returns it; otherwise it allocates a fresh frame
+// (see Rearm). Either way the frame runs exactly as a fresh one would. A
+// campaign worker or a long-lived lane that passes its last frame back this
+// way builds its lanes without allocating.
 type FrameRenamer interface {
-	FrameRename(orig int64) Frame
+	FrameRename(orig int64, dst Frame) Frame
+}
+
+// Rearm returns dst when it is a *F, for a FrameRename or Save to re-arm or
+// overwrite in place, and a new F otherwise.
+func Rearm[F any, P interface {
+	*F
+	Frame
+}](dst Frame) P {
+	if d, ok := dst.(P); ok {
+		return d
+	}
+	return new(F)
 }
 
 // Cloner is the copy-restore contract of a lane's root frame: Restore puts
@@ -156,10 +177,7 @@ func SaveWith[F any, P interface {
 	*F
 	Frame
 }](f P, dst Frame, copyFrom func(dst, src P)) Frame {
-	d, ok := dst.(P)
-	if !ok {
-		d = new(F)
-	}
+	d := Rearm[F, P](dst)
 	copyFrom(d, f)
 	return d
 }
@@ -186,13 +204,21 @@ type captureFrame struct {
 }
 
 // Capture wraps a root frame so its result lands in *got and *ok when the
-// lane finishes. The wrapper is a Cloner exactly when child is.
-func Capture(child Frame, got *int64, ok *bool) Frame {
+// lane finishes. The wrapper is a Cloner exactly when child is. dst follows
+// FrameRenamer's re-arm contract: nil, or a wrapper an earlier Capture
+// returned that no engine runs any more, reused when it is of the kind
+// child needs. The child is the caller's to re-arm (FrameRename(orig,
+// oldChild)); Capture only re-points the wrapper.
+func Capture(child Frame, got *int64, ok *bool, dst Frame) Frame {
 	c := captureFrame{child: child, got: got, ok: ok}
 	if _, isCl := child.(Cloner); isCl {
-		return &clonerCapture{c}
+		d := Rearm[clonerCapture](dst)
+		d.captureFrame = c
+		return d
 	}
-	return &c
+	d := Rearm[captureFrame](dst)
+	*d = c
+	return d
 }
 
 func (c *captureFrame) Run(m *M, p *shmem.Proc) Status {
@@ -209,10 +235,7 @@ func (c *captureFrame) Run(m *M, p *shmem.Proc) Status {
 type clonerCapture struct{ captureFrame }
 
 func (c *clonerCapture) Save(dst Frame) Frame {
-	d, _ := dst.(*clonerCapture)
-	if d == nil {
-		d = &clonerCapture{}
-	}
+	d := Rearm[clonerCapture](dst)
 	d.got, d.ok, d.entered = c.got, c.ok, c.entered
 	d.child = c.child.(Cloner).Save(d.child)
 	return d

@@ -51,7 +51,7 @@ func resetSpecs(runs int) []resetSpec {
 			model:  m,
 			policy: sched.NewRandom(uint64(i)*2654435761 + 1),
 			plan:   plan,
-			root:   func(p *shmem.Proc) vexec.Frame { return ff.FrameRename(p.Name()) },
+			root:   func(p *shmem.Proc) vexec.Frame { return ff.FrameRename(p.Name(), nil) },
 		}
 	}
 	return specs
@@ -122,7 +122,7 @@ func TestResetRecycledEnginesMatchFresh(t *testing.T) {
 				t.Fatalf("%s n=%d run %d: oracle ran nothing (err %v)", cfg.name, cfg.n, i, oracle.Err)
 			}
 			r = cfg.build(cfg.n, seed(i))
-			sp := resetSpec{n: cfg.n, policy: sched.NewRandom(seed(i)), root: func(p *shmem.Proc) vexec.Frame { return r.FrameRename(p.Name()) }}
+			sp := resetSpec{n: cfg.n, policy: sched.NewRandom(seed(i)), root: func(p *shmem.Proc) vexec.Frame { return r.FrameRename(p.Name(), nil) }}
 			var got sched.Result
 			e, got = sp.run(e)
 			if got.Fingerprint != oracle.Fingerprint {
@@ -139,18 +139,18 @@ func TestResetMatchesNew(t *testing.T) {
 	// engine at every decision: the knobs must come back down and no state
 	// may leak across the rewind.
 	ff1 := compete.NewFirstFit(3)
-	e := vexec.New(3, nil, func(p *shmem.Proc) vexec.Frame { return ff1.FrameRename(p.Name()) })
+	e := vexec.New(3, nil, func(p *shmem.Proc) vexec.Frame { return ff1.FrameRename(p.Name(), nil) })
 	e.SetModel(shmem.Model{Regs: shmem.RegRegular})
 	e.EnableTrace()
 	e.Run(sched.NewRandom(7), nil)
 
 	ff2 := compete.NewFirstFit(3)
-	e.Reset(nil, func(p *shmem.Proc) vexec.Frame { return ff2.FrameRename(p.Name()) })
+	e.Reset(nil, func(p *shmem.Proc) vexec.Frame { return ff2.FrameRename(p.Name(), nil) })
 	if got := e.Model(); got != (shmem.Model{}) {
 		t.Fatalf("Reset kept the fault model %v armed", got)
 	}
 	ff3 := compete.NewFirstFit(3)
-	fresh := vexec.New(3, nil, func(p *shmem.Proc) vexec.Frame { return ff3.FrameRename(p.Name()) })
+	fresh := vexec.New(3, nil, func(p *shmem.Proc) vexec.Frame { return ff3.FrameRename(p.Name(), nil) })
 	rr1, rr2 := &sched.RoundRobin{}, &sched.RoundRobin{}
 	for fresh.PendingCount() > 0 {
 		e.Step(rr1.Next(e))

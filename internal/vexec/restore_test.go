@@ -69,7 +69,7 @@ func TestRestoreLeavesUnmovedLanes(t *testing.T) {
 			roots := make([]int, 2)
 			e := vexec.New(2, []int64{10, 20}, func(p *shmem.Proc) vexec.Frame {
 				roots[p.ID()]++
-				return vexec.Capture(&opsFrame{r: &r, ops: lanes[p.ID()]}, &got[p.ID()], &oks[p.ID()])
+				return vexec.Capture(&opsFrame{r: &r, ops: lanes[p.ID()]}, &got[p.ID()], &oks[p.ID()], nil)
 			})
 			if !tc.model.Atomic() {
 				e.SetModel(tc.model)

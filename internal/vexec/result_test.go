@@ -16,7 +16,7 @@ import (
 // warmed summary allocates nothing.
 func TestResultIntoMatchesResult(t *testing.T) {
 	ff := compete.NewFirstFit(3)
-	root := func(p *shmem.Proc) vexec.Frame { return ff.FrameRename(p.Name()) }
+	root := func(p *shmem.Proc) vexec.Frame { return ff.FrameRename(p.Name(), nil) }
 	e := vexec.New(3, nil, root)
 	var reused sched.Result
 	for run := 0; run < 6; run++ {

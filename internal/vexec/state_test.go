@@ -327,7 +327,7 @@ func TestCheckpointNeedsCloner(t *testing.T) {
 		var ok bool
 		e := vexec.New(1, nil, func(p *shmem.Proc) vexec.Frame {
 			if wrap {
-				return vexec.Capture(&readOnceFrame{r: &r}, &got, &ok)
+				return vexec.Capture(&readOnceFrame{r: &r}, &got, &ok, nil)
 			}
 			return &readOnceFrame{r: &r}
 		})

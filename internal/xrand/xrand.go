@@ -9,6 +9,8 @@
 // library must agree on every edge.
 package xrand
 
+import "slices"
+
 // SplitMix64 advances the state by the golden-gamma and returns the next
 // 64-bit output. It is the stateless core used directly when a value must be
 // a pure function of its inputs (e.g. expander edges).
@@ -82,15 +84,15 @@ func (r *Rand) Sample(k, n int) []int64 {
 	if k > n {
 		panic("xrand: Sample with k > n")
 	}
-	// Floyd's algorithm: O(k) expected work, no O(n) allocation.
-	seen := make(map[int64]struct{}, k)
+	// Floyd's algorithm: no O(n) allocation, and the membership test scans
+	// out, so the result is the one allocation. The scan is O(k²); it beats
+	// a map up to k ≈ 128 and every caller draws a few dozen values.
 	out := make([]int64, 0, k)
 	for j := n - k + 1; j <= n; j++ {
 		t := int64(r.Intn(j) + 1)
-		if _, dup := seen[t]; dup {
+		if slices.Contains(out, t) {
 			t = int64(j)
 		}
-		seen[t] = struct{}{}
 		out = append(out, t)
 	}
 	return out

@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -98,6 +99,45 @@ func TestSampleProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sampleMap is Sample's map form, as it was written before it scanned the
+// result instead: the oracle of TestSampleMatchesMapForm.
+func sampleMap(r *Rand, k, n int) []int64 {
+	seen := make(map[int64]struct{}, k)
+	out := make([]int64, 0, k)
+	for j := n - k + 1; j <= n; j++ {
+		t := int64(r.Intn(j) + 1)
+		if _, dup := seen[t]; dup {
+			t = int64(j)
+		}
+		seen[t] = struct{}{}
+		out = append(out, t)
+	}
+	return out
+}
+
+// TestSampleMatchesMapForm: both membership tests make the same draws, so
+// Sample returns the map form's values in the same order, and leaves the
+// stream at the same point, at k from 0 to n.
+func TestSampleMatchesMapForm(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 16, 63, 64, 65, 100, 1 << 10, 1 << 28} {
+		for _, k := range []int{0, 1, 2, 3, 8, 16, 63, 64, 65, 100, n} {
+			if k > n || (k > 1000 && k == n) {
+				continue
+			}
+			for seed := uint64(0); seed < 20; seed++ {
+				r, o := New(seed), New(seed)
+				got, want := r.Sample(k, n), sampleMap(o, k, n)
+				if !slices.Equal(got, want) {
+					t.Fatalf("Sample(%d, %d) seed %d = %v, map form %v", k, n, seed, got, want)
+				}
+				if r.Uint64() != o.Uint64() {
+					t.Fatalf("Sample(%d, %d) seed %d left the stream elsewhere", k, n, seed)
+				}
+			}
+		}
 	}
 }
 
