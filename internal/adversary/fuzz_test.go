@@ -7,6 +7,7 @@ import (
 	"repro/internal/compete"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/sched"
 )
 
 // FuzzRenameSchedule fuzzes the (algorithm, family, population, seed, arm)
@@ -14,7 +15,7 @@ import (
 // the crash pattern at once, so every crashing input is a complete
 // reproducer. stratIdx selects the arm driving the schedules:
 //
-//	0  one seeded run driven directly through check.DriveModel
+//	0  one seeded run of the instance's Body on the goroutine oracle
 //	1  a 24-execution model.Check walk: schedule-only source-DPOR
 //	2  a 24-execution model.Check walk: sleep sets, crash branching ≤ 1
 //	3  a 24-execution model.Check walk: source-DPOR (checkpoint/restore),
@@ -68,9 +69,7 @@ func FuzzRenameSchedule(f *testing.F) {
 			case 0:
 				return core.NewBasic(n, 512, c)
 			case 1:
-				// Fallback lane enabled: names may exceed MaxName by design,
-				// but exclusiveness must survive the extra lane too.
-				return core.NewEfficient(n, n, c)
+				return core.NewEfficient(n, c)
 			default:
 				return core.NewAdaptive(n, c)
 			}
@@ -84,8 +83,9 @@ func FuzzRenameSchedule(f *testing.F) {
 		switch uint(stratIdx) % 5 {
 		case 0:
 			// The original direct path: one seeded driven run.
-			r := mk(n, seed)
-			run := check.DriveModel(r, n, nil, fam.Model, fam.NewPolicy(seed, n), fam.NewPlan(seed, n))
+			in := check.NewInstance(mk(n, seed), n, nil)
+			run := &check.Run{}
+			in.Record(run, sched.RunModel(n, in.Origs, fam.Model, fam.NewPolicy(seed, n), fam.NewPlan(seed, n), in.Body()))
 			if run.Res.Err != nil {
 				t.Fatalf("process panic under %s n=%d seed=%#x: %v", fam.Name, n, seed, run.Res.Err)
 			}

@@ -370,25 +370,15 @@ func (in *Instance) Record(run *Run, res sched.Result) {
 }
 
 // Drive runs k contenders holding origs (nil assigns 1..k) through r under
-// policy and plan and returns the checked-form record. It does not apply any
-// checkers itself — callers pick the suite matching the algorithm's claims.
-// An unexpected process panic is surfaced in Run.Res.Err; callers must treat
-// a non-nil Err as a failure before reading the rest of the record.
+// policy and plan on the goroutine oracle and returns the checked-form
+// record. It does not apply any checkers itself — callers pick the suite
+// matching the algorithm's claims. An unexpected process panic is surfaced
+// in Run.Res.Err; callers must treat a non-nil Err as a failure before
+// reading the rest of the record.
 func Drive(r Renamer, k int, origs []int64, policy sched.Policy, plan sched.CrashPlan) *Run {
-	return DriveModel(r, k, origs, shmem.Model{}, policy, plan)
-}
-
-// DriveModel is Drive under an explicit fault model (see shmem.Model): weak
-// register reads consult the policy's sched.StalePolicy extension, and under
-// a recovery model the plan's sched.RestartPlan extension is offered every
-// crashed process. The zero model makes it identical to Drive. It always
-// runs on the goroutine oracle, whatever the renamer ships: it is the driver
-// of the core packages' own tests and of the fuzz harness's direct arm,
-// which exercise the Rename bodies themselves.
-func DriveModel(r Renamer, k int, origs []int64, m shmem.Model, policy sched.Policy, plan sched.CrashPlan) *Run {
 	in := NewInstance(r, k, origs)
 	run := &Run{}
-	in.Record(run, sched.RunModel(k, in.Origs, m, policy, plan, in.Body()))
+	in.Record(run, sched.Run(k, in.Origs, policy, plan, in.Body()))
 	return run
 }
 

@@ -185,7 +185,7 @@ func Cases() []Case {
 		{
 			Name:      "efficient",
 			Proven:    []ModelCell{{N: 2, MaxCrashes: 1}},
-			New:       func(n int, seed uint64) check.Renamer { return core.NewEfficient(n, 0, core.Config{Seed: seed}) },
+			New:       func(n int, seed uint64) check.Renamer { return core.NewEfficient(n, core.Config{Seed: seed}) },
 			Origs:     origsFrom(HugeNames),
 			StepBound: noBound,
 			Suite: func(n int, family string) check.Suite {

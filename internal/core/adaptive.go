@@ -38,9 +38,9 @@ func NewAdaptive(nProcs int, cfg Config) *Adaptive {
 	for i, width := 0, 1; ; i, width = i+1, width*2 {
 		lvlCfg := cfg
 		lvlCfg.Seed = subSeed(cfg.Seed, 0x400+uint64(i))
-		// Levels must fail cleanly when over-contended, so no per-level
-		// fallback; the object-wide fallback lane guarantees termination.
-		lvl := NewEfficient(width, 0, lvlCfg)
+		// Levels fail cleanly when over-contended; the object-wide
+		// fallback lane guarantees termination.
+		lvl := NewEfficient(width, lvlCfg)
 		a.levels = append(a.levels, lvl)
 		a.bases = append(a.bases, base)
 		base += lvl.MaxName() // block of 2^{i+1}-1 names

@@ -44,7 +44,7 @@ func BenchmarkBasicRename(b *testing.B) {
 
 func BenchmarkEfficientRename(b *testing.B) {
 	benchDrive(b, 16, func(seed uint64) Renamer {
-		return NewEfficient(16, 0, Config{Seed: seed})
+		return NewEfficient(16, Config{Seed: seed})
 	})
 }
 
@@ -75,7 +75,7 @@ func BenchmarkEfficientRenameFree(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		r := NewEfficient(16, 0, Config{Seed: uint64(i) + 1})
+		r := NewEfficient(16, Config{Seed: uint64(i) + 1})
 		b.StartTimer()
 		res := sched.RunFree(16, nil, func(p *shmem.Proc) {
 			r.Rename(p, p.Name())

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/afrename"
 	"repro/internal/marename"
@@ -22,25 +21,18 @@ import (
 //     substitution) finishes in the optimal range.
 //
 // A process failing a stage (possible only beyond the contention bound, or
-// with the residual sampled-expander probability) diverts to the optional
-// fallback lane — a snapshot renamer indexed by process id — whose names lie
-// beyond MaxName and whose use is recorded in FallbackCount. The adaptive
-// construction of Theorem 4 disables the fallback so that over-contended
-// levels fail cleanly instead.
+// with the residual sampled-expander probability) fails the whole rename:
+// the adaptive construction of Theorem 4 runs each instance as one doubling
+// level, and a failed level passes its contender on to the next.
 type Efficient struct {
 	k    int
 	grid *marename.Grid
 	poly *PolyLog
 	af   *afrename.Renamer
-
-	fallback      *afrename.Renamer // nil when disabled
-	fallbackCount atomic.Int64
 }
 
-// NewEfficient builds the object for up to k contenders. fallbackSlots, when
-// positive, enables a guaranteed-termination fallback lane sized for that
-// many processes (each process uses its id as slot); 0 disables it.
-func NewEfficient(k int, fallbackSlots int, cfg Config) *Efficient {
+// NewEfficient builds the object for up to k contenders.
+func NewEfficient(k int, cfg Config) *Efficient {
 	if k < 1 {
 		panic(fmt.Sprintf("core: invalid Efficient parameter k=%d", k))
 	}
@@ -51,32 +43,19 @@ func NewEfficient(k int, fallbackSlots int, cfg Config) *Efficient {
 	poly := NewPolyLog(k, int(grid.MaxName()), polyCfg)
 	af := afrename.New(int(poly.MaxName()))
 	af.MaxName = int64(2*k - 1)
-	e := &Efficient{k: k, grid: grid, poly: poly, af: af}
-	if fallbackSlots > 0 {
-		e.fallback = afrename.New(fallbackSlots)
-	}
-	return e
+	return &Efficient{k: k, grid: grid, poly: poly, af: af}
 }
 
 // K returns the contender bound the instance was built for.
 func (e *Efficient) K() int { return e.k }
 
-// MaxName implements Renamer: the Theorem 2 bound M = 2k-1. Names assigned
-// through the fallback lane lie above this bound; FallbackCount reports how
-// often that happened (zero in every experiment under intended operation).
+// MaxName implements Renamer: the Theorem 2 bound M = 2k-1.
 func (e *Efficient) MaxName() int64 { return int64(2*e.k - 1) }
 
 // Registers implements Renamer.
 func (e *Efficient) Registers() int {
-	r := e.grid.Registers() + e.poly.Registers() + e.af.Registers()
-	if e.fallback != nil {
-		r += e.fallback.Registers()
-	}
-	return r
+	return e.grid.Registers() + e.poly.Registers() + e.af.Registers()
 }
-
-// FallbackCount returns how many renames were served by the fallback lane.
-func (e *Efficient) FallbackCount() int64 { return e.fallbackCount.Load() }
 
 // Rename implements Renamer. orig may be any non-null identity (the
 // algorithm is oblivious to N); identities must be distinct across
@@ -89,13 +68,5 @@ func (e *Efficient) Rename(p *shmem.Proc, orig int64) (int64, bool) {
 			}
 		}
 	}
-	if e.fallback == nil {
-		return 0, false
-	}
-	e.fallbackCount.Add(1)
-	name, ok := e.fallback.Rename(p, p.ID(), orig)
-	if !ok {
-		return 0, false
-	}
-	return e.MaxName() + name, true
+	return 0, false
 }

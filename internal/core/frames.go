@@ -146,8 +146,8 @@ func (f *polylogFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return m.Call(&f.bf)
 }
 
-// efficientFrame compiles Efficient.Rename: grid → polylog → AF stage, with
-// the optional fallback lane on any stage failure.
+// efficientFrame compiles Efficient.Rename: grid → polylog → AF stage; a
+// failed stage fails the rename.
 type efficientFrame struct {
 	e    *Efficient
 	orig int64
@@ -185,46 +185,25 @@ func (f *efficientFrame) Save(dst vexec.Frame) vexec.Frame {
 func (f *efficientFrame) Load(src vexec.Frame) { f.copyFrom(src.(*efficientFrame)) }
 
 func (f *efficientFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
+	if f.pc > 0 && !m.RetB {
+		return m.Return(0, false) // the stage just run failed
+	}
 	switch f.pc {
 	case 0:
 		f.pc = 1
 		f.gf.Init(f.e.grid, f.orig)
 		return m.Call(&f.gf)
 	case 1:
-		if !m.RetB {
-			return f.enterFallback(m, p)
-		}
 		f.pc = 2
 		f.plf.init(f.e.poly, m.RetI)
 		return m.Call(&f.plf)
 	case 2:
-		if !m.RetB {
-			return f.enterFallback(m, p)
-		}
 		f.pc = 3
 		f.aff.Init(f.e.af, int(m.RetI-1), m.RetI)
 		return m.Call(&f.aff)
-	case 3:
-		if m.RetB {
-			return m.Return(m.RetI, true)
-		}
-		return f.enterFallback(m, p)
 	default:
-		if !m.RetB {
-			return m.Return(0, false)
-		}
-		return m.Return(f.e.MaxName()+m.RetI, true)
+		return m.Return(m.RetI, true)
 	}
-}
-
-func (f *efficientFrame) enterFallback(m *vexec.M, p *shmem.Proc) vexec.Status {
-	if f.e.fallback == nil {
-		return m.Return(0, false)
-	}
-	f.e.fallbackCount.Add(1)
-	f.pc = 4
-	f.aff.Init(f.e.fallback, p.ID(), f.orig)
-	return m.Call(&f.aff)
 }
 
 // almostFrame compiles AlmostAdaptive.Rename: PolyLog doubling levels in

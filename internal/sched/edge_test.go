@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/shmem"
@@ -247,35 +246,38 @@ func TestFingerprintDistinguishesSchedules(t *testing.T) {
 	}
 }
 
-// TestDriverParkedWakeups drives both wakeups of a parked driver on purpose:
-// a process that posts its next intent (gate.Step), and one that finishes
-// (runProc), as the last active process while the driver is parked on idle.
-// The body moves on only after it sees driverParked, so the driver has run
-// out of quiesce yields and parked; without that wait these branches run only
-// when the driver happens to park.
-func TestDriverParkedWakeups(t *testing.T) {
-	var ctrl atomic.Pointer[Controller]
-	waitParked := func() {
-		for !ctrl.Load().driverParked.Load() {
-			runtime.Gosched()
-		}
-	}
+// TestOneGoroutineRunsAtATime pins the Controller's handoff contract: exactly
+// one goroutine runs at any moment, the driver or the one process it
+// granted, from the first body instruction on. The bodies share a plain int
+// between their accesses, with a yield inside the section, so an overlap
+// shows as a count here and as a data race under -race.
+func TestOneGoroutineRunsAtATime(t *testing.T) {
 	var r shmem.Reg
-	c := NewController(1, nil, func(p *shmem.Proc) {
-		p.Read(&r)
-		waitParked()
-		p.Read(&r) // posts with the driver parked: gate.Step signals idle
-		waitParked()
-		// returns with the driver parked: runProc signals idle
-	})
-	defer c.Abort()
-	ctrl.Store(c)
-	c.Step(0)
-	if c.PendingCount() != 1 {
-		t.Fatalf("after the first grant: %d pending, want the second read", c.PendingCount())
+	inside, overlaps := 0, 0
+	section := func() {
+		inside++
+		runtime.Gosched()
+		if inside != 1 {
+			overlaps++
+		}
+		inside--
 	}
-	c.Step(0)
-	if !c.Done(0) || c.PendingCount() != 0 {
-		t.Fatalf("after the second grant: done=%v pending=%d, want a finished process", c.Done(0), c.PendingCount())
+	res := Run(8, nil, NewRandom(1), nil, func(p *shmem.Proc) {
+		section()
+		for i := 0; i < 4; i++ {
+			p.Write(&r, int64(p.ID()))
+			section()
+			p.Read(&r)
+			section()
+		}
+	})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if overlaps != 0 {
+		t.Fatalf("%d sections overlapped another process's", overlaps)
+	}
+	if got := res.TotalSteps(); got != 8*8 {
+		t.Fatalf("%d steps, want %d", got, 8*8)
 	}
 }

@@ -179,12 +179,11 @@ func (l *Ledger) Post(pid int) {
 // out of the pending set. stale > 0 marks a weak-register read returning
 // stale choice stale-1. The engine then runs pid's step, or discards it when
 // crash is set.
-func (l *Ledger) RecordGrant(pid int, crash bool, stale int) { l.record(pid, crash, stale, true) }
+func (l *Ledger) RecordGrant(pid int, crash bool, stale int) { l.record(pid, crash, stale) }
 
 // record is RecordGrant's body, behind a one-call wrapper so that the
-// wrapper inlines into vexec's grant. The Controller passes unpend false and
-// takes pid out of the pending set itself, under its mutex.
-func (l *Ledger) record(pid int, crash bool, stale int, unpend bool) {
+// wrapper inlines into vexec's grant.
+func (l *Ledger) record(pid int, crash bool, stale int) {
 	l.checkPid("grant to", pid)
 	if l.phase[pid] != PhasePending {
 		panic(fmt.Sprintf("sched: grant to non-pending process %d (phase %s): the policy returned a pid with no posted intent", pid, l.phase[pid]))
@@ -201,9 +200,10 @@ func (l *Ledger) record(pid int, crash bool, stale int, unpend bool) {
 		in := l.intent[pid]
 		l.traceBuf = append(l.traceBuf, TraceEvent{Pid: pid, Op: in.Kind, Reg: in.Reg, Crash: crash, Stale: stale})
 	}
-	if unpend {
-		l.unpend(pid)
-	}
+	l.phase[pid] = PhaseRunning
+	l.pbits[uint(pid)>>6] &^= 1 << (uint(pid) & 63)
+	l.rbits[uint(pid)>>6] &^= 1 << (uint(pid) & 63)
+	l.npending--
 }
 
 // checkPid panics, naming the operation, the pid and the range, when pid is
@@ -223,13 +223,6 @@ func (l *Ledger) checkPid(op string, pid int) {
 //go:noinline
 func pidOutOfRange(op string, pid, n int) {
 	panic(fmt.Sprintf("sched: %s process %d outside [0..%d)", op, pid, n))
-}
-
-func (l *Ledger) unpend(pid int) {
-	l.phase[pid] = PhaseRunning
-	l.pbits[uint(pid)>>6] &^= 1 << (uint(pid) & 63)
-	l.rbits[uint(pid)>>6] &^= 1 << (uint(pid) & 63)
-	l.npending--
 }
 
 // Exit records how pid's run ended, given what its runner recovered: nil for
@@ -363,9 +356,9 @@ func (l *Ledger) N() int { return l.n }
 func (l *Ledger) PendingCount() int { return l.npending }
 
 // Pending returns the live pending bitmap (see Engine.Pending). On the
-// Controller the processes write it under its mutex while they post; the
-// driver reads it at decision points, once every process has blocked or
-// finished.
+// Controller a process writes it when it posts, before it hands control
+// back; the driver reads it at decision points, once every process has
+// blocked or finished.
 func (l *Ledger) Pending() []uint64 { return l.pbits }
 
 // PendingReads returns the live bitmap of pending readers (see

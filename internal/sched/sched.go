@@ -22,23 +22,21 @@
 // panic(shmem.Crash{}) raised inside the gate; the runner recovers it. A
 // crashed process takes no further steps, matching the model.
 //
-// The controller's grant path is engineered for throughput, since every time
-// bound in the paper is stated in local steps and simulation cost per step
-// bounds the reachable n and schedule count. A step handoff is a single
-// mutex-protected park/unpark pair per side (no channel select, no per-step
-// data transfer), the pending set is maintained incrementally as bit words
-// (Pending and PendingReads expose them without copying), and every grant is
-// exactly one step, as the paper's adversary schedules each register access
-// on its own. A granted step is zero-allocation in steady state; see
+// Exactly one goroutine of a Controller runs at any moment: the driver, or
+// the one process it granted. The handoff is two unbuffered channels. Each
+// process receives its grants on its own seat, and every process reports on
+// one shared back channel once it has posted its next intent or ended, so
+// every ledger update is ordered by a channel handoff and nothing is locked.
+// Processes start one at a time in pid order, as vexec's lanes do. Every
+// grant is exactly one step, as the paper's adversary schedules each
+// register access on its own, and allocates nothing in steady state; see
 // BenchmarkControllerStep and the controller_step rows of cmd/bench.
 package sched
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/shmem"
 	"repro/internal/xrand"
@@ -48,41 +46,27 @@ import (
 // name are available on p.
 type Body func(p *shmem.Proc)
 
-// seat is the per-process handoff slot. The grant itself is a lock-free
-// publication: the driver writes crash, then releases it with
-// granted.Store(1); the process observes the flag (spinning briefly, then
-// parking on cond), consumes the grant, and resets the flag. parked
-// implements the spin-then-park protocol: the process sets it under c.mu
-// before waiting, and the driver signals only when it is set, so the common
-// fast handoff never touches the condition variable.
-type seat struct {
-	granted atomic.Uint32 // 1 while a grant is outstanding
-	parked  atomic.Bool   // process is parked on cond awaiting the grant
-	cond    sync.Cond     // L = &Controller.mu
-	crash   bool
-}
-
 // Controller runs n processes in lock step. At any decision point every
 // live process is either finished or blocked with a published Intent; the
 // caller (a Policy, or adversary code driving the Controller directly)
-// picks which process performs its next shared-memory operation.
+// picks which process performs its next shared-memory operation. Each
+// process runs on its own goroutine, but only while it holds a grant: the
+// driver hands a grant over the process's seat channel and waits on the back
+// channel until the process has posted its next intent or ended, so exactly
+// one goroutine runs at any moment.
 //
 // The Controller is not itself safe for concurrent driving: exactly one
 // goroutine may call Step/Crash/Run at a time; independent executions each
 // need their own Controller.
 type Controller struct {
-	// Ledger is the decision bookkeeping. The processes post intents and
-	// record their exits into it under mu; the driver records decisions
-	// while every process is blocked or finished.
+	// Ledger is the decision bookkeeping. A process posts its intents and
+	// records its exit into it while it runs, the driver its decisions while
+	// every process is blocked or finished; the handoff orders the two.
 	Ledger
 
-	mu           sync.Mutex
-	idle         sync.Cond    // driver parks here until active == 0
-	driverParked atomic.Bool  // driver is parked on idle
-	seats        []seat       // one handoff slot per process
-	active       atomic.Int32 // processes currently computing (not blocked/finished)
-
-	body Body // retained for Restart's and Relaunch's respawn
+	seats []chan bool   // per process: a grant, true to crash instead
+	back  chan struct{} // the running process posted its next intent or ended
+	body  Body          // retained for Restart's and Relaunch's respawn
 }
 
 // gate adapts the Controller to shmem.Gate for one process.
@@ -91,137 +75,62 @@ type gate struct {
 	pid int
 }
 
-// Handoff tuning. Both sides yield to the runtime scheduler a bounded number
-// of times before parking on a condition variable: with cooperative
-// goroutines a yield is enough for the counterpart to run, so the common
-// grant/quiesce handoff costs a goroutine switch rather than a full
-// park/unpark round trip. The budgets are deliberately small — when the
-// counterpart does not show up quickly (long local computation, or the
-// policy is off granting other processes), parking is the right call.
-const (
-	quiesceYields = 8 // driver yields awaiting active == 0 before parking
-	grantYields   = 2 // process yields awaiting its grant before parking
-)
-
-// Step publishes the intent and blocks until granted. A crash grant unwinds
-// the goroutine.
+// Step publishes the intent, hands control back to the driver and blocks
+// until granted. A crash grant unwinds the goroutine.
 func (g gate) Step(pid int, intent shmem.Intent) {
 	c := g.c
-	s := &c.seats[pid]
-	c.mu.Lock()
 	c.intent[pid] = intent
 	c.Post(pid)
-	// With other processes pending the next grant is probably not ours, so
-	// park straight away; as the sole pending process the driver's only
-	// move is to grant (or crash) us, so briefly yield for it instead of
-	// paying a park/unpark round trip.
-	sole := c.npending == 1
-	if c.active.Add(-1) == 0 && c.driverParked.Load() {
-		c.idle.Signal()
-	}
-	if !sole {
-		c.parkLocked(s)
-	} else {
-		c.mu.Unlock()
-		granted := false
-		for i := 0; i < grantYields; i++ {
-			if s.granted.Load() != 0 {
-				granted = true
-				break
-			}
-			runtime.Gosched()
-		}
-		if !granted {
-			c.mu.Lock()
-			c.parkLocked(s)
-		}
-	}
-	s.granted.Store(0)
-	if s.crash {
-		s.crash = false
+	c.back <- struct{}{}
+	if <-c.seats[pid] {
 		panic(shmem.Crash{})
 	}
 }
 
-// parkLocked blocks the calling process on its seat until a grant is
-// published, releasing c.mu on return. The parked flag is set and cleared
-// under the mutex and the grant flag is rechecked before every wait, which
-// together rule out a lost wakeup against grant's publish-then-signal
-// sequence.
-func (c *Controller) parkLocked(s *seat) {
-	s.parked.Store(true)
-	for s.granted.Load() == 0 {
-		s.cond.Wait()
-	}
-	s.parked.Store(false)
-	c.mu.Unlock()
-}
-
-// NewController starts n process goroutines running body and returns once
-// every process is either blocked on its first shared-memory operation or
-// already finished. names[i] is process i's original name; a nil names
-// assigns pid+1.
+// NewController starts n process goroutines running body, one at a time in
+// pid order, and returns once every process is either blocked on its first
+// shared-memory operation or already finished. names[i] is process i's
+// original name; a nil names assigns pid+1.
 func NewController(n int, names []int64, body Body) *Controller {
-	c := &Controller{body: body}
+	c := &Controller{body: body, back: make(chan struct{})}
 	c.Ledger = NewLedger(n, names, func(pid int) shmem.Gate { return gate{c: c, pid: pid} }, c, c.grant)
-	c.seats = make([]seat, n)
-	c.idle.L = &c.mu
+	c.seats = make([]chan bool, n)
 	for i := range c.seats {
-		c.seats[i].cond.L = &c.mu
+		c.seats[i] = make(chan bool)
 	}
-	c.active.Store(int32(n))
 	for i := 0; i < n; i++ {
-		go c.runProc(i, body)
+		c.spawn(i)
 	}
-	c.waitQuiesce()
 	return c
 }
 
-func (c *Controller) runProc(pid int, body Body) {
-	defer func() {
-		r := recover()
-		c.mu.Lock()
-		c.Exit(pid, r)
-		if c.active.Add(-1) == 0 && c.driverParked.Load() {
-			c.idle.Signal()
-		}
-		c.mu.Unlock()
-	}()
-	body(c.procs[pid])
+// spawn starts a run of the body on pid and waits until it has posted its
+// first intent or finished.
+func (c *Controller) spawn(pid int) {
+	go c.runProc(pid)
+	<-c.back
 }
 
-// waitQuiesce blocks the driver until no process is computing: each live
-// process has posted an intent or finished. It yields a bounded number of
-// times first — the cooperative counterpart usually blocks within one
-// scheduler pass — and only then parks on the idle condition variable, so
-// the steady-state handoff never pays a park/unpark round trip.
-func (c *Controller) waitQuiesce() {
-	for i := 0; i < quiesceYields; i++ {
-		if c.active.Load() == 0 {
-			return
-		}
-		runtime.Gosched()
-	}
-	c.mu.Lock()
-	c.driverParked.Store(true)
-	for c.active.Load() > 0 {
-		c.idle.Wait()
-	}
-	c.driverParked.Store(false)
-	c.mu.Unlock()
+func (c *Controller) runProc(pid int) {
+	defer func() {
+		c.Exit(pid, recover())
+		c.back <- struct{}{}
+	}()
+	c.body(c.procs[pid])
 }
 
 // Restart respawns a crashed process under a recovery model: its registers
 // keep their contents, its local state is lost, and the body re-runs from
 // the beginning (cumulative step count preserved). The restart is a
 // scheduling decision — it folds into the fingerprint and trace — and
-// consumes one unit of the model's restart budget. On return the controller
-// is quiesced with the fresh incarnation's first intent posted, so a grant
-// to pid can only ever execute an operation the new incarnation posted:
-// intents of the dead incarnation were discarded at the crash.
+// consumes one unit of the model's restart budget. On return the fresh
+// incarnation has posted its first intent, so a grant to pid can only ever
+// execute an operation the new incarnation posted: intents of the dead
+// incarnation were discarded at the crash.
 func (c *Controller) Restart(pid int) {
 	c.RecordRestart(pid)
-	c.respawn(pid)
+	c.Revive(pid)
+	c.spawn(pid)
 }
 
 // Relaunch re-runs the body on a finished or crashed pid as a fresh logical
@@ -231,44 +140,24 @@ func (c *Controller) Restart(pid int) {
 // crashed process's discarded intent stays discarded. Relaunch is a harness
 // action, not a scheduling decision: it folds nothing into the fingerprint,
 // records no trace event and consumes no restart budget. On return the
-// controller is quiesced with the fresh run's first intent posted (or the
-// run already finished).
+// fresh run has posted its first intent (or already finished).
 func (c *Controller) Relaunch(pid int) {
 	c.CheckRelaunch(pid)
-	c.respawn(pid)
-}
-
-// respawn starts a fresh run of the body on pid and waits for it to post its
-// first intent or finish.
-func (c *Controller) respawn(pid int) {
-	c.mu.Lock()
 	c.Revive(pid)
-	c.mu.Unlock()
-	c.active.Add(1)
-	go c.runProc(pid, c.body)
-	c.waitQuiesce()
+	c.spawn(pid)
 }
 
 // grant hands a pending process one step (crash aborts it instead) and blocks
-// until every process is again blocked or finished. stale > 0 marks a
+// until it has posted its next intent or ended. stale > 0 marks a
 // weak-register read grant returning stale choice stale-1.
 func (c *Controller) grant(pid int, crash bool, stale int) {
-	c.record(pid, crash, stale, false)
-	c.mu.Lock()
-	c.unpend(pid)
-	c.active.Add(1)
-	s := &c.seats[pid]
-	s.crash = crash
-	s.granted.Store(1)
-	if s.parked.Load() {
-		s.cond.Signal()
-	}
-	c.mu.Unlock()
-	c.waitQuiesce()
+	c.RecordGrant(pid, crash, stale)
+	c.seats[pid] <- crash
+	<-c.back
 }
 
 // Step grants one shared-memory operation to a pending process and returns
-// when every process is again blocked or finished.
+// when it has posted its next intent or ended.
 func (c *Controller) Step(pid int) { c.grant(pid, false, 0) }
 
 // Result summarizes a completed execution.

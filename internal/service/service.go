@@ -1,8 +1,8 @@
-// Package service is the long-lived renaming layer: acquire a name, hold it,
-// release it, reuse it — the ROADMAP's "millions of users" workload over the
-// paper's one-shot algorithms. The paper's objects assign each contender a
-// name once and never take it back; production renaming is continuous churn.
-// This package closes the gap with three mechanisms:
+// Package service is the long-lived renaming layer over the paper's one-shot
+// algorithms: acquire a name, hold it, release it, reuse it. The paper's
+// objects assign each contender a name once and never take it back;
+// production renaming is continuous churn. This package closes the gap with
+// three mechanisms:
 //
 //   - Generations with epochs. A shard's name space is served by a sequence
 //     of generations, each a fresh (or recycled) instance of an existing

@@ -16,9 +16,7 @@ import (
 type Exec struct {
 	sched.Ledger
 
-	ms   []M
-	retI []int64 // root-frame results, by pid (valid when Done)
-	retB []bool
+	ms []M // per lane; a finished lane's RetI/RetB hold its root-frame result
 
 	root func(p *shmem.Proc) Frame // retained for Restart's and Relaunch's respawn
 
@@ -35,8 +33,6 @@ func New(n int, names []int64, root func(p *shmem.Proc) Frame) *Exec {
 	e := &Exec{root: root}
 	e.Ledger = sched.NewLedger(n, names, nil, e, e.grant)
 	e.ms = make([]M, n)
-	e.retI = make([]int64, n)
-	e.retB = make([]bool, n)
 	for i := range e.ms {
 		e.ms[i].intent = e.IntentSlot(i)
 	}
@@ -59,7 +55,6 @@ func (e *Exec) Reset(names []int64, root func(p *shmem.Proc) Frame) {
 	e.root = root
 	e.st = stateMirror{clock: e.st.clock} // serials stay never-reused across resets
 	for i := range e.ms {
-		e.retI[i], e.retB[i] = 0, false
 		e.ms[i].RetI, e.ms[i].RetB = 0, false
 	}
 	for i := range e.ms {
@@ -94,7 +89,6 @@ func (e *Exec) Relaunch(pid int) {
 		panic("vexec: Relaunch under EnableState (relaunches are not replayable decisions)")
 	}
 	e.Revive(pid)
-	e.retI[pid], e.retB[pid] = 0, false
 	e.ms[pid].RetI, e.ms[pid].RetB = 0, false
 	*e.ms[pid].intent = shmem.Intent{}
 	e.spawn(pid)
@@ -123,7 +117,6 @@ func (e *Exec) advance(pid int) {
 			m.stack = m.stack[:len(m.stack)-1]
 			if len(m.stack) == 0 {
 				e.Exit(pid, nil)
-				e.retI[pid], e.retB[pid] = m.RetI, m.RetB
 				return
 			}
 		case Yield:
@@ -190,7 +183,7 @@ func (e *Exec) Returned(pid int) (int64, bool) {
 	if !e.Done(pid) {
 		return 0, false
 	}
-	return e.retI[pid], e.retB[pid]
+	return e.ms[pid].RetI, e.ms[pid].RetB
 }
 
 // stateMirror is the engine's state layer: the undo log Restore (state.go)

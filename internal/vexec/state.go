@@ -271,7 +271,6 @@ func (e *Exec) Restore(s *Snapshot, reset func(pid int)) {
 // pending bits are the ledger's, which Rewind puts back.
 func (e *Exec) loadLane(pid int, ps shmem.ProcState, ls *laneSave) {
 	e.Proc(pid).RestoreState(ps)
-	e.retI[pid], e.retB[pid] = 0, false
 	m := &e.ms[pid]
 	clear(m.stack)
 	m.stack = append(m.stack[:0], ls.stack...)
