@@ -156,8 +156,9 @@ type worker struct {
 }
 
 // drive executes one seeded (family, n, seed) run of in on w and returns its
-// result: on the vectorized engine when the renamer ships frame automata,
-// and on a goroutine controller otherwise. Schedule fingerprints are
+// result, with each process's rename result in in.Got and in.Oks: on the
+// vectorized engine when the renamer ships frame automata, and on a
+// goroutine controller otherwise. Schedule fingerprints are
 // bit-identical across the two engines (the vexec differential contract),
 // so a seed means the same run on either.
 func (w *worker) drive(in *check.Instance, fam Family, n int, seed uint64) sched.Result {
@@ -178,7 +179,9 @@ func (w *worker) drive(in *check.Instance, fam Family, n int, seed uint64) sched
 	if !fam.Model.Atomic() {
 		w.e.SetModel(fam.Model)
 	}
-	return w.e.Run(policy, plan)
+	res := w.e.Run(policy, plan)
+	in.Collect(w.e) // before the engine runs the worker's next instance
+	return res
 }
 
 // runOnce executes a single (family, n, seed) run, on the engine a campaign
@@ -240,9 +243,9 @@ type slot struct {
 // len(workers) workers; each builds every instance it drives, so
 // construction stays parallel, and carries its engine and its last
 // instance's frames from run to run (worker). Each slot keeps its own
-// instance, whose Got and Oks the next run's re-armed frames no longer
-// write. The results are then checked serially in run order into one reused
-// record — checkers are cheap, runs are not.
+// instance, into whose Got and Oks the worker collected the run's results
+// before its engine ran again. The results are then checked serially in run
+// order into one reused record — checkers are cheap, runs are not.
 func exploreCell(spec *Spec, fam Family, n int, seen map[uint64]struct{}, workers []worker) cellResult {
 	slots := make([]slot, spec.Runs)
 	var next atomic.Int64

@@ -3,7 +3,7 @@
 // stage that maps k contenders with distinct identities into new names
 // bounded by 2k-1, the optimal range for read-write registers.
 //
-// Substitution (documented in DESIGN.md): the genuine Attiya-Fouren
+// Substitution: the genuine Attiya-Fouren
 // algorithm reaches 2k-1 names in O(N) steps through adaptive lattice
 // agreement with reflector networks. We implement the classic snapshot-based
 // rank renaming of Attiya, Bar-Noy, Dolev, Peleg and Reischuk (JACM 1990),
@@ -12,9 +12,14 @@
 // re-proposes the r-th free integer, where r is the rank of its identity
 // among contenders in its view. The interface contract the paper uses —
 // wait-free, names in [2k-1], any identity range — is identical; only the
-// theoretical step bound is weaker, and the paper invokes this stage on an
-// already-compressed range where the difference is immaterial (experiment
-// E6 verifies the end-to-end O(k) shape of Efficient-Rename empirically).
+// theoretical step bound is weaker. The paper invokes this stage on an
+// already-compressed range of O(k) names, but in this repository the range
+// it gets is k(k+1)/2 (core.Efficient's PolyLog stage is the identity at
+// practical k), and each attempt collects the whole snapshot. So the
+// difference is not immaterial: Efficient-Rename and Adaptive-Rename built
+// on this stage measure about k² steps per process, not Theorem 2's and
+// 4's O(k). ROADMAP item 9 has the measured table; nothing in the
+// repository checks an O(k) shape.
 //
 // Safety: a process decides a name only after a scan in which its proposal
 // is unique. With an atomic snapshot two deciders of the same name are

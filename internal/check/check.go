@@ -14,10 +14,11 @@
 //     comes back with a decision.
 //
 // Instance is the one harness that runs a renamer: it holds the renamer,
-// the original names and the per-pid capture of Rename's results, in the
-// goroutine form (Body) and the frame-automaton form (Frames, whose lane
-// frames an instance re-arms and hands to the next one, Reuse), and refills
-// the Run record the checkers consume (Record). Campaigns, replays, shrinks
+// the original names and the per-pid Rename results, in the goroutine form
+// (Body, which stores each result) and the frame-automaton form (Frames,
+// whose lane frames an instance re-arms and hands to the next one, Reuse;
+// the results stay in the engine until Collect reads them), and refills the
+// Run record the checkers consume (Record). Campaigns, replays, shrinks
 // and proof walks all run through it. Drive executes k contenders through
 // an Instance on the goroutine oracle under an arbitrary policy and crash
 // plan. The package depends only on shmem, sched and vexec — the Renamer
@@ -287,25 +288,33 @@ func Basic() Suite {
 // contenders hold, and each process's Rename result. A fresh Instance starts
 // with every outcome cleared. An Instance runs one execution at a time.
 //
-// The lane roots its Frames builder makes stay with the instance, and the
-// builder re-arms them (vexec.FrameRenamer's dst contract) each time it roots
-// a lane again: on a Reset, a restart or a relaunch of the same instance, or
-// on the next instance once Reuse has handed them over. A campaign worker or
-// a stateless walk that passes its last instance's frames on this way builds
-// its lanes without allocating.
+// On the goroutine engine Body stores each result as its process returns.
+// On the vectorized engine a lane's result lives in the engine alone (the
+// lane's machine, which Checkpoint and Restore carry with the lane), and
+// Collect copies it into Got and Oks once the execution is over.
+//
+// The lane set its Frames builder roots stays with the instance, and the
+// builder re-arms each lane's last frame (vexec.FrameRenamer's dst contract)
+// each time it roots the lane again: on a Reset, a restart or a relaunch of
+// the same instance, or on the next instance once Reuse has handed the set
+// over. A campaign worker or a stateless walk that passes its last
+// instance's lane set on this way builds its lanes without allocating.
 type Instance struct {
 	Renamer Renamer
 	Origs   []int64 // original names, by pid
 	Got     []int64 // Rename's name, by pid
 	Oks     []bool  // Rename's ok, by pid
 
-	roots []laneRoot // by pid: the frames Frames made, re-armed on its next call
+	lanes *laneSet // Frames' builder and the lane roots it re-arms
 }
 
-// laneRoot is one lane's root as Frames builds it: the renamer's frame and
-// the capture wrapper around it. Each is kept to be re-armed as itself.
-type laneRoot struct {
-	frame, capture vexec.Frame
+// laneSet is the vectorized form's lane roots: the frame each lane was last
+// rooted with, by pid, and the one builder that re-arms them with the
+// renamer of the instance that currently holds the set.
+type laneSet struct {
+	fr    vexec.FrameRenamer
+	roots []vexec.Frame
+	build func(p *shmem.Proc) vexec.Frame
 }
 
 // NewInstance wraps r for k contenders holding origs; nil assigns 1..k.
@@ -319,12 +328,11 @@ func NewInstance(r Renamer, k int, origs []int64) *Instance {
 	return &Instance{Renamer: r, Origs: origs, Got: make([]int64, k), Oks: make([]bool, k)}
 }
 
-// Reuse hands prev's lane frames to in, for in's Frames builder to re-arm
-// instead of allocating. prev must run no more: its frames now write into
-// in's result slots. prev's own Got and Oks keep the results of its last
-// execution.
+// Reuse hands prev's lane set to in, for in's Frames builder to re-arm
+// instead of allocating. prev must run no more: its lanes are now in's.
+// prev's own Got and Oks keep the results of its last execution.
 func (in *Instance) Reuse(prev *Instance) {
-	in.roots, prev.roots = prev.roots, nil
+	in.lanes, prev.lanes = prev.lanes, nil
 }
 
 // Body is the goroutine form of the instance: each process renames with its
@@ -335,33 +343,49 @@ func (in *Instance) Body() sched.Body {
 	}
 }
 
-// Frames is the vectorized form of Body: one capture-wrapped frame automaton
-// per lane, writing the lane's result into the same slots Body assigns, and
-// re-armed from the frames the lane was last rooted with. It is nil when the
-// renamer ships no frame automata (vexec.FrameRenamer), so a non-nil Frames
-// is what routes an execution onto the vectorized engine. An engine calls
-// the builder only for a lane that no longer runs its old root, which is
-// what the re-arm contract asks.
+// Frames is the vectorized form of Body: a root builder that gives each lane
+// the renamer's own frame automaton, re-armed from the frame the lane was
+// last rooted with. The lane's result stays in the engine until Collect
+// reads it. Frames is nil when the renamer ships no frame automata
+// (vexec.FrameRenamer), so a non-nil Frames is what routes an execution onto
+// the vectorized engine. An engine calls the builder only for a lane that
+// no longer runs its old root, which is what the re-arm contract asks.
 func (in *Instance) Frames() func(p *shmem.Proc) vexec.Frame {
 	fr, ok := in.Renamer.(vexec.FrameRenamer)
 	if !ok {
 		return nil
 	}
-	if k := len(in.Got); len(in.roots) < k {
-		in.roots = append(in.roots, make([]laneRoot, k-len(in.roots))...)
+	l := in.lanes
+	if l == nil {
+		l = &laneSet{}
+		l.build = func(p *shmem.Proc) vexec.Frame {
+			r := &l.roots[p.ID()]
+			*r = l.fr.FrameRename(p.Name(), *r)
+			return *r
+		}
+		in.lanes = l
 	}
-	return func(p *shmem.Proc) vexec.Frame {
-		pid := p.ID()
-		r := &in.roots[pid]
-		r.frame = fr.FrameRename(p.Name(), r.frame)
-		r.capture = vexec.Capture(r.frame, &in.Got[pid], &in.Oks[pid], r.capture)
-		return r.capture
+	l.fr = fr
+	if k := len(in.Got); len(l.roots) < k {
+		l.roots = append(l.roots, make([]vexec.Frame, k-len(l.roots))...)
 	}
+	return l.build
 }
 
-// ResetPid clears process pid's result: a stateful walk's per-lane restore
-// hook, for a lane put back before its rename returned.
-func (in *Instance) ResetPid(pid int) { in.Got[pid], in.Oks[pid] = 0, false }
+// Collect copies each process's result out of e into Got and Oks once an
+// execution on e is over, before e runs again. On the vectorized engine a
+// lane that did not finish its rename (crashed or panicked) reads (0,
+// false). On the goroutine engine Body has already stored every result, so
+// Collect does nothing.
+func (in *Instance) Collect(e sched.Engine) {
+	x, ok := e.(*vexec.Exec)
+	if !ok {
+		return
+	}
+	for pid := range in.Got {
+		in.Got[pid], in.Oks[pid] = x.Returned(pid)
+	}
+}
 
 // Record refills run with the checked-form record of the execution that
 // ended in res (see Run.Reset).

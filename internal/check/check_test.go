@@ -256,8 +256,8 @@ func emptyResult(k int) sched.Result {
 // TestInstanceEnginesAgree drives fresh instances of one renamer through
 // Body on the goroutine oracle and through Frames on the vectorized engine
 // under the same seeded schedule and crash plan: the two records must be
-// equal, down to the fingerprint. A renamer without frame automata has no
-// Frames, and ResetPid clears one process's result.
+// equal, down to the fingerprint, once Collect has read the vectorized
+// engine's results. A renamer without frame automata has no Frames.
 func TestInstanceEnginesAgree(t *testing.T) {
 	const k = 4
 	origs := []int64{40, 10, 30, 20}
@@ -273,7 +273,10 @@ func TestInstanceEnginesAgree(t *testing.T) {
 			t.Fatal("firstfit ships frame automata, but Frames is nil")
 		}
 		var got Run
-		in.Record(&got, vexec.New(k, in.Origs, frames).Run(sched.NewRandom(seed), plan()))
+		e := vexec.New(k, in.Origs, frames)
+		res := e.Run(sched.NewRandom(seed), plan())
+		in.Collect(e)
+		in.Record(&got, res)
 		if want.Res.Err != nil || got.Res.Err != nil {
 			t.Fatalf("seed %d: oracle err %v, vexec err %v", seed, want.Res.Err, got.Res.Err)
 		}
@@ -282,12 +285,6 @@ func TestInstanceEnginesAgree(t *testing.T) {
 		}
 		if len(got.Names) == 0 {
 			t.Fatalf("seed %d: nobody renamed", seed)
-		}
-		for pid := range in.Got {
-			in.ResetPid(pid)
-			if in.Got[pid] != 0 || in.Oks[pid] {
-				t.Fatalf("ResetPid(%d) left (%d, %v)", pid, in.Got[pid], in.Oks[pid])
-			}
 		}
 	}
 	if NewInstance(&idRenamer{slots: make([]shmem.Reg, k)}, k, nil).Frames() != nil {

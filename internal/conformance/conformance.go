@@ -112,8 +112,13 @@ func origsFrom(rangeN int) func(n int, seed uint64) []int64 {
 	}
 }
 
-// noBound is the StepBound of compositions the paper gives no closed-form
-// per-process bound for at practical scale.
+// noBound is the StepBound of the cases checked against no step bound: the
+// firstfit fixture, which the paper does not cover, and the compositions
+// Efficient, AlmostAdaptive and Adaptive. Theorem 2 and Theorem 4 claim
+// O(k) steps for Efficient and Adaptive, but this code does not meet that:
+// the snapshot-based AF substitution (package afrename) measures about k²
+// steps per process (ROADMAP item 9), and no committed k² envelope replaces
+// the claim yet.
 func noBound(n int) int64 { return 0 }
 
 // Cases returns the table: all six Section 3 algorithms in paper order,

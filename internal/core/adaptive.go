@@ -17,7 +17,9 @@ import (
 // Σ_{i<=i*} (2^{i+1}-1) <= 8k - lg k - 1: the Theorem 4 bound.
 //
 // Bounds of Theorem 4: M = 8k - lg k - 1 names, O(k) local steps, O(n²)
-// registers.
+// registers. This code keeps the name bound but not the step bound: each
+// level is an Efficient, whose AF stage substitution makes it take about k²
+// steps (see Efficient and ROADMAP item 9).
 type Adaptive struct {
 	nProcs int
 	levels []*Efficient
@@ -51,9 +53,6 @@ func NewAdaptive(nProcs int, cfg Config) *Adaptive {
 	a.fallback = afrename.New(nProcs)
 	return a
 }
-
-// Levels returns the number of doubling levels (⌈lg n⌉+1).
-func (a *Adaptive) Levels() int { return len(a.levels) }
 
 // NameBound returns the Theorem 4 adaptive bound 8k - lg k - 1 for
 // contention k >= 1 (at k = 1 the bound degenerates to the level-0 block).

@@ -198,9 +198,12 @@ func TestAdaptiveFallbackFrameMatchesRename(t *testing.T) {
 		})
 		va, vname, vok := build(), make([]int64, n), make([]bool, n)
 		e := vexec.New(n, origs, func(p *shmem.Proc) vexec.Frame {
-			return vexec.Capture(va.FrameRename(p.Name(), nil), &vname[p.ID()], &vok[p.ID()], nil)
+			return va.FrameRename(p.Name(), nil)
 		})
 		vres := e.Run(sched.NewRandom(seed), plan())
+		for pid := range vname {
+			vname[pid], vok[pid] = e.Returned(pid)
+		}
 		if gres.Err != nil || vres.Err != nil {
 			t.Fatalf("seed %d: goroutine %v, vexec %v", seed, gres.Err, vres.Err)
 		}

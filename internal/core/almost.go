@@ -81,9 +81,6 @@ func almostLevels(nNames, nProcs int, level func(i, width int) bool) {
 	}
 }
 
-// Levels returns the number of doubling levels (⌈lg n⌉+1).
-func (a *AlmostAdaptive) Levels() int { return len(a.levels) }
-
 // NameBound returns the name block boundary after the level that handles
 // contention k: the adaptive bound M(k) = O(k) of Theorem 3.
 func (a *AlmostAdaptive) NameBound(k int) int64 {

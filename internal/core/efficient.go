@@ -9,16 +9,23 @@ import (
 )
 
 // Efficient is the algorithm Efficient-Rename(k) of Theorem 2: a k-renaming
-// object working for any range of original names, with the paper's headline
-// combination of M = 2k-1 and O(k) local steps, using O(k²) registers. It
-// chains three stages on disjoint register sets:
+// object working for any range of original names, using O(k²) registers.
+// Theorem 2 claims the headline combination of M = 2k-1 names and O(k)
+// local steps. This code keeps M = 2k-1 but not the step bound: with the
+// snapshot-based AF substitution (package afrename) it measures about k²
+// steps per process (ROADMAP item 9 has the table). It chains three stages
+// on disjoint register sets:
 //
 //  1. MA(k) — the Moir-Anderson grid compresses arbitrary identities into
-//     [k(k+1)/2] in O(k) steps;
-//  2. PolyLog-Rename(k, k(k+1)/2) — the expander pipeline compresses to
-//     M' = O(k) in O(log²k·log log k) steps;
-//  3. AF(k, M') — the 2k-1 stage (see package afrename for the documented
-//     substitution) finishes in the optimal range.
+//     [k(k+1)/2] in exactly 4k steps;
+//  2. PolyLog-Rename(k, k(k+1)/2) — in the paper the expander pipeline
+//     compresses to M' = O(k) in O(log²k·log log k) steps. Under the
+//     practical profile its epoch construction is empty for every k from 4
+//     to 256 (PolyLogBounds(k, k(k+1)/2) is (k(k+1)/2, 0)), so here the
+//     stage is the identity and M' = k(k+1)/2;
+//  3. AF(k, M') — the 2k-1 stage finishes in the optimal range. Its
+//     snapshot has one segment per name of M', so an attempt reads at
+//     least 4·M' registers: the source of the k² steps.
 //
 // A process failing a stage (possible only beyond the contention bound, or
 // with the residual sampled-expander probability) fails the whole rename:

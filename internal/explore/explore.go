@@ -132,15 +132,15 @@ type Strategy interface {
 // vectorized engine's, so a stateful drive needs Config.Frame: Drive builds
 // one vexec.Exec from run 0's frame factory with state capture enabled, and
 // calls BacktrackState in place of Backtrack at the end of every execution.
-// The strategy restores the engine to its next frontier node (passing reset
-// through to Restore so the caller can clear a process's body-external
-// capture before it is put back) and returns false when the search is
-// exhausted. As in Config.OnResult, the trace and the result's slices alias
+// The strategy restores the engine to its next frontier node and returns
+// false when the search is exhausted. Each lane's result lives in the
+// engine and is restored with the lane, so nothing outside the engine needs
+// clearing. As in Config.OnResult, the trace and the result's slices alias
 // buffers the drive refills for the next execution: they are valid only
 // during the call.
 type Stateful interface {
 	Strategy
-	BacktrackState(e *vexec.Exec, t sched.Trace, res sched.Result, reset func(pid int)) bool
+	BacktrackState(e *vexec.Exec, t sched.Trace, res sched.Result) bool
 }
 
 // Config describes the system a strategy searches over.
@@ -167,21 +167,16 @@ type Config struct {
 	// Stateful strategies require it.
 	Frame func(run int) func(p *shmem.Proc) vexec.Frame
 	// OnResult observes each *completed* execution (abandoned ones are
-	// skipped): its run index, recorded trace, and result. Returning false
-	// stops the drive — how invariant checkers abort on first violation.
-	// The trace aliases a buffer the drive reuses across executions, and so,
-	// on the stateful drive, do the result's Steps, Crashed and Restarts
-	// slices: they are only valid during the call, and a callback that
-	// retains them (to report a violation, say) must copy them first.
-	OnResult func(run int, t sched.Trace, res sched.Result) bool
-	// Reset clears process pid's body-external per-execution capture (its
-	// slot of the outcome arrays the frames write into) before a stateful
-	// strategy's restore puts that process back. It is called only for the
-	// lanes that moved since the capture: an unmoved lane is left untouched
-	// — and its captured outcome with it, which is why Reset must clear
-	// pid's slot only. Stateless strategies never call it — they rebuild via
-	// Body or Frame instead. nil is fine when the frames capture nothing.
-	Reset func(pid int)
+	// skipped): its run index, the engine it ran on, its recorded trace, and
+	// its result. On vexec each lane's result is read from the engine
+	// (vexec.Exec.Returned), which the drive rewinds or restores after the
+	// call. Returning false stops the drive — how invariant checkers abort
+	// on first violation. The trace aliases a buffer the drive reuses across
+	// executions, and so, on the stateful drive, do the result's Steps,
+	// Crashed and Restarts slices: they are only valid during the call, and
+	// a callback that retains them (to report a violation, say) must copy
+	// them first.
+	OnResult func(run int, e sched.Engine, t sched.Trace, res sched.Result) bool
 }
 
 // newEngine constructs the execution engine for one sequential execution: a
@@ -227,24 +222,13 @@ func Drive(s Strategy, cfg Config) Stats {
 	for {
 		e = newEngine(&cfg, run, e)
 		e.EnableTrace()
-		abandoned := false
-		for live(e) {
-			ch := s.Next(e)
-			if ch.Pid == Halt.Pid {
-				break
-			}
-			if ch.Pid < 0 {
-				abandoned = true
-				break
-			}
-			dispatch(e, ch)
-		}
+		abandoned := extend(s, e)
 		if abandoned {
 			e.Abort()
 		}
 		tbuf = e.TraceInto(tbuf)
 		t, res := tbuf, e.Result()
-		if !abandoned && cfg.OnResult != nil && !cfg.OnResult(run, t, res) {
+		if !abandoned && cfg.OnResult != nil && !cfg.OnResult(run, e, t, res) {
 			break
 		}
 		run++
@@ -253,6 +237,23 @@ func Drive(s Strategy, cfg Config) Stats {
 		}
 	}
 	return s.Stats()
+}
+
+// extend runs the in-flight execution decision by decision until it ends:
+// no decision is left, or the strategy halts it (Halt) or abandons it. It
+// reports whether the strategy abandoned the execution.
+func extend(s Strategy, e sched.Engine) bool {
+	for live(e) {
+		ch := s.Next(e)
+		if ch.Pid == Halt.Pid {
+			return false
+		}
+		if ch.Pid < 0 {
+			return true
+		}
+		dispatch(e, ch)
+	}
+	return false
 }
 
 // live reports whether the in-flight execution still has decisions: a pending
@@ -304,30 +305,18 @@ func driveStateful(s Stateful, cfg Config) Stats {
 	}
 	e := newEngine(&cfg, 0, nil).(*vexec.Exec)
 	e.EnableState()
-	// The loop shape mirrors the stateless drive.
 	run := 0
 	var tbuf sched.Trace // reused across executions; see Config.OnResult
 	var res sched.Result // likewise: its slices are refilled per execution
 	for {
-		abandoned := false
-		for live(e) {
-			ch := s.Next(e)
-			if ch.Pid == Halt.Pid {
-				break
-			}
-			if ch.Pid < 0 {
-				abandoned = true
-				break
-			}
-			dispatch(e, ch)
-		}
+		abandoned := extend(s, e)
 		tbuf = e.TraceInto(tbuf)
 		e.ResultInto(&res)
-		if !abandoned && cfg.OnResult != nil && !cfg.OnResult(run, tbuf, res) {
+		if !abandoned && cfg.OnResult != nil && !cfg.OnResult(run, e, tbuf, res) {
 			break
 		}
 		run++
-		if !s.BacktrackState(e, tbuf, res, cfg.Reset) {
+		if !s.BacktrackState(e, tbuf, res) {
 			break
 		}
 	}

@@ -12,13 +12,14 @@ import (
 
 // system is one instance of a test fixture in both engine forms: the
 // goroutine body, its frame twin for the vectorized engine (which stateful
-// strategies require), the per-lane capture reset a restore calls, and the
+// strategies require), the copy of the vectorized engine's lane results into
+// the fixture's outcome slots (nil when the outcome reads none), and the
 // renderer of an execution's observable outcome.
 type system struct {
-	body  sched.Body
-	frame func(p *shmem.Proc) vexec.Frame
-	reset func(pid int)
-	fin   func(res sched.Result) string
+	body    sched.Body
+	frame   func(p *shmem.Proc) vexec.Frame
+	collect func(e *vexec.Exec)
+	fin     func(res sched.Result) string
 }
 
 // raceBody is a tiny nondeterministic protocol: each process writes its id
@@ -36,12 +37,11 @@ func raceBody(r *shmem.Reg, got []int64) sched.Body {
 	}
 }
 
-// writeReadFrame is raceBody's frame twin:
-// p.Write(r, id+1); *got = p.Read(r).
+// writeReadFrame is raceBody's frame twin: p.Write(r, id+1), then return
+// p.Read(r) as the lane's result.
 type writeReadFrame struct {
-	r   *shmem.Reg
-	got *int64
-	pc  int
+	r  *shmem.Reg
+	pc int
 }
 
 func (f *writeReadFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
@@ -54,8 +54,7 @@ func (f *writeReadFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 		f.pc = 2
 		return m.Intend(shmem.OpRead, f.r)
 	}
-	*f.got = p.Read(f.r)
-	return vexec.Done
+	return m.Return(p.Read(f.r), true)
 }
 
 func (f *writeReadFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
@@ -124,8 +123,10 @@ func driveTreeModel(t *testing.T, s Strategy, n int, m shmem.Model, mk func() sy
 			N:     n,
 			Model: m,
 			Frame: func(run int) func(p *shmem.Proc) vexec.Frame { return sys.frame },
-			Reset: sys.reset,
-			OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
+			OnResult: func(run int, e sched.Engine, tr sched.Trace, res sched.Result) bool {
+				if sys.collect != nil {
+					sys.collect(e.(*vexec.Exec))
+				}
 				outcomes[sys.fin(res)] = true
 				return true
 			},
@@ -144,7 +145,7 @@ func driveTreeModel(t *testing.T, s Strategy, n int, m shmem.Model, mk func() sy
 			fins[run] = sys.fin
 			return sys.body
 		},
-		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
+		OnResult: func(run int, e sched.Engine, tr sched.Trace, res sched.Result) bool {
 			outcomes[fins[run](res)] = true
 			return true
 		},
@@ -158,12 +159,14 @@ func raceSystem(n int) func() system {
 		var r shmem.Reg
 		got := make([]int64, n)
 		return system{
-			body: raceBody(&r, got),
-			frame: func(p *shmem.Proc) vexec.Frame {
-				return &writeReadFrame{r: &r, got: &got[p.ID()]}
+			body:  raceBody(&r, got),
+			frame: func(p *shmem.Proc) vexec.Frame { return &writeReadFrame{r: &r} },
+			collect: func(e *vexec.Exec) {
+				for pid := range got {
+					got[pid], _ = e.Returned(pid)
+				}
 			},
-			reset: func(pid int) { got[pid] = 0 },
-			fin:   func(res sched.Result) string { return outcome(got, res) },
+			fin: func(res sched.Result) string { return outcome(got, res) },
 		}
 	}
 }

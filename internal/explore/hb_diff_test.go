@@ -18,10 +18,10 @@ import (
 )
 
 // checkCell walks one conformance cell under mode with model.Check's wiring:
-// one instance whose frames capture each lane's outcome, a per-lane reset on
-// restore, and every complete execution checked against the cell's suite
-// until the first violation, which it reports. A case without frame automata
-// is skipped: source-DPOR cannot walk it.
+// one instance whose lane results are read from the engine, and every
+// complete execution checked against the cell's suite until the first
+// violation, which it reports. A case without frame automata is skipped:
+// source-DPOR cannot walk it.
 func checkCell(t *testing.T, tc conformance.Case, n, maxCrashes int, m shmem.Model, budget int, mode raceMode) (st Stats, violated bool) {
 	t.Helper()
 	ren := tc.New(n, 1)
@@ -38,11 +38,13 @@ func checkCell(t *testing.T, tc conformance.Case, n, maxCrashes int, m shmem.Mod
 		Names: origs,
 		Frame: func(int) func(p *shmem.Proc) vexec.Frame {
 			return func(p *shmem.Proc) vexec.Frame {
-				return vexec.Capture(fr.FrameRename(p.Name(), nil), &got[p.ID()], &oks[p.ID()], nil)
+				return fr.FrameRename(p.Name(), nil)
 			}
 		},
-		Reset: func(pid int) { got[pid], oks[pid] = 0, false },
-		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
+		OnResult: func(run int, e sched.Engine, tr sched.Trace, res sched.Result) bool {
+			for pid := range got {
+				got[pid], oks[pid] = e.(*vexec.Exec).Returned(pid)
+			}
 			if res.Err == nil {
 				record.Reset(origs, got, oks, res, ren.MaxName())
 				if suite.Check(&record) == nil {

@@ -53,7 +53,7 @@ type raceRef struct {
 
 // BacktrackState implements Stateful around the mode's race update, with the
 // production update's guard against a trace that outran the frame stack.
-func (r *raceRef) BacktrackState(c *vexec.Exec, tr sched.Trace, res sched.Result, reset func(pid int)) bool {
+func (r *raceRef) BacktrackState(c *vexec.Exec, tr sched.Trace, res sched.Result) bool {
 	r.count()
 	if len(tr) > len(r.stack) {
 		panic(fmt.Sprintf("explore: trace (%d events) outran the frame stack (%d frames)", len(tr), len(r.stack)))
@@ -63,7 +63,7 @@ func (r *raceRef) BacktrackState(c *vexec.Exec, tr sched.Trace, res sched.Result
 	} else {
 		r.updateRacesDiff(tr)
 	}
-	return r.retreat(c, reset)
+	return r.retreat(c)
 }
 
 // updateRacesRebuild re-derives the relation from the whole trace and scans

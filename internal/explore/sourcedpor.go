@@ -163,10 +163,10 @@ func (t *SourceDPOR) commit(c sched.Engine, f *sframe) {
 // BacktrackState implements Stateful: count the finished execution, fold its
 // races into the backtrack sets, and retreat to the deepest frame with an
 // unexplored scheduled choice.
-func (t *SourceDPOR) BacktrackState(c *vexec.Exec, tr sched.Trace, res sched.Result, reset func(pid int)) bool {
+func (t *SourceDPOR) BacktrackState(c *vexec.Exec, tr sched.Trace, res sched.Result) bool {
 	t.count()
 	t.updateRaces(tr)
-	return t.retreat(c, reset)
+	return t.retreat(c)
 }
 
 // count tallies the execution that just ended: partial when the walk
@@ -183,7 +183,7 @@ func (t *SourceDPOR) count() {
 // retreat ends the walk at the budget, pops exhausted frames, and restores
 // the engine to the deepest frame with an unexplored scheduled choice,
 // rewinding the happens-before layer with it.
-func (t *SourceDPOR) retreat(c *vexec.Exec, reset func(pid int)) bool {
+func (t *SourceDPOR) retreat(c *vexec.Exec) bool {
 	if t.budget > 0 && t.stats.Executions+t.stats.Partial >= t.budget {
 		return false
 	}
@@ -204,7 +204,7 @@ func (t *SourceDPOR) retreat(c *vexec.Exec, reset func(pid int)) bool {
 			panic(fmt.Sprintf("explore: frame %d reopened without a checkpoint", i))
 		}
 		t.stack = t.stack[:i+1]
-		c.Restore(f.snap, reset)
+		c.Restore(f.snap)
 		t.stats.Restored++
 		// Frame i's checkpoint was taken at trace length i, and Restore
 		// truncated the engine's trace buffer to that watermark; rewind the

@@ -176,25 +176,20 @@ func (f *loadWatchFrame) Load(src vexec.Frame) {
 }
 
 // TestSourceDPORStatefulReset: a restore builds no frame — the root builder
-// runs only for the n initial spawns — and calls Reset(pid) only for lanes
-// that moved since the capture, each right before it loads the lane's saved
-// frames, so body-external capture never leaks across branches, while
-// unmoved lanes keep their captured outcome.
+// runs only for the n initial spawns — and loads only the lanes that moved
+// since the capture, while every complete execution's results, read from
+// the engine, are the values its lanes read: a restore never leaks a result
+// across branches.
 func TestSourceDPORStatefulReset(t *testing.T) {
 	const n = 3
-	got := make([]int64, n)
 	var r shmem.Reg
-	roots := make([]int, n)  // root frames built, by pid
-	resets := make([]int, n) // Reset calls, by pid
-	armed := make([]bool, n) // Reset(pid) called, load not yet seen
+	roots := make([]int, n) // root frames built, by pid
+	loads := make([]int, n) // saved-frame loads, by pid
 	onLoad := func(pid, runs, savedRuns int) {
-		if !armed[pid] {
-			t.Fatalf("lane %d loaded without a Reset", pid)
-		}
 		if runs <= savedRuns {
-			t.Fatalf("lane %d reset and loaded though it did not move (%d runs, %d at capture)", pid, runs, savedRuns)
+			t.Fatalf("lane %d loaded though it did not move (%d runs, %d at capture)", pid, runs, savedRuns)
 		}
-		armed[pid] = false
+		loads[pid]++
 	}
 	st := Drive(NewSourceDPOR(0, 0), Config{
 		N: n,
@@ -202,21 +197,13 @@ func TestSourceDPORStatefulReset(t *testing.T) {
 			return func(p *shmem.Proc) vexec.Frame {
 				pid := p.ID()
 				roots[pid]++
-				return &loadWatchFrame{writeReadFrame: writeReadFrame{r: &r, got: &got[pid]}, onLoad: onLoad, pid: pid}
+				return &loadWatchFrame{writeReadFrame: writeReadFrame{r: &r}, onLoad: onLoad, pid: pid}
 			}
 		},
-		Reset: func(pid int) {
-			if armed[pid] {
-				t.Fatalf("Reset(%d) twice without a load", pid)
-			}
-			armed[pid] = true
-			resets[pid]++
-			got[pid] = 0
-		},
-		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
+		OnResult: func(run int, e sched.Engine, tr sched.Trace, res sched.Result) bool {
 			for pid := 0; pid < n; pid++ {
-				if got[pid] < 1 || got[pid] > n {
-					t.Fatalf("run %d: stale capture got[%d]=%d", run, pid, got[pid])
+				if got, ok := e.(*vexec.Exec).Returned(pid); !ok || got < 1 || got > n {
+					t.Fatalf("run %d: lane %d returned (%d, %v)", run, pid, got, ok)
 				}
 			}
 			return true
@@ -227,16 +214,13 @@ func TestSourceDPORStatefulReset(t *testing.T) {
 	}
 	total := 0
 	for pid := 0; pid < n; pid++ {
-		if armed[pid] {
-			t.Fatalf("Reset(%d) without a load", pid)
-		}
 		if roots[pid] != 1 {
 			t.Fatalf("root builder ran %d times for process %d, want only its initial spawn", roots[pid], pid)
 		}
-		total += resets[pid]
+		total += loads[pid]
 	}
 	if total == 0 || total >= n*st.Restored {
-		t.Fatalf("%d resets for %d restores of %d lanes: want some lanes reset and the unmoved ones left alone", total, st.Restored, n)
+		t.Fatalf("%d loads for %d restores of %d lanes: want some lanes loaded and the unmoved ones left alone", total, st.Restored, n)
 	}
 }
 

@@ -93,7 +93,7 @@ func classSet(t *testing.T, strat explore.Strategy, n int, m shmem.Model, origs 
 			fr := mk().(vexec.FrameRenamer)
 			return func(p *shmem.Proc) vexec.Frame { return fr.FrameRename(p.Name(), nil) }
 		},
-		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
+		OnResult: func(run int, _ sched.Engine, tr sched.Trace, res sched.Result) bool {
 			k := keyOf(tr, &s)
 			if keys[k] {
 				dup++

@@ -151,12 +151,12 @@ func replayLeaves(t *testing.T, tc conformance.Case, n, maxCrashes int, m shmem.
 		Model: m,
 		Names: origs,
 		Frame: func(int) func(p *shmem.Proc) vexec.Frame {
-			return func(p *shmem.Proc) vexec.Frame {
-				return vexec.Capture(fr.FrameRename(p.Name(), nil), &got[p.ID()], &oks[p.ID()], nil)
-			}
+			return func(p *shmem.Proc) vexec.Frame { return fr.FrameRename(p.Name(), nil) }
 		},
-		Reset: func(pid int) { got[pid], oks[pid] = 0, false },
-		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
+		OnResult: func(run int, e sched.Engine, tr sched.Trace, res sched.Result) bool {
+			for pid := range got {
+				got[pid], oks[pid] = e.(*vexec.Exec).Returned(pid)
+			}
 			leaves++
 			if err := replayLeaf(tc, n, m, origs, suite, tr, res, got, oks); err != nil {
 				t.Fatalf("leaf %d (%s): %v", run, tr, err)

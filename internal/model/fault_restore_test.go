@@ -115,14 +115,14 @@ func runFaultRestoreEquivalence(t *testing.T, tc conformance.Case, n int, m shme
 
 	// System 1: random faulty prefix, checkpoint, divergent continuation,
 	// restore.
-	c1, got1, reset1 := mkVexec(tc, n, seed, m)
+	c1 := mkVexec(tc, n, seed, m)
 	c1.EnableTrace()
 	rng := xrand.New(xrand.Mix(seed, 0x5eed))
 	randDriveFault(c1, rng, 3+int(seed%11), n-1)
 	snap := c1.Checkpoint()
 	prefix := append(sched.Trace(nil), c1.Trace()...)
 	randDriveFault(c1, xrand.New(xrand.Mix(seed, 0xd1f)), 1<<20, n-1)
-	c1.Restore(snap, reset1)
+	c1.Restore(snap)
 
 	// System 2: a fresh identical instance, prefix reconstructed by replay of
 	// the trace — including its crash, restart and stale-read events.
@@ -132,7 +132,7 @@ func runFaultRestoreEquivalence(t *testing.T, tc conformance.Case, n int, m shme
 		t.Fatalf("seed %#x: replay: %v", seed, err)
 	}
 	// Identical faulty continuations must produce bit-identical executions.
-	checkRestoreEquivalence(t, seed, n, c1, got1, c2, got2, func(c sched.Engine) {
+	checkRestoreEquivalence(t, seed, n, c1, c2, got2, func(c sched.Engine) {
 		randDriveFault(c, xrand.New(xrand.Mix(seed, 0xf1a1)), 1<<20, n-1)
 	})
 	for _, ev := range c1.Trace() {

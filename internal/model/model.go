@@ -235,8 +235,8 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 		Model: opt.Model,
 		Names: origs,
 		Body:  func(run int) sched.Body { return fresh(run).Body() },
-		Reset: func(pid int) { cur.ResetPid(pid) }, // stateful walker: same system, rewound
-		OnResult: func(run int, t sched.Trace, res sched.Result) bool {
+		OnResult: func(run int, e sched.Engine, t sched.Trace, res sched.Result) bool {
+			cur.Collect(e)
 			cur.Record(&record, res)
 			if err := suite.Verdict(&record); err != nil {
 				// t aliases the drive's reused trace buffer; the violation is

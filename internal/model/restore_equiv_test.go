@@ -42,8 +42,10 @@ func TestRestoreEquivalentToReplay(t *testing.T) {
 }
 
 // enginePair names the replay side of one equivalence run: the engine that
-// reconstructs the prefix from the trace. The snapshot side, which
-// checkpoints and restores, is always vexec (mkVexec).
+// reconstructs the prefix from the trace, and the slots its bodies store
+// each acquired name in (nil on vexec, whose lanes' results are read from
+// the engine; see nameOf). The snapshot side, which checkpoints and
+// restores, is always vexec (mkVexec).
 type enginePair struct {
 	name   string
 	replay func(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.SearchEngine, []int64)
@@ -64,30 +66,34 @@ func mkGoroutine(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.
 	return c, got
 }
 
-func mkVexec(tc conformance.Case, n int, seed uint64, m shmem.Model) (*vexec.Exec, []int64, func(pid int)) {
+func mkVexec(tc conformance.Case, n int, seed uint64, m shmem.Model) *vexec.Exec {
 	fr := tc.New(n, seed).(vexec.FrameRenamer)
-	got := make([]int64, n)
-	oks := make([]bool, n)
 	e := vexec.New(n, tc.Origs(n, seed), func(p *shmem.Proc) vexec.Frame {
-		return vexec.Capture(fr.FrameRename(p.Name(), nil), &got[p.ID()], &oks[p.ID()], nil)
+		return fr.FrameRename(p.Name(), nil)
 	})
 	if !m.Atomic() {
 		e.SetModel(m)
 	}
 	e.EnableState()
-	// Capture writes a lane's outcome only at completion, so stale outcomes
-	// from an abandoned branch must be cleared for every lane the restore
-	// puts back — the same per-lane Config.Reset contract the search drivers
-	// use.
-	return e, got, func(pid int) { got[pid], oks[pid] = 0, false }
+	return e
+}
+
+// nameOf is process pid's acquired name on c: read from the engine on
+// vexec, where a lane's result lives (and is restored with the lane), and
+// from the body's slot in got on the goroutine oracle.
+func nameOf(c sched.SearchEngine, got []int64, pid int) int64 {
+	if e, ok := c.(*vexec.Exec); ok {
+		v, _ := e.Returned(pid)
+		return v
+	}
+	return got[pid]
 }
 
 // enginePairs returns the replay sides to certify.
 func enginePairs() []enginePair {
 	return []enginePair{
 		{name: "vexec", replay: func(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.SearchEngine, []int64) {
-			e, got, _ := mkVexec(tc, n, seed, m)
-			return e, got
+			return mkVexec(tc, n, seed, m), nil
 		}},
 		{name: "vexec-to-goroutine", replay: mkGoroutine},
 	}
@@ -139,7 +145,7 @@ func observe(c sched.SearchEngine, got []int64) point {
 	pt := point{fp: c.Fingerprint(), grants: c.Grants(), restarts: c.Restarts(), trace: c.Trace().String(), pending: sched.Pending(c, nil)}
 	for pid := 0; pid < c.N(); pid++ {
 		p := c.Proc(pid)
-		lp := lanePoint{steps: p.Steps(), restarts: p.Restarts(), done: c.Done(pid), crashed: c.Crashed(pid), got: got[pid]}
+		lp := lanePoint{steps: p.Steps(), restarts: p.Restarts(), done: c.Done(pid), crashed: c.Crashed(pid), got: nameOf(c, got, pid)}
 		if slices.Contains(pt.pending, pid) {
 			lp.kind = c.Intent(pid).Kind
 			lp.stale = c.StaleVals(pid, nil)
@@ -153,9 +159,9 @@ func observe(c sched.SearchEngine, got []int64) point {
 // replayed the same prefix, then drives both through the continuation
 // finish and requires bit-identical executions: same grants accepted, same
 // fingerprint, same steps, same acquired names.
-func checkRestoreEquivalence(t *testing.T, seed uint64, n int, c1 *vexec.Exec, got1 []int64, c2 sched.SearchEngine, got2 []int64, finish func(c sched.Engine)) {
+func checkRestoreEquivalence(t *testing.T, seed uint64, n int, c1 *vexec.Exec, c2 sched.SearchEngine, got2 []int64, finish func(c sched.Engine)) {
 	t.Helper()
-	if p1, p2 := observe(c1, got1), observe(c2, got2); !reflect.DeepEqual(p1, p2) {
+	if p1, p2 := observe(c1, nil), observe(c2, got2); !reflect.DeepEqual(p1, p2) {
 		t.Fatalf("seed %#x: restored\n%+v\nreplayed\n%+v", seed, p1, p2)
 	}
 	finish(c1)
@@ -169,8 +175,8 @@ func checkRestoreEquivalence(t *testing.T, seed uint64, n int, c1 *vexec.Exec, g
 			t.Fatalf("seed %#x: proc %d outcome (%d steps, crashed=%v) != (%d, %v)",
 				seed, pid, res1.Steps[pid], res1.Crashed[pid], res2.Steps[pid], res2.Crashed[pid])
 		}
-		if got1[pid] != got2[pid] {
-			t.Fatalf("seed %#x: proc %d acquired name %d after restore, %d after replay", seed, pid, got1[pid], got2[pid])
+		if n1, n2 := nameOf(c1, nil, pid), nameOf(c2, got2, pid); n1 != n2 {
+			t.Fatalf("seed %#x: proc %d acquired name %d after restore, %d after replay", seed, pid, n1, n2)
 		}
 	}
 }
@@ -180,14 +186,14 @@ func runRestoreEquivalence(t *testing.T, tc conformance.Case, n int, seed uint64
 	var m shmem.Model // the paper's: atomic registers, fail-stop
 
 	// System 1: random prefix, checkpoint, divergent continuation, restore.
-	c1, got1, reset1 := mkVexec(tc, n, seed, m)
+	c1 := mkVexec(tc, n, seed, m)
 	c1.EnableTrace()
 	rng := xrand.New(xrand.Mix(seed, 0x5eed))
 	randDrive(c1, rng, 2+int(seed%9), 1)
 	snap := c1.Checkpoint()
 	prefix := append(sched.Trace(nil), c1.Trace()...)
 	randDrive(c1, xrand.New(xrand.Mix(seed, 0xd1f)), 1<<20, n-1) // run the divergent branch to completion
-	c1.Restore(snap, reset1)
+	c1.Restore(snap)
 
 	// System 2: a fresh identical instance, prefix reconstructed by replay.
 	c2, got2 := pair.replay(tc, n, seed, m)
@@ -195,7 +201,7 @@ func runRestoreEquivalence(t *testing.T, tc conformance.Case, n int, seed uint64
 	if err := c2.ApplyTrace(prefix); err != nil {
 		t.Fatalf("seed %#x: replay: %v", seed, err)
 	}
-	checkRestoreEquivalence(t, seed, n, c1, got1, c2, got2, func(c sched.Engine) {
+	checkRestoreEquivalence(t, seed, n, c1, c2, got2, func(c sched.Engine) {
 		randDrive(c, xrand.New(xrand.Mix(seed, 0xf1a1)), 1<<20, n-1)
 	})
 }

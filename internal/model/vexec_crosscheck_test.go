@@ -44,7 +44,7 @@ func enumerate(t *testing.T, n, maxCrashes int, m shmem.Model) []crossRec {
 				got[p.ID()], oks[p.ID()] = ff.Rename(p, p.Name())
 			}
 		},
-		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {
+		OnResult: func(run int, _ sched.Engine, tr sched.Trace, res sched.Result) bool {
 			recs = append(recs, crossRec{
 				trace: append(sched.Trace(nil), tr...),
 				res:   res,
@@ -63,11 +63,7 @@ func enumerate(t *testing.T, n, maxCrashes int, m shmem.Model) []crossRec {
 func replayOnVexec(t *testing.T, n int, m shmem.Model, rec crossRec, label string) {
 	t.Helper()
 	ff := compete.NewFirstFit(n)
-	got := make([]int64, n)
-	oks := make([]bool, n)
-	e := vexec.New(n, nil, func(p *shmem.Proc) vexec.Frame {
-		return vexec.Capture(ff.FrameRename(p.Name(), nil), &got[p.ID()], &oks[p.ID()], nil)
-	})
+	e := vexec.New(n, nil, func(p *shmem.Proc) vexec.Frame { return ff.FrameRename(p.Name(), nil) })
 	if !m.Atomic() {
 		e.SetModel(m)
 	}
@@ -83,9 +79,9 @@ func replayOnVexec(t *testing.T, n int, m shmem.Model, rec crossRec, label strin
 			t.Fatalf("%s: pid %d: oracle (steps %d crashed %v), vexec (steps %d crashed %v)",
 				label, pid, rec.res.Steps[pid], rec.res.Crashed[pid], res.Steps[pid], res.Crashed[pid])
 		}
-		if got[pid] != rec.got[pid] || oks[pid] != rec.oks[pid] {
+		if got, ok := e.Returned(pid); got != rec.got[pid] || ok != rec.oks[pid] {
 			t.Fatalf("%s: pid %d rename: oracle (%d,%v), vexec (%d,%v)",
-				label, pid, rec.got[pid], rec.oks[pid], got[pid], oks[pid])
+				label, pid, rec.got[pid], rec.oks[pid], got, ok)
 		}
 	}
 }

@@ -41,8 +41,40 @@ const (
 	PanicMsg  = "test backend: slot 0 acquire stopped"
 )
 
+// dupBackend is a broken backend: its acquires of original names 1 and 2
+// both return local name 1 at once, touching no register, so two contenders
+// of one generation can hold the same name. Other acquires run the wrapped
+// backend.
+type dupBackend struct{ Backend }
+
+func (b dupBackend) Rename(p *shmem.Proc, orig int64) (int64, bool) {
+	if orig <= 2 {
+		return 1, true
+	}
+	return b.Backend.Rename(p, orig)
+}
+
+func (b dupBackend) FrameRename(orig int64, dst vexec.Frame) vexec.Frame {
+	if orig <= 2 {
+		return nameOneFrame{}
+	}
+	return b.Backend.FrameRename(orig, dst)
+}
+
+// nameOneFrame returns local name 1 when it first runs.
+type nameOneFrame struct{}
+
+func (nameOneFrame) Run(m *vexec.M, _ *shmem.Proc) vexec.Status { return m.Return(1, true) }
+
+// DupAlgo is a backend algo for tests outside the package: firstfit whose
+// acquires from each generation's first two slots both get local name 1.
+const DupAlgo = "firstfit-dup"
+
 func init() {
 	backends[PanicAlgo] = func(c Config) Backend {
 		return panicBackend{Backend: backends["firstfit"](c), msg: PanicMsg, orig: 1}
+	}
+	backends[DupAlgo] = func(c Config) Backend {
+		return dupBackend{Backend: backends["firstfit"](c)}
 	}
 }

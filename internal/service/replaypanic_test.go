@@ -17,3 +17,14 @@ func TestReplayChurnReturnsLanePanic(t *testing.T) {
 		t.Fatalf("ReplayChurn returned %v, want the lanes' panic %q", err, service.PanicMsg)
 	}
 }
+
+// TestReplayChurnReturnsAuditViolation: a backend that hands two contenders
+// the same local name breaks live exclusivity, and ReplayChurn reports it
+// from the audit's online verifier, which stops the violating step.
+func TestReplayChurnReturnsAuditViolation(t *testing.T) {
+	rep := adversary.ChurnReproducer{Algo: service.DupAlgo, Family: "steady", Sessions: 200, Lanes: 8, Cap: 4, Seed: 9}
+	_, err := adversary.ReplayChurn(rep)
+	if err == nil || !strings.Contains(err.Error(), "service audit: live-exclusive") {
+		t.Fatalf("ReplayChurn returned %v, want a live-exclusive violation", err)
+	}
+}

@@ -74,8 +74,6 @@ type lanePoint struct {
 	done, crashed bool
 	ret           int64
 	retOK         bool
-	got           int64
-	ok            bool
 	kind          shmem.OpKind // the posted intent's kind; zero unless pending
 	stale         []int64      // StaleVals of the pending read
 }
@@ -91,11 +89,11 @@ type point struct {
 	lanes   []lanePoint
 }
 
-func observe(e *vexec.Exec, got []int64, oks []bool) point {
+func observe(e *vexec.Exec) point {
 	pt := point{fp: e.Fingerprint(), grants: e.Grants(), trace: e.Trace().String(), pending: sched.Pending(e, nil)}
 	for pid := 0; pid < e.N(); pid++ {
 		p := e.Proc(pid)
-		lp := lanePoint{steps: p.Steps(), restarts: p.Restarts(), done: e.Done(pid), crashed: e.Crashed(pid), got: got[pid], ok: oks[pid]}
+		lp := lanePoint{steps: p.Steps(), restarts: p.Restarts(), done: e.Done(pid), crashed: e.Crashed(pid)}
 		lp.ret, lp.retOK = e.Returned(pid)
 		if slices.Contains(pt.pending, pid) {
 			lp.kind = e.Intent(pid).Kind
@@ -281,8 +279,7 @@ func TestRestoreCopyMatchesReplay(t *testing.T) {
 				t.Parallel()
 				for trial := uint64(1); trial <= 3; trial++ {
 					seed := trial * 0x9e3779b97f4a7c15
-					e, got, oks := newVexec(t, c, n, seed, md.m, true)
-					reset := func(pid int) { got[pid], oks[pid] = 0, false }
+					e := newVexec(t, c, n, seed, md.m, true)
 					rng := xrand.New(seed)
 					var snaps []*vexec.Snapshot
 					crashes := 0
@@ -294,12 +291,12 @@ func TestRestoreCopyMatchesReplay(t *testing.T) {
 					}
 					trace := e.Trace()
 					for i := len(snaps) - 1; i >= 0; i-- {
-						e.Restore(snaps[i], reset)
-						f, fgot, foks := newVexec(t, c, n, seed, md.m, false)
+						e.Restore(snaps[i])
+						f := newVexec(t, c, n, seed, md.m, false)
 						if err := sched.ApplyTraceTo(f, trace[:i]); err != nil {
 							t.Fatalf("trial %d, checkpoint %d: reference replay: %v", trial, i, err)
 						}
-						if pt, want := observe(e, got, oks), observe(f, fgot, foks); !reflect.DeepEqual(pt, want) {
+						if pt, want := observe(e), observe(f); !reflect.DeepEqual(pt, want) {
 							t.Fatalf("trial %d, checkpoint %d: restored\n%+v\nreference\n%+v", trial, i, pt, want)
 						}
 						if d := rootsDiff(e, f); d != "" {
@@ -313,6 +310,8 @@ func TestRestoreCopyMatchesReplay(t *testing.T) {
 							}
 							ends[arm] = x.Result()
 						}
+						got, oks := returned(e)
+						fgot, foks := returned(f)
 						if !reflect.DeepEqual(ends[0], ends[1]) || !slices.Equal(got, fgot) || !slices.Equal(oks, foks) {
 							t.Fatalf("trial %d, checkpoint %d: continuation after restore %+v %v %v, reference %+v %v %v",
 								trial, i, ends[0], got, oks, ends[1], fgot, foks)
@@ -447,7 +446,6 @@ func TestEfficientWalkRestoresByCopy(t *testing.T) {
 	}
 	const n = 2
 	fr := tc.New(n, 1).(vexec.FrameRenamer)
-	got, oks := make([]int64, n), make([]bool, n)
 	roots := 0
 	stats := explore.Drive(explore.NewSourceDPOR(0, 1), explore.Config{
 		N:     n,
@@ -455,10 +453,9 @@ func TestEfficientWalkRestoresByCopy(t *testing.T) {
 		Frame: func(int) func(p *shmem.Proc) vexec.Frame {
 			return func(p *shmem.Proc) vexec.Frame {
 				roots++
-				return vexec.Capture(fr.FrameRename(p.Name(), nil), &got[p.ID()], &oks[p.ID()], nil)
+				return fr.FrameRename(p.Name(), nil)
 			}
 		},
-		Reset: func(pid int) { got[pid], oks[pid] = 0, false },
 	})
 	if !stats.Complete || stats.Executions != 35470 || stats.Restored != 35469 {
 		t.Fatalf("not the pinned walk: complete=%v, %d executions, %d restores", stats.Complete, stats.Executions, stats.Restored)
@@ -480,7 +477,7 @@ func TestCheckpointWeakRegistersAllocsNothing(t *testing.T) {
 		}
 	}
 	const n = 3
-	e, _, _ := newVexec(t, ff, n, 1, shmem.Model{Regs: shmem.RegSafe}, true)
+	e := newVexec(t, ff, n, 1, shmem.Model{Regs: shmem.RegSafe}, true)
 	stale := false
 	for !stale && e.PendingCount() > 0 {
 		e.Step(sched.NextBit(e.Pending(), -1))
@@ -507,7 +504,7 @@ func TestGrantRestoreCycleAllocsNothing(t *testing.T) {
 			ff = c
 		}
 	}
-	e, _, _ := newVexec(t, ff, 3, 1, shmem.Model{}, true)
+	e := newVexec(t, ff, 3, 1, shmem.Model{}, true)
 	base := e.Checkpoint()
 	cycle := func() {
 		e.Step(sched.NextBit(e.Pending(), -1))
@@ -520,9 +517,9 @@ func TestGrantRestoreCycleAllocsNothing(t *testing.T) {
 			t.Fatal("no pending writer after the first grant; the check is vacuous")
 		}
 		e.Step(w)
-		e.Restore(s, nil)
+		e.Restore(s)
 		e.ReleaseState(s)
-		e.Restore(base, nil)
+		e.Restore(base)
 	}
 	cycle()
 	if a := testing.AllocsPerRun(100, cycle); a != 0 {

@@ -62,7 +62,7 @@ func driveOracle(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.M
 // and the same stale choices for every pending read.
 func checkDecisions(t *testing.T, label string, c conformance.Case, n int, seed uint64, m shmem.Model, trace sched.Trace) {
 	t.Helper()
-	e, _, _ := newVexec(t, c, n, seed, m, true)
+	e := newVexec(t, c, n, seed, m, true)
 	ctl, _, _ := newOracle(c, n, seed, m)
 	defer ctl.Abort()
 	for i, ev := range trace {
@@ -89,7 +89,8 @@ func checkDecisions(t *testing.T, label string, c conformance.Case, n int, seed 
 }
 
 // newVexec builds the vectorized engine over a fresh instance of the case.
-func newVexec(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Model, wantState bool) (*vexec.Exec, []int64, []bool) {
+// Each lane's result stays in the engine (Returned; see vexecOutcome).
+func newVexec(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Model, wantState bool) *vexec.Exec {
 	t.Helper()
 	r := c.New(n, seed)
 	fr, ok := r.(vexec.FrameRenamer)
@@ -97,11 +98,7 @@ func newVexec(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Mode
 		t.Fatalf("case %s: %T does not implement vexec.FrameRenamer", c.Name, r)
 	}
 	origs := c.Origs(n, seed)
-	got := make([]int64, n)
-	oks := make([]bool, n)
-	e := vexec.New(n, origs, func(p *shmem.Proc) vexec.Frame {
-		return vexec.Capture(fr.FrameRename(p.Name(), nil), &got[p.ID()], &oks[p.ID()], nil)
-	})
+	e := vexec.New(n, origs, func(p *shmem.Proc) vexec.Frame { return fr.FrameRename(p.Name(), nil) })
 	if !m.Atomic() {
 		e.SetModel(m)
 	}
@@ -109,15 +106,29 @@ func newVexec(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Mode
 		e.EnableState()
 	}
 	e.EnableTrace()
-	return e, got, oks
+	return e
+}
+
+// returned reads every lane's result out of the engine.
+func returned(e *vexec.Exec) ([]int64, []bool) {
+	got, oks := make([]int64, e.N()), make([]bool, e.N())
+	for pid := range got {
+		got[pid], oks[pid] = e.Returned(pid)
+	}
+	return got, oks
+}
+
+// vexecOutcome is the outcome of the execution that ended on e in res.
+func vexecOutcome(e *vexec.Exec, res sched.Result) outcome {
+	got, oks := returned(e)
+	return outcome{res: res, got: got, oks: oks, trace: e.Trace()}
 }
 
 // driveVexec runs the vectorized engine over a fresh instance of the case.
 func driveVexec(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Model, policy sched.Policy, plan sched.CrashPlan, wantState bool) outcome {
 	t.Helper()
-	e, got, oks := newVexec(t, c, n, seed, m, wantState)
-	res := e.Run(policy, plan)
-	return outcome{res: res, got: got, oks: oks, trace: e.Trace()}
+	e := newVexec(t, c, n, seed, m, wantState)
+	return vexecOutcome(e, e.Run(policy, plan))
 }
 
 // compare asserts bit-identity between the oracle's outcome and vexec's.
@@ -269,11 +280,11 @@ func TestDifferentialReplay(t *testing.T) {
 			o := driveOracle(t, c, n, seed, shmem.Model{}, sched.NewRandom(99), seededCrashes(seed, n-1))
 
 			// Oracle trace → vexec replay.
-			e, got, oks := newVexec(t, c, n, seed, shmem.Model{}, false)
+			e := newVexec(t, c, n, seed, shmem.Model{}, false)
 			if err := e.ApplyTrace(o.trace); err != nil {
 				t.Fatalf("vexec replay of oracle trace: %v", err)
 			}
-			v := outcome{res: e.Result(), got: got, oks: oks, trace: e.Trace()}
+			v := vexecOutcome(e, e.Result())
 			compare(t, c.Name+"/oracle-to-vexec", o, v)
 
 			// vexec trace → oracle replay.
@@ -290,24 +301,25 @@ func TestDifferentialReplay(t *testing.T) {
 }
 
 // TestVexecReturned pins the engine's own result surface: Returned reports
-// the root frame's value exactly once the lane is done.
+// the root frame's value exactly once the lane is done, and that value is
+// what Rename returns on the goroutine oracle under the same schedule.
 func TestVexecReturned(t *testing.T) {
 	cases := conformance.Cases()
 	c := cases[0] // majority
 	const n, seed = 3, 1
-	e, got, oks := newVexec(t, c, n, seed, shmem.Model{}, false)
+	e := newVexec(t, c, n, seed, shmem.Model{}, false)
 	if _, ok := e.Returned(0); ok {
 		t.Fatalf("Returned(0) reported a result before the lane finished")
 	}
 	e.Run(&sched.RoundRobin{}, nil)
+	o := driveOracle(t, c, n, seed, shmem.Model{}, &sched.RoundRobin{}, nil)
 	for pid := 0; pid < n; pid++ {
 		ri, ok := e.Returned(pid)
 		if !ok {
 			t.Fatalf("Returned(%d) not available after Run", pid)
 		}
-		// The capture frame is the root, so its Return mirrors the child's.
-		if oks[pid] && ri != got[pid] {
-			t.Fatalf("Returned(%d) = %d, capture recorded %d", pid, ri, got[pid])
+		if o.oks[pid] && ri != o.got[pid] {
+			t.Fatalf("Returned(%d) = %d, the oracle's Rename returned %d", pid, ri, o.got[pid])
 		}
 	}
 }
@@ -319,7 +331,7 @@ func TestVexecReturned(t *testing.T) {
 // the straight drive that recorded the schedule.
 func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Model, trace sched.Trace, d int) outcome {
 	t.Helper()
-	e, got, oks := newVexec(t, c, n, seed, m, true)
+	e := newVexec(t, c, n, seed, m, true)
 	if err := e.ApplyTrace(trace[:d]); err != nil {
 		t.Fatalf("detour prefix replay (d=%d): %v", d, err)
 	}
@@ -328,14 +340,14 @@ func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.M
 	// Divergent excursion: run the rest of the execution under an unrelated
 	// schedule, then rewind as if it never happened.
 	sched.DriveEngine(e, sched.NewRandom(xrand.Mix(seed, 0xde70)), nil)
-	e.Restore(snap, func(pid int) { got[pid], oks[pid] = 0, false })
+	e.Restore(snap)
 	if e.Fingerprint() != wantFP {
 		t.Fatalf("detour restore (d=%d): fingerprint %#x != checkpoint %#x", d, e.Fingerprint(), wantFP)
 	}
 	if err := e.ApplyTrace(trace[d:]); err != nil {
 		t.Fatalf("detour suffix replay (d=%d): %v", d, err)
 	}
-	return outcome{res: e.Result(), got: got, oks: oks, trace: e.Trace()}
+	return vexecOutcome(e, e.Result())
 }
 
 // FuzzDifferential is the randomized arm of the differential contract: any
@@ -395,9 +407,9 @@ func FuzzDifferential(f *testing.F) {
 // Ensure check.Renamer and vexec.FrameRenamer stay satisfied together for
 // every table entry — a conformance case that loses its frame compilation
 // fails here at build-run time rather than silently dropping out of the
-// differential. Every case's root frame, bare and capture-wrapped as the
-// model checker roots it, must also be a vexec.Cloner: Restore puts lanes
-// back only by copy, so a checkpointing walk would fail on a root without it.
+// differential. Every case's root frame, which the model checker roots each
+// lane with, must also be a vexec.Cloner: Restore puts lanes back only by
+// copy, so a checkpointing walk would fail on a root without it.
 func TestEveryCaseCompilesToFrames(t *testing.T) {
 	for _, c := range conformance.Cases() {
 		r := c.New(2, 1)
@@ -410,11 +422,6 @@ func TestEveryCaseCompilesToFrames(t *testing.T) {
 		root := fr.FrameRename(c.Origs(2, 1)[0], nil)
 		if _, ok := root.(vexec.Cloner); !ok {
 			t.Errorf("case %s: root frame %T is not a vexec.Cloner", c.Name, root)
-		}
-		var got int64
-		var done bool
-		if _, ok := vexec.Capture(root, &got, &done, nil).(vexec.Cloner); !ok {
-			t.Errorf("case %s: the capture-wrapped root is not a vexec.Cloner", c.Name)
 		}
 	}
 }

@@ -160,9 +160,8 @@ func Rearm[F any, P interface {
 // nil or a copy an earlier Save of the same frame type returned, reused
 // with its buffers. Load copies a saved copy back into the frame. A saved
 // copy is inert (the engine never runs it) and shares no slice that either
-// side mutates in place. Pointers, such as a capture's result cells, are
-// copied as they are: Restore loads a copy back into the very objects it was
-// saved from, so they stay valid.
+// side mutates in place. Pointers are copied as they are: Restore loads a
+// copy back into the very objects it was saved from, so they stay valid.
 type Cloner interface {
 	Frame
 	Save(dst Frame) Frame
@@ -190,59 +189,4 @@ func SaveValue[F any, P interface {
 	Frame
 }](f P, dst Frame) Frame {
 	return SaveWith(f, dst, func(d, s P) { *d = *s })
-}
-
-// captureFrame adapts the check-harness calling convention to frames: it
-// runs the wrapped frame and stores its (name, ok) result through the
-// planted pointers, as the goroutine harness body does with
-// got[p.ID()], oks[p.ID()] = r.Rename(p, p.Name()).
-type captureFrame struct {
-	child   Frame
-	got     *int64
-	ok      *bool
-	entered bool
-}
-
-// Capture wraps a root frame so its result lands in *got and *ok when the
-// lane finishes. The wrapper is a Cloner exactly when child is. dst follows
-// FrameRenamer's re-arm contract: nil, or a wrapper an earlier Capture
-// returned that no engine runs any more, reused when it is of the kind
-// child needs. The child is the caller's to re-arm (FrameRename(orig,
-// oldChild)); Capture only re-points the wrapper.
-func Capture(child Frame, got *int64, ok *bool, dst Frame) Frame {
-	c := captureFrame{child: child, got: got, ok: ok}
-	if _, isCl := child.(Cloner); isCl {
-		d := Rearm[clonerCapture](dst)
-		d.captureFrame = c
-		return d
-	}
-	d := Rearm[captureFrame](dst)
-	*d = c
-	return d
-}
-
-func (c *captureFrame) Run(m *M, p *shmem.Proc) Status {
-	if !c.entered {
-		c.entered = true
-		return m.Call(c.child)
-	}
-	*c.got, *c.ok = m.RetI, m.RetB
-	return Done
-}
-
-// clonerCapture is the capture wrapper of a Cloner child. The child is held
-// by pointer, not embedded, so a saved copy owns a saved copy of the child.
-type clonerCapture struct{ captureFrame }
-
-func (c *clonerCapture) Save(dst Frame) Frame {
-	d := Rearm[clonerCapture](dst)
-	d.got, d.ok, d.entered = c.got, c.ok, c.entered
-	d.child = c.child.(Cloner).Save(d.child)
-	return d
-}
-
-func (c *clonerCapture) Load(src Frame) {
-	s := src.(*clonerCapture)
-	c.entered = s.entered
-	c.child.(Cloner).Load(s.child)
 }

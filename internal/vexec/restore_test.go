@@ -2,7 +2,7 @@ package vexec_test
 
 // Restore puts back only the lanes that moved since the capture. These tests
 // pin the other half of that contract: a lane no grant or restart touched
-// keeps its frames, its Proc and its captured outcome, and the engine still
+// keeps its frames, its Proc and its result, and the engine still
 // lands exactly on the captured decision point.
 
 import (
@@ -50,9 +50,10 @@ func (f *opsFrame) Load(src vexec.Frame)             { *f = *src.(*opsFrame) }
 
 // TestRestoreLeavesUnmovedLanes: capture with lane 0 Done and lane 1
 // pending, run a continuation that grants only lane 1, and restore. Lane 0's
-// captured outcome must survive, the engine must be back at the capture
-// (register, fingerprint, pending set, intents), the reset hook must have
-// run for lane 1 only, and the restore must have built no root frame.
+// result must survive, lane 1's continuation result must be gone with the
+// rest of its state, the engine must be back at the capture (register,
+// fingerprint, pending set, intents), and the restore must have built no
+// root frame.
 func TestRestoreLeavesUnmovedLanes(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -64,12 +65,10 @@ func TestRestoreLeavesUnmovedLanes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var r shmem.Reg
 			lanes := [][]bool{{true}, {false, true, false}}
-			got := make([]int64, 2)
-			oks := make([]bool, 2)
 			roots := make([]int, 2)
 			e := vexec.New(2, []int64{10, 20}, func(p *shmem.Proc) vexec.Frame {
 				roots[p.ID()]++
-				return vexec.Capture(&opsFrame{r: &r, ops: lanes[p.ID()]}, &got[p.ID()], &oks[p.ID()], nil)
+				return &opsFrame{r: &r, ops: lanes[p.ID()]}
 			})
 			if !tc.model.Atomic() {
 				e.SetModel(tc.model)
@@ -80,8 +79,8 @@ func TestRestoreLeavesUnmovedLanes(t *testing.T) {
 			if !e.Done(0) || e.PendingCount() != 1 {
 				t.Fatalf("setup: lane 0 done=%v, %d pending", e.Done(0), e.PendingCount())
 			}
-			if got[0] != 10 || !oks[0] {
-				t.Fatalf("setup: lane 0 outcome (%d, %v)", got[0], oks[0])
+			if v, ok := e.Returned(0); v != 10 || !ok {
+				t.Fatalf("setup: lane 0 returned (%d, %v)", v, ok)
 			}
 			snap := e.Checkpoint()
 			wantReg, wantFP := r.Peek(), e.Fingerprint()
@@ -100,22 +99,15 @@ func TestRestoreLeavesUnmovedLanes(t *testing.T) {
 			if !e.Done(1) {
 				t.Fatal("continuation did not finish lane 1")
 			}
-			divergent := got[1]
+			divergent, _ := e.Returned(1)
 			wantRoots := slices.Clone(roots) // a restart re-roots lane 1 too
 
-			var resets []int
-			e.Restore(snap, func(pid int) {
-				resets = append(resets, pid)
-				got[pid], oks[pid] = 0, false
-			})
-			if !slices.Equal(resets, []int{1}) {
-				t.Fatalf("reset ran for lanes %v, want [1]", resets)
-			}
-			if got[0] != 10 || !oks[0] {
-				t.Fatalf("lane 0's captured outcome lost: (%d, %v)", got[0], oks[0])
-			}
+			e.Restore(snap)
 			if v, ok := e.Returned(0); v != 10 || !ok {
 				t.Fatalf("lane 0 Returned (%d, %v) after restore", v, ok)
+			}
+			if v, ok := e.Returned(1); ok {
+				t.Fatalf("lane 1 kept its continuation result %d after restore", v)
 			}
 			if v := r.Peek(); v != wantReg {
 				t.Fatalf("register %d after restore, captured %d", v, wantReg)
@@ -138,8 +130,8 @@ func TestRestoreLeavesUnmovedLanes(t *testing.T) {
 			for e.PendingCount() > 0 {
 				e.Step(1)
 			}
-			if got[1] != divergent || !oks[1] {
-				t.Fatalf("lane 1 after restore returned (%d, %v), divergent run %d", got[1], oks[1], divergent)
+			if v, ok := e.Returned(1); v != divergent || !ok {
+				t.Fatalf("lane 1 after restore returned (%d, %v), divergent run %d", v, ok, divergent)
 			}
 			if res := e.Result(); res.Steps[0] != 1 || res.Steps[1] != 3 {
 				t.Fatalf("steps after restore %v, want [1 3]", res.Steps)

@@ -127,7 +127,7 @@ func (e *Exec) laneState(pid int) *laneSave {
 		cl, ok := m.stack[0].(Cloner)
 		if !ok {
 			panic(fmt.Sprintf("vexec: lane %d root frame %T is not a vexec.Cloner (give it Save/Load; vexec.SaveValue serves plain-value frames)",
-				pid, rootType(m.stack[0])))
+				pid, m.stack[0]))
 		}
 		root = cl
 	case sched.PhaseCrashed:
@@ -210,14 +210,15 @@ func (e *Exec) ReleaseState(s *Snapshot) {
 // A snapshot that is not an ancestor of the current state (one taken on a
 // branch a later Restore abandoned), a released one and another engine's one
 // panic. Then every lane that moved since the capture — was granted, crashed
-// or restarted, so its move stamp differs from the captured one — has reset
-// (if non-nil) clear the caller's body-external capture for it, and is put
+// or restarted, so its move stamp differs from the captured one — is put
 // back at its captured state by copying its saved frames, M cells and Proc
-// position. A lane that did not move keeps its frames, Proc and outcome
-// untouched; only its pending bit is set again. On return the engine is at
-// the captured decision point: same registers, pending set, posted intents,
-// lane frames and Fingerprint. No grant is re-executed.
-func (e *Exec) Restore(s *Snapshot, reset func(pid int)) {
+// position. The M cells hold the lane's result (Returned), so the result is
+// put back with the lane and no caller holds a copy to clear. A lane that
+// did not move keeps its frames, Proc and result untouched; only its
+// pending bit is set again. On return the engine is at the captured
+// decision point: same registers, pending set, posted intents, lane frames,
+// results and Fingerprint. No grant is re-executed.
+func (e *Exec) Restore(s *Snapshot) {
 	if !e.st.enabled {
 		panic("vexec: Restore without EnableState")
 	}
@@ -249,9 +250,6 @@ func (e *Exec) Restore(s *Snapshot, reset func(pid int)) {
 			}
 			continue
 		}
-		if reset != nil {
-			reset(pid)
-		}
 		ls := s.lanes[pid]
 		if ls == nil {
 			panic(fmt.Sprintf("vexec: lane %d moved after a capture that found it %s", pid, s.led.Phase(pid)))
@@ -278,13 +276,4 @@ func (e *Exec) loadLane(pid int, ps shmem.ProcState, ls *laneSave) {
 		ls.root.Load(ls.saved)
 	}
 	*m.intent, m.RetI, m.RetB = ls.intent, ls.retI, ls.retB
-}
-
-// rootType names a root frame for the Cloner panic: the capture wrapper's
-// child when the root is one, since that is the type to give Save/Load.
-func rootType(f Frame) Frame {
-	if c, ok := f.(*captureFrame); ok {
-		return c.child
-	}
-	return f
 }

@@ -5,18 +5,18 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/sched"
 	"repro/internal/shmem"
 	"repro/internal/vexec"
 )
 
 // twoRegFrame is the contended two-register body the restore tests drive:
-// write id+1 to a, read a, write what it read plus id to b, and read b into
-// *got. Outcomes depend on the interleaving, so restore bugs surface as
-// diverging reads or final values.
+// write id+1 to a, read a, write what it read plus id to b, and return what
+// it reads from b. Outcomes depend on the interleaving, so restore bugs
+// surface as diverging reads or final values.
 type twoRegFrame struct {
 	a, b *shmem.Reg
-	got  *int64
 	pc   int
 	v    int64
 }
@@ -37,8 +37,7 @@ func (f *twoRegFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 		p.Write(f.b, f.v+id)
 		return m.Intend(shmem.OpRead, f.b)
 	}
-	*f.got = p.Read(f.b)
-	return vexec.Done
+	return m.Return(p.Read(f.b), true)
 }
 
 func (f *twoRegFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
@@ -47,14 +46,13 @@ func (f *twoRegFrame) Load(src vexec.Frame)             { *f = *src.(*twoRegFram
 // twoRegs is one instance of the two-register system on n lanes.
 type twoRegs struct {
 	a, b shmem.Reg
-	got  []int64
 	e    *vexec.Exec
 }
 
 func newTwoRegs(n int) *twoRegs {
-	s := &twoRegs{got: make([]int64, n)}
+	s := &twoRegs{}
 	s.e = vexec.New(n, nil, func(p *shmem.Proc) vexec.Frame {
-		return &twoRegFrame{a: &s.a, b: &s.b, got: &s.got[p.ID()]}
+		return &twoRegFrame{a: &s.a, b: &s.b}
 	})
 	s.e.EnableState()
 	return s
@@ -101,7 +99,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		e.Crash(sched.NextBit(e.Pending(), -1))
 		roundRobin(e, 1<<10)
 
-		e.Restore(snap, func(pid int) { s.got[pid] = 0 })
+		e.Restore(snap)
 		if e.Fingerprint() != wantFP || e.Grants() != wantGrants || e.Trace().String() != wantTrace {
 			t.Fatalf("fingerprint/grants/trace after restore (%#x, %d, %q), want (%#x, %d, %q)",
 				e.Fingerprint(), e.Grants(), e.Trace(), wantFP, wantGrants, wantTrace)
@@ -146,14 +144,16 @@ func TestRestoreContinuationMatchesReplay(t *testing.T) {
 		for s.e.PendingCount() > 0 {
 			s.e.Step(sched.NextBit(s.e.Pending(), -1))
 		}
-		s.e.Restore(snap, func(pid int) { s.got[pid] = 0 })
+		s.e.Restore(snap)
 		// Restore rewinds the engine, never the policy; after 3 cyclic grants
 		// over 3 lanes a fresh cursor picks what the original one would.
 		roundRobin(s.e, 1<<10)
 		got := s.e.Result()
-		if got.Fingerprint != want.Fingerprint || !slices.Equal(got.Steps, want.Steps) || !slices.Equal(s.got, ref.got) {
+		sgot, _ := returned(s.e)
+		refGot, _ := returned(ref.e)
+		if got.Fingerprint != want.Fingerprint || !slices.Equal(got.Steps, want.Steps) || !slices.Equal(sgot, refGot) {
 			t.Fatalf("restored continuation (%#x, steps %v, got %v), want (%#x, %v, %v)",
-				got.Fingerprint, got.Steps, s.got, want.Fingerprint, want.Steps, ref.got)
+				got.Fingerprint, got.Steps, sgot, want.Fingerprint, want.Steps, refGot)
 		}
 		if g, w := [2]int64{s.a.Peek(), s.b.Peek()}, [2]int64{ref.a.Peek(), ref.b.Peek()}; g != w {
 			t.Fatalf("final registers (a, b) %v, want %v", g, w)
@@ -173,7 +173,7 @@ func TestRestoreCrashedProcess(t *testing.T) {
 		for e.PendingCount() > 0 {
 			e.Step(sched.NextBit(e.Pending(), -1))
 		}
-		e.Restore(snap, func(pid int) { s.got[pid] = 0 })
+		e.Restore(snap)
 		if !e.Crashed(1) || e.Proc(1).Steps() != 0 {
 			t.Fatalf("lane 1 after restore: crashed=%v steps=%d, want crashed at 0 steps", e.Crashed(1), e.Proc(1).Steps())
 		}
@@ -186,12 +186,12 @@ func TestRestoreCrashedProcess(t *testing.T) {
 	})
 }
 
-// refFrame writes a fresh {id+10} to a Ref register, reads it into *got,
-// then writes {id+20}.
+// refFrame writes a fresh {id+10} to a Ref register, reads it, then writes
+// {id+20} and returns what it read.
 type refFrame struct {
-	ref *shmem.Ref[int64]
-	got *int64
-	pc  int
+	ref  *shmem.Ref[int64]
+	pc   int
+	seen int64
 }
 
 func (f *refFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
@@ -205,25 +205,24 @@ func (f *refFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 		shmem.WriteRef(p, f.ref, &v)
 		return m.Intend(shmem.OpRead, f.ref)
 	case 3:
-		*f.got = *shmem.ReadRef(p, f.ref)
+		f.seen = *shmem.ReadRef(p, f.ref)
 		return m.Intend(shmem.OpWrite, f.ref)
 	}
 	v := id + 20
 	shmem.WriteRef(p, f.ref, &v)
-	return vexec.Done
+	return m.Return(f.seen, true)
 }
 
 func (f *refFrame) Save(dst vexec.Frame) vexec.Frame { return vexec.SaveValue(f, dst) }
 func (f *refFrame) Load(src vexec.Frame)             { *f = *src.(*refFrame) }
 
 // TestRestoreRefRegisters: pointer registers (the atomic-snapshot building
-// block) rewind to the captured pointer, and the continuation reads what
-// the restored register holds.
+// block) rewind to the captured pointer, lane 0 keeps what it read before
+// the capture, and the continuation reads what the restored register holds.
 func TestRestoreRefRegisters(t *testing.T) {
 	var ref shmem.Ref[int64]
-	got := make([]int64, 2)
 	e := vexec.New(2, nil, func(p *shmem.Proc) vexec.Frame {
-		return &refFrame{ref: &ref, got: &got[p.ID()]}
+		return &refFrame{ref: &ref}
 	})
 	e.EnableState()
 	e.Step(0) // lane 0 writes {10}
@@ -233,17 +232,18 @@ func TestRestoreRefRegisters(t *testing.T) {
 	want := ref.PeekRef()
 	e.Step(1) // lane 1 reads {11}
 	e.Step(1) // lane 1 writes {21}
-	e.Restore(snap, func(pid int) { got[pid] = 0 })
+	e.Restore(snap)
 	if ref.PeekRef() != want {
 		t.Fatalf("Ref pointer after restore %p, want %p", ref.PeekRef(), want)
-	}
-	if got[0] != 11 {
-		t.Fatalf("lane 0's observation %d after restore, want 11", got[0])
 	}
 	// Continuation (lowest pending first): lane 0 writes {20}, lane 1 reads
 	// it, lane 1 writes {21}.
 	for e.PendingCount() > 0 {
 		e.Step(sched.NextBit(e.Pending(), -1))
+	}
+	got, _ := returned(e)
+	if got[0] != 11 {
+		t.Fatalf("lane 0's observation %d after restore, want 11", got[0])
 	}
 	if got[1] != 20 || *ref.PeekRef() != 21 {
 		t.Fatalf("continuation after restore: got[1]=%d final=%d, want 20/21", got[1], *ref.PeekRef())
@@ -274,18 +274,17 @@ func mustPanic(t *testing.T, want string, f func()) {
 func TestRestoreRejectsNonAncestor(t *testing.T) {
 	s := newTwoRegs(2)
 	e := s.e
-	reset := func(pid int) { s.got[pid] = 0 }
 	a := e.Checkpoint()
 	e.Step(0)
 	e.Step(0)
 	b := e.Checkpoint()
-	e.Restore(a, reset)
+	e.Restore(a)
 	e.Step(1)
 	e.Step(1)
 	e.Step(1)
-	mustPanic(t, "not an ancestor", func() { e.Restore(b, reset) })
+	mustPanic(t, "not an ancestor", func() { e.Restore(b) })
 	// The refusal left the engine alone: the ancestor still restores.
-	e.Restore(a, reset)
+	e.Restore(a)
 	if e.TraceLen() != 0 || s.a.Peek() != 0 || s.b.Peek() != 0 {
 		t.Fatalf("after restoring the root: trace %d, registers (%d, %d), want 0, (0, 0)", e.TraceLen(), s.a.Peek(), s.b.Peek())
 	}
@@ -297,8 +296,8 @@ func TestRestoreRejectsForeignSnapshots(t *testing.T) {
 	s, o := newTwoRegs(2), newTwoRegs(2)
 	released := s.e.Checkpoint()
 	s.e.ReleaseState(released)
-	mustPanic(t, "released snapshot", func() { s.e.Restore(released, nil) })
-	mustPanic(t, "different engine", func() { s.e.Restore(o.e.Checkpoint(), nil) })
+	mustPanic(t, "released snapshot", func() { s.e.Restore(released) })
+	mustPanic(t, "different engine", func() { s.e.Restore(o.e.Checkpoint()) })
 }
 
 // readOnceFrame reads r once. It is deliberately not a vexec.Cloner.
@@ -315,27 +314,35 @@ func (f *readOnceFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return m.Intend(shmem.OpRead, f.r)
 }
 
+// readOnceRenamer is a renamer whose frame automaton is readOnceFrame.
+type readOnceRenamer struct{ r *shmem.Reg }
+
+func (x readOnceRenamer) Rename(p *shmem.Proc, orig int64) (int64, bool) { return p.Read(x.r), true }
+func (readOnceRenamer) MaxName() int64                                   { return 1 }
+func (readOnceRenamer) Registers() int                                   { return 1 }
+func (x readOnceRenamer) FrameRename(orig int64, dst vexec.Frame) vexec.Frame {
+	return &readOnceFrame{r: x.r}
+}
+
 // TestCheckpointNeedsCloner: Restore puts lanes back only by copy, so the
 // first capture that meets a pending lane whose root frame is not a Cloner
 // fails with one line that names the frame type and the fix — bare, and
-// through the capture wrapper, where the type to fix is the wrapped one.
+// rooted by check.Instance, which roots each lane with the renamer's own
+// frame, so the type named is the one to fix.
 func TestCheckpointNeedsCloner(t *testing.T) {
 	const want = "vexec: lane 0 root frame *vexec_test.readOnceFrame is not a vexec.Cloner (give it Save/Load; vexec.SaveValue serves plain-value frames)"
-	for _, wrap := range []bool{false, true} {
+	for _, viaInstance := range []bool{false, true} {
 		var r shmem.Reg
-		var got int64
-		var ok bool
-		e := vexec.New(1, nil, func(p *shmem.Proc) vexec.Frame {
-			if wrap {
-				return vexec.Capture(&readOnceFrame{r: &r}, &got, &ok, nil)
-			}
-			return &readOnceFrame{r: &r}
-		})
+		root := func(p *shmem.Proc) vexec.Frame { return &readOnceFrame{r: &r} }
+		if viaInstance {
+			root = check.NewInstance(readOnceRenamer{&r}, 1, nil).Frames()
+		}
+		e := vexec.New(1, nil, root)
 		e.EnableState()
 		func() {
 			defer func() {
 				if r := recover(); r != want {
-					t.Fatalf("capture-wrapped=%v: panic %v, want %q", wrap, r, want)
+					t.Fatalf("via check.Instance=%v: panic %v, want %q", viaInstance, r, want)
 				}
 			}()
 			e.Checkpoint()
